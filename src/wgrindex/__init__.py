@@ -67,7 +67,6 @@ from .query import (
     full_interval,
     full_state,
     locate,
-    out_range,
     phi,
     step_interval,
     step_toehold,

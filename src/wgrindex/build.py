@@ -134,6 +134,22 @@ class RLSequence:
         s = sl[t - 1]
         return self._cums[c][t - 1] + min(p - s, self._lens[c][t - 1])
 
+    def rank_last(self, c: int, p: int) -> tuple[int, int]:
+        """rank(c, p) and the position of the last c before p.
+
+        The position equals select(c, rank(c, p) - 1), read off the run the
+        rank search lands on; it is -1 when the rank is 0.
+        """
+        sl = self._starts.get(c)
+        if not sl:
+            return 0, -1
+        t = bisect_left(sl, p) - 1
+        if t < 0:
+            return 0, -1
+        s = sl[t]
+        taken = min(p - s, self._lens[c][t])
+        return self._cums[c][t] + taken, s + taken - 1
+
     def select(self, c: int, k: int) -> int:
         """Position of the (k+1)-th occurrence of c (k is 0-based)."""
         total = self.count(c)
@@ -453,7 +469,8 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index; raises ValueError on foreign input."""
+    """Inverse of serialize_index; raises ValueError on foreign input or
+    on arrays whose lengths disagree."""
     try:
         doc = json.loads(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -463,14 +480,27 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported index version {doc.get('version')!r}")
     try:
+        n, sigma = int(doc["n"]), int(doc["sigma"])
+        for name, other, want in (
+            ("marked_pairs", "marked_positions", len(doc["marked_positions"])),
+            ("pred_ids", "anchor_ids", len(doc["anchor_ids"])),
+            ("run_labels", "run_starts", len(doc["run_starts"])),
+            ("out_prefix", "n + 1", n + 1),
+            ("in_prefix", "n + 1", n + 1),
+            ("f_label", "sigma + 1", sigma + 1),
+        ):
+            if len(doc[name]) != want:
+                raise ValueError(
+                    f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}"
+                )
         pairs = {
             int(p): (int(a), int(b))
             for p, (a, b) in zip(doc["marked_positions"], doc["marked_pairs"])
         }
         return WheelerRIndex(
-            n=int(doc["n"]),
+            n=n,
             m=int(doc["m"]),
-            sigma=int(doc["sigma"]),
+            sigma=sigma,
             num_runs=int(doc["num_runs"]),
             num_paths=int(doc["num_paths"]),
             last_rank_id=None if doc["last_rank_id"] is None else int(doc["last_rank_id"]),

@@ -1,8 +1,8 @@
 """Command-line front end: generate, validate, build, query, stats.
 
 Exit codes: 0 success, 1 domain failure (input numbering is not a valid
-order), 2 usage or I/O errors. Stdout carries machine-parseable results;
-diagnostics go to stderr.
+order), 2 usage or I/O errors or a corrupt index file. Stdout carries
+machine-parseable results; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import string
 import sys
 
 from .build import build_index, load_index, save_index, space_report
-from .errors import NotWheelerError, WgfParseError
+from .errors import IndexInvariantError, NotWheelerError, WgfParseError
 from .generators import gen_multi_paths, gen_string_cycle, gen_string_path, gen_trie
 from .graph import decompose_paths, parse_graph, to_wgf, validate_wheeler
 from .query import count, locate
@@ -172,6 +172,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except IndexInvariantError as exc:
+        print(f"error: corrupt index: {exc}", file=sys.stderr)
         return 2
 
 

@@ -4,9 +4,13 @@ A pattern is a sequence of integer labels. match(P) is the set of vertices
 at which some directed path spelling P (edge labels read first to last)
 ends; under a valid vertex order that set is a contiguous rank interval.
 Each query step maps the interval for a prefix to the interval for the
-prefix extended by one label, and in parallel tracks the identifier of the
-interval's last vertex so the whole result can be reported by repeatedly
-stepping to order-predecessors.
+prefix extended by one label, by rank searches over the interval's
+out-range: the transform positions of the edges leaving its vertices. The
+same search also finds the last occurrence of the label there, and that
+position carries the identifier of the new interval's last vertex: it is
+stored at the position when the position is marked, and otherwise follows
+from the old last identifier by the +1 rule (the toehold lemma). The whole
+result is then reported by repeatedly stepping to order-predecessors.
 
 All functions are pure reads over an immutable index and may be called
 concurrently.
@@ -20,8 +24,10 @@ from typing import Sequence
 from .build import WheelerRIndex
 from .errors import FirstInOrderError, IndexInvariantError
 
+_INT_ONLY = frozenset((int,))
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class RankInterval:
     """Non-empty inclusive range of vertex ranks.
 
@@ -40,7 +46,7 @@ class RankInterval:
         return self.e - self.s + 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MatchState:
     """A match interval plus the identifier of the vertex at its top rank."""
 
@@ -61,38 +67,54 @@ def full_state(ix: WheelerRIndex) -> MatchState | None:
     return MatchState(RankInterval(0, ix.n - 1), ix.last_rank_id)
 
 
-def out_range(ix: WheelerRIndex, iv: RankInterval) -> tuple[int, int] | None:
-    """Transform positions of the edges leaving the interval's vertices."""
-    lo = ix.sums.out_prefix[iv.s]
-    hi = ix.sums.out_prefix[iv.e + 1] - 1
-    return (lo, hi) if lo <= hi else None
+def _labels(pattern: Sequence[int]) -> tuple[int, ...]:
+    """The pattern as a tuple (so an iterator is read once); raises
+    ValueError unless every label is an int."""
+    labels = tuple(pattern)
+    # One scan of the label types per query; bool is excluded by the exact match.
+    if not set(map(type, labels)) <= _INT_ONLY:
+        bad = next(c for c in labels if type(c) is not int)
+        raise ValueError(f"pattern label {bad!r} is not an int")
+    return labels
 
 
-def step_interval(ix: WheelerRIndex, iv: RankInterval, c: int) -> RankInterval | None:
-    """Interval of pattern P + [c] given the interval of P.
+def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] | None:
+    """Ranks s', e' of the interval [s, e] extended by c, and the position
+    of the last c in the out-range of [s, e]; None when nothing matches.
 
-    The first and last occurrences of c among the interval's out-edge
-    labels lead to the first and last vertices of the refined interval;
-    their ranks are recovered from the label and in-degree partial sums.
+    The first and last occurrences of c among the interval's out-edge labels
+    lead to the first and last vertices of the refined interval; their ranks
+    are recovered from the label and in-degree partial sums.
     """
     if not 0 <= c < ix.sigma:
         return None
-    rng = out_range(ix, iv)
-    if rng is None:
+    sums = ix.sums
+    lo = sums.out_prefix[s]
+    hi = sums.out_prefix[e + 1]
+    if lo >= hi:
         return None
-    lo, hi = rng
-    k1 = ix.rl.rank(c, lo)
-    k2 = ix.rl.rank(c, hi + 1) - 1
-    if k2 < k1:
+    rl = ix.rl
+    k1 = rl.rank(c, lo)
+    k2, p = rl.rank_last(c, hi)
+    if k2 <= k1:
         return None
-    base = ix.sums.f_label[c]
-    return RankInterval(
-        ix.sums.rank_of_in_slot(base + k1), ix.sums.rank_of_in_slot(base + k2)
-    )
+    base = sums.f_label[c]
+    return sums.rank_of_in_slot(base + k1), sums.rank_of_in_slot(base + k2 - 1), p
+
+
+def step_interval(ix: WheelerRIndex, iv: RankInterval, c: int) -> RankInterval | None:
+    """Interval of pattern P + [c] given the interval of P."""
+    r = _refine(ix, iv.s, iv.e, c)
+    return None if r is None else RankInterval(r[0], r[1])
 
 
 def count(ix: WheelerRIndex, pattern: Sequence[int]) -> int:
-    """Number of vertices where a path spelling the pattern ends."""
+    """Number of vertices where a path spelling the pattern ends.
+
+    Raises ValueError when a label is not an int; an int outside the
+    alphabet matches nothing.
+    """
+    pattern = _labels(pattern)
     iv = full_interval(ix)
     if iv is None:
         return 0
@@ -106,63 +128,53 @@ def count(ix: WheelerRIndex, pattern: Sequence[int]) -> int:
 def step_toehold(ix: WheelerRIndex, st: MatchState, c: int) -> MatchState | None:
     """Refine the interval by c and keep the last vertex's identifier.
 
-    Case A: the current last vertex u has an out-edge labelled c. The last
-    such edge in u's out-range leads to the new last vertex; if its position
-    is marked the stored identifier is used, otherwise both endpoints are
-    chain-interior and the identifier is last_id + 1.
-
-    Case B: u has no c-edge, so the last c in the whole interval's out-range
-    leads to the new last vertex. The construction guarantees that position
-    is marked; an unmarked hit means the index is corrupt.
+    The new last vertex is reached by the last c in the interval's
+    out-range, position p. If p is marked, the stored identifier is used.
+    Otherwise p must lie in the out-range of the old last vertex (the two
+    ranges end together), where both endpoints of p's edge are
+    chain-interior and the identifier is last_id + 1. An unmarked p before
+    that range means the index is corrupt.
     """
-    new_iv = step_interval(ix, st.interval, c)
-    if new_iv is None:
+    iv = st.interval
+    r = _refine(ix, iv.s, iv.e, c)
+    if r is None:
         return None
-    e = st.interval.e
-    lo_e = ix.sums.out_prefix[e]
-    hi_e = ix.sums.out_prefix[e + 1] - 1
-    if lo_e <= hi_e:
-        k1 = ix.rl.rank(c, lo_e)
-        k2 = ix.rl.rank(c, hi_e + 1)
-        if k2 > k1:  # case A
-            p = ix.rl.select(c, k2 - 1)
-            pair = ix.toehold.pairs.get(p)
-            new_id = pair[1] if pair is not None else st.last_id + 1
-            return MatchState(new_iv, new_id)
-    # case B
-    lo, hi = out_range(ix, st.interval)  # non-empty: the step succeeded
-    k2 = ix.rl.rank(c, hi + 1)
-    p = ix.rl.select(c, k2 - 1)
+    s, e, p = r
     pair = ix.toehold.pairs.get(p)
-    if pair is None:
+    if pair is not None:
+        new_id = pair[1]
+    elif p >= ix.sums.out_prefix[iv.e]:
+        new_id = st.last_id + 1
+    else:
         raise IndexInvariantError(
             f"unmarked position {p} reached by an out-of-range step (label {c})"
         )
-    return MatchState(new_iv, pair[1])
+    return MatchState(RankInterval(s, e), new_id)
 
 
 def find_interval(ix: WheelerRIndex, pattern: Sequence[int]) -> MatchState | None:
     """Match state of a non-empty pattern, or None when nothing matches.
 
-    The state is seeded from the pattern's first label c: the globally last
-    occurrence of c ends a run, hence is marked and carries the identifier
-    of the interval's last vertex. Subsequent labels fold through
-    step_toehold.
+    The state is seeded from the pattern's first label c: the last c in the
+    full interval's out-range is the globally last occurrence, which ends a
+    run, hence is marked and carries the identifier of the interval's last
+    vertex. Each later label is one step_toehold.
+    Raises ValueError on the empty pattern or a label that is not an int.
     """
+    pattern = _labels(pattern)
     if len(pattern) == 0:
         raise ValueError("pattern must be non-empty; the empty pattern matches every vertex")
+    if ix.n == 0:
+        return None
     c = pattern[0]
-    start = full_interval(ix)
-    if start is None:
+    r = _refine(ix, 0, ix.n - 1, c)
+    if r is None:
         return None
-    iv = step_interval(ix, start, c)
-    if iv is None:
-        return None
-    p = ix.rl.select(c, ix.rl.count(c) - 1)
+    s, e, p = r
     pair = ix.toehold.pairs.get(p)
     if pair is None:
         raise IndexInvariantError(f"last occurrence of label {c} at position {p} is unmarked")
-    st = MatchState(iv, pair[1])
+    st = MatchState(RankInterval(s, e), pair[1])
     for c in pattern[1:]:
         st = step_toehold(ix, st, c)
         if st is None:
@@ -195,7 +207,8 @@ def locate(ix: WheelerRIndex, pattern: Sequence[int]) -> list[int]:
 
     Returns exactly count(ix, pattern) distinct identifiers, starting with
     the last vertex of the match interval and walking order-predecessors.
-    The empty pattern reports every vertex.
+    The empty pattern reports every vertex. Raises ValueError when a label
+    is not an int.
     """
     if len(pattern) == 0:
         if ix.n == 0:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,16 @@ def test_rank_select_matches_naive_scan(inst):
     for p in range(len(labels)):
         assert rl.run_end(p) == (p + 1 == len(labels) or labels[p + 1] != labels[p])
         assert rl.label_at(p) == labels[p]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 3), max_size=30))
+def test_rank_last_matches_rank_and_select(labels):
+    rl = RLSequence.from_labels(labels)
+    for c in range(5):  # label 4 never occurs
+        for p in range(len(labels) + 1):
+            k = rl.rank(c, p)
+            assert rl.rank_last(c, p) == (k, rl.select(c, k - 1) if k else -1)
 
 
 def test_rlsequence_from_labels_matches_builder(g1):
@@ -320,3 +331,18 @@ def test_deserialize_rejects_foreign_input(g1_index):
     tampered = serialize_index(g1_index).replace(b'"version":1', b'"version":99')
     with pytest.raises(ValueError, match="version"):
         deserialize_index(tampered)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["marked_pairs", "marked_positions", "pred_ids", "anchor_ids", "run_labels",
+     "run_starts", "out_prefix", "in_prefix", "f_label"],
+)
+def test_deserialize_rejects_mismatched_lengths(field):
+    # before the length checks, a dropped marked pair was silently cut off
+    # by zip and a short out_prefix failed mid-query with IndexError
+    ix = build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)
+    doc = json.loads(serialize_index(ix))
+    doc[field].pop()
+    with pytest.raises(ValueError, match="corrupt index"):
+        deserialize_index(json.dumps(doc).encode("ascii"))

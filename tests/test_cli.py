@@ -1,4 +1,5 @@
 import io
+import json
 import subprocess
 import sys
 
@@ -136,6 +137,34 @@ def test_query_bad_index_file(capsys, tmp_path):
     code, _, err = run(capsys, "query", str(bad), "--mode", "count", "--patterns", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+def _corrupt_copy(src: str, dst, **fields) -> str:
+    doc = json.loads(open(src, "rb").read())
+    doc.update(fields)
+    dst.write_text(json.dumps(doc))
+    return str(dst)
+
+
+def test_query_corrupt_index_exits_2_without_traceback(capsys, g1_idx, tmp_path):
+    # emptied anchors load fine; the first phi step of a two-hit locate fails
+    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", anchor_ids=[], pred_ids=[])
+    pats = tmp_path / "p.txt"
+    pats.write_text("a\n")
+    code, _, err = run(capsys, "query", bad, "--mode", "locate", "--patterns", str(pats))
+    assert code == 2
+    assert err.startswith("error: corrupt index: ")
+    assert "Traceback" not in err
+
+
+def test_query_short_prefix_array_rejected_at_load(capsys, g1_idx, tmp_path):
+    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", out_prefix=[0, 1])
+    pats = tmp_path / "p.txt"
+    pats.write_text("ab\n")
+    code, out, err = run(capsys, "query", bad, "--mode", "count", "--patterns", str(pats))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: corrupt index: out_prefix")
 
 
 # --- gen ---

@@ -1,10 +1,13 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wgrindex.query as query_mod
 from wgrindex import (
     FirstInOrderError,
+    IndexInvariantError,
     MatchState,
     RankInterval,
     WheelerGraph,
@@ -20,7 +23,6 @@ from wgrindex import (
     is_primitive,
     locate,
     naive_match,
-    out_range,
     phi,
     random_patterns,
     step_interval,
@@ -53,13 +55,7 @@ def test_rank_interval_rejects_inverted():
     assert len(RankInterval(1, 3)) == 3
 
 
-# --- out_range / step_interval ---
-
-def test_out_range_g1(g1_index):
-    assert out_range(g1_index, RankInterval(0, 3)) == (0, 2)
-    assert out_range(g1_index, RankInterval(2, 2)) is None
-    assert out_range(g1_index, RankInterval(0, 3)) == (0, g1_index.m - 1)
-
+# --- step_interval ---
 
 def test_step_interval_g1(g1_index):
     ix = g1_index
@@ -138,6 +134,17 @@ def test_step_toehold_unmarked_increments_by_one():
     assert inst.ids.id_of_rank[5] == 2
 
 
+def test_step_toehold_unmarked_out_of_range_hit_is_corrupt(g1_index):
+    # the step of test_step_toehold_g1_case_b lands on position 1, before
+    # rank 2's (empty) out-range; without its stored pair the +1 rule does
+    # not apply and the index is corrupt
+    del g1_index.toehold.pairs[1]
+    with pytest.raises(IndexInvariantError):
+        step_toehold(g1_index, MatchState(RankInterval(1, 2), 3), 1)
+    with pytest.raises(IndexInvariantError):
+        locate(g1_index, (0, 1))
+
+
 def test_step_toehold_from_full_state_matches_find_interval(g1_index):
     for c in range(g1_index.sigma):
         assert step_toehold(g1_index, full_state(g1_index), c) == find_interval(g1_index, (c,))
@@ -151,6 +158,33 @@ def test_find_interval_g1(g1_index):
     assert find_interval(g1_index, (0, 2)) is None
     with pytest.raises(ValueError):
         find_interval(g1_index, ())
+
+
+# --- pattern labels ---
+
+@pytest.mark.parametrize("bad", ["a", None, 1.0, 1.5, True, False])
+def test_non_int_label_rejected(g1_index, bad):
+    for pattern in [(bad,), (0, bad), (0, 1, bad)]:
+        with pytest.raises(ValueError, match="not an int"):
+            count(g1_index, pattern)
+        with pytest.raises(ValueError, match="not an int"):
+            find_interval(g1_index, pattern)
+        with pytest.raises(ValueError, match="not an int"):
+            locate(g1_index, pattern)
+    with pytest.raises(ValueError):
+        count(g1_index, "ab")
+
+
+def test_pattern_may_be_an_iterator(g1_index):
+    assert count(g1_index, iter((0, 1))) == 1
+    assert find_interval(g1_index, iter((0, 1))) == find_interval(g1_index, (0, 1))
+
+
+def test_int_label_outside_alphabet_counts_zero(g1_index):
+    for pattern in [(-1,), (2,), (0, -1), (0, 10**20)]:
+        assert count(g1_index, pattern) == 0
+        assert find_interval(g1_index, pattern) is None
+        assert locate(g1_index, pattern) == []
 
 
 # --- phi ---
@@ -234,3 +268,47 @@ def test_g1_exhaustive_patterns(g1, g1_index):
             hits = naive_match(g1, pat)
             assert count(g1_index, pat) == len(hits)
             assert sorted(locate(g1_index, pat)) == sorted(idof[r] for r in hits)
+
+
+def test_query_call_paths_reach_traced_hooks(monkeypatch):
+    """count and locate reach the functions and index attributes that
+    perfbench --trace 1 wraps, through lookups made at call time: its
+    per-layer metrics divide by these call counts."""
+    ix = build_index(gen_string_path((0, 1, 0, 1, 0)).graph)
+    calls: Counter = Counter()
+    stack = [None]
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name, stack[-1]] += 1
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+        return wrapper
+
+    for name in ("find_interval", "step_interval", "step_toehold", "phi"):
+        monkeypatch.setattr(query_mod, name, counting(name, getattr(query_mod, name)))
+    monkeypatch.setattr(ix.rl, "rank", counting("rank", ix.rl.rank))
+    monkeypatch.setattr(ix.phi, "successor", counting("successor", ix.phi.successor))
+
+    class Pairs(dict):
+        pass
+
+    pairs = Pairs(ix.toehold.pairs)
+    pairs.get = counting("pairs.get", pairs.get)
+    monkeypatch.setattr(ix.toehold, "pairs", pairs)
+
+    pattern = (0, 1, 0)  # "aba" ends at two vertices
+    assert query_mod.count(ix, pattern) == 2
+    assert calls["step_interval", None] == 3
+    assert calls["rank", "step_interval"] >= 3
+    calls.clear()
+    assert len(query_mod.locate(ix, pattern)) == 2
+    assert calls["find_interval", None] == 1
+    assert calls["step_toehold", "find_interval"] == 2
+    assert calls["rank", "step_toehold"] >= 2
+    assert calls["pairs.get", "step_toehold"] == 2
+    assert calls["phi", None] == 1
+    assert calls["successor", "phi"] == 1
