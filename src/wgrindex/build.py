@@ -22,6 +22,7 @@ from .graph import (
     WheelerGraph,
     assign_identifiers,
     decompose_paths,
+    transform_order,
     validate_wheeler,
 )
 
@@ -34,14 +35,13 @@ class GraphBwt:
     """Edge labels sorted by (source rank, destination rank, input order).
 
     labels[p] is the label at position p; edge_at[p] the (src, dst) pair of
-    the edge holding that position; order[p] its index in the input edge
-    list. runs lists the maximal constant stretches as (label, length).
+    the edge holding that position. runs lists the maximal constant
+    stretches as (label, length).
     """
 
     labels: list[int]
     runs: list[tuple[int, int]]
     edge_at: list[tuple[int, int]]
-    order: list[int]
 
     @property
     def m(self) -> int:
@@ -58,7 +58,7 @@ def build_bwt(g: WheelerGraph) -> GraphBwt:
     if not report.is_wheeler:
         detail = "; ".join(str(v) for v in report.violations)
         raise NotWheelerError(f"input numbering is not a Wheeler order: {detail}")
-    order = sorted(range(g.m), key=lambda i: (g.edges[i][0], g.edges[i][1], i))
+    order = transform_order(g)
     labels = [g.edges[i][2] for i in order]
     runs: list[tuple[int, int]] = []
     for lab in labels:
@@ -67,7 +67,7 @@ def build_bwt(g: WheelerGraph) -> GraphBwt:
         else:
             runs.append((lab, 1))
     edge_at = [(g.edges[i][0], g.edges[i][1]) for i in order]
-    return GraphBwt(labels=labels, runs=runs, edge_at=edge_at, order=order)
+    return GraphBwt(labels=labels, runs=runs, edge_at=edge_at)
 
 
 @dataclass
@@ -159,19 +159,6 @@ class RLSequence:
         t = bisect_right(cums, k) - 1
         return self._starts[c][t] + (k - cums[t])
 
-    def run_end(self, p: int) -> bool:
-        """True iff p is the last position of its run."""
-        if not 0 <= p < self.length:
-            raise IndexError(f"position {p} out of range")
-        t = bisect_right(self.run_starts, p) - 1
-        end = self.run_starts[t + 1] if t + 1 < len(self.run_starts) else self.length
-        return p == end - 1
-
-    def label_at(self, p: int) -> int:
-        if not 0 <= p < self.length:
-            raise IndexError(f"position {p} out of range")
-        return self.run_labels[bisect_right(self.run_starts, p) - 1]
-
 
 def build_rank_select(b: GraphBwt) -> RLSequence:
     """Rank/select directories over the transform's runs."""
@@ -222,9 +209,6 @@ class ToeholdTable:
 
     pairs: dict[int, tuple[int, int]]
 
-    def is_marked(self, p: int) -> bool:
-        return p in self.pairs
-
     @property
     def marked_count(self) -> int:
         return len(self.pairs)
@@ -243,14 +227,16 @@ def build_toehold(
       M2: u or v is an endpoint of a decomposition path;
       M3: the vertex ranked directly after u has out-degree 0.
     """
-    run_ends = set(accumulate(length for _, length in b.runs))  # 1-past ends
+    labels = b.labels
+    last = b.m - 1
     endpoints = d.endpoints
     out_deg = g.out_degrees
     id_of = ids.id_of_rank
     pairs: dict[int, tuple[int, int]] = {}
     for p, (u, v) in enumerate(b.edge_at):
         if (
-            (p + 1) in run_ends
+            p == last
+            or labels[p] != labels[p + 1]
             or u in endpoints
             or v in endpoints
             or (u + 1 < g.n and out_deg[u + 1] == 0)
@@ -301,39 +287,35 @@ def build_phi(
         (endpoints break the consecutive-identifier rule);
       * k = 0 (the order-first vertex, stored with a None sentinel).
     """
-    n = g.n
-    out_prefix = [0] + list(accumulate(g.out_degrees))
+    out_deg, in_deg = g.out_degrees, g.in_degrees
     endpoints = d.endpoints
     id_of = ids.id_of_rank
+    labels = b.labels
 
-    def single_out(u: int) -> tuple[int, int]:
-        # target and label of u's unique out-edge; caller checks out-degree
-        p = out_prefix[u]
-        return b.edge_at[p][1], b.labels[p]
-
-    entries: list[tuple[int, int | None]] = []
-    for k in range(n):
-        if k == 0:
-            member = True
-        elif g.out_degrees[k] != 1 or g.out_degrees[k - 1] != 1:
-            member = True
-        else:
-            v, lab = single_out(k)
-            v2, lab2 = single_out(k - 1)
-            member = (
-                g.in_degrees[v] != 1
-                or g.in_degrees[v2] != 1
-                or lab != lab2
-                or k in endpoints
-                or (k - 1) in endpoints
-                or v in endpoints
-                or v2 in endpoints
-            )
-        if member:
-            entries.append((id_of[k], id_of[k - 1] if k > 0 else None))
-    entries.sort(key=lambda t: t[0])
+    # When u and u' = u - 1 both have out-degree 1, their out-edges sit at
+    # adjacent transform positions, so one scan of the transform finds every
+    # rank in lockstep with its predecessor.
+    lockstep = [False] * g.n
+    for p in range(1, b.m):
+        u, v = b.edge_at[p]
+        u2, v2 = b.edge_at[p - 1]
+        if (
+            u2 == u - 1
+            and out_deg[u] == 1
+            and out_deg[u2] == 1
+            and in_deg[v] == 1
+            and in_deg[v2] == 1
+            and labels[p] == labels[p - 1]
+            and u not in endpoints
+            and u2 not in endpoints
+            and v not in endpoints
+            and v2 not in endpoints
+        ):
+            lockstep[u] = True
+    ranks = [k for k in ids.rank_of_id if not lockstep[k]]  # ascending identifiers
     return PhiStructure(
-        anchor_ids=[i for i, _ in entries], pred_ids=[p for _, p in entries]
+        anchor_ids=[id_of[k] for k in ranks],
+        pred_ids=[id_of[k - 1] if k > 0 else None for k in ranks],
     )
 
 
@@ -469,8 +451,10 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index; raises ValueError on foreign input or
-    on arrays whose lengths disagree."""
+    """Inverse of serialize_index; raises ValueError on foreign input, on
+    arrays whose lengths disagree, and on an impossible anchor set: pred_ids
+    must hold exactly one None when n > 0 (none when n == 0), and anchor_ids
+    must be strictly increasing within [0, n)."""
     try:
         doc = json.loads(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -497,6 +481,15 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             int(p): (int(a), int(b))
             for p, (a, b) in zip(doc["marked_positions"], doc["marked_pairs"])
         }
+        anchor_ids = [int(x) for x in doc["anchor_ids"]]
+        pred_ids = [None if x is None else int(x) for x in doc["pred_ids"]]
+        firsts = pred_ids.count(None)
+        if firsts != min(n, 1):
+            raise ValueError(
+                f"corrupt index: pred_ids holds {firsts} None entries, n = {n} needs {min(n, 1)}"
+            )
+        if not all(a < b for a, b in zip([-1] + anchor_ids, anchor_ids + [n])):
+            raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
         return WheelerRIndex(
             n=n,
             m=int(doc["m"]),
@@ -515,10 +508,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
                 f_label=[int(x) for x in doc["f_label"]],
             ),
             toehold=ToeholdTable(pairs=pairs),
-            phi=PhiStructure(
-                anchor_ids=[int(x) for x in doc["anchor_ids"]],
-                pred_ids=[None if x is None else int(x) for x in doc["pred_ids"]],
-            ),
+            phi=PhiStructure(anchor_ids=anchor_ids, pred_ids=pred_ids),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not an index file: malformed field ({exc})") from exc

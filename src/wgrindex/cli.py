@@ -142,9 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a generated WGF instance")
     p.add_argument("family", choices=["string", "cycle", "multi", "trie"])
     p.add_argument("args", nargs="+", help="label strings (in map characters)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface stability; the built-in "
-                   "families are deterministic in their arguments")
     p.add_argument("-o", "--output", help="write the WGF here instead of stdout")
     p.add_argument("--map", default=DEFAULT_MAP)
     p.set_defaults(func=cmd_gen)

@@ -150,6 +150,13 @@ def to_wgf(g: WheelerGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def transform_order(g: WheelerGraph) -> list[int]:
+    """Edge indices in transform order: by source rank, then destination
+    rank, then input index."""
+    edges = g.edges
+    return sorted(range(g.m), key=lambda i: edges[i][:2])  # stable: ties keep index order
+
+
 def validate_wheeler(g: WheelerGraph) -> ValidationReport:
     """Check the three ordering axioms under the input numbering.
 
@@ -177,60 +184,61 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
             )
         )
 
-    by_label: dict[int, list[int]] = {}
-    for idx, (_, _, lab) in enumerate(g.edges):
-        by_label.setdefault(lab, []).append(idx)
+    # One scan in transform order, keeping (destination, edge index) keys per
+    # label: the smallest and the largest for A1; for A2 the first edge to
+    # reach the largest destination so far, and the first violation found.
+    # A2 asks that, within one label and in increasing source order, every
+    # destination be >= the largest destination of strictly smaller sources.
+    edges = g.edges
+    lo: list[tuple[int, int] | None] = [None] * g.sigma
+    hi: list[tuple[int, int] | None] = [None] * g.sigma
+    top: list[tuple[int, int] | None] = [None] * g.sigma
+    a2: list[Violation | None] = [None] * g.sigma
+    for idx in transform_order(g):
+        _, v, lab = edges[idx]
+        key = (v, idx)
+        if lo[lab] is None:
+            lo[lab] = hi[lab] = top[lab] = key
+            continue
+        if key < lo[lab]:
+            lo[lab] = key
+        elif key > hi[lab]:
+            hi[lab] = key
+        # Earlier edges of the same source have destinations <= v, so a
+        # larger destination so far always comes from a smaller source.
+        top_dst, top_edge = top[lab]
+        if v < top_dst:
+            if a2[lab] is None:
+                a2[lab] = Violation(
+                    "A2",
+                    (top_edge, idx),
+                    f"edges {top_edge} {edges[top_edge]} and {idx} {edges[idx]} share "
+                    f"label {lab} with increasing sources but decreasing destinations",
+                )
+        elif v > top_dst:
+            top[lab] = key
 
     # A1: destinations of lower labels must lie strictly below destinations
     # of higher labels, so one running maximum over ascending labels suffices.
     best_dst = -1
     best_edge = -1
-    for lab in sorted(by_label):
-        group = by_label[lab]
-        lo_edge = min(group, key=lambda i: (g.edges[i][1], i))
-        lo_dst = g.edges[lo_edge][1]
+    for lab in range(g.sigma):
+        if lo[lab] is None:
+            continue
+        lo_dst, lo_edge = lo[lab]
         if best_edge >= 0 and best_dst >= lo_dst:
             violations.append(
                 Violation(
                     "A1",
                     (best_edge, lo_edge),
-                    f"edge {best_edge} {g.edges[best_edge]} has a smaller label than "
-                    f"edge {lo_edge} {g.edges[lo_edge]} but does not lead to a smaller vertex",
+                    f"edge {best_edge} {edges[best_edge]} has a smaller label than "
+                    f"edge {lo_edge} {edges[lo_edge]} but does not lead to a smaller vertex",
                 )
             )
-        hi_edge = max(group, key=lambda i: (g.edges[i][1], i))
-        if g.edges[hi_edge][1] > best_dst:
-            best_dst, best_edge = g.edges[hi_edge][1], hi_edge
+        if hi[lab][0] > best_dst:
+            best_dst, best_edge = hi[lab]
 
-    # A2: within one label, scanning sources in increasing order, every
-    # destination must be >= the largest destination of strictly smaller
-    # sources.
-    for lab in sorted(by_label):
-        group = sorted(by_label[lab], key=lambda i: (g.edges[i][0], g.edges[i][1], i))
-        prev_src = None
-        prev_max_dst, prev_max_edge = -1, -1
-        seg_max_dst, seg_max_edge = -1, -1
-        for idx in group:
-            u, v, _ = g.edges[idx]
-            if u != prev_src:
-                if seg_max_dst > prev_max_dst:
-                    prev_max_dst, prev_max_edge = seg_max_dst, seg_max_edge
-                prev_src = u
-                seg_max_dst, seg_max_edge = -1, -1
-            if prev_max_edge >= 0 and v < prev_max_dst:
-                violations.append(
-                    Violation(
-                        "A2",
-                        (prev_max_edge, idx),
-                        f"edges {prev_max_edge} {g.edges[prev_max_edge]} and {idx} "
-                        f"{g.edges[idx]} share label {lab} with increasing sources "
-                        f"but decreasing destinations",
-                    )
-                )
-                break
-            if v > seg_max_dst:
-                seg_max_dst, seg_max_edge = v, idx
-
+    violations.extend(viol for viol in a2 if viol is not None)  # A2, by ascending label
     return ValidationReport.from_violations(violations)
 
 
@@ -266,16 +274,12 @@ def decompose_paths(g: WheelerGraph) -> PathDecomposition:
     Edges e = (u, v) and f = (v, w) belong to the same chain exactly when v
     has in-degree 1 and out-degree 1. A chain that closes into a cycle is
     broken at its minimum-rank vertex; a vertex with no edges becomes a
-    single-vertex path. Paths are emitted ordered by (start rank, position
-    of the first edge in label-sorted order), so the output is fully
-    deterministic.
+    single-vertex path. Paths are emitted ordered by (start rank, first
+    destination rank, first edge index), which for paths leaving the same
+    vertex is the transform order of their first edges, so the output is
+    fully deterministic.
     """
     n, m = g.n, g.m
-    order = sorted(range(m), key=lambda i: (g.edges[i][0], g.edges[i][1], i))
-    pos_of_edge = [0] * m
-    for p, e in enumerate(order):
-        pos_of_edge[e] = p
-
     only_out = [-1] * n
     for i, (u, _, _) in enumerate(g.edges):
         if g.out_degrees[u] == 1:
@@ -290,8 +294,7 @@ def decompose_paths(g: WheelerGraph) -> PathDecomposition:
     raw: list[tuple[list[int], list[int]]] = []
 
     # Chains with a definite head: the source vertex cannot be chained into.
-    for p in range(m):
-        e = order[p]
+    for e in range(m):
         if visited[e] or chainable[g.edges[e][0]]:
             continue
         vseq = [g.edges[e][0]]
@@ -306,8 +309,7 @@ def decompose_paths(g: WheelerGraph) -> PathDecomposition:
         raw.append((vseq, eseq))
 
     # Everything left lies on pure cycles; break each at its min-rank vertex.
-    for p in range(m):
-        e = order[p]
+    for e in range(m):
         if visited[e]:
             continue
         cyc = [e]
@@ -328,7 +330,7 @@ def decompose_paths(g: WheelerGraph) -> PathDecomposition:
         if g.in_degrees[v] == 0 and g.out_degrees[v] == 0:
             raw.append(([v], []))
 
-    raw.sort(key=lambda t: (t[0][0], pos_of_edge[t[1][0]] if t[1] else -1))
+    raw.sort(key=lambda t: (t[0][0], t[0][1], t[1][0]) if t[1] else (t[0][0], -1, -1))
     return PathDecomposition([vs for vs, _ in raw], [es for _, es in raw])
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,12 +25,15 @@ from wgrindex import (
     is_primitive,
     naive_phi_table,
     naive_runs,
+    parse_graph,
     serialize_index,
     space_report,
 )
+import wgrindex.build as build_mod
 from wgrindex.build import RLSequence
+from wgrindex.graph import transform_order
 
-from helpers import make_instance
+from helpers import G1_TEXT, make_instance
 
 label_strings = st.lists(st.integers(0, 3), max_size=12).map(tuple)
 
@@ -53,7 +58,7 @@ def test_bwt_g1(g1):
     assert b.labels == [0, 1, 0]
     assert b.runs == [(0, 1), (1, 1), (0, 1)]
     assert b.edge_at == [(0, 1), (1, 3), (3, 2)]
-    assert b.order == [0, 1, 2]
+    assert transform_order(g1) == [0, 1, 2]
     assert b.num_runs == 3
 
 
@@ -90,8 +95,8 @@ def test_rank_select_g1(g1_index):
     assert rl.rank(0, 0) == 0
     assert rl.rank(5, 2) == 0
     assert rl.count(0) == 2 and rl.count(1) == 1
-    assert [rl.run_end(p) for p in range(3)] == [True, True, True]
-    assert [rl.label_at(p) for p in range(3)] == [0, 1, 0]
+    assert rl.run_starts == [0, 1, 2]  # every position ends its run
+    assert rl.run_labels == [0, 1, 0]
 
 
 def test_select_out_of_range(g1_index):
@@ -117,9 +122,13 @@ def test_rank_select_matches_naive_scan(inst):
         assert rl.count(c) == len(occ)
         for k, p in enumerate(occ):
             assert rl.select(c, k) == p
-    for p in range(len(labels)):
-        assert rl.run_end(p) == (p + 1 == len(labels) or labels[p + 1] != labels[p])
-        assert rl.label_at(p) == labels[p]
+    ends = (rl.run_starts[1:] + [rl.length]) if labels else []
+    runs = zip(rl.run_starts, ends, rl.run_labels)
+    assert [lab for s, e, lab in runs for _ in range(s, e)] == labels
+    last_of_run = [
+        p for p in range(len(labels)) if p + 1 == len(labels) or labels[p + 1] != labels[p]
+    ]
+    assert [e - 1 for e in ends] == last_of_run
 
 
 @settings(max_examples=200)
@@ -195,7 +204,7 @@ def test_toehold_marks_before_sink():
     assert g.out_degrees[sink] == 0
     for p, (u, _) in enumerate(b.edge_at):
         if u == sink - 1:
-            assert th.is_marked(p)
+            assert p in th.pairs
 
 
 @settings(max_examples=150)
@@ -346,3 +355,94 @@ def test_deserialize_rejects_mismatched_lengths(field):
     doc[field].pop()
     with pytest.raises(ValueError, match="corrupt index"):
         deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        ({"anchor_ids": [], "pred_ids": []}, "pred_ids holds 0 None"),
+        ({"pred_ids": [3, 1, 0, 2]}, "pred_ids holds 0 None"),
+        ({"pred_ids": [3, None, None, 2]}, "pred_ids holds 2 None"),
+        ({"n": 0, "anchor_ids": [0], "pred_ids": [None], "out_prefix": [0], "in_prefix": [0]},
+         "pred_ids holds 1 None entries, n = 0 needs 0"),
+        ({"anchor_ids": [0, 2, 2, 4]}, "anchor_ids"),
+        ({"anchor_ids": [2, 0, 3, 4]}, "anchor_ids"),
+        ({"anchor_ids": [0, 2, 3, 5]}, "anchor_ids"),
+        ({"anchor_ids": [-1, 2, 3, 4]}, "anchor_ids"),
+    ],
+)
+def test_deserialize_rejects_impossible_anchor_sets(edit, fragment):
+    # such an index would otherwise fail only at its first phi step
+    ix = build_index(gen_string_path((0, 0, 0, 0)).graph)
+    doc = json.loads(serialize_index(ix))
+    assert (doc["anchor_ids"], doc["pred_ids"]) == ([0, 2, 3, 4], [3, 1, None, 2])
+    doc.update(edit)
+    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+def golden_graphs():
+    rng = random.Random(3)
+    string = tuple(rng.randrange(4) for _ in range(5000))
+    multi = [tuple(rng.randrange(4) for _ in range(200)) for _ in range(20)]
+    trie = [tuple(rng.randrange(3) for _ in range(rng.randint(0, 12))) for _ in range(60)]
+    cycle = tuple(rng.randrange(3) for _ in range(500))
+    return {
+        "g1": parse_graph(G1_TEXT),
+        "string": gen_string_path(string).graph,
+        "multi": gen_multi_paths(multi).graph,
+        "trie": gen_trie(trie).graph,
+        "cycle": gen_string_cycle(cycle).graph,
+    }
+
+
+GOLDEN_SHA256 = {
+    "g1": "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
+    "string": "ce4c43f8669113d4993d22856f875ab5268bae72373e175e9ab1a50df8f6380c",
+    "multi": "e23231eed95c7bda39676b6da983656e2fe17c8027e4698cdf79d67c235666cb",
+    "trie": "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
+    "cycle": "d4f338660c57d9976a2ca695d1fcbbed50237b81b0798ff84f21c6813329eeef",
+}
+
+
+def test_index_bytes_match_golden_hashes():
+    """Refactors of the build must keep the serialized bytes of g1 and of
+    four seeded graphs: a string, a multi-path, a trie and a cycle."""
+    graphs = golden_graphs()
+    assert (graphs["string"].n, graphs["multi"].n, graphs["cycle"].n) == (5001, 4020, 500)
+    digests = {
+        name: hashlib.sha256(serialize_index(build_index(g))).hexdigest()
+        for name, g in graphs.items()
+    }
+    assert digests == GOLDEN_SHA256
+
+
+BUILD_STAGES = (
+    "validate_wheeler", "decompose_paths", "assign_identifiers", "build_bwt",
+    "build_rank_select", "build_partial_sums", "build_toehold", "build_phi",
+)
+
+
+def test_build_call_paths_reach_traced_hooks(monkeypatch):
+    """build_index reaches every stage that perfbench --trace 1 wraps in the
+    build module, through lookups made at call time, once each; validation
+    runs inside build_bwt, whose self time the benchmark reports apart."""
+    calls = []
+    stack = [None]
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append((name, stack[-1]))
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+        return wrapper
+
+    for name in ("build_index", *BUILD_STAGES):
+        monkeypatch.setattr(build_mod, name, counting(name, getattr(build_mod, name)))
+    build_mod.build_index(gen_string_path((0, 1, 0, 1, 0)).graph)
+    expected = {(name, "build_index") for name in BUILD_STAGES if name != "validate_wheeler"}
+    expected |= {("build_index", None), ("validate_wheeler", "build_bwt")}
+    assert sorted(calls) == sorted(expected)

@@ -147,14 +147,27 @@ def _corrupt_copy(src: str, dst, **fields) -> str:
 
 
 def test_query_corrupt_index_exits_2_without_traceback(capsys, g1_idx, tmp_path):
-    # emptied anchors load fine; the first phi step of a two-hit locate fails
-    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", anchor_ids=[], pred_ids=[])
+    # marked position 1 deleted together with its pair still loads; the
+    # toehold step of "ab" lands on it and cannot apply the +1 rule
+    bad = _corrupt_copy(
+        g1_idx, tmp_path / "bad.idx", marked_positions=[0, 2], marked_pairs=[[2, 0], [1, 3]]
+    )
     pats = tmp_path / "p.txt"
-    pats.write_text("a\n")
+    pats.write_text("ab\n")
     code, _, err = run(capsys, "query", bad, "--mode", "locate", "--patterns", str(pats))
     assert code == 2
     assert err.startswith("error: corrupt index: ")
     assert "Traceback" not in err
+
+
+def test_query_emptied_anchors_rejected_at_load(capsys, g1_idx, tmp_path):
+    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", anchor_ids=[], pred_ids=[])
+    pats = tmp_path / "p.txt"
+    pats.write_text("a\n")
+    code, out, err = run(capsys, "query", bad, "--mode", "locate", "--patterns", str(pats))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: corrupt index: pred_ids")
 
 
 def test_query_short_prefix_array_rejected_at_load(capsys, g1_idx, tmp_path):

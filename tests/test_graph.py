@@ -17,6 +17,8 @@ from wgrindex import (
     validate_wheeler,
 )
 
+from wgrindex.graph import transform_order
+
 from helpers import G1_TEXT
 
 
@@ -162,6 +164,24 @@ def test_validate_a1_violation():
     assert any(v.axiom == "A1" for v in report.violations)
 
 
+def test_validate_reports_one_witness_per_label_pair_and_label():
+    # A1 by ascending label, then at most one A2 per label. Edges 9 and 10
+    # repeat edges 2 and 0: the A1 witness takes the later copy of the
+    # largest target, the A2 witness the first edge to reach it.
+    g = WheelerGraph(n=6, edges=[
+        (0, 3, 0), (1, 2, 0), (2, 4, 0), (0, 1, 1), (3, 5, 1), (4, 2, 1),
+        (1, 1, 2), (2, 5, 2), (5, 4, 2), (2, 4, 0), (0, 3, 0),
+    ])
+    report = validate_wheeler(g)
+    assert [(v.axiom, v.witness) for v in report.violations] == [
+        ("A1", (9, 3)), ("A1", (4, 6)), ("A2", (0, 1)), ("A2", (4, 5)), ("A2", (7, 8)),
+    ]
+    assert str(report.violations[2]) == (
+        "A2: edges 0 (0, 3, 0) and 1 (1, 2, 0) share label 0 with increasing "
+        "sources but decreasing destinations"
+    )
+
+
 @settings(max_examples=200)
 @given(maybe_mutated_graphs())
 def test_validate_matches_quadratic_oracle(g):
@@ -172,6 +192,22 @@ def test_validate_matches_quadratic_oracle(g):
 @given(arbitrary_graphs())
 def test_validate_matches_quadratic_oracle_arbitrary(g):
     assert validate_wheeler(g).is_wheeler == exhaustive_axiom_check(g)
+
+
+@settings(max_examples=300)
+@given(arbitrary_graphs())
+def test_validate_witnesses_break_their_axioms(g):
+    for viol in validate_wheeler(g).violations:
+        if viol.axiom == "A0":
+            late, early = viol.witness
+            assert g.in_degrees[late] == 0 < g.in_degrees[early] and late > early
+            continue
+        (u, v, a), (u2, v2, a2) = (g.edges[i] for i in viol.witness)
+        if viol.axiom == "A1":
+            assert a < a2 and v >= v2
+        else:
+            assert viol.axiom == "A2"
+            assert a == a2 and u < u2 and v > v2
 
 
 # --- decomposition ---
@@ -234,6 +270,10 @@ def test_decompose_invariants(g):
         if g.in_degrees[v] == 0 and g.out_degrees[v] == 0:
             assert [v] in d.paths
     assert d.num_paths == len(d.paths)
+    # ordered by start rank, then by the transform position of the first edge
+    pos = {e: p for p, e in enumerate(transform_order(g))}
+    keys = [(vs[0], pos[es[0]] if es else -1) for vs, es in zip(d.paths, d.edge_paths)]
+    assert keys == sorted(keys)
     # deterministic
     assert decompose_paths(g) == d
 

@@ -125,7 +125,7 @@ def test_step_toehold_unmarked_increments_by_one():
     ix = inst.index
     assert inst.ids.id_of_rank == [6, 7, 0, 8, 9, 2, 5, 3, 1, 4]
     assert ix.toehold.marked_positions() == [0, 1, 2, 3, 4, 5, 7]
-    assert not ix.toehold.is_marked(6)
+    assert 6 not in ix.toehold.pairs
     st_ab = find_interval(ix, (0, 1))
     assert st_ab == MatchState(RankInterval(8, 8), 1)
     st_aba = step_toehold(ix, st_ab, 0)
