@@ -1,11 +1,11 @@
 """Construction of the run-length index components from a validated graph.
 
 The index stores, per edge-label position: run boundaries with rank/select
-directories, degree and label partial sums, a table of endpoint identifiers
-at marked positions (so the identifier of the last matched vertex can be
-maintained during a query), and a sorted anchor set from which the
-order-predecessor of any identifier can be recovered by successor lookup
-plus offset arithmetic.
+directories, label partial sums, degree partial sums kept only at the ranks
+whose degree is not 1, a table of endpoint identifiers at marked positions
+(so the identifier of the last matched vertex can be maintained during a
+query), and a sorted anchor set from which the order-predecessor of any
+identifier can be recovered by successor lookup plus offset arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
@@ -27,7 +27,9 @@ from .graph import (
 )
 
 _FORMAT = "wgrindex"
-_VERSION = 1
+_VERSION = 2
+_INT = frozenset((int,))
+_INT_OR_NONE = frozenset((int, type(None)))
 
 
 @dataclass
@@ -101,22 +103,6 @@ class RLSequence:
         self._lens = lens
         self._cums = cums
 
-    @classmethod
-    def from_labels(cls, labels) -> "RLSequence":
-        run_starts: list[int] = []
-        run_labels: list[int] = []
-        prev = None
-        for p, lab in enumerate(labels):
-            if prev is None or lab != prev:
-                run_starts.append(p)
-                run_labels.append(lab)
-            prev = lab
-        return cls(length=len(labels), run_starts=run_starts, run_labels=run_labels)
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.run_starts)
-
     def count(self, c: int) -> int:
         cums = self._cums.get(c)
         if not cums:
@@ -174,27 +160,55 @@ def build_rank_select(b: GraphBwt) -> RLSequence:
 class DegreeSums:
     """Cumulative out-degrees, in-degrees and label frequencies.
 
-    out_prefix[k] / in_prefix[k] count edge endpoints at ranks below k;
-    f_label[c] counts labels strictly below c in the transform.
+    A rank whose degree is not 1 is a path endpoint, so each side stores
+    only its exceptions: the ascending ranks whose degree is not 1
+    (out_ranks / in_ranks) and the prefix sum just after each of them
+    (out_after / in_after). Between exceptions every degree is 1, which
+    fills in the rest. f_label[c] counts labels strictly below c in the
+    transform.
     """
 
-    out_prefix: list[int]
-    in_prefix: list[int]
+    out_ranks: list[int]
+    out_after: list[int]
+    in_ranks: list[int]
+    in_after: list[int]
     f_label: list[int]
+
+    @classmethod
+    def from_degrees(cls, out_degrees, in_degrees, f_label: list[int]) -> "DegreeSums":
+        def exceptions(degrees) -> tuple[list[int], list[int]]:
+            ranks = [k for k, d in enumerate(degrees) if d != 1]
+            # The prefix after rank k is k + 1 plus the excess (d - 1) of the
+            # exceptions up to k; every other rank adds exactly 1.
+            excess = accumulate(degrees[k] - 1 for k in ranks)
+            return ranks, [k + 1 + x for k, x in zip(ranks, excess)]
+
+        out_ranks, out_after = exceptions(out_degrees)
+        in_ranks, in_after = exceptions(in_degrees)
+        return cls(out_ranks, out_after, in_ranks, in_after, f_label)
+
+    def out_prefix(self, k: int) -> int:
+        """Out-edges leaving ranks below k."""
+        ranks = self.out_ranks
+        t = bisect_left(ranks, k)  # exceptions below k
+        if t == 0:
+            return k
+        return self.out_after[t - 1] + k - ranks[t - 1] - 1
 
     def rank_of_in_slot(self, slot: int) -> int:
         """Vertex rank whose incoming-edge slot range contains slot."""
-        return bisect_right(self.in_prefix, slot) - 1
+        ranks, after = self.in_ranks, self.in_after
+        t = bisect_right(after, slot)  # exceptions whose slots all lie below slot
+        k = ranks[t - 1] + 1 + slot - after[t - 1] if t else slot
+        return min(k, ranks[t]) if t < len(ranks) else k
 
 
 def build_partial_sums(g: WheelerGraph) -> DegreeSums:
-    out_prefix = [0] + list(accumulate(g.out_degrees))
-    in_prefix = [0] + list(accumulate(g.in_degrees))
     counts = [0] * (g.sigma or 0)
     for _, _, lab in g.edges:
         counts[lab] += 1
     f_label = [0] + list(accumulate(counts))
-    return DegreeSums(out_prefix=out_prefix, in_prefix=in_prefix, f_label=f_label)
+    return DegreeSums.from_degrees(g.out_degrees, g.in_degrees, f_label)
 
 
 @dataclass
@@ -362,9 +376,10 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
 class SpaceReport:
     """Measured sizes of the built components, in stored integers ("words").
 
-    marked_bound and anchor_bound are the budgets the construction is
-    expected to stay within: num_runs + 4 * num_paths marked positions and
-    num_runs + 8 * num_paths + 1 anchors.
+    marked_bound, anchor_bound and degree_bound are the budgets the
+    construction is expected to stay within: num_runs + 4 * num_paths marked
+    positions, num_runs + 8 * num_paths + 1 anchors and 4 * num_paths degree
+    exceptions (each side's exceptions are path endpoints, at most 2 per path).
     """
 
     n: int
@@ -376,6 +391,8 @@ class SpaceReport:
     anchor_count: int
     marked_bound: int
     anchor_bound: int
+    degree_exceptions: int
+    degree_bound: int
     words: dict[str, int]
 
     @property
@@ -393,6 +410,8 @@ class SpaceReport:
             f"marked_bound={self.marked_bound}",
             f"anchors={self.anchor_count}",
             f"anchors_bound={self.anchor_bound}",
+            f"degree_exceptions={self.degree_exceptions}",
+            f"degree_bound={self.degree_bound}",
         ]
         out.extend(f"words_{name}={count}" for name, count in self.words.items())
         out.append(f"words_total={self.total_words}")
@@ -401,13 +420,14 @@ class SpaceReport:
 
 def space_report(ix: WheelerRIndex) -> SpaceReport:
     """Tally stored integers per component and the expected size budgets."""
-    rl = ix.rl
+    rl, sums = ix.rl, ix.sums
+    exceptions = len(sums.out_ranks) + len(sums.in_ranks)
     rl_words = 2 * len(rl.run_starts) + sum(
         len(rl._starts[c]) + len(rl._lens[c]) + len(rl._cums[c]) for c in rl._starts
     )
     words = {
         "rank_select": rl_words,
-        "degree_sums": len(ix.sums.out_prefix) + len(ix.sums.in_prefix) + len(ix.sums.f_label),
+        "degree_sums": 2 * exceptions + len(sums.f_label),
         "toehold": 3 * ix.toehold.marked_count,
         "phi": 2 * ix.phi.size,
     }
@@ -421,13 +441,20 @@ def space_report(ix: WheelerRIndex) -> SpaceReport:
         anchor_count=ix.phi.size,
         marked_bound=ix.num_runs + 4 * ix.num_paths,
         anchor_bound=ix.num_runs + 8 * ix.num_paths + 1,
+        degree_exceptions=exceptions,
+        degree_bound=4 * ix.num_paths,
         words=words,
     )
+
+
+def _interleave(ranks: list[int], after: list[int]) -> list[int]:
+    return [x for pair in zip(ranks, after) for x in pair]
 
 
 def serialize_index(ix: WheelerRIndex) -> bytes:
     """Canonical byte encoding; identical indexes give identical bytes."""
     positions = ix.toehold.marked_positions()
+    sums = ix.sums
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -439,9 +466,9 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "last_rank_id": ix.last_rank_id,
         "run_starts": ix.rl.run_starts,
         "run_labels": ix.rl.run_labels,
-        "out_prefix": ix.sums.out_prefix,
-        "in_prefix": ix.sums.in_prefix,
-        "f_label": ix.sums.f_label,
+        "out_prefix": _interleave(sums.out_ranks, sums.out_after),
+        "in_prefix": _interleave(sums.in_ranks, sums.in_after),
+        "f_label": sums.f_label,
         "marked_positions": positions,
         "marked_pairs": [list(ix.toehold.pairs[p]) for p in positions],
         "anchor_ids": ix.phi.anchor_ids,
@@ -450,39 +477,109 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
+def _check_ints(name: str, values, allowed: frozenset = _INT) -> None:
+    """Raise unless values is a list whose items have exactly an allowed
+    type: one C-level scan, so neither bool nor float passes as int."""
+    if type(values) is not list:
+        raise ValueError(f"corrupt index: {name} is not a list")
+    if not set(map(type, values)) <= allowed:
+        bad = next(x for x in values if type(x) not in allowed)
+        raise ValueError(f"corrupt index: {name} holds {bad!r}, not an int")
+
+
+def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: int) -> None:
+    """Raise unless ranks and after describe n degrees summing to m, each
+    listed rank with a degree >= 0 that is not 1."""
+    if not all(a < b for a, b in zip([-1] + ranks, ranks + [n])):
+        raise ValueError(f"corrupt index: {name} ranks are not strictly increasing within [0, n)")
+    prev_k, prev_a = -1, 0
+    for k, a in zip(ranks, after):
+        degree = a - prev_a - (k - prev_k - 1)
+        if degree < 0 or degree == 1:
+            raise ValueError(f"corrupt index: {name} gives rank {k} degree {degree}")
+        prev_k, prev_a = k, a
+    total = prev_a + n - 1 - prev_k
+    if total != m:
+        raise ValueError(f"corrupt index: {name} totals {total} edges, m = {m}")
+
+
+def _load_degree_sums(doc: dict, version: int) -> DegreeSums:
+    """The checked degree sums of an index document. Version 1 holds dense
+    n + 1 prefix arrays, which become degree lists; version 2 holds the
+    exceptions as interleaved (rank, prefix after it) pairs."""
+    n, m, f_label = doc["n"], doc["m"], doc["f_label"]
+    sides = []
+    for name in ("out_prefix", "in_prefix"):
+        arr = doc[name]
+        if version == 1:
+            if len(arr) != n + 1:
+                raise ValueError(
+                    f"corrupt index: {name} has {len(arr)} entries, n + 1 gives {n + 1}"
+                )
+            sides.append([b - a for a, b in zip(arr, arr[1:])])
+        elif len(arr) % 2:
+            raise ValueError(f"corrupt index: {name} has odd length {len(arr)}")
+        else:
+            sides.append((arr[0::2], arr[1::2]))
+    if version == 1:
+        sums = DegreeSums.from_degrees(*sides, f_label)
+    else:
+        (out_ranks, out_after), (in_ranks, in_after) = sides
+        sums = DegreeSums(out_ranks, out_after, in_ranks, in_after, f_label)
+    _check_exceptions("out_prefix", sums.out_ranks, sums.out_after, n, m)
+    _check_exceptions("in_prefix", sums.in_ranks, sums.in_after, n, m)
+    if not f_label or f_label[0] != 0 or f_label[-1] != m or any(
+        a > b for a, b in zip(f_label, f_label[1:])
+    ):
+        raise ValueError("corrupt index: f_label is not nondecreasing from 0 to m")
+    return sums
+
+
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index; raises ValueError on foreign input, on
-    arrays whose lengths disagree, and on an impossible anchor set: pred_ids
-    must hold exactly one None when n > 0 (none when n == 0), and anchor_ids
-    must be strictly increasing within [0, n)."""
+    """Inverse of serialize_index; also reads version-1 files.
+
+    Raises ValueError on foreign input and, as "corrupt index: ...", on a
+    number that is not an int, on arrays whose lengths disagree, on an
+    impossible anchor set (pred_ids must hold exactly one None when n > 0,
+    none when n == 0; anchor_ids must be strictly increasing within
+    [0, n)), on degree sums that do not describe n degrees summing to m, on
+    f_label not rising from 0 to m or disagreeing with the runs, and on a
+    run end (mark rule M1) missing from marked_positions."""
     try:
         doc = json.loads(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"not an index file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError("not an index file: missing format marker")
-    if doc.get("version") != _VERSION:
-        raise ValueError(f"unsupported index version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or not 1 <= version <= _VERSION:
+        raise ValueError(f"unsupported index version {version!r}")
     try:
-        n, sigma = int(doc["n"]), int(doc["sigma"])
+        _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
+        _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
+        for name in ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
+                     "marked_positions", "anchor_ids"):
+            _check_ints(name, doc[name])
+        _check_ints("pred_ids", doc["pred_ids"], _INT_OR_NONE)
+        pair_lists = doc["marked_pairs"]
+        well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
+        if not well_formed or set(map(len, pair_lists)) - {2}:
+            raise ValueError("corrupt index: marked_pairs is not a list of pairs")
+        _check_ints("marked_pairs", list(chain.from_iterable(pair_lists)))
+
+        n, m = doc["n"], doc["m"]
         for name, other, want in (
             ("marked_pairs", "marked_positions", len(doc["marked_positions"])),
             ("pred_ids", "anchor_ids", len(doc["anchor_ids"])),
             ("run_labels", "run_starts", len(doc["run_starts"])),
-            ("out_prefix", "n + 1", n + 1),
-            ("in_prefix", "n + 1", n + 1),
-            ("f_label", "sigma + 1", sigma + 1),
+            ("f_label", "sigma + 1", doc["sigma"] + 1),
         ):
             if len(doc[name]) != want:
                 raise ValueError(
                     f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}"
                 )
-        pairs = {
-            int(p): (int(a), int(b))
-            for p, (a, b) in zip(doc["marked_positions"], doc["marked_pairs"])
-        }
-        anchor_ids = [int(x) for x in doc["anchor_ids"]]
-        pred_ids = [None if x is None else int(x) for x in doc["pred_ids"]]
+        pairs = dict(zip(doc["marked_positions"], map(tuple, pair_lists)))
+        anchor_ids, pred_ids = doc["anchor_ids"], doc["pred_ids"]
         firsts = pred_ids.count(None)
         if firsts != min(n, 1):
             raise ValueError(
@@ -490,23 +587,24 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             )
         if not all(a < b for a, b in zip([-1] + anchor_ids, anchor_ids + [n])):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
+        sums = _load_degree_sums(doc, version)
+        run_starts = doc["run_starts"]
+        rl = RLSequence(length=m, run_starts=run_starts, run_labels=doc["run_labels"])
+        if sums.f_label != [0] + list(accumulate(map(rl.count, range(doc["sigma"])))):
+            raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
+        run_ends = [s - 1 for s in run_starts[1:]] + ([m - 1] if m else [])
+        unmarked = set(run_ends).difference(pairs)
+        if unmarked:
+            raise ValueError(f"corrupt index: run end {min(unmarked)} is not a marked position")
         return WheelerRIndex(
             n=n,
-            m=int(doc["m"]),
-            sigma=sigma,
-            num_runs=int(doc["num_runs"]),
-            num_paths=int(doc["num_paths"]),
-            last_rank_id=None if doc["last_rank_id"] is None else int(doc["last_rank_id"]),
-            rl=RLSequence(
-                length=int(doc["m"]),
-                run_starts=[int(x) for x in doc["run_starts"]],
-                run_labels=[int(x) for x in doc["run_labels"]],
-            ),
-            sums=DegreeSums(
-                out_prefix=[int(x) for x in doc["out_prefix"]],
-                in_prefix=[int(x) for x in doc["in_prefix"]],
-                f_label=[int(x) for x in doc["f_label"]],
-            ),
+            m=m,
+            sigma=doc["sigma"],
+            num_runs=doc["num_runs"],
+            num_paths=doc["num_paths"],
+            last_rank_id=doc["last_rank_id"],
+            rl=rl,
+            sums=sums,
             toehold=ToeholdTable(pairs=pairs),
             phi=PhiStructure(anchor_ids=anchor_ids, pred_ids=pred_ids),
         )

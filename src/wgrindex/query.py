@@ -89,8 +89,8 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
     if not 0 <= c < ix.sigma:
         return None
     sums = ix.sums
-    lo = sums.out_prefix[s]
-    hi = sums.out_prefix[e + 1]
+    lo = sums.out_prefix(s)
+    hi = sums.out_prefix(e + 1)
     if lo >= hi:
         return None
     rl = ix.rl
@@ -143,7 +143,7 @@ def step_toehold(ix: WheelerRIndex, st: MatchState, c: int) -> MatchState | None
     pair = ix.toehold.pairs.get(p)
     if pair is not None:
         new_id = pair[1]
-    elif p >= ix.sums.out_prefix[iv.e]:
+    elif p >= ix.sums.out_prefix(iv.e):
         new_id = st.last_id + 1
     else:
         raise IndexInvariantError(

@@ -20,6 +20,7 @@ from wgrindex import (
     IdAssignment,
     IndexInvariantError,
     PathDecomposition,
+    RLSequence,
     WheelerGraph,
     WheelerRIndex,
     assign_identifiers,
@@ -59,6 +60,13 @@ def make_instance(family: str, gi: GeneratedInstance) -> Instance:
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
     return Instance(gi.provenance, family, g, build_index(g), ids, d, b.labels)
+
+
+def rl_from_labels(labels) -> RLSequence:
+    """Rank/select directories straight from a label sequence."""
+    run_starts = [p for p, lab in enumerate(labels) if p == 0 or lab != labels[p - 1]]
+    run_labels = [labels[p] for p in run_starts]
+    return RLSequence(length=len(labels), run_starts=run_starts, run_labels=run_labels)
 
 
 def random_label_string(rng: random.Random, sigma: int, lo: int, hi: int) -> tuple[int, ...]:

@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import random
+from bisect import bisect_right
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,10 +33,12 @@ from wgrindex import (
     space_report,
 )
 import wgrindex.build as build_mod
-from wgrindex.build import RLSequence
+from wgrindex.build import DegreeSums
 from wgrindex.graph import transform_order
 
-from helpers import G1_TEXT, make_instance
+from helpers import G1_TEXT, make_instance, rl_from_labels
+
+DATA = Path(__file__).parent / "data"
 
 label_strings = st.lists(st.integers(0, 3), max_size=12).map(tuple)
 
@@ -134,7 +139,7 @@ def test_rank_select_matches_naive_scan(inst):
 @settings(max_examples=200)
 @given(st.lists(st.integers(0, 3), max_size=30))
 def test_rank_last_matches_rank_and_select(labels):
-    rl = RLSequence.from_labels(labels)
+    rl = rl_from_labels(labels)
     for c in range(5):  # label 4 never occurs
         for p in range(len(labels) + 1):
             k = rl.rank(c, p)
@@ -143,34 +148,63 @@ def test_rank_last_matches_rank_and_select(labels):
 
 def test_rlsequence_from_labels_matches_builder(g1):
     b = build_bwt(g1)
-    assert RLSequence.from_labels(b.labels) == build_rank_select(b)
+    assert rl_from_labels(b.labels) == build_rank_select(b)
 
 
 # --- partial sums ---
 
+def dense_prefix(degrees):
+    return [0] + list(accumulate(degrees))
+
+
 def test_partial_sums_g1(g1):
+    # out-degrees 1, 1, 0, 1 and in-degrees 0, 1, 1, 1: one exception a side
     sums = build_partial_sums(g1)
-    assert sums.out_prefix == [0, 1, 2, 2, 3]
-    assert sums.in_prefix == [0, 0, 1, 2, 3]
+    assert (sums.out_ranks, sums.out_after) == ([2], [2])
+    assert (sums.in_ranks, sums.in_after) == ([0], [0])
+    assert [sums.out_prefix(k) for k in range(5)] == [0, 1, 2, 2, 3]
+    assert [sums.rank_of_in_slot(s) for s in range(3)] == [1, 2, 3]
     assert sums.f_label == [0, 2, 3]
 
 
 def test_partial_sums_empty_graph():
     sums = build_partial_sums(WheelerGraph(n=2, edges=[]))
-    assert sums.out_prefix == [0, 0, 0]
-    assert sums.in_prefix == [0, 0, 0]
+    assert (sums.out_ranks, sums.out_after) == ([0, 1], [0, 0])
+    assert (sums.in_ranks, sums.in_after) == ([0, 1], [0, 0])
+    assert [sums.out_prefix(k) for k in range(3)] == [0, 0, 0]
     assert sums.f_label == [0]
 
 
-@settings(max_examples=100)
+@settings(max_examples=150)
 @given(instances())
 def test_partial_sums_handshake(inst):
-    sums = build_partial_sums(inst.graph)
-    assert sums.out_prefix[-1] == inst.graph.m
-    assert sums.in_prefix[-1] == inst.graph.m
-    assert sums.f_label[-1] == inst.graph.m
-    for arr in (sums.out_prefix, sums.in_prefix, sums.f_label):
-        assert all(a <= b for a, b in zip(arr, arr[1:]))
+    """The exceptions are the ranks whose degree is not 1, and they give
+    back the dense prefix arrays: out_prefix(k) sums the first k
+    out-degrees, rank_of_in_slot bisects the in-degree prefix."""
+    g = inst.graph
+    sums = build_partial_sums(g)
+    assert sums.out_ranks == [k for k, d in enumerate(g.out_degrees) if d != 1]
+    assert sums.in_ranks == [k for k, d in enumerate(g.in_degrees) if d != 1]
+    assert [sums.out_prefix(k) for k in range(g.n + 1)] == dense_prefix(g.out_degrees)
+    in_prefix = dense_prefix(g.in_degrees)
+    assert [sums.rank_of_in_slot(s) for s in range(g.m)] == [
+        bisect_right(in_prefix, s) - 1 for s in range(g.m)
+    ]
+    assert sums.f_label[0] == 0 and sums.f_label[-1] == g.m
+    assert all(a <= b for a, b in zip(sums.f_label, sums.f_label[1:]))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 3), max_size=20))
+def test_degree_sums_match_dense_prefixes(degrees):
+    """The same equalities on any degree list: the generated families never
+    have in-degrees above 1, where rank_of_in_slot has to clamp."""
+    sums = DegreeSums.from_degrees(degrees, degrees, [0])
+    prefix = dense_prefix(degrees)
+    assert [sums.out_prefix(k) for k in range(len(degrees) + 1)] == prefix
+    assert [sums.rank_of_in_slot(s) for s in range(prefix[-1])] == [
+        bisect_right(prefix, s) - 1 for s in range(prefix[-1])
+    ]
 
 
 # --- toehold table ---
@@ -337,7 +371,7 @@ def test_deserialize_rejects_foreign_input(g1_index):
         deserialize_index(b"not json at all")
     with pytest.raises(ValueError):
         deserialize_index(b'{"some": "json"}')
-    tampered = serialize_index(g1_index).replace(b'"version":1', b'"version":99')
+    tampered = serialize_index(g1_index).replace(b'"version":2', b'"version":99')
     with pytest.raises(ValueError, match="version"):
         deserialize_index(tampered)
 
@@ -381,6 +415,106 @@ def test_deserialize_rejects_impossible_anchor_sets(edit, fragment):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
+def trie_doc():
+    # out-degrees 2, 2, 0, 0, 0 and in-degrees 0, 1, 1, 1, 1; run ends 0, 2, 3
+    doc = json.loads(serialize_index(build_index(gen_trie([(0, 1), (0, 2), (1,)]).graph)))
+    assert (doc["n"], doc["m"], doc["f_label"]) == (5, 4, [0, 1, 3, 4])
+    assert doc["out_prefix"] == [0, 2, 1, 4, 2, 4, 3, 4, 4, 4]
+    assert doc["in_prefix"] == [0, 0]
+    assert doc["run_starts"] == [0, 1, 3] and doc["marked_positions"] == [0, 1, 2, 3]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        ({"out_prefix": [0, 2, 1, 4, 2, 4, 3, 4, 4]}, "out_prefix has odd length 9"),
+        ({"out_prefix": [1, 4, 0, 2, 2, 4, 3, 4, 4, 4]}, "out_prefix ranks are not strictly"),
+        ({"out_prefix": [0, 2, 1, 4, 2, 4, 3, 4, 5, 4]}, "out_prefix ranks are not strictly"),
+        ({"in_prefix": [-1, 0]}, "in_prefix ranks are not strictly"),
+        ({"in_prefix": [0, 0, 1, 1]}, "in_prefix gives rank 1 degree 1"),
+        ({"out_prefix": [0, 2, 1, 1, 2, 4, 3, 4, 4, 4]}, "out_prefix gives rank 1 degree -1"),
+        ({"out_prefix": [0, 2, 1, 4, 2, 4, 3, 4, 4, 6]}, "out_prefix totals 6 edges, m = 4"),
+        ({"in_prefix": []}, "in_prefix totals 5 edges, m = 4"),
+        ({"f_label": [0, 3, 1, 4]}, "f_label is not nondecreasing from 0 to m"),
+        ({"f_label": [1, 1, 3, 4]}, "f_label is not nondecreasing from 0 to m"),
+        ({"f_label": [0, 1, 3, 3]}, "f_label is not nondecreasing from 0 to m"),
+        ({"sigma": -1, "f_label": []}, "f_label is not nondecreasing from 0 to m"),
+        ({"f_label": [0, 2, 2, 4]}, "f_label disagrees with the label counts of the runs"),
+    ],
+)
+def test_deserialize_rejects_impossible_degree_sums(edit, fragment):
+    doc = trie_doc()
+    doc.update(edit)
+    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "out_prefix, fragment",
+    [([0, 1, 2, 2], "out_prefix has 4 entries, n \\+ 1 gives 5"),
+     ([0, 2, 1, 2, 3], "out_prefix gives rank 1 degree -1")],
+)
+def test_deserialize_checks_version_1_degrees_too(out_prefix, fragment):
+    doc = json.loads((DATA / "g1.v1.idx").read_bytes())
+    assert doc["out_prefix"] == [0, 1, 2, 2, 3]
+    doc["out_prefix"] = out_prefix
+    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+def test_deserialize_rejects_unmarked_run_end(g1_index):
+    # loaded, this copy of the "aba" index would answer locate((1, 0)) with
+    # [2] instead of [3]: the +1 rule would apply where the stored id was needed
+    doc = json.loads(serialize_index(g1_index))
+    assert doc["marked_positions"] == [0, 1, 2]
+    doc["marked_positions"], doc["marked_pairs"] = [0, 1], doc["marked_pairs"][:2]
+    with pytest.raises(ValueError, match="corrupt index: run end 2 is not a marked position"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+ARRAY_FIELDS = ["run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
+                "marked_positions", "marked_pairs", "anchor_ids", "pred_ids"]
+
+
+@pytest.mark.parametrize("bad", [1.9, "0", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("field", ARRAY_FIELDS + ["n", "m", "last_rank_id"])
+def test_deserialize_rejects_values_that_are_not_ints(field, bad):
+    # exact types only: 1.9 must not load as 1, nor "0" or True as an int
+    doc = json.loads(serialize_index(build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)))
+    if field == "marked_pairs":
+        doc[field][0][0] = bad
+    elif field in ARRAY_FIELDS:
+        doc[field][0] = bad
+    else:
+        doc[field] = bad
+    with pytest.raises(ValueError, match="corrupt index: .* not an int"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize("pairs", [[[3, 0], [4, 1]], [[3, 0, 1]] * 4, [7] * 4, {}])
+def test_deserialize_rejects_malformed_marked_pairs(pairs):
+    doc = trie_doc()
+    doc["marked_pairs"] = pairs
+    with pytest.raises(ValueError, match="corrupt index: marked_pairs"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+def test_benchmark_component_fields_are_serialized_keys(monkeypatch):
+    """The traced benchmark sizes each component by these JSON keys."""
+    import importlib.util
+
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    ix = build_index(parse_graph(G1_TEXT))
+    doc = json.loads(serialize_index(ix))
+    assert {f for fields in run.COMPONENT_FIELDS.values() for f in fields} <= set(doc)
+    assert set(run.COMPONENT_FIELDS) == set(space_report(ix).words)
+
+
 def golden_graphs():
     rng = random.Random(3)
     string = tuple(rng.randrange(4) for _ in range(5000))
@@ -397,9 +531,17 @@ def golden_graphs():
 
 
 GOLDEN_SHA256 = {
+    "g1": "e4021bc1c3cf9726fd0e34e81e5602fe5790a75b8e7696f14f75ee56ed2c9908",
+    "string": "4d0d6aa95637dc08478d4d611a00d5f4869a91c9a490978e26d78e3f5964774d",
+    "multi": "08f979975a40af67ddd9700841209d4dbf9425b52f7f81c7c794a7cf947cf80a",
+    "trie": "a55e5278e273e0973f1a23a5dcd7d281eb455b6651d9dd4ee1dd691754bdd181",
+    "cycle": "ca2bc5458340c0a1d9f23c19228fdf19e01859effaddaa8bc684431622bc27dc",
+}
+
+# Version-1 files (dense n + 1 prefix arrays) of three golden graphs, which
+# must keep loading.
+V1_SHA256 = {
     "g1": "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
-    "string": "ce4c43f8669113d4993d22856f875ab5268bae72373e175e9ab1a50df8f6380c",
-    "multi": "e23231eed95c7bda39676b6da983656e2fe17c8027e4698cdf79d67c235666cb",
     "trie": "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
     "cycle": "d4f338660c57d9976a2ca695d1fcbbed50237b81b0798ff84f21c6813329eeef",
 }
@@ -415,6 +557,33 @@ def test_index_bytes_match_golden_hashes():
         for name, g in graphs.items()
     }
     assert digests == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(V1_SHA256))
+def test_version_1_files_load_and_reserialize_as_version_2(name):
+    data = (DATA / f"{name}.v1.idx").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == V1_SHA256[name]
+    assert json.loads(data)["version"] == 1
+    ix = deserialize_index(data)
+    assert ix == build_index(golden_graphs()[name])
+    assert hashlib.sha256(serialize_index(ix)).hexdigest() == GOLDEN_SHA256[name]
+
+
+def test_repetitive_collection_degree_sums_stay_small():
+    """50 copies of a 2,000-symbol string, 10 substitutions each, as a
+    multi-path union: the degree sums hold only the path endpoints."""
+    rng = random.Random(11)
+    base = [rng.randrange(4) for _ in range(2000)]
+    copies = []
+    for _ in range(50):
+        s = list(base)
+        for _ in range(10):
+            s[rng.randrange(len(s))] = rng.randrange(4)
+        copies.append(s)
+    sr = space_report(build_index(gen_multi_paths(copies).graph))
+    assert sr.degree_exceptions == 100 <= sr.degree_bound == 200
+    assert sr.words["degree_sums"] <= 2 * sr.degree_exceptions + sr.sigma + 1
+    assert sr.total_words < 60_000
 
 
 BUILD_STAGES = (

@@ -146,17 +146,26 @@ def _corrupt_copy(src: str, dst, **fields) -> str:
     return str(dst)
 
 
-def test_query_corrupt_index_exits_2_without_traceback(capsys, g1_idx, tmp_path):
-    # marked position 1 deleted together with its pair still loads; the
-    # toehold step of "ab" lands on it and cannot apply the +1 rule
+def test_query_corrupt_index_exits_2_without_traceback(capsys, tmp_path):
+    # in the "abba" path, position 1 is marked because its edge touches a
+    # path endpoint, not because it ends a run; deleted together with its
+    # pair it still loads, and the toehold step of "ab" lands on it and
+    # cannot apply the +1 rule
+    wgf, idx = tmp_path / "abba.wgf", tmp_path / "abba.idx"
+    assert main(["gen", "string", "abba", "-o", str(wgf)]) == 0
+    assert main(["build", str(wgf), str(idx)]) == 0
+    capsys.readouterr()
+    doc = json.loads(idx.read_bytes())
+    assert (doc["run_starts"], doc["marked_positions"]) == ([0, 1, 3], [0, 1, 2, 3])
     bad = _corrupt_copy(
-        g1_idx, tmp_path / "bad.idx", marked_positions=[0, 2], marked_pairs=[[2, 0], [1, 3]]
+        str(idx), tmp_path / "bad.idx",
+        marked_positions=[0, 2, 3], marked_pairs=[doc["marked_pairs"][p] for p in (0, 2, 3)],
     )
     pats = tmp_path / "p.txt"
     pats.write_text("ab\n")
     code, _, err = run(capsys, "query", bad, "--mode", "locate", "--patterns", str(pats))
     assert code == 2
-    assert err.startswith("error: corrupt index: ")
+    assert err.startswith("error: corrupt index: unmarked position 1 ")  # raised mid-query
     assert "Traceback" not in err
 
 
@@ -171,7 +180,9 @@ def test_query_emptied_anchors_rejected_at_load(capsys, g1_idx, tmp_path):
 
 
 def test_query_short_prefix_array_rejected_at_load(capsys, g1_idx, tmp_path):
-    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", out_prefix=[0, 1])
+    # the out-degree exceptions of g1 are one pair, rank 2 with prefix 2
+    assert json.loads(open(g1_idx, "rb").read())["out_prefix"] == [2, 2]
+    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", out_prefix=[2])
     pats = tmp_path / "p.txt"
     pats.write_text("ab\n")
     code, out, err = run(capsys, "query", bad, "--mode", "count", "--patterns", str(pats))
@@ -236,6 +247,7 @@ def test_stats(capsys, g1_idx):
     assert "n=4" in lines and "r=3" in lines and "upsilon=1" in lines
     assert "marked=3" in lines and "marked_bound=7" in lines
     assert "anchors=4" in lines and "anchors_bound=12" in lines
+    assert "degree_exceptions=2" in lines and "degree_bound=4" in lines
     assert any(line.startswith("words_total=") for line in lines)
 
 
