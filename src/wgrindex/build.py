@@ -76,74 +76,61 @@ def build_bwt(g: WheelerGraph) -> GraphBwt:
 class RLSequence:
     """Rank/select over a run-length encoded label sequence.
 
-    Stores one entry per run globally plus one entry per run in a per-label
-    directory, so storage is proportional to the number of runs (plus one
-    directory slot per distinct label). rank and select are binary searches.
+    Stores one entry per run globally plus, per label, a directory of that
+    label's runs: their starts, the occurrences of the label before each of
+    them, and their ends (exclusive). Storage is proportional to the number
+    of runs plus one directory slot per distinct label; rank and select are
+    binary searches.
     """
 
     length: int
     run_starts: list[int]
     run_labels: list[int]
-    _starts: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    _lens: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    _cums: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    runs_of: dict[int, tuple[list[int], list[int], list[int]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        starts: dict[int, list[int]] = {}
-        lens: dict[int, list[int]] = {}
-        cums: dict[int, list[int]] = {}
-        totals: dict[int, int] = {}
-        for t, (s, lab) in enumerate(zip(self.run_starts, self.run_labels)):
-            end = self.run_starts[t + 1] if t + 1 < len(self.run_starts) else self.length
-            starts.setdefault(lab, []).append(s)
-            cums.setdefault(lab, []).append(totals.get(lab, 0))
-            lens.setdefault(lab, []).append(end - s)
-            totals[lab] = totals.get(lab, 0) + (end - s)
-        self._starts = starts
-        self._lens = lens
-        self._cums = cums
+        runs_of: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        ends = self.run_starts[1:] + [self.length]
+        for s, e, lab in zip(self.run_starts, ends, self.run_labels):
+            runs = runs_of.get(lab)
+            if runs is None:
+                runs_of[lab] = ([s], [0], [e])
+            else:
+                starts, cums, lab_ends = runs
+                cums.append(cums[-1] + lab_ends[-1] - starts[-1])
+                starts.append(s)
+                lab_ends.append(e)
+        self.runs_of = runs_of
 
     def count(self, c: int) -> int:
-        cums = self._cums.get(c)
-        if not cums:
+        runs = self.runs_of.get(c)
+        if runs is None:
             return 0
-        return cums[-1] + self._lens[c][-1]
+        starts, cums, ends = runs
+        return cums[-1] + ends[-1] - starts[-1]
 
     def rank(self, c: int, p: int) -> int:
         """Occurrences of c among positions [0, p)."""
-        sl = self._starts.get(c)
-        if not sl:
+        runs = self.runs_of.get(c)
+        if runs is None:
             return 0
-        t = bisect_left(sl, p)  # runs of c starting strictly before p
+        starts, cums, ends = runs
+        t = bisect_left(starts, p)  # runs of c starting strictly before p
         if t == 0:
             return 0
-        s = sl[t - 1]
-        return self._cums[c][t - 1] + min(p - s, self._lens[c][t - 1])
-
-    def rank_last(self, c: int, p: int) -> tuple[int, int]:
-        """rank(c, p) and the position of the last c before p.
-
-        The position equals select(c, rank(c, p) - 1), read off the run the
-        rank search lands on; it is -1 when the rank is 0.
-        """
-        sl = self._starts.get(c)
-        if not sl:
-            return 0, -1
-        t = bisect_left(sl, p) - 1
-        if t < 0:
-            return 0, -1
-        s = sl[t]
-        taken = min(p - s, self._lens[c][t])
-        return self._cums[c][t] + taken, s + taken - 1
+        e = ends[t - 1]
+        return cums[t - 1] + (p if p < e else e) - starts[t - 1]
 
     def select(self, c: int, k: int) -> int:
         """Position of the (k+1)-th occurrence of c (k is 0-based)."""
         total = self.count(c)
         if not 0 <= k < total:
             raise IndexError(f"select({c}, {k}): label has {total} occurrence(s)")
-        cums = self._cums[c]
+        starts, cums, _ = self.runs_of[c]
         t = bisect_right(cums, k) - 1
-        return self._starts[c][t] + (k - cums[t])
+        return starts[t] + (k - cums[t])
 
 
 def build_rank_select(b: GraphBwt) -> RLSequence:
@@ -189,18 +176,13 @@ class DegreeSums:
 
     def out_prefix(self, k: int) -> int:
         """Out-edges leaving ranks below k."""
-        ranks = self.out_ranks
-        t = bisect_left(ranks, k)  # exceptions below k
-        if t == 0:
-            return k
-        return self.out_after[t - 1] + k - ranks[t - 1] - 1
+        return _prefix(self.out_ranks, self.out_after, k)
 
-    def rank_of_in_slot(self, slot: int) -> int:
-        """Vertex rank whose incoming-edge slot range contains slot."""
-        ranks, after = self.in_ranks, self.in_after
-        t = bisect_right(after, slot)  # exceptions whose slots all lie below slot
-        k = ranks[t - 1] + 1 + slot - after[t - 1] if t else slot
-        return min(k, ranks[t]) if t < len(ranks) else k
+
+def _prefix(ranks: list[int], after: list[int], k: int) -> int:
+    """Sum of the first k degrees of one side, from its exceptions."""
+    t = bisect_left(ranks, k)  # exceptions below k
+    return after[t - 1] + k - ranks[t - 1] - 1 if t else k
 
 
 def build_partial_sums(g: WheelerGraph) -> DegreeSums:
@@ -423,7 +405,7 @@ def space_report(ix: WheelerRIndex) -> SpaceReport:
     rl, sums = ix.rl, ix.sums
     exceptions = len(sums.out_ranks) + len(sums.in_ranks)
     rl_words = 2 * len(rl.run_starts) + sum(
-        len(rl._starts[c]) + len(rl._lens[c]) + len(rl._cums[c]) for c in rl._starts
+        len(starts) + len(cums) + len(ends) for starts, cums, ends in rl.runs_of.values()
     )
     words = {
         "rank_select": rl_words,
@@ -535,6 +517,31 @@ def _load_degree_sums(doc: dict, version: int) -> DegreeSums:
     return sums
 
 
+def _check_endpoint_marks(sums: DegreeSums, rl: RLSequence, marked: dict) -> None:
+    """Raise unless mark rules M2 and M3 hold at the ranks whose degree is
+    not 1. Each of them is a path endpoint, so every edge leaving or
+    entering it is marked (M2), and so is every out-edge of the rank before
+    it when it has no out-edges (M3). The edge in in-slot s, with f_label[c]
+    <= s < f_label[c + 1], is the one at position select(c, s - f_label[c]).
+    Endpoints whose degrees are both 1 (a cycle's break vertex) are not
+    listed, so their marks go unchecked."""
+    f_label, in_ranks, in_after = sums.f_label, sums.in_ranks, sums.in_after
+    need: set[int] = set()
+    for k in set(sums.out_ranks).union(in_ranks):
+        lo, hi = sums.out_prefix(k), sums.out_prefix(k + 1)
+        need.update(range(lo, hi))
+        if lo == hi and k > 0:
+            need.update(range(sums.out_prefix(k - 1), lo))
+        for slot in range(_prefix(in_ranks, in_after, k), _prefix(in_ranks, in_after, k + 1)):
+            c = bisect_right(f_label, slot) - 1
+            need.add(rl.select(c, slot - f_label[c]))
+    unmarked = need.difference(marked)
+    if unmarked:
+        raise ValueError(
+            f"corrupt index: position {min(unmarked)} (rule M2 or M3) is not a marked position"
+        )
+
+
 def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index; also reads version-1 files.
 
@@ -543,8 +550,10 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     impossible anchor set (pred_ids must hold exactly one None when n > 0,
     none when n == 0; anchor_ids must be strictly increasing within
     [0, n)), on degree sums that do not describe n degrees summing to m, on
-    f_label not rising from 0 to m or disagreeing with the runs, and on a
-    run end (mark rule M1) missing from marked_positions."""
+    a run label outside [0, sigma), on f_label not rising from 0 to m or
+    disagreeing with the runs, on a run end (mark rule M1) missing from
+    marked_positions, and on an unmarked edge at a rank whose degree is
+    not 1 (rules M2 and M3)."""
     try:
         doc = json.loads(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -590,12 +599,16 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         sums = _load_degree_sums(doc, version)
         run_starts = doc["run_starts"]
         rl = RLSequence(length=m, run_starts=run_starts, run_labels=doc["run_labels"])
+        stray = [c for c in rl.runs_of if not 0 <= c < doc["sigma"]]
+        if stray:
+            raise ValueError(f"corrupt index: run label {min(stray)} is outside [0, sigma)")
         if sums.f_label != [0] + list(accumulate(map(rl.count, range(doc["sigma"])))):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
         run_ends = [s - 1 for s in run_starts[1:]] + ([m - 1] if m else [])
         unmarked = set(run_ends).difference(pairs)
         if unmarked:
             raise ValueError(f"corrupt index: run end {min(unmarked)} is not a marked position")
+        _check_endpoint_marks(sums, rl, pairs)
         return WheelerRIndex(
             n=n,
             m=m,

@@ -18,6 +18,7 @@ concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +28,7 @@ from .errors import FirstInOrderError, IndexInvariantError
 _INT_ONLY = frozenset((int,))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class RankInterval:
     """Non-empty inclusive range of vertex ranks.
 
@@ -38,9 +39,11 @@ class RankInterval:
     s: int
     e: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.s <= self.e:
-            raise ValueError(f"invalid interval [{self.s}, {self.e}]")
+    def __init__(self, s: int, e: int) -> None:
+        if not 0 <= s <= e:
+            raise ValueError(f"invalid interval [{s}, {e}]")
+        self.s = s
+        self.e = e
 
     def __len__(self) -> int:
         return self.e - self.s + 1
@@ -84,22 +87,51 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
 
     The first and last occurrences of c among the interval's out-edge labels
     lead to the first and last vertices of the refined interval; their ranks
-    are recovered from the label and in-degree partial sums.
+    are recovered from the label and in-degree partial sums. Degree sums
+    are kept only at the ranks whose degree is not 1 (see DegreeSums):
+    every rank in between adds exactly one edge or in-slot.
     """
-    if not 0 <= c < ix.sigma:
+    rl = ix.rl
+    runs = rl.runs_of.get(c)  # None for a label that never occurs
+    if runs is None:
         return None
     sums = ix.sums
-    lo = sums.out_prefix(s)
-    hi = sums.out_prefix(e + 1)
+    # The out-range [lo, hi): out-edges leaving ranks below s and below e + 1.
+    ranks, after = sums.out_ranks, sums.out_after
+    t = bisect_left(ranks, s)
+    lo = after[t - 1] + s - ranks[t - 1] - 1 if t else s
+    t = bisect_right(ranks, e, t)
+    hi = after[t - 1] + e - ranks[t - 1] if t else e + 1
     if lo >= hi:
         return None
-    rl = ix.rl
     k1 = rl.rank(c, lo)
-    k2, p = rl.rank_last(c, hi)
+    # The last run of c starting before hi holds the last c before hi.
+    starts, cums, ends = runs
+    t = bisect_left(starts, hi) - 1
+    if t < 0:
+        return None
+    end = ends[t]
+    p = (hi if hi < end else end) - 1
+    k2 = cums[t] + p + 1 - starts[t]
     if k2 <= k1:
         return None
-    base = sums.f_label[c]
-    return sums.rank_of_in_slot(base + k1), sums.rank_of_in_slot(base + k2 - 1), p
+    # In-slots f_label[c] + k1 and f_label[c] + k2 - 1 name the first and
+    # last vertex reached: a slot past the exception at ranks[t - 1] lies
+    # at a rank of in-degree 1 after it, unless that passes ranks[t], which
+    # then holds the slot.
+    ranks, after = sums.in_ranks, sums.in_after
+    listed = len(ranks)
+    slot = sums.f_label[c] + k1
+    t = bisect_right(after, slot)
+    s2 = ranks[t - 1] + 1 + slot - after[t - 1] if t else slot
+    if t < listed and s2 > ranks[t]:
+        s2 = ranks[t]
+    slot += k2 - k1 - 1
+    t = bisect_right(after, slot, t)
+    e2 = ranks[t - 1] + 1 + slot - after[t - 1] if t else slot
+    if t < listed and e2 > ranks[t]:
+        e2 = ranks[t]
+    return s2, e2, p
 
 
 def step_interval(ix: WheelerRIndex, iv: RankInterval, c: int) -> RankInterval | None:

@@ -13,7 +13,9 @@ mismatches.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from wgrindex import (
     GeneratedInstance,
@@ -37,6 +39,7 @@ from wgrindex import (
     labels_from_ascii,
     locate,
     step_toehold,
+    validate_wheeler,
 )
 from wgrindex import oracle
 
@@ -67,6 +70,40 @@ def rl_from_labels(labels) -> RLSequence:
     run_starts = [p for p, lab in enumerate(labels) if p == 0 or lab != labels[p - 1]]
     run_labels = [labels[p] for p in run_starts]
     return RLSequence(length=len(labels), run_starts=run_starts, run_labels=run_labels)
+
+
+def dense_refine(labels, out_degrees, in_degrees, f_label, s, e, c):
+    """What one refine step computes, from dense prefix sums and a scan of
+    the label sequence: the ranks of the first and last vertex reached by
+    a c-labelled out-edge of ranks [s, e], and the position of the last
+    such edge; None when there is none."""
+    out_prefix = [0] + list(accumulate(out_degrees))
+    in_prefix = [0] + list(accumulate(in_degrees))
+    lo, hi = out_prefix[s], out_prefix[e + 1]
+    hits = [p for p in range(lo, hi) if labels[p] == c]
+    if not hits:
+        return None
+    first = f_label[c] + labels[:lo].count(c)
+    last = first + len(hits) - 1
+    return bisect_right(in_prefix, first) - 1, bisect_right(in_prefix, last) - 1, hits[-1]
+
+
+def shared_in_edge_graphs(count: int, seed: int) -> list[WheelerGraph]:
+    """Wheeler graphs with some in-degree above 1, rejection-sampled from
+    random graphs with 3 <= n <= 8, m <= 14 and up to 3 labels (about
+    0.7 % qualify). No generator makes them, and only there does a refine
+    step have to clamp an in-slot to the rank of an in-degree exception."""
+    rng = random.Random(seed)
+    out: list[WheelerGraph] = []
+    while len(out) < count:
+        n = rng.randint(3, 8)
+        sigma = rng.randint(1, 3)
+        m = rng.randint(n - 1, 14)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.randrange(sigma)) for _ in range(m)]
+        g = WheelerGraph(n=n, edges=edges)
+        if max(g.in_degrees) > 1 and validate_wheeler(g).is_wheeler:
+            out.append(g)
+    return out
 
 
 def random_label_string(rng: random.Random, sigma: int, lo: int, hi: int) -> tuple[int, ...]:

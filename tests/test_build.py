@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import random
-from bisect import bisect_right
 from itertools import accumulate
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from wgrindex import (
     gen_string_path,
     gen_trie,
     is_primitive,
+    labels_from_ascii,
     naive_phi_table,
     naive_runs,
     parse_graph,
@@ -36,7 +36,7 @@ import wgrindex.build as build_mod
 from wgrindex.build import DegreeSums
 from wgrindex.graph import transform_order
 
-from helpers import G1_TEXT, make_instance, rl_from_labels
+from helpers import G1_TEXT, make_instance, random_label_string, rl_from_labels
 
 DATA = Path(__file__).parent / "data"
 
@@ -136,16 +136,6 @@ def test_rank_select_matches_naive_scan(inst):
     assert [e - 1 for e in ends] == last_of_run
 
 
-@settings(max_examples=200)
-@given(st.lists(st.integers(0, 3), max_size=30))
-def test_rank_last_matches_rank_and_select(labels):
-    rl = rl_from_labels(labels)
-    for c in range(5):  # label 4 never occurs
-        for p in range(len(labels) + 1):
-            k = rl.rank(c, p)
-            assert rl.rank_last(c, p) == (k, rl.select(c, k - 1) if k else -1)
-
-
 def test_rlsequence_from_labels_matches_builder(g1):
     b = build_bwt(g1)
     assert rl_from_labels(b.labels) == build_rank_select(b)
@@ -163,7 +153,6 @@ def test_partial_sums_g1(g1):
     assert (sums.out_ranks, sums.out_after) == ([2], [2])
     assert (sums.in_ranks, sums.in_after) == ([0], [0])
     assert [sums.out_prefix(k) for k in range(5)] == [0, 1, 2, 2, 3]
-    assert [sums.rank_of_in_slot(s) for s in range(3)] == [1, 2, 3]
     assert sums.f_label == [0, 2, 3]
 
 
@@ -178,18 +167,15 @@ def test_partial_sums_empty_graph():
 @settings(max_examples=150)
 @given(instances())
 def test_partial_sums_handshake(inst):
-    """The exceptions are the ranks whose degree is not 1, and they give
-    back the dense prefix arrays: out_prefix(k) sums the first k
-    out-degrees, rank_of_in_slot bisects the in-degree prefix."""
+    """The exceptions are the ranks whose degree is not 1, and out_prefix(k)
+    sums the first k out-degrees. The in-side sums are read only by the
+    refine step, which test_query checks against dense references."""
     g = inst.graph
     sums = build_partial_sums(g)
     assert sums.out_ranks == [k for k, d in enumerate(g.out_degrees) if d != 1]
     assert sums.in_ranks == [k for k, d in enumerate(g.in_degrees) if d != 1]
     assert [sums.out_prefix(k) for k in range(g.n + 1)] == dense_prefix(g.out_degrees)
-    in_prefix = dense_prefix(g.in_degrees)
-    assert [sums.rank_of_in_slot(s) for s in range(g.m)] == [
-        bisect_right(in_prefix, s) - 1 for s in range(g.m)
-    ]
+    assert sums.in_after == [dense_prefix(g.in_degrees)[k + 1] for k in sums.in_ranks]
     assert sums.f_label[0] == 0 and sums.f_label[-1] == g.m
     assert all(a <= b for a, b in zip(sums.f_label, sums.f_label[1:]))
 
@@ -197,14 +183,13 @@ def test_partial_sums_handshake(inst):
 @settings(max_examples=300)
 @given(st.lists(st.integers(0, 3), max_size=20))
 def test_degree_sums_match_dense_prefixes(degrees):
-    """The same equalities on any degree list: the generated families never
-    have in-degrees above 1, where rank_of_in_slot has to clamp."""
+    """The same on any degree list, on both sides: the generated families
+    never have in-degrees above 1."""
     sums = DegreeSums.from_degrees(degrees, degrees, [0])
     prefix = dense_prefix(degrees)
     assert [sums.out_prefix(k) for k in range(len(degrees) + 1)] == prefix
-    assert [sums.rank_of_in_slot(s) for s in range(prefix[-1])] == [
-        bisect_right(prefix, s) - 1 for s in range(prefix[-1])
-    ]
+    assert sums.in_ranks == sums.out_ranks == [k for k, d in enumerate(degrees) if d != 1]
+    assert sums.in_after == sums.out_after == [prefix[k + 1] for k in sums.out_ranks]
 
 
 # --- toehold table ---
@@ -470,6 +455,68 @@ def test_deserialize_rejects_unmarked_run_end(g1_index):
     assert doc["marked_positions"] == [0, 1, 2]
     doc["marked_positions"], doc["marked_pairs"] = [0, 1], doc["marked_pairs"][:2]
     with pytest.raises(ValueError, match="corrupt index: run end 2 is not a marked position"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+def without_mark(doc: dict, p: int) -> bytes:
+    """doc with marked position p and its pair deleted."""
+    i = doc["marked_positions"].index(p)
+    edited = dict(doc)
+    edited["marked_positions"] = doc["marked_positions"][:i] + doc["marked_positions"][i + 1:]
+    edited["marked_pairs"] = doc["marked_pairs"][:i] + doc["marked_pairs"][i + 1:]
+    return json.dumps(edited).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "graph, p",
+    [
+        # edges into the sink, a degree exception (rule M2); loaded without
+        # them, locate of "aaa" or "aa" answered [3], not [4]
+        (gen_string_path(labels_from_ascii("baaa")).graph, 1),
+        (gen_string_path(labels_from_ascii("abaa")).graph, 2),
+        # the edge (1, 4) of the trie of "aba" and "bb" is marked only
+        # because rank 2 is a sink (rule M3): its run goes on, and neither
+        # end is a path endpoint
+        (gen_trie([(0, 1, 0), (1, 1)]).graph, 2),
+    ],
+    ids=["baaa", "abaa", "trie"],
+)
+def test_deserialize_rejects_unmarked_endpoint_edge(graph, p):
+    doc = json.loads(serialize_index(build_index(graph)))
+    assert p in doc["marked_positions"]
+    with pytest.raises(ValueError, match=f"corrupt index: position {p} \\(rule M2 or M3\\)"):
+        deserialize_index(without_mark(doc, p))
+
+
+def test_deleting_any_mark_is_rejected_at_load():
+    """On string paths, multi-paths and tries every path endpoint has a
+    degree other than 1, so each mark is checkable at load: a run end
+    (M1), an edge at an endpoint (M2) or an edge before a sink (M3)."""
+    rng = random.Random(7)
+    graphs = [gen_string_path(random_label_string(rng, 2, 1, 12)).graph for _ in range(40)]
+    graphs += [
+        gen_multi_paths([random_label_string(rng, 2, 0, 6) for _ in range(rng.randint(2, 4))]).graph
+        for _ in range(40)
+    ]
+    graphs += [
+        gen_trie([random_label_string(rng, 3, 0, 5) for _ in range(rng.randint(2, 8))]).graph
+        for _ in range(40)
+    ]
+    deleted = 0
+    for g in graphs:
+        doc = json.loads(serialize_index(build_index(g)))
+        for p in doc["marked_positions"]:
+            with pytest.raises(ValueError, match="corrupt index"):
+                deserialize_index(without_mark(doc, p))
+            deleted += 1
+    assert deleted > 800
+
+
+def test_deserialize_rejects_stray_run_label():
+    # a zero-length run of label 5 leaves every count and run end intact
+    doc = trie_doc()
+    doc.update(run_starts=[0, 1, 1, 3], run_labels=[0, 5, 1, 2], num_runs=4)
+    with pytest.raises(ValueError, match="corrupt index: run label 5 is outside"):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 

@@ -147,25 +147,24 @@ def _corrupt_copy(src: str, dst, **fields) -> str:
 
 
 def test_query_corrupt_index_exits_2_without_traceback(capsys, tmp_path):
-    # in the "abba" path, position 1 is marked because its edge touches a
-    # path endpoint, not because it ends a run; deleted together with its
-    # pair it still loads, and the toehold step of "ab" lands on it and
-    # cannot apply the +1 rule
+    # the "abba" path anchors every identifier; without the anchor of the
+    # last one, 4, the file still loads, and the phi step from identifier 4
+    # finds no anchor successor
     wgf, idx = tmp_path / "abba.wgf", tmp_path / "abba.idx"
     assert main(["gen", "string", "abba", "-o", str(wgf)]) == 0
     assert main(["build", str(wgf), str(idx)]) == 0
     capsys.readouterr()
     doc = json.loads(idx.read_bytes())
-    assert (doc["run_starts"], doc["marked_positions"]) == ([0, 1, 3], [0, 1, 2, 3])
+    assert (doc["anchor_ids"], doc["pred_ids"]) == ([0, 1, 2, 3, 4], [3, 4, 1, None, 0])
     bad = _corrupt_copy(
-        str(idx), tmp_path / "bad.idx",
-        marked_positions=[0, 2, 3], marked_pairs=[doc["marked_pairs"][p] for p in (0, 2, 3)],
+        str(idx), tmp_path / "bad.idx", anchor_ids=[0, 1, 2, 3], pred_ids=[3, 4, 1, None]
     )
     pats = tmp_path / "p.txt"
-    pats.write_text("ab\n")
+    pats.write_text("a\n")
     code, _, err = run(capsys, "query", bad, "--mode", "locate", "--patterns", str(pats))
     assert code == 2
-    assert err.startswith("error: corrupt index: unmarked position 1 ")  # raised mid-query
+    # raised mid-query
+    assert err.startswith("error: corrupt index: identifier 4 has no anchor successor")
     assert "Traceback" not in err
 
 

@@ -1,18 +1,27 @@
 import itertools
 from collections import Counter
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wgrindex.query as query_mod
 from wgrindex import (
+    DegreeSums,
     FirstInOrderError,
     IndexInvariantError,
     MatchState,
+    PhiStructure,
     RankInterval,
+    ToeholdTable,
     WheelerGraph,
+    WheelerRIndex,
+    assign_identifiers,
+    build_bwt,
     build_index,
     count,
+    decompose_paths,
+    deserialize_index,
     find_interval,
     full_interval,
     full_state,
@@ -25,11 +34,12 @@ from wgrindex import (
     naive_match,
     phi,
     random_patterns,
+    serialize_index,
     step_interval,
     step_toehold,
 )
 
-from helpers import make_instance
+from helpers import dense_refine, make_instance, rl_from_labels, shared_in_edge_graphs
 
 label_strings = st.lists(st.integers(0, 3), max_size=12).map(tuple)
 
@@ -63,6 +73,96 @@ def test_step_interval_g1(g1_index):
     assert step_interval(ix, RankInterval(1, 2), 1) == RankInterval(3, 3)
     assert step_interval(ix, RankInterval(0, 3), 2) is None  # unseen label
     assert step_interval(ix, RankInterval(2, 2), 0) is None  # no out-edges
+
+
+def test_step_interval_label_that_never_occurs():
+    # labels {0, 2}: label 1 lies inside the alphabet but has no runs
+    ix = deserialize_index(serialize_index(build_index(gen_string_path((0, 2, 0)).graph)))
+    assert ix.sigma == 3 and ix.rl.count(1) == 0
+    assert step_interval(ix, full_interval(ix), 1) is None
+    for pattern in [(1,), (0, 1), (1, 0), (2, 1)]:
+        assert count(ix, pattern) == 0
+        assert find_interval(ix, pattern) is None
+        assert locate(ix, pattern) == []
+    assert count(ix, (0, 2, 0)) == 1
+
+
+# --- the refine step against dense references ---
+
+@st.composite
+def refine_inputs(draw):
+    """Out- and in-degree lists with one total m, and m labels over
+    [0, 4): the step's arithmetic must match the dense reference on any of
+    them, not only on those of a Wheeler graph."""
+    out_degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    n, m = len(out_degrees), sum(out_degrees)
+    dsts = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    labels = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    return out_degrees, [dsts.count(k) for k in range(n)], labels
+
+
+@settings(max_examples=300)
+@given(refine_inputs())
+def test_refine_matches_dense_reference(inputs):
+    """_refine finds the out-range, the rank and last position of c in it,
+    and the vertex ranks of two in-slots (clamped at in-degree exceptions),
+    exactly as dense prefix arrays and a scan do."""
+    out_degrees, in_degrees, labels = inputs
+    n, sigma = len(out_degrees), 4
+    f_label = [0] + list(accumulate(labels.count(c) for c in range(sigma)))
+    ix = WheelerRIndex(
+        n=n, m=len(labels), sigma=sigma, num_runs=0, num_paths=0, last_rank_id=None,
+        rl=rl_from_labels(labels),
+        sums=DegreeSums.from_degrees(out_degrees, in_degrees, f_label),
+        toehold=ToeholdTable({}), phi=PhiStructure([], []),
+    )
+    for s, e in combinations_with_replacement(range(n), 2):
+        for c in range(sigma + 1):  # label 4 never occurs
+            want = dense_refine(labels, out_degrees, in_degrees, f_label, s, e, c)
+            assert query_mod._refine(ix, s, e, c) == want, (s, e, c)
+
+
+def check_steps(g, ix, labels) -> None:
+    """step_interval on every interval and label of g against the dense
+    reference."""
+    f_label = ix.sums.f_label
+    for s, e in combinations_with_replacement(range(g.n), 2):
+        for c in range(g.sigma + 1):
+            want = dense_refine(labels, g.out_degrees, g.in_degrees, f_label, s, e, c)
+            assert query_mod._refine(ix, s, e, c) == want, (s, e, c)
+            got = step_interval(ix, RankInterval(s, e), c)
+            assert got == (None if want is None else RankInterval(want[0], want[1]))
+
+
+@settings(max_examples=60)
+@given(instances())
+def test_step_interval_matches_dense_reference(inst):
+    check_steps(inst.graph, inst.index, inst.bwt_labels)
+
+
+@pytest.fixture(scope="module")
+def shared_in_edges():
+    return shared_in_edge_graphs(150, seed=20261018)
+
+
+def test_shared_in_edge_graphs_match_oracle(shared_in_edges):
+    """Wheeler graphs where some vertex has in-degree above 1, so the
+    in-slot clamp matters: every step against the dense reference, and
+    count and locate of every pattern up to length 3 over sigma + 1 labels
+    against the oracle, after a save/load round trip."""
+    checked = 0
+    for g in shared_in_edges:
+        assert max(g.in_degrees) > 1
+        ix = deserialize_index(serialize_index(build_index(g)))
+        check_steps(g, ix, build_bwt(g).labels)
+        idof = assign_identifiers(g, decompose_paths(g)).id_of_rank
+        for length in range(4):
+            for pat in itertools.product(range(g.sigma + 1), repeat=length):
+                hits = naive_match(g, pat)
+                assert count(ix, pat) == len(hits), (g, pat)
+                assert sorted(locate(ix, pat)) == sorted(idof[r] for r in hits), (g, pat)
+                checked += 1
+    assert checked > 4_000
 
 
 # --- count ---
@@ -303,12 +403,12 @@ def test_query_call_paths_reach_traced_hooks(monkeypatch):
     pattern = (0, 1, 0)  # "aba" ends at two vertices
     assert query_mod.count(ix, pattern) == 2
     assert calls["step_interval", None] == 3
-    assert calls["rank", "step_interval"] >= 3
+    assert calls["rank", "step_interval"] == 3  # one rank search per step
     calls.clear()
     assert len(query_mod.locate(ix, pattern)) == 2
     assert calls["find_interval", None] == 1
     assert calls["step_toehold", "find_interval"] == 2
-    assert calls["rank", "step_toehold"] >= 2
+    assert calls["rank", "step_toehold"] == 2
     assert calls["pairs.get", "step_toehold"] == 2
     assert calls["phi", None] == 1
     assert calls["successor", "phi"] == 1
