@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, pairwise
+from operator import ne
 
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
@@ -36,22 +37,12 @@ _INT_OR_NONE = frozenset((int, type(None)))
 class GraphBwt:
     """Edge labels sorted by (source rank, destination rank, input order).
 
-    labels[p] is the label at position p; edge_at[p] the (src, dst) pair of
-    the edge holding that position. runs lists the maximal constant
-    stretches as (label, length).
+    labels[p] is the label at position p and order[p] the index in g.edges
+    of the edge holding that position.
     """
 
     labels: list[int]
-    runs: list[tuple[int, int]]
-    edge_at: list[tuple[int, int]]
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.runs)
+    order: list[int]
 
 
 def build_bwt(g: WheelerGraph) -> GraphBwt:
@@ -61,15 +52,8 @@ def build_bwt(g: WheelerGraph) -> GraphBwt:
         detail = "; ".join(str(v) for v in report.violations)
         raise NotWheelerError(f"input numbering is not a Wheeler order: {detail}")
     order = transform_order(g)
-    labels = [g.edges[i][2] for i in order]
-    runs: list[tuple[int, int]] = []
-    for lab in labels:
-        if runs and runs[-1][0] == lab:
-            runs[-1] = (lab, runs[-1][1] + 1)
-        else:
-            runs.append((lab, 1))
-    edge_at = [(g.edges[i][0], g.edges[i][1]) for i in order]
-    return GraphBwt(labels=labels, runs=runs, edge_at=edge_at)
+    edges = g.edges
+    return GraphBwt(labels=[edges[i][2] for i in order], order=order)
 
 
 @dataclass
@@ -134,13 +118,12 @@ class RLSequence:
 
 
 def build_rank_select(b: GraphBwt) -> RLSequence:
-    """Rank/select directories over the transform's runs."""
-    if b.runs:
-        run_starts = [0] + list(accumulate(length for _, length in b.runs))[:-1]
-    else:
-        run_starts = []
-    run_labels = [lab for lab, _ in b.runs]
-    return RLSequence(length=b.m, run_starts=run_starts, run_labels=run_labels)
+    """Rank/select directories over the transform's runs; a run starts
+    wherever the label differs from the one before."""
+    labels = b.labels
+    run_starts = list(compress(range(len(labels)), map(ne, [None] + labels, labels)))
+    run_labels = [labels[p] for p in run_starts]
+    return RLSequence(length=len(labels), run_starts=run_starts, run_labels=run_labels)
 
 
 @dataclass
@@ -213,31 +196,43 @@ class ToeholdTable:
         return sorted(self.pairs)
 
 
-def build_toehold(
-    g: WheelerGraph, d: PathDecomposition, ids: IdAssignment, b: GraphBwt
-) -> ToeholdTable:
-    """Mark positions and record their edges' endpoint identifiers.
+def _required_marks(rl: RLSequence, sums: DegreeSums, endpoints) -> set[int]:
+    """The positions that must be marked, given the path endpoints:
+      M1: the last position of each run;
+      M2: every edge leaving or entering an endpoint;
+      M3: every edge leaving the rank before an endpoint with no out-edges.
+    The edge in in-slot s, with f_label[c] <= s < f_label[c + 1], is the one
+    at position select(c, s - f_label[c]). A build passes every endpoint;
+    a load passes the ranks whose degree is not 1, which are all of them
+    except the vertex at which a cycle is broken."""
+    f_label, in_ranks, in_after = sums.f_label, sums.in_ranks, sums.in_after
+    marks = {s - 1 for s in rl.run_starts[1:] + [rl.length]} if rl.length else set()
+    for k in endpoints:
+        lo, hi = sums.out_prefix(k), sums.out_prefix(k + 1)
+        marks.update(range(lo, hi))
+        if lo == hi and k > 0:
+            marks.update(range(sums.out_prefix(k - 1), lo))
+        for slot in range(_prefix(in_ranks, in_after, k), _prefix(in_ranks, in_after, k + 1)):
+            c = bisect_right(f_label, slot) - 1
+            marks.add(rl.select(c, slot - f_label[c]))
+    return marks
 
-    Position p holding edge (u, v) is marked when any of these hold:
-      M1: p is the last position of a run;
-      M2: u or v is an endpoint of a decomposition path;
-      M3: the vertex ranked directly after u has out-degree 0.
-    """
-    labels = b.labels
-    last = b.m - 1
-    endpoints = d.endpoints
-    out_deg = g.out_degrees
-    id_of = ids.id_of_rank
+
+def build_toehold(
+    g: WheelerGraph,
+    d: PathDecomposition,
+    ids: IdAssignment,
+    b: GraphBwt,
+    rl: RLSequence,
+    sums: DegreeSums,
+) -> ToeholdTable:
+    """Record the endpoint identifiers of the edge at each position that
+    _required_marks names for the decomposition's endpoints."""
+    edges, order, id_of = g.edges, b.order, ids.id_of_rank
     pairs: dict[int, tuple[int, int]] = {}
-    for p, (u, v) in enumerate(b.edge_at):
-        if (
-            p == last
-            or labels[p] != labels[p + 1]
-            or u in endpoints
-            or v in endpoints
-            or (u + 1 < g.n and out_deg[u + 1] == 0)
-        ):
-            pairs[p] = (id_of[u], id_of[v])
+    for p in sorted(_required_marks(rl, sums, d.endpoints)):
+        u, v, _ = edges[order[p]]
+        pairs[p] = (id_of[u], id_of[v])
     return ToeholdTable(pairs=pairs)
 
 
@@ -273,35 +268,26 @@ def build_phi(
 ) -> PhiStructure:
     """Collect the anchor identifiers and their order-predecessors.
 
-    Rank k (vertex u, order-predecessor u') is anchored when the +1
-    lockstep between u's chain and u''s chain cannot be relied on:
-      * u or u' does not have out-degree exactly 1;
-      * the single out-edge of u (to v) or of u' (to v') leads to a vertex
-        with in-degree other than 1;
-      * the two single out-edges carry different labels;
-      * any of u, u', v, v' is an endpoint of a decomposition path
-        (endpoints break the consecutive-identifier rule);
-      * k = 0 (the order-first vertex, stored with a None sentinel).
+    Rank k (vertex u, order-predecessor u') is anchored unless the +1
+    lockstep between u's chain and u''s chain can be relied on: none of u,
+    u', v, v' is an endpoint of a decomposition path (endpoints break the
+    consecutive-identifier rule), where v and v' are the targets of u's and
+    u''s out-edges, and the two edges carry the same label. A vertex that
+    is not an endpoint has in- and out-degree 1, so those are the only
+    out-edges of u and u' and the only in-edges of v and v'. Rank 0 (the
+    order-first vertex) is always anchored, with a None sentinel.
     """
-    out_deg, in_deg = g.out_degrees, g.in_degrees
     endpoints = d.endpoints
     id_of = ids.id_of_rank
-    labels = b.labels
 
     # When u and u' = u - 1 both have out-degree 1, their out-edges sit at
     # adjacent transform positions, so one scan of the transform finds every
     # rank in lockstep with its predecessor.
     lockstep = [False] * g.n
-    for p in range(1, b.m):
-        u, v = b.edge_at[p]
-        u2, v2 = b.edge_at[p - 1]
+    for (u2, v2, c2), (u, v, c) in pairwise(map(g.edges.__getitem__, b.order)):
         if (
             u2 == u - 1
-            and out_deg[u] == 1
-            and out_deg[u2] == 1
-            and in_deg[v] == 1
-            and in_deg[v2] == 1
-            and labels[p] == labels[p - 1]
+            and c2 == c
             and u not in endpoints
             and u2 not in endpoints
             and v not in endpoints
@@ -340,16 +326,18 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
     b = build_bwt(g)  # raises NotWheelerError on a bad order
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
+    rl = build_rank_select(b)
+    sums = build_partial_sums(g)
     return WheelerRIndex(
         n=g.n,
         m=g.m,
         sigma=g.sigma,
-        num_runs=b.num_runs,
+        num_runs=len(rl.run_starts),
         num_paths=d.num_paths,
         last_rank_id=ids.id_of_rank[g.n - 1] if g.n else None,
-        rl=build_rank_select(b),
-        sums=build_partial_sums(g),
-        toehold=build_toehold(g, d, ids, b),
+        rl=rl,
+        sums=sums,
+        toehold=build_toehold(g, d, ids, b, rl, sums),
         phi=build_phi(g, d, ids, b),
     )
 
@@ -517,43 +505,19 @@ def _load_degree_sums(doc: dict, version: int) -> DegreeSums:
     return sums
 
 
-def _check_endpoint_marks(sums: DegreeSums, rl: RLSequence, marked: dict) -> None:
-    """Raise unless mark rules M2 and M3 hold at the ranks whose degree is
-    not 1. Each of them is a path endpoint, so every edge leaving or
-    entering it is marked (M2), and so is every out-edge of the rank before
-    it when it has no out-edges (M3). The edge in in-slot s, with f_label[c]
-    <= s < f_label[c + 1], is the one at position select(c, s - f_label[c]).
-    Endpoints whose degrees are both 1 (a cycle's break vertex) are not
-    listed, so their marks go unchecked."""
-    f_label, in_ranks, in_after = sums.f_label, sums.in_ranks, sums.in_after
-    need: set[int] = set()
-    for k in set(sums.out_ranks).union(in_ranks):
-        lo, hi = sums.out_prefix(k), sums.out_prefix(k + 1)
-        need.update(range(lo, hi))
-        if lo == hi and k > 0:
-            need.update(range(sums.out_prefix(k - 1), lo))
-        for slot in range(_prefix(in_ranks, in_after, k), _prefix(in_ranks, in_after, k + 1)):
-            c = bisect_right(f_label, slot) - 1
-            need.add(rl.select(c, slot - f_label[c]))
-    unmarked = need.difference(marked)
-    if unmarked:
-        raise ValueError(
-            f"corrupt index: position {min(unmarked)} (rule M2 or M3) is not a marked position"
-        )
-
-
 def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index; also reads version-1 files.
 
     Raises ValueError on foreign input and, as "corrupt index: ...", on a
     number that is not an int, on arrays whose lengths disagree, on an
     impossible anchor set (pred_ids must hold exactly one None when n > 0,
-    none when n == 0; anchor_ids must be strictly increasing within
-    [0, n)), on degree sums that do not describe n degrees summing to m, on
-    a run label outside [0, sigma), on f_label not rising from 0 to m or
-    disagreeing with the runs, on a run end (mark rule M1) missing from
-    marked_positions, and on an unmarked edge at a rank whose degree is
-    not 1 (rules M2 and M3)."""
+    none when n == 0; anchor_ids must be strictly increasing within [0, n)
+    and end at n - 1), on num_runs not counting run_starts, on degree sums
+    that do not describe n degrees summing to m, on a run label outside
+    [0, sigma), on f_label not rising from 0 to m or disagreeing with the
+    runs, on a position that _required_marks names for the ranks whose
+    degree is not 1 missing from marked_positions, and on a last_rank_id
+    other than the one stored at in-slot m - 1."""
     try:
         doc = json.loads(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -580,6 +544,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         for name, other, want in (
             ("marked_pairs", "marked_positions", len(doc["marked_positions"])),
             ("pred_ids", "anchor_ids", len(doc["anchor_ids"])),
+            ("run_starts", "num_runs", doc["num_runs"]),
             ("run_labels", "run_starts", len(doc["run_starts"])),
             ("f_label", "sigma + 1", doc["sigma"] + 1),
         ):
@@ -596,19 +561,28 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             )
         if not all(a < b for a, b in zip([-1] + anchor_ids, anchor_ids + [n])):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
+        if n and anchor_ids[-1] != n - 1:
+            raise ValueError(f"corrupt index: anchor_ids ends at {anchor_ids[-1]}, not at n - 1")
         sums = _load_degree_sums(doc, version)
-        run_starts = doc["run_starts"]
-        rl = RLSequence(length=m, run_starts=run_starts, run_labels=doc["run_labels"])
+        rl = RLSequence(length=m, run_starts=doc["run_starts"], run_labels=doc["run_labels"])
         stray = [c for c in rl.runs_of if not 0 <= c < doc["sigma"]]
         if stray:
             raise ValueError(f"corrupt index: run label {min(stray)} is outside [0, sigma)")
         if sums.f_label != [0] + list(accumulate(map(rl.count, range(doc["sigma"])))):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
-        run_ends = [s - 1 for s in run_starts[1:]] + ([m - 1] if m else [])
-        unmarked = set(run_ends).difference(pairs)
+        exceptions = set(sums.out_ranks).union(sums.in_ranks)
+        unmarked = _required_marks(rl, sums, exceptions).difference(pairs)
         if unmarked:
-            raise ValueError(f"corrupt index: run end {min(unmarked)} is not a marked position")
-        _check_endpoint_marks(sums, rl, pairs)
+            raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
+        # Rank n - 1 holds in-slot m - 1, the last occurrence of the largest
+        # label, a run end; with no edges the identifiers follow the ranks.
+        if m:
+            _, _, ends = rl.runs_of[max(rl.runs_of)]
+            last = pairs[ends[-1] - 1][1]
+        else:
+            last = n - 1 if n else None
+        if doc["last_rank_id"] != last:
+            raise ValueError(f"corrupt index: last_rank_id is {doc['last_rank_id']}, not {last}")
         return WheelerRIndex(
             n=n,
             m=m,

@@ -12,7 +12,7 @@ import string
 import sys
 
 from .build import build_index, load_index, save_index, space_report
-from .errors import IndexInvariantError, NotWheelerError, WgfParseError
+from .errors import FirstInOrderError, IndexInvariantError, NotWheelerError, WgfParseError
 from .generators import gen_multi_paths, gen_string_cycle, gen_string_path, gen_trie
 from .graph import decompose_paths, parse_graph, to_wgf, validate_wheeler
 from .query import count, locate
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IndexInvariantError as exc:
+    except (IndexInvariantError, FirstInOrderError) as exc:  # only a corrupt index raises these
         print(f"error: corrupt index: {exc}", file=sys.stderr)
         return 2
 

@@ -161,9 +161,10 @@ def step_toehold(ix: WheelerRIndex, st: MatchState, c: int) -> MatchState | None
     """Refine the interval by c and keep the last vertex's identifier.
 
     The new last vertex is reached by the last c in the interval's
-    out-range, position p. If p is marked, the stored identifier is used.
-    Otherwise p must lie in the out-range of the old last vertex (the two
-    ranges end together), where both endpoints of p's edge are
+    out-range, position p. If p is marked, the stored identifier is used;
+    from the full state p is the globally last c, a run end, so it always
+    is. Otherwise p must lie in the out-range of the old last vertex (the
+    two ranges end together), where both endpoints of p's edge are
     chain-interior and the identifier is last_id + 1. An unmarked p before
     that range means the index is corrupt.
     """
@@ -185,32 +186,18 @@ def step_toehold(ix: WheelerRIndex, st: MatchState, c: int) -> MatchState | None
 
 
 def find_interval(ix: WheelerRIndex, pattern: Sequence[int]) -> MatchState | None:
-    """Match state of a non-empty pattern, or None when nothing matches.
-
-    The state is seeded from the pattern's first label c: the last c in the
-    full interval's out-range is the globally last occurrence, which ends a
-    run, hence is marked and carries the identifier of the interval's last
-    vertex. Each later label is one step_toehold.
+    """Match state of a non-empty pattern, or None when nothing matches:
+    one step_toehold per label from the full state.
     Raises ValueError on the empty pattern or a label that is not an int.
     """
     pattern = _labels(pattern)
     if len(pattern) == 0:
         raise ValueError("pattern must be non-empty; the empty pattern matches every vertex")
-    if ix.n == 0:
-        return None
-    c = pattern[0]
-    r = _refine(ix, 0, ix.n - 1, c)
-    if r is None:
-        return None
-    s, e, p = r
-    pair = ix.toehold.pairs.get(p)
-    if pair is None:
-        raise IndexInvariantError(f"last occurrence of label {c} at position {p} is unmarked")
-    st = MatchState(RankInterval(s, e), pair[1])
-    for c in pattern[1:]:
-        st = step_toehold(ix, st, c)
+    st = full_state(ix)
+    for c in pattern:
         if st is None:
             return None
+        st = step_toehold(ix, st, c)
     return st
 
 
@@ -242,15 +229,7 @@ def locate(ix: WheelerRIndex, pattern: Sequence[int]) -> list[int]:
     The empty pattern reports every vertex. Raises ValueError when a label
     is not an int.
     """
-    if len(pattern) == 0:
-        if ix.n == 0:
-            return []
-        assert ix.last_rank_id is not None
-        out = [ix.last_rank_id]
-        for _ in range(ix.n - 1):
-            out.append(phi(ix, out[-1]))
-        return out
-    st = find_interval(ix, pattern)
+    st = find_interval(ix, pattern) if len(pattern) else full_state(ix)
     if st is None:
         return []
     out = [st.last_id]

@@ -61,21 +61,22 @@ def instances(draw):
 def test_bwt_g1(g1):
     b = build_bwt(g1)
     assert b.labels == [0, 1, 0]
-    assert b.runs == [(0, 1), (1, 1), (0, 1)]
-    assert b.edge_at == [(0, 1), (1, 3), (3, 2)]
-    assert transform_order(g1) == [0, 1, 2]
-    assert b.num_runs == 3
+    assert b.order == transform_order(g1) == [0, 1, 2]
+    assert [g1.edges[i][:2] for i in b.order] == [(0, 1), (1, 3), (3, 2)]
+    rl = build_rank_select(b)
+    assert (rl.run_starts, rl.run_labels) == ([0, 1, 2], [0, 1, 0])
 
 
 def test_bwt_empty():
     b = build_bwt(WheelerGraph(n=3, edges=[]))
-    assert b.labels == [] and b.runs == [] and b.num_runs == 0
+    assert b.labels == [] and b.order == [] and build_rank_select(b).run_starts == []
 
 
 def test_bwt_single_run():
     b = build_bwt(gen_string_path((0, 0, 0, 0)).graph)
     assert b.labels == [0, 0, 0, 0]
-    assert b.runs == [(0, 4)]
+    rl = build_rank_select(b)
+    assert (rl.run_starts, rl.run_labels) == ([0], [0])
 
 
 def test_bwt_rejects_bad_order():
@@ -87,7 +88,7 @@ def test_bwt_groups_by_source_then_destination():
     # two sources out of rank order in the input; positions must follow ranks
     g = WheelerGraph(n=3, edges=[(1, 2, 1), (0, 1, 0)])
     b = build_bwt(g)
-    assert b.edge_at == [(0, 1), (1, 2)]
+    assert b.order == [1, 0]
     assert b.labels == [0, 1]
 
 
@@ -194,20 +195,22 @@ def test_degree_sums_match_dense_prefixes(degrees):
 
 # --- toehold table ---
 
+def toehold_of(g):
+    d = decompose_paths(g)
+    b = build_bwt(g)
+    return build_toehold(g, d, assign_identifiers(g, d), b, build_rank_select(b),
+                         build_partial_sums(g))
+
+
 def test_toehold_g1(g1):
-    d = decompose_paths(g1)
-    ids = assign_identifiers(g1, d)
-    th = build_toehold(g1, d, ids, build_bwt(g1))
+    th = toehold_of(g1)
     assert th.pairs == {0: (2, 0), 1: (0, 1), 2: (1, 3)}
     assert th.marked_count == 3
     assert th.marked_positions() == [0, 1, 2]
 
 
 def test_toehold_unary_chain():
-    g = gen_string_path((0, 0, 0, 0)).graph
-    d = decompose_paths(g)
-    ids = assign_identifiers(g, d)
-    th = build_toehold(g, d, ids, build_bwt(g))
+    th = toehold_of(gen_string_path((0, 0, 0, 0)).graph)
     # position 3 ends the single run; positions 0 and 3 touch path endpoints
     assert th.marked_positions() == [0, 3]
 
@@ -215,35 +218,50 @@ def test_toehold_unary_chain():
 def test_toehold_marks_before_sink():
     # rank 2 has out-degree 0, so every out-edge of rank 1 is marked
     g = gen_string_path((0, 0, 0, 0)).graph
-    d = decompose_paths(g)
-    ids = assign_identifiers(g, d)
-    b = build_bwt(g)
-    th = build_toehold(g, d, ids, b)
+    th = toehold_of(g)
     sink = g.n - 1
     assert g.out_degrees[sink] == 0
-    for p, (u, _) in enumerate(b.edge_at):
-        if u == sink - 1:
+    for p, i in enumerate(transform_order(g)):
+        if g.edges[i][0] == sink - 1:
             assert p in th.pairs
 
 
 @settings(max_examples=150)
 @given(instances())
 def test_toehold_exact_membership(inst):
-    """Marked positions match a from-scratch scan of the three conditions."""
+    """Marked positions match a from-scratch scan of the three conditions,
+    over the edges in transform order."""
     g, d, ids = inst.graph, inst.decomp, inst.ids
-    b = build_bwt(g)
+    edge_at = [g.edges[i][:2] for i in transform_order(g)]
     th = inst.index.toehold
     ends = {seq[0] for seq in d.paths} | {seq[-1] for seq in d.paths}
     expected = set()
-    for p, (u, v) in enumerate(b.edge_at):
+    for p, (u, v) in enumerate(edge_at):
         last_of_run = p + 1 == g.m or inst.bwt_labels[p + 1] != inst.bwt_labels[p]
         before_sink = u + 1 < g.n and g.out_degrees[u + 1] == 0
         if last_of_run or u in ends or v in ends or before_sink:
             expected.add(p)
     assert set(th.pairs) == expected
-    for p, (u, v) in enumerate(b.edge_at):
+    for p, (u, v) in enumerate(edge_at):
         if p in expected:
             assert th.pairs[p] == (ids.id_of_rank[u], ids.id_of_rank[v])
+
+
+@settings(max_examples=150)
+@given(instances())
+def test_load_side_marks_match_built_marks(inst):
+    """The mark rule applied to the ranks whose degree is not 1, as a load
+    does, names exactly the built marks on strings, multi-paths and tries,
+    whose path endpoints all have such a degree. On a cycle the break
+    vertex has degrees 1 and 1, so it names a subset."""
+    ix = inst.index
+    exceptions = set(ix.sums.out_ranks).union(ix.sums.in_ranks)
+    assert exceptions <= inst.decomp.endpoints
+    marks = build_mod._required_marks(ix.rl, ix.sums, exceptions)
+    if inst.family == "cycle":
+        assert marks <= set(ix.toehold.pairs)
+    else:
+        assert marks == set(ix.toehold.pairs)
 
 
 # --- phi structure ---
@@ -388,6 +406,9 @@ def test_deserialize_rejects_mismatched_lengths(field):
         ({"anchor_ids": [2, 0, 3, 4]}, "anchor_ids"),
         ({"anchor_ids": [0, 2, 3, 5]}, "anchor_ids"),
         ({"anchor_ids": [-1, 2, 3, 4]}, "anchor_ids"),
+        # every build anchors n - 1; without it a phi step from n - 1 failed
+        # mid-query with no anchor successor
+        ({"anchor_ids": [0, 2, 3], "pred_ids": [3, 1, None]}, "anchor_ids ends at 3, not at n - 1"),
     ],
 )
 def test_deserialize_rejects_impossible_anchor_sets(edit, fragment):
@@ -397,6 +418,37 @@ def test_deserialize_rejects_impossible_anchor_sets(edit, fragment):
     assert (doc["anchor_ids"], doc["pred_ids"]) == ([0, 2, 3, 4], [3, 1, None, 2])
     doc.update(edit)
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+ABBA = gen_string_path(labels_from_ascii("abba")).graph
+EMPTY, EDGELESS = WheelerGraph(n=0, edges=[]), WheelerGraph(n=3, edges=[])
+
+
+def test_deserialize_rejects_wrong_num_runs():
+    # loaded, this copy printed r=999 and marked_bound=1003 in stats
+    doc = json.loads(serialize_index(build_index(ABBA)))
+    assert (doc["run_starts"], doc["num_runs"]) == ([0, 1, 3], 3)
+    doc["num_runs"] = 999
+    with pytest.raises(ValueError, match="corrupt index: run_starts has 3 entries, num_runs gives"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "graph, built, last",
+    [(ABBA, 2, 0), (ABBA, 2, 4), (ABBA, 2, 5), (ABBA, 2, -1), (ABBA, 2, None),
+     (EMPTY, None, 0), (EDGELESS, 2, 0), (EDGELESS, 2, None)],
+    ids=["abba-0", "abba-4", "abba-5", "abba-minus-1", "abba-None",
+         "empty-0", "edgeless-0", "edgeless-None"],
+)
+def test_deserialize_rejects_wrong_last_rank_id(graph, built, last):
+    # loaded, a wrong id in [0, n) made locate of the empty pattern raise
+    # FirstInOrderError, and any other value failed in that query too; with
+    # no edges, identifiers follow ranks, so rank n - 1 has id n - 1
+    doc = json.loads(serialize_index(build_index(graph)))
+    assert doc["last_rank_id"] == built
+    doc["last_rank_id"] = last
+    with pytest.raises(ValueError, match=f"corrupt index: last_rank_id is {last}, not"):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
@@ -454,7 +506,7 @@ def test_deserialize_rejects_unmarked_run_end(g1_index):
     doc = json.loads(serialize_index(g1_index))
     assert doc["marked_positions"] == [0, 1, 2]
     doc["marked_positions"], doc["marked_pairs"] = [0, 1], doc["marked_pairs"][:2]
-    with pytest.raises(ValueError, match="corrupt index: run end 2 is not a marked position"):
+    with pytest.raises(ValueError, match="corrupt index: position 2 \\(rule M1-M3\\)"):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
@@ -484,7 +536,7 @@ def without_mark(doc: dict, p: int) -> bytes:
 def test_deserialize_rejects_unmarked_endpoint_edge(graph, p):
     doc = json.loads(serialize_index(build_index(graph)))
     assert p in doc["marked_positions"]
-    with pytest.raises(ValueError, match=f"corrupt index: position {p} \\(rule M2 or M3\\)"):
+    with pytest.raises(ValueError, match=f"corrupt index: position {p} \\(rule M1-M3\\)"):
         deserialize_index(without_mark(doc, p))
 
 

@@ -146,26 +146,41 @@ def _corrupt_copy(src: str, dst, **fields) -> str:
     return str(dst)
 
 
-def test_query_corrupt_index_exits_2_without_traceback(capsys, tmp_path):
-    # the "abba" path anchors every identifier; without the anchor of the
-    # last one, 4, the file still loads, and the phi step from identifier 4
-    # finds no anchor successor
-    wgf, idx = tmp_path / "abba.wgf", tmp_path / "abba.idx"
-    assert main(["gen", "string", "abba", "-o", str(wgf)]) == 0
+def abbabaab_with_sentinel_at(tmp_path, t: int) -> str:
+    """A copy of the "abbabaab" path index whose None predecessor sentinel
+    is swapped into anchor t; every such copy loads."""
+    wgf, idx = tmp_path / "abbabaab.wgf", tmp_path / "abbabaab.idx"
+    assert main(["gen", "string", "abbabaab", "-o", str(wgf)]) == 0
     assert main(["build", str(wgf), str(idx)]) == 0
-    capsys.readouterr()
     doc = json.loads(idx.read_bytes())
-    assert (doc["anchor_ids"], doc["pred_ids"]) == ([0, 1, 2, 3, 4], [3, 4, 1, None, 0])
-    bad = _corrupt_copy(
-        str(idx), tmp_path / "bad.idx", anchor_ids=[0, 1, 2, 3], pred_ids=[3, 4, 1, None]
-    )
+    assert doc["pred_ids"] == [7, 5, 8, 6, 0, None, 1]
+    pred_ids = list(doc["pred_ids"])
+    pred_ids[5], pred_ids[t] = pred_ids[t], None
+    return _corrupt_copy(str(idx), tmp_path / "bad.idx", pred_ids=pred_ids)
+
+
+def locate_b_fails_mid_query(capsys, tmp_path, bad: str, message: str) -> None:
+    capsys.readouterr()
     pats = tmp_path / "p.txt"
-    pats.write_text("a\n")
-    code, _, err = run(capsys, "query", bad, "--mode", "locate", "--patterns", str(pats))
+    pats.write_text("b\n")
+    code, out, err = run(capsys, "query", bad, "--mode", "locate", "--patterns", str(pats))
     assert code == 2
-    # raised mid-query
-    assert err.startswith("error: corrupt index: identifier 4 has no anchor successor")
+    assert out == ""
+    assert err.startswith(f"error: corrupt index: {message}")
     assert "Traceback" not in err
+
+
+def test_query_corrupt_index_exits_2_without_traceback(capsys, tmp_path):
+    # the phi step from identifier 3 lands on the sentinel by offset stepping
+    bad = abbabaab_with_sentinel_at(tmp_path, 1)
+    locate_b_fails_mid_query(capsys, tmp_path, bad, "sentinel anchor reached by offset stepping")
+
+
+def test_query_first_in_order_error_exits_2_without_traceback(capsys, tmp_path):
+    # the phi step from identifier 5 reaches identifier 4, now named first;
+    # a sound index never asks for the predecessor of the first vertex
+    bad = abbabaab_with_sentinel_at(tmp_path, 2)
+    locate_b_fails_mid_query(capsys, tmp_path, bad, "identifier 4 names the first vertex")
 
 
 def test_query_emptied_anchors_rejected_at_load(capsys, g1_idx, tmp_path):

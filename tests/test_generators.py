@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from wgrindex import (
     build_bwt,
     build_index,
+    build_rank_select,
     count,
     decompose_paths,
     gen_multi_paths,
@@ -56,7 +57,8 @@ def test_string_path_empty():
 
 def test_string_path_unary_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
-    assert build_bwt(g).runs == [(0, 4)]
+    rl = build_rank_select(build_bwt(g))
+    assert (rl.run_starts, rl.run_labels) == ([0], [0])
 
 
 @settings(max_examples=200)
@@ -200,4 +202,4 @@ def test_string_family_runs_match_naive():
     for s in [(0, 0, 0), (0, 1, 0, 1), (2, 2, 1, 1, 0)]:
         g = gen_string_path(s).graph
         b = build_bwt(g)
-        assert b.num_runs == naive_runs(b.labels)
+        assert len(build_rank_select(b).run_starts) == naive_runs(b.labels)

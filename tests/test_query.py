@@ -407,8 +407,8 @@ def test_query_call_paths_reach_traced_hooks(monkeypatch):
     calls.clear()
     assert len(query_mod.locate(ix, pattern)) == 2
     assert calls["find_interval", None] == 1
-    assert calls["step_toehold", "find_interval"] == 2
-    assert calls["rank", "step_toehold"] == 2
-    assert calls["pairs.get", "step_toehold"] == 2
+    assert calls["step_toehold", "find_interval"] == 3  # one per label, from the full state
+    assert calls["rank", "step_toehold"] == 3
+    assert calls["pairs.get", "step_toehold"] == 3
     assert calls["phi", None] == 1
     assert calls["successor", "phi"] == 1
