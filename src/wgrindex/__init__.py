@@ -35,8 +35,6 @@ from .generators import (
     gen_string_path,
     gen_trie,
     is_primitive,
-    labels_from_ascii,
-    random_patterns,
     suffix_array,
 )
 from .graph import (
@@ -51,14 +49,7 @@ from .graph import (
     to_wgf,
     validate_wheeler,
 )
-from .oracle import (
-    check_contiguity,
-    exhaustive_axiom_check,
-    naive_match,
-    naive_phi_table,
-    naive_runs,
-    naive_trace,
-)
+from .oracle import naive_match, naive_trace
 from .query import (
     MatchState,
     RankInterval,

@@ -14,7 +14,8 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, pairwise
-from operator import ne
+from functools import partial
+from operator import eq, gt, is_not, lt, ne
 
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
@@ -424,7 +425,7 @@ def _interleave(ranks: list[int], after: list[int]) -> list[int]:
 def serialize_index(ix: WheelerRIndex) -> bytes:
     """Canonical byte encoding; identical indexes give identical bytes."""
     positions = ix.toehold.marked_positions()
-    sums = ix.sums
+    pairs, sums = ix.toehold.pairs, ix.sums
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -440,7 +441,7 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "in_prefix": _interleave(sums.in_ranks, sums.in_after),
         "f_label": sums.f_label,
         "marked_positions": positions,
-        "marked_pairs": [list(ix.toehold.pairs[p]) for p in positions],
+        "marked_pairs": list(map(pairs.__getitem__, positions)),  # tuples dump as arrays
         "anchor_ids": ix.phi.anchor_ids,
         "pred_ids": ix.phi.pred_ids,
     }
@@ -457,10 +458,24 @@ def _check_ints(name: str, values, allowed: frozenset = _INT) -> None:
         raise ValueError(f"corrupt index: {name} holds {bad!r}, not an int")
 
 
+def _rising(values: list[int], end: int) -> bool:
+    """True iff values strictly increase within [0, end); a C-level scan."""
+    if not values:
+        return True
+    return values[0] >= 0 and values[-1] < end and all(map(lt, values, values[1:]))
+
+
+def _check_ids(name: str, values: list[int], n: int) -> None:
+    """Raise unless every value is an identifier in [0, n)."""
+    if values and (min(values) < 0 or max(values) >= n):
+        bad = next(x for x in values if not 0 <= x < n)
+        raise ValueError(f"corrupt index: {name} holds identifier {bad}, outside [0, n)")
+
+
 def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: int) -> None:
     """Raise unless ranks and after describe n degrees summing to m, each
     listed rank with a degree >= 0 that is not 1."""
-    if not all(a < b for a, b in zip([-1] + ranks, ranks + [n])):
+    if not _rising(ranks, n):
         raise ValueError(f"corrupt index: {name} ranks are not strictly increasing within [0, n)")
     prev_k, prev_a = -1, 0
     for k, a in zip(ranks, after):
@@ -498,9 +513,7 @@ def _load_degree_sums(doc: dict, version: int) -> DegreeSums:
         sums = DegreeSums(out_ranks, out_after, in_ranks, in_after, f_label)
     _check_exceptions("out_prefix", sums.out_ranks, sums.out_after, n, m)
     _check_exceptions("in_prefix", sums.in_ranks, sums.in_after, n, m)
-    if not f_label or f_label[0] != 0 or f_label[-1] != m or any(
-        a > b for a, b in zip(f_label, f_label[1:])
-    ):
+    if not f_label or f_label[0] != 0 or f_label[-1] != m or any(map(gt, f_label, f_label[1:])):
         raise ValueError("corrupt index: f_label is not nondecreasing from 0 to m")
     return sums
 
@@ -509,15 +522,19 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index; also reads version-1 files.
 
     Raises ValueError on foreign input and, as "corrupt index: ...", on a
-    number that is not an int, on arrays whose lengths disagree, on an
+    number that is not an int, on arrays whose lengths disagree, on
+    marked_positions not strictly increasing within [0, m), on an
+    identifier in marked_pairs or pred_ids outside [0, n), on an
     impossible anchor set (pred_ids must hold exactly one None when n > 0,
     none when n == 0; anchor_ids must be strictly increasing within [0, n)
     and end at n - 1), on num_runs not counting run_starts, on degree sums
     that do not describe n degrees summing to m, on a run label outside
-    [0, sigma), on f_label not rising from 0 to m or disagreeing with the
-    runs, on a position that _required_marks names for the ranks whose
-    degree is not 1 missing from marked_positions, and on a last_rank_id
-    other than the one stored at in-slot m - 1."""
+    [0, sigma), on run_starts not rising strictly from 0 within [0, m), on
+    two neighbouring runs with the same label, on f_label not rising from
+    0 to m or disagreeing with the runs, on a position that _required_marks
+    names for the ranks whose degree is not 1 missing from
+    marked_positions, and on a last_rank_id other than the one stored at
+    in-slot m - 1."""
     try:
         doc = json.loads(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -538,7 +555,8 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
         if not well_formed or set(map(len, pair_lists)) - {2}:
             raise ValueError("corrupt index: marked_pairs is not a list of pairs")
-        _check_ints("marked_pairs", list(chain.from_iterable(pair_lists)))
+        pair_ids = list(chain.from_iterable(pair_lists))
+        _check_ints("marked_pairs", pair_ids)
 
         n, m = doc["n"], doc["m"]
         for name, other, want in (
@@ -552,22 +570,33 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
                 raise ValueError(
                     f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}"
                 )
-        pairs = dict(zip(doc["marked_positions"], map(tuple, pair_lists)))
+        positions = doc["marked_positions"]
+        run_starts, run_labels = doc["run_starts"], doc["run_labels"]
         anchor_ids, pred_ids = doc["anchor_ids"], doc["pred_ids"]
-        firsts = pred_ids.count(None)
+        known = list(filter(partial(is_not, None), pred_ids))
+        firsts = len(pred_ids) - len(known)
         if firsts != min(n, 1):
             raise ValueError(
                 f"corrupt index: pred_ids holds {firsts} None entries, n = {n} needs {min(n, 1)}"
             )
-        if not all(a < b for a, b in zip([-1] + anchor_ids, anchor_ids + [n])):
+        _check_ids("pred_ids", known, n)
+        if not _rising(anchor_ids, n):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
         if n and anchor_ids[-1] != n - 1:
             raise ValueError(f"corrupt index: anchor_ids ends at {anchor_ids[-1]}, not at n - 1")
+        if not _rising(positions, m):
+            raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
+        _check_ids("marked_pairs", pair_ids, n)
+        pairs = dict(zip(positions, map(tuple, pair_lists)))
         sums = _load_degree_sums(doc, version)
-        rl = RLSequence(length=m, run_starts=doc["run_starts"], run_labels=doc["run_labels"])
+        rl = RLSequence(length=m, run_starts=run_starts, run_labels=run_labels)
         stray = [c for c in rl.runs_of if not 0 <= c < doc["sigma"]]
         if stray:
             raise ValueError(f"corrupt index: run label {min(stray)} is outside [0, sigma)")
+        if run_starts[:1] != ([0] if m else []) or not _rising(run_starts, m):
+            raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
+        if any(map(eq, run_labels, run_labels[1:])):
+            raise ValueError("corrupt index: two neighbouring runs have the same label")
         if sums.f_label != [0] + list(accumulate(map(rl.count, range(doc["sigma"])))):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
         exceptions = set(sums.out_ranks).union(sums.in_ranks)

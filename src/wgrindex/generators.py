@@ -9,7 +9,6 @@ deterministic functions of their parameters.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,17 +23,6 @@ class GeneratedInstance:
 
     graph: WheelerGraph
     provenance: str
-
-
-def labels_from_ascii(s: str) -> tuple[int, ...]:
-    """Map lowercase ASCII to integer labels: 'a' -> 0, 'b' -> 1, ..."""
-    labels = []
-    for ch in s:
-        k = ord(ch) - ord("a")
-        if not 0 <= k < 26:
-            raise ValueError(f"character {ch!r} is not a lowercase ASCII letter")
-        labels.append(k)
-    return tuple(labels)
 
 
 def suffix_array(seq: Sequence[int]) -> list[int]:
@@ -162,34 +150,3 @@ def gen_trie(strings: Sequence[LabelString]) -> GeneratedInstance:
     edges = [(rank[w[:-1]], rank[w], w[-1]) for w in ordered if w]
     g = WheelerGraph(n=len(ordered), edges=edges)
     return GeneratedInstance(g, f"trie(k={len(strings)},n={g.n},sigma={g.sigma})")
-
-
-def random_patterns(g: WheelerGraph, max_len: int, seed: int, count: int = 40) -> list[tuple[int, ...]]:
-    """Deterministic pattern mix for a graph: walks and uniform strings.
-
-    Even slots follow random edge walks (guaranteed to match, when the
-    graph has edges); odd slots draw uniform label strings, which mostly
-    miss. Same seed, same list.
-    """
-    rng = random.Random(seed)
-    out_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for u, v, lab in g.edges:
-        out_adj[u].append((v, lab))
-    patterns: list[tuple[int, ...]] = []
-    for t in range(count):
-        if t % 2 == 0 and g.m:
-            u, v, lab = g.edges[rng.randrange(g.m)]
-            pat = [lab]
-            cur = v
-            target = rng.randint(1, max_len)
-            while len(pat) < target and out_adj[cur]:
-                cur, lab2 = out_adj[cur][rng.randrange(len(out_adj[cur]))]
-                pat.append(lab2)
-            patterns.append(tuple(pat))
-        elif g.sigma:
-            patterns.append(
-                tuple(rng.randrange(g.sigma) for _ in range(rng.randint(1, max_len)))
-            )
-        else:
-            patterns.append(())
-    return patterns

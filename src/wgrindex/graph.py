@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, repeat
+from operator import gt
+from typing import NoReturn
 
 from .errors import WgfParseError
 
@@ -100,17 +103,29 @@ def _record(tokens: list[str], lineno: int, tag: str, count: int) -> list[int]:
     return [_decimal(t, lineno) for t in tokens[1:]]
 
 
-def parse_graph(text: str) -> WheelerGraph:
-    """Parse WGF text into a graph.
+def _columns(rows: list[str], tags: list[str], count: int) -> list[list[int]] | None:
+    """The integer fields of rows that read tags[i] and then count ASCII
+    decimals, separated by single spaces; one list per field, or None when
+    a row does not. One split of the joined rows, C-level scans, map(int)."""
+    if not rows:
+        return [[] for _ in range(count)]
+    tokens = " ".join(rows).split(" ")
+    fields = [tokens[k :: count + 1] for k in range(1, count + 1)]
+    if (
+        set(map(str.count, rows, repeat(" "))) != {count}  # count + 1 tokens per row
+        or tokens[0 :: count + 1] != tags
+        or not all(s.isdigit() and s.isascii() for s in map("".join, fields))
+    ):
+        return None
+    try:
+        return [list(map(int, f)) for f in fields]
+    except ValueError:  # an empty field, or a number too long to convert
+        return None
 
-    Format: a header line ``n <N>``, a header line ``m <M>``, then exactly M
-    edge lines ``e <src> <dst> <label>``. Fields are ASCII decimal separated
-    by single spaces; lines starting with ``#`` and blank lines are ignored.
-    The alphabet size is 1 + the largest label (0 when M = 0).
 
-    Raises WgfParseError with the offending line number on malformed input
-    or on a rank outside [0, N).
-    """
+def _raise_first_error(text: str) -> NoReturn:
+    """Scan the lines in order and raise the WgfParseError of the first bad
+    one; parse_graph calls this only after its bulk checks have failed."""
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -132,15 +147,35 @@ def parse_graph(text: str) -> WheelerGraph:
     if len(edge_rows) < m:
         raise WgfParseError(f"unexpected end of input: declared m={m} but found {len(edge_rows)} edge lines")
 
-    edges: list[Edge] = []
     for lineno, tokens in edge_rows:
-        u, v, lab = _record(tokens, lineno, "e", 3)
+        u, v, _ = _record(tokens, lineno, "e", 3)
         if u >= n:
             raise WgfParseError(f"line {lineno}: source rank {u} out of range (n={n})")
         if v >= n:
             raise WgfParseError(f"line {lineno}: destination rank {v} out of range (n={n})")
-        edges.append((u, v, lab))
-    return WheelerGraph(n=n, edges=edges)
+    raise AssertionError("the bulk checks rejected WGF text that the line scan accepts")
+
+
+def parse_graph(text: str) -> WheelerGraph:
+    """Parse WGF text into a graph.
+
+    Format: a header line ``n <N>``, a header line ``m <M>``, then exactly M
+    edge lines ``e <src> <dst> <label>``. Fields are ASCII decimal separated
+    by single spaces; lines starting with ``#`` and blank lines are ignored.
+    The alphabet size is 1 + the largest label (0 when M = 0).
+
+    Raises WgfParseError with the offending line number on malformed input
+    or on a rank outside [0, N). Valid text is read in one bulk pass; a
+    line-by-line scan runs only when that pass finds a fault, to name it.
+    """
+    rows = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    head = _columns(rows[:2], ["n", "m"], 1) if len(rows) >= 2 else None
+    if head:
+        ((n, m),) = head
+        body = _columns(rows[2:], ["e"] * m, 3) if len(rows) - 2 == m else None
+        if body and max(body[0], default=-1) < n and max(body[1], default=-1) < n:
+            return WheelerGraph(n=n, edges=list(zip(*body)))
+    _raise_first_error(text)
 
 
 def to_wgf(g: WheelerGraph) -> str:
@@ -152,9 +187,22 @@ def to_wgf(g: WheelerGraph) -> str:
 
 def transform_order(g: WheelerGraph) -> list[int]:
     """Edge indices in transform order: by source rank, then destination
-    rank, then input index."""
-    edges = g.edges
-    return sorted(range(g.m), key=lambda i: edges[i][:2])  # stable: ties keep index order
+    rank, then input index.
+
+    A stable counting sort: edge i goes to the next free position of its
+    source's slice, which starts at the out-degree prefix of the source;
+    only the sources with out-degree above 1 then sort their slice by
+    destination, and that sort is stable too."""
+    edges, outs = g.edges, g.out_degrees
+    order = [0] * g.m
+    slot = [0, *accumulate(outs)]
+    for i, (u, _, _) in enumerate(edges):
+        order[slot[u]] = i
+        slot[u] += 1
+    for u in compress(range(g.n), map(gt, outs, repeat(1))):
+        lo, hi = slot[u] - outs[u], slot[u]  # u's slice, now that it is filled
+        order[lo:hi] = sorted(order[lo:hi], key=lambda i: edges[i][1])
+    return order
 
 
 def validate_wheeler(g: WheelerGraph) -> ValidationReport:

@@ -7,7 +7,7 @@ independence is the point: these functions are slow and obviously correct.
 
 from __future__ import annotations
 
-from .graph import IdAssignment, WheelerGraph
+from .graph import WheelerGraph
 
 
 def label_index(g: WheelerGraph) -> dict[int, list[tuple[int, int]]]:
@@ -40,48 +40,3 @@ def naive_match(g: WheelerGraph, pattern) -> set[int]:
     """Ranks of the vertices where some directed path spelling the pattern
     (labels read first to last) ends."""
     return naive_trace(g, pattern)[-1]
-
-
-def naive_phi_table(g: WheelerGraph, ids: IdAssignment) -> list[int | None]:
-    """table[id(rank k)] = id(rank k-1); None for the rank-0 vertex."""
-    table: list[int | None] = [None] * g.n
-    for k in range(1, g.n):
-        table[ids.id_of_rank[k]] = ids.id_of_rank[k - 1]
-    return table
-
-
-def naive_runs(labels) -> int:
-    """Number of maximal constant stretches in a label sequence."""
-    runs = 0
-    prev = None
-    for lab in labels:
-        if prev is None or lab != prev:
-            runs += 1
-        prev = lab
-    return runs
-
-
-def check_contiguity(g: WheelerGraph, pattern) -> bool:
-    """True iff the naive match set is a contiguous rank range (or empty)."""
-    hits = naive_match(g, pattern)
-    return not hits or max(hits) - min(hits) + 1 == len(hits)
-
-
-def exhaustive_axiom_check(g: WheelerGraph) -> bool:
-    """Quadratic all-pairs check of the ordering axioms.
-
-    Reference for validate_wheeler; intended for graphs with m <= 500.
-    """
-    for x in range(g.n):
-        if g.in_degrees[x] != 0:
-            continue
-        for y in range(g.n):
-            if g.in_degrees[y] > 0 and y < x:
-                return False
-    for u, v, a in g.edges:
-        for u2, v2, a2 in g.edges:
-            if a < a2 and not v < v2:
-                return False
-            if a == a2 and u < u2 and not v <= v2:
-                return False
-    return True

@@ -1,5 +1,6 @@
-"""Shared helpers: instance corpus construction and the pattern sweep that
-backs the acceptance criteria.
+"""Shared helpers: slow reference implementations that only tests use,
+instance corpus construction and the pattern sweep that backs the
+acceptance criteria.
 
 The sweep walks the trie of all patterns up to a length cap, maintaining in
 parallel the oracle's vertex set and the index's match state. Subtrees
@@ -13,6 +14,7 @@ mismatches.
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -22,6 +24,7 @@ from wgrindex import (
     IdAssignment,
     IndexInvariantError,
     PathDecomposition,
+    WgfParseError,
     RLSequence,
     WheelerGraph,
     WheelerRIndex,
@@ -36,12 +39,151 @@ from wgrindex import (
     gen_string_path,
     gen_trie,
     is_primitive,
-    labels_from_ascii,
     locate,
+    naive_match,
     step_toehold,
     validate_wheeler,
 )
 from wgrindex import oracle
+
+def labels_from_ascii(s: str) -> tuple[int, ...]:
+    """Map lowercase ASCII to integer labels: 'a' -> 0, 'b' -> 1, ..."""
+    labels = []
+    for ch in s:
+        k = ord(ch) - ord("a")
+        if not 0 <= k < 26:
+            raise ValueError(f"character {ch!r} is not a lowercase ASCII letter")
+        labels.append(k)
+    return tuple(labels)
+
+
+def random_patterns(g: WheelerGraph, max_len: int, seed: int, count: int = 40) -> list[tuple[int, ...]]:
+    """Deterministic pattern mix for a graph: walks and uniform strings.
+
+    Even slots follow random edge walks (guaranteed to match, when the
+    graph has edges); odd slots draw uniform label strings, which mostly
+    miss. Same seed, same list.
+    """
+    rng = random.Random(seed)
+    out_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for u, v, lab in g.edges:
+        out_adj[u].append((v, lab))
+    patterns: list[tuple[int, ...]] = []
+    for t in range(count):
+        if t % 2 == 0 and g.m:
+            u, v, lab = g.edges[rng.randrange(g.m)]
+            pat = [lab]
+            cur = v
+            target = rng.randint(1, max_len)
+            while len(pat) < target and out_adj[cur]:
+                cur, lab2 = out_adj[cur][rng.randrange(len(out_adj[cur]))]
+                pat.append(lab2)
+            patterns.append(tuple(pat))
+        elif g.sigma:
+            patterns.append(
+                tuple(rng.randrange(g.sigma) for _ in range(rng.randint(1, max_len)))
+            )
+        else:
+            patterns.append(())
+    return patterns
+
+
+def naive_phi_table(g: WheelerGraph, ids: IdAssignment) -> list[int | None]:
+    """table[id(rank k)] = id(rank k-1); None for the rank-0 vertex."""
+    table: list[int | None] = [None] * g.n
+    for k in range(1, g.n):
+        table[ids.id_of_rank[k]] = ids.id_of_rank[k - 1]
+    return table
+
+
+def naive_runs(labels) -> int:
+    """Number of maximal constant stretches in a label sequence."""
+    runs = 0
+    prev = None
+    for lab in labels:
+        if prev is None or lab != prev:
+            runs += 1
+        prev = lab
+    return runs
+
+
+def check_contiguity(g: WheelerGraph, pattern) -> bool:
+    """True iff the naive match set is a contiguous rank range (or empty)."""
+    hits = naive_match(g, pattern)
+    return not hits or max(hits) - min(hits) + 1 == len(hits)
+
+
+def exhaustive_axiom_check(g: WheelerGraph) -> bool:
+    """Quadratic all-pairs check of the ordering axioms.
+
+    Reference for validate_wheeler; intended for graphs with m <= 500.
+    """
+    for x in range(g.n):
+        if g.in_degrees[x] != 0:
+            continue
+        for y in range(g.n):
+            if g.in_degrees[y] > 0 and y < x:
+                return False
+    for u, v, a in g.edges:
+        for u2, v2, a2 in g.edges:
+            if a < a2 and not v < v2:
+                return False
+            if a == a2 and u < u2 and not v <= v2:
+                return False
+    return True
+
+
+_DECIMAL = re.compile(r"[0-9]+\Z")
+
+
+def _ref_decimal(token: str, lineno: int) -> int:
+    if not _DECIMAL.match(token):
+        raise WgfParseError(f"line {lineno}: {token!r} is not a non-negative decimal integer")
+    return int(token)
+
+
+def _ref_record(tokens: list[str], lineno: int, tag: str, count: int) -> list[int]:
+    if len(tokens) != count + 1 or tokens[0] != tag or "" in tokens:
+        raise WgfParseError(
+            f"line {lineno}: expected {tag!r} record with {count} integer field(s)"
+        )
+    return [_ref_decimal(t, lineno) for t in tokens[1:]]
+
+
+def reference_parse_graph(text: str) -> WheelerGraph:
+    """The line-by-line WGF parser that parse_graph's bulk pass replaced,
+    kept as the reference for every accepted graph and error message."""
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        rows.append((lineno, stripped.split(" ")))
+
+    if not rows:
+        raise WgfParseError("line 1: missing 'n' header")
+    (n,) = _ref_record(rows[0][1], rows[0][0], "n", 1)
+    if len(rows) < 2:
+        raise WgfParseError(f"line {rows[0][0]}: missing 'm' header after 'n'")
+    (m,) = _ref_record(rows[1][1], rows[1][0], "m", 1)
+
+    edge_rows = rows[2:]
+    if len(edge_rows) > m:
+        extra_line = edge_rows[m][0]
+        raise WgfParseError(f"line {extra_line}: more than the declared m={m} edge lines")
+    if len(edge_rows) < m:
+        raise WgfParseError(f"unexpected end of input: declared m={m} but found {len(edge_rows)} edge lines")
+
+    edges: list[tuple[int, int, int]] = []
+    for lineno, tokens in edge_rows:
+        u, v, lab = _ref_record(tokens, lineno, "e", 3)
+        if u >= n:
+            raise WgfParseError(f"line {lineno}: source rank {u} out of range (n={n})")
+        if v >= n:
+            raise WgfParseError(f"line {lineno}: destination rank {v} out of range (n={n})")
+        edges.append((u, v, lab))
+    return WheelerGraph(n=n, edges=edges)
+
 
 G1_TEXT = "n 4\nm 3\ne 0 1 0\ne 1 3 1\ne 3 2 0\n"
 

@@ -23,8 +23,6 @@ from wgrindex import (
     deserialize_index,
     gen_string_path,
     locate,
-    naive_phi_table,
-    naive_runs,
     parse_graph,
     phi,
     serialize_index,
@@ -33,6 +31,7 @@ from wgrindex import (
 from wgrindex.cli import main as cli_main
 
 import helpers
+from helpers import naive_phi_table, naive_runs
 
 
 @pytest.fixture(scope="module")

@@ -25,9 +25,7 @@ from wgrindex import (
     gen_string_path,
     gen_trie,
     is_primitive,
-    labels_from_ascii,
-    naive_phi_table,
-    naive_runs,
+    locate,
     parse_graph,
     serialize_index,
     space_report,
@@ -36,7 +34,15 @@ import wgrindex.build as build_mod
 from wgrindex.build import DegreeSums
 from wgrindex.graph import transform_order
 
-from helpers import G1_TEXT, make_instance, random_label_string, rl_from_labels
+from helpers import (
+    G1_TEXT,
+    labels_from_ascii,
+    make_instance,
+    naive_phi_table,
+    naive_runs,
+    random_label_string,
+    rl_from_labels,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -569,6 +575,64 @@ def test_deserialize_rejects_stray_run_label():
     doc = trie_doc()
     doc.update(run_starts=[0, 1, 1, 3], run_labels=[0, 5, 1, 2], num_runs=4)
     with pytest.raises(ValueError, match="corrupt index: run label 5 is outside"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize("bad", [99, -3])
+@pytest.mark.parametrize("field", ["marked_pairs", "pred_ids"])
+def test_deserialize_rejects_identifiers_outside_n(field, bad):
+    # loaded, destination 99 (or -3) at marked position 1 made locate of
+    # "ab" return [99] (or [-3]) instead of [1]
+    ix = build_index(ABBA)
+    assert locate(ix, (0, 1)) == [1]
+    doc = json.loads(serialize_index(ix))
+    assert doc["n"] == 5 and doc["marked_pairs"][1] == [0, 1] and doc["pred_ids"][0] == 3
+    if field == "marked_pairs":
+        doc[field][1][1] = bad
+    else:
+        doc[field][0] = bad
+    with pytest.raises(ValueError, match=f"corrupt index: {field} holds identifier {bad}, outside"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "positions, order",
+    [([0, 1, 2, 3, 7], [0, 1, 2, 3, 1]), ([0, 1, 2, 3, 3], [0, 1, 2, 3, 3]),
+     ([0, 2, 1, 3], [0, 2, 1, 3]), ([-1, 0, 1, 2, 3], [1, 0, 1, 2, 3])],
+    ids=["past-m", "repeated", "unsorted", "negative"],
+)
+def test_deserialize_rejects_bad_marked_positions(positions, order):
+    # each of these used to load, the extra mark at position 7 with m = 4 too
+    doc = json.loads(serialize_index(build_index(ABBA)))
+    assert (doc["m"], doc["marked_positions"]) == (4, [0, 1, 2, 3])
+    doc["marked_pairs"] = [doc["marked_pairs"][k] for k in order]
+    doc["marked_positions"] = positions
+    with pytest.raises(ValueError, match="corrupt index: marked_positions is not strictly increasing"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "starts, labels",
+    [([0, 1, 1, 3], [0, 1, 1, 0]), ([0, 1, 3, 3], [0, 1, 0, 0]), ([1, 3], [1, 0]),
+     ([0, 3, 1], [0, 1, 0]), ([0, 1, 4], [0, 1, 0]), ([], [])],
+    ids=["empty-run", "empty-last-run", "from-1", "falling", "past-m", "none"],
+)
+def test_deserialize_rejects_run_starts_not_rising_from_0(starts, labels):
+    # the two empty runs keep every label count and used to load; the
+    # others also leave the counts short of f_label
+    doc = json.loads(serialize_index(build_index(ABBA)))
+    assert (doc["run_starts"], doc["run_labels"]) == ([0, 1, 3], [0, 1, 0])
+    doc.update(run_starts=starts, run_labels=labels, num_runs=len(starts))
+    with pytest.raises(ValueError, match="corrupt index: run_starts does not rise strictly from 0"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+def test_deserialize_rejects_neighbouring_runs_with_one_label():
+    # runs [0, 1, 2, 3] labelled [0, 1, 1, 0] split the run of "bb" in two
+    # and used to load
+    doc = json.loads(serialize_index(build_index(ABBA)))
+    doc.update(run_starts=[0, 1, 2, 3], run_labels=[0, 1, 1, 0], num_runs=4)
+    with pytest.raises(ValueError, match="corrupt index: two neighbouring runs have the same label"):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 

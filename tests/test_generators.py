@@ -12,13 +12,12 @@ from wgrindex import (
     gen_string_path,
     gen_trie,
     is_primitive,
-    labels_from_ascii,
     naive_match,
-    naive_runs,
-    random_patterns,
     suffix_array,
     validate_wheeler,
 )
+
+from helpers import labels_from_ascii, naive_runs, random_patterns
 
 label_strings = st.lists(st.integers(0, 3), max_size=14).map(tuple)
 

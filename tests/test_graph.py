@@ -1,12 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wgrindex import (
     WgfParseError,
     WheelerGraph,
     assign_identifiers,
     decompose_paths,
-    exhaustive_axiom_check,
     gen_multi_paths,
     gen_string_cycle,
     gen_string_path,
@@ -19,7 +18,7 @@ from wgrindex import (
 
 from wgrindex.graph import transform_order
 
-from helpers import G1_TEXT
+from helpers import G1_TEXT, exhaustive_axiom_check, reference_parse_graph
 
 
 # --- strategies ---
@@ -101,29 +100,124 @@ def test_parse_preserves_duplicate_edges():
     assert g.edges == [(0, 1, 0), (0, 1, 0)]
 
 
+# (text, the fragment each case is named by, the full message)
+PARSE_ERRORS = [
+    ("n 2\nm 1\ne 0 5 0\n", "line 3", "line 3: destination rank 5 out of range (n=2)"),
+    ("n 2\nm 1\ne 5 0 0\n", "line 3", "line 3: source rank 5 out of range (n=2)"),
+    ("n 2\nm 1\nedge 0 1 0\n", "line 3", "line 3: expected 'e' record with 3 integer field(s)"),
+    ("n 2\nm 1\ne 0 1\n", "line 3", "line 3: expected 'e' record with 3 integer field(s)"),
+    ("n 2\nm 1\ne 0 1 -1\n", "line 3", "line 3: '-1' is not a non-negative decimal integer"),
+    ("n x\nm 0\n", "line 1", "line 1: 'x' is not a non-negative decimal integer"),
+    ("m 0\nn 2\n", "line 1", "line 1: expected 'n' record with 1 integer field(s)"),
+    ("n 2\n", "missing 'm'", "line 1: missing 'm' header after 'n'"),
+    ("n 2\nm 2\ne 0 1 0\n", "unexpected end",
+     "unexpected end of input: declared m=2 but found 1 edge lines"),
+    ("n 2\nm 0\ne 0 1 0\n", "line 3", "line 3: more than the declared m=0 edge lines"),
+    ("", "line 1", "line 1: missing 'n' header"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("n 2\nm 1\ne 0 5 0\n", "line 3"),  # dst rank out of range
-        ("n 2\nm 1\ne 5 0 0\n", "line 3"),  # src rank out of range
-        ("n 2\nm 1\nedge 0 1 0\n", "line 3"),
-        ("n 2\nm 1\ne 0 1\n", "line 3"),
-        ("n 2\nm 1\ne 0 1 -1\n", "line 3"),
-        ("n x\nm 0\n", "line 1"),
-        ("m 0\nn 2\n", "line 1"),
-        ("n 2\n", "missing 'm'"),
-        ("n 2\nm 2\ne 0 1 0\n", "unexpected end"),
-        ("n 2\nm 0\ne 0 1 0\n", "line 3"),
-        ("", "line 1"),
-    ],
+    "text,message",
+    [(text, message) for text, _, message in PARSE_ERRORS],
+    ids=[f"{text}-{fragment}" for text, fragment, _ in PARSE_ERRORS],
 )
-def test_parse_errors(text, fragment):
-    with pytest.raises(WgfParseError, match=fragment):
+def test_parse_errors(text, message):
+    with pytest.raises(WgfParseError) as err:
         parse_graph(text)
+    assert str(err.value) == message
+
+
+WGF_EDITS = ["comment", "blank", "lead", "trail", "tab", "double", "arabic", "plus",
+             "tag", "range", "empty", "drop", "repeat", "shift"]
+
+
+@st.composite
+def wgf_texts(draw):
+    """to_wgf of a graph, with up to three edits that the format either
+    ignores (comments, blank lines, CRLF, outer spaces and tabs) or rejects
+    (inner tabs, double spaces, non-ASCII digits, signs, wrong tags, ranks
+    out of range, empty fields, missing or extra lines, a field moved to
+    the line before)."""
+    g = draw(arbitrary_graphs() | generated_graphs())
+    lines = to_wgf(g).splitlines()
+    for edit in draw(st.lists(st.sampled_from(WGF_EDITS), max_size=3)):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if edit in ("comment", "blank"):
+            lines.insert(i, draw(st.sampled_from(["# note", "#", ""])) if edit == "comment"
+                         else draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "lead":
+            lines[i] = draw(st.sampled_from([" ", "\t", "  "])) + line
+        elif edit == "trail":
+            lines[i] = line + draw(st.sampled_from([" ", "\t", "\x0c"]))
+        elif edit in ("tab", "double"):
+            lines[i] = line.replace(" ", "\t" if edit == "tab" else "  ", 1)
+        elif edit in ("arabic", "plus"):
+            digits = [k for k, ch in enumerate(line) if ch.isdigit()]
+            if digits:
+                k = draw(st.sampled_from(digits))
+                lines[i] = line[:k] + ("\u0663" if edit == "arabic" else "+" + line[k]) + line[k + 1:]
+        elif edit == "tag":
+            lines[i] = draw(st.sampled_from(["e", "n", "m", "x", "E"])) + line[1:]
+        elif edit in ("range", "empty"):
+            fields = line.split(" ")
+            if len(fields) > 1:
+                k = draw(st.integers(1, min(2, len(fields) - 1)))
+                fields[k] = str(g.n + draw(st.integers(0, 2))) if edit == "range" else ""
+                lines[i] = " ".join(fields)
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "shift":
+            if i + 1 < len(lines):
+                first, _, rest = lines[i + 1].partition(" ")
+                lines[i : i + 2] = [f"{line} {first}", rest]
+        elif edit == "repeat":
+            lines.insert(i, line)
+        if not lines:
+            break
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except WgfParseError as err:
+        return str(err)
+
+
+@settings(max_examples=400)
+@given(wgf_texts())
+@example("n 2\nm 1\ne 0 \u0663 0\n")  # an Arabic-Indic digit three
+@example("n 2\nm 1\ne 0 +1 0\n")
+@example("n 2\nm 1\ne  1 0\n")  # an empty field between single spaces
+@example("n 3\nm 2\ne 0 1 0 e\n1 2 0\n")  # a tag moved to the line before
+@example(" n 2 \r\n\t\r\n# c\r\nm 1\r\ne 0 1 0\x0c\r\n")
+def test_parse_matches_line_by_line_reference(text):
+    assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["", "n 3\nm 2\n", "n 3\nm 1\ne 0 1 0\n"]),
+       st.text(alphabet="nme 0129#\t\r\n\u0663+", max_size=30))
+def test_parse_matches_reference_on_noise(prefix, noise):
+    text = prefix + noise
+    assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
 
 
 def test_wgf_roundtrip(g1):
     assert parse_graph(to_wgf(g1)) == g1
+
+
+# --- transform order ---
+
+@settings(max_examples=300)
+@given(arbitrary_graphs() | generated_graphs())
+def test_transform_order_is_the_stable_source_destination_sort(g):
+    # the counting placement, with only the sources of out-degree above 1
+    # sorting their slices, against a plain comparison sort; arbitrary
+    # graphs bring parallel edges, tries sources with several out-edges
+    assert transform_order(g) == sorted(range(g.m), key=lambda i: g.edges[i][:2])
 
 
 def test_explicit_sigma_bounds_labels():

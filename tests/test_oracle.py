@@ -5,16 +5,13 @@ from hypothesis import given, settings, strategies as st
 from wgrindex import (
     WheelerGraph,
     assign_identifiers,
-    check_contiguity,
     decompose_paths,
     gen_string_path,
     naive_match,
-    naive_phi_table,
-    naive_runs,
     naive_trace,
 )
 
-from helpers import count_occurrences
+from helpers import check_contiguity, count_occurrences, naive_phi_table, naive_runs
 
 
 def test_naive_match_g1(g1):

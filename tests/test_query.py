@@ -33,13 +33,18 @@ from wgrindex import (
     locate,
     naive_match,
     phi,
-    random_patterns,
     serialize_index,
     step_interval,
     step_toehold,
 )
 
-from helpers import dense_refine, make_instance, rl_from_labels, shared_in_edge_graphs
+from helpers import (
+    dense_refine,
+    make_instance,
+    random_patterns,
+    rl_from_labels,
+    shared_in_edge_graphs,
+)
 
 label_strings = st.lists(st.integers(0, 3), max_size=12).map(tuple)
 
@@ -245,9 +250,20 @@ def test_step_toehold_unmarked_out_of_range_hit_is_corrupt(g1_index):
         locate(g1_index, (0, 1))
 
 
-def test_step_toehold_from_full_state_matches_find_interval(g1_index):
-    for c in range(g1_index.sigma):
-        assert step_toehold(g1_index, full_state(g1_index), c) == find_interval(g1_index, (c,))
+@settings(max_examples=150)
+@given(instances())
+def test_find_interval_single_label_matches_oracle(inst):
+    # find_interval's first step is step_toehold from full_state; its
+    # interval and identifier come from the oracle's ranks, not the index
+    ix, id_of = inst.index, inst.ids.id_of_rank
+    for c in range(ix.sigma + 1):
+        hits = naive_match(inst.graph, (c,))
+        st = find_interval(ix, (c,))
+        if not hits:
+            assert st is None, c
+            continue
+        assert (st.interval.s, st.interval.e) == (min(hits), max(hits)), c
+        assert st.last_id == id_of[max(hits)], c
 
 
 # --- find_interval ---
