@@ -24,7 +24,6 @@ from .graph import (
     WheelerGraph,
     assign_identifiers,
     decompose_paths,
-    transform_order,
     validate_wheeler,
 )
 
@@ -47,14 +46,13 @@ class GraphBwt:
 
 
 def build_bwt(g: WheelerGraph) -> GraphBwt:
-    """Sort the edge labels into transform order; rejects invalid orders."""
+    """Edge labels in the transform order that validation scanned; rejects invalid orders."""
     report = validate_wheeler(g)
     if not report.is_wheeler:
         detail = "; ".join(str(v) for v in report.violations)
         raise NotWheelerError(f"input numbering is not a Wheeler order: {detail}")
-    order = transform_order(g)
     edges = g.edges
-    return GraphBwt(labels=[edges[i][2] for i in order], order=order)
+    return GraphBwt(labels=[edges[i][2] for i in report.order], order=report.order)
 
 
 @dataclass

@@ -37,15 +37,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an axiom check; is_wheeler holds iff violations is empty."""
+    """Outcome of an axiom check: the violations found, and the transform
+    order (see transform_order) that the check scanned."""
 
-    is_wheeler: bool
     violations: tuple[Violation, ...]
+    order: list[int] = field(repr=False, compare=False)
 
-    @classmethod
-    def from_violations(cls, violations) -> "ValidationReport":
-        vs = tuple(violations)
-        return cls(is_wheeler=not vs, violations=vs)
+    @property
+    def is_wheeler(self) -> bool:
+        return not self.violations
 
 
 @dataclass
@@ -242,7 +242,8 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
     hi: list[tuple[int, int] | None] = [None] * g.sigma
     top: list[tuple[int, int] | None] = [None] * g.sigma
     a2: list[Violation | None] = [None] * g.sigma
-    for idx in transform_order(g):
+    order = transform_order(g)
+    for idx in order:
         _, v, lab = edges[idx]
         key = (v, idx)
         if lo[lab] is None:
@@ -287,7 +288,7 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
             best_dst, best_edge = hi[lab]
 
     violations.extend(viol for viol in a2 if viol is not None)  # A2, by ascending label
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(tuple(violations), order)
 
 
 @dataclass
@@ -410,8 +411,7 @@ def assign_identifiers(g: WheelerGraph, d: PathDecomposition) -> IdAssignment:
         if ids[v] is None:
             ids[v] = next_id
             next_id += 1
-    id_of_rank = [i for i in ids if i is not None]
     rank_of_id = [0] * g.n
-    for rank, ident in enumerate(id_of_rank):
+    for rank, ident in enumerate(ids):
         rank_of_id[ident] = rank
-    return IdAssignment(id_of_rank, rank_of_id)
+    return IdAssignment(ids, rank_of_id)

@@ -229,7 +229,8 @@ def locate(ix: WheelerRIndex, pattern: Sequence[int]) -> list[int]:
     The empty pattern reports every vertex. Raises ValueError when a label
     is not an int.
     """
-    st = find_interval(ix, pattern) if len(pattern) else full_state(ix)
+    pattern = tuple(pattern)  # read an iterator once; find_interval checks the labels
+    st = find_interval(ix, pattern) if pattern else full_state(ix)
     if st is None:
         return []
     out = [st.last_id]

@@ -13,11 +13,15 @@ mismatches.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
+from pathlib import Path
 
 from wgrindex import (
     GeneratedInstance,
@@ -186,6 +190,22 @@ def reference_parse_graph(text: str) -> WheelerGraph:
 
 
 G1_TEXT = "n 4\nm 3\ne 0 1 0\ne 1 3 1\ne 3 2 0\n"
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@cache
+def bench_run():
+    """perfbench/run.py as a module, loaded without running its main: the
+    guard tests take the names the traced benchmark wraps from it."""
+    sys.path.insert(0, str(BENCH_DIR))  # run.py imports its sibling modules
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", BENCH_DIR / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return run
 
 
 @dataclass

@@ -31,11 +31,13 @@ from wgrindex import (
     space_report,
 )
 import wgrindex.build as build_mod
+import wgrindex.graph as graph_mod
 from wgrindex.build import DegreeSums
 from wgrindex.graph import transform_order
 
 from helpers import (
     G1_TEXT,
+    bench_run,
     labels_from_ascii,
     make_instance,
     naive_phi_table,
@@ -663,15 +665,9 @@ def test_deserialize_rejects_malformed_marked_pairs(pairs):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
-def test_benchmark_component_fields_are_serialized_keys(monkeypatch):
+def test_benchmark_component_fields_are_serialized_keys():
     """The traced benchmark sizes each component by these JSON keys."""
-    import importlib.util
-
-    bench = Path(__file__).resolve().parent.parent / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    run = bench_run()
     ix = build_index(parse_graph(G1_TEXT))
     doc = json.loads(serialize_index(ix))
     assert {f for fields in run.COMPONENT_FIELDS.values() for f in fields} <= set(doc)
@@ -749,16 +745,12 @@ def test_repetitive_collection_degree_sums_stay_small():
     assert sr.total_words < 60_000
 
 
-BUILD_STAGES = (
-    "validate_wheeler", "decompose_paths", "assign_identifiers", "build_bwt",
-    "build_rank_select", "build_partial_sums", "build_toehold", "build_phi",
-)
-
-
 def test_build_call_paths_reach_traced_hooks(monkeypatch):
     """build_index reaches every stage that perfbench --trace 1 wraps in the
     build module, through lookups made at call time, once each; validation
     runs inside build_bwt, whose self time the benchmark reports apart."""
+    run = bench_run()
+    stages = run.GRAPH_STAGES + run.BUILD_STAGES
     calls = []
     stack = [None]
 
@@ -772,9 +764,26 @@ def test_build_call_paths_reach_traced_hooks(monkeypatch):
                 stack.pop()
         return wrapper
 
-    for name in ("build_index", *BUILD_STAGES):
+    for name in ("build_index", *stages):
         monkeypatch.setattr(build_mod, name, counting(name, getattr(build_mod, name)))
     build_mod.build_index(gen_string_path((0, 1, 0, 1, 0)).graph)
-    expected = {(name, "build_index") for name in BUILD_STAGES if name != "validate_wheeler"}
+    expected = {(name, "build_index") for name in stages if name != "validate_wheeler"}
     expected |= {("build_index", None), ("validate_wheeler", "build_bwt")}
     assert sorted(calls) == sorted(expected)
+
+
+def test_build_index_computes_the_transform_order_once(monkeypatch):
+    """Validation returns the order it scanned and build_bwt reads it from
+    the report, so one build sorts the edges once."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return transform_order(g)
+
+    for mod in (graph_mod, build_mod):
+        if hasattr(mod, "transform_order"):
+            monkeypatch.setattr(mod, "transform_order", counting)
+    g = gen_string_path((0, 1, 0, 1, 0)).graph
+    build_index(g)
+    assert calls == [g]  # validation's; build_bwt computes none of its own

@@ -218,6 +218,10 @@ def test_transform_order_is_the_stable_source_destination_sort(g):
     # sorting their slices, against a plain comparison sort; arbitrary
     # graphs bring parallel edges, tries sources with several out-edges
     assert transform_order(g) == sorted(range(g.m), key=lambda i: g.edges[i][:2])
+    # validation hands on the order it scanned, whatever its verdict
+    report = validate_wheeler(g)
+    assert report.order == transform_order(g)
+    assert report.is_wheeler == (report.violations == ())
 
 
 def test_explicit_sigma_bounds_labels():

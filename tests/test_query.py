@@ -39,6 +39,7 @@ from wgrindex import (
 )
 
 from helpers import (
+    bench_run,
     dense_refine,
     make_instance,
     random_patterns,
@@ -294,6 +295,9 @@ def test_non_int_label_rejected(g1_index, bad):
 def test_pattern_may_be_an_iterator(g1_index):
     assert count(g1_index, iter((0, 1))) == 1
     assert find_interval(g1_index, iter((0, 1))) == find_interval(g1_index, (0, 1))
+    assert locate(g1_index, iter((0, 1))) == locate(g1_index, (0, 1))
+    assert locate(g1_index, (c for c in (0, 1))) == locate(g1_index, (0, 1)) == [1]
+    assert sorted(locate(g1_index, iter(()))) == [0, 1, 2, 3]
 
 
 def test_int_label_outside_alphabet_counts_zero(g1_index):
@@ -404,7 +408,8 @@ def test_query_call_paths_reach_traced_hooks(monkeypatch):
                 stack.pop()
         return wrapper
 
-    for name in ("find_interval", "step_interval", "step_toehold", "phi"):
+    funcs = bench_run().QUERY_FUNCS
+    for name in funcs:
         monkeypatch.setattr(query_mod, name, counting(name, getattr(query_mod, name)))
     monkeypatch.setattr(ix.rl, "rank", counting("rank", ix.rl.rank))
     monkeypatch.setattr(ix.phi, "successor", counting("successor", ix.phi.successor))
@@ -418,13 +423,18 @@ def test_query_call_paths_reach_traced_hooks(monkeypatch):
 
     pattern = (0, 1, 0)  # "aba" ends at two vertices
     assert query_mod.count(ix, pattern) == 2
-    assert calls["step_interval", None] == 3
+    assert calls["count", None] == 1
+    assert calls["step_interval", "count"] == 3
     assert calls["rank", "step_interval"] == 3  # one rank search per step
+    checked = {name for name, _ in calls}
     calls.clear()
     assert len(query_mod.locate(ix, pattern)) == 2
-    assert calls["find_interval", None] == 1
+    assert calls["locate", None] == 1
+    assert calls["find_interval", "locate"] == 1
     assert calls["step_toehold", "find_interval"] == 3  # one per label, from the full state
     assert calls["rank", "step_toehold"] == 3
     assert calls["pairs.get", "step_toehold"] == 3
-    assert calls["phi", None] == 1
+    assert calls["phi", "locate"] == 1
     assert calls["successor", "phi"] == 1
+    checked |= {name for name, _ in calls}
+    assert set(funcs) == checked - {"rank", "successor", "pairs.get"}
