@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, pairwise
+from itertools import accumulate, compress, pairwise
 from functools import partial
-from operator import eq, gt, is_not, lt, ne
+from operator import eq, gt, is_not, itemgetter, lt, ne
 
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
@@ -28,7 +28,7 @@ from .graph import (
 )
 
 _FORMAT = "wgrindex"
-_VERSION = 2
+_VERSION = 3
 _INT = frozenset((int,))
 _INT_OR_NONE = frozenset((int, type(None)))
 
@@ -179,13 +179,14 @@ def build_partial_sums(g: WheelerGraph) -> DegreeSums:
 class ToeholdTable:
     """Endpoint identifiers stored at marked transform positions.
 
-    pairs maps a marked position to the (source id, destination id) of its
-    edge. Positions are marked exactly where a query step may need a stored
-    answer; everywhere else the tracked identifier advances with the +1
-    rule, so the table plus that rule cover every step.
+    pairs maps a marked position to the identifier of its edge's
+    destination, the only endpoint a query step reads. Positions are
+    marked exactly where a query step may need a stored answer; everywhere
+    else the tracked identifier advances with the +1 rule, so the table
+    plus that rule cover every step.
     """
 
-    pairs: dict[int, tuple[int, int]]
+    pairs: dict[int, int]
 
     @property
     def marked_count(self) -> int:
@@ -202,8 +203,8 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, endpoints) -> set[int]:
       M3: every edge leaving the rank before an endpoint with no out-edges.
     The edge in in-slot s, with f_label[c] <= s < f_label[c + 1], is the one
     at position select(c, s - f_label[c]). A build passes every endpoint;
-    a load passes the ranks whose degree is not 1, which are all of them
-    except the vertex at which a cycle is broken."""
+    a load passes the ranks whose degree is not 1 and the stored ranks at
+    which cycles are broken, which together are all of them."""
     f_label, in_ranks, in_after = sums.f_label, sums.in_ranks, sums.in_after
     marks = {s - 1 for s in rl.run_starts[1:] + [rl.length]} if rl.length else set()
     for k in endpoints:
@@ -225,14 +226,11 @@ def build_toehold(
     rl: RLSequence,
     sums: DegreeSums,
 ) -> ToeholdTable:
-    """Record the endpoint identifiers of the edge at each position that
+    """Record the destination identifier of the edge at each position that
     _required_marks names for the decomposition's endpoints."""
     edges, order, id_of = g.edges, b.order, ids.id_of_rank
-    pairs: dict[int, tuple[int, int]] = {}
-    for p in sorted(_required_marks(rl, sums, d.endpoints)):
-        u, v, _ = edges[order[p]]
-        pairs[p] = (id_of[u], id_of[v])
-    return ToeholdTable(pairs=pairs)
+    marks = sorted(_required_marks(rl, sums, d.endpoints))
+    return ToeholdTable(pairs={p: id_of[edges[order[p]][1]] for p in marks})
 
 
 @dataclass
@@ -313,6 +311,9 @@ class WheelerRIndex:
     sigma: int
     num_runs: int
     num_paths: int
+    # Ascending ranks with in- and out-degree 1 at which decompose_paths
+    # broke a cycle: the path endpoints that the degree sums do not show.
+    break_ranks: list[int]
     last_rank_id: int | None  # identifier of the vertex at rank n-1
     rl: RLSequence
     sums: DegreeSums
@@ -333,6 +334,7 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
         sigma=g.sigma,
         num_runs=len(rl.run_starts),
         num_paths=d.num_paths,
+        break_ranks=sorted(k for k in d.endpoints if g.in_degrees[k] == g.out_degrees[k] == 1),
         last_rank_id=ids.id_of_rank[g.n - 1] if g.n else None,
         rl=rl,
         sums=sums,
@@ -344,6 +346,9 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
 @dataclass(frozen=True)
 class SpaceReport:
     """Measured sizes of the built components, in stored integers ("words").
+
+    The toehold counts two words per marked position (the position and its
+    destination identifier) and one per break rank.
 
     marked_bound, anchor_bound and degree_bound are the budgets the
     construction is expected to stay within: num_runs + 4 * num_paths marked
@@ -397,7 +402,7 @@ def space_report(ix: WheelerRIndex) -> SpaceReport:
     words = {
         "rank_select": rl_words,
         "degree_sums": 2 * exceptions + len(sums.f_label),
-        "toehold": 3 * ix.toehold.marked_count,
+        "toehold": 2 * ix.toehold.marked_count + len(ix.break_ranks),
         "phi": 2 * ix.phi.size,
     }
     return SpaceReport(
@@ -439,7 +444,8 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "in_prefix": _interleave(sums.in_ranks, sums.in_after),
         "f_label": sums.f_label,
         "marked_positions": positions,
-        "marked_pairs": list(map(pairs.__getitem__, positions)),  # tuples dump as arrays
+        "marked_pairs": list(map(pairs.__getitem__, positions)),
+        "break_ranks": ix.break_ranks,
         "anchor_ids": ix.phi.anchor_ids,
         "pred_ids": ix.phi.pred_ids,
     }
@@ -488,7 +494,7 @@ def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: 
 
 def _load_degree_sums(doc: dict, version: int) -> DegreeSums:
     """The checked degree sums of an index document. Version 1 holds dense
-    n + 1 prefix arrays, which become degree lists; version 2 holds the
+    n + 1 prefix arrays, which become degree lists; later versions hold the
     exceptions as interleaved (rank, prefix after it) pairs."""
     n, m, f_label = doc["n"], doc["m"], doc["f_label"]
     sides = []
@@ -516,23 +522,81 @@ def _load_degree_sums(doc: dict, version: int) -> DegreeSums:
     return sums
 
 
+def _cycle_count(sums: DegreeSums, exceptions: set[int], n: int, m: int, num_paths: int) -> int:
+    """The cycles among num_paths decomposition paths: the paths that no
+    rank whose degree is not 1 heads. Such a rank heads one path per
+    out-edge, m - n + len(exceptions) in all since every other rank has one
+    out-edge, and one more when it has no edges at all."""
+    in_ranks, in_after = sums.in_ranks, sums.in_after
+    isolated = sum(
+        sums.out_prefix(k) == sums.out_prefix(k + 1)
+        and _prefix(in_ranks, in_after, k) == _prefix(in_ranks, in_after, k + 1)
+        for k in exceptions
+    )
+    return num_paths - (m - n + len(exceptions)) - isolated
+
+
+def _cycle_breaks(rl: RLSequence, sums: DegreeSums, exceptions: set[int], n: int) -> list[int]:
+    """The least rank of each cycle of ranks with in- and out-degree 1,
+    where decompose_paths breaks it; files before version 3 do not store
+    these ranks. Every chain with a head starts at an exception, so a walk
+    along the chains from the exceptions' out-edges leaves exactly the
+    cycles unvisited. O(m) rank steps, on checked runs and degree sums."""
+    in_ranks, in_after, f_label = sums.in_ranks, sums.in_after, sums.f_label
+
+    def target(p: int) -> int:
+        """Rank of the destination of the edge at position p: the rank
+        holding its in-slot, clamped at in-degree exceptions as in
+        query._refine."""
+        c = rl.run_labels[bisect_right(rl.run_starts, p) - 1]
+        slot = f_label[c] + rl.rank(c, p)
+        t = bisect_right(in_after, slot)
+        k = in_ranks[t - 1] + 1 + slot - in_after[t - 1] if t else slot
+        return min(k, in_ranks[t]) if t < len(in_ranks) else k
+
+    seen = bytearray(n)  # the exceptions count as seen: walks stop there
+    for k in exceptions:
+        seen[k] = 1
+
+    def walk(k: int) -> None:
+        while not seen[k]:
+            seen[k] = 1
+            k = target(sums.out_prefix(k))
+
+    for k in exceptions:
+        for p in range(sums.out_prefix(k), sums.out_prefix(k + 1)):
+            walk(target(p))
+    breaks = []
+    for k in range(n):
+        if not seen[k]:
+            breaks.append(k)
+            walk(k)
+    return breaks
+
+
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index; also reads version-1 files.
+    """Inverse of serialize_index; also reads version-1 and version-2 files,
+    which store (source id, destination id) pairs and no break ranks: their
+    pairs are cut to the destinations and, when there are cycles, their
+    break ranks found by a walk (see _cycle_breaks); then one set of checks
+    runs for every version.
 
     Raises ValueError on foreign input and, as "corrupt index: ...", on a
-    number that is not an int, on arrays whose lengths disagree, on
-    marked_positions not strictly increasing within [0, m), on an
-    identifier in marked_pairs or pred_ids outside [0, n), on an
-    impossible anchor set (pred_ids must hold exactly one None when n > 0,
-    none when n == 0; anchor_ids must be strictly increasing within [0, n)
-    and end at n - 1), on num_runs not counting run_starts, on degree sums
-    that do not describe n degrees summing to m, on a run label outside
-    [0, sigma), on run_starts not rising strictly from 0 within [0, m), on
-    two neighbouring runs with the same label, on f_label not rising from
-    0 to m or disagreeing with the runs, on a position that _required_marks
-    names for the ranks whose degree is not 1 missing from
-    marked_positions, and on a last_rank_id other than the one stored at
-    in-slot m - 1."""
+    number that is not an int, on legacy marked_pairs that are not a list
+    of pairs, on arrays whose lengths disagree, on marked_positions not
+    strictly increasing within [0, m), on an identifier in marked_pairs or
+    pred_ids outside [0, n), on an impossible anchor set (pred_ids must
+    hold exactly one None when n > 0, none when n == 0; anchor_ids must be
+    strictly increasing within [0, n) and end at n - 1), on num_runs not
+    counting run_starts, on degree sums that do not describe n degrees
+    summing to m, on a run label outside [0, sigma), on run_starts not
+    rising strictly from 0 within [0, m), on two neighbouring runs with the
+    same label, on f_label not rising from 0 to m or disagreeing with the
+    runs, on break_ranks not strictly increasing within [0, n), not one per
+    cycle (see _cycle_count) or holding a rank whose degree is not 1, on a
+    position that _required_marks names for the ranks whose degree is not 1
+    and the break ranks missing from marked_positions, and on a
+    last_rank_id other than the one stored at in-slot m - 1."""
     try:
         doc = json.loads(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -543,18 +607,19 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     if type(version) is not int or not 1 <= version <= _VERSION:
         raise ValueError(f"unsupported index version {version!r}")
     try:
+        if version < 3:
+            pair_lists = doc["marked_pairs"]
+            well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
+            if not well_formed or set(map(len, pair_lists)) - {2}:
+                raise ValueError("corrupt index: marked_pairs is not a list of pairs")
+            doc["marked_pairs"] = list(map(itemgetter(1), pair_lists))  # source ids go unread
+            doc["break_ranks"] = []  # replaced below when there are cycles
         _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
         _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
         for name in ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
-                     "marked_positions", "anchor_ids"):
+                     "marked_positions", "marked_pairs", "break_ranks", "anchor_ids"):
             _check_ints(name, doc[name])
         _check_ints("pred_ids", doc["pred_ids"], _INT_OR_NONE)
-        pair_lists = doc["marked_pairs"]
-        well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
-        if not well_formed or set(map(len, pair_lists)) - {2}:
-            raise ValueError("corrupt index: marked_pairs is not a list of pairs")
-        pair_ids = list(chain.from_iterable(pair_lists))
-        _check_ints("marked_pairs", pair_ids)
 
         n, m = doc["n"], doc["m"]
         for name, other, want in (
@@ -568,7 +633,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
                 raise ValueError(
                     f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}"
                 )
-        positions = doc["marked_positions"]
+        positions, dests, breaks = doc["marked_positions"], doc["marked_pairs"], doc["break_ranks"]
         run_starts, run_labels = doc["run_starts"], doc["run_labels"]
         anchor_ids, pred_ids = doc["anchor_ids"], doc["pred_ids"]
         known = list(filter(partial(is_not, None), pred_ids))
@@ -584,8 +649,8 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             raise ValueError(f"corrupt index: anchor_ids ends at {anchor_ids[-1]}, not at n - 1")
         if not _rising(positions, m):
             raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
-        _check_ids("marked_pairs", pair_ids, n)
-        pairs = dict(zip(positions, map(tuple, pair_lists)))
+        _check_ids("marked_pairs", dests, n)
+        pairs = dict(zip(positions, dests))
         sums = _load_degree_sums(doc, version)
         rl = RLSequence(length=m, run_starts=run_starts, run_labels=run_labels)
         stray = [c for c in rl.runs_of if not 0 <= c < doc["sigma"]]
@@ -598,14 +663,27 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if sums.f_label != [0] + list(accumulate(map(rl.count, range(doc["sigma"])))):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
         exceptions = set(sums.out_ranks).union(sums.in_ranks)
-        unmarked = _required_marks(rl, sums, exceptions).difference(pairs)
+        cycles = _cycle_count(sums, exceptions, n, m, doc["num_paths"])
+        if version < 3 and cycles > 0:
+            breaks = _cycle_breaks(rl, sums, exceptions, n)
+        if not _rising(breaks, n):
+            raise ValueError("corrupt index: break_ranks is not strictly increasing within [0, n)")
+        if len(breaks) != cycles:
+            raise ValueError(
+                f"corrupt index: break_ranks has {len(breaks)} entries, "
+                f"num_paths and the degree sums give {cycles} cycles"
+            )
+        if not exceptions.isdisjoint(breaks):
+            k = min(exceptions.intersection(breaks))
+            raise ValueError(f"corrupt index: break_ranks holds rank {k}, whose degree is not 1")
+        unmarked = _required_marks(rl, sums, exceptions.union(breaks)).difference(pairs)
         if unmarked:
             raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
         # Rank n - 1 holds in-slot m - 1, the last occurrence of the largest
         # label, a run end; with no edges the identifiers follow the ranks.
         if m:
             _, _, ends = rl.runs_of[max(rl.runs_of)]
-            last = pairs[ends[-1] - 1][1]
+            last = pairs[ends[-1] - 1]
         else:
             last = n - 1 if n else None
         if doc["last_rank_id"] != last:
@@ -616,6 +694,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             sigma=doc["sigma"],
             num_runs=doc["num_runs"],
             num_paths=doc["num_paths"],
+            break_ranks=breaks,
             last_rank_id=doc["last_rank_id"],
             rl=rl,
             sums=sums,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
-from operator import gt
+from operator import gt, indexOf
 from typing import NoReturn
 
 from .errors import WgfParseError
@@ -219,10 +219,12 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
     """
     violations: list[Violation] = []
 
-    sourceless = [v for v in range(g.n) if g.in_degrees[v] == 0]
-    fed = [v for v in range(g.n) if g.in_degrees[v] > 0]
-    if sourceless and fed and max(sourceless) > min(fed):
-        late, early = max(sourceless), min(fed)
+    # A0 fails when the last rank of in-degree 0 comes after the first of
+    # positive in-degree; two C-level scans of the in-degrees find both.
+    ins = g.in_degrees
+    early = next(compress(range(g.n), ins), g.n)
+    late = g.n - 1 - indexOf(reversed(ins), 0) if 0 in ins else -1
+    if late > early:
         violations.append(
             Violation(
                 "A0",

@@ -173,15 +173,13 @@ def step_toehold(ix: WheelerRIndex, st: MatchState, c: int) -> MatchState | None
     if r is None:
         return None
     s, e, p = r
-    pair = ix.toehold.pairs.get(p)
-    if pair is not None:
-        new_id = pair[1]
-    elif p >= ix.sums.out_prefix(iv.e):
+    new_id = ix.toehold.pairs.get(p)
+    if new_id is None:
+        if p < ix.sums.out_prefix(iv.e):
+            raise IndexInvariantError(
+                f"unmarked position {p} reached by an out-of-range step (label {c})"
+            )
         new_id = st.last_id + 1
-    else:
-        raise IndexInvariantError(
-            f"unmarked position {p} reached by an out-of-range step (label {c})"
-        )
     return MatchState(RankInterval(s, e), new_id)
 
 

@@ -250,11 +250,9 @@ def dense_refine(labels, out_degrees, in_degrees, f_label, s, e, c):
     return bisect_right(in_prefix, first) - 1, bisect_right(in_prefix, last) - 1, hits[-1]
 
 
-def shared_in_edge_graphs(count: int, seed: int) -> list[WheelerGraph]:
-    """Wheeler graphs with some in-degree above 1, rejection-sampled from
-    random graphs with 3 <= n <= 8, m <= 14 and up to 3 labels (about
-    0.7 % qualify). No generator makes them, and only there does a refine
-    step have to clamp an in-slot to the rank of an in-degree exception."""
+def sampled_wheeler_graphs(count: int, seed: int, keep) -> list[WheelerGraph]:
+    """Wheeler graphs g with keep(g), rejection-sampled from random graphs
+    with 3 <= n <= 8, m <= 14 and up to 3 labels."""
     rng = random.Random(seed)
     out: list[WheelerGraph] = []
     while len(out) < count:
@@ -263,9 +261,28 @@ def shared_in_edge_graphs(count: int, seed: int) -> list[WheelerGraph]:
         m = rng.randint(n - 1, 14)
         edges = [(rng.randrange(n), rng.randrange(n), rng.randrange(sigma)) for _ in range(m)]
         g = WheelerGraph(n=n, edges=edges)
-        if max(g.in_degrees) > 1 and validate_wheeler(g).is_wheeler:
+        if keep(g) and validate_wheeler(g).is_wheeler:
             out.append(g)
     return out
+
+
+def shared_in_edge_graphs(count: int, seed: int) -> list[WheelerGraph]:
+    """Wheeler graphs with some in-degree above 1 (about 0.7 % of the
+    samples qualify). No generator makes them, and only there does a refine
+    step have to clamp an in-slot to the rank of an in-degree exception."""
+    return sampled_wheeler_graphs(count, seed, lambda g: max(g.in_degrees) > 1)
+
+
+def broken_cycle_graphs(count: int, seed: int) -> list[WheelerGraph]:
+    """Wheeler graphs in which decompose_paths breaks a cycle of ranks with
+    in- and out-degree 1, often beside other paths or other cycles; the
+    only generator of cycles, gen_string_cycle, makes one cycle alone."""
+
+    def breaks_a_cycle(g: WheelerGraph) -> bool:
+        ends = decompose_paths(g).endpoints
+        return any(g.in_degrees[k] == g.out_degrees[k] == 1 for k in ends)
+
+    return sampled_wheeler_graphs(count, seed, breaks_a_cycle)
 
 
 def random_label_string(rng: random.Random, sigma: int, lo: int, hi: int) -> tuple[int, ...]:

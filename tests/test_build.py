@@ -38,6 +38,7 @@ from wgrindex.graph import transform_order
 from helpers import (
     G1_TEXT,
     bench_run,
+    broken_cycle_graphs,
     labels_from_ascii,
     make_instance,
     naive_phi_table,
@@ -212,7 +213,7 @@ def toehold_of(g):
 
 def test_toehold_g1(g1):
     th = toehold_of(g1)
-    assert th.pairs == {0: (2, 0), 1: (0, 1), 2: (1, 3)}
+    assert th.pairs == {0: 0, 1: 1, 2: 3}
     assert th.marked_count == 3
     assert th.marked_positions() == [0, 1, 2]
 
@@ -252,24 +253,22 @@ def test_toehold_exact_membership(inst):
     assert set(th.pairs) == expected
     for p, (u, v) in enumerate(edge_at):
         if p in expected:
-            assert th.pairs[p] == (ids.id_of_rank[u], ids.id_of_rank[v])
+            assert th.pairs[p] == ids.id_of_rank[v]
 
 
 @settings(max_examples=150)
 @given(instances())
 def test_load_side_marks_match_built_marks(inst):
-    """The mark rule applied to the ranks whose degree is not 1, as a load
-    does, names exactly the built marks on strings, multi-paths and tries,
-    whose path endpoints all have such a degree. On a cycle the break
-    vertex has degrees 1 and 1, so it names a subset."""
+    """The ranks whose degree is not 1 and the break ranks are exactly the
+    path endpoints, so the mark rule applied to them, as a load does, names
+    exactly the built marks; only a cycle has a break rank."""
     ix = inst.index
     exceptions = set(ix.sums.out_ranks).union(ix.sums.in_ranks)
-    assert exceptions <= inst.decomp.endpoints
-    marks = build_mod._required_marks(ix.rl, ix.sums, exceptions)
-    if inst.family == "cycle":
-        assert marks <= set(ix.toehold.pairs)
-    else:
-        assert marks == set(ix.toehold.pairs)
+    assert exceptions.isdisjoint(ix.break_ranks)
+    assert exceptions.union(ix.break_ranks) == inst.decomp.endpoints
+    assert ix.break_ranks == ([0] if inst.family == "cycle" and inst.graph.m else [])
+    marks = build_mod._required_marks(ix.rl, ix.sums, exceptions.union(ix.break_ranks))
+    assert marks == set(ix.toehold.pairs)
 
 
 # --- phi structure ---
@@ -382,7 +381,7 @@ def test_deserialize_rejects_foreign_input(g1_index):
         deserialize_index(b"not json at all")
     with pytest.raises(ValueError):
         deserialize_index(b'{"some": "json"}')
-    tampered = serialize_index(g1_index).replace(b'"version":2', b'"version":99')
+    tampered = serialize_index(g1_index).replace(b'"version":3', b'"version":99')
     with pytest.raises(ValueError, match="version"):
         deserialize_index(tampered)
 
@@ -549,9 +548,11 @@ def test_deserialize_rejects_unmarked_endpoint_edge(graph, p):
 
 
 def test_deleting_any_mark_is_rejected_at_load():
-    """On string paths, multi-paths and tries every path endpoint has a
-    degree other than 1, so each mark is checkable at load: a run end
-    (M1), an edge at an endpoint (M2) or an edge before a sink (M3)."""
+    """Every path endpoint is a rank whose degree is not 1 or a stored
+    break rank, so each mark is checkable at load: a run end (M1), an edge
+    at an endpoint (M2) or an edge before a sink (M3). On string paths,
+    multi-paths and tries the endpoints are all degree exceptions; on a
+    cycle the break rank is one of degree 1 and 1."""
     rng = random.Random(7)
     graphs = [gen_string_path(random_label_string(rng, 2, 1, 12)).graph for _ in range(40)]
     graphs += [
@@ -562,6 +563,9 @@ def test_deleting_any_mark_is_rejected_at_load():
         gen_trie([random_label_string(rng, 3, 0, 5) for _ in range(rng.randint(2, 8))]).graph
         for _ in range(40)
     ]
+    cycles = [random_label_string(rng, 2, 1, 12) for _ in range(60)]
+    graphs += [gen_string_cycle(s).graph for s in cycles if is_primitive(s)]
+    graphs += broken_cycle_graphs(20, seed=7)
     deleted = 0
     for g in graphs:
         doc = json.loads(serialize_index(build_index(g)))
@@ -569,7 +573,7 @@ def test_deleting_any_mark_is_rejected_at_load():
             with pytest.raises(ValueError, match="corrupt index"):
                 deserialize_index(without_mark(doc, p))
             deleted += 1
-    assert deleted > 800
+    assert deleted > 1000
 
 
 def test_deserialize_rejects_stray_run_label():
@@ -588,11 +592,8 @@ def test_deserialize_rejects_identifiers_outside_n(field, bad):
     ix = build_index(ABBA)
     assert locate(ix, (0, 1)) == [1]
     doc = json.loads(serialize_index(ix))
-    assert doc["n"] == 5 and doc["marked_pairs"][1] == [0, 1] and doc["pred_ids"][0] == 3
-    if field == "marked_pairs":
-        doc[field][1][1] = bad
-    else:
-        doc[field][0] = bad
+    assert doc["n"] == 5 and doc["marked_pairs"][1] == 1 and doc["pred_ids"][0] == 3
+    doc[field][1 if field == "marked_pairs" else 0] = bad
     with pytest.raises(ValueError, match=f"corrupt index: {field} holds identifier {bad}, outside"):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
@@ -647,9 +648,7 @@ ARRAY_FIELDS = ["run_starts", "run_labels", "out_prefix", "in_prefix", "f_label"
 def test_deserialize_rejects_values_that_are_not_ints(field, bad):
     # exact types only: 1.9 must not load as 1, nor "0" or True as an int
     doc = json.loads(serialize_index(build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)))
-    if field == "marked_pairs":
-        doc[field][0][0] = bad
-    elif field in ARRAY_FIELDS:
+    if field in ARRAY_FIELDS:
         doc[field][0] = bad
     else:
         doc[field] = bad
@@ -659,9 +658,94 @@ def test_deserialize_rejects_values_that_are_not_ints(field, bad):
 
 @pytest.mark.parametrize("pairs", [[[3, 0], [4, 1]], [[3, 0, 1]] * 4, [7] * 4, {}])
 def test_deserialize_rejects_malformed_marked_pairs(pairs):
-    doc = trie_doc()
+    # version 2 stores (source id, destination id) pairs, one per mark
+    doc = json.loads((DATA / "trie.v2.idx").read_bytes())
+    assert doc["version"] == 2 and len(doc["marked_pairs"]) > 4
     doc["marked_pairs"] = pairs
     with pytest.raises(ValueError, match="corrupt index: marked_pairs"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize("dests", [[[3, 0]] * 4, [3, 1, 4], {}])
+def test_deserialize_rejects_malformed_destination_ids(dests):
+    # version 3 stores one destination id per mark
+    doc = trie_doc()
+    doc["marked_pairs"] = dests
+    with pytest.raises(ValueError, match="corrupt index: marked_pairs"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+ABB_CYCLE = gen_string_cycle(labels_from_ascii("abb")).graph
+
+
+def as_version_2(doc: dict) -> dict:
+    """A version-3 document as version 2 stores it: (source id, destination
+    id) pairs and no break ranks. Source ids go unread; 0 stands in."""
+    old = {k: v for k, v in doc.items() if k != "break_ranks"}
+    old.update(version=2, marked_pairs=[[0, v] for v in doc["marked_pairs"]])
+    return old
+
+
+@pytest.mark.parametrize("version", [2, 3])
+def test_deserialize_rejects_unmarked_break_edge(version):
+    # the break vertex of a cycle has degrees 1 and 1, so the degree sums do
+    # not show it; loaded without position 0, locate of "ab" gave [3], not [0]
+    ix = build_index(ABB_CYCLE)
+    assert ix.break_ranks == [0] and locate(ix, (0, 1)) == [0]
+    doc = json.loads(serialize_index(ix))
+    if version == 2:
+        doc = as_version_2(doc)
+    with pytest.raises(ValueError, match="corrupt index: position 0 \\(rule M1-M3\\)"):
+        deserialize_index(without_mark(doc, 0))
+
+
+@pytest.mark.parametrize(
+    "breaks, fragment",
+    [([0, 0], "break_ranks is not strictly increasing"),
+     ([3], "break_ranks is not strictly increasing"),
+     ([-1], "break_ranks is not strictly increasing"),
+     ([0, 1], "break_ranks has 2 entries, num_paths and the degree sums give 1 cycles"),
+     ([], "break_ranks has 0 entries, num_paths and the degree sums give 1 cycles"),
+     ([1.0], "break_ranks holds 1.0, not an int"),
+     (0, "break_ranks is not a list")],
+)
+def test_deserialize_rejects_impossible_break_ranks(breaks, fragment):
+    doc = json.loads(serialize_index(build_index(ABB_CYCLE)))
+    assert (doc["n"], doc["num_paths"], doc["break_ranks"]) == (3, 1, [0])
+    doc["break_ranks"] = breaks
+    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+def test_version_2_load_finds_the_break_ranks():
+    """A version-2 file stores no break ranks; loading it walks the chains
+    to find them, also beside other paths and cycles."""
+    graphs = broken_cycle_graphs(40, seed=5)
+    assert any(len(build_index(g).break_ranks) > 1 for g in graphs)
+    for g in graphs:
+        ix = build_index(g)
+        doc = as_version_2(json.loads(serialize_index(ix)))
+        assert deserialize_index(json.dumps(doc).encode("ascii")) == ix
+
+
+@pytest.mark.parametrize("graph, num_paths", [(ABBA, 0), (ABBA, 2), (ABB_CYCLE, 0), (ABB_CYCLE, 2)],
+                         ids=["abba-0", "abba-2", "abb-cycle-0", "abb-cycle-2"])
+def test_deserialize_rejects_wrong_num_paths(graph, num_paths):
+    # the paths no degree exception heads are the cycles, one break rank each;
+    # a wrong num_paths used to load and print a wrong upsilon in stats
+    doc = json.loads(serialize_index(build_index(graph)))
+    assert doc["num_paths"] == 1
+    doc["num_paths"] = num_paths
+    with pytest.raises(ValueError, match="corrupt index: break_ranks has [01] entries, num_paths"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+def test_deserialize_rejects_break_rank_with_degree_exception():
+    # rank 0 of the "abba" path is its source, of in-degree 0
+    doc = json.loads(serialize_index(build_index(ABBA)))
+    assert doc["break_ranks"] == [] and doc["num_paths"] == 1
+    doc.update(break_ranks=[0], num_paths=2)
+    with pytest.raises(ValueError, match="corrupt index: break_ranks holds rank 0, whose degree is not 1"):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
@@ -690,19 +774,23 @@ def golden_graphs():
 
 
 GOLDEN_SHA256 = {
-    "g1": "e4021bc1c3cf9726fd0e34e81e5602fe5790a75b8e7696f14f75ee56ed2c9908",
-    "string": "4d0d6aa95637dc08478d4d611a00d5f4869a91c9a490978e26d78e3f5964774d",
-    "multi": "08f979975a40af67ddd9700841209d4dbf9425b52f7f81c7c794a7cf947cf80a",
-    "trie": "a55e5278e273e0973f1a23a5dcd7d281eb455b6651d9dd4ee1dd691754bdd181",
-    "cycle": "ca2bc5458340c0a1d9f23c19228fdf19e01859effaddaa8bc684431622bc27dc",
+    "g1": "7188b5c4e4cdf4539ecb98c72e75242590d42d3fddeac1e16ad27647a805d66e",
+    "string": "136347449a38ca1f1d3ce265c74867402bace89663bc73f566f4b7fa9958d916",
+    "multi": "861b5b57c9847005a0bf57e7be0790b7e0b0f12b7c64733680f6d2a78d187f2d",
+    "trie": "f8d9f533e23e9076650e93fb7c300e4c6661ab701cb522795830a424f5076227",
+    "cycle": "87235321f96f80e1537aa04b5dae2d3c08a4b196c4e39a082be3ffd34e0d2c0c",
 }
 
-# Version-1 files (dense n + 1 prefix arrays) of three golden graphs, which
-# must keep loading.
-V1_SHA256 = {
-    "g1": "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
-    "trie": "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
-    "cycle": "d4f338660c57d9976a2ca695d1fcbbed50237b81b0798ff84f21c6813329eeef",
+# Files of three golden graphs in the older versions, which must keep
+# loading: version 1 holds dense n + 1 prefix arrays, and versions 1 and 2
+# hold (source id, destination id) pairs and no break ranks.
+OLDER_SHA256 = {
+    (1, "g1"): "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
+    (1, "trie"): "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
+    (1, "cycle"): "d4f338660c57d9976a2ca695d1fcbbed50237b81b0798ff84f21c6813329eeef",
+    (2, "g1"): "e4021bc1c3cf9726fd0e34e81e5602fe5790a75b8e7696f14f75ee56ed2c9908",
+    (2, "trie"): "a55e5278e273e0973f1a23a5dcd7d281eb455b6651d9dd4ee1dd691754bdd181",
+    (2, "cycle"): "ca2bc5458340c0a1d9f23c19228fdf19e01859effaddaa8bc684431622bc27dc",
 }
 
 
@@ -718,11 +806,14 @@ def test_index_bytes_match_golden_hashes():
     assert digests == GOLDEN_SHA256
 
 
-@pytest.mark.parametrize("name", sorted(V1_SHA256))
-def test_version_1_files_load_and_reserialize_as_version_2(name):
-    data = (DATA / f"{name}.v1.idx").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == V1_SHA256[name]
-    assert json.loads(data)["version"] == 1
+@pytest.mark.parametrize(
+    "version, name", sorted(OLDER_SHA256), ids=[f"v{v}-{name}" for v, name in sorted(OLDER_SHA256)]
+)
+def test_older_files_load_and_reserialize_as_version_3(version, name):
+    # the cycle's break rank is not in the file; the load finds it
+    data = (DATA / f"{name}.v{version}.idx").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == OLDER_SHA256[version, name]
+    assert json.loads(data)["version"] == version
     ix = deserialize_index(data)
     assert ix == build_index(golden_graphs()[name])
     assert hashlib.sha256(serialize_index(ix)).hexdigest() == GOLDEN_SHA256[name]

@@ -252,6 +252,20 @@ def test_validate_a0_violation():
     report = validate_wheeler(g)
     assert not report.is_wheeler
     assert report.violations[0].axiom == "A0"
+    assert str(report.violations[0]) == (
+        "A0: vertex 1 has in-degree 0 but ranks after vertex 0 which has positive in-degree"
+    )
+
+
+@settings(max_examples=300)
+@given(arbitrary_graphs())
+def test_a0_witness_is_last_sourceless_and_first_fed_vertex(g):
+    """The one A0 witness pairs the largest rank of in-degree 0 with the
+    smallest rank of positive in-degree, when the first is larger."""
+    sourceless = [v for v in range(g.n) if g.in_degrees[v] == 0]
+    fed = [v for v in range(g.n) if g.in_degrees[v] > 0]
+    want = [(max(sourceless), min(fed))] if sourceless and fed and max(sourceless) > min(fed) else []
+    assert [v.witness for v in validate_wheeler(g).violations if v.axiom == "A0"] == want
 
 
 def test_validate_a1_violation():

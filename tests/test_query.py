@@ -117,7 +117,8 @@ def test_refine_matches_dense_reference(inputs):
     n, sigma = len(out_degrees), 4
     f_label = [0] + list(accumulate(labels.count(c) for c in range(sigma)))
     ix = WheelerRIndex(
-        n=n, m=len(labels), sigma=sigma, num_runs=0, num_paths=0, last_rank_id=None,
+        n=n, m=len(labels), sigma=sigma, num_runs=0, num_paths=0, break_ranks=[],
+        last_rank_id=None,
         rl=rl_from_labels(labels),
         sums=DegreeSums.from_degrees(out_degrees, in_degrees, f_label),
         toehold=ToeholdTable({}), phi=PhiStructure([], []),
