@@ -60,58 +60,52 @@ class RLSequence:
     """Rank/select over a run-length encoded label sequence.
 
     Stores one entry per run globally plus, per label, a directory of that
-    label's runs: their starts, the occurrences of the label before each of
-    them, and their ends (exclusive). Storage is proportional to the number
-    of runs plus one directory slot per distinct label; rank and select are
-    binary searches.
+    label's runs: their starts, and the occurrences of the label before each
+    of them followed by the label's total. Storage is proportional to the
+    number of runs plus two directory slots per distinct label; rank and
+    select are binary searches.
     """
 
     length: int
     run_starts: list[int]
     run_labels: list[int]
-    runs_of: dict[int, tuple[list[int], list[int], list[int]]] = field(
-        init=False, repr=False, compare=False
-    )
+    runs_of: dict[int, tuple[list[int], list[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        runs_of: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        runs_of: dict[int, tuple[list[int], list[int]]] = {}
         ends = self.run_starts[1:] + [self.length]
         for s, e, lab in zip(self.run_starts, ends, self.run_labels):
             runs = runs_of.get(lab)
             if runs is None:
-                runs_of[lab] = ([s], [0], [e])
+                runs_of[lab] = ([s], [0, e - s])
             else:
-                starts, cums, lab_ends = runs
-                cums.append(cums[-1] + lab_ends[-1] - starts[-1])
+                starts, cums = runs
                 starts.append(s)
-                lab_ends.append(e)
+                cums.append(cums[-1] + e - s)
         self.runs_of = runs_of
 
     def count(self, c: int) -> int:
         runs = self.runs_of.get(c)
-        if runs is None:
-            return 0
-        starts, cums, ends = runs
-        return cums[-1] + ends[-1] - starts[-1]
+        return 0 if runs is None else runs[1][-1]
 
     def rank(self, c: int, p: int) -> int:
         """Occurrences of c among positions [0, p)."""
         runs = self.runs_of.get(c)
         if runs is None:
             return 0
-        starts, cums, ends = runs
+        starts, cums = runs
         t = bisect_left(starts, p)  # runs of c starting strictly before p
         if t == 0:
             return 0
-        e = ends[t - 1]
-        return cums[t - 1] + (p if p < e else e) - starts[t - 1]
+        k = cums[t - 1] + p - starts[t - 1]
+        return k if k < cums[t] else cums[t]  # at most the whole of run t - 1
 
     def select(self, c: int, k: int) -> int:
         """Position of the (k+1)-th occurrence of c (k is 0-based)."""
         total = self.count(c)
         if not 0 <= k < total:
             raise IndexError(f"select({c}, {k}): label has {total} occurrence(s)")
-        starts, cums, _ = self.runs_of[c]
+        starts, cums = self.runs_of[c]
         t = bisect_right(cums, k) - 1
         return starts[t] + (k - cums[t])
 
@@ -167,12 +161,14 @@ def _prefix(ranks: list[int], after: list[int], k: int) -> int:
     return after[t - 1] + k - ranks[t - 1] - 1 if t else k
 
 
-def build_partial_sums(g: WheelerGraph) -> DegreeSums:
-    counts = [0] * (g.sigma or 0)
-    for _, _, lab in g.edges:
-        counts[lab] += 1
-    f_label = [0] + list(accumulate(counts))
-    return DegreeSums.from_degrees(g.out_degrees, g.in_degrees, f_label)
+def _f_label(rl: RLSequence, sigma: int) -> list[int]:
+    """f_label[c] for c in [0, sigma]: the labels below c in the transform,
+    from the label counts of its runs."""
+    return [0] + list(accumulate(map(rl.count, range(sigma))))
+
+
+def build_partial_sums(g: WheelerGraph, rl: RLSequence) -> DegreeSums:
+    return DegreeSums.from_degrees(g.out_degrees, g.in_degrees, _f_label(rl, g.sigma))
 
 
 @dataclass
@@ -240,9 +236,9 @@ class PhiStructure:
     anchor_ids holds, ascending, the identifiers whose order-predecessor is
     stored explicitly; pred_ids[t] is the identifier of the vertex directly
     before anchor_ids[t] in the vertex order (None for the order-first
-    vertex). Between anchors, identifiers and their predecessors advance in
-    lockstep along chains, which is what makes successor lookup plus offset
-    arithmetic recover every other predecessor.
+    vertex). Between anchors the predecessor of i + 1 is that of i plus
+    one, which is what makes successor lookup plus offset arithmetic
+    recover every other predecessor.
     """
 
     anchor_ids: list[int]
@@ -260,42 +256,20 @@ class PhiStructure:
         return self.anchor_ids[t], self.pred_ids[t]
 
 
-def build_phi(
-    g: WheelerGraph, d: PathDecomposition, ids: IdAssignment, b: GraphBwt
-) -> PhiStructure:
+def build_phi(ids: IdAssignment) -> PhiStructure:
     """Collect the anchor identifiers and their order-predecessors.
 
-    Rank k (vertex u, order-predecessor u') is anchored unless the +1
-    lockstep between u's chain and u''s chain can be relied on: none of u,
-    u', v, v' is an endpoint of a decomposition path (endpoints break the
-    consecutive-identifier rule), where v and v' are the targets of u's and
-    u''s out-edges, and the two edges carry the same label. A vertex that
-    is not an endpoint has in- and out-degree 1, so those are the only
-    out-edges of u and u' and the only in-edges of v and v'. Rank 0 (the
-    order-first vertex) is always anchored, with a None sentinel.
+    With pred(i) the identifier of the vertex ranked just before vertex i
+    (None for the order-first vertex), identifier i is anchored exactly
+    when i = n - 1, pred(i) or pred(i + 1) is None, or pred(i + 1) !=
+    pred(i) + 1. Every other i gets pred(j) - (j - i) right from its anchor
+    successor j, and each anchor is needed, so no smaller set serves phi.
     """
-    endpoints = d.endpoints
     id_of = ids.id_of_rank
-
-    # When u and u' = u - 1 both have out-degree 1, their out-edges sit at
-    # adjacent transform positions, so one scan of the transform finds every
-    # rank in lockstep with its predecessor.
-    lockstep = [False] * g.n
-    for (u2, v2, c2), (u, v, c) in pairwise(map(g.edges.__getitem__, b.order)):
-        if (
-            u2 == u - 1
-            and c2 == c
-            and u not in endpoints
-            and u2 not in endpoints
-            and v not in endpoints
-            and v2 not in endpoints
-        ):
-            lockstep[u] = True
-    ranks = [k for k in ids.rank_of_id if not lockstep[k]]  # ascending identifiers
-    return PhiStructure(
-        anchor_ids=[id_of[k] for k in ranks],
-        pred_ids=[id_of[k - 1] if k > 0 else None for k in ranks],
-    )
+    preds = [id_of[k - 1] if k else None for k in ids.rank_of_id]
+    # pred(n) is taken as None, so n - 1 is anchored too.
+    anchors = [i for i, (p, q) in enumerate(pairwise(preds + [None])) if p is None or q != p + 1]
+    return PhiStructure(anchor_ids=anchors, pred_ids=[preds[i] for i in anchors])
 
 
 @dataclass
@@ -327,7 +301,7 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
     rl = build_rank_select(b)
-    sums = build_partial_sums(g)
+    sums = build_partial_sums(g, rl)
     return WheelerRIndex(
         n=g.n,
         m=g.m,
@@ -339,7 +313,7 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
         rl=rl,
         sums=sums,
         toehold=build_toehold(g, d, ids, b, rl, sums),
-        phi=build_phi(g, d, ids, b),
+        phi=build_phi(ids),
     )
 
 
@@ -397,7 +371,7 @@ def space_report(ix: WheelerRIndex) -> SpaceReport:
     rl, sums = ix.rl, ix.sums
     exceptions = len(sums.out_ranks) + len(sums.in_ranks)
     rl_words = 2 * len(rl.run_starts) + sum(
-        len(starts) + len(cums) + len(ends) for starts, cums, ends in rl.runs_of.values()
+        len(starts) + len(cums) for starts, cums in rl.runs_of.values()
     )
     words = {
         "rank_select": rl_words,
@@ -660,7 +634,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
         if any(map(eq, run_labels, run_labels[1:])):
             raise ValueError("corrupt index: two neighbouring runs have the same label")
-        if sums.f_label != [0] + list(accumulate(map(rl.count, range(doc["sigma"])))):
+        if sums.f_label != _f_label(rl, doc["sigma"]):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
         exceptions = set(sums.out_ranks).union(sums.in_ranks)
         cycles = _cycle_count(sums, exceptions, n, m, doc["num_paths"])
@@ -682,8 +656,8 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         # Rank n - 1 holds in-slot m - 1, the last occurrence of the largest
         # label, a run end; with no edges the identifiers follow the ranks.
         if m:
-            _, _, ends = rl.runs_of[max(rl.runs_of)]
-            last = pairs[ends[-1] - 1]
+            c = max(rl.runs_of)
+            last = pairs[rl.select(c, rl.count(c) - 1)]
         else:
             last = n - 1 if n else None
         if doc["last_rank_id"] != last:

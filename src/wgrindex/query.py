@@ -106,15 +106,16 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
         return None
     k1 = rl.rank(c, lo)
     # The last run of c starting before hi holds the last c before hi.
-    starts, cums, ends = runs
+    starts, cums = runs
     t = bisect_left(starts, hi) - 1
     if t < 0:
         return None
-    end = ends[t]
-    p = (hi if hi < end else end) - 1
-    k2 = cums[t] + p + 1 - starts[t]
+    k2 = cums[t] + hi - starts[t]
+    if k2 > cums[t + 1]:
+        k2 = cums[t + 1]  # the run ends before hi
     if k2 <= k1:
         return None
+    p = starts[t] + k2 - cums[t] - 1
     # In-slots f_label[c] + k1 and f_label[c] + k2 - 1 name the first and
     # last vertex reached: a slot past the exception at ranks[t - 1] lies
     # at a rank of in-degree 1 after it, unless that passes ranks[t], which
@@ -204,8 +205,8 @@ def phi(ix: WheelerRIndex, i: int) -> int:
 
     Anchored identifiers return their stored predecessor; everything else
     steps to its anchor successor j and returns pred(j) - (j - i), which is
-    valid because the identifiers between i and j advance in lockstep with
-    their predecessors. Raises FirstInOrderError for the order-first vertex.
+    valid because build_phi anchors every i whose successor's predecessor
+    is not pred(i) + 1. Raises FirstInOrderError for the order-first vertex.
     """
     if not 0 <= i < ix.n:
         raise ValueError(f"identifier {i} out of range [0, {ix.n})")

@@ -2,14 +2,18 @@ import hashlib
 import itertools
 import json
 import random
-from itertools import accumulate
+from dataclasses import replace
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgrindex import (
+    FirstInOrderError,
+    IndexInvariantError,
     NotWheelerError,
+    PhiStructure,
     WheelerGraph,
     assign_identifiers,
     build_bwt,
@@ -18,6 +22,7 @@ from wgrindex import (
     build_phi,
     build_rank_select,
     build_toehold,
+    count,
     decompose_paths,
     deserialize_index,
     gen_multi_paths,
@@ -27,6 +32,7 @@ from wgrindex import (
     is_primitive,
     locate,
     parse_graph,
+    phi,
     serialize_index,
     space_report,
 )
@@ -39,12 +45,14 @@ from helpers import (
     G1_TEXT,
     bench_run,
     broken_cycle_graphs,
+    build_corpus,
     labels_from_ascii,
     make_instance,
     naive_phi_table,
     naive_runs,
     random_label_string,
     rl_from_labels,
+    shared_in_edge_graphs,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -159,7 +167,7 @@ def dense_prefix(degrees):
 
 def test_partial_sums_g1(g1):
     # out-degrees 1, 1, 0, 1 and in-degrees 0, 1, 1, 1: one exception a side
-    sums = build_partial_sums(g1)
+    sums = build_partial_sums(g1, build_rank_select(build_bwt(g1)))
     assert (sums.out_ranks, sums.out_after) == ([2], [2])
     assert (sums.in_ranks, sums.in_after) == ([0], [0])
     assert [sums.out_prefix(k) for k in range(5)] == [0, 1, 2, 2, 3]
@@ -167,7 +175,8 @@ def test_partial_sums_g1(g1):
 
 
 def test_partial_sums_empty_graph():
-    sums = build_partial_sums(WheelerGraph(n=2, edges=[]))
+    g = WheelerGraph(n=2, edges=[])
+    sums = build_partial_sums(g, build_rank_select(build_bwt(g)))
     assert (sums.out_ranks, sums.out_after) == ([0, 1], [0, 0])
     assert (sums.in_ranks, sums.in_after) == ([0, 1], [0, 0])
     assert [sums.out_prefix(k) for k in range(3)] == [0, 0, 0]
@@ -181,7 +190,7 @@ def test_partial_sums_handshake(inst):
     sums the first k out-degrees. The in-side sums are read only by the
     refine step, which test_query checks against dense references."""
     g = inst.graph
-    sums = build_partial_sums(g)
+    sums = build_partial_sums(g, inst.index.rl)
     assert sums.out_ranks == [k for k, d in enumerate(g.out_degrees) if d != 1]
     assert sums.in_ranks == [k for k, d in enumerate(g.in_degrees) if d != 1]
     assert [sums.out_prefix(k) for k in range(g.n + 1)] == dense_prefix(g.out_degrees)
@@ -207,8 +216,8 @@ def test_degree_sums_match_dense_prefixes(degrees):
 def toehold_of(g):
     d = decompose_paths(g)
     b = build_bwt(g)
-    return build_toehold(g, d, assign_identifiers(g, d), b, build_rank_select(b),
-                         build_partial_sums(g))
+    rl = build_rank_select(b)
+    return build_toehold(g, d, assign_identifiers(g, d), b, rl, build_partial_sums(g, rl))
 
 
 def test_toehold_g1(g1):
@@ -276,16 +285,18 @@ def test_load_side_marks_match_built_marks(inst):
 def test_phi_structure_g1(g1):
     d = decompose_paths(g1)
     ids = assign_identifiers(g1, d)
-    ph = build_phi(g1, d, ids, build_bwt(g1))
-    assert ph.anchor_ids == [0, 1, 2, 3]
-    assert ph.pred_ids == [2, 3, None, 0]
+    ph = build_phi(ids)
+    # identifier 0 follows 2 and identifier 1 follows 3: pred(1) - 1 gives
+    # pred(0), so 0 needs no anchor
+    assert ph.anchor_ids == [1, 2, 3]
+    assert ph.pred_ids == [3, None, 0]
 
 
 def test_phi_structure_unary_chain():
     g = gen_string_path((0, 0, 0, 0)).graph
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
-    ph = build_phi(g, d, ids, build_bwt(g))
+    ph = build_phi(ids)
     assert ph.anchor_ids == [0, 2, 3, 4]
     assert ph.pred_ids == [3, 1, None, 2]
 
@@ -294,7 +305,7 @@ def test_phi_structure_single_vertex():
     g = WheelerGraph(n=1, edges=[])
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
-    ph = build_phi(g, d, ids, build_bwt(g))
+    ph = build_phi(ids)
     assert ph.anchor_ids == [0]
     assert ph.pred_ids == [None]
 
@@ -321,6 +332,50 @@ def test_phi_successor_stepping_matches_naive(inst):
             assert pred is not None and pred - (j - i) == table[i]
 
 
+def minimal_anchors(table: list[int | None]) -> list[int]:
+    """The identifiers phi cannot step to by an offset, from the naive
+    predecessor table: n - 1, the order-first vertex's identifier and the
+    one below it, and every i whose successor's predecessor is not
+    table[i] + 1."""
+    n = len(table)
+    return [
+        i for i in range(n)
+        if i == n - 1 or table[i] is None or table[i + 1] is None or table[i + 1] != table[i] + 1
+    ]
+
+
+def phi_outcome(ix, i):
+    """phi(ix, i), or the type of the error it raises."""
+    try:
+        return phi(ix, i)
+    except (FirstInOrderError, IndexInvariantError) as exc:
+        return type(exc)
+
+
+def test_phi_anchors_are_the_minimal_set():
+    """build_phi anchors exactly the identifiers that offset stepping cannot
+    serve, and dropping any single anchor changes some phi(i): no smaller
+    anchor set answers phi."""
+    graphs = [inst.graph for inst in build_corpus()]
+    graphs += shared_in_edge_graphs(60, seed=11) + broken_cycle_graphs(40, seed=5)
+    dropped = 0
+    for g in graphs:
+        ix = build_index(g)
+        table = naive_phi_table(g, assign_identifiers(g, decompose_paths(g)))
+        anchors, preds = ix.phi.anchor_ids, ix.phi.pred_ids
+        assert anchors == minimal_anchors(table)
+        assert preds == [table[i] for i in anchors]
+        for t, a in enumerate(anchors):
+            cut_phi = PhiStructure(anchors[:t] + anchors[t + 1:], preds[:t] + preds[t + 1:])
+            cut = replace(ix, phi=cut_phi)
+            # only the identifiers after the previous anchor, up to a, get a
+            # new anchor successor
+            affected = range(anchors[t - 1] + 1 if t else 0, a + 1)
+            assert any(phi_outcome(cut, i) != phi_outcome(ix, i) for i in affected), (g, a)
+            dropped += 1
+    assert dropped > 15000
+
+
 # --- whole index, space, serialization ---
 
 def test_build_index_g1(g1_index):
@@ -341,7 +396,7 @@ def test_build_index_deterministic(g1):
 def test_space_report_g1(g1_index):
     sr = space_report(g1_index)
     assert sr.marked_count == 3
-    assert sr.anchor_count == 4
+    assert sr.anchor_count == 3
     assert sr.marked_bound == 3 + 4 * 1
     assert sr.anchor_bound == 3 + 8 * 1 + 1
     assert sr.total_words == sum(sr.words.values())
@@ -592,7 +647,7 @@ def test_deserialize_rejects_identifiers_outside_n(field, bad):
     ix = build_index(ABBA)
     assert locate(ix, (0, 1)) == [1]
     doc = json.loads(serialize_index(ix))
-    assert doc["n"] == 5 and doc["marked_pairs"][1] == 1 and doc["pred_ids"][0] == 3
+    assert doc["n"] == 5 and doc["marked_pairs"][1] == 1 and doc["pred_ids"][0] == 4
     doc[field][1 if field == "marked_pairs" else 0] = bad
     with pytest.raises(ValueError, match=f"corrupt index: {field} holds identifier {bad}, outside"):
         deserialize_index(json.dumps(doc).encode("ascii"))
@@ -774,16 +829,18 @@ def golden_graphs():
 
 
 GOLDEN_SHA256 = {
-    "g1": "7188b5c4e4cdf4539ecb98c72e75242590d42d3fddeac1e16ad27647a805d66e",
+    "g1": "82491ba36acb9c1089333ab3118e2534ed1e5a00884db7d8f22784b00a768b59",
     "string": "136347449a38ca1f1d3ce265c74867402bace89663bc73f566f4b7fa9958d916",
-    "multi": "861b5b57c9847005a0bf57e7be0790b7e0b0f12b7c64733680f6d2a78d187f2d",
-    "trie": "f8d9f533e23e9076650e93fb7c300e4c6661ab701cb522795830a424f5076227",
+    "multi": "81c77ccd23926f9d319ebaff4fb0e45a305bcb63bec17d29e04a2db92e81f9d6",
+    "trie": "7a8c94ed730ddae17a13c42bae53b1f18aa861ee93632d571d3d299ac67e2661",
     "cycle": "87235321f96f80e1537aa04b5dae2d3c08a4b196c4e39a082be3ffd34e0d2c0c",
 }
 
 # Files of three golden graphs in the older versions, which must keep
 # loading: version 1 holds dense n + 1 prefix arrays, and versions 1 and 2
-# hold (source id, destination id) pairs and no break ranks.
+# hold (source id, destination id) pairs and no break ranks. Every one of
+# them, and the version-3 file written before anchors became the minimal
+# set, anchors a superset of what a build anchors today.
 OLDER_SHA256 = {
     (1, "g1"): "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
     (1, "trie"): "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
@@ -791,6 +848,9 @@ OLDER_SHA256 = {
     (2, "g1"): "e4021bc1c3cf9726fd0e34e81e5602fe5790a75b8e7696f14f75ee56ed2c9908",
     (2, "trie"): "a55e5278e273e0973f1a23a5dcd7d281eb455b6651d9dd4ee1dd691754bdd181",
     (2, "cycle"): "ca2bc5458340c0a1d9f23c19228fdf19e01859effaddaa8bc684431622bc27dc",
+    (3, "g1"): "7188b5c4e4cdf4539ecb98c72e75242590d42d3fddeac1e16ad27647a805d66e",
+    (3, "trie"): "f8d9f533e23e9076650e93fb7c300e4c6661ab701cb522795830a424f5076227",
+    (3, "cycle"): "87235321f96f80e1537aa04b5dae2d3c08a4b196c4e39a082be3ffd34e0d2c0c",
 }
 
 
@@ -810,13 +870,23 @@ def test_index_bytes_match_golden_hashes():
     "version, name", sorted(OLDER_SHA256), ids=[f"v{v}-{name}" for v, name in sorted(OLDER_SHA256)]
 )
 def test_older_files_load_and_reserialize_as_version_3(version, name):
-    # the cycle's break rank is not in the file; the load finds it
+    """An older file loads with its own anchors and re-saves to the
+    version-3 bytes of the same graph; everything else equals a fresh build,
+    and it answers as one."""
     data = (DATA / f"{name}.v{version}.idx").read_bytes()
     assert hashlib.sha256(data).hexdigest() == OLDER_SHA256[version, name]
     assert json.loads(data)["version"] == version
-    ix = deserialize_index(data)
-    assert ix == build_index(golden_graphs()[name])
-    assert hashlib.sha256(serialize_index(ix)).hexdigest() == GOLDEN_SHA256[name]
+    ix = deserialize_index(data)  # a cycle's break rank is not in v1/v2 files; the load finds it
+    assert hashlib.sha256(serialize_index(ix)).hexdigest() == OLDER_SHA256[3, name]
+    g = golden_graphs()[name]
+    fresh = build_index(g)
+    assert replace(ix, phi=fresh.phi) == fresh
+    stored = dict(zip(ix.phi.anchor_ids, ix.phi.pred_ids))
+    assert dict(zip(fresh.phi.anchor_ids, fresh.phi.pred_ids)).items() <= stored.items()
+    for length in range(5):
+        for pattern in product(range(g.sigma), repeat=length):
+            assert count(ix, pattern) == count(fresh, pattern)
+            assert locate(ix, pattern) == locate(fresh, pattern)
 
 
 def test_repetitive_collection_degree_sums_stay_small():

@@ -260,7 +260,7 @@ def test_stats(capsys, g1_idx):
     lines = out.splitlines()
     assert "n=4" in lines and "r=3" in lines and "upsilon=1" in lines
     assert "marked=3" in lines and "marked_bound=7" in lines
-    assert "anchors=4" in lines and "anchors_bound=12" in lines
+    assert "anchors=3" in lines and "anchors_bound=12" in lines
     assert "degree_exceptions=2" in lines and "degree_bound=4" in lines
     assert any(line.startswith("words_total=") for line in lines)
 
