@@ -20,11 +20,12 @@ from operator import eq, gt, is_not, itemgetter, lt, ne
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
     IdAssignment,
-    PathDecomposition,
     WheelerGraph,
     assign_identifiers,
+    break_cycles,
     decompose_paths,
     validate_wheeler,
+    walk_chains,
 )
 
 _FORMAT = "wgrindex"
@@ -192,18 +193,17 @@ class ToeholdTable:
         return sorted(self.pairs)
 
 
-def _required_marks(rl: RLSequence, sums: DegreeSums, endpoints) -> set[int]:
-    """The positions that must be marked, given the path endpoints:
+def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
+    """The positions that must be marked:
       M1: the last position of each run;
-      M2: every edge leaving or entering an endpoint;
+      M2: every edge leaving or entering a path endpoint;
       M3: every edge leaving the rank before an endpoint with no out-edges.
-    The edge in in-slot s, with f_label[c] <= s < f_label[c + 1], is the one
-    at position select(c, s - f_label[c]). A build passes every endpoint;
-    a load passes the ranks whose degree is not 1 and the stored ranks at
-    which cycles are broken, which together are all of them."""
+    The path endpoints are the ranks whose degree is not 1 and the ranks at
+    which cycles are broken. The edge in in-slot s, with f_label[c] <= s <
+    f_label[c + 1], is the one at position select(c, s - f_label[c])."""
     f_label, in_ranks, in_after = sums.f_label, sums.in_ranks, sums.in_after
     marks = {s - 1 for s in rl.run_starts[1:] + [rl.length]} if rl.length else set()
-    for k in endpoints:
+    for k in set(sums.out_ranks).union(sums.in_ranks, break_ranks):
         lo, hi = sums.out_prefix(k), sums.out_prefix(k + 1)
         marks.update(range(lo, hi))
         if lo == hi and k > 0:
@@ -216,16 +216,15 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, endpoints) -> set[int]:
 
 def build_toehold(
     g: WheelerGraph,
-    d: PathDecomposition,
     ids: IdAssignment,
     b: GraphBwt,
     rl: RLSequence,
     sums: DegreeSums,
+    break_ranks: list[int],
 ) -> ToeholdTable:
-    """Record the destination identifier of the edge at each position that
-    _required_marks names for the decomposition's endpoints."""
+    """Record the destination identifier of the edge at each position _required_marks names."""
     edges, order, id_of = g.edges, b.order, ids.id_of_rank
-    marks = sorted(_required_marks(rl, sums, d.endpoints))
+    marks = sorted(_required_marks(rl, sums, break_ranks))
     return ToeholdTable(pairs={p: id_of[edges[order[p]][1]] for p in marks})
 
 
@@ -308,11 +307,11 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
         sigma=g.sigma,
         num_runs=len(rl.run_starts),
         num_paths=d.num_paths,
-        break_ranks=sorted(k for k in d.endpoints if g.in_degrees[k] == g.out_degrees[k] == 1),
+        break_ranks=d.break_ranks,
         last_rank_id=ids.id_of_rank[g.n - 1] if g.n else None,
         rl=rl,
         sums=sums,
-        toehold=build_toehold(g, d, ids, b, rl, sums),
+        toehold=build_toehold(g, ids, b, rl, sums, d.break_ranks),
         phi=build_phi(ids),
     )
 
@@ -511,11 +510,10 @@ def _cycle_count(sums: DegreeSums, exceptions: set[int], n: int, m: int, num_pat
 
 
 def _cycle_breaks(rl: RLSequence, sums: DegreeSums, exceptions: set[int], n: int) -> list[int]:
-    """The least rank of each cycle of ranks with in- and out-degree 1,
-    where decompose_paths breaks it; files before version 3 do not store
-    these ranks. Every chain with a head starts at an exception, so a walk
-    along the chains from the exceptions' out-edges leaves exactly the
-    cycles unvisited. O(m) rank steps, on checked runs and degree sums."""
+    """The break ranks of decompose_paths, which files before version 3 do
+    not store: its chain walk and cycle scan, on the chains that the checked
+    runs and degree sums give, with the exceptions' out-edges as the head
+    edges (their order does not change the ranks visited). O(m) rank steps."""
     in_ranks, in_after, f_label = sums.in_ranks, sums.in_after, sums.f_label
 
     def target(p: int) -> int:
@@ -528,24 +526,10 @@ def _cycle_breaks(rl: RLSequence, sums: DegreeSums, exceptions: set[int], n: int
         k = in_ranks[t - 1] + 1 + slot - in_after[t - 1] if t else slot
         return min(k, in_ranks[t]) if t < len(in_ranks) else k
 
-    seen = bytearray(n)  # the exceptions count as seen: walks stop there
-    for k in exceptions:
-        seen[k] = 1
-
-    def walk(k: int) -> None:
-        while not seen[k]:
-            seen[k] = 1
-            k = target(sums.out_prefix(k))
-
-    for k in exceptions:
-        for p in range(sums.out_prefix(k), sums.out_prefix(k + 1)):
-            walk(target(p))
-    breaks = []
-    for k in range(n):
-        if not seen[k]:
-            breaks.append(k)
-            walk(k)
-    return breaks
+    out = sums.out_prefix
+    nxt = [-1 if k in exceptions else target(out(k)) for k in range(n)]
+    firsts = [target(p) for k in exceptions for p in range(out(k), out(k + 1))]
+    return break_cycles(nxt, walk_chains(nxt, firsts))
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
@@ -650,7 +634,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if not exceptions.isdisjoint(breaks):
             k = min(exceptions.intersection(breaks))
             raise ValueError(f"corrupt index: break_ranks holds rank {k}, whose degree is not 1")
-        unmarked = _required_marks(rl, sums, exceptions.union(breaks)).difference(pairs)
+        unmarked = _required_marks(rl, sums, breaks).difference(pairs)
         if unmarked:
             raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
         # Rank n - 1 holds in-slot m - 1, the last occurrence of the largest

@@ -12,7 +12,7 @@ import string
 import sys
 
 from .build import build_index, load_index, save_index, space_report
-from .errors import FirstInOrderError, IndexInvariantError, NotWheelerError, WgfParseError
+from .errors import FirstInOrderError, IndexInvariantError, NotWheelerError
 from .generators import gen_multi_paths, gen_string_cycle, gen_string_path, gen_trie
 from .graph import decompose_paths, parse_graph, to_wgf, validate_wheeler
 from .query import count, locate
@@ -161,13 +161,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except WgfParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotWheelerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # WgfParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IndexInvariantError, FirstInOrderError) as exc:  # only a corrupt index raises these

@@ -2,9 +2,9 @@
 
 The vertex numbering of a graph here is always the order under test: rank k
 means "the vertex in position k of the claimed order". Validation checks the
-three ordering axioms against that numbering, decomposition chains the edge
-set into paths, and identifier assignment numbers the vertices so that
-consecutive interior vertices of a chain carry consecutive identifiers.
+three ordering axioms against that numbering, one walk along the chains lists
+the interior ranks of the paths, and identifier assignment numbers them first,
+so that consecutive interior vertices of a chain carry consecutive identifiers.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
-from operator import gt, indexOf
+from operator import gt, indexOf, itemgetter, lt, or_
 from typing import NoReturn
 
 from .errors import WgfParseError
@@ -295,94 +295,71 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
 
 @dataclass
 class PathDecomposition:
-    """Partition of the edge set into chained paths.
+    """What the index needs of the partition of the edge set into chains:
+    interior, the ranks strictly inside a path, path after path and each in
+    walking order; num_paths, an isolated rank counting as a path of its
+    own; and break_ranks, the ascending ranks of in- and out-degree 1 at
+    which a cycle was broken into a path that starts and ends there."""
 
-    paths holds vertex-rank sequences (length >= 1); edge_paths holds, in
-    parallel, the edge indices along each path. A vertex sequence of length
-    one is an isolated vertex. A path that starts and ends at the same
-    vertex is a broken cycle; that vertex counts as an endpoint.
-    """
+    interior: list[int]
+    num_paths: int
+    break_ranks: list[int]
 
-    paths: list[list[int]]
-    edge_paths: list[list[int]]
-    endpoints: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        ends = set()
-        for seq in self.paths:
-            ends.add(seq[0])
-            ends.add(seq[-1])
-        self.endpoints = frozenset(ends)
+def walk_chains(nxt: list[int], firsts) -> list[int]:
+    """The ranks passed when following nxt from each rank of firsts while
+    it is not -1: the interior ranks of the chains entered there."""
+    interior: list[int] = []
+    for v in firsts:
+        while nxt[v] >= 0:
+            interior.append(v)
+            v = nxt[v]
+    return interior
 
-    @property
-    def num_paths(self) -> int:
-        return len(self.paths)
+
+def break_cycles(nxt: list[int], interior: list[int]) -> list[int]:
+    """The least rank of each cycle among the ranks with nxt not -1 that
+    interior leaves out, ascending: a scan in rank order meets each cycle
+    first there. Each gets nxt -1, which opens its cycle into a chain."""
+    seen = bytearray(len(nxt))
+    for k in interior:
+        seen[k] = 1
+    breaks: list[int] = []
+    for k in range(len(nxt)):
+        if nxt[k] >= 0 and not seen[k]:
+            breaks.append(k)
+            while not seen[k]:
+                seen[k] = 1
+                k = nxt[k]
+            nxt[k] = -1  # k is back at the break
+    return breaks
 
 
 def decompose_paths(g: WheelerGraph) -> PathDecomposition:
-    """Split the edge set into maximal chains.
+    """Split the edge set into maximal chains with one walk.
 
-    Edges e = (u, v) and f = (v, w) belong to the same chain exactly when v
-    has in-degree 1 and out-degree 1. A chain that closes into a cycle is
-    broken at its minimum-rank vertex; a vertex with no edges becomes a
-    single-vertex path. Paths are emitted ordered by (start rank, first
-    destination rank, first edge index), which for paths leaving the same
-    vertex is the transform order of their first edges, so the output is
-    fully deterministic.
+    Edges (u, v) and (v, w) share a chain exactly when v has in-degree 1
+    and out-degree 1; nxt[v] is then w, and -1 elsewhere. The walk follows
+    nxt from the head edges, those leaving a rank with nxt -1, taken in
+    transform order (source, destination, index). Ranks with nxt that it
+    misses lie on cycles: break_cycles opens each, and the walk reruns.
     """
-    n, m = g.n, g.m
-    only_out = [-1] * n
-    for i, (u, _, _) in enumerate(g.edges):
-        if g.out_degrees[u] == 1:
-            only_out[u] = i
-    chainable = [g.in_degrees[v] == 1 and g.out_degrees[v] == 1 for v in range(n)]
+    n, edges, ins, outs = g.n, g.edges, g.in_degrees, g.out_degrees
+    nxt = [-1] * n
+    for u, v, _ in edges:
+        if ins[u] == 1 == outs[u]:
+            nxt[u] = v
 
-    def next_edge(i: int) -> int:
-        v = g.edges[i][1]
-        return only_out[v] if chainable[v] else -1
+    def walk() -> tuple[int, list[int]]:
+        heads = sorted((u, v, i) for i, (u, v, _) in enumerate(edges) if nxt[u] < 0)
+        return len(heads), walk_chains(nxt, map(itemgetter(1), heads))
 
-    visited = [False] * m
-    raw: list[tuple[list[int], list[int]]] = []
-
-    # Chains with a definite head: the source vertex cannot be chained into.
-    for e in range(m):
-        if visited[e] or chainable[g.edges[e][0]]:
-            continue
-        vseq = [g.edges[e][0]]
-        eseq: list[int] = []
-        cur = e
-        while cur != -1:
-            assert not visited[cur]
-            visited[cur] = True
-            eseq.append(cur)
-            vseq.append(g.edges[cur][1])
-            cur = next_edge(cur)
-        raw.append((vseq, eseq))
-
-    # Everything left lies on pure cycles; break each at its min-rank vertex.
-    for e in range(m):
-        if visited[e]:
-            continue
-        cyc = [e]
-        cur = next_edge(e)
-        while cur != e:
-            assert cur != -1 and not visited[cur]
-            cyc.append(cur)
-            cur = next_edge(cur)
-        for i in cyc:
-            visited[i] = True
-        srcs = [g.edges[i][0] for i in cyc]
-        k = srcs.index(min(srcs))
-        cyc = cyc[k:] + cyc[:k]
-        vseq = [g.edges[cyc[0]][0]] + [g.edges[i][1] for i in cyc]
-        raw.append((vseq, cyc))
-
-    for v in range(n):
-        if g.in_degrees[v] == 0 and g.out_degrees[v] == 0:
-            raw.append(([v], []))
-
-    raw.sort(key=lambda t: (t[0][0], t[0][1], t[1][0]) if t[1] else (t[0][0], -1, -1))
-    return PathDecomposition([vs for vs, _ in raw], [es for _, es in raw])
+    num_heads, interior = walk()
+    breaks = break_cycles(nxt, interior) if len(interior) < n - nxt.count(-1) else []
+    if breaks:
+        num_heads, interior = walk()
+    isolated = list(map(or_, ins, outs)).count(0)
+    return PathDecomposition(interior, num_heads + isolated, breaks)
 
 
 @dataclass
@@ -396,24 +373,15 @@ class IdAssignment:
 def assign_identifiers(g: WheelerGraph, d: PathDecomposition) -> IdAssignment:
     """Number the vertices so interior chain neighbours differ by one.
 
-    Paths are taken in decomposition order; the interior vertices of each
-    path receive the next consecutive identifiers in path order. Remaining
-    vertices (path endpoints and isolated vertices) then receive the rest in
-    increasing rank order. For every edge (u, v) with both ends interior,
-    id(v) = id(u) + 1.
+    The interior ranks receive identifiers 0, 1, ... in decomposition
+    order; the other ranks (path endpoints and isolated vertices) then
+    receive the rest in increasing rank order. For every edge (u, v) with
+    both ends interior, id(v) = id(u) + 1.
     """
-    ids: list[int | None] = [None] * g.n
-    next_id = 0
-    for seq in d.paths:
-        for v in seq[1:-1]:
-            assert ids[v] is None
-            ids[v] = next_id
-            next_id += 1
-    for v in range(g.n):
-        if ids[v] is None:
-            ids[v] = next_id
-            next_id += 1
-    rank_of_id = [0] * g.n
-    for rank, ident in enumerate(ids):
-        rank_of_id[ident] = rank
-    return IdAssignment(ids, rank_of_id)
+    id_of = [-1] * g.n
+    for i, k in enumerate(d.interior):
+        id_of[k] = i
+    rest = list(compress(range(g.n), map(lt, id_of, repeat(0))))
+    for i, k in enumerate(rest, len(d.interior)):
+        id_of[k] = i
+    return IdAssignment(id_of, d.interior + rest)

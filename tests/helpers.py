@@ -27,7 +27,6 @@ from wgrindex import (
     GeneratedInstance,
     IdAssignment,
     IndexInvariantError,
-    PathDecomposition,
     WgfParseError,
     RLSequence,
     WheelerGraph,
@@ -215,16 +214,141 @@ class Instance:
     graph: WheelerGraph
     index: WheelerRIndex
     ids: IdAssignment
-    decomp: PathDecomposition
+    decomp: ReferenceDecomposition
     bwt_labels: list[int]
 
 
 def make_instance(family: str, gi: GeneratedInstance) -> Instance:
     g = gi.graph
     b = build_bwt(g)
-    d = decompose_paths(g)
-    ids = assign_identifiers(g, d)
-    return Instance(gi.provenance, family, g, build_index(g), ids, d, b.labels)
+    ids = assign_identifiers(g, decompose_paths(g))
+    ref = reference_decomposition(g)
+    return Instance(gi.provenance, family, g, build_index(g), ids, ref, b.labels)
+
+
+@dataclass
+class ReferenceDecomposition:
+    """Partition of the edge set into chained paths, listed explicitly.
+
+    paths holds vertex-rank sequences (length >= 1); edge_paths holds, in
+    parallel, the edge indices along each path. A vertex sequence of length
+    one is an isolated vertex. A path that starts and ends at the same
+    vertex is a broken cycle; that vertex counts as an endpoint.
+    """
+
+    paths: list[list[int]]
+    edge_paths: list[list[int]]
+    endpoints: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ends = set()
+        for seq in self.paths:
+            ends.add(seq[0])
+            ends.add(seq[-1])
+        self.endpoints = frozenset(ends)
+
+    @property
+    def num_paths(self) -> int:
+        return len(self.paths)
+
+
+def reference_decomposition(g: WheelerGraph) -> ReferenceDecomposition:
+    """Split the edge set into maximal chains, path by path.
+
+    Edges e = (u, v) and f = (v, w) belong to the same chain exactly when v
+    has in-degree 1 and out-degree 1. A chain that closes into a cycle is
+    broken at its minimum-rank vertex; a vertex with no edges becomes a
+    single-vertex path. Paths are emitted ordered by (start rank, first
+    destination rank, first edge index), which for paths leaving the same
+    vertex is the transform order of their first edges. The one-walk
+    decompose_paths must agree with it.
+    """
+    n, m = g.n, g.m
+    only_out = [-1] * n
+    for i, (u, _, _) in enumerate(g.edges):
+        if g.out_degrees[u] == 1:
+            only_out[u] = i
+    chainable = [g.in_degrees[v] == 1 and g.out_degrees[v] == 1 for v in range(n)]
+
+    def next_edge(i: int) -> int:
+        v = g.edges[i][1]
+        return only_out[v] if chainable[v] else -1
+
+    visited = [False] * m
+    raw: list[tuple[list[int], list[int]]] = []
+
+    # Chains with a definite head: the source vertex cannot be chained into.
+    for e in range(m):
+        if visited[e] or chainable[g.edges[e][0]]:
+            continue
+        vseq = [g.edges[e][0]]
+        eseq: list[int] = []
+        cur = e
+        while cur != -1:
+            assert not visited[cur]
+            visited[cur] = True
+            eseq.append(cur)
+            vseq.append(g.edges[cur][1])
+            cur = next_edge(cur)
+        raw.append((vseq, eseq))
+
+    # Everything left lies on pure cycles; break each at its min-rank vertex.
+    for e in range(m):
+        if visited[e]:
+            continue
+        cyc = [e]
+        cur = next_edge(e)
+        while cur != e:
+            assert cur != -1 and not visited[cur]
+            cyc.append(cur)
+            cur = next_edge(cur)
+        for i in cyc:
+            visited[i] = True
+        srcs = [g.edges[i][0] for i in cyc]
+        k = srcs.index(min(srcs))
+        cyc = cyc[k:] + cyc[:k]
+        vseq = [g.edges[cyc[0]][0]] + [g.edges[i][1] for i in cyc]
+        raw.append((vseq, cyc))
+
+    for v in range(n):
+        if g.in_degrees[v] == 0 and g.out_degrees[v] == 0:
+            raw.append(([v], []))
+
+    raw.sort(key=lambda t: (t[0][0], t[0][1], t[1][0]) if t[1] else (t[0][0], -1, -1))
+    return ReferenceDecomposition([vs for vs, _ in raw], [es for _, es in raw])
+
+
+def reference_identifiers(g: WheelerGraph, d: ReferenceDecomposition) -> IdAssignment:
+    """Identifiers from explicit paths: the interior vertices of each path,
+    in path order, then every other vertex in increasing rank order."""
+    ids: list[int | None] = [None] * g.n
+    next_id = 0
+    for seq in d.paths:
+        for v in seq[1:-1]:
+            assert ids[v] is None
+            ids[v] = next_id
+            next_id += 1
+    for v in range(g.n):
+        if ids[v] is None:
+            ids[v] = next_id
+            next_id += 1
+    rank_of_id = [0] * g.n
+    for rank, ident in enumerate(ids):
+        rank_of_id[ident] = rank
+    return IdAssignment(ids, rank_of_id)
+
+
+def assert_walk_matches_reference(g: WheelerGraph) -> None:
+    """decompose_paths and assign_identifiers agree with the reference:
+    the interior vertices of the reference paths in path order, the path
+    count, the broken cycles' endpoints (the endpoints of in- and
+    out-degree 1) and the identifiers."""
+    d, ref = decompose_paths(g), reference_decomposition(g)
+    assert d.interior == [v for seq in ref.paths for v in seq[1:-1]]
+    assert d.num_paths == ref.num_paths
+    ones = [k for k in sorted(ref.endpoints) if g.in_degrees[k] == g.out_degrees[k] == 1]
+    assert d.break_ranks == ones
+    assert assign_identifiers(g, d) == reference_identifiers(g, ref)
 
 
 def rl_from_labels(labels) -> RLSequence:
@@ -278,11 +402,7 @@ def broken_cycle_graphs(count: int, seed: int) -> list[WheelerGraph]:
     in- and out-degree 1, often beside other paths or other cycles; the
     only generator of cycles, gen_string_cycle, makes one cycle alone."""
 
-    def breaks_a_cycle(g: WheelerGraph) -> bool:
-        ends = decompose_paths(g).endpoints
-        return any(g.in_degrees[k] == g.out_degrees[k] == 1 for k in ends)
-
-    return sampled_wheeler_graphs(count, seed, breaks_a_cycle)
+    return sampled_wheeler_graphs(count, seed, lambda g: bool(decompose_paths(g).break_ranks))
 
 
 def random_label_string(rng: random.Random, sigma: int, lo: int, hi: int) -> tuple[int, ...]:

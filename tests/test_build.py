@@ -217,7 +217,8 @@ def toehold_of(g):
     d = decompose_paths(g)
     b = build_bwt(g)
     rl = build_rank_select(b)
-    return build_toehold(g, d, assign_identifiers(g, d), b, rl, build_partial_sums(g, rl))
+    ids = assign_identifiers(g, d)
+    return build_toehold(g, ids, b, rl, build_partial_sums(g, rl), d.break_ranks)
 
 
 def test_toehold_g1(g1):
@@ -269,14 +270,15 @@ def test_toehold_exact_membership(inst):
 @given(instances())
 def test_load_side_marks_match_built_marks(inst):
     """The ranks whose degree is not 1 and the break ranks are exactly the
-    path endpoints, so the mark rule applied to them, as a load does, names
-    exactly the built marks; only a cycle has a break rank."""
+    path endpoints, so the mark rule, which build and load both apply to
+    the break ranks, names exactly the built marks; only a cycle has a
+    break rank."""
     ix = inst.index
     exceptions = set(ix.sums.out_ranks).union(ix.sums.in_ranks)
     assert exceptions.isdisjoint(ix.break_ranks)
     assert exceptions.union(ix.break_ranks) == inst.decomp.endpoints
     assert ix.break_ranks == ([0] if inst.family == "cycle" and inst.graph.m else [])
-    marks = build_mod._required_marks(ix.rl, ix.sums, exceptions.union(ix.break_ranks))
+    marks = build_mod._required_marks(ix.rl, ix.sums, ix.break_ranks)
     assert marks == set(ix.toehold.pairs)
 
 
@@ -864,6 +866,25 @@ def test_index_bytes_match_golden_hashes():
         for name, g in graphs.items()
     }
     assert digests == GOLDEN_SHA256
+
+
+# One digest over the indexes of 20 seeded Wheeler graphs with broken
+# cycles: 19 with other paths beside a cycle and 5 with several cycles.
+MIXED_CYCLES_SHA256 = "e4971fad662f938fe051c6ea2a5e1f8e2ea46333d7918366c6b9cbdf5eb0b412"
+
+
+def test_index_bytes_of_cycles_beside_paths_match_golden_hash():
+    """The cycle golden graph is one cycle alone; these pin the bytes where
+    the decomposition breaks cycles beside other paths and other cycles."""
+    digest = hashlib.sha256()
+    multiple = beside = 0
+    for g in broken_cycle_graphs(20, seed=2026):
+        ix = build_index(g)
+        digest.update(serialize_index(ix))
+        multiple += len(ix.break_ranks) > 1
+        beside += ix.num_paths > len(ix.break_ranks)
+    assert (multiple, beside) == (5, 19)
+    assert digest.hexdigest() == MIXED_CYCLES_SHA256
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,25 @@ def test_gen_trie(capsys, tmp_path):
     assert out.startswith("n=4 ")
 
 
+def test_gen_cycle(capsys, tmp_path):
+    out_file = tmp_path / "c.wgf"
+    code, out, _ = run(capsys, "gen", "cycle", "aabab", "-o", str(out_file))
+    assert code == 0
+    assert out == "n=5 upsilon=1\n"
+
+
+@pytest.mark.parametrize(
+    "family, strings",
+    [("cycle", ["b"]), ("cycle", ["abbab"]), ("trie", ["ab", "ac"]), ("trie", ["a", "ba", "bab", "c"])],
+)
+def test_gen_upsilon_matches_built_index(capsys, tmp_path, family, strings):
+    out_file = tmp_path / "g.wgf"
+    code, out, _ = run(capsys, "gen", family, *strings, "-o", str(out_file))
+    assert code == 0
+    ix = build_index(parse_graph(out_file.read_text()))
+    assert out == f"n={ix.n} upsilon={ix.num_paths}\n"
+
+
 def test_gen_cycle_rejects_non_primitive(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "cycle", "aa", "-o", str(tmp_path / "c.wgf"))
     assert code == 2

@@ -16,9 +16,18 @@ from wgrindex import (
     validate_wheeler,
 )
 
-from wgrindex.graph import transform_order
+from wgrindex.graph import PathDecomposition, transform_order
 
-from helpers import G1_TEXT, exhaustive_axiom_check, reference_parse_graph
+from helpers import (
+    G1_TEXT,
+    assert_walk_matches_reference,
+    broken_cycle_graphs,
+    build_corpus,
+    exhaustive_axiom_check,
+    reference_decomposition,
+    reference_parse_graph,
+    shared_in_edge_graphs,
+)
 
 
 # --- strategies ---
@@ -323,47 +332,65 @@ def test_validate_witnesses_break_their_axioms(g):
 
 
 # --- decomposition ---
+#
+# The path lists are checked on helpers.reference_decomposition, which
+# lists every path; decompose_paths must agree with it (see the parity
+# properties below).
 
 def test_decompose_g1(g1):
-    d = decompose_paths(g1)
+    d = reference_decomposition(g1)
     assert d.paths == [[0, 1, 3, 2]]
     assert d.edge_paths == [[0, 1, 2]]
     assert d.num_paths == 1
     assert d.endpoints == frozenset({0, 2})
+    assert decompose_paths(g1) == PathDecomposition(interior=[1, 3], num_paths=1, break_ranks=[])
 
 
 def test_decompose_disjoint_pairs():
     g = WheelerGraph(n=4, edges=[(0, 2, 0), (1, 3, 0)])
-    d = decompose_paths(g)
+    d = reference_decomposition(g)
     assert d.paths == [[0, 2], [1, 3]]
     assert d.num_paths == 2
+    assert decompose_paths(g) == PathDecomposition(interior=[], num_paths=2, break_ranks=[])
 
 
 def test_decompose_breaks_cycle_at_min_rank():
     # a full cycle (not a Wheeler order; decomposition does not care)
     g = WheelerGraph(n=3, edges=[(1, 2, 0), (2, 0, 0), (0, 1, 0)])
-    d = decompose_paths(g)
+    d = reference_decomposition(g)
     assert d.paths == [[0, 1, 2, 0]]
     assert d.endpoints == frozenset({0})
+    assert decompose_paths(g) == PathDecomposition(interior=[1, 2], num_paths=1, break_ranks=[0])
 
 
 def test_decompose_self_loop():
     g = WheelerGraph(n=1, edges=[(0, 0, 0)])
-    d = decompose_paths(g)
+    d = reference_decomposition(g)
     assert d.paths == [[0, 0]]
+    assert decompose_paths(g) == PathDecomposition(interior=[], num_paths=1, break_ranks=[0])
 
 
 def test_decompose_isolated_vertices():
     g = WheelerGraph(n=3, edges=[(0, 2, 0)])
-    d = decompose_paths(g)
+    d = reference_decomposition(g)
     assert d.paths == [[0, 2], [1]]
     assert d.num_paths == 2
+    assert decompose_paths(g) == PathDecomposition(interior=[], num_paths=2, break_ranks=[])
+
+
+def test_decompose_cycles_beside_a_path():
+    # path 0 -> 1 -> 4 and the cycles 2 -> 5 -> 2 and 3 -> 3: the walk
+    # breaks each cycle at its least rank and re-walks in head order
+    g = WheelerGraph(n=6, edges=[(5, 2, 0), (0, 1, 0), (2, 5, 0), (3, 3, 0), (1, 4, 0)])
+    d = reference_decomposition(g)
+    assert d.paths == [[0, 1, 4], [2, 5, 2], [3, 3]]
+    assert decompose_paths(g) == PathDecomposition(interior=[1, 5], num_paths=3, break_ranks=[2, 3])
 
 
 @settings(max_examples=200)
 @given(arbitrary_graphs())
 def test_decompose_invariants(g):
-    d = decompose_paths(g)
+    d = reference_decomposition(g)
     # every edge on exactly one path
     all_edges = [e for path in d.edge_paths for e in path]
     assert sorted(all_edges) == list(range(g.m))
@@ -387,7 +414,28 @@ def test_decompose_invariants(g):
     keys = [(vs[0], pos[es[0]] if es else -1) for vs, es in zip(d.paths, d.edge_paths)]
     assert keys == sorted(keys)
     # deterministic
-    assert decompose_paths(g) == d
+    assert reference_decomposition(g) == d
+    assert decompose_paths(g) == decompose_paths(g)
+
+
+@settings(max_examples=300)
+@given(arbitrary_graphs())
+def test_walk_matches_reference_decomposition_arbitrary(g):
+    """On arbitrary multigraphs, where cycles sit beside paths and beside
+    each other far more often than in Wheeler graphs, the one walk lists
+    the reference's interior vertices in its order, counts its paths and
+    breaks its cycles, and the identifiers agree."""
+    assert_walk_matches_reference(g)
+
+
+def test_walk_matches_reference_decomposition_on_corpora():
+    """The same parity on the acceptance corpus and on Wheeler graphs with
+    cycles beside paths and with shared in-edges."""
+    graphs = [inst.graph for inst in build_corpus()]
+    cycles = broken_cycle_graphs(150, seed=23)
+    assert sum(len(decompose_paths(g).break_ranks) > 1 for g in cycles) > 10
+    for g in graphs + cycles + shared_in_edge_graphs(60, seed=29):
+        assert_walk_matches_reference(g)
 
 
 # --- identifier assignment ---
@@ -409,12 +457,13 @@ def test_assign_star_is_identity():
 def test_assign_invariants(g):
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
+    endpoints = reference_decomposition(g).endpoints
     # bijection
     assert sorted(ids.id_of_rank) == list(range(g.n))
     assert all(ids.id_of_rank[ids.rank_of_id[i]] == i for i in range(g.n))
     # +1 rule along edges whose both ends avoid every path endpoint
     for u, v, _ in g.edges:
-        if u not in d.endpoints and v not in d.endpoints:
+        if u not in endpoints and v not in endpoints:
             assert ids.id_of_rank[v] == ids.id_of_rank[u] + 1
     # deterministic
     assert assign_identifiers(g, d) == ids
