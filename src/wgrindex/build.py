@@ -22,10 +22,8 @@ from .graph import (
     IdAssignment,
     WheelerGraph,
     assign_identifiers,
-    break_cycles,
     decompose_paths,
     validate_wheeler,
-    walk_chains,
 )
 
 _FORMAT = "wgrindex"
@@ -509,11 +507,14 @@ def _cycle_count(sums: DegreeSums, exceptions: set[int], n: int, m: int, num_pat
     return num_paths - (m - n + len(exceptions)) - isolated
 
 
-def _cycle_breaks(rl: RLSequence, sums: DegreeSums, exceptions: set[int], n: int) -> list[int]:
+def _cycle_breaks(
+    rl: RLSequence, sums: DegreeSums, exceptions: set[int], pairs: dict[int, int], n: int, cycles: int
+) -> list[int]:
     """The break ranks of decompose_paths, which files before version 3 do
-    not store: its chain walk and cycle scan, on the chains that the checked
-    runs and degree sums give, with the exceptions' out-edges as the head
-    edges (their order does not change the ranks visited). O(m) rank steps."""
+    not store. assign_identifiers gives the path endpoints, the exceptions
+    and the breaks, the last len(exceptions) + cycles identifiers, and rule
+    M2 marks the edge into every break: the breaks are the ranks entered at
+    a marked position that holds such an identifier, less the exceptions."""
     in_ranks, in_after, f_label = sums.in_ranks, sums.in_after, sums.f_label
 
     def target(p: int) -> int:
@@ -526,18 +527,16 @@ def _cycle_breaks(rl: RLSequence, sums: DegreeSums, exceptions: set[int], n: int
         k = in_ranks[t - 1] + 1 + slot - in_after[t - 1] if t else slot
         return min(k, in_ranks[t]) if t < len(in_ranks) else k
 
-    out = sums.out_prefix
-    nxt = [-1 if k in exceptions else target(out(k)) for k in range(n)]
-    firsts = [target(p) for k in exceptions for p in range(out(k), out(k + 1))]
-    return break_cycles(nxt, walk_chains(nxt, firsts))
+    first = n - len(exceptions) - cycles
+    return sorted({target(p) for p, i in pairs.items() if i >= first}.difference(exceptions))
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index; also reads version-1 and version-2 files,
     which store (source id, destination id) pairs and no break ranks: their
     pairs are cut to the destinations and, when there are cycles, their
-    break ranks found by a walk (see _cycle_breaks); then one set of checks
-    runs for every version.
+    break ranks read off the marked destination identifiers (see
+    _cycle_breaks); then one set of checks runs for every version.
 
     Raises ValueError on foreign input and, as "corrupt index: ...", on a
     number that is not an int, on legacy marked_pairs that are not a list
@@ -623,7 +622,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         exceptions = set(sums.out_ranks).union(sums.in_ranks)
         cycles = _cycle_count(sums, exceptions, n, m, doc["num_paths"])
         if version < 3 and cycles > 0:
-            breaks = _cycle_breaks(rl, sums, exceptions, n)
+            breaks = _cycle_breaks(rl, sums, exceptions, pairs, n, cycles)
         if not _rising(breaks, n):
             raise ValueError("corrupt index: break_ranks is not strictly increasing within [0, n)")
         if len(breaks) != cycles:

@@ -18,6 +18,9 @@ from .graph import decompose_paths, parse_graph, to_wgf, validate_wheeler
 from .query import count, locate
 
 DEFAULT_MAP = string.ascii_lowercase
+GENERATORS = {
+    "string": gen_string_path, "cycle": gen_string_cycle, "multi": gen_multi_paths, "trie": gen_trie
+}
 
 
 def _read_graph(path: str):
@@ -79,19 +82,11 @@ def cmd_gen(args) -> int:
     seqs = [_map_pattern(a, args.map) for a in args.args]
     if any(s is None for s in seqs):
         raise ValueError(f"arguments must use characters from the map {args.map!r}")
-    if args.family == "string":
+    if args.family in ("string", "cycle"):
         if len(seqs) != 1:
-            raise ValueError("family 'string' takes exactly one string")
-        inst = gen_string_path(seqs[0])
-    elif args.family == "cycle":
-        if len(seqs) != 1:
-            raise ValueError("family 'cycle' takes exactly one string")
-        inst = gen_string_cycle(seqs[0])
-    elif args.family == "multi":
-        inst = gen_multi_paths(seqs)
-    else:
-        inst = gen_trie(seqs)
-    g = inst.graph
+            raise ValueError(f"family {args.family!r} takes exactly one string")
+        seqs = seqs[0]
+    g = GENERATORS[args.family](seqs).graph
     text = to_wgf(g)
     stats = f"n={g.n} upsilon={decompose_paths(g).num_paths}"
     if args.output:
@@ -140,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("gen", help="emit a generated WGF instance")
-    p.add_argument("family", choices=["string", "cycle", "multi", "trie"])
+    p.add_argument("family", choices=list(GENERATORS))
     p.add_argument("args", nargs="+", help="label strings (in map characters)")
     p.add_argument("-o", "--output", help="write the WGF here instead of stdout")
     p.add_argument("--map", default=DEFAULT_MAP)

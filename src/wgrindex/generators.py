@@ -3,13 +3,15 @@
 Each family orders its vertices co-lexicographically by the label string
 read along the walk into the vertex (last label compared first, empty
 string first), which satisfies the ordering axioms for chains, chain
-unions, cycles of primitive strings, and tries. Generated instances are
-deterministic functions of their parameters.
+unions, cycles of primitive strings, and tries. One suffix array gives
+that order in every family. Generated instances are deterministic
+functions of their parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .graph import WheelerGraph
@@ -57,96 +59,93 @@ def suffix_array(seq: Sequence[int]) -> list[int]:
     return out
 
 
-def gen_string_path(s: LabelString) -> GeneratedInstance:
-    """Chain graph spelling s; one decomposition path.
+def _colex_ranks(strings: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """ranks[p][i]: the co-lexicographic rank of the vertex after the first
+    i labels of strings[p], equal prefixes ranked by p. One suffix array
+    over the strings, each reversed with its labels shifted up by
+    k = len(strings) and closed by the separator p, gives them all: the
+    suffix i places before separator p reads that prefix backwards, then
+    p, and separators sort below every label and by p."""
+    k = len(strings)
+    text: list[int] = []
+    for p, s in enumerate(strings):
+        text.extend(c + k for c in reversed(s))
+        text.append(p)
+    sa = suffix_array(text)
+    inv = [0] * len(sa)
+    for r, start in enumerate(sa):
+        inv[start] = r
+    ranks, sep = [], -1
+    for s in strings:
+        sep += len(s) + 1
+        # + 0 allocates the rank ints anew in walking order, side by side in
+        # memory while sa holds its own: a build's chain walks run faster
+        ranks.append([inv[j] + 0 for j in range(sep, sep - len(s) - 1, -1)])
+    return ranks
 
-    Vertex i sits after the first i labels; its order key is that prefix
-    read co-lexicographically, i.e. the lexicographic rank of the matching
-    suffix of reversed(s), with the empty prefix first.
-    """
+
+def gen_string_path(s: LabelString) -> GeneratedInstance:
+    """Chain graph spelling s; one decomposition path. Vertex i sits after
+    the first i labels and is ranked by that prefix, as in gen_multi_paths."""
     s = tuple(s)
-    n = len(s)
-    sa = suffix_array(s[::-1])
-    inv = [0] * n
-    for p, start in enumerate(sa):
-        inv[start] = p
-    rank_of = [0] * (n + 1)
-    for i in range(1, n + 1):
-        rank_of[i] = 1 + inv[n - i]
-    edges = [(rank_of[i], rank_of[i + 1], s[i]) for i in range(n)]
-    g = WheelerGraph(n=n + 1, edges=edges)
-    return GeneratedInstance(g, f"string_path(len={n},sigma={g.sigma})")
+    g = gen_multi_paths([s]).graph
+    return GeneratedInstance(g, f"string_path(len={len(s)},sigma={g.sigma})")
 
 
 def is_primitive(s: LabelString) -> bool:
-    """True iff s is non-empty and not a repetition of a shorter string."""
+    """True iff s is non-empty and not a repetition of a shorter string: s
+    equals one of its rotations exactly when it equals the rotation by a
+    proper divisor of its length, so only those are compared."""
     s = tuple(s)
     n = len(s)
-    if n == 0:
-        return False
-    doubled = s + s
-    return all(doubled[i : i + n] != s for i in range(1, n))
+    return n > 0 and all(s[d:] + s[:d] != s for d in range(1, n) if n % d == 0)
 
 
 def gen_string_cycle(s: LabelString) -> GeneratedInstance:
-    """Cycle graph spelling s endlessly; one decomposition path.
-
-    Vertex i's order key is the last |s| labels of the walk into it, read
-    co-lexicographically. Primitivity makes those keys pairwise distinct;
-    non-primitive input is rejected because its order would be ambiguous.
-    """
+    """Cycle graph spelling s endlessly; one decomposition path. Vertex i's
+    order key is the last |s| labels of the walk into it, read
+    co-lexicographically: the rotation of reversed(s) from (n - i) mod n,
+    ranked by the suffix array of reversed(s) twice over. Primitivity makes
+    those keys pairwise distinct; non-primitive input is rejected because
+    its order would be ambiguous."""
     s = tuple(s)
     n = len(s)
     if not is_primitive(s):
         raise ValueError(f"cycle label string must be primitive, got {s!r}")
-    keys = [tuple(s[(i - 1 - t) % n] for t in range(n)) for i in range(n)]
-    order = sorted(range(n), key=keys.__getitem__)
     rank = [0] * n
-    for r, i in enumerate(order):
-        rank[i] = r
-    edges = [(rank[i], rank[(i + 1) % n], s[i]) for i in range(n)]
+    for r, start in enumerate(j for j in suffix_array(s[::-1] * 2) if j < n):
+        rank[(n - start) % n] = r
+    edges = list(zip(rank, rank[1:] + rank[:1], s))
     g = WheelerGraph(n=n, edges=edges)
     return GeneratedInstance(g, f"string_cycle(len={n},sigma={g.sigma})")
 
 
 def gen_multi_paths(strings: Sequence[LabelString]) -> GeneratedInstance:
     """Disjoint union of string paths; one decomposition path per string.
-
-    Order keys merge across components; ties between equal prefixes are
-    broken by input position, which keeps the axioms satisfied.
-    """
+    Equal prefixes are ranked by input position (see _colex_ranks)."""
     if not strings:
         raise ValueError("need at least one string")
     strs = [tuple(s) for s in strings]
-    verts: list[tuple[tuple[int, ...], int, int]] = []
-    for p, s in enumerate(strs):
-        for i in range(len(s) + 1):
-            verts.append((s[:i][::-1], p, i))
-    verts.sort(key=lambda t: (t[0], t[1]))
-    rank = {(p, i): r for r, (_, p, i) in enumerate(verts)}
-    edges = []
-    for p, s in enumerate(strs):
-        for i, lab in enumerate(s):
-            edges.append((rank[(p, i)], rank[(p, i + 1)], lab))
-    g = WheelerGraph(n=len(verts), edges=edges)
+    edges = [e for s, r in zip(strs, _colex_ranks(strs)) for e in zip(r, r[1:], s)]
+    g = WheelerGraph(n=sum(map(len, strs)) + len(strs), edges=edges)
     return GeneratedInstance(g, f"multi_paths(k={len(strs)},n={g.n},sigma={g.sigma})")
 
 
 def gen_trie(strings: Sequence[LabelString]) -> GeneratedInstance:
-    """Trie of the strings, edges labelled by the child's character.
-
-    Vertices are the distinct prefixes ordered co-lexicographically with
-    the root first; duplicates in the input are allowed and collapse.
-    """
+    """Trie of the strings, edges listed by child rank and labelled by the
+    child's character. Vertices are the distinct prefixes, root first, and
+    duplicates collapse. Each is named by the _colex_ranks rank of the first
+    prefix that reaches it; equal prefixes are neighbours there, so the
+    names sort as the prefixes do co-lexicographically."""
     if not strings:
         raise ValueError("need at least one string")
-    nodes: set[tuple[int, ...]] = {()}
-    for s in strings:
-        t = tuple(s)
-        for i in range(1, len(t) + 1):
-            nodes.add(t[:i])
-    ordered = sorted(nodes, key=lambda w: w[::-1])
-    rank = {w: r for r, w in enumerate(ordered)}
-    edges = [(rank[w[:-1]], rank[w], w[-1]) for w in ordered if w]
-    g = WheelerGraph(n=len(ordered), edges=edges)
-    return GeneratedInstance(g, f"trie(k={len(strings)},n={g.n},sigma={g.sigma})")
+    strs = [tuple(s) for s in strings]
+    arcs: dict[tuple[int, int], int] = {}  # (parent name, label) -> child name
+    for s, names in zip(strs, _colex_ranks(strs)):
+        v = 0  # the root: the empty prefix of the first string
+        for c, name in zip(s, names[1:]):
+            v = arcs.setdefault((v, c), name)
+    rank = {v: r for r, v in enumerate(sorted([0, *arcs.values()]))}
+    edges = sorted(((rank[u], rank[v], c) for (u, c), v in arcs.items()), key=itemgetter(1))
+    g = WheelerGraph(n=len(rank), edges=edges)
+    return GeneratedInstance(g, f"trie(k={len(strs)},n={g.n},sigma={g.sigma})")

@@ -306,35 +306,6 @@ class PathDecomposition:
     break_ranks: list[int]
 
 
-def walk_chains(nxt: list[int], firsts) -> list[int]:
-    """The ranks passed when following nxt from each rank of firsts while
-    it is not -1: the interior ranks of the chains entered there."""
-    interior: list[int] = []
-    for v in firsts:
-        while nxt[v] >= 0:
-            interior.append(v)
-            v = nxt[v]
-    return interior
-
-
-def break_cycles(nxt: list[int], interior: list[int]) -> list[int]:
-    """The least rank of each cycle among the ranks with nxt not -1 that
-    interior leaves out, ascending: a scan in rank order meets each cycle
-    first there. Each gets nxt -1, which opens its cycle into a chain."""
-    seen = bytearray(len(nxt))
-    for k in interior:
-        seen[k] = 1
-    breaks: list[int] = []
-    for k in range(len(nxt)):
-        if nxt[k] >= 0 and not seen[k]:
-            breaks.append(k)
-            while not seen[k]:
-                seen[k] = 1
-                k = nxt[k]
-            nxt[k] = -1  # k is back at the break
-    return breaks
-
-
 def decompose_paths(g: WheelerGraph) -> PathDecomposition:
     """Split the edge set into maximal chains with one walk.
 
@@ -342,24 +313,37 @@ def decompose_paths(g: WheelerGraph) -> PathDecomposition:
     and out-degree 1; nxt[v] is then w, and -1 elsewhere. The walk follows
     nxt from the head edges, those leaving a rank with nxt -1, taken in
     transform order (source, destination, index). Ranks with nxt that it
-    misses lie on cycles: break_cycles opens each, and the walk reruns.
+    misses lie on cycles: a scan in rank order meets each cycle first at
+    its least rank, which becomes a break rank with nxt -1, opening the
+    cycle into a chain, and the walk reruns.
     """
     n, edges, ins, outs = g.n, g.edges, g.in_degrees, g.out_degrees
     nxt = [-1] * n
     for u, v, _ in edges:
         if ins[u] == 1 == outs[u]:
             nxt[u] = v
-
-    def walk() -> tuple[int, list[int]]:
+    breaks: list[int] = []
+    while True:
         heads = sorted((u, v, i) for i, (u, v, _) in enumerate(edges) if nxt[u] < 0)
-        return len(heads), walk_chains(nxt, map(itemgetter(1), heads))
-
-    num_heads, interior = walk()
-    breaks = break_cycles(nxt, interior) if len(interior) < n - nxt.count(-1) else []
-    if breaks:
-        num_heads, interior = walk()
+        interior: list[int] = []
+        for v in map(itemgetter(1), heads):
+            while nxt[v] >= 0:
+                interior.append(v)
+                v = nxt[v]
+        if breaks or len(interior) == n - nxt.count(-1):
+            break
+        seen = bytearray(n)
+        for k in interior:
+            seen[k] = 1
+        for k in range(n):
+            if nxt[k] >= 0 and not seen[k]:
+                breaks.append(k)
+                while not seen[k]:
+                    seen[k] = 1
+                    k = nxt[k]
+                nxt[k] = -1  # k is back at the break
     isolated = list(map(or_, ins, outs)).count(0)
-    return PathDecomposition(interior, num_heads + isolated, breaks)
+    return PathDecomposition(interior, len(heads) + isolated, breaks)
 
 
 @dataclass

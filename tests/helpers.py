@@ -45,6 +45,7 @@ from wgrindex import (
     locate,
     naive_match,
     step_toehold,
+    suffix_array,
     validate_wheeler,
 )
 from wgrindex import oracle
@@ -409,42 +410,121 @@ def random_label_string(rng: random.Random, sigma: int, lo: int, hi: int) -> tup
     return tuple(rng.randrange(sigma) for _ in range(rng.randint(lo, hi)))
 
 
-def build_corpus(seed: int = 20260810) -> list[Instance]:
-    """Deterministic mix of >= 1000 instances across all families.
+# The generators as they were before one suffix array ranked every family:
+# each sorts materialised reversed prefixes or rotations, O(sum |s|^2)
+# memory (O(n^2) for a cycle), so they suit small inputs only.
 
-    Sizes run up to n = 200 and alphabets up to sigma = 4; the bulk of the
-    corpus is kept small so the exhaustive pattern sweep stays fast.
-    """
+def reference_string_path(s) -> GeneratedInstance:
+    s = tuple(s)
+    n = len(s)
+    sa = suffix_array(s[::-1])
+    inv = [0] * n
+    for p, start in enumerate(sa):
+        inv[start] = p
+    rank_of = [0] * (n + 1)
+    for i in range(1, n + 1):
+        rank_of[i] = 1 + inv[n - i]
+    edges = [(rank_of[i], rank_of[i + 1], s[i]) for i in range(n)]
+    g = WheelerGraph(n=n + 1, edges=edges)
+    return GeneratedInstance(g, f"string_path(len={n},sigma={g.sigma})")
+
+
+def reference_is_primitive(s) -> bool:
+    """Non-empty and unequal to each of its proper rotations."""
+    s = tuple(s)
+    n = len(s)
+    if n == 0:
+        return False
+    doubled = s + s
+    return all(doubled[i : i + n] != s for i in range(1, n))
+
+
+def reference_string_cycle(s) -> GeneratedInstance:
+    s = tuple(s)
+    n = len(s)
+    if not reference_is_primitive(s):
+        raise ValueError(f"cycle label string must be primitive, got {s!r}")
+    keys = [tuple(s[(i - 1 - t) % n] for t in range(n)) for i in range(n)]
+    order = sorted(range(n), key=keys.__getitem__)
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+    edges = [(rank[i], rank[(i + 1) % n], s[i]) for i in range(n)]
+    g = WheelerGraph(n=n, edges=edges)
+    return GeneratedInstance(g, f"string_cycle(len={n},sigma={g.sigma})")
+
+
+def reference_multi_paths(strings) -> GeneratedInstance:
+    if not strings:
+        raise ValueError("need at least one string")
+    strs = [tuple(s) for s in strings]
+    verts: list[tuple[tuple[int, ...], int, int]] = []
+    for p, s in enumerate(strs):
+        for i in range(len(s) + 1):
+            verts.append((s[:i][::-1], p, i))
+    verts.sort(key=lambda t: (t[0], t[1]))
+    rank = {(p, i): r for r, (_, p, i) in enumerate(verts)}
+    edges = []
+    for p, s in enumerate(strs):
+        for i, lab in enumerate(s):
+            edges.append((rank[(p, i)], rank[(p, i + 1)], lab))
+    g = WheelerGraph(n=len(verts), edges=edges)
+    return GeneratedInstance(g, f"multi_paths(k={len(strs)},n={g.n},sigma={g.sigma})")
+
+
+def reference_trie(strings) -> GeneratedInstance:
+    if not strings:
+        raise ValueError("need at least one string")
+    nodes: set[tuple[int, ...]] = {()}
+    for s in strings:
+        t = tuple(s)
+        for i in range(1, len(t) + 1):
+            nodes.add(t[:i])
+    ordered = sorted(nodes, key=lambda w: w[::-1])
+    rank = {w: r for r, w in enumerate(ordered)}
+    edges = [(rank[w[:-1]], rank[w], w[-1]) for w in ordered if w]
+    g = WheelerGraph(n=len(ordered), edges=edges)
+    return GeneratedInstance(g, f"trie(k={len(strings)},n={g.n},sigma={g.sigma})")
+
+
+# family -> (generator, its reference); string and cycle take one string,
+# multi and trie a list of them.
+FAMILIES = {
+    "string": (gen_string_path, reference_string_path),
+    "cycle": (gen_string_cycle, reference_string_cycle),
+    "multi": (gen_multi_paths, reference_multi_paths),
+    "trie": (gen_trie, reference_trie),
+}
+
+
+def corpus_inputs(seed: int = 20260810) -> list[tuple[str, object]]:
+    """The (family, generator argument) pairs of build_corpus, in order."""
     rng = random.Random(seed)
-    out: list[Instance] = []
-
-    def add(family: str, gi: GeneratedInstance) -> None:
-        out.append(make_instance(family, gi))
-
-    # Hand-picked edge cases.
-    add("string", gen_string_path(()))
-    add("string", gen_string_path((0,)))
-    add("string", gen_string_path((0, 0, 0, 0)))
-    add("string", gen_string_path(labels_from_ascii("aba")))
-    add("cycle", gen_string_cycle((0,)))
-    add("cycle", gen_string_cycle((0, 1)))
-    add("multi", gen_multi_paths([(), (0,)]))
-    add("multi", gen_multi_paths([(0, 1), (0, 1)]))
-    add("multi", gen_multi_paths([(0, 1, 0, 0), (1, 1, 0, 0)]))  # unmarked +1 step
-    add("multi", gen_multi_paths([()]))
-    add("trie", gen_trie([()]))
-    add("trie", gen_trie([(0, 1), (0, 2)]))
-
+    out: list[tuple[str, object]] = [
+        # Hand-picked edge cases.
+        ("string", ()),
+        ("string", (0,)),
+        ("string", (0, 0, 0, 0)),
+        ("string", labels_from_ascii("aba")),
+        ("cycle", (0,)),
+        ("cycle", (0, 1)),
+        ("multi", [(), (0,)]),
+        ("multi", [(0, 1), (0, 1)]),
+        ("multi", [(0, 1, 0, 0), (1, 1, 0, 0)]),  # unmarked +1 step
+        ("multi", [()]),
+        ("trie", [()]),
+        ("trie", [(0, 1), (0, 2)]),
+    ]
     for _ in range(60):
-        add("string", gen_string_path(random_label_string(rng, 1, 0, 60)))
+        out.append(("string", random_label_string(rng, 1, 0, 60)))
     for _ in range(400):
-        add("string", gen_string_path(random_label_string(rng, 2, 1, 40)))
+        out.append(("string", random_label_string(rng, 2, 1, 40)))
     for _ in range(30):
-        add("string", gen_string_path(random_label_string(rng, 2, 150, 199)))
+        out.append(("string", random_label_string(rng, 2, 150, 199)))
     for _ in range(120):
-        add("string", gen_string_path(random_label_string(rng, 3, 1, 25)))
+        out.append(("string", random_label_string(rng, 3, 1, 25)))
     for _ in range(40):
-        add("string", gen_string_path(random_label_string(rng, 4, 1, 15)))
+        out.append(("string", random_label_string(rng, 4, 1, 15)))
     for _ in range(100):
         sigma = rng.randint(1, 3)
         if sigma == 1:
@@ -454,16 +534,25 @@ def build_corpus(seed: int = 20260810) -> list[Instance]:
                 s = random_label_string(rng, sigma, 2, 30)
                 if is_primitive(s):
                     break
-        add("cycle", gen_string_cycle(s))
+        out.append(("cycle", s))
     for _ in range(150):
         k = rng.randint(2, 6)
         sigma = rng.randint(1, 3)
-        add("multi", gen_multi_paths([random_label_string(rng, sigma, 0, 12) for _ in range(k)]))
+        out.append(("multi", [random_label_string(rng, sigma, 0, 12) for _ in range(k)]))
     for _ in range(130):
         k = rng.randint(3, 20)
         sigma = rng.randint(2, 3)
-        add("trie", gen_trie([random_label_string(rng, sigma, 0, 8) for _ in range(k)]))
+        out.append(("trie", [random_label_string(rng, sigma, 0, 8) for _ in range(k)]))
     return out
+
+
+def build_corpus(seed: int = 20260810) -> list[Instance]:
+    """Deterministic mix of >= 1000 instances across all families.
+
+    Sizes run up to n = 200 and alphabets up to sigma = 4; the bulk of the
+    corpus is kept small so the exhaustive pattern sweep stays fast.
+    """
+    return [make_instance(family, FAMILIES[family][0](arg)) for family, arg in corpus_inputs(seed)]
 
 
 @dataclass

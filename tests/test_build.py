@@ -775,14 +775,29 @@ def test_deserialize_rejects_impossible_break_ranks(breaks, fragment):
 
 
 def test_version_2_load_finds_the_break_ranks():
-    """A version-2 file stores no break ranks; loading it walks the chains
-    to find them, also beside other paths and cycles."""
+    """A version-2 file stores no break ranks; loading it reads them off the
+    marked destination identifiers, also beside other paths and cycles."""
     graphs = broken_cycle_graphs(40, seed=5)
     assert any(len(build_index(g).break_ranks) > 1 for g in graphs)
     for g in graphs:
         ix = build_index(g)
         doc = as_version_2(json.loads(serialize_index(ix)))
         assert deserialize_index(json.dumps(doc).encode("ascii")) == ix
+
+
+@pytest.mark.parametrize("interior_id", [0, 1])
+def test_version_2_load_rejects_a_lowered_break_identifier(interior_id):
+    # the break rank of the "abb" cycle holds the endpoint identifier 2; with
+    # the id stored at its in-edge lowered to an interior one, a load that
+    # walked the chains still found the break, and locate answered "a",
+    # "ba", "bba" and "abba" wrong
+    ix = build_index(ABB_CYCLE)
+    doc = json.loads(serialize_index(ix))
+    # the break is the only endpoint, so its identifier is n - 1 = 2
+    assert ix.break_ranks == [0] and doc["marked_pairs"] == [0, 1, 2]
+    doc["marked_pairs"][2] = interior_id
+    with pytest.raises(ValueError, match="corrupt index: break_ranks has 0 entries, num_paths"):
+        deserialize_index(json.dumps(as_version_2(doc)).encode("ascii"))
 
 
 @pytest.mark.parametrize("graph, num_paths", [(ABBA, 0), (ABBA, 2), (ABB_CYCLE, 0), (ABB_CYCLE, 2)],

@@ -261,6 +261,13 @@ def test_gen_cycle_rejects_non_primitive(capsys, tmp_path):
     assert "primitive" in err
 
 
+@pytest.mark.parametrize("family", ["string", "cycle"])
+def test_gen_one_string_family_rejects_two(capsys, family):
+    code, out, err = run(capsys, "gen", family, "ab", "ba")
+    assert code == 2 and out == ""
+    assert f"family '{family}' takes exactly one string" in err
+
+
 def test_gen_unknown_family(capsys):
     code, _, _ = run(capsys, "gen", "debruijn", "ab")
     assert code == 2

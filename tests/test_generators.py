@@ -17,7 +17,14 @@ from wgrindex import (
     validate_wheeler,
 )
 
-from helpers import labels_from_ascii, naive_runs, random_patterns
+from helpers import (
+    FAMILIES,
+    corpus_inputs,
+    labels_from_ascii,
+    naive_runs,
+    random_patterns,
+    reference_is_primitive,
+)
 
 label_strings = st.lists(st.integers(0, 3), max_size=14).map(tuple)
 
@@ -115,6 +122,30 @@ def test_is_primitive():
     assert not is_primitive(())
 
 
+@settings(max_examples=300)
+@given(st.one_of(
+    label_strings,
+    st.tuples(st.lists(st.integers(0, 2), min_size=1, max_size=5), st.integers(1, 6))
+    .map(lambda t: tuple(t[0]) * t[1]),
+))
+def test_is_primitive_matches_all_rotations(s):
+    """Comparing the rotations by proper divisors of the length decides as
+    comparing every rotation does."""
+    assert is_primitive(s) == reference_is_primitive(s)
+
+
+def test_cycle_of_a_long_primitive_string():
+    # one suffix array of 60k symbols; sorting all-label rotation keys
+    # would need about n^2 = 9e8 labels
+    s = (1,) + (0,) * 29_999
+    g = gen_string_cycle(s).graph
+    assert (g.n, g.m) == (30_000, 30_000)
+    # co-lex order: vertex 0, entered after n - 1 zeros, is first; vertex 1,
+    # entered by the 1, is last; vertex 2 is the last one entered by a 0
+    assert g.edges[:2] == [(0, g.n - 1, 1), (g.n - 1, g.n - 2, 0)]
+    assert validate_wheeler(g).is_wheeler
+
+
 # --- multi paths ---
 
 def test_multi_duplicate_strings():
@@ -169,6 +200,50 @@ def test_trie_valid_and_oracle_equivalent(strs, seed):
     ix = build_index(g)
     for pat in random_patterns(g, 5, seed, count=8):
         assert count(ix, pat) == len(naive_match(g, pat))
+
+
+# --- parity with the generators that sort materialised keys ---
+
+def generated_or_error(gen, arg):
+    try:
+        return gen(arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 3), max_size=40).map(tuple))
+def test_string_path_matches_reference(s):
+    gen, ref = FAMILIES["string"]
+    assert gen(s) == ref(s)
+
+
+@settings(max_examples=200)
+@given(st.one_of(label_strings, label_strings.map(lambda s: s * 2)))
+def test_string_cycle_matches_reference(s):
+    gen, ref = FAMILIES["cycle"]
+    assert generated_or_error(gen, s) == generated_or_error(ref, s)
+
+
+@settings(max_examples=200)
+@given(st.lists(label_strings, max_size=6))
+def test_multi_paths_match_reference(strs):
+    gen, ref = FAMILIES["multi"]
+    assert generated_or_error(gen, strs) == generated_or_error(ref, strs)
+
+
+@settings(max_examples=200)
+@given(st.lists(label_strings, max_size=20))
+def test_trie_matches_reference(strs):
+    gen, ref = FAMILIES["trie"]
+    assert generated_or_error(gen, strs) == generated_or_error(ref, strs)
+
+
+def test_corpus_inputs_generate_as_the_references_do():
+    """Same graphs, edge order and provenance on every input of build_corpus."""
+    for family, arg in corpus_inputs():
+        gen, ref = FAMILIES[family]
+        assert gen(arg) == ref(arg), (family, arg)
 
 
 # --- random patterns ---
