@@ -9,7 +9,6 @@ edge-disjoint chain decomposition, not by the text-like size of the graph.
 
 from .build import (
     DegreeSums,
-    GraphBwt,
     PhiStructure,
     RLSequence,
     SpaceReport,

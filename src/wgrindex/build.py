@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, pairwise
+from itertools import accumulate, compress, pairwise, repeat
 from functools import partial
-from operator import eq, gt, is_not, itemgetter, lt, ne
+from operator import eq, ge, gt, is_not, itemgetter, lt, ne, sub
 
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
@@ -32,26 +32,15 @@ _INT = frozenset((int,))
 _INT_OR_NONE = frozenset((int, type(None)))
 
 
-@dataclass
-class GraphBwt:
-    """Edge labels sorted by (source rank, destination rank, input order).
-
-    labels[p] is the label at position p and order[p] the index in g.edges
-    of the edge holding that position.
-    """
-
-    labels: list[int]
-    order: list[int]
-
-
-def build_bwt(g: WheelerGraph) -> GraphBwt:
-    """Edge labels in the transform order that validation scanned; rejects invalid orders."""
+def build_bwt(g: WheelerGraph) -> list[int]:
+    """The transform order that validation scanned: order[p] is the index in
+    g.edges of the edge at position p, sorted by (source rank, destination
+    rank, input order). Rejects invalid orders."""
     report = validate_wheeler(g)
     if not report.is_wheeler:
         detail = "; ".join(str(v) for v in report.violations)
         raise NotWheelerError(f"input numbering is not a Wheeler order: {detail}")
-    edges = g.edges
-    return GraphBwt(labels=[edges[i][2] for i in report.order], order=report.order)
+    return report.order
 
 
 @dataclass
@@ -109,10 +98,11 @@ class RLSequence:
         return starts[t] + (k - cums[t])
 
 
-def build_rank_select(b: GraphBwt) -> RLSequence:
-    """Rank/select directories over the transform's runs; a run starts
-    wherever the label differs from the one before."""
-    labels = b.labels
+def build_rank_select(g: WheelerGraph, order: list[int]) -> RLSequence:
+    """Rank/select directories over the runs of the edge labels in transform
+    order; a run starts wherever the label differs from the one before."""
+    edges = g.edges
+    labels = [edges[i][2] for i in order]
     run_starts = list(compress(range(len(labels)), map(ne, [None] + labels, labels)))
     run_labels = [labels[p] for p in run_starts]
     return RLSequence(length=len(labels), run_starts=run_starts, run_labels=run_labels)
@@ -138,20 +128,20 @@ class DegreeSums:
 
     @classmethod
     def from_degrees(cls, out_degrees, in_degrees, f_label: list[int]) -> "DegreeSums":
-        def exceptions(degrees) -> tuple[list[int], list[int]]:
-            ranks = [k for k, d in enumerate(degrees) if d != 1]
-            # The prefix after rank k is k + 1 plus the excess (d - 1) of the
-            # exceptions up to k; every other rank adds exactly 1.
-            excess = accumulate(degrees[k] - 1 for k in ranks)
-            return ranks, [k + 1 + x for k, x in zip(ranks, excess)]
-
-        out_ranks, out_after = exceptions(out_degrees)
-        in_ranks, in_after = exceptions(in_degrees)
-        return cls(out_ranks, out_after, in_ranks, in_after, f_label)
+        return cls(*_exceptions(out_degrees), *_exceptions(in_degrees), f_label)
 
     def out_prefix(self, k: int) -> int:
         """Out-edges leaving ranks below k."""
         return _prefix(self.out_ranks, self.out_after, k)
+
+
+def _exceptions(degrees) -> tuple[list[int], list[int]]:
+    """One side's exception ranks and the prefix sum just after each."""
+    ranks = [k for k, d in enumerate(degrees) if d != 1]
+    # The prefix after rank k is k + 1 plus the excess (d - 1) of the
+    # exceptions up to k; every other rank adds exactly 1.
+    excess = accumulate(degrees[k] - 1 for k in ranks)
+    return ranks, [k + 1 + x for k, x in zip(ranks, excess)]
 
 
 def _prefix(ranks: list[int], after: list[int], k: int) -> int:
@@ -215,13 +205,13 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
 def build_toehold(
     g: WheelerGraph,
     ids: IdAssignment,
-    b: GraphBwt,
+    order: list[int],
     rl: RLSequence,
     sums: DegreeSums,
     break_ranks: list[int],
 ) -> ToeholdTable:
     """Record the destination identifier of the edge at each position _required_marks names."""
-    edges, order, id_of = g.edges, b.order, ids.id_of_rank
+    edges, id_of = g.edges, ids.id_of_rank
     marks = sorted(_required_marks(rl, sums, break_ranks))
     return ToeholdTable(pairs={p: id_of[edges[order[p]][1]] for p in marks})
 
@@ -294,10 +284,10 @@ class WheelerRIndex:
 
 def build_index(g: WheelerGraph) -> WheelerRIndex:
     """Validate, decompose, assign identifiers and build all components."""
-    b = build_bwt(g)  # raises NotWheelerError on a bad order
+    order = build_bwt(g)  # raises NotWheelerError on a bad order
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
-    rl = build_rank_select(b)
+    rl = build_rank_select(g, order)
     sums = build_partial_sums(g, rl)
     return WheelerRIndex(
         n=g.n,
@@ -309,7 +299,7 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
         last_rank_id=ids.id_of_rank[g.n - 1] if g.n else None,
         rl=rl,
         sums=sums,
-        toehold=build_toehold(g, ids, b, rl, sums, d.break_ranks),
+        toehold=build_toehold(g, ids, order, rl, sums, d.break_ranks),
         phi=build_phi(ids),
     )
 
@@ -463,29 +453,41 @@ def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: 
         raise ValueError(f"corrupt index: {name} totals {total} edges, m = {m}")
 
 
-def _load_degree_sums(doc: dict, version: int) -> DegreeSums:
-    """The checked degree sums of an index document. Version 1 holds dense
-    n + 1 prefix arrays, which become degree lists; later versions hold the
+def _upgrade(doc: dict, version: int) -> None:
+    """Rewrite a version-1 or version-2 document into version-3 fields, so
+    one set of checks serves every version. Both store (source id,
+    destination id) pairs, cut to the destinations, and no break ranks,
+    None here. Version 1 stores dense n + 1 prefix arrays, cut to the
+    exceptions."""
+    if version == _VERSION:
+        return
+    pair_lists = doc["marked_pairs"]
+    well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
+    if not well_formed or set(map(len, pair_lists)) - {2}:
+        raise ValueError("corrupt index: marked_pairs is not a list of pairs")
+    doc["marked_pairs"] = list(map(itemgetter(1), pair_lists))  # source ids go unread
+    doc["break_ranks"] = None
+    for name in ("out_prefix", "in_prefix") if version == 1 else ():
+        arr = doc[name]
+        _check_ints(name, arr)
+        if len(arr) != doc["n"] + 1:
+            raise ValueError(
+                f"corrupt index: {name} has {len(arr)} entries, n + 1 gives {doc['n'] + 1}"
+            )
+        doc[name] = _interleave(*_exceptions(list(map(sub, arr[1:], arr))))
+
+
+def _load_degree_sums(doc: dict) -> DegreeSums:
+    """The checked degree sums of an index document, which holds each side's
     exceptions as interleaved (rank, prefix after it) pairs."""
     n, m, f_label = doc["n"], doc["m"], doc["f_label"]
     sides = []
     for name in ("out_prefix", "in_prefix"):
         arr = doc[name]
-        if version == 1:
-            if len(arr) != n + 1:
-                raise ValueError(
-                    f"corrupt index: {name} has {len(arr)} entries, n + 1 gives {n + 1}"
-                )
-            sides.append([b - a for a, b in zip(arr, arr[1:])])
-        elif len(arr) % 2:
+        if len(arr) % 2:
             raise ValueError(f"corrupt index: {name} has odd length {len(arr)}")
-        else:
-            sides.append((arr[0::2], arr[1::2]))
-    if version == 1:
-        sums = DegreeSums.from_degrees(*sides, f_label)
-    else:
-        (out_ranks, out_after), (in_ranks, in_after) = sides
-        sums = DegreeSums(out_ranks, out_after, in_ranks, in_after, f_label)
+        sides += arr[0::2], arr[1::2]
+    sums = DegreeSums(*sides, f_label)
     _check_exceptions("out_prefix", sums.out_ranks, sums.out_after, n, m)
     _check_exceptions("in_prefix", sums.in_ranks, sums.in_after, n, m)
     if not f_label or f_label[0] != 0 or f_label[-1] != m or any(map(gt, f_label, f_label[1:])):
@@ -507,36 +509,26 @@ def _cycle_count(sums: DegreeSums, exceptions: set[int], n: int, m: int, num_pat
     return num_paths - (m - n + len(exceptions)) - isolated
 
 
-def _cycle_breaks(
-    rl: RLSequence, sums: DegreeSums, exceptions: set[int], pairs: dict[int, int], n: int, cycles: int
-) -> list[int]:
-    """The break ranks of decompose_paths, which files before version 3 do
-    not store. assign_identifiers gives the path endpoints, the exceptions
-    and the breaks, the last len(exceptions) + cycles identifiers, and rule
-    M2 marks the edge into every break: the breaks are the ranks entered at
-    a marked position that holds such an identifier, less the exceptions."""
+def _entered_ranks(rl: RLSequence, sums: DegreeSums, positions: list[int]) -> list[int]:
+    """The rank that the edge at each position enters: the rank holding its
+    in-slot, clamped at in-degree exceptions as in query._refine."""
     in_ranks, in_after, f_label = sums.in_ranks, sums.in_after, sums.f_label
 
     def target(p: int) -> int:
-        """Rank of the destination of the edge at position p: the rank
-        holding its in-slot, clamped at in-degree exceptions as in
-        query._refine."""
         c = rl.run_labels[bisect_right(rl.run_starts, p) - 1]
         slot = f_label[c] + rl.rank(c, p)
         t = bisect_right(in_after, slot)
         k = in_ranks[t - 1] + 1 + slot - in_after[t - 1] if t else slot
         return min(k, in_ranks[t]) if t < len(in_ranks) else k
 
-    first = n - len(exceptions) - cycles
-    return sorted({target(p) for p, i in pairs.items() if i >= first}.difference(exceptions))
+    return list(map(target, positions))
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index; also reads version-1 and version-2 files,
-    which store (source id, destination id) pairs and no break ranks: their
-    pairs are cut to the destinations and, when there are cycles, their
-    break ranks read off the marked destination identifiers (see
-    _cycle_breaks); then one set of checks runs for every version.
+    which _upgrade rewrites into version-3 fields before one set of checks
+    runs for every version. The break ranks are read off the marked
+    destination identifiers; a stored list must equal them.
 
     Raises ValueError on foreign input and, as "corrupt index: ...", on a
     number that is not an int, on legacy marked_pairs that are not a list
@@ -549,10 +541,12 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     summing to m, on a run label outside [0, sigma), on run_starts not
     rising strictly from 0 within [0, m), on two neighbouring runs with the
     same label, on f_label not rising from 0 to m or disagreeing with the
-    runs, on break_ranks not strictly increasing within [0, n), not one per
-    cycle (see _cycle_count) or holding a rank whose degree is not 1, on a
+    runs, on break_ranks not one per cycle (see _cycle_count) or other than
+    the ranks of degree 1 that marked endpoint identifiers enter, on a
     position that _required_marks names for the ranks whose degree is not 1
-    and the break ranks missing from marked_positions, and on a
+    and the break ranks missing from marked_positions, on a mark holding an
+    endpoint identifier other than that of the rank its edge enters, on an
+    edge into an endpoint whose mark holds an interior identifier, and on a
     last_rank_id other than the one stored at in-slot m - 1."""
     try:
         doc = json.loads(data)
@@ -564,19 +558,16 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     if type(version) is not int or not 1 <= version <= _VERSION:
         raise ValueError(f"unsupported index version {version!r}")
     try:
-        if version < 3:
-            pair_lists = doc["marked_pairs"]
-            well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
-            if not well_formed or set(map(len, pair_lists)) - {2}:
-                raise ValueError("corrupt index: marked_pairs is not a list of pairs")
-            doc["marked_pairs"] = list(map(itemgetter(1), pair_lists))  # source ids go unread
-            doc["break_ranks"] = []  # replaced below when there are cycles
+        _upgrade(doc, version)
         _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
         _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
         for name in ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
-                     "marked_positions", "marked_pairs", "break_ranks", "anchor_ids"):
+                     "marked_positions", "marked_pairs", "anchor_ids"):
             _check_ints(name, doc[name])
         _check_ints("pred_ids", doc["pred_ids"], _INT_OR_NONE)
+        stored = doc["break_ranks"]
+        if stored is not None:  # None: a file that stores no break ranks
+            _check_ints("break_ranks", stored)
 
         n, m = doc["n"], doc["m"]
         for name, other, want in (
@@ -590,7 +581,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
                 raise ValueError(
                     f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}"
                 )
-        positions, dests, breaks = doc["marked_positions"], doc["marked_pairs"], doc["break_ranks"]
+        positions, dests = doc["marked_positions"], doc["marked_pairs"]
         run_starts, run_labels = doc["run_starts"], doc["run_labels"]
         anchor_ids, pred_ids = doc["anchor_ids"], doc["pred_ids"]
         known = list(filter(partial(is_not, None), pred_ids))
@@ -608,7 +599,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
         _check_ids("marked_pairs", dests, n)
         pairs = dict(zip(positions, dests))
-        sums = _load_degree_sums(doc, version)
+        sums = _load_degree_sums(doc)
         rl = RLSequence(length=m, run_starts=run_starts, run_labels=run_labels)
         stray = [c for c in rl.runs_of if not 0 <= c < doc["sigma"]]
         if stray:
@@ -621,21 +612,34 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
         exceptions = set(sums.out_ranks).union(sums.in_ranks)
         cycles = _cycle_count(sums, exceptions, n, m, doc["num_paths"])
-        if version < 3 and cycles > 0:
-            breaks = _cycle_breaks(rl, sums, exceptions, pairs, n, cycles)
-        if not _rising(breaks, n):
-            raise ValueError("corrupt index: break_ranks is not strictly increasing within [0, n)")
-        if len(breaks) != cycles:
+        # assign_identifiers gives the path endpoints, the exceptions and one
+        # break per cycle, the identifiers from first up in rank order, and
+        # rule M2 marks every edge into one: the breaks are the ranks entered
+        # at a mark that holds such an identifier, less the exceptions.
+        first = n - len(exceptions) - cycles
+        entering = list(compress(pairs, map(ge, pairs.values(), repeat(first))))
+        targets = _entered_ranks(rl, sums, entering)
+        breaks = sorted(set(targets).difference(exceptions))
+        stored = breaks if stored is None else stored
+        if len(stored) != cycles:
             raise ValueError(
-                f"corrupt index: break_ranks has {len(breaks)} entries, "
+                f"corrupt index: break_ranks has {len(stored)} entries, "
                 f"num_paths and the degree sums give {cycles} cycles"
             )
-        if not exceptions.isdisjoint(breaks):
-            k = min(exceptions.intersection(breaks))
-            raise ValueError(f"corrupt index: break_ranks holds rank {k}, whose degree is not 1")
+        if stored != breaks:
+            raise ValueError(
+                "corrupt index: break_ranks is not the ranks of degree 1 "
+                "that the marked endpoint identifiers enter"
+            )
         unmarked = _required_marks(rl, sums, breaks).difference(pairs)
         if unmarked:
             raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
+        # Every mark holding an endpoint identifier enters that endpoint, and
+        # every edge into an endpoint holds one: the endpoints have m - first
+        # in-edges, since every other rank has in-degree 1.
+        endpoints = sorted(exceptions.union(breaks))
+        if len(entering) != m - first or [endpoints[pairs[p] - first] for p in entering] != targets:
+            raise ValueError("corrupt index: the marks into the path endpoints do not hold their identifiers")
         # Rank n - 1 holds in-slot m - 1, the last occurrence of the largest
         # label, a run end; with no edges the identifiers follow the ranks.
         if m:

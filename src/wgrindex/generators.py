@@ -3,15 +3,16 @@
 Each family orders its vertices co-lexicographically by the label string
 read along the walk into the vertex (last label compared first, empty
 string first), which satisfies the ordering axioms for chains, chain
-unions, cycles of primitive strings, and tries. One suffix array gives
-that order in every family. Generated instances are deterministic
-functions of their parameters.
+unions, cycles of primitive strings, and tries. One ranking of string
+rotations gives that order in every family. Generated instances are
+deterministic functions of their parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .graph import WheelerGraph
@@ -27,60 +28,50 @@ class GeneratedInstance:
     provenance: str
 
 
-def suffix_array(seq: Sequence[int]) -> list[int]:
-    """Start positions of all non-empty suffixes in lexicographic order.
-
-    Prefix doubling: each round sorts by (rank[i], rank[i+k]) packed into a
-    single integer, so a length-N input needs O(log N) sorts.
-    """
-    n = len(seq)
-    if n == 0:
-        return []
-    uniq = sorted(set(seq))
-    code = {v: i for i, v in enumerate(uniq)}
-    rank = [code[v] for v in seq]
-    k = 1
-    base = n + 1
-    while max(rank) < n - 1:
-        key = [rank[i] * base + (rank[i + k] + 1 if i + k < n else 0) for i in range(n)]
-        order = sorted(range(n), key=key.__getitem__)
-        rank = [0] * n
-        prev_key = key[order[0]]
-        r = 0
-        for idx in order:
-            if key[idx] != prev_key:
-                r += 1
-                prev_key = key[idx]
-            rank[idx] = r
+def _rotation_ranks(seq: Sequence[int]) -> list[int]:
+    """rank[i]: the place of the rotation of seq from i among all of its
+    rotations, which must be pairwise distinct. Cyclic prefix doubling:
+    each round ranks by (rank[i], rank[(i + k) mod n]) packed into a single
+    integer, so a length-N input needs O(log N) sorts."""
+    n, k, rank = len(seq), 1, list(seq)
+    while True:
+        # The dict of places goes first, then the old ranks' list frees them
+        # in order: the + 0 of _colex_ranks reuses that memory side by side.
+        rank = list(map({v: r for r, v in enumerate(sorted(set(rank)))}.__getitem__, rank))
+        if k >= n or max(rank) == n - 1:
+            return rank
+        rank = list(map(add, map(mul, rank, repeat(n)), rank[k:] + rank[:k]))
         k <<= 1
-    out = [0] * n
-    for i, r in enumerate(rank):
-        out[r] = i
-    return out
+
+
+def suffix_array(seq: Sequence[int]) -> list[int]:
+    """Start positions of all non-empty suffixes in lexicographic order:
+    closed by a sentinel below every label, seq's rotations sort as its
+    suffixes do."""
+    rank = _rotation_ranks([*seq, min(seq, default=0) - 1])
+    return sorted(range(len(seq)), key=rank.__getitem__)
 
 
 def _colex_ranks(strings: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """ranks[p][i]: the co-lexicographic rank of the vertex after the first
-    i labels of strings[p], equal prefixes ranked by p. One suffix array
-    over the strings, each reversed with its labels shifted up by
+    i labels of strings[p], equal prefixes ranked by p. One ranking of the
+    rotations of the strings, each reversed with its labels shifted up by
     k = len(strings) and closed by the separator p, gives them all: the
-    suffix i places before separator p reads that prefix backwards, then
-    p, and separators sort below every label and by p."""
+    rotation from i places before separator p reads that prefix backwards,
+    then p, and separators sort below every label and by p. Being distinct,
+    they also make the rotations sort as the suffixes do."""
     k = len(strings)
     text: list[int] = []
     for p, s in enumerate(strings):
         text.extend(c + k for c in reversed(s))
         text.append(p)
-    sa = suffix_array(text)
-    inv = [0] * len(sa)
-    for r, start in enumerate(sa):
-        inv[start] = r
+    rank = _rotation_ranks(text)
     ranks, sep = [], -1
     for s in strings:
         sep += len(s) + 1
         # + 0 allocates the rank ints anew in walking order, side by side in
-        # memory while sa holds its own: a build's chain walks run faster
-        ranks.append([inv[j] + 0 for j in range(sep, sep - len(s) - 1, -1)])
+        # memory while rank holds its own: a build's chain walks run faster
+        ranks.append([rank[j] + 0 for j in range(sep, sep - len(s) - 1, -1)])
     return ranks
 
 
@@ -104,17 +95,15 @@ def is_primitive(s: LabelString) -> bool:
 def gen_string_cycle(s: LabelString) -> GeneratedInstance:
     """Cycle graph spelling s endlessly; one decomposition path. Vertex i's
     order key is the last |s| labels of the walk into it, read
-    co-lexicographically: the rotation of reversed(s) from (n - i) mod n,
-    ranked by the suffix array of reversed(s) twice over. Primitivity makes
-    those keys pairwise distinct; non-primitive input is rejected because
-    its order would be ambiguous."""
+    co-lexicographically: the rotation of reversed(s) from (n - i) mod n.
+    Primitivity makes those keys pairwise distinct; non-primitive input is
+    rejected because its order would be ambiguous."""
     s = tuple(s)
     n = len(s)
     if not is_primitive(s):
         raise ValueError(f"cycle label string must be primitive, got {s!r}")
-    rank = [0] * n
-    for r, start in enumerate(j for j in suffix_array(s[::-1] * 2) if j < n):
-        rank[(n - start) % n] = r
+    rotation = _rotation_ranks(s[::-1])
+    rank = [rotation[-i] + 0 for i in range(n)]  # + 0: as in _colex_ranks
     edges = list(zip(rank, rank[1:] + rank[:1], s))
     g = WheelerGraph(n=n, edges=edges)
     return GeneratedInstance(g, f"string_cycle(len={n},sigma={g.sigma})")

@@ -221,10 +221,9 @@ class Instance:
 
 def make_instance(family: str, gi: GeneratedInstance) -> Instance:
     g = gi.graph
-    b = build_bwt(g)
     ids = assign_identifiers(g, decompose_paths(g))
     ref = reference_decomposition(g)
-    return Instance(gi.provenance, family, g, build_index(g), ids, ref, b.labels)
+    return Instance(gi.provenance, family, g, build_index(g), ids, ref, transform_labels(g))
 
 
 @dataclass
@@ -350,6 +349,11 @@ def assert_walk_matches_reference(g: WheelerGraph) -> None:
     ones = [k for k in sorted(ref.endpoints) if g.in_degrees[k] == g.out_degrees[k] == 1]
     assert d.break_ranks == ones
     assert assign_identifiers(g, d) == reference_identifiers(g, ref)
+
+
+def transform_labels(g: WheelerGraph) -> list[int]:
+    """The edge labels in transform order."""
+    return [g.edges[i][2] for i in build_bwt(g)]
 
 
 def rl_from_labels(labels) -> RLSequence:

@@ -53,6 +53,7 @@ from helpers import (
     random_label_string,
     rl_from_labels,
     shared_in_edge_graphs,
+    transform_labels,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -76,23 +77,23 @@ def instances(draw):
 # --- transform ---
 
 def test_bwt_g1(g1):
-    b = build_bwt(g1)
-    assert b.labels == [0, 1, 0]
-    assert b.order == transform_order(g1) == [0, 1, 2]
-    assert [g1.edges[i][:2] for i in b.order] == [(0, 1), (1, 3), (3, 2)]
-    rl = build_rank_select(b)
+    order = build_bwt(g1)
+    assert transform_labels(g1) == [0, 1, 0]
+    assert order == transform_order(g1) == [0, 1, 2]
+    assert [g1.edges[i][:2] for i in order] == [(0, 1), (1, 3), (3, 2)]
+    rl = build_rank_select(g1, order)
     assert (rl.run_starts, rl.run_labels) == ([0, 1, 2], [0, 1, 0])
 
 
 def test_bwt_empty():
-    b = build_bwt(WheelerGraph(n=3, edges=[]))
-    assert b.labels == [] and b.order == [] and build_rank_select(b).run_starts == []
+    g = WheelerGraph(n=3, edges=[])
+    assert build_bwt(g) == [] and build_rank_select(g, []).run_starts == []
 
 
 def test_bwt_single_run():
-    b = build_bwt(gen_string_path((0, 0, 0, 0)).graph)
-    assert b.labels == [0, 0, 0, 0]
-    rl = build_rank_select(b)
+    g = gen_string_path((0, 0, 0, 0)).graph
+    assert transform_labels(g) == [0, 0, 0, 0]
+    rl = build_rank_select(g, build_bwt(g))
     assert (rl.run_starts, rl.run_labels) == ([0], [0])
 
 
@@ -104,9 +105,8 @@ def test_bwt_rejects_bad_order():
 def test_bwt_groups_by_source_then_destination():
     # two sources out of rank order in the input; positions must follow ranks
     g = WheelerGraph(n=3, edges=[(1, 2, 1), (0, 1, 0)])
-    b = build_bwt(g)
-    assert b.order == [1, 0]
-    assert b.labels == [0, 1]
+    assert build_bwt(g) == [1, 0]
+    assert transform_labels(g) == [0, 1]
 
 
 # --- rank/select ---
@@ -155,8 +155,7 @@ def test_rank_select_matches_naive_scan(inst):
 
 
 def test_rlsequence_from_labels_matches_builder(g1):
-    b = build_bwt(g1)
-    assert rl_from_labels(b.labels) == build_rank_select(b)
+    assert rl_from_labels(transform_labels(g1)) == build_rank_select(g1, build_bwt(g1))
 
 
 # --- partial sums ---
@@ -167,7 +166,7 @@ def dense_prefix(degrees):
 
 def test_partial_sums_g1(g1):
     # out-degrees 1, 1, 0, 1 and in-degrees 0, 1, 1, 1: one exception a side
-    sums = build_partial_sums(g1, build_rank_select(build_bwt(g1)))
+    sums = build_partial_sums(g1, build_rank_select(g1, build_bwt(g1)))
     assert (sums.out_ranks, sums.out_after) == ([2], [2])
     assert (sums.in_ranks, sums.in_after) == ([0], [0])
     assert [sums.out_prefix(k) for k in range(5)] == [0, 1, 2, 2, 3]
@@ -176,7 +175,7 @@ def test_partial_sums_g1(g1):
 
 def test_partial_sums_empty_graph():
     g = WheelerGraph(n=2, edges=[])
-    sums = build_partial_sums(g, build_rank_select(build_bwt(g)))
+    sums = build_partial_sums(g, build_rank_select(g, build_bwt(g)))
     assert (sums.out_ranks, sums.out_after) == ([0, 1], [0, 0])
     assert (sums.in_ranks, sums.in_after) == ([0, 1], [0, 0])
     assert [sums.out_prefix(k) for k in range(3)] == [0, 0, 0]
@@ -215,10 +214,10 @@ def test_degree_sums_match_dense_prefixes(degrees):
 
 def toehold_of(g):
     d = decompose_paths(g)
-    b = build_bwt(g)
-    rl = build_rank_select(b)
+    order = build_bwt(g)
+    rl = build_rank_select(g, order)
     ids = assign_identifiers(g, d)
-    return build_toehold(g, ids, b, rl, build_partial_sums(g, rl), d.break_ranks)
+    return build_toehold(g, ids, order, rl, build_partial_sums(g, rl), d.break_ranks)
 
 
 def test_toehold_g1(g1):
@@ -554,7 +553,9 @@ def test_deserialize_rejects_impossible_degree_sums(edit, fragment):
 @pytest.mark.parametrize(
     "out_prefix, fragment",
     [([0, 1, 2, 2], "out_prefix has 4 entries, n \\+ 1 gives 5"),
-     ([0, 2, 1, 2, 3], "out_prefix gives rank 1 degree -1")],
+     ([0, 2, 1, 2, 3], "out_prefix gives rank 1 degree -1"),
+     # a bool would pass as the degree 1 once cut to the exceptions
+     ([0, True, 2, 2, 3], "out_prefix holds True, not an int")],
 )
 def test_deserialize_checks_version_1_degrees_too(out_prefix, fragment):
     doc = json.loads((DATA / "g1.v1.idx").read_bytes())
@@ -631,6 +632,30 @@ def test_deleting_any_mark_is_rejected_at_load():
                 deserialize_index(without_mark(doc, p))
             deleted += 1
     assert deleted > 1000
+
+
+def test_changing_a_mark_to_or_from_an_endpoint_identifier_is_rejected_at_load():
+    """assign_identifiers numbers the path endpoints last, in rank order, and
+    rule M2 marks every edge into one, so each endpoint identifier has one
+    place in the marks: the edges into its rank. Changing any marked id to
+    or from an endpoint id, to any other id in [0, n), fails the load."""
+    graphs = [gen_string_cycle(labels_from_ascii(s)).graph for s in ("abb", "aab", "abcab", "abbab")]
+    graphs += [gen_string_path(labels_from_ascii(s)).graph for s in ("abaab", "abcabba")]
+    graphs += [gen_trie([(0, 1, 0), (1, 1), (0, 1, 2)]).graph, gen_multi_paths([(0, 1), (1, 0, 1)]).graph]
+    graphs += broken_cycle_graphs(6, seed=7)
+    changed = 0
+    for g in graphs:
+        first = len(decompose_paths(g).interior)  # the least endpoint identifier
+        doc = json.loads(serialize_index(build_index(g)))
+        ids = doc["marked_pairs"]
+        for j, old in enumerate(ids):
+            for new in range(g.n):
+                if new != old and max(old, new) >= first:
+                    doc["marked_pairs"] = ids[:j] + [new] + ids[j + 1:]
+                    with pytest.raises(ValueError, match="corrupt index"):
+                        deserialize_index(json.dumps(doc).encode("ascii"))
+                    changed += 1
+    assert changed > 150
 
 
 def test_deserialize_rejects_stray_run_label():
@@ -758,9 +783,9 @@ def test_deserialize_rejects_unmarked_break_edge(version):
 
 @pytest.mark.parametrize(
     "breaks, fragment",
-    [([0, 0], "break_ranks is not strictly increasing"),
-     ([3], "break_ranks is not strictly increasing"),
-     ([-1], "break_ranks is not strictly increasing"),
+    [([0, 0], "break_ranks has 2 entries, num_paths and the degree sums give 1 cycles"),
+     ([3], "break_ranks is not the ranks of degree 1 that the marked endpoint identifiers enter"),
+     ([-1], "break_ranks is not the ranks of degree 1 that the marked endpoint identifiers enter"),
      ([0, 1], "break_ranks has 2 entries, num_paths and the degree sums give 1 cycles"),
      ([], "break_ranks has 0 entries, num_paths and the degree sums give 1 cycles"),
      ([1.0], "break_ranks holds 1.0, not an int"),
@@ -785,19 +810,27 @@ def test_version_2_load_finds_the_break_ranks():
         assert deserialize_index(json.dumps(doc).encode("ascii")) == ix
 
 
-@pytest.mark.parametrize("interior_id", [0, 1])
-def test_version_2_load_rejects_a_lowered_break_identifier(interior_id):
+@pytest.mark.parametrize(
+    "version, interior_id, fragment",
+    [(2, 0, "has 0 entries, num_paths"), (2, 1, "has 0 entries, num_paths"),
+     (3, 0, "is not the ranks of degree 1"), (3, 1, "is not the ranks of degree 1")],
+    ids=["0", "1", "v3-0", "v3-1"],
+)
+def test_version_2_load_rejects_a_lowered_break_identifier(version, interior_id, fragment):
     # the break rank of the "abb" cycle holds the endpoint identifier 2; with
     # the id stored at its in-edge lowered to an interior one, a load that
-    # walked the chains still found the break, and locate answered "a",
-    # "ba", "bba" and "abba" wrong
+    # walked the chains still found the break, and a version-3 load that
+    # trusted the stored break ranks answered locate of "a", "ba", "bba"
+    # and "abba" wrong
     ix = build_index(ABB_CYCLE)
     doc = json.loads(serialize_index(ix))
     # the break is the only endpoint, so its identifier is n - 1 = 2
     assert ix.break_ranks == [0] and doc["marked_pairs"] == [0, 1, 2]
     doc["marked_pairs"][2] = interior_id
-    with pytest.raises(ValueError, match="corrupt index: break_ranks has 0 entries, num_paths"):
-        deserialize_index(json.dumps(as_version_2(doc)).encode("ascii"))
+    if version == 2:
+        doc = as_version_2(doc)
+    with pytest.raises(ValueError, match=f"corrupt index: break_ranks {fragment}"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
 
 
 @pytest.mark.parametrize("graph, num_paths", [(ABBA, 0), (ABBA, 2), (ABB_CYCLE, 0), (ABB_CYCLE, 2)],
@@ -817,7 +850,7 @@ def test_deserialize_rejects_break_rank_with_degree_exception():
     doc = json.loads(serialize_index(build_index(ABBA)))
     assert doc["break_ranks"] == [] and doc["num_paths"] == 1
     doc.update(break_ranks=[0], num_paths=2)
-    with pytest.raises(ValueError, match="corrupt index: break_ranks holds rank 0, whose degree is not 1"):
+    with pytest.raises(ValueError, match="corrupt index: break_ranks is not the ranks of degree 1"):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 

@@ -24,6 +24,7 @@ from helpers import (
     naive_runs,
     random_patterns,
     reference_is_primitive,
+    transform_labels,
 )
 
 label_strings = st.lists(st.integers(0, 3), max_size=14).map(tuple)
@@ -63,7 +64,7 @@ def test_string_path_empty():
 
 def test_string_path_unary_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
-    rl = build_rank_select(build_bwt(g))
+    rl = build_rank_select(g, build_bwt(g))
     assert (rl.run_starts, rl.run_labels) == ([0], [0])
 
 
@@ -275,5 +276,5 @@ def test_pattern_with_absent_label_counts_zero():
 def test_string_family_runs_match_naive():
     for s in [(0, 0, 0), (0, 1, 0, 1), (2, 2, 1, 1, 0)]:
         g = gen_string_path(s).graph
-        b = build_bwt(g)
-        assert len(build_rank_select(b).run_starts) == naive_runs(b.labels)
+        rl = build_rank_select(g, build_bwt(g))
+        assert len(rl.run_starts) == naive_runs(transform_labels(g))

@@ -17,7 +17,6 @@ from wgrindex import (
     WheelerGraph,
     WheelerRIndex,
     assign_identifiers,
-    build_bwt,
     build_index,
     count,
     decompose_paths,
@@ -45,6 +44,7 @@ from helpers import (
     random_patterns,
     rl_from_labels,
     shared_in_edge_graphs,
+    transform_labels,
 )
 
 label_strings = st.lists(st.integers(0, 3), max_size=12).map(tuple)
@@ -161,7 +161,7 @@ def test_shared_in_edge_graphs_match_oracle(shared_in_edges):
     for g in shared_in_edges:
         assert max(g.in_degrees) > 1
         ix = deserialize_index(serialize_index(build_index(g)))
-        check_steps(g, ix, build_bwt(g).labels)
+        check_steps(g, ix, transform_labels(g))
         idof = assign_identifiers(g, decompose_paths(g)).id_of_rank
         for length in range(4):
             for pat in itertools.product(range(g.sigma + 1), repeat=length):
