@@ -34,7 +34,6 @@ from .generators import (
     gen_string_path,
     gen_trie,
     is_primitive,
-    suffix_array,
 )
 from .graph import (
     IdAssignment,

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, pairwise, repeat
 from functools import partial
-from operator import eq, ge, gt, is_not, itemgetter, lt, ne, sub
+from operator import eq, ge, is_not, itemgetter, lt, ne, sub
 
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
@@ -437,20 +437,23 @@ def _check_ids(name: str, values: list[int], n: int) -> None:
         raise ValueError(f"corrupt index: {name} holds identifier {bad}, outside [0, n)")
 
 
-def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: int) -> None:
+def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: int) -> set[int]:
     """Raise unless ranks and after describe n degrees summing to m, each
-    listed rank with a degree >= 0 that is not 1."""
+    listed rank with a degree >= 0 that is not 1; return the ranks of degree 0."""
     if not _rising(ranks, n):
         raise ValueError(f"corrupt index: {name} ranks are not strictly increasing within [0, n)")
-    prev_k, prev_a = -1, 0
+    prev_k, prev_a, empty = -1, 0, set()
     for k, a in zip(ranks, after):
         degree = a - prev_a - (k - prev_k - 1)
         if degree < 0 or degree == 1:
             raise ValueError(f"corrupt index: {name} gives rank {k} degree {degree}")
+        if not degree:
+            empty.add(k)
         prev_k, prev_a = k, a
     total = prev_a + n - 1 - prev_k
     if total != m:
         raise ValueError(f"corrupt index: {name} totals {total} edges, m = {m}")
+    return empty
 
 
 def _upgrade(doc: dict, version: int) -> None:
@@ -477,36 +480,21 @@ def _upgrade(doc: dict, version: int) -> None:
         doc[name] = _interleave(*_exceptions(list(map(sub, arr[1:], arr))))
 
 
-def _load_degree_sums(doc: dict) -> DegreeSums:
+def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
     """The checked degree sums of an index document, which holds each side's
-    exceptions as interleaved (rank, prefix after it) pairs."""
-    n, m, f_label = doc["n"], doc["m"], doc["f_label"]
+    exceptions as interleaved (rank, prefix after it) pairs, and the ranks
+    with no edges at all. f_label is checked later, against the runs."""
+    n, m = doc["n"], doc["m"]
     sides = []
     for name in ("out_prefix", "in_prefix"):
         arr = doc[name]
         if len(arr) % 2:
             raise ValueError(f"corrupt index: {name} has odd length {len(arr)}")
         sides += arr[0::2], arr[1::2]
-    sums = DegreeSums(*sides, f_label)
-    _check_exceptions("out_prefix", sums.out_ranks, sums.out_after, n, m)
-    _check_exceptions("in_prefix", sums.in_ranks, sums.in_after, n, m)
-    if not f_label or f_label[0] != 0 or f_label[-1] != m or any(map(gt, f_label, f_label[1:])):
-        raise ValueError("corrupt index: f_label is not nondecreasing from 0 to m")
-    return sums
-
-
-def _cycle_count(sums: DegreeSums, exceptions: set[int], n: int, m: int, num_paths: int) -> int:
-    """The cycles among num_paths decomposition paths: the paths that no
-    rank whose degree is not 1 heads. Such a rank heads one path per
-    out-edge, m - n + len(exceptions) in all since every other rank has one
-    out-edge, and one more when it has no edges at all."""
-    in_ranks, in_after = sums.in_ranks, sums.in_after
-    isolated = sum(
-        sums.out_prefix(k) == sums.out_prefix(k + 1)
-        and _prefix(in_ranks, in_after, k) == _prefix(in_ranks, in_after, k + 1)
-        for k in exceptions
-    )
-    return num_paths - (m - n + len(exceptions)) - isolated
+    sums = DegreeSums(*sides, doc["f_label"])
+    isolated = _check_exceptions("out_prefix", sums.out_ranks, sums.out_after, n, m)
+    isolated &= _check_exceptions("in_prefix", sums.in_ranks, sums.in_after, n, m)
+    return sums, isolated
 
 
 def _entered_ranks(rl: RLSequence, sums: DegreeSums, positions: list[int]) -> list[int]:
@@ -540,17 +528,17 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     counting run_starts, on degree sums that do not describe n degrees
     summing to m, on a run label outside [0, sigma), on run_starts not
     rising strictly from 0 within [0, m), on two neighbouring runs with the
-    same label, on f_label not rising from 0 to m or disagreeing with the
-    runs, on break_ranks not one per cycle (see _cycle_count) or other than
-    the ranks of degree 1 that marked endpoint identifiers enter, on a
-    position that _required_marks names for the ranks whose degree is not 1
-    and the break ranks missing from marked_positions, on a mark holding an
-    endpoint identifier other than that of the rank its edge enters, on an
-    edge into an endpoint whose mark holds an interior identifier, and on a
+    same label, on f_label disagreeing with the label counts of the runs,
+    on break_ranks not one per cycle or other than the ranks of degree 1
+    that marked endpoint identifiers enter, on a position that
+    _required_marks names for the ranks whose degree is not 1 and the break
+    ranks missing from marked_positions, on a mark holding an endpoint
+    identifier other than that of the rank its edge enters, on an edge into
+    an endpoint whose mark holds an interior identifier, and on a
     last_rank_id other than the one stored at in-slot m - 1."""
     try:
         doc = json.loads(data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not an index file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError("not an index file: missing format marker")
@@ -569,13 +557,12 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if stored is not None:  # None: a file that stores no break ranks
             _check_ints("break_ranks", stored)
 
-        n, m = doc["n"], doc["m"]
+        n, m, sigma = doc["n"], doc["m"], doc["sigma"]
         for name, other, want in (
             ("marked_pairs", "marked_positions", len(doc["marked_positions"])),
             ("pred_ids", "anchor_ids", len(doc["anchor_ids"])),
             ("run_starts", "num_runs", doc["num_runs"]),
             ("run_labels", "run_starts", len(doc["run_starts"])),
-            ("f_label", "sigma + 1", doc["sigma"] + 1),
         ):
             if len(doc[name]) != want:
                 raise ValueError(
@@ -599,19 +586,23 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
         _check_ids("marked_pairs", dests, n)
         pairs = dict(zip(positions, dests))
-        sums = _load_degree_sums(doc)
+        sums, isolated = _load_degree_sums(doc)
         rl = RLSequence(length=m, run_starts=run_starts, run_labels=run_labels)
-        stray = [c for c in rl.runs_of if not 0 <= c < doc["sigma"]]
+        stray = [c for c in rl.runs_of if not 0 <= c < sigma]
         if stray:
             raise ValueError(f"corrupt index: run label {min(stray)} is outside [0, sigma)")
         if run_starts[:1] != ([0] if m else []) or not _rising(run_starts, m):
             raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
         if any(map(eq, run_labels, run_labels[1:])):
             raise ValueError("corrupt index: two neighbouring runs have the same label")
-        if sums.f_label != _f_label(rl, doc["sigma"]):
+        # The length first: it bounds the counts built and rejects a negative sigma.
+        if len(sums.f_label) != sigma + 1 or sums.f_label != _f_label(rl, sigma):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
+        # The cycles are the paths that no exception heads. An exception
+        # heads one path per out-edge, m - n + len(exceptions) in all since
+        # every other rank has one out-edge, and one more if it has no edges.
         exceptions = set(sums.out_ranks).union(sums.in_ranks)
-        cycles = _cycle_count(sums, exceptions, n, m, doc["num_paths"])
+        cycles = doc["num_paths"] - (m - n + len(exceptions)) - len(isolated)
         # assign_identifiers gives the path endpoints, the exceptions and one
         # break per cycle, the identifiers from first up in rank order, and
         # rule M2 marks every edge into one: the breaks are the ranks entered
@@ -652,7 +643,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         return WheelerRIndex(
             n=n,
             m=m,
-            sigma=doc["sigma"],
+            sigma=sigma,
             num_runs=doc["num_runs"],
             num_paths=doc["num_paths"],
             break_ranks=breaks,

@@ -44,14 +44,6 @@ def _rotation_ranks(seq: Sequence[int]) -> list[int]:
         k <<= 1
 
 
-def suffix_array(seq: Sequence[int]) -> list[int]:
-    """Start positions of all non-empty suffixes in lexicographic order:
-    closed by a sentinel below every label, seq's rotations sort as its
-    suffixes do."""
-    rank = _rotation_ranks([*seq, min(seq, default=0) - 1])
-    return sorted(range(len(seq)), key=rank.__getitem__)
-
-
 def _colex_ranks(strings: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """ranks[p][i]: the co-lexicographic rank of the vertex after the first
     i labels of strings[p], equal prefixes ranked by p. One ranking of the

@@ -53,9 +53,8 @@ class WheelerGraph:
     """Directed multigraph with integer edge labels and a fixed vertex order.
 
     n: number of vertices, named by rank 0..n-1.
-    edges: (src, dst, label) triples; parallel edges are allowed.
-    sigma: alphabet size; labels live in [0, sigma). Derived as
-        1 + max(label) when not given (0 for an edgeless graph).
+    edges: (src, dst, label) triples, labels >= 0; parallel edges allowed.
+    sigma: alphabet size, 1 + the largest label (0 for an edgeless graph).
 
     Instances are treated as immutable after construction and are safe for
     concurrent readers.
@@ -63,22 +62,21 @@ class WheelerGraph:
 
     n: int
     edges: list[Edge]
-    sigma: int | None = None
+    sigma: int = field(init=False)
     in_degrees: list[int] = field(init=False, repr=False, compare=False)
     out_degrees: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        if self.sigma is None:
-            self.sigma = 1 + max((lab for _, _, lab in self.edges), default=-1)
+        self.sigma = 1 + max((lab for _, _, lab in self.edges), default=-1)
         ins = [0] * self.n
         outs = [0] * self.n
         for u, v, lab in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}, {lab}) has a rank outside [0, {self.n})")
-            if not (0 <= lab < self.sigma):
-                raise ValueError(f"edge ({u}, {v}, {lab}) has a label outside [0, {self.sigma})")
+            if lab < 0:
+                raise ValueError(f"edge ({u}, {v}, {lab}) has a negative label")
             outs[u] += 1
             ins[v] += 1
         self.in_degrees = ins

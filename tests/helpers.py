@@ -45,10 +45,10 @@ from wgrindex import (
     locate,
     naive_match,
     step_toehold,
-    suffix_array,
     validate_wheeler,
 )
 from wgrindex import oracle
+from wgrindex.generators import _rotation_ranks
 
 def labels_from_ascii(s: str) -> tuple[int, ...]:
     """Map lowercase ASCII to integer labels: 'a' -> 0, 'b' -> 1, ..."""
@@ -412,6 +412,14 @@ def broken_cycle_graphs(count: int, seed: int) -> list[WheelerGraph]:
 
 def random_label_string(rng: random.Random, sigma: int, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(rng.randrange(sigma) for _ in range(rng.randint(lo, hi)))
+
+
+def suffix_array(seq) -> list[int]:
+    """Start positions of all non-empty suffixes in lexicographic order:
+    closed by a sentinel below every label, seq's rotations sort as its
+    suffixes do."""
+    rank = _rotation_ranks([*seq, min(seq, default=0) - 1])
+    return sorted(range(len(seq)), key=rank.__getitem__)
 
 
 # The generators as they were before one suffix array ranked every family:

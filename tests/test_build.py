@@ -442,6 +442,12 @@ def test_deserialize_rejects_foreign_input(g1_index):
         deserialize_index(tampered)
 
 
+def test_deserialize_rejects_deep_nesting():
+    # json.loads raises RecursionError here, not JSONDecodeError
+    with pytest.raises(ValueError, match="not an index file"):
+        deserialize_index(b"[" * 100_000)
+
+
 @pytest.mark.parametrize(
     "field",
     ["marked_pairs", "marked_positions", "pred_ids", "anchor_ids", "run_labels",
@@ -536,17 +542,33 @@ def trie_doc():
         ({"out_prefix": [0, 2, 1, 1, 2, 4, 3, 4, 4, 4]}, "out_prefix gives rank 1 degree -1"),
         ({"out_prefix": [0, 2, 1, 4, 2, 4, 3, 4, 4, 6]}, "out_prefix totals 6 edges, m = 4"),
         ({"in_prefix": []}, "in_prefix totals 5 edges, m = 4"),
-        ({"f_label": [0, 3, 1, 4]}, "f_label is not nondecreasing from 0 to m"),
-        ({"f_label": [1, 1, 3, 4]}, "f_label is not nondecreasing from 0 to m"),
-        ({"f_label": [0, 1, 3, 3]}, "f_label is not nondecreasing from 0 to m"),
-        ({"sigma": -1, "f_label": []}, "f_label is not nondecreasing from 0 to m"),
+        # f_label has one check, against the runs: a count that falls, a
+        # start above 0 or an end below m disagrees with them too
+        ({"f_label": [0, 3, 1, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [1, 1, 3, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [0, 1, 3, 3]}, "f_label disagrees with the label counts of the runs"),
+        ({"sigma": -1, "f_label": []}, "run label 0 is outside"),
         ({"f_label": [0, 2, 2, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [0, 1, 3, 4, 4]}, "f_label disagrees with the label counts of the runs"),
+        # compared by length first, so no 10^18 counts are built
+        ({"sigma": 10**18}, "f_label disagrees with the label counts of the runs"),
     ],
 )
 def test_deserialize_rejects_impossible_degree_sums(edit, fragment):
     doc = trie_doc()
     doc.update(edit)
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize("sigma, f_label", [(-1, [0]), (-1, []), (1, [0])])
+def test_deserialize_rejects_wrong_sigma_without_runs(sigma, f_label):
+    # with no runs, no run label is out of range, so only the f_label check
+    # sees sigma: a negative one, or one past the stored counts
+    doc = json.loads(serialize_index(build_index(EDGELESS)))
+    assert (doc["sigma"], doc["f_label"]) == (0, [0])
+    doc.update(sigma=sigma, f_label=f_label)
+    with pytest.raises(ValueError, match="corrupt index: f_label disagrees with the label counts"):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
@@ -833,13 +855,22 @@ def test_version_2_load_rejects_a_lowered_break_identifier(version, interior_id,
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
-@pytest.mark.parametrize("graph, num_paths", [(ABBA, 0), (ABBA, 2), (ABB_CYCLE, 0), (ABB_CYCLE, 2)],
-                         ids=["abba-0", "abba-2", "abb-cycle-0", "abb-cycle-2"])
-def test_deserialize_rejects_wrong_num_paths(graph, num_paths):
+ISOLATED_AND_PATH = gen_multi_paths([(), (0, 1)]).graph
+
+
+@pytest.mark.parametrize(
+    "graph, built, num_paths",
+    [(ABBA, 1, 0), (ABBA, 1, 2), (ABB_CYCLE, 1, 0), (ABB_CYCLE, 1, 2),
+     (EDGELESS, 3, 2), (EDGELESS, 3, 4), (ISOLATED_AND_PATH, 2, 1), (ISOLATED_AND_PATH, 2, 3)],
+    ids=["abba-0", "abba-2", "abb-cycle-0", "abb-cycle-2",
+         "edgeless-2", "edgeless-4", "isolated-and-path-1", "isolated-and-path-3"],
+)
+def test_deserialize_rejects_wrong_num_paths(graph, built, num_paths):
     # the paths no degree exception heads are the cycles, one break rank each;
-    # a wrong num_paths used to load and print a wrong upsilon in stats
+    # a wrong num_paths used to load and print a wrong upsilon in stats. A
+    # rank with no edges heads a path of its own.
     doc = json.loads(serialize_index(build_index(graph)))
-    assert doc["num_paths"] == 1
+    assert doc["num_paths"] == built
     doc["num_paths"] = num_paths
     with pytest.raises(ValueError, match="corrupt index: break_ranks has [01] entries, num_paths"):
         deserialize_index(json.dumps(doc).encode("ascii"))

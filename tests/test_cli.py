@@ -205,6 +205,22 @@ def test_query_short_prefix_array_rejected_at_load(capsys, g1_idx, tmp_path):
     assert err.startswith("error: corrupt index: out_prefix")
 
 
+@pytest.mark.parametrize("command", ["query", "stats"])
+def test_deeply_nested_file_exits_2(capsys, tmp_path, command):
+    # json.loads raised RecursionError, and the CLI printed a traceback
+    # and exited 1, the code for "not a Wheeler order"
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(b"[" * 100_000)
+    pats = tmp_path / "p.txt"
+    pats.write_text("a\n")
+    extra = ["--mode", "count", "--patterns", str(pats)] if command == "query" else []
+    code, out, err = run(capsys, command, str(bad), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not an index file")
+    assert "Traceback" not in err
+
+
 # --- gen ---
 
 def test_gen_string_writes_g1(capsys, tmp_path):

@@ -13,7 +13,6 @@ from wgrindex import (
     gen_trie,
     is_primitive,
     naive_match,
-    suffix_array,
     validate_wheeler,
 )
 
@@ -24,6 +23,7 @@ from helpers import (
     naive_runs,
     random_patterns,
     reference_is_primitive,
+    suffix_array,
     transform_labels,
 )
 
@@ -265,12 +265,13 @@ def test_random_patterns_walks_match(g1, g1_index):
 def test_pattern_with_absent_label_counts_zero():
     from wgrindex import WheelerGraph
 
-    # sigma declared as 3 but label 2 never occurs in the transform
-    g = WheelerGraph(n=2, edges=[(0, 1, 0)], sigma=3)
+    # labels 0 and 2: label 1 lies inside the alphabet but never occurs
+    g = WheelerGraph(n=3, edges=[(0, 1, 0), (1, 2, 2)])
     ix = build_index(g)
     assert ix.sigma == 3
-    assert count(ix, (2,)) == 0
-    assert count(ix, (0, 2)) == 0
+    assert count(ix, (1,)) == 0
+    assert count(ix, (0, 1)) == 0
+    assert count(ix, (0, 2)) == 1
 
 
 def test_string_family_runs_match_naive():

@@ -233,9 +233,16 @@ def test_transform_order_is_the_stable_source_destination_sort(g):
     assert report.is_wheeler == (report.violations == ())
 
 
-def test_explicit_sigma_bounds_labels():
-    with pytest.raises(ValueError, match="label"):
-        WheelerGraph(n=2, edges=[(0, 1, 3)], sigma=2)
+def test_negative_label_rejected():
+    with pytest.raises(ValueError, match="has a negative label"):
+        WheelerGraph(n=2, edges=[(0, 1, -1)])
+
+
+def test_sigma_is_derived_from_the_labels():
+    # 1 + the largest label, absent labels below it included
+    assert WheelerGraph(n=2, edges=[(0, 1, 4), (0, 1, 1)]).sigma == 5
+    with pytest.raises(TypeError):
+        WheelerGraph(n=2, edges=[], sigma=3)
 
 
 # --- validation ---
