@@ -11,11 +11,12 @@ identifier can be recovered by successor lookup plus offset arithmetic.
 from __future__ import annotations
 
 import json
+import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, pairwise, repeat
+from itertools import accumulate, chain, compress, filterfalse, pairwise, repeat
 from functools import partial
-from operator import eq, ge, is_not, itemgetter, lt, ne, sub
+from operator import eq, ge, is_not, itemgetter, ne, sub
 
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
@@ -27,7 +28,8 @@ from .graph import (
 )
 
 _FORMAT = "wgrindex"
-_VERSION = 3
+_VERSION = 4
+_SEAL = b',"crc32":'
 _INT = frozenset((int,))
 _INT_OR_NONE = frozenset((int, type(None)))
 
@@ -168,29 +170,37 @@ class ToeholdTable:
     destination, the only endpoint a query step reads. Positions are
     marked exactly where a query step may need a stored answer; everywhere
     else the tracked identifier advances with the +1 rule, so the table
-    plus that rule cover every step.
+    plus that rule cover every step. Every run end is marked (rule M1);
+    extras lists, ascending, the other marked positions, the only ones an
+    index file stores.
     """
 
     pairs: dict[int, int]
+    extras: list[int]
 
     @property
     def marked_count(self) -> int:
         return len(self.pairs)
 
-    def marked_positions(self) -> list[int]:
-        return sorted(self.pairs)
+
+def _run_ends(starts: list[int], m: int) -> list[int]:
+    """The last position of each run, in run order. A run of length 1 ends
+    at its start's int object rather than a new int, since an index keeps
+    the ends as the keys of its toehold table."""
+    ends = [s if t - s == 1 else t - 1 for s, t in zip(starts, starts[1:])]
+    return ends + [m - 1] if starts else []
 
 
 def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
-    """The positions that must be marked:
-      M1: the last position of each run;
+    """The positions that must be marked besides the run ends (rule M1,
+    which the index format implies):
       M2: every edge leaving or entering a path endpoint;
       M3: every edge leaving the rank before an endpoint with no out-edges.
     The path endpoints are the ranks whose degree is not 1 and the ranks at
     which cycles are broken. The edge in in-slot s, with f_label[c] <= s <
     f_label[c + 1], is the one at position select(c, s - f_label[c])."""
     f_label, in_ranks, in_after = sums.f_label, sums.in_ranks, sums.in_after
-    marks = {s - 1 for s in rl.run_starts[1:] + [rl.length]} if rl.length else set()
+    marks = set()
     for k in set(sums.out_ranks).union(sums.in_ranks, break_ranks):
         lo, hi = sums.out_prefix(k), sums.out_prefix(k + 1)
         marks.update(range(lo, hi))
@@ -210,10 +220,13 @@ def build_toehold(
     sums: DegreeSums,
     break_ranks: list[int],
 ) -> ToeholdTable:
-    """Record the destination identifier of the edge at each position _required_marks names."""
+    """Record the destination identifier of the edge at each run end and at
+    each position _required_marks names."""
     edges, id_of = g.edges, ids.id_of_rank
-    marks = sorted(_required_marks(rl, sums, break_ranks))
-    return ToeholdTable(pairs={p: id_of[edges[order[p]][1]] for p in marks})
+    ends = _run_ends(rl.run_starts, rl.length)
+    extras = sorted(_required_marks(rl, sums, break_ranks).difference(ends))
+    pairs = {p: id_of[edges[order[p]][1]] for p in chain(ends, extras)}
+    return ToeholdTable(pairs=pairs, extras=extras)
 
 
 @dataclass
@@ -386,10 +399,19 @@ def _interleave(ranks: list[int], after: list[int]) -> list[int]:
     return [x for pair in zip(ranks, after) for x in pair]
 
 
+def _gaps(values: list[int]) -> list[int]:
+    """The first value, then the difference of each value from the one before."""
+    return list(map(sub, values, chain((0,), values)))
+
+
 def serialize_index(ix: WheelerRIndex) -> bytes:
-    """Canonical byte encoding; identical indexes give identical bytes."""
-    positions = ix.toehold.marked_positions()
-    pairs, sums = ix.toehold.pairs, ix.sums
+    """Canonical byte encoding; identical indexes give identical bytes.
+    Version 4 stores run starts and anchors as gaps, only the marks that
+    are not run ends, and the identifiers at the run ends, in run order,
+    before theirs. Its last member, crc32, is zlib.crc32 of the rest."""
+    toehold, sums = ix.toehold, ix.sums
+    # the marks that are not extras are the run ends; ascending, in run order
+    ends = filterfalse(set(toehold.extras).__contains__, sorted(toehold.pairs))
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -399,18 +421,30 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "num_runs": ix.num_runs,
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
-        "run_starts": ix.rl.run_starts,
+        "run_starts": _gaps(ix.rl.run_starts),
         "run_labels": ix.rl.run_labels,
         "out_prefix": _interleave(sums.out_ranks, sums.out_after),
         "in_prefix": _interleave(sums.in_ranks, sums.in_after),
         "f_label": sums.f_label,
-        "marked_positions": positions,
-        "marked_pairs": list(map(pairs.__getitem__, positions)),
+        "marked_positions": toehold.extras,
+        "marked_pairs": list(map(toehold.pairs.__getitem__, chain(ends, toehold.extras))),
         "break_ranks": ix.break_ranks,
-        "anchor_ids": ix.phi.anchor_ids,
+        "anchor_ids": _gaps(ix.phi.anchor_ids),
         "pred_ids": ix.phi.pred_ids,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return b"".join((memoryview(body)[:-1], _SEAL, b"%d}" % zlib.crc32(body)))
+
+
+def _unseal(data: bytes) -> bool:
+    """Whether data ends in a crc32 member; raise if it holds another
+    checksum than that of the document without it."""
+    body, sealed, digits = data.rpartition(_SEAL)
+    if not sealed or digits[-1:] != b"}" or not digits[:-1].isdigit():
+        return False
+    if digits != b"%d}" % zlib.crc32(b"}", zlib.crc32(body)):
+        raise ValueError(f"corrupt index: checksum {digits[:-1].decode()} does not match the content")
+    return True
 
 
 def _check_ints(name: str, values, allowed: frozenset = _INT) -> None:
@@ -423,11 +457,17 @@ def _check_ints(name: str, values, allowed: frozenset = _INT) -> None:
         raise ValueError(f"corrupt index: {name} holds {bad!r}, not an int")
 
 
-def _rising(values: list[int], end: int) -> bool:
-    """True iff values strictly increase within [0, end); a C-level scan."""
-    if not values:
-        return True
-    return values[0] >= 0 and values[-1] < end and all(map(lt, values, values[1:]))
+def _rising(gaps: list[int], end: int) -> bool:
+    """True iff the running sums of gaps strictly increase within [0, end):
+    the first gap is at least 0 and every later one at least 1."""
+    return not gaps or (gaps[0] >= 0 and min(gaps[1:], default=1) > 0 and sum(gaps) < end)
+
+
+def _check_marked(required, pairs: dict[int, int]) -> None:
+    """Raise unless every required position is marked."""
+    unmarked = set(required).difference(pairs)
+    if unmarked:
+        raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
 
 
 def _check_ids(name: str, values: list[int], n: int) -> None:
@@ -440,7 +480,7 @@ def _check_ids(name: str, values: list[int], n: int) -> None:
 def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: int) -> set[int]:
     """Raise unless ranks and after describe n degrees summing to m, each
     listed rank with a degree >= 0 that is not 1; return the ranks of degree 0."""
-    if not _rising(ranks, n):
+    if not _rising(_gaps(ranks), n):
         raise ValueError(f"corrupt index: {name} ranks are not strictly increasing within [0, n)")
     prev_k, prev_a, empty = -1, 0, set()
     for k, a in zip(ranks, after):
@@ -457,19 +497,20 @@ def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: 
 
 
 def _upgrade(doc: dict, version: int) -> None:
-    """Rewrite a version-1 or version-2 document into version-3 fields, so
-    one set of checks serves every version. Both store (source id,
-    destination id) pairs, cut to the destinations, and no break ranks,
-    None here. Version 1 stores dense n + 1 prefix arrays, cut to the
-    exceptions."""
-    if version == _VERSION:
-        return
-    pair_lists = doc["marked_pairs"]
-    well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
-    if not well_formed or set(map(len, pair_lists)) - {2}:
-        raise ValueError("corrupt index: marked_pairs is not a list of pairs")
-    doc["marked_pairs"] = list(map(itemgetter(1), pair_lists))  # source ids go unread
-    doc["break_ranks"] = None
+    """Check the types of a document's numbers and rewrite a version 1-3
+    document into version-4 fields, so one set of checks serves every
+    version. Versions 1 and 2 store (source id, destination id) pairs, cut
+    to the destinations, and no break ranks, None here; version 1 stores
+    dense prefix arrays, cut to the exceptions. Versions 1-3 store absolute
+    run starts and anchors, made gaps, and every mark, cut to the extras
+    once every run end is found marked: version 4 cannot say otherwise."""
+    if version < 3:
+        pair_lists = doc["marked_pairs"]
+        well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
+        if not well_formed or set(map(len, pair_lists)) - {2}:
+            raise ValueError("corrupt index: marked_pairs is not a list of pairs")
+        doc["marked_pairs"] = list(map(itemgetter(1), pair_lists))  # source ids go unread
+        doc["break_ranks"] = None
     for name in ("out_prefix", "in_prefix") if version == 1 else ():
         arr = doc[name]
         _check_ints(name, arr)
@@ -478,6 +519,33 @@ def _upgrade(doc: dict, version: int) -> None:
                 f"corrupt index: {name} has {len(arr)} entries, n + 1 gives {doc['n'] + 1}"
             )
         doc[name] = _interleave(*_exceptions(list(map(sub, arr[1:], arr))))
+    _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
+    _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
+    for name in ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
+                 "marked_positions", "marked_pairs", "anchor_ids"):
+        _check_ints(name, doc[name])
+    _check_ints("pred_ids", doc["pred_ids"], _INT_OR_NONE)
+    if doc["break_ranks"] is not None:  # None: a file that stores no break ranks
+        _check_ints("break_ranks", doc["break_ranks"])
+    if version == _VERSION:
+        return
+    positions, dests, m = doc["marked_positions"], doc["marked_pairs"], doc["m"]
+    if len(dests) != len(positions):
+        raise ValueError(
+            f"corrupt index: marked_pairs has {len(dests)} entries, marked_positions gives {len(positions)}"
+        )
+    if not _rising(_gaps(positions), m):
+        raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
+    pairs = dict(zip(positions, dests))
+    ends = _run_ends(doc["run_starts"], m)
+    _check_marked(ends, pairs)
+    extras = sorted(pairs.keys() - set(ends))
+    doc.update(
+        run_starts=_gaps(doc["run_starts"]),
+        anchor_ids=_gaps(doc["anchor_ids"]),
+        marked_positions=extras,
+        marked_pairs=list(map(pairs.__getitem__, chain(ends, extras))),
+    )
 
 
 def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
@@ -513,29 +581,34 @@ def _entered_ranks(rl: RLSequence, sums: DegreeSums, positions: list[int]) -> li
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index; also reads version-1 and version-2 files,
-    which _upgrade rewrites into version-3 fields before one set of checks
-    runs for every version. The break ranks are read off the marked
-    destination identifiers; a stored list must equal them.
+    """Inverse of serialize_index; also reads version 1-3 files, which
+    _upgrade rewrites into version-4 fields before one set of checks runs
+    for every version. The run ends are marked by definition; the break
+    ranks are read off the marked destination identifiers, and a stored
+    list must equal them.
 
     Raises ValueError on foreign input and, as "corrupt index: ...", on a
+    version-4 file whose crc32 member is missing or does not match, on a
     number that is not an int, on legacy marked_pairs that are not a list
-    of pairs, on arrays whose lengths disagree, on marked_positions not
-    strictly increasing within [0, m), on an identifier in marked_pairs or
-    pred_ids outside [0, n), on an impossible anchor set (pred_ids must
-    hold exactly one None when n > 0, none when n == 0; anchor_ids must be
-    strictly increasing within [0, n) and end at n - 1), on num_runs not
-    counting run_starts, on degree sums that do not describe n degrees
-    summing to m, on a run label outside [0, sigma), on run_starts not
-    rising strictly from 0 within [0, m), on two neighbouring runs with the
-    same label, on f_label disagreeing with the label counts of the runs,
-    on break_ranks not one per cycle or other than the ranks of degree 1
-    that marked endpoint identifiers enter, on a position that
-    _required_marks names for the ranks whose degree is not 1 and the break
-    ranks missing from marked_positions, on a mark holding an endpoint
-    identifier other than that of the rank its edge enters, on an edge into
-    an endpoint whose mark holds an interior identifier, and on a
-    last_rank_id other than the one stored at in-slot m - 1."""
+    of pairs, on arrays whose lengths disagree (marked_pairs holds one
+    identifier per run and per extra mark), on marked_positions not
+    strictly increasing within [0, m) or holding a run end, on an
+    identifier in marked_pairs or pred_ids outside [0, n), on an impossible
+    anchor set (pred_ids must hold exactly one None when n > 0, none when
+    n == 0; anchor_ids must be strictly increasing within [0, n) and end at
+    n - 1), on num_runs not counting run_starts, on degree sums that do not
+    describe n degrees summing to m, on a run label outside [0, sigma), on
+    run_starts not rising strictly from 0 within [0, m), on two
+    neighbouring runs with the same label, on f_label disagreeing with the
+    label counts of the runs, on break_ranks not one per cycle or other
+    than the ranks of degree 1 that marked endpoint identifiers enter, on a
+    position that _required_marks names for the ranks whose degree is not 1
+    and the break ranks not marked (in a version 1-3 file, a run end too),
+    on a mark holding an endpoint identifier other than that of the rank
+    its edge enters, on an edge into an endpoint whose mark holds an
+    interior identifier, and on a last_rank_id other than the one stored at
+    in-slot m - 1."""
+    sealed = _unseal(data)
     try:
         doc = json.loads(data)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -545,32 +618,24 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     version = doc.get("version")
     if type(version) is not int or not 1 <= version <= _VERSION:
         raise ValueError(f"unsupported index version {version!r}")
+    if version == _VERSION and not sealed:
+        raise ValueError("corrupt index: checksum missing, a version-4 file ends in its crc32 member")
     try:
         _upgrade(doc, version)
-        _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
-        _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
-        for name in ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
-                     "marked_positions", "marked_pairs", "anchor_ids"):
-            _check_ints(name, doc[name])
-        _check_ints("pred_ids", doc["pred_ids"], _INT_OR_NONE)
-        stored = doc["break_ranks"]
-        if stored is not None:  # None: a file that stores no break ranks
-            _check_ints("break_ranks", stored)
-
-        n, m, sigma = doc["n"], doc["m"], doc["sigma"]
+        n, m, sigma, num_runs = doc["n"], doc["m"], doc["sigma"], doc["num_runs"]
+        run_gaps, run_labels = doc["run_starts"], doc["run_labels"]
+        extras, dests = doc["marked_positions"], doc["marked_pairs"]
+        anchor_gaps, pred_ids = doc["anchor_ids"], doc["pred_ids"]
         for name, other, want in (
-            ("marked_pairs", "marked_positions", len(doc["marked_positions"])),
-            ("pred_ids", "anchor_ids", len(doc["anchor_ids"])),
-            ("run_starts", "num_runs", doc["num_runs"]),
-            ("run_labels", "run_starts", len(doc["run_starts"])),
+            ("pred_ids", "anchor_ids", len(anchor_gaps)),
+            ("run_starts", "num_runs", num_runs),
+            ("run_labels", "run_starts", len(run_gaps)),
+            ("marked_pairs", "num_runs + len(marked_positions)", num_runs + len(extras)),
         ):
             if len(doc[name]) != want:
                 raise ValueError(
                     f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}"
                 )
-        positions, dests = doc["marked_positions"], doc["marked_pairs"]
-        run_starts, run_labels = doc["run_starts"], doc["run_labels"]
-        anchor_ids, pred_ids = doc["anchor_ids"], doc["pred_ids"]
         known = list(filter(partial(is_not, None), pred_ids))
         firsts = len(pred_ids) - len(known)
         if firsts != min(n, 1):
@@ -578,23 +643,28 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
                 f"corrupt index: pred_ids holds {firsts} None entries, n = {n} needs {min(n, 1)}"
             )
         _check_ids("pred_ids", known, n)
-        if not _rising(anchor_ids, n):
+        if not _rising(anchor_gaps, n):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
+        anchor_ids = list(accumulate(anchor_gaps))
         if n and anchor_ids[-1] != n - 1:
             raise ValueError(f"corrupt index: anchor_ids ends at {anchor_ids[-1]}, not at n - 1")
-        if not _rising(positions, m):
+        if not _rising(_gaps(extras), m):
             raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
         _check_ids("marked_pairs", dests, n)
-        pairs = dict(zip(positions, dests))
-        sums, isolated = _load_degree_sums(doc)
-        rl = RLSequence(length=m, run_starts=run_starts, run_labels=run_labels)
+        starts = list(accumulate(run_gaps))
+        rl = RLSequence(length=m, run_starts=starts, run_labels=run_labels)
         stray = [c for c in rl.runs_of if not 0 <= c < sigma]
         if stray:
             raise ValueError(f"corrupt index: run label {min(stray)} is outside [0, sigma)")
-        if run_starts[:1] != ([0] if m else []) or not _rising(run_starts, m):
+        if run_gaps[:1] != ([0] if m else []) or not _rising(run_gaps, m):
             raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
         if any(map(eq, run_labels, run_labels[1:])):
             raise ValueError("corrupt index: two neighbouring runs have the same label")
+        ends = _run_ends(starts, m)
+        pairs = dict(zip(chain(ends, extras), dests))
+        if len(pairs) != len(dests):
+            raise ValueError(f"corrupt index: marked_positions holds run end {min(set(ends).intersection(extras))}")
+        sums, isolated = _load_degree_sums(doc)
         # The length first: it bounds the counts built and rejects a negative sigma.
         if len(sums.f_label) != sigma + 1 or sums.f_label != _f_label(rl, sigma):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
@@ -611,7 +681,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         entering = list(compress(pairs, map(ge, pairs.values(), repeat(first))))
         targets = _entered_ranks(rl, sums, entering)
         breaks = sorted(set(targets).difference(exceptions))
-        stored = breaks if stored is None else stored
+        stored = breaks if doc["break_ranks"] is None else doc["break_ranks"]
         if len(stored) != cycles:
             raise ValueError(
                 f"corrupt index: break_ranks has {len(stored)} entries, "
@@ -622,9 +692,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
                 "corrupt index: break_ranks is not the ranks of degree 1 "
                 "that the marked endpoint identifiers enter"
             )
-        unmarked = _required_marks(rl, sums, breaks).difference(pairs)
-        if unmarked:
-            raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
+        _check_marked(_required_marks(rl, sums, breaks), pairs)
         # Every mark holding an endpoint identifier enters that endpoint, and
         # every edge into an endpoint holds one: the endpoints have m - first
         # in-edges, since every other rank has in-degree 1.
@@ -650,7 +718,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             last_rank_id=doc["last_rank_id"],
             rl=rl,
             sums=sums,
-            toehold=ToeholdTable(pairs=pairs),
+            toehold=ToeholdTable(pairs=pairs, extras=extras),
             phi=PhiStructure(anchor_ids=anchor_ids, pred_ids=pred_ids),
         )
     except (KeyError, TypeError) as exc:

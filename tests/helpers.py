@@ -14,9 +14,11 @@ mismatches.
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 import re
 import sys
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
@@ -206,6 +208,43 @@ def bench_run():
     finally:
         sys.path.remove(str(BENCH_DIR))
     return run
+
+
+def serialize_v3(ix: WheelerRIndex) -> bytes:
+    """The version-3 writer, kept as the reference that the loader's
+    version-3 path is tested on: absolute run starts and anchors, every
+    marked position with its destination id, and no checksum."""
+    positions = sorted(ix.toehold.pairs)
+    sums = ix.sums
+    doc = {
+        "format": "wgrindex",
+        "version": 3,
+        "n": ix.n,
+        "m": ix.m,
+        "sigma": ix.sigma,
+        "num_runs": ix.num_runs,
+        "num_paths": ix.num_paths,
+        "last_rank_id": ix.last_rank_id,
+        "run_starts": ix.rl.run_starts,
+        "run_labels": ix.rl.run_labels,
+        "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
+        "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
+        "f_label": sums.f_label,
+        "marked_positions": positions,
+        "marked_pairs": list(map(ix.toehold.pairs.__getitem__, positions)),
+        "break_ranks": ix.break_ranks,
+        "anchor_ids": ix.phi.anchor_ids,
+        "pred_ids": ix.phi.pred_ids,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def reseal(doc: dict) -> bytes:
+    """doc as index-file bytes whose last member, crc32, holds zlib.crc32
+    of the rest: an edited version-4 document passes the checksum, so the
+    load reaches its structural checks."""
+    body = json.dumps({k: v for k, v in doc.items() if k != "crc32"}, separators=(",", ":")).encode("ascii")
+    return body[:-1] + b',"crc32":%d}' % zlib.crc32(body)
 
 
 @dataclass

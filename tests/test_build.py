@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import zlib
 from dataclasses import replace
 from itertools import accumulate, product
 from pathlib import Path
@@ -51,7 +52,9 @@ from helpers import (
     naive_phi_table,
     naive_runs,
     random_label_string,
+    reseal,
     rl_from_labels,
+    serialize_v3,
     shared_in_edge_graphs,
     transform_labels,
 )
@@ -224,13 +227,13 @@ def test_toehold_g1(g1):
     th = toehold_of(g1)
     assert th.pairs == {0: 0, 1: 1, 2: 3}
     assert th.marked_count == 3
-    assert th.marked_positions() == [0, 1, 2]
+    assert sorted(th.pairs) == [0, 1, 2] and th.extras == []
 
 
 def test_toehold_unary_chain():
     th = toehold_of(gen_string_path((0, 0, 0, 0)).graph)
     # position 3 ends the single run; positions 0 and 3 touch path endpoints
-    assert th.marked_positions() == [0, 3]
+    assert sorted(th.pairs) == [0, 3] and th.extras == [0]
 
 
 def test_toehold_marks_before_sink():
@@ -270,15 +273,18 @@ def test_toehold_exact_membership(inst):
 def test_load_side_marks_match_built_marks(inst):
     """The ranks whose degree is not 1 and the break ranks are exactly the
     path endpoints, so the mark rule, which build and load both apply to
-    the break ranks, names exactly the built marks; only a cycle has a
-    break rank."""
+    the break ranks, names exactly the built marks besides the run ends,
+    the extras; only a cycle has a break rank."""
     ix = inst.index
     exceptions = set(ix.sums.out_ranks).union(ix.sums.in_ranks)
     assert exceptions.isdisjoint(ix.break_ranks)
     assert exceptions.union(ix.break_ranks) == inst.decomp.endpoints
     assert ix.break_ranks == ([0] if inst.family == "cycle" and inst.graph.m else [])
     marks = build_mod._required_marks(ix.rl, ix.sums, ix.break_ranks)
-    assert marks == set(ix.toehold.pairs)
+    # rule M1, which the format implies: the last position of each run
+    ends = {p - 1 for p in ix.rl.run_starts[1:] + [ix.m] if p}
+    assert marks | ends == set(ix.toehold.pairs)
+    assert ix.toehold.extras == sorted(marks - ends)
 
 
 # --- phi structure ---
@@ -437,7 +443,7 @@ def test_deserialize_rejects_foreign_input(g1_index):
         deserialize_index(b"not json at all")
     with pytest.raises(ValueError):
         deserialize_index(b'{"some": "json"}')
-    tampered = serialize_index(g1_index).replace(b'"version":3', b'"version":99')
+    tampered = serialize_v3(g1_index).replace(b'"version":3', b'"version":99')
     with pytest.raises(ValueError, match="version"):
         deserialize_index(tampered)
 
@@ -457,7 +463,7 @@ def test_deserialize_rejects_mismatched_lengths(field):
     # before the length checks, a dropped marked pair was silently cut off
     # by zip and a short out_prefix failed mid-query with IndexError
     ix = build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)
-    doc = json.loads(serialize_index(ix))
+    doc = json.loads(serialize_v3(ix))
     doc[field].pop()
     with pytest.raises(ValueError, match="corrupt index"):
         deserialize_index(json.dumps(doc).encode("ascii"))
@@ -483,7 +489,7 @@ def test_deserialize_rejects_mismatched_lengths(field):
 def test_deserialize_rejects_impossible_anchor_sets(edit, fragment):
     # such an index would otherwise fail only at its first phi step
     ix = build_index(gen_string_path((0, 0, 0, 0)).graph)
-    doc = json.loads(serialize_index(ix))
+    doc = json.loads(serialize_v3(ix))
     assert (doc["anchor_ids"], doc["pred_ids"]) == ([0, 2, 3, 4], [3, 1, None, 2])
     doc.update(edit)
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
@@ -496,7 +502,7 @@ EMPTY, EDGELESS = WheelerGraph(n=0, edges=[]), WheelerGraph(n=3, edges=[])
 
 def test_deserialize_rejects_wrong_num_runs():
     # loaded, this copy printed r=999 and marked_bound=1003 in stats
-    doc = json.loads(serialize_index(build_index(ABBA)))
+    doc = json.loads(serialize_v3(build_index(ABBA)))
     assert (doc["run_starts"], doc["num_runs"]) == ([0, 1, 3], 3)
     doc["num_runs"] = 999
     with pytest.raises(ValueError, match="corrupt index: run_starts has 3 entries, num_runs gives"):
@@ -514,7 +520,7 @@ def test_deserialize_rejects_wrong_last_rank_id(graph, built, last):
     # loaded, a wrong id in [0, n) made locate of the empty pattern raise
     # FirstInOrderError, and any other value failed in that query too; with
     # no edges, identifiers follow ranks, so rank n - 1 has id n - 1
-    doc = json.loads(serialize_index(build_index(graph)))
+    doc = json.loads(serialize_v3(build_index(graph)))
     assert doc["last_rank_id"] == built
     doc["last_rank_id"] = last
     with pytest.raises(ValueError, match=f"corrupt index: last_rank_id is {last}, not"):
@@ -523,7 +529,7 @@ def test_deserialize_rejects_wrong_last_rank_id(graph, built, last):
 
 def trie_doc():
     # out-degrees 2, 2, 0, 0, 0 and in-degrees 0, 1, 1, 1, 1; run ends 0, 2, 3
-    doc = json.loads(serialize_index(build_index(gen_trie([(0, 1), (0, 2), (1,)]).graph)))
+    doc = json.loads(serialize_v3(build_index(gen_trie([(0, 1), (0, 2), (1,)]).graph)))
     assert (doc["n"], doc["m"], doc["f_label"]) == (5, 4, [0, 1, 3, 4])
     assert doc["out_prefix"] == [0, 2, 1, 4, 2, 4, 3, 4, 4, 4]
     assert doc["in_prefix"] == [0, 0]
@@ -565,7 +571,7 @@ def test_deserialize_rejects_impossible_degree_sums(edit, fragment):
 def test_deserialize_rejects_wrong_sigma_without_runs(sigma, f_label):
     # with no runs, no run label is out of range, so only the f_label check
     # sees sigma: a negative one, or one past the stored counts
-    doc = json.loads(serialize_index(build_index(EDGELESS)))
+    doc = json.loads(serialize_v3(build_index(EDGELESS)))
     assert (doc["sigma"], doc["f_label"]) == (0, [0])
     doc.update(sigma=sigma, f_label=f_label)
     with pytest.raises(ValueError, match="corrupt index: f_label disagrees with the label counts"):
@@ -590,7 +596,7 @@ def test_deserialize_checks_version_1_degrees_too(out_prefix, fragment):
 def test_deserialize_rejects_unmarked_run_end(g1_index):
     # loaded, this copy of the "aba" index would answer locate((1, 0)) with
     # [2] instead of [3]: the +1 rule would apply where the stored id was needed
-    doc = json.loads(serialize_index(g1_index))
+    doc = json.loads(serialize_v3(g1_index))
     assert doc["marked_positions"] == [0, 1, 2]
     doc["marked_positions"], doc["marked_pairs"] = [0, 1], doc["marked_pairs"][:2]
     with pytest.raises(ValueError, match="corrupt index: position 2 \\(rule M1-M3\\)"):
@@ -621,7 +627,7 @@ def without_mark(doc: dict, p: int) -> bytes:
     ids=["baaa", "abaa", "trie"],
 )
 def test_deserialize_rejects_unmarked_endpoint_edge(graph, p):
-    doc = json.loads(serialize_index(build_index(graph)))
+    doc = json.loads(serialize_v3(build_index(graph)))
     assert p in doc["marked_positions"]
     with pytest.raises(ValueError, match=f"corrupt index: position {p} \\(rule M1-M3\\)"):
         deserialize_index(without_mark(doc, p))
@@ -648,7 +654,7 @@ def test_deleting_any_mark_is_rejected_at_load():
     graphs += broken_cycle_graphs(20, seed=7)
     deleted = 0
     for g in graphs:
-        doc = json.loads(serialize_index(build_index(g)))
+        doc = json.loads(serialize_v3(build_index(g)))
         for p in doc["marked_positions"]:
             with pytest.raises(ValueError, match="corrupt index"):
                 deserialize_index(without_mark(doc, p))
@@ -668,7 +674,7 @@ def test_changing_a_mark_to_or_from_an_endpoint_identifier_is_rejected_at_load()
     changed = 0
     for g in graphs:
         first = len(decompose_paths(g).interior)  # the least endpoint identifier
-        doc = json.loads(serialize_index(build_index(g)))
+        doc = json.loads(serialize_v3(build_index(g)))
         ids = doc["marked_pairs"]
         for j, old in enumerate(ids):
             for new in range(g.n):
@@ -695,7 +701,7 @@ def test_deserialize_rejects_identifiers_outside_n(field, bad):
     # "ab" return [99] (or [-3]) instead of [1]
     ix = build_index(ABBA)
     assert locate(ix, (0, 1)) == [1]
-    doc = json.loads(serialize_index(ix))
+    doc = json.loads(serialize_v3(ix))
     assert doc["n"] == 5 and doc["marked_pairs"][1] == 1 and doc["pred_ids"][0] == 4
     doc[field][1 if field == "marked_pairs" else 0] = bad
     with pytest.raises(ValueError, match=f"corrupt index: {field} holds identifier {bad}, outside"):
@@ -710,7 +716,7 @@ def test_deserialize_rejects_identifiers_outside_n(field, bad):
 )
 def test_deserialize_rejects_bad_marked_positions(positions, order):
     # each of these used to load, the extra mark at position 7 with m = 4 too
-    doc = json.loads(serialize_index(build_index(ABBA)))
+    doc = json.loads(serialize_v3(build_index(ABBA)))
     assert (doc["m"], doc["marked_positions"]) == (4, [0, 1, 2, 3])
     doc["marked_pairs"] = [doc["marked_pairs"][k] for k in order]
     doc["marked_positions"] = positions
@@ -727,7 +733,7 @@ def test_deserialize_rejects_bad_marked_positions(positions, order):
 def test_deserialize_rejects_run_starts_not_rising_from_0(starts, labels):
     # the two empty runs keep every label count and used to load; the
     # others also leave the counts short of f_label
-    doc = json.loads(serialize_index(build_index(ABBA)))
+    doc = json.loads(serialize_v3(build_index(ABBA)))
     assert (doc["run_starts"], doc["run_labels"]) == ([0, 1, 3], [0, 1, 0])
     doc.update(run_starts=starts, run_labels=labels, num_runs=len(starts))
     with pytest.raises(ValueError, match="corrupt index: run_starts does not rise strictly from 0"):
@@ -737,7 +743,7 @@ def test_deserialize_rejects_run_starts_not_rising_from_0(starts, labels):
 def test_deserialize_rejects_neighbouring_runs_with_one_label():
     # runs [0, 1, 2, 3] labelled [0, 1, 1, 0] split the run of "bb" in two
     # and used to load
-    doc = json.loads(serialize_index(build_index(ABBA)))
+    doc = json.loads(serialize_v3(build_index(ABBA)))
     doc.update(run_starts=[0, 1, 2, 3], run_labels=[0, 1, 1, 0], num_runs=4)
     with pytest.raises(ValueError, match="corrupt index: two neighbouring runs have the same label"):
         deserialize_index(json.dumps(doc).encode("ascii"))
@@ -751,7 +757,7 @@ ARRAY_FIELDS = ["run_starts", "run_labels", "out_prefix", "in_prefix", "f_label"
 @pytest.mark.parametrize("field", ARRAY_FIELDS + ["n", "m", "last_rank_id"])
 def test_deserialize_rejects_values_that_are_not_ints(field, bad):
     # exact types only: 1.9 must not load as 1, nor "0" or True as an int
-    doc = json.loads(serialize_index(build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)))
+    doc = json.loads(serialize_v3(build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)))
     if field in ARRAY_FIELDS:
         doc[field][0] = bad
     else:
@@ -796,7 +802,7 @@ def test_deserialize_rejects_unmarked_break_edge(version):
     # not show it; loaded without position 0, locate of "ab" gave [3], not [0]
     ix = build_index(ABB_CYCLE)
     assert ix.break_ranks == [0] and locate(ix, (0, 1)) == [0]
-    doc = json.loads(serialize_index(ix))
+    doc = json.loads(serialize_v3(ix))
     if version == 2:
         doc = as_version_2(doc)
     with pytest.raises(ValueError, match="corrupt index: position 0 \\(rule M1-M3\\)"):
@@ -814,7 +820,7 @@ def test_deserialize_rejects_unmarked_break_edge(version):
      (0, "break_ranks is not a list")],
 )
 def test_deserialize_rejects_impossible_break_ranks(breaks, fragment):
-    doc = json.loads(serialize_index(build_index(ABB_CYCLE)))
+    doc = json.loads(serialize_v3(build_index(ABB_CYCLE)))
     assert (doc["n"], doc["num_paths"], doc["break_ranks"]) == (3, 1, [0])
     doc["break_ranks"] = breaks
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
@@ -828,7 +834,7 @@ def test_version_2_load_finds_the_break_ranks():
     assert any(len(build_index(g).break_ranks) > 1 for g in graphs)
     for g in graphs:
         ix = build_index(g)
-        doc = as_version_2(json.loads(serialize_index(ix)))
+        doc = as_version_2(json.loads(serialize_v3(ix)))
         assert deserialize_index(json.dumps(doc).encode("ascii")) == ix
 
 
@@ -845,7 +851,7 @@ def test_version_2_load_rejects_a_lowered_break_identifier(version, interior_id,
     # trusted the stored break ranks answered locate of "a", "ba", "bba"
     # and "abba" wrong
     ix = build_index(ABB_CYCLE)
-    doc = json.loads(serialize_index(ix))
+    doc = json.loads(serialize_v3(ix))
     # the break is the only endpoint, so its identifier is n - 1 = 2
     assert ix.break_ranks == [0] and doc["marked_pairs"] == [0, 1, 2]
     doc["marked_pairs"][2] = interior_id
@@ -869,7 +875,7 @@ def test_deserialize_rejects_wrong_num_paths(graph, built, num_paths):
     # the paths no degree exception heads are the cycles, one break rank each;
     # a wrong num_paths used to load and print a wrong upsilon in stats. A
     # rank with no edges heads a path of its own.
-    doc = json.loads(serialize_index(build_index(graph)))
+    doc = json.loads(serialize_v3(build_index(graph)))
     assert doc["num_paths"] == built
     doc["num_paths"] = num_paths
     with pytest.raises(ValueError, match="corrupt index: break_ranks has [01] entries, num_paths"):
@@ -878,7 +884,7 @@ def test_deserialize_rejects_wrong_num_paths(graph, built, num_paths):
 
 def test_deserialize_rejects_break_rank_with_degree_exception():
     # rank 0 of the "abba" path is its source, of in-degree 0
-    doc = json.loads(serialize_index(build_index(ABBA)))
+    doc = json.loads(serialize_v3(build_index(ABBA)))
     assert doc["break_ranks"] == [] and doc["num_paths"] == 1
     doc.update(break_ranks=[0], num_paths=2)
     with pytest.raises(ValueError, match="corrupt index: break_ranks is not the ranks of degree 1"):
@@ -910,6 +916,16 @@ def golden_graphs():
 
 
 GOLDEN_SHA256 = {
+    "g1": "ceb5a58758df60a81df9930164d4ddcae7704263255b693537cfd90aaf033314",
+    "string": "8829b9fa516bf4994eede191249c2d5931126235656d5209e927fbf90550af1b",
+    "multi": "8127c66d99818f940ff815e35015696ff8579199e55b003752da75f5243597cd",
+    "trie": "00c783974e8a999dbfcbd1d4095d5c393084c783cac0d754cf18e5ee220763cb",
+    "cycle": "a38149dc956c20040759afee745fcdda5d43fa124adadb0a96fb1e699019f3b8",
+}
+
+# The same graphs through the version-3 reference writer: the bytes that
+# build_index gave before version 4, so the in-memory index is unchanged.
+GOLDEN_V3_SHA256 = {
     "g1": "82491ba36acb9c1089333ab3118e2534ed1e5a00884db7d8f22784b00a768b59",
     "string": "136347449a38ca1f1d3ce265c74867402bace89663bc73f566f4b7fa9958d916",
     "multi": "81c77ccd23926f9d319ebaff4fb0e45a305bcb63bec17d29e04a2db92e81f9d6",
@@ -917,11 +933,12 @@ GOLDEN_SHA256 = {
     "cycle": "87235321f96f80e1537aa04b5dae2d3c08a4b196c4e39a082be3ffd34e0d2c0c",
 }
 
-# Files of three golden graphs in the older versions, which must keep
-# loading: version 1 holds dense n + 1 prefix arrays, and versions 1 and 2
-# hold (source id, destination id) pairs and no break ranks. Every one of
-# them, and the version-3 file written before anchors became the minimal
-# set, anchors a superset of what a build anchors today.
+# Files of three golden graphs in every version, which must keep loading:
+# version 1 holds dense n + 1 prefix arrays, versions 1 and 2 hold (source
+# id, destination id) pairs and no break ranks, and versions 1-3 hold every
+# marked position and absolute run starts and anchors. The version-4 files
+# are the version-3 ones loaded and saved again. Every one of them anchors
+# a superset of what a build anchors today.
 OLDER_SHA256 = {
     (1, "g1"): "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
     (1, "trie"): "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
@@ -932,7 +949,14 @@ OLDER_SHA256 = {
     (3, "g1"): "7188b5c4e4cdf4539ecb98c72e75242590d42d3fddeac1e16ad27647a805d66e",
     (3, "trie"): "f8d9f533e23e9076650e93fb7c300e4c6661ab701cb522795830a424f5076227",
     (3, "cycle"): "87235321f96f80e1537aa04b5dae2d3c08a4b196c4e39a082be3ffd34e0d2c0c",
+    (4, "g1"): "30b1f11a3ebfb603fc79a829964027dcb9738b5236edc7e2621563fac9fefdac",
+    (4, "trie"): "21453855521c42b6e6d56df780b8558468d798f44896efa411555ddb7cc68cc2",
+    (4, "cycle"): "a38149dc956c20040759afee745fcdda5d43fa124adadb0a96fb1e699019f3b8",
 }
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_index_bytes_match_golden_hashes():
@@ -940,16 +964,14 @@ def test_index_bytes_match_golden_hashes():
     four seeded graphs: a string, a multi-path, a trie and a cycle."""
     graphs = golden_graphs()
     assert (graphs["string"].n, graphs["multi"].n, graphs["cycle"].n) == (5001, 4020, 500)
-    digests = {
-        name: hashlib.sha256(serialize_index(build_index(g))).hexdigest()
-        for name, g in graphs.items()
-    }
+    digests = {name: sha256(serialize_index(build_index(g))) for name, g in graphs.items()}
     assert digests == GOLDEN_SHA256
 
 
 # One digest over the indexes of 20 seeded Wheeler graphs with broken
 # cycles: 19 with other paths beside a cycle and 5 with several cycles.
-MIXED_CYCLES_SHA256 = "e4971fad662f938fe051c6ea2a5e1f8e2ea46333d7918366c6b9cbdf5eb0b412"
+MIXED_CYCLES_SHA256 = "d9631b5659557734999c5bf4216f6f5be7a30e6ebde0e07bef0e7fd3454dc951"
+MIXED_CYCLES_V3_SHA256 = "e4971fad662f938fe051c6ea2a5e1f8e2ea46333d7918366c6b9cbdf5eb0b412"
 
 
 def test_index_bytes_of_cycles_beside_paths_match_golden_hash():
@@ -966,18 +988,35 @@ def test_index_bytes_of_cycles_beside_paths_match_golden_hash():
     assert digest.hexdigest() == MIXED_CYCLES_SHA256
 
 
+def test_version_4_encodes_the_same_index_as_version_3():
+    """Only the encoding changed: a version-4 file and a version-3 one of
+    the same build load to equal indexes, equal to the build, whose
+    version-3 bytes are those every build gave before version 4."""
+    graphs = golden_graphs()
+    assert {name: sha256(serialize_v3(build_index(g))) for name, g in graphs.items()} == GOLDEN_V3_SHA256
+    mixed = hashlib.sha256()
+    for g in broken_cycle_graphs(20, seed=2026):
+        mixed.update(serialize_v3(build_index(g)))
+    assert mixed.hexdigest() == MIXED_CYCLES_V3_SHA256
+    for g in [*graphs.values(), *broken_cycle_graphs(20, seed=2026)]:
+        ix = build_index(g)
+        assert deserialize_index(serialize_index(ix)) == deserialize_index(serialize_v3(ix)) == ix
+
+
 @pytest.mark.parametrize(
     "version, name", sorted(OLDER_SHA256), ids=[f"v{v}-{name}" for v, name in sorted(OLDER_SHA256)]
 )
 def test_older_files_load_and_reserialize_as_version_3(version, name):
-    """An older file loads with its own anchors and re-saves to the
-    version-3 bytes of the same graph; everything else equals a fresh build,
+    """A file of any version loads with its own anchors and re-saves to the
+    version-4 bytes of the same graph, and the version-3 reference writer
+    gives back the version-3 file; everything else equals a fresh build,
     and it answers as one."""
     data = (DATA / f"{name}.v{version}.idx").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == OLDER_SHA256[version, name]
+    assert sha256(data) == OLDER_SHA256[version, name]
     assert json.loads(data)["version"] == version
     ix = deserialize_index(data)  # a cycle's break rank is not in v1/v2 files; the load finds it
-    assert hashlib.sha256(serialize_index(ix)).hexdigest() == OLDER_SHA256[3, name]
+    assert sha256(serialize_index(ix)) == OLDER_SHA256[4, name]
+    assert sha256(serialize_v3(ix)) == OLDER_SHA256[3, name]
     g = golden_graphs()[name]
     fresh = build_index(g)
     assert replace(ix, phi=fresh.phi) == fresh
@@ -987,6 +1026,107 @@ def test_older_files_load_and_reserialize_as_version_3(version, name):
         for pattern in product(range(g.sigma), repeat=length):
             assert count(ix, pattern) == count(fresh, pattern)
             assert locate(ix, pattern) == locate(fresh, pattern)
+
+
+def abba_v4():
+    # runs at 0, 1 and 3 end at 0, 2 and 3; position 1 is the one extra mark
+    doc = json.loads(serialize_index(build_index(ABBA)))
+    assert (doc["n"], doc["m"], doc["run_starts"], doc["anchor_ids"]) == (5, 4, [0, 1, 2], [1, 1, 1, 1])
+    assert (doc["marked_positions"], doc["marked_pairs"]) == ([1], [0, 2, 4, 1])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        ({"run_starts": [1, 1, 1]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
+        ({"run_starts": [0, 0, 3]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
+        ({"run_starts": [0, 1, 3]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
+        ({"anchor_ids": [1, 0, 2, 1]}, "anchor_ids is not strictly increasing within \\[0, n\\)"),
+        ({"anchor_ids": [-1, 2, 2, 1]}, "anchor_ids is not strictly increasing within \\[0, n\\)"),
+        ({"anchor_ids": [1, 1, 1, 2]}, "anchor_ids is not strictly increasing within \\[0, n\\)"),
+        ({"marked_positions": [2]}, "marked_positions holds run end 2"),
+        ({"marked_positions": [4]}, "marked_positions is not strictly increasing within \\[0, m\\)"),
+        ({"marked_positions": [-1]}, "marked_positions is not strictly increasing within \\[0, m\\)"),
+        ({"marked_positions": [1, 0], "marked_pairs": [0, 2, 4, 1, 0]},
+         "marked_positions is not strictly increasing within \\[0, m\\)"),
+        ({"marked_pairs": [0, 2, 4]}, "marked_pairs has 3 entries, num_runs \\+ len\\(marked_positions\\) gives 4"),
+        ({"marked_pairs": [0, 2, 4, 1, 3]}, "marked_pairs has 5 entries, num_runs \\+ len\\(marked_positions\\) gives 4"),
+        # the extra mark deleted with its identifier: an edge into the sink (M2)
+        ({"marked_positions": [], "marked_pairs": [0, 2, 4]}, "position 1 \\(rule M1-M3\\) is not marked"),
+    ],
+    ids=["first-run-gap-1", "run-gap-0", "starts-reach-m", "anchor-gap-0", "first-anchor-negative",
+         "anchors-reach-n", "extra-is-run-end", "extra-past-m", "extra-negative", "extras-unsorted",
+         "one-id-short", "one-id-over", "extra-deleted"],
+)
+def test_version_4_rejects_impossible_gaps_and_extras(edit, fragment):
+    doc = abba_v4()
+    doc.update(edit)
+    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+        deserialize_index(reseal(doc))
+
+
+def test_version_4_rejects_a_missing_or_wrong_checksum():
+    data = serialize_index(build_index(ABBA))
+    # the last member holds zlib.crc32 of the document without it
+    cut = data.rindex(b',"crc32":')
+    crc = zlib.crc32(data[:cut] + b"}")
+    assert data[cut:] == b',"crc32":%d}' % crc
+    doc = json.loads(data)
+    del doc["crc32"]
+    with pytest.raises(ValueError, match="corrupt index: checksum missing"):
+        deserialize_index(json.dumps(doc).encode("ascii"))
+    wrong = data[:cut] + b',"crc32":%d}' % (crc ^ 1)
+    with pytest.raises(ValueError, match=f"corrupt index: checksum {crc ^ 1} does not match"):
+        deserialize_index(wrong)
+    with pytest.raises(ValueError, match="unsupported index version 99"):
+        deserialize_index(reseal({**doc, "version": 99}))
+
+
+@pytest.mark.parametrize(
+    "graph, field, before, after",
+    [
+        # the trie of (0, 1), (0, 2), (1,) and (2, 2, 1), n = 8 and m = 7:
+        # one out-edge of rank 0 moved to rank 1 keeps the ordering axioms
+        # and every mark that rule M2 asks for
+        (gen_trie([(0, 1), (0, 2), (1,), (2, 2, 1)]).graph, "out_prefix", [0, 3, 1, 5], [0, 2, 1, 5]),
+        # the interior identifier 0 at the first run end becomes interior 3
+        (gen_string_path(labels_from_ascii("abaab")).graph, "marked_pairs", [0, 5, 2], [3, 5, 2]),
+    ],
+    ids=["out-prefix", "interior-id"],
+)
+def test_checksum_rejects_edits_that_pass_every_structural_check(graph, field, before, after):
+    ix = build_index(graph)
+    doc = json.loads(serialize_index(ix))
+    assert doc[field][:len(before)] == before
+    doc[field][:len(before)] = after
+    with pytest.raises(ValueError, match="corrupt index: checksum"):
+        deserialize_index(json.dumps(doc, separators=(",", ":")).encode("ascii"))
+    # only the checksum stands in the way: resealed, the edit loads as the
+    # index of another graph
+    moved = deserialize_index(reseal(doc))
+    assert moved != ix
+    if field == "out_prefix":
+        assert (count(ix, (0, 2)), locate(ix, (0, 2))) == (1, [7])
+        assert (count(moved, (0, 2)), locate(moved, (0, 2))) == (2, [7, 0])
+
+
+@pytest.mark.parametrize("name", ["g1", "trie", "cycle"])
+def test_every_single_byte_substitution_is_rejected(name):
+    """Every byte of a version-4 file changed to any other value is
+    rejected, by the checksum or, in its own member, by the parse. The
+    full 255 values run on g1 and on the closing 32 bytes of each file;
+    elsewhere the eight single-bit flips, since CRC-32 detects any error
+    burst up to 32 bits long."""
+    data = (DATA / f"{name}.v4.idx").read_bytes()
+    assert data.endswith(b"}") and data.rindex(b',"crc32":') > len(data) - 32
+    for i, old in enumerate(data):
+        every = name == "g1" or i >= len(data) - 32
+        values = set(range(256)) if every else {old ^ (1 << k) for k in range(8)}
+        head, tail = data[:i], data[i + 1:]
+        for v in values - {old}:
+            with pytest.raises(ValueError):
+                deserialize_index(head + bytes((v,)) + tail)
 
 
 def test_repetitive_collection_degree_sums_stay_small():

@@ -8,7 +8,7 @@ import pytest
 from wgrindex import build_index, count, load_index, locate, parse_graph, to_wgf
 from wgrindex.cli import main
 
-from helpers import G1_TEXT
+from helpers import G1_TEXT, reseal
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ def test_query_bad_index_file(capsys, tmp_path):
 def _corrupt_copy(src: str, dst, **fields) -> str:
     doc = json.loads(open(src, "rb").read())
     doc.update(fields)
-    dst.write_text(json.dumps(doc))
+    dst.write_bytes(reseal(doc))
     return str(dst)
 
 
@@ -203,6 +203,20 @@ def test_query_short_prefix_array_rejected_at_load(capsys, g1_idx, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: corrupt index: out_prefix")
+
+
+def test_query_damaged_file_rejected_by_checksum(capsys, g1_idx, tmp_path):
+    # one byte of the run labels changed, from label 1 to label 0
+    data = open(g1_idx, "rb").read()
+    assert b'"run_labels":[0,1,0]' in data
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(data.replace(b'"run_labels":[0,1,0]', b'"run_labels":[0,0,0]'))
+    pats = tmp_path / "p.txt"
+    pats.write_text("a\n")
+    code, out, err = run(capsys, "query", str(bad), "--mode", "count", "--patterns", str(pats))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: corrupt index: checksum")
 
 
 @pytest.mark.parametrize("command", ["query", "stats"])

@@ -121,7 +121,7 @@ def test_refine_matches_dense_reference(inputs):
         last_rank_id=None,
         rl=rl_from_labels(labels),
         sums=DegreeSums.from_degrees(out_degrees, in_degrees, f_label),
-        toehold=ToeholdTable({}), phi=PhiStructure([], []),
+        toehold=ToeholdTable({}, []), phi=PhiStructure([], []),
     )
     for s, e in combinations_with_replacement(range(n), 2):
         for c in range(sigma + 1):  # label 4 never occurs
@@ -231,7 +231,7 @@ def test_step_toehold_unmarked_increments_by_one():
     inst = make_instance("multi", gen_multi_paths([(0, 1, 0, 0), (1, 1, 0, 0)]))
     ix = inst.index
     assert inst.ids.id_of_rank == [6, 7, 0, 8, 9, 2, 5, 3, 1, 4]
-    assert ix.toehold.marked_positions() == [0, 1, 2, 3, 4, 5, 7]
+    assert sorted(ix.toehold.pairs) == [0, 1, 2, 3, 4, 5, 7]
     assert 6 not in ix.toehold.pairs
     st_ab = find_interval(ix, (0, 1))
     assert st_ab == MatchState(RankInterval(8, 8), 1)
