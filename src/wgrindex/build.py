@@ -726,8 +726,9 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
 
 
 def save_index(ix: WheelerRIndex, path) -> None:
+    data = serialize_index(ix)  # before the open, so a failed save leaves an old file whole
     with open(path, "wb") as fh:
-        fh.write(serialize_index(ix))
+        fh.write(data)
 
 
 def load_index(path) -> WheelerRIndex:

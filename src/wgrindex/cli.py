@@ -63,7 +63,7 @@ def cmd_build(args) -> int:
 def cmd_query(args) -> int:
     ix = load_index(args.index_file)
     if args.patterns:
-        with open(args.patterns, "r", encoding="ascii") as fh:
+        with open(args.patterns, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     else:
         lines = sys.stdin.read().splitlines()

@@ -26,31 +26,26 @@ from itertools import accumulate
 from pathlib import Path
 
 from wgrindex import (
-    GeneratedInstance,
-    IdAssignment,
     IndexInvariantError,
     WgfParseError,
-    RLSequence,
     WheelerGraph,
     WheelerRIndex,
     assign_identifiers,
-    build_bwt,
     build_index,
     count,
     decompose_paths,
-    full_state,
     gen_multi_paths,
     gen_string_cycle,
     gen_string_path,
     gen_trie,
-    is_primitive,
     locate,
     naive_match,
-    step_toehold,
     validate_wheeler,
 )
-from wgrindex import oracle
-from wgrindex.generators import _rotation_ranks
+from wgrindex.build import RLSequence, build_bwt
+from wgrindex.generators import GeneratedInstance, _rotation_ranks, is_primitive
+from wgrindex.graph import IdAssignment
+from wgrindex.query import full_state, step_toehold
 
 def labels_from_ascii(s: str) -> tuple[int, ...]:
     """Map lowercase ASCII to integer labels: 'a' -> 0, 'b' -> 1, ..."""
@@ -660,7 +655,9 @@ def _check_node(stats: SweepStats, inst: Instance, pattern, naive: set[int], st)
 
 def sweep_instance(inst: Instance, max_len: int, stats: SweepStats) -> None:
     g, ix = inst.graph, inst.index
-    adj = oracle.label_index(g)
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for u, v, lab in g.edges:
+        adj.setdefault(lab, []).append((u, v))
     root_naive = set(range(g.n))
     root_state = full_state(ix)
     _check_node(stats, inst, (), root_naive, root_state)

@@ -24,10 +24,10 @@ from wgrindex import (
     gen_string_path,
     locate,
     parse_graph,
-    phi,
     serialize_index,
     space_report,
 )
+from wgrindex.query import phi
 from wgrindex.cli import main as cli_main
 
 import helpers

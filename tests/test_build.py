@@ -14,15 +14,9 @@ from wgrindex import (
     FirstInOrderError,
     IndexInvariantError,
     NotWheelerError,
-    PhiStructure,
     WheelerGraph,
     assign_identifiers,
-    build_bwt,
     build_index,
-    build_partial_sums,
-    build_phi,
-    build_rank_select,
-    build_toehold,
     count,
     decompose_paths,
     deserialize_index,
@@ -30,17 +24,26 @@ from wgrindex import (
     gen_string_cycle,
     gen_string_path,
     gen_trie,
-    is_primitive,
     locate,
     parse_graph,
-    phi,
+    save_index,
     serialize_index,
     space_report,
 )
 import wgrindex.build as build_mod
 import wgrindex.graph as graph_mod
-from wgrindex.build import DegreeSums
+from wgrindex.build import (
+    DegreeSums,
+    PhiStructure,
+    build_bwt,
+    build_partial_sums,
+    build_phi,
+    build_rank_select,
+    build_toehold,
+)
+from wgrindex.generators import is_primitive
 from wgrindex.graph import transform_order
+from wgrindex.query import phi
 
 from helpers import (
     G1_TEXT,
@@ -427,6 +430,20 @@ def test_space_bounds(inst):
 def test_serialize_roundtrip(g1_index):
     data = serialize_index(g1_index)
     assert deserialize_index(data) == g1_index
+
+
+def test_failed_save_leaves_the_old_file_whole(g1_index, tmp_path, monkeypatch):
+    path = tmp_path / "g1.idx"
+    save_index(g1_index, path)
+    old = path.read_bytes()
+
+    def interrupted(ix):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(build_mod, "serialize_index", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_index(g1_index, path)
+    assert path.read_bytes() == old
 
 
 @settings(max_examples=100)

@@ -115,6 +115,15 @@ def test_query_reads_stdin(capsys, g1_idx, monkeypatch):
     assert out.splitlines() == ["count 2", "count 1"]
 
 
+def test_query_patterns_file_and_stdin_agree_on_utf8(capsys, g1_idx, tmp_path, monkeypatch):
+    pats = tmp_path / "p.txt"
+    pats.write_bytes("äb\n".encode("utf-8"))
+    from_file = run(capsys, "query", g1_idx, "--mode", "count", "--patterns", str(pats), "--map", "äb")
+    monkeypatch.setattr("sys.stdin", io.StringIO("äb\n"))
+    from_stdin = run(capsys, "query", g1_idx, "--mode", "count", "--map", "äb")
+    assert from_file == from_stdin == (0, "count 1\n", "")  # same as "ab"
+
+
 def test_query_custom_map(capsys, g1_idx, tmp_path):
     pats = tmp_path / "p.txt"
     pats.write_text("xy\n")

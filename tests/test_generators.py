@@ -2,19 +2,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgrindex import (
-    build_bwt,
     build_index,
-    build_rank_select,
     count,
     decompose_paths,
     gen_multi_paths,
     gen_string_cycle,
     gen_string_path,
     gen_trie,
-    is_primitive,
     naive_match,
     validate_wheeler,
 )
+from wgrindex.build import build_bwt, build_rank_select
+from wgrindex.generators import is_primitive
 
 from helpers import (
     FAMILIES,

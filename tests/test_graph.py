@@ -10,12 +10,11 @@ from wgrindex import (
     gen_string_cycle,
     gen_string_path,
     gen_trie,
-    is_primitive,
     parse_graph,
     to_wgf,
     validate_wheeler,
 )
-
+from wgrindex.generators import is_primitive
 from wgrindex.graph import PathDecomposition, transform_order
 
 from helpers import (

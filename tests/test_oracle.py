@@ -2,14 +2,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from wgrindex import (
-    WheelerGraph,
-    assign_identifiers,
-    decompose_paths,
-    gen_string_path,
-    naive_match,
-    naive_trace,
-)
+from wgrindex import WheelerGraph, assign_identifiers, decompose_paths, gen_string_path, naive_match
 
 from helpers import check_contiguity, count_occurrences, naive_phi_table, naive_runs
 
@@ -17,15 +10,9 @@ from helpers import check_contiguity, count_occurrences, naive_phi_table, naive_
 def test_naive_match_g1(g1):
     assert naive_match(g1, (0,)) == {1, 2}
     assert naive_match(g1, ()) == {0, 1, 2, 3}
+    assert naive_match(g1, (0, 1)) == {3}
     assert naive_match(g1, (0, 1, 0)) == {2}
     assert naive_match(g1, (1, 1)) == set()
-
-
-def test_naive_trace_structure(g1):
-    trace = naive_trace(g1, (0, 1))
-    assert trace[0] == {0, 1, 2, 3}
-    assert trace[1] == {1, 2}
-    assert trace[2] == {3}
 
 
 @settings(max_examples=150)

@@ -7,13 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import wgrindex.query as query_mod
 from wgrindex import (
-    DegreeSums,
     FirstInOrderError,
     IndexInvariantError,
-    MatchState,
-    PhiStructure,
-    RankInterval,
-    ToeholdTable,
     WheelerGraph,
     WheelerRIndex,
     assign_identifiers,
@@ -21,18 +16,23 @@ from wgrindex import (
     count,
     decompose_paths,
     deserialize_index,
-    find_interval,
-    full_interval,
-    full_state,
     gen_multi_paths,
     gen_string_cycle,
     gen_string_path,
     gen_trie,
-    is_primitive,
     locate,
     naive_match,
-    phi,
     serialize_index,
+)
+from wgrindex.build import DegreeSums, PhiStructure, ToeholdTable
+from wgrindex.generators import is_primitive
+from wgrindex.query import (
+    MatchState,
+    RankInterval,
+    find_interval,
+    full_interval,
+    full_state,
+    phi,
     step_interval,
     step_toehold,
 )
