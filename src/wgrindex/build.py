@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, filterfalse, pairwise, repeat
-from functools import partial
-from operator import eq, ge, is_not, itemgetter, ne, sub
+from itertools import accumulate, chain, compress, pairwise, repeat
+from operator import eq, ge, itemgetter, ne, sub
 
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
@@ -50,29 +50,30 @@ class RLSequence:
     """Rank/select over a run-length encoded label sequence.
 
     Stores one entry per run globally plus, per label, a directory of that
-    label's runs: their starts, and the occurrences of the label before each
-    of them followed by the label's total. Storage is proportional to the
-    number of runs plus two directory slots per distinct label; rank and
-    select are binary searches.
+    label's runs: their starts, a list that rank bisects, and the
+    occurrences of the label before each of them followed by the label's
+    total, an array('q') of 8-byte words that queries only index. Storage
+    is proportional to the number of runs plus two directory slots per
+    distinct label; rank and select are binary searches.
     """
 
     length: int
     run_starts: list[int]
     run_labels: list[int]
-    runs_of: dict[int, tuple[list[int], list[int]]] = field(init=False, repr=False, compare=False)
+    runs_of: dict[int, tuple[list[int], array]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        runs_of: dict[int, tuple[list[int], list[int]]] = {}
+        runs_of: dict[int, tuple[list[int], list[int]]] = {}  # label -> (starts, lengths)
         ends = self.run_starts[1:] + [self.length]
         for s, e, lab in zip(self.run_starts, ends, self.run_labels):
             runs = runs_of.get(lab)
             if runs is None:
-                runs_of[lab] = ([s], [0, e - s])
+                runs_of[lab] = ([s], [e - s])
             else:
-                starts, cums = runs
-                starts.append(s)
-                cums.append(cums[-1] + e - s)
-        self.runs_of = runs_of
+                runs[0].append(s)
+                runs[1].append(e - s)
+        self.runs_of = {c: (starts, array("q", accumulate(lengths, initial=0)))
+                        for c, (starts, lengths) in runs_of.items()}
 
     def count(self, c: int) -> int:
         runs = self.runs_of.get(c)
@@ -88,7 +89,8 @@ class RLSequence:
         if t == 0:
             return 0
         k = cums[t - 1] + p - starts[t - 1]
-        return k if k < cums[t] else cums[t]  # at most the whole of run t - 1
+        end = cums[t]  # one read: each read of an array makes a new int
+        return k if k < end else end  # at most the whole of run t - 1
 
     def select(self, c: int, k: int) -> int:
         """Position of the (k+1)-th occurrence of c (k is 0-based)."""
@@ -154,8 +156,11 @@ def _prefix(ranks: list[int], after: list[int], k: int) -> int:
 
 def _f_label(rl: RLSequence, sigma: int) -> list[int]:
     """f_label[c] for c in [0, sigma]: the labels below c in the transform,
-    from the label counts of its runs."""
-    return [0] + list(accumulate(map(rl.count, range(sigma))))
+    from the label counts of its runs. One allocation first: a sigma past
+    memory fails at once instead of growing a list until memory runs out."""
+    f_label = [0] + [0] * sigma
+    f_label[1:] = accumulate(map(rl.count, range(sigma)))
+    return f_label
 
 
 def build_partial_sums(g: WheelerGraph, rl: RLSequence) -> DegreeSums:
@@ -172,7 +177,8 @@ class ToeholdTable:
     else the tracked identifier advances with the +1 rule, so the table
     plus that rule cover every step. Every run end is marked (rule M1);
     extras lists, ascending, the other marked positions, the only ones an
-    index file stores.
+    index file stores. pairs holds the run ends first, in run order, then
+    the extras: the order in which an index file lists their identifiers.
     """
 
     pairs: dict[int, int]
@@ -234,42 +240,45 @@ class PhiStructure:
     """Sorted identifier anchors with each one's order-predecessor.
 
     anchor_ids holds, ascending, the identifiers whose order-predecessor is
-    stored explicitly; pred_ids[t] is the identifier of the vertex directly
-    before anchor_ids[t] in the vertex order (None for the order-first
-    vertex). Between anchors the predecessor of i + 1 is that of i plus
-    one, which is what makes successor lookup plus offset arithmetic
-    recover every other predecessor.
+    stored explicitly, a list that successor bisects; pred_ids[t], an
+    array('q') of 8-byte words, is the identifier of the vertex directly
+    before anchor_ids[t] in the vertex order, -1 for the order-first vertex
+    (an index file writes None there). Between anchors the predecessor of
+    i + 1 is that of i plus one, which is what makes successor lookup plus
+    offset arithmetic recover every other predecessor.
     """
 
     anchor_ids: list[int]
-    pred_ids: list[int | None]
+    pred_ids: array
 
     @property
     def size(self) -> int:
         return len(self.anchor_ids)
 
     def successor(self, i: int) -> tuple[int, int | None]:
-        """Smallest anchor >= i with its stored predecessor identifier."""
+        """Smallest anchor >= i with its stored predecessor identifier,
+        None for the order-first vertex."""
         t = bisect_left(self.anchor_ids, i)
         if t == len(self.anchor_ids):
             raise IndexInvariantError(f"identifier {i} has no anchor successor")
-        return self.anchor_ids[t], self.pred_ids[t]
+        pred = self.pred_ids[t]
+        return self.anchor_ids[t], pred if pred >= 0 else None
 
 
 def build_phi(ids: IdAssignment) -> PhiStructure:
     """Collect the anchor identifiers and their order-predecessors.
 
     With pred(i) the identifier of the vertex ranked just before vertex i
-    (None for the order-first vertex), identifier i is anchored exactly
-    when i = n - 1, pred(i) or pred(i + 1) is None, or pred(i + 1) !=
+    (-1 for the order-first vertex), identifier i is anchored exactly
+    when i = n - 1, pred(i) or pred(i + 1) is -1, or pred(i + 1) !=
     pred(i) + 1. Every other i gets pred(j) - (j - i) right from its anchor
     successor j, and each anchor is needed, so no smaller set serves phi.
     """
     id_of = ids.id_of_rank
-    preds = [id_of[k - 1] if k else None for k in ids.rank_of_id]
-    # pred(n) is taken as None, so n - 1 is anchored too.
-    anchors = [i for i, (p, q) in enumerate(pairwise(preds + [None])) if p is None or q != p + 1]
-    return PhiStructure(anchor_ids=anchors, pred_ids=[preds[i] for i in anchors])
+    preds = [id_of[k - 1] if k else -1 for k in ids.rank_of_id]
+    # pred(n) is taken as -1, so n - 1 is anchored too; q = -1 != p + 1.
+    anchors = [i for i, (p, q) in enumerate(pairwise(preds + [-1])) if p < 0 or q != p + 1]
+    return PhiStructure(anchor_ids=anchors, pred_ids=array("q", map(preds.__getitem__, anchors)))
 
 
 @dataclass
@@ -410,8 +419,9 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
     are not run ends, and the identifiers at the run ends, in run order,
     before theirs. Its last member, crc32, is zlib.crc32 of the rest."""
     toehold, sums = ix.toehold, ix.sums
-    # the marks that are not extras are the run ends; ascending, in run order
-    ends = filterfalse(set(toehold.extras).__contains__, sorted(toehold.pairs))
+    preds = ix.phi.pred_ids.tolist()
+    if preds:  # a file writes None for the order-first vertex's -1
+        preds[preds.index(-1)] = None
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -427,10 +437,10 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "in_prefix": _interleave(sums.in_ranks, sums.in_after),
         "f_label": sums.f_label,
         "marked_positions": toehold.extras,
-        "marked_pairs": list(map(toehold.pairs.__getitem__, chain(ends, toehold.extras))),
+        "marked_pairs": list(toehold.pairs.values()),  # run ends, then extras
         "break_ranks": ix.break_ranks,
         "anchor_ids": _gaps(ix.phi.anchor_ids),
-        "pred_ids": ix.phi.pred_ids,
+        "pred_ids": preds,
     }
     body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     return b"".join((memoryview(body)[:-1], _SEAL, b"%d}" % zlib.crc32(body)))
@@ -636,13 +646,18 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
                 raise ValueError(
                     f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}"
                 )
-        known = list(filter(partial(is_not, None), pred_ids))
-        firsts = len(pred_ids) - len(known)
+        firsts = pred_ids.count(None)
         if firsts != min(n, 1):
             raise ValueError(
                 f"corrupt index: pred_ids holds {firsts} None entries, n = {n} needs {min(n, 1)}"
             )
-        _check_ids("pred_ids", known, n)
+        if n:  # the None passes the check as 0, then becomes the -1 sentinel
+            first = pred_ids.index(None)
+            pred_ids[first] = 0
+        _check_ids("pred_ids", pred_ids, n)
+        pred_ids = array("q", pred_ids)
+        if n:
+            pred_ids[first] = -1
         if not _rising(anchor_gaps, n):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
         anchor_ids = list(accumulate(anchor_gaps))

@@ -232,49 +232,45 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
             )
         )
 
-    # One scan in transform order, keeping (destination, edge index) keys per
-    # label: the smallest and the largest for A1; for A2 the first edge to
-    # reach the largest destination so far, and the first violation found.
-    # A2 asks that, within one label and in increasing source order, every
-    # destination be >= the largest destination of strictly smaller sources.
+    # One scan in transform order, keeping per label that occurs the
+    # (destination, edge index) keys [lo, hi, top, a2]: the smallest and the
+    # largest for A1; for A2 the first edge to reach the largest destination
+    # so far, and the first violation found. A2 asks that, within one label
+    # and in increasing source order, every destination be >= the largest
+    # destination of strictly smaller sources.
     edges = g.edges
-    lo: list[tuple[int, int] | None] = [None] * g.sigma
-    hi: list[tuple[int, int] | None] = [None] * g.sigma
-    top: list[tuple[int, int] | None] = [None] * g.sigma
-    a2: list[Violation | None] = [None] * g.sigma
+    per_label: dict[int, list] = {}
     order = transform_order(g)
     for idx in order:
         _, v, lab = edges[idx]
         key = (v, idx)
-        if lo[lab] is None:
-            lo[lab] = hi[lab] = top[lab] = key
+        state = per_label.get(lab)
+        if state is None:
+            per_label[lab] = [key, key, key, None]
             continue
-        if key < lo[lab]:
-            lo[lab] = key
-        elif key > hi[lab]:
-            hi[lab] = key
+        if key < state[0]:
+            state[0] = key
+        elif key > state[1]:
+            state[1] = key
         # Earlier edges of the same source have destinations <= v, so a
         # larger destination so far always comes from a smaller source.
-        top_dst, top_edge = top[lab]
+        top_dst, top_edge = state[2]
         if v < top_dst:
-            if a2[lab] is None:
-                a2[lab] = Violation(
+            if state[3] is None:
+                state[3] = Violation(
                     "A2",
                     (top_edge, idx),
                     f"edges {top_edge} {edges[top_edge]} and {idx} {edges[idx]} share "
                     f"label {lab} with increasing sources but decreasing destinations",
                 )
         elif v > top_dst:
-            top[lab] = key
+            state[2] = key
 
     # A1: destinations of lower labels must lie strictly below destinations
     # of higher labels, so one running maximum over ascending labels suffices.
-    best_dst = -1
-    best_edge = -1
-    for lab in range(g.sigma):
-        if lo[lab] is None:
-            continue
-        lo_dst, lo_edge = lo[lab]
+    best_dst = best_edge = -1
+    states = [per_label[lab] for lab in sorted(per_label)]
+    for (lo_dst, lo_edge), hi, _, _ in states:
         if best_edge >= 0 and best_dst >= lo_dst:
             violations.append(
                 Violation(
@@ -284,10 +280,10 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
                     f"edge {lo_edge} {edges[lo_edge]} but does not lead to a smaller vertex",
                 )
             )
-        if hi[lab][0] > best_dst:
-            best_dst, best_edge = hi[lab]
+        if hi[0] > best_dst:
+            best_dst, best_edge = hi
 
-    violations.extend(viol for viol in a2 if viol is not None)  # A2, by ascending label
+    violations.extend(state[3] for state in states if state[3] is not None)  # A2, by ascending label
     return ValidationReport(tuple(violations), order)
 
 

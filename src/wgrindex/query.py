@@ -110,12 +110,13 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
     t = bisect_left(starts, hi) - 1
     if t < 0:
         return None
-    k2 = cums[t] + hi - starts[t]
-    if k2 > cums[t + 1]:
-        k2 = cums[t + 1]  # the run ends before hi
+    before, through = cums[t], cums[t + 1]  # one read each: an array read makes an int
+    k2 = before + hi - starts[t]
+    if k2 > through:
+        k2 = through  # the run ends before hi
     if k2 <= k1:
         return None
-    p = starts[t] + k2 - cums[t] - 1
+    p = starts[t] + k2 - before - 1
     # In-slots f_label[c] + k1 and f_label[c] + k2 - 1 name the first and
     # last vertex reached: a slot past the exception at ranks[t - 1] lies
     # at a rank of in-degree 1 after it, unless that passes ranks[t], which

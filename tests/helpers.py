@@ -211,6 +211,7 @@ def serialize_v3(ix: WheelerRIndex) -> bytes:
     marked position with its destination id, and no checksum."""
     positions = sorted(ix.toehold.pairs)
     sums = ix.sums
+    preds = [None if p < 0 else p for p in ix.phi.pred_ids]  # -1 is written as None
     doc = {
         "format": "wgrindex",
         "version": 3,
@@ -229,7 +230,7 @@ def serialize_v3(ix: WheelerRIndex) -> bytes:
         "marked_pairs": list(map(ix.toehold.pairs.__getitem__, positions)),
         "break_ranks": ix.break_ranks,
         "anchor_ids": ix.phi.anchor_ids,
-        "pred_ids": ix.phi.pred_ids,
+        "pred_ids": preds,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
 

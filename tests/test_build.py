@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import zlib
+from array import array
 from dataclasses import replace
 from itertools import accumulate, product
 from pathlib import Path
@@ -299,7 +300,7 @@ def test_phi_structure_g1(g1):
     # identifier 0 follows 2 and identifier 1 follows 3: pred(1) - 1 gives
     # pred(0), so 0 needs no anchor
     assert ph.anchor_ids == [1, 2, 3]
-    assert ph.pred_ids == [3, None, 0]
+    assert ph.pred_ids == array("q", [3, -1, 0])
 
 
 def test_phi_structure_unary_chain():
@@ -308,7 +309,7 @@ def test_phi_structure_unary_chain():
     ids = assign_identifiers(g, d)
     ph = build_phi(ids)
     assert ph.anchor_ids == [0, 2, 3, 4]
-    assert ph.pred_ids == [3, 1, None, 2]
+    assert ph.pred_ids == array("q", [3, 1, -1, 2])
 
 
 def test_phi_structure_single_vertex():
@@ -317,7 +318,7 @@ def test_phi_structure_single_vertex():
     ids = assign_identifiers(g, d)
     ph = build_phi(ids)
     assert ph.anchor_ids == [0]
-    assert ph.pred_ids == [None]
+    assert ph.pred_ids == array("q", [-1])
 
 
 @settings(max_examples=150)
@@ -374,7 +375,7 @@ def test_phi_anchors_are_the_minimal_set():
         table = naive_phi_table(g, assign_identifiers(g, decompose_paths(g)))
         anchors, preds = ix.phi.anchor_ids, ix.phi.pred_ids
         assert anchors == minimal_anchors(table)
-        assert preds == [table[i] for i in anchors]
+        assert preds == array("q", [-1 if table[i] is None else table[i] for i in anchors])
         for t, a in enumerate(anchors):
             cut_phi = PhiStructure(anchors[:t] + anchors[t + 1:], preds[:t] + preds[t + 1:])
             cut = replace(ix, phi=cut_phi)
@@ -711,7 +712,7 @@ def test_deserialize_rejects_stray_run_label():
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
-@pytest.mark.parametrize("bad", [99, -3])
+@pytest.mark.parametrize("bad", [99, -3, -1])
 @pytest.mark.parametrize("field", ["marked_pairs", "pred_ids"])
 def test_deserialize_rejects_identifiers_outside_n(field, bad):
     # loaded, destination 99 (or -3) at marked position 1 made locate of
@@ -983,6 +984,37 @@ def test_index_bytes_match_golden_hashes():
     assert (graphs["string"].n, graphs["multi"].n, graphs["cycle"].n) == (5001, 4020, 500)
     digests = {name: sha256(serialize_index(build_index(g))) for name, g in graphs.items()}
     assert digests == GOLDEN_SHA256
+
+
+def test_unsearched_columns_are_unboxed_words():
+    """The run counts and the phi predecessors, which queries index but
+    never bisect, are array('q') columns after a build and after a load,
+    and a load gives back the built index."""
+    for g in golden_graphs().values():
+        ix = build_index(g)
+        loaded = deserialize_index(serialize_index(ix))
+        assert loaded == ix
+        for index in (ix, loaded):
+            columns = [cums for _, cums in index.rl.runs_of.values()] + [index.phi.pred_ids]
+            assert {(type(col), col.typecode) for col in columns} == {(array, "q")}
+
+
+@pytest.mark.parametrize("version", [3, 4])
+def test_the_first_vertex_sentinel_never_comes_from_a_file(version):
+    """-1 stands for the order-first vertex's predecessor in memory only: a
+    file holding -1 where it holds None does not load, and phi of that
+    vertex raises FirstInOrderError on a built and on a loaded index."""
+    ix = build_index(ABBA)
+    first = ix.phi.anchor_ids[ix.phi.pred_ids.index(-1)]
+    for index in (ix, deserialize_index(serialize_index(ix))):
+        with pytest.raises(FirstInOrderError):
+            phi(index, first)
+    doc = json.loads(serialize_v3(ix) if version == 3 else serialize_index(ix))
+    assert doc["pred_ids"].count(None) == 1
+    doc["pred_ids"] = [-1 if p is None else p for p in doc["pred_ids"]]
+    data = json.dumps(doc).encode("ascii") if version == 3 else reseal(doc)
+    with pytest.raises(ValueError, match="corrupt index: pred_ids holds 0 None entries"):
+        deserialize_index(data)
 
 
 # One digest over the indexes of 20 seeded Wheeler graphs with broken

@@ -2,10 +2,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from wgrindex import build_index, count, load_index, locate, parse_graph, to_wgf
+from wgrindex import build_index, count, load_index, locate, parse_graph, to_wgf, validate_wheeler
 from wgrindex.cli import main
 
 from helpers import G1_TEXT, reseal
@@ -40,6 +41,18 @@ def test_validate_rejects_mutant(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "wheeler=false"
     assert any(line.startswith("A2:") for line in lines[1:])
+
+
+def test_validate_sparse_label_takes_no_time(capsys, tmp_path):
+    # the per-label state is kept for the labels that occur: a label near
+    # 10**9 used to make validation allocate four lists of that length
+    path = tmp_path / "sparse.wgf"
+    path.write_text("n 3\nm 2\ne 0 1 0\ne 1 2 1000000000\n")
+    g = parse_graph(path.read_text())
+    start = time.perf_counter()
+    assert validate_wheeler(g).is_wheeler
+    assert time.perf_counter() - start < 0.1
+    assert run(capsys, "validate", str(path)) == (0, "wheeler=true\n", "")
 
 
 def test_validate_missing_file(capsys, tmp_path):
