@@ -2,15 +2,18 @@
 
 A pattern is a sequence of integer labels. match(P) is the set of vertices
 at which some directed path spelling P (edge labels read first to last)
-ends; under a valid vertex order that set is a contiguous rank interval.
-Each query step maps the interval for a prefix to the interval for the
-prefix extended by one label, by rank searches over the interval's
+ends; under a valid vertex order that set is a contiguous rank interval
+[s, e]. Each query step maps the interval for a prefix to the interval for
+the prefix extended by one label, by rank searches over the interval's
 out-range: the transform positions of the edges leaving its vertices. The
 same search also finds the last occurrence of the label there, and that
 position carries the identifier of the new interval's last vertex: it is
 stored at the position when the position is marked, and otherwise follows
 from the old last identifier by the +1 rule (the toehold lemma). The whole
 result is then reported by repeatedly stepping to order-predecessors.
+
+Steps work on plain ints: an interval is its inclusive ranks s, e, a match
+state the triple (s, e, last_id), and no match is None, never an inverted pair.
 
 All functions are pure reads over an immutable index and may be called
 concurrently.
@@ -19,55 +22,12 @@ concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 from .build import WheelerRIndex
 from .errors import FirstInOrderError, IndexInvariantError
 
 _INT_ONLY = frozenset((int,))
-
-
-@dataclass(slots=True, init=False)
-class RankInterval:
-    """Non-empty inclusive range of vertex ranks.
-
-    Emptiness is always expressed as None by the query functions, never as
-    an inverted pair.
-    """
-
-    s: int
-    e: int
-
-    def __init__(self, s: int, e: int) -> None:
-        if not 0 <= s <= e:
-            raise ValueError(f"invalid interval [{s}, {e}]")
-        self.s = s
-        self.e = e
-
-    def __len__(self) -> int:
-        return self.e - self.s + 1
-
-
-@dataclass(slots=True)
-class MatchState:
-    """A match interval plus the identifier of the vertex at its top rank."""
-
-    interval: RankInterval
-    last_id: int
-
-
-def full_interval(ix: WheelerRIndex) -> RankInterval | None:
-    """Interval of the empty pattern: every vertex (None when n = 0)."""
-    return RankInterval(0, ix.n - 1) if ix.n else None
-
-
-def full_state(ix: WheelerRIndex) -> MatchState | None:
-    """Match state of the empty pattern."""
-    if ix.n == 0:
-        return None
-    assert ix.last_rank_id is not None
-    return MatchState(RankInterval(0, ix.n - 1), ix.last_rank_id)
 
 
 def _labels(pattern: Sequence[int]) -> tuple[int, ...]:
@@ -90,6 +50,12 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
     are recovered from the label and in-degree partial sums. Degree sums
     are kept only at the ranks whose degree is not 1 (see DegreeSums):
     every rank in between adds exactly one edge or in-slot.
+
+    A result always has 0 <= s' <= e' < n on an index that loads: the
+    loader checks that the degrees are non-negative and sum to m, so the
+    map from in-slot to rank rises monotonically within [0, n), and the
+    step returns only when k2 > k1, so the last slot is not below the
+    first.
     """
     rl = ix.rl
     runs = rl.runs_of.get(c)  # None for a label that never occurs
@@ -136,69 +102,71 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
     return s2, e2, p
 
 
-def step_interval(ix: WheelerRIndex, iv: RankInterval, c: int) -> RankInterval | None:
-    """Interval of pattern P + [c] given the interval of P."""
-    r = _refine(ix, iv.s, iv.e, c)
-    return None if r is None else RankInterval(r[0], r[1])
+# count looks this name up on every label, so a wrapper set on the module
+# sees one call per interval step.
+step_interval = _refine
 
 
 def count(ix: WheelerRIndex, pattern: Sequence[int]) -> int:
-    """Number of vertices where a path spelling the pattern ends.
+    """Number of vertices where a path spelling the pattern ends: e - s + 1
+    for the interval [s, e] that one step_interval per label leaves.
 
     Raises ValueError when a label is not an int; an int outside the
     alphabet matches nothing.
     """
     pattern = _labels(pattern)
-    iv = full_interval(ix)
-    if iv is None:
-        return 0
+    s, e = 0, ix.n - 1  # with no vertex, e < s and no label occurs
     for c in pattern:
-        iv = step_interval(ix, iv, c)
-        if iv is None:
+        r = step_interval(ix, s, e, c)
+        if r is None:
             return 0
-    return len(iv)
+        s, e, _ = r
+    return e - s + 1
 
 
-def step_toehold(ix: WheelerRIndex, st: MatchState, c: int) -> MatchState | None:
-    """Refine the interval by c and keep the last vertex's identifier.
+def step_toehold(ix: WheelerRIndex, s: int, e: int, last_id: int, c: int) -> tuple[int, int, int] | None:
+    """Refine [s, e] by c and keep the last vertex's identifier: the new
+    (s', e', last_id'), or None when nothing matches.
 
     The new last vertex is reached by the last c in the interval's
     out-range, position p. If p is marked, the stored identifier is used;
-    from the full state p is the globally last c, a run end, so it always
-    is. Otherwise p must lie in the out-range of the old last vertex (the
+    from the full interval p is the globally last c, a run end, so it always
+    is. Otherwise p must lie in the out-range of the old last vertex e (the
     two ranges end together), where both endpoints of p's edge are
     chain-interior and the identifier is last_id + 1. An unmarked p before
     that range means the index is corrupt.
     """
-    iv = st.interval
-    r = _refine(ix, iv.s, iv.e, c)
+    r = _refine(ix, s, e, c)
     if r is None:
         return None
-    s, e, p = r
+    s2, e2, p = r
     new_id = ix.toehold.pairs.get(p)
     if new_id is None:
-        if p < ix.sums.out_prefix(iv.e):
+        if p < ix.sums.out_prefix(e):
             raise IndexInvariantError(
                 f"unmarked position {p} reached by an out-of-range step (label {c})"
             )
-        new_id = st.last_id + 1
-    return MatchState(RankInterval(s, e), new_id)
+        new_id = last_id + 1
+    return s2, e2, new_id
 
 
-def find_interval(ix: WheelerRIndex, pattern: Sequence[int]) -> MatchState | None:
-    """Match state of a non-empty pattern, or None when nothing matches:
-    one step_toehold per label from the full state.
+def find_interval(ix: WheelerRIndex, pattern: Sequence[int]) -> tuple[int, int, int] | None:
+    """Match state (s, e, last_id) of a non-empty pattern: its interval and
+    the identifier of the vertex at rank e, or None when nothing matches.
+    One step_toehold per label from the full interval, whose last vertex
+    is ix.last_rank_id.
     Raises ValueError on the empty pattern or a label that is not an int.
     """
     pattern = _labels(pattern)
-    if len(pattern) == 0:
+    if not pattern:
         raise ValueError("pattern must be non-empty; the empty pattern matches every vertex")
-    st = full_state(ix)
+    s, e, last_id = 0, ix.n - 1, ix.last_rank_id  # with no vertex, no label occurs
     for c in pattern:
-        if st is None:
+        r = step_toehold(ix, s, e, last_id, c)
+        if r is None:
             return None
-        st = step_toehold(ix, st, c)
-    return st
+        s, e, last_id = r
+    return s, e, last_id
 
 
 def phi(ix: WheelerRIndex, i: int) -> int:
@@ -224,16 +192,17 @@ def phi(ix: WheelerRIndex, i: int) -> int:
 def locate(ix: WheelerRIndex, pattern: Sequence[int]) -> list[int]:
     """Identifiers of all vertices where a path spelling the pattern ends.
 
-    Returns exactly count(ix, pattern) distinct identifiers, starting with
-    the last vertex of the match interval and walking order-predecessors.
-    The empty pattern reports every vertex. Raises ValueError when a label
-    is not an int.
+    Returns exactly count(ix, pattern) distinct identifiers: last_id from
+    find_interval's (s, e, last_id), then e - s order-predecessors, one phi
+    call each. The empty pattern reports every vertex. Raises ValueError
+    when a label is not an int.
     """
     pattern = tuple(pattern)  # read an iterator once; find_interval checks the labels
-    st = find_interval(ix, pattern) if pattern else full_state(ix)
-    if st is None:
+    found = find_interval(ix, pattern) if pattern else (0, ix.n - 1, ix.last_rank_id)
+    if found is None or ix.n == 0:
         return []
-    out = [st.last_id]
-    for _ in range(len(st.interval) - 1):
+    s, e, last_id = found
+    out = [last_id]
+    for _ in range(e - s):
         out.append(phi(ix, out[-1]))
     return out

@@ -22,7 +22,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 from wgrindex import (
@@ -45,7 +45,7 @@ from wgrindex import (
 from wgrindex.build import RLSequence, build_bwt
 from wgrindex.generators import GeneratedInstance, _rotation_ranks, is_primitive
 from wgrindex.graph import IdAssignment
-from wgrindex.query import full_state, step_toehold
+from wgrindex.query import step_toehold
 
 def labels_from_ascii(s: str) -> tuple[int, ...]:
     """Map lowercase ASCII to integer labels: 'a' -> 0, 'b' -> 1, ..."""
@@ -445,6 +445,28 @@ def broken_cycle_graphs(count: int, seed: int) -> list[WheelerGraph]:
     return sampled_wheeler_graphs(count, seed, lambda g: bool(decompose_paths(g).break_ranks))
 
 
+def gen_confluent(arg: tuple[int, int, int]) -> GeneratedInstance:
+    """A Wheeler graph whose vertices may have in-degree above 1, built to
+    meet the axioms rather than sampled: arg is (seed, n, sigma), with
+    n >= sigma + 1. Ranks below a random z >= 1 have in-degree 0 (A0); the
+    rest split into sigma contiguous blocks, one per in-label in label
+    order (A1); and each label zips its sorted random sources with a
+    nondecreasing surjection onto its block, so every block vertex is
+    entered and a larger source never enters a smaller rank (A2)."""
+    seed, n, sigma = arg
+    rng = random.Random(seed)
+    z = rng.randint(1, max(1, (n - sigma) // 3))
+    edges = []
+    for lab, (lo, hi) in enumerate(pairwise([z, *sorted(rng.sample(range(z + 1, n), sigma - 1)), n])):
+        k = rng.randint(hi - lo, 2 * (hi - lo))  # this label's edges
+        steps = set(rng.sample(range(1, k), hi - lo - 1))  # edge indices that enter the next rank
+        v = lo
+        for j, u in enumerate(sorted(rng.randrange(n) for _ in range(k))):
+            v += j in steps
+            edges.append((u, v, lab))
+    return GeneratedInstance(WheelerGraph(n=n, edges=edges), f"confluent(seed={seed},n={n},sigma={sigma})")
+
+
 def random_label_string(rng: random.Random, sigma: int, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(rng.randrange(sigma) for _ in range(rng.randint(lo, hi)))
 
@@ -535,12 +557,14 @@ def reference_trie(strings) -> GeneratedInstance:
 
 
 # family -> (generator, its reference); string and cycle take one string,
-# multi and trie a list of them.
+# multi and trie a list of them. Confluent graphs take (seed, n, sigma) and
+# have no reference: no earlier generator made them.
 FAMILIES = {
     "string": (gen_string_path, reference_string_path),
     "cycle": (gen_string_cycle, reference_string_cycle),
     "multi": (gen_multi_paths, reference_multi_paths),
     "trie": (gen_trie, reference_trie),
+    "confluent": (gen_confluent, None),
 }
 
 
@@ -590,6 +614,9 @@ def corpus_inputs(seed: int = 20260810) -> list[tuple[str, object]]:
         k = rng.randint(3, 20)
         sigma = rng.randint(2, 3)
         out.append(("trie", [random_label_string(rng, sigma, 0, 8) for _ in range(k)]))
+    for _ in range(300):  # the only corpus graphs with in-degree above 1
+        sigma = rng.randint(1, 4)
+        out.append(("confluent", (rng.randrange(2**32), rng.randint(sigma + 1, 40), sigma)))
     return out
 
 
@@ -637,10 +664,10 @@ def _check_node(stats: SweepStats, inst: Instance, pattern, naive: set[int], st)
         if naive:
             stats.interval_mismatches += 1
             stats.note("interval-none", inst, pattern)
-    elif not naive or st.interval.s != min(naive) or st.interval.e != max(naive):
+    elif not naive or st[:2] != (min(naive), max(naive)):
         stats.interval_mismatches += 1
         stats.note("interval", inst, pattern)
-    elif st.last_id != idof[st.interval.e]:
+    elif st[2] != idof[st[1]]:
         stats.toehold_mismatches += 1
         stats.note("toehold", inst, pattern)
 
@@ -660,7 +687,7 @@ def sweep_instance(inst: Instance, max_len: int, stats: SweepStats) -> None:
     for u, v, lab in g.edges:
         adj.setdefault(lab, []).append((u, v))
     root_naive = set(range(g.n))
-    root_state = full_state(ix)
+    root_state = (0, g.n - 1, ix.last_rank_id) if g.n else None  # (s, e, last_id)
     _check_node(stats, inst, (), root_naive, root_state)
 
     def rec(pattern: tuple[int, ...], naive: set[int], st) -> None:
@@ -671,7 +698,7 @@ def sweep_instance(inst: Instance, max_len: int, stats: SweepStats) -> None:
                 st2 = None
             else:
                 try:
-                    st2 = step_toehold(ix, st, c)
+                    st2 = step_toehold(ix, *st, c)
                 except IndexInvariantError:
                     stats.caseb_violations += 1
                     stats.note("case-b-unmarked", inst, pat2)

@@ -18,6 +18,7 @@ from wgrindex.generators import is_primitive
 from helpers import (
     FAMILIES,
     corpus_inputs,
+    gen_confluent,
     labels_from_ascii,
     naive_runs,
     random_patterns,
@@ -240,10 +241,33 @@ def test_trie_matches_reference(strs):
 
 
 def test_corpus_inputs_generate_as_the_references_do():
-    """Same graphs, edge order and provenance on every input of build_corpus."""
+    """Same graphs, edge order and provenance on every input of build_corpus
+    whose family has a reference generator."""
     for family, arg in corpus_inputs():
         gen, ref = FAMILIES[family]
-        assert gen(arg) == ref(arg), (family, arg)
+        if ref is not None:
+            assert gen(arg) == ref(arg), (family, arg)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32), st.integers(1, 4), st.integers(0, 60))
+def test_confluent_graphs_are_wheeler(seed, sigma, extra):
+    """gen_confluent meets A0-A2 by construction on any (seed, n, sigma)
+    with n > sigma, and uses every label."""
+    g = gen_confluent((seed, sigma + 1 + extra, sigma)).graph
+    assert validate_wheeler(g).is_wheeler
+    assert g.sigma == sigma and g.n == sigma + 1 + extra
+
+
+def test_confluent_corpus_inputs_share_in_edges():
+    """The corpus's confluent graphs are small and mostly have a vertex of
+    in-degree above 1, which no other family makes."""
+    graphs = [gen_confluent(arg).graph for family, arg in corpus_inputs() if family == "confluent"]
+    assert len(graphs) == 300
+    assert all(g.n <= 40 and g.sigma <= 4 for g in graphs)
+    assert sum(max(g.in_degrees) > 1 for g in graphs) > 250
+    others = [FAMILIES[f][0](arg).graph for f, arg in corpus_inputs() if f != "confluent"]
+    assert all(max(g.in_degrees, default=0) <= 1 for g in others)
 
 
 # --- random patterns ---

@@ -26,20 +26,13 @@ from wgrindex import (
 )
 from wgrindex.build import DegreeSums, PhiStructure, ToeholdTable
 from wgrindex.generators import is_primitive
-from wgrindex.query import (
-    MatchState,
-    RankInterval,
-    find_interval,
-    full_interval,
-    full_state,
-    phi,
-    step_interval,
-    step_toehold,
-)
+from wgrindex.query import find_interval, phi, step_interval, step_toehold
 
 from helpers import (
     bench_run,
+    corpus_inputs,
     dense_refine,
+    gen_confluent,
     make_instance,
     random_patterns,
     rl_from_labels,
@@ -63,29 +56,22 @@ def instances(draw):
     return make_instance(family, gen_trie(draw(st.lists(label_strings, min_size=1, max_size=6))))
 
 
-def test_rank_interval_rejects_inverted():
-    with pytest.raises(ValueError):
-        RankInterval(2, 1)
-    with pytest.raises(ValueError):
-        RankInterval(-1, 0)
-    assert len(RankInterval(1, 3)) == 3
-
-
 # --- step_interval ---
 
 def test_step_interval_g1(g1_index):
     ix = g1_index
-    assert step_interval(ix, RankInterval(0, 3), 0) == RankInterval(1, 2)
-    assert step_interval(ix, RankInterval(1, 2), 1) == RankInterval(3, 3)
-    assert step_interval(ix, RankInterval(0, 3), 2) is None  # unseen label
-    assert step_interval(ix, RankInterval(2, 2), 0) is None  # no out-edges
+    # (s', e', p): the refined ranks and the position of the last c
+    assert step_interval(ix, 0, 3, 0) == (1, 2, 2)
+    assert step_interval(ix, 1, 2, 1) == (3, 3, 1)
+    assert step_interval(ix, 0, 3, 2) is None  # unseen label
+    assert step_interval(ix, 2, 2, 0) is None  # no out-edges
 
 
 def test_step_interval_label_that_never_occurs():
     # labels {0, 2}: label 1 lies inside the alphabet but has no runs
     ix = deserialize_index(serialize_index(build_index(gen_string_path((0, 2, 0)).graph)))
     assert ix.sigma == 3 and ix.rl.count(1) == 0
-    assert step_interval(ix, full_interval(ix), 1) is None
+    assert step_interval(ix, 0, ix.n - 1, 1) is None
     for pattern in [(1,), (0, 1), (1, 0), (2, 1)]:
         assert count(ix, pattern) == 0
         assert find_interval(ix, pattern) is None
@@ -131,14 +117,16 @@ def test_refine_matches_dense_reference(inputs):
 
 def check_steps(g, ix, labels) -> None:
     """step_interval on every interval and label of g against the dense
-    reference."""
+    reference; every step that matches gives a non-empty interval of
+    ranks, 0 <= s' <= e' < n, so no query needs an inverted-pair check."""
     f_label = ix.sums.f_label
     for s, e in combinations_with_replacement(range(g.n), 2):
         for c in range(g.sigma + 1):
             want = dense_refine(labels, g.out_degrees, g.in_degrees, f_label, s, e, c)
-            assert query_mod._refine(ix, s, e, c) == want, (s, e, c)
-            got = step_interval(ix, RankInterval(s, e), c)
-            assert got == (None if want is None else RankInterval(want[0], want[1]))
+            got = step_interval(ix, s, e, c)
+            assert got == want, (s, e, c)
+            if got is not None:
+                assert 0 <= got[0] <= got[1] < g.n, (s, e, c, got)
 
 
 @settings(max_examples=60)
@@ -149,7 +137,11 @@ def test_step_interval_matches_dense_reference(inst):
 
 @pytest.fixture(scope="module")
 def shared_in_edges():
-    return shared_in_edge_graphs(150, seed=20261018)
+    """Rejection-sampled graphs, n <= 8, and the corpus's confluent graphs
+    with n >= 30, whose in-slots clamp at many in-degree exceptions."""
+    confluent = [gen_confluent(arg).graph for family, arg in corpus_inputs() if family == "confluent"]
+    big = [g for g in confluent if g.n >= 30 and max(g.in_degrees) > 1][:40]
+    return shared_in_edge_graphs(150, seed=20261018) + big
 
 
 def test_shared_in_edge_graphs_match_oracle(shared_in_edges):
@@ -170,6 +162,7 @@ def test_shared_in_edge_graphs_match_oracle(shared_in_edges):
                 assert sorted(locate(ix, pat)) == sorted(idof[r] for r in hits), (g, pat)
                 checked += 1
     assert checked > 4_000
+    assert sum(g.n >= 30 for g in shared_in_edges) == 40
 
 
 # --- count ---
@@ -197,7 +190,7 @@ def test_count_zero_vertex_graph():
     assert count(ix, ()) == 0
     assert count(ix, (0,)) == 0
     assert locate(ix, ()) == []
-    assert full_interval(ix) is None and full_state(ix) is None
+    assert find_interval(ix, (0,)) is None
 
 
 # --- toehold stepping ---
@@ -205,19 +198,17 @@ def test_count_zero_vertex_graph():
 def test_step_toehold_g1_case_b(g1_index):
     # rank 2 has out-degree 0, so the step must fall back to the interval-
     # wide last occurrence, which is marked
-    st_ = step_toehold(g1_index, MatchState(RankInterval(1, 2), 3), 1)
-    assert st_ == MatchState(RankInterval(3, 3), 1)
+    assert step_toehold(g1_index, 1, 2, 3, 1) == (3, 3, 1)
 
 
 def test_step_toehold_g1_case_a_marked(g1_index):
-    st_ = step_toehold(g1_index, MatchState(RankInterval(3, 3), 1), 0)
-    assert st_ == MatchState(RankInterval(2, 2), 3)
+    assert step_toehold(g1_index, 3, 3, 1, 0) == (2, 2, 3)
 
 
 def test_step_toehold_empty_result(g1_index):
     # rank 3's only out-label is a, so extending by b matches nothing
-    assert step_toehold(g1_index, MatchState(RankInterval(3, 3), 1), 1) is None
-    assert step_toehold(g1_index, MatchState(RankInterval(0, 3), 1), 5) is None
+    assert step_toehold(g1_index, 3, 3, 1, 1) is None
+    assert step_toehold(g1_index, 0, 3, 1, 5) is None
 
 
 def test_step_toehold_unmarked_increments_by_one():
@@ -234,10 +225,10 @@ def test_step_toehold_unmarked_increments_by_one():
     assert sorted(ix.toehold.pairs) == [0, 1, 2, 3, 4, 5, 7]
     assert 6 not in ix.toehold.pairs
     st_ab = find_interval(ix, (0, 1))
-    assert st_ab == MatchState(RankInterval(8, 8), 1)
-    st_aba = step_toehold(ix, st_ab, 0)
+    assert st_ab == (8, 8, 1)
+    st_aba = step_toehold(ix, *st_ab, 0)
     # position 6 is unmarked, so 2 can only have come from last_id + 1
-    assert st_aba == MatchState(RankInterval(5, 5), 2)
+    assert st_aba == (5, 5, 2)
     assert inst.ids.id_of_rank[5] == 2
 
 
@@ -247,7 +238,7 @@ def test_step_toehold_unmarked_out_of_range_hit_is_corrupt(g1_index):
     # not apply and the index is corrupt
     del g1_index.toehold.pairs[1]
     with pytest.raises(IndexInvariantError):
-        step_toehold(g1_index, MatchState(RankInterval(1, 2), 3), 1)
+        step_toehold(g1_index, 1, 2, 3, 1)
     with pytest.raises(IndexInvariantError):
         locate(g1_index, (0, 1))
 
@@ -255,7 +246,7 @@ def test_step_toehold_unmarked_out_of_range_hit_is_corrupt(g1_index):
 @settings(max_examples=150)
 @given(instances())
 def test_find_interval_single_label_matches_oracle(inst):
-    # find_interval's first step is step_toehold from full_state; its
+    # find_interval's first step is step_toehold from the full interval; its
     # interval and identifier come from the oracle's ranks, not the index
     ix, id_of = inst.index, inst.ids.id_of_rank
     for c in range(ix.sigma + 1):
@@ -264,15 +255,14 @@ def test_find_interval_single_label_matches_oracle(inst):
         if not hits:
             assert st is None, c
             continue
-        assert (st.interval.s, st.interval.e) == (min(hits), max(hits)), c
-        assert st.last_id == id_of[max(hits)], c
+        assert st == (min(hits), max(hits), id_of[max(hits)]), c
 
 
 # --- find_interval ---
 
 def test_find_interval_g1(g1_index):
-    assert find_interval(g1_index, (0,)) == MatchState(RankInterval(1, 2), 3)
-    assert find_interval(g1_index, (0, 1)) == MatchState(RankInterval(3, 3), 1)
+    assert find_interval(g1_index, (0,)) == (1, 2, 3)
+    assert find_interval(g1_index, (0, 1)) == (3, 3, 1)
     assert find_interval(g1_index, (0, 2)) is None
     with pytest.raises(ValueError):
         find_interval(g1_index, ())
