@@ -1,7 +1,7 @@
 """Construction of the run-length index components from a validated graph.
 
 The index stores, per edge-label position: run boundaries with rank/select
-directories, label partial sums, degree partial sums kept only at the ranks
+directories that count in-slots, degree partial sums kept only at the ranks
 whose degree is not 1, a table of endpoint identifiers at marked positions
 (so the identifier of the last matched vertex can be maintained during a
 query), and a sorted anchor set from which the order-predecessor of any
@@ -15,7 +15,7 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, pairwise, repeat
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from operator import eq, ge, itemgetter, ne, sub
 
 from .errors import IndexInvariantError, NotWheelerError
@@ -49,12 +49,13 @@ def build_bwt(g: WheelerGraph) -> list[int]:
 class RLSequence:
     """Rank/select over a run-length encoded label sequence.
 
-    Stores one entry per run globally plus, per label, a directory of that
-    label's runs: their starts, a list that rank bisects, and the
-    occurrences of the label before each of them followed by the label's
-    total, an array('q') of 8-byte words that queries only index. Storage
-    is proportional to the number of runs plus two directory slots per
-    distinct label; rank and select are binary searches.
+    Stores one entry per run globally plus, per label in ascending order, a
+    directory of its runs: their starts, a list that rank bisects, and
+    cums, an array('q') of in-slots that queries only index: the labels
+    below c (the FM-index C[c]) plus the occurrences of c before each run,
+    then after the last. Storage is proportional to the number of runs plus
+    two directory slots per distinct label; rank and select are binary
+    searches.
     """
 
     length: int
@@ -72,32 +73,36 @@ class RLSequence:
             else:
                 runs[0].append(s)
                 runs[1].append(e - s)
-        self.runs_of = {c: (starts, array("q", accumulate(lengths, initial=0)))
-                        for c, (starts, lengths) in runs_of.items()}
+        self.runs_of, below = {}, 0
+        for c in sorted(runs_of):
+            starts, lengths = runs_of[c]
+            cums = array("q", accumulate(lengths, initial=below))
+            self.runs_of[c], below = (starts, cums), cums[-1]
 
     def count(self, c: int) -> int:
         runs = self.runs_of.get(c)
-        return 0 if runs is None else runs[1][-1]
+        return 0 if runs is None else runs[1][-1] - runs[1][0]
 
     def rank(self, c: int, p: int) -> int:
-        """Occurrences of c among positions [0, p)."""
+        """The LF value of c at p: the labels below c plus the occurrences
+        of c among positions [0, p); 0 for a label that does not occur."""
         runs = self.runs_of.get(c)
         if runs is None:
             return 0
         starts, cums = runs
         t = bisect_left(starts, p)  # runs of c starting strictly before p
         if t == 0:
-            return 0
+            return cums[0]
         k = cums[t - 1] + p - starts[t - 1]
         end = cums[t]  # one read: each read of an array makes a new int
         return k if k < end else end  # at most the whole of run t - 1
 
     def select(self, c: int, k: int) -> int:
-        """Position of the (k+1)-th occurrence of c (k is 0-based)."""
-        total = self.count(c)
-        if not 0 <= k < total:
-            raise IndexError(f"select({c}, {k}): label has {total} occurrence(s)")
-        starts, cums = self.runs_of[c]
+        """Position of the c at in-slot k."""
+        runs = self.runs_of.get(c)
+        if runs is None or not runs[1][0] <= k < runs[1][-1]:
+            raise IndexError(f"select({c}, {k}): no occurrence of the label holds in-slot {k}")
+        starts, cums = runs
         t = bisect_right(cums, k) - 1
         return starts[t] + (k - cums[t])
 
@@ -114,25 +119,19 @@ def build_rank_select(g: WheelerGraph, order: list[int]) -> RLSequence:
 
 @dataclass
 class DegreeSums:
-    """Cumulative out-degrees, in-degrees and label frequencies.
+    """Cumulative out-degrees and in-degrees.
 
     A rank whose degree is not 1 is a path endpoint, so each side stores
     only its exceptions: the ascending ranks whose degree is not 1
     (out_ranks / in_ranks) and the prefix sum just after each of them
     (out_after / in_after). Between exceptions every degree is 1, which
-    fills in the rest. f_label[c] counts labels strictly below c in the
-    transform.
+    fills in the rest.
     """
 
     out_ranks: list[int]
     out_after: list[int]
     in_ranks: list[int]
     in_after: list[int]
-    f_label: list[int]
-
-    @classmethod
-    def from_degrees(cls, out_degrees, in_degrees, f_label: list[int]) -> "DegreeSums":
-        return cls(*_exceptions(out_degrees), *_exceptions(in_degrees), f_label)
 
     def out_prefix(self, k: int) -> int:
         """Out-edges leaving ranks below k."""
@@ -155,16 +154,16 @@ def _prefix(ranks: list[int], after: list[int], k: int) -> int:
 
 
 def _f_label(rl: RLSequence, sigma: int) -> list[int]:
-    """f_label[c] for c in [0, sigma]: the labels below c in the transform,
-    from the label counts of its runs. One allocation first: a sigma past
-    memory fails at once instead of growing a list until memory runs out."""
+    """f_label[c] for c in [0, sigma], which only an index file holds: the
+    labels below c in the transform, from the label counts of its runs. One
+    allocation first: a sigma past memory fails at once."""
     f_label = [0] + [0] * sigma
     f_label[1:] = accumulate(map(rl.count, range(sigma)))
     return f_label
 
 
-def build_partial_sums(g: WheelerGraph, rl: RLSequence) -> DegreeSums:
-    return DegreeSums.from_degrees(g.out_degrees, g.in_degrees, _f_label(rl, g.sigma))
+def build_partial_sums(g: WheelerGraph) -> DegreeSums:
+    return DegreeSums(*_exceptions(g.out_degrees), *_exceptions(g.in_degrees))
 
 
 @dataclass
@@ -175,18 +174,13 @@ class ToeholdTable:
     destination, the only endpoint a query step reads. Positions are
     marked exactly where a query step may need a stored answer; everywhere
     else the tracked identifier advances with the +1 rule, so the table
-    plus that rule cover every step. Every run end is marked (rule M1);
-    extras lists, ascending, the other marked positions, the only ones an
-    index file stores. pairs holds the run ends first, in run order, then
-    the extras: the order in which an index file lists their identifiers.
+    plus that rule cover every step. Every run end is marked (rule M1).
+    pairs holds the run ends first, in run order, then the other marked
+    positions, the extras, ascending: the only positions an index file
+    stores, and the order in which it lists their identifiers.
     """
 
     pairs: dict[int, int]
-    extras: list[int]
-
-    @property
-    def marked_count(self) -> int:
-        return len(self.pairs)
 
 
 def _run_ends(starts: list[int], m: int) -> list[int]:
@@ -203,9 +197,11 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
       M2: every edge leaving or entering a path endpoint;
       M3: every edge leaving the rank before an endpoint with no out-edges.
     The path endpoints are the ranks whose degree is not 1 and the ranks at
-    which cycles are broken. The edge in in-slot s, with f_label[c] <= s <
-    f_label[c + 1], is the one at position select(c, s - f_label[c])."""
-    f_label, in_ranks, in_after = sums.f_label, sums.in_ranks, sums.in_after
+    which cycles are broken. The edge in in-slot s is at select(c, s) for
+    the largest label c whose first in-slot is at most s."""
+    in_ranks, in_after = sums.in_ranks, sums.in_after
+    labels = list(rl.runs_of)  # ascending, and so are their first in-slots
+    firsts = [cums[0] for _, cums in rl.runs_of.values()]
     marks = set()
     for k in set(sums.out_ranks).union(sums.in_ranks, break_ranks):
         lo, hi = sums.out_prefix(k), sums.out_prefix(k + 1)
@@ -213,8 +209,7 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
         if lo == hi and k > 0:
             marks.update(range(sums.out_prefix(k - 1), lo))
         for slot in range(_prefix(in_ranks, in_after, k), _prefix(in_ranks, in_after, k + 1)):
-            c = bisect_right(f_label, slot) - 1
-            marks.add(rl.select(c, slot - f_label[c]))
+            marks.add(rl.select(labels[bisect_right(firsts, slot) - 1], slot))
     return marks
 
 
@@ -231,8 +226,7 @@ def build_toehold(
     edges, id_of = g.edges, ids.id_of_rank
     ends = _run_ends(rl.run_starts, rl.length)
     extras = sorted(_required_marks(rl, sums, break_ranks).difference(ends))
-    pairs = {p: id_of[edges[order[p]][1]] for p in chain(ends, extras)}
-    return ToeholdTable(pairs=pairs, extras=extras)
+    return ToeholdTable({p: id_of[edges[order[p]][1]] for p in chain(ends, extras)})
 
 
 @dataclass
@@ -251,18 +245,13 @@ class PhiStructure:
     anchor_ids: list[int]
     pred_ids: array
 
-    @property
-    def size(self) -> int:
-        return len(self.anchor_ids)
-
-    def successor(self, i: int) -> tuple[int, int | None]:
+    def successor(self, i: int) -> tuple[int, int]:
         """Smallest anchor >= i with its stored predecessor identifier,
-        None for the order-first vertex."""
+        -1 for the order-first vertex."""
         t = bisect_left(self.anchor_ids, i)
         if t == len(self.anchor_ids):
             raise IndexInvariantError(f"identifier {i} has no anchor successor")
-        pred = self.pred_ids[t]
-        return self.anchor_ids[t], pred if pred >= 0 else None
+        return self.anchor_ids[t], self.pred_ids[t]
 
 
 def build_phi(ids: IdAssignment) -> PhiStructure:
@@ -292,7 +281,6 @@ class WheelerRIndex:
     n: int
     m: int
     sigma: int
-    num_runs: int
     num_paths: int
     # Ascending ranks with in- and out-degree 1 at which decompose_paths
     # broke a cycle: the path endpoints that the degree sums do not show.
@@ -310,12 +298,11 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
     rl = build_rank_select(g, order)
-    sums = build_partial_sums(g, rl)
+    sums = build_partial_sums(g)
     return WheelerRIndex(
         n=g.n,
         m=g.m,
         sigma=g.sigma,
-        num_runs=len(rl.run_starts),
         num_paths=d.num_paths,
         break_ranks=d.break_ranks,
         last_rank_id=ids.id_of_rank[g.n - 1] if g.n else None,
@@ -378,26 +365,25 @@ class SpaceReport:
 def space_report(ix: WheelerRIndex) -> SpaceReport:
     """Tally stored integers per component and the expected size budgets."""
     rl, sums = ix.rl, ix.sums
+    r, marked, anchors = len(rl.run_starts), len(ix.toehold.pairs), len(ix.phi.anchor_ids)
     exceptions = len(sums.out_ranks) + len(sums.in_ranks)
-    rl_words = 2 * len(rl.run_starts) + sum(
-        len(starts) + len(cums) for starts, cums in rl.runs_of.values()
-    )
+    rl_words = 2 * r + sum(len(starts) + len(cums) for starts, cums in rl.runs_of.values())
     words = {
         "rank_select": rl_words,
-        "degree_sums": 2 * exceptions + len(sums.f_label),
-        "toehold": 2 * ix.toehold.marked_count + len(ix.break_ranks),
-        "phi": 2 * ix.phi.size,
+        "degree_sums": 2 * exceptions,
+        "toehold": 2 * marked + len(ix.break_ranks),
+        "phi": 2 * anchors,
     }
     return SpaceReport(
         n=ix.n,
         m=ix.m,
         sigma=ix.sigma,
-        num_runs=ix.num_runs,
+        num_runs=r,
         num_paths=ix.num_paths,
-        marked_count=ix.toehold.marked_count,
-        anchor_count=ix.phi.size,
-        marked_bound=ix.num_runs + 4 * ix.num_paths,
-        anchor_bound=ix.num_runs + 8 * ix.num_paths + 1,
+        marked_count=marked,
+        anchor_count=anchors,
+        marked_bound=r + 4 * ix.num_paths,
+        anchor_bound=r + 8 * ix.num_paths + 1,
         degree_exceptions=exceptions,
         degree_bound=4 * ix.num_paths,
         words=words,
@@ -418,7 +404,7 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
     Version 4 stores run starts and anchors as gaps, only the marks that
     are not run ends, and the identifiers at the run ends, in run order,
     before theirs. Its last member, crc32, is zlib.crc32 of the rest."""
-    toehold, sums = ix.toehold, ix.sums
+    sums, r = ix.sums, len(ix.rl.run_starts)
     preds = ix.phi.pred_ids.tolist()
     if preds:  # a file writes None for the order-first vertex's -1
         preds[preds.index(-1)] = None
@@ -428,16 +414,16 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "n": ix.n,
         "m": ix.m,
         "sigma": ix.sigma,
-        "num_runs": ix.num_runs,
+        "num_runs": r,
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
         "run_starts": _gaps(ix.rl.run_starts),
         "run_labels": ix.rl.run_labels,
         "out_prefix": _interleave(sums.out_ranks, sums.out_after),
         "in_prefix": _interleave(sums.in_ranks, sums.in_after),
-        "f_label": sums.f_label,
-        "marked_positions": toehold.extras,
-        "marked_pairs": list(toehold.pairs.values()),  # run ends, then extras
+        "f_label": _f_label(ix.rl, ix.sigma),
+        "marked_positions": list(islice(ix.toehold.pairs, r, None)),  # the extras
+        "marked_pairs": list(ix.toehold.pairs.values()),  # run ends, then extras
         "break_ranks": ix.break_ranks,
         "anchor_ids": _gaps(ix.phi.anchor_ids),
         "pred_ids": preds,
@@ -561,7 +547,7 @@ def _upgrade(doc: dict, version: int) -> None:
 def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
     """The checked degree sums of an index document, which holds each side's
     exceptions as interleaved (rank, prefix after it) pairs, and the ranks
-    with no edges at all. f_label is checked later, against the runs."""
+    with no edges at all."""
     n, m = doc["n"], doc["m"]
     sides = []
     for name in ("out_prefix", "in_prefix"):
@@ -569,7 +555,7 @@ def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
         if len(arr) % 2:
             raise ValueError(f"corrupt index: {name} has odd length {len(arr)}")
         sides += arr[0::2], arr[1::2]
-    sums = DegreeSums(*sides, doc["f_label"])
+    sums = DegreeSums(*sides)
     isolated = _check_exceptions("out_prefix", sums.out_ranks, sums.out_after, n, m)
     isolated &= _check_exceptions("in_prefix", sums.in_ranks, sums.in_after, n, m)
     return sums, isolated
@@ -578,11 +564,10 @@ def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
 def _entered_ranks(rl: RLSequence, sums: DegreeSums, positions: list[int]) -> list[int]:
     """The rank that the edge at each position enters: the rank holding its
     in-slot, clamped at in-degree exceptions as in query._refine."""
-    in_ranks, in_after, f_label = sums.in_ranks, sums.in_after, sums.f_label
+    in_ranks, in_after = sums.in_ranks, sums.in_after
 
     def target(p: int) -> int:
-        c = rl.run_labels[bisect_right(rl.run_starts, p) - 1]
-        slot = f_label[c] + rl.rank(c, p)
+        slot = rl.rank(rl.run_labels[bisect_right(rl.run_starts, p) - 1], p)
         t = bisect_right(in_after, slot)
         k = in_ranks[t - 1] + 1 + slot - in_after[t - 1] if t else slot
         return min(k, in_ranks[t]) if t < len(in_ranks) else k
@@ -599,25 +584,25 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
 
     Raises ValueError on foreign input and, as "corrupt index: ...", on a
     version-4 file whose crc32 member is missing or does not match, on a
-    number that is not an int, on legacy marked_pairs that are not a list
-    of pairs, on arrays whose lengths disagree (marked_pairs holds one
-    identifier per run and per extra mark), on marked_positions not
-    strictly increasing within [0, m) or holding a run end, on an
-    identifier in marked_pairs or pred_ids outside [0, n), on an impossible
-    anchor set (pred_ids must hold exactly one None when n > 0, none when
-    n == 0; anchor_ids must be strictly increasing within [0, n) and end at
-    n - 1), on num_runs not counting run_starts, on degree sums that do not
-    describe n degrees summing to m, on a run label outside [0, sigma), on
-    run_starts not rising strictly from 0 within [0, m), on two
-    neighbouring runs with the same label, on f_label disagreeing with the
-    label counts of the runs, on break_ranks not one per cycle or other
-    than the ranks of degree 1 that marked endpoint identifiers enter, on a
-    position that _required_marks names for the ranks whose degree is not 1
-    and the break ranks not marked (in a version 1-3 file, a run end too),
-    on a mark holding an endpoint identifier other than that of the rank
-    its edge enters, on an edge into an endpoint whose mark holds an
-    interior identifier, and on a last_rank_id other than the one stored at
-    in-slot m - 1."""
+    number that is not an int, on legacy marked_pairs that are not a list of
+    pairs, on arrays whose lengths disagree (marked_pairs holds one
+    identifier per run and per extra mark), on marked_positions not strictly
+    increasing within [0, m) or holding a run end, on an identifier in
+    marked_pairs or pred_ids outside [0, n), on an impossible anchor set
+    (pred_ids must hold exactly one None when n > 0, none when n == 0;
+    anchor_ids must be strictly increasing within [0, n) and end at n - 1),
+    on num_runs not counting run_starts, on degree sums that do not describe
+    n degrees summing to m, on a run label outside [0, sigma), on run_starts
+    not rising strictly from 0 within [0, m), on two neighbouring runs with
+    the same label, on f_label disagreeing with the label counts of the
+    runs, on sigma other than 1 + the largest run label (0 with no runs), on
+    break_ranks not one per cycle or other than the ranks of degree 1 that
+    marked endpoint identifiers enter, on a position that _required_marks
+    names for the ranks whose degree is not 1 and the break ranks not marked
+    (in a version 1-3 file, a run end too), on a mark holding an endpoint
+    identifier other than that of the rank its edge enters, on an edge into
+    an endpoint whose mark holds an interior identifier, and on a
+    last_rank_id other than the one stored at in-slot m - 1."""
     sealed = _unseal(data)
     try:
         doc = json.loads(data)
@@ -681,8 +666,11 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             raise ValueError(f"corrupt index: marked_positions holds run end {min(set(ends).intersection(extras))}")
         sums, isolated = _load_degree_sums(doc)
         # The length first: it bounds the counts built and rejects a negative sigma.
-        if len(sums.f_label) != sigma + 1 or sums.f_label != _f_label(rl, sigma):
+        if len(doc["f_label"]) != sigma + 1 or doc["f_label"] != _f_label(rl, sigma):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
+        top = max(rl.runs_of, default=-1)  # the largest run label
+        if sigma != top + 1:
+            raise ValueError(f"corrupt index: sigma is {sigma}, 1 + the largest run label gives {top + 1}")
         # The cycles are the paths that no exception heads. An exception
         # heads one path per out-edge, m - n + len(exceptions) in all since
         # every other rank has one out-edge, and one more if it has no edges.
@@ -717,8 +705,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         # Rank n - 1 holds in-slot m - 1, the last occurrence of the largest
         # label, a run end; with no edges the identifiers follow the ranks.
         if m:
-            c = max(rl.runs_of)
-            last = pairs[rl.select(c, rl.count(c) - 1)]
+            last = pairs[rl.select(top, m - 1)]
         else:
             last = n - 1 if n else None
         if doc["last_rank_id"] != last:
@@ -727,13 +714,12 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             n=n,
             m=m,
             sigma=sigma,
-            num_runs=doc["num_runs"],
             num_paths=doc["num_paths"],
             break_ranks=breaks,
             last_rank_id=doc["last_rank_id"],
             rl=rl,
             sums=sums,
-            toehold=ToeholdTable(pairs=pairs, extras=extras),
+            toehold=ToeholdTable(pairs),
             phi=PhiStructure(anchor_ids=anchor_ids, pred_ids=pred_ids),
         )
     except (KeyError, TypeError) as exc:

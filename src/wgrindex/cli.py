@@ -54,8 +54,8 @@ def cmd_build(args) -> int:
     ix = build_index(g)
     save_index(ix, args.index_file)
     print(
-        f"n={ix.n} m={ix.m} r={ix.num_runs} upsilon={ix.num_paths} "
-        f"marked={ix.toehold.marked_count} anchors={ix.phi.size}"
+        f"n={ix.n} m={ix.m} r={len(ix.rl.run_starts)} upsilon={ix.num_paths} "
+        f"marked={len(ix.toehold.pairs)} anchors={len(ix.phi.anchor_ids)}"
     )
     return 0
 

@@ -10,6 +10,7 @@ so that consecutive interior vertices of a chain carry consecutive identifiers.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 from operator import gt, indexOf, itemgetter, lt, or_
@@ -67,8 +68,8 @@ class WheelerGraph:
     out_degrees: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if not 0 <= self.n <= sys.maxsize:  # past sys.maxsize, no list holds the degrees
+            raise ValueError(f"vertex count {self.n} is outside [0, {sys.maxsize}]")
         self.sigma = 1 + max((lab for _, _, lab in self.edges), default=-1)
         ins = [0] * self.n
         outs = [0] * self.n
@@ -90,7 +91,10 @@ class WheelerGraph:
 def _decimal(token: str, lineno: int) -> int:
     if not _DECIMAL.match(token):
         raise WgfParseError(f"line {lineno}: {token!r} is not a non-negative decimal integer")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise WgfParseError(f"line {lineno}: a field of {len(token)} digits is too long") from None
 
 
 def _record(tokens: list[str], lineno: int, tag: str, count: int) -> list[int]:

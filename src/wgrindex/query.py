@@ -47,7 +47,8 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
 
     The first and last occurrences of c among the interval's out-edge labels
     lead to the first and last vertices of the refined interval; their ranks
-    are recovered from the label and in-degree partial sums. Degree sums
+    are recovered from the in-slots that rank gives and the in-degree
+    partial sums. Degree sums
     are kept only at the ranks whose degree is not 1 (see DegreeSums):
     every rank in between adds exactly one edge or in-slot.
 
@@ -83,18 +84,16 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
     if k2 <= k1:
         return None
     p = starts[t] + k2 - before - 1
-    # In-slots f_label[c] + k1 and f_label[c] + k2 - 1 name the first and
-    # last vertex reached: a slot past the exception at ranks[t - 1] lies
-    # at a rank of in-degree 1 after it, unless that passes ranks[t], which
-    # then holds the slot.
+    # In-slots k1 and k2 - 1 name the first and last vertex reached: a slot
+    # past the exception at ranks[t - 1] lies at a rank of in-degree 1
+    # after it, unless that passes ranks[t], which then holds the slot.
     ranks, after = sums.in_ranks, sums.in_after
     listed = len(ranks)
-    slot = sums.f_label[c] + k1
-    t = bisect_right(after, slot)
-    s2 = ranks[t - 1] + 1 + slot - after[t - 1] if t else slot
+    t = bisect_right(after, k1)
+    s2 = ranks[t - 1] + 1 + k1 - after[t - 1] if t else k1
     if t < listed and s2 > ranks[t]:
         s2 = ranks[t]
-    slot += k2 - k1 - 1
+    slot = k2 - 1
     t = bisect_right(after, slot, t)
     e2 = ranks[t - 1] + 1 + slot - after[t - 1] if t else slot
     if t < listed and e2 > ranks[t]:
@@ -181,10 +180,10 @@ def phi(ix: WheelerRIndex, i: int) -> int:
         raise ValueError(f"identifier {i} out of range [0, {ix.n})")
     j, pred = ix.phi.successor(i)
     if j == i:
-        if pred is None:
+        if pred < 0:
             raise FirstInOrderError(f"identifier {i} names the first vertex in the order")
         return pred
-    if pred is None:
+    if pred < 0:
         raise IndexInvariantError("sentinel anchor reached by offset stepping")
     return pred - (j - i)
 

@@ -42,7 +42,7 @@ from wgrindex import (
     naive_match,
     validate_wheeler,
 )
-from wgrindex.build import RLSequence, build_bwt
+from wgrindex.build import RLSequence, _f_label, build_bwt
 from wgrindex.generators import GeneratedInstance, _rotation_ranks, is_primitive
 from wgrindex.graph import IdAssignment
 from wgrindex.query import step_toehold
@@ -218,14 +218,14 @@ def serialize_v3(ix: WheelerRIndex) -> bytes:
         "n": ix.n,
         "m": ix.m,
         "sigma": ix.sigma,
-        "num_runs": ix.num_runs,
+        "num_runs": len(ix.rl.run_starts),
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
         "run_starts": ix.rl.run_starts,
         "run_labels": ix.rl.run_labels,
         "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
         "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
-        "f_label": sums.f_label,
+        "f_label": _f_label(ix.rl, ix.sigma),
         "marked_positions": positions,
         "marked_pairs": list(map(ix.toehold.pairs.__getitem__, positions)),
         "break_ranks": ix.break_ranks,

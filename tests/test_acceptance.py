@@ -113,7 +113,7 @@ def test_criterion_6_space_accounting(corpus):
         assert sr.degree_exceptions <= sr.degree_bound, inst.provenance
         if inst.family == "string":
             assert inst.index.num_paths == 1, inst.provenance
-            assert inst.index.num_runs == naive_runs(inst.bwt_labels), inst.provenance
+            assert sr.num_runs == naive_runs(inst.bwt_labels), inst.provenance
     _passed(
         "criterion-6 space-accounting",
         f"{len(corpus)} instances within marked<=r+4u, anchors<=r+8u+1 and degree exceptions<=4u",

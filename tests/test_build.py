@@ -34,8 +34,8 @@ from wgrindex import (
 import wgrindex.build as build_mod
 import wgrindex.graph as graph_mod
 from wgrindex.build import (
-    DegreeSums,
     PhiStructure,
+    _f_label,
     build_bwt,
     build_partial_sums,
     build_phi,
@@ -119,10 +119,12 @@ def test_bwt_groups_by_source_then_destination():
 # --- rank/select ---
 
 def test_rank_select_g1(g1_index):
+    # labels 0, 1, 0: label 0 holds in-slots 0 and 1, label 1 in-slot 2
     rl = g1_index.rl
     assert rl.rank(0, 3) == 2
-    assert rl.select(1, 0) == 1
+    assert rl.select(1, 2) == 1
     assert rl.rank(0, 0) == 0
+    assert rl.rank(1, 0) == rl.rank(1, 1) == 2 and rl.rank(1, 2) == 3
     assert rl.rank(5, 2) == 0
     assert rl.count(0) == 2 and rl.count(1) == 1
     assert rl.run_starts == [0, 1, 2]  # every position ends its run
@@ -142,16 +144,20 @@ def test_select_out_of_range(g1_index):
 @settings(max_examples=150)
 @given(instances())
 def test_rank_select_matches_naive_scan(inst):
+    """rank is the LF value f_label[c] + occurrences of c before p, select
+    inverts it on the in-slots of c, and a label that never occurs ranks 0."""
     labels = inst.bwt_labels
     rl = inst.index.rl
     present = set(labels)
     for c in list(present) + [inst.graph.sigma + 1]:
+        below = sum(1 for x in labels if x < c) if c in present else 0
         for p in range(len(labels) + 1):
-            assert rl.rank(c, p) == sum(1 for x in labels[:p] if x == c)
+            assert rl.rank(c, p) == below + labels[:p].count(c)
         occ = [p for p, x in enumerate(labels) if x == c]
         assert rl.count(c) == len(occ)
         for k, p in enumerate(occ):
-            assert rl.select(c, k) == p
+            assert rl.select(c, below + k) == p
+            assert rl.select(c, rl.rank(c, p)) == p
     ends = (rl.run_starts[1:] + [rl.length]) if labels else []
     runs = zip(rl.run_starts, ends, rl.run_labels)
     assert [lab for s, e, lab in runs for _ in range(s, e)] == labels
@@ -171,22 +177,31 @@ def dense_prefix(degrees):
     return [0] + list(accumulate(degrees))
 
 
+def first_slots(rl) -> dict[int, int]:
+    """Each label's first in-slot, the f_label entry its run counts start at."""
+    return {c: cums[0] for c, (_, cums) in rl.runs_of.items()}
+
+
 def test_partial_sums_g1(g1):
     # out-degrees 1, 1, 0, 1 and in-degrees 0, 1, 1, 1: one exception a side
-    sums = build_partial_sums(g1, build_rank_select(g1, build_bwt(g1)))
+    sums = build_partial_sums(g1)
     assert (sums.out_ranks, sums.out_after) == ([2], [2])
     assert (sums.in_ranks, sums.in_after) == ([0], [0])
     assert [sums.out_prefix(k) for k in range(5)] == [0, 1, 2, 2, 3]
-    assert sums.f_label == [0, 2, 3]
+    rl = build_rank_select(g1, build_bwt(g1))
+    assert first_slots(rl) == {0: 0, 1: 2}
+    assert _f_label(rl, g1.sigma) == [0, 2, 3]
 
 
 def test_partial_sums_empty_graph():
     g = WheelerGraph(n=2, edges=[])
-    sums = build_partial_sums(g, build_rank_select(g, build_bwt(g)))
+    sums = build_partial_sums(g)
     assert (sums.out_ranks, sums.out_after) == ([0, 1], [0, 0])
     assert (sums.in_ranks, sums.in_after) == ([0, 1], [0, 0])
     assert [sums.out_prefix(k) for k in range(3)] == [0, 0, 0]
-    assert sums.f_label == [0]
+    rl = build_rank_select(g, build_bwt(g))
+    assert first_slots(rl) == {}
+    assert _f_label(rl, g.sigma) == [0]
 
 
 @settings(max_examples=150)
@@ -194,23 +209,30 @@ def test_partial_sums_empty_graph():
 def test_partial_sums_handshake(inst):
     """The exceptions are the ranks whose degree is not 1, and out_prefix(k)
     sums the first k out-degrees. The in-side sums are read only by the
-    refine step, which test_query checks against dense references."""
-    g = inst.graph
-    sums = build_partial_sums(g, inst.index.rl)
+    refine step, which test_query checks against dense references. The
+    labels' in-slots, in ascending label order, tile [0, m), so f_label
+    rises from 0 to m."""
+    g, rl = inst.graph, inst.index.rl
+    sums = build_partial_sums(g)
     assert sums.out_ranks == [k for k, d in enumerate(g.out_degrees) if d != 1]
     assert sums.in_ranks == [k for k, d in enumerate(g.in_degrees) if d != 1]
     assert [sums.out_prefix(k) for k in range(g.n + 1)] == dense_prefix(g.out_degrees)
     assert sums.in_after == [dense_prefix(g.in_degrees)[k + 1] for k in sums.in_ranks]
-    assert sums.f_label[0] == 0 and sums.f_label[-1] == g.m
-    assert all(a <= b for a, b in zip(sums.f_label, sums.f_label[1:]))
+    assert list(rl.runs_of) == sorted(set(inst.bwt_labels))
+    spans = [(cums[0], cums[-1]) for _, cums in rl.runs_of.values()]
+    assert [a for a, _ in spans] + [g.m] == [0] + [b for _, b in spans]
+    f_label = _f_label(rl, g.sigma)
+    assert f_label[0] == 0 and f_label[-1] == g.m
+    assert all(a <= b for a, b in zip(f_label, f_label[1:]))
 
 
 @settings(max_examples=300)
 @given(st.lists(st.integers(0, 3), max_size=20))
 def test_degree_sums_match_dense_prefixes(degrees):
     """The same on any degree list, on both sides: the generated families
-    never have in-degrees above 1."""
-    sums = DegreeSums.from_degrees(degrees, degrees, [0])
+    never have in-degrees above 1. Rank k gets that degree from self-loops."""
+    loops = [(k, k, 0) for k, d in enumerate(degrees) for _ in range(d)]
+    sums = build_partial_sums(WheelerGraph(n=len(degrees), edges=loops))
     prefix = dense_prefix(degrees)
     assert [sums.out_prefix(k) for k in range(len(degrees) + 1)] == prefix
     assert sums.in_ranks == sums.out_ranks == [k for k, d in enumerate(degrees) if d != 1]
@@ -224,20 +246,21 @@ def toehold_of(g):
     order = build_bwt(g)
     rl = build_rank_select(g, order)
     ids = assign_identifiers(g, d)
-    return build_toehold(g, ids, order, rl, build_partial_sums(g, rl), d.break_ranks)
+    return build_toehold(g, ids, order, rl, build_partial_sums(g), d.break_ranks)
 
 
 def test_toehold_g1(g1):
     th = toehold_of(g1)
     assert th.pairs == {0: 0, 1: 1, 2: 3}
-    assert th.marked_count == 3
-    assert sorted(th.pairs) == [0, 1, 2] and th.extras == []
+    assert len(th.pairs) == 3
+    assert list(th.pairs) == [0, 1, 2]  # the three run ends, and no extras
 
 
 def test_toehold_unary_chain():
     th = toehold_of(gen_string_path((0, 0, 0, 0)).graph)
-    # position 3 ends the single run; positions 0 and 3 touch path endpoints
-    assert sorted(th.pairs) == [0, 3] and th.extras == [0]
+    # position 3 ends the single run; positions 0 and 3 touch path endpoints,
+    # so 0 is the one extra, listed after the run end
+    assert list(th.pairs) == [3, 0]
 
 
 def test_toehold_marks_before_sink():
@@ -288,7 +311,7 @@ def test_load_side_marks_match_built_marks(inst):
     # rule M1, which the format implies: the last position of each run
     ends = {p - 1 for p in ix.rl.run_starts[1:] + [ix.m] if p}
     assert marks | ends == set(ix.toehold.pairs)
-    assert ix.toehold.extras == sorted(marks - ends)
+    assert list(ix.toehold.pairs)[len(ix.rl.run_starts):] == sorted(marks - ends)
 
 
 # --- phi structure ---
@@ -336,11 +359,11 @@ def test_phi_successor_stepping_matches_naive(inst):
         j, pred = ph.successor(i)
         assert all(x not in anchors for x in range(i, j))
         if table[i] is None:
-            assert j == i and pred is None
+            assert j == i and pred == -1
         elif j == i:
             assert pred == table[i]
         else:
-            assert pred is not None and pred - (j - i) == table[i]
+            assert pred >= 0 and pred - (j - i) == table[i]
 
 
 def minimal_anchors(table: list[int | None]) -> list[int]:
@@ -392,7 +415,7 @@ def test_phi_anchors_are_the_minimal_set():
 def test_build_index_g1(g1_index):
     ix = g1_index
     assert (ix.n, ix.m, ix.sigma) == (4, 3, 2)
-    assert ix.num_runs == 3
+    assert len(ix.rl.run_starts) == 3
     assert ix.num_paths == 1
     assert ix.last_rank_id == 1
 
@@ -594,6 +617,21 @@ def test_deserialize_rejects_wrong_sigma_without_runs(sigma, f_label):
     doc.update(sigma=sigma, f_label=f_label)
     with pytest.raises(ValueError, match="corrupt index: f_label disagrees with the label counts"):
         deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("graph, sigma", [(gen_string_path((0, 1, 2, 0)).graph, 3), (EDGELESS, 0)])
+def test_deserialize_rejects_sigma_past_the_largest_label(graph, sigma, version):
+    # a sigma raised by 3, with f_label padded to agree with it, loaded and
+    # reported labels that no run holds; a build makes 1 + the largest label
+    ix = build_index(graph)
+    doc = json.loads(serialize_v3(ix) if version == 3 else serialize_index(ix))
+    assert doc["sigma"] == sigma
+    doc.update(sigma=sigma + 3, f_label=doc["f_label"] + [doc["m"]] * 3)
+    data = json.dumps(doc).encode("ascii") if version == 3 else reseal(doc)
+    fragment = f"sigma is {sigma + 3}, 1 \\+ the largest run label gives {sigma}"
+    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+        deserialize_index(data)
 
 
 @pytest.mark.parametrize(

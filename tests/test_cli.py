@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import wgrindex
 from wgrindex import build_index, count, load_index, locate, parse_graph, to_wgf, validate_wheeler
 from wgrindex.cli import main
 
@@ -53,6 +56,15 @@ def test_validate_sparse_label_takes_no_time(capsys, tmp_path):
     assert validate_wheeler(g).is_wheeler
     assert time.perf_counter() - start < 0.1
     assert run(capsys, "validate", str(path)) == (0, "wheeler=true\n", "")
+
+
+def test_validate_vertex_count_past_the_largest_list(capsys, tmp_path):
+    # exit 1 means "not a Wheeler order"; this input is unusable, so 2
+    path = tmp_path / "huge.wgf"
+    path.write_text("n 10000000000000000000\nm 0\n")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err == f"error: vertex count 10000000000000000000 is outside [0, {sys.maxsize}]\n"
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -370,10 +382,13 @@ def test_pipeline_matches_library(capsys, tmp_path):
 def test_module_entry_smoke(tmp_path):
     wgf = tmp_path / "g.wgf"
     wgf.write_text(G1_TEXT)
+    # the child imports the package the tests import, however pytest found it
+    src = str(Path(wgrindex.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "wgrindex", "validate", str(wgf)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "wheeler=true"

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -134,6 +136,20 @@ def test_parse_errors(text, message):
     with pytest.raises(WgfParseError) as err:
         parse_graph(text)
     assert str(err.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+def test_parse_error_names_the_line_of_a_field_too_long_to_convert():
+    # int() refuses more than 4,300 digits with a bare ValueError
+    with pytest.raises(WgfParseError) as err:
+        parse_graph("n 3\nm 1\ne 0 1 " + "9" * 5000 + "\n")
+    assert str(err.value) == "line 3: a field of 5000 digits is too long"
+
+
+def test_vertex_count_past_the_largest_list_is_a_value_error():
+    # a list of 10**19 degrees raised OverflowError, outside the documented errors
+    with pytest.raises(ValueError, match=rf"vertex count 10000000000000000000 is outside \[0, {sys.maxsize}\]"):
+        parse_graph("n 10000000000000000000\nm 0\n")
 
 
 WGF_EDITS = ["comment", "blank", "lead", "trail", "tab", "double", "arabic", "plus",
