@@ -32,6 +32,7 @@ _VERSION = 4
 _SEAL = b',"crc32":'
 _INT = frozenset((int,))
 _INT_OR_NONE = frozenset((int, type(None)))
+_RUNS_PER_BUCKET = 16  # average runs of a label per cut-table bucket
 
 
 def build_bwt(g: WheelerGraph) -> list[int]:
@@ -53,15 +54,16 @@ class RLSequence:
     directory of its runs: their starts, a list that rank bisects, and
     cums, an array('q') of in-slots that queries only index: the labels
     below c (the FM-index C[c]) plus the occurrences of c before each run,
-    then after the last. Storage is proportional to the number of runs plus
-    two directory slots per distinct label; rank and select are binary
-    searches.
+    then after the last; and a cut table, cuts[b] the runs starting before
+    b << shift, for the least bucket width 2**shift that holds at least
+    _RUNS_PER_BUCKET runs on average, so rank bisects one bucket's runs.
+    Storage is O(runs + distinct labels).
     """
 
     length: int
     run_starts: list[int]
     run_labels: list[int]
-    runs_of: dict[int, tuple[list[int], array]] = field(init=False, repr=False, compare=False)
+    runs_of: dict[int, tuple[list[int], array, int, array]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         runs_of: dict[int, tuple[list[int], list[int]]] = {}  # label -> (starts, lengths)
@@ -73,24 +75,24 @@ class RLSequence:
             else:
                 runs[0].append(s)
                 runs[1].append(e - s)
-        self.runs_of, below = {}, 0
+        self.runs_of, below, m = {}, 0, self.length
         for c in sorted(runs_of):
             starts, lengths = runs_of[c]
             cums = array("q", accumulate(lengths, initial=below))
-            self.runs_of[c], below = (starts, cums), cums[-1]
-
-    def count(self, c: int) -> int:
-        runs = self.runs_of.get(c)
-        return 0 if runs is None else runs[1][-1] - runs[1][0]
+            # The least shift with len(starts) << shift >= _RUNS_PER_BUCKET * m.
+            shift = (-(-_RUNS_PER_BUCKET * m // len(starts)) - 1).bit_length()
+            cuts = array("q", map(bisect_left, repeat(starts), range(0, (m >> shift) + 2 << shift, 1 << shift)))
+            self.runs_of[c], below = (starts, cums, shift, cuts), cums[-1]
 
     def rank(self, c: int, p: int) -> int:
-        """The LF value of c at p: the labels below c plus the occurrences
-        of c among positions [0, p); 0 for a label that does not occur."""
+        """The LF value of c at p in [0, length]: the labels below c plus
+        the occurrences of c in [0, p); 0 for a label that does not occur."""
         runs = self.runs_of.get(c)
         if runs is None:
             return 0
-        starts, cums = runs
-        t = bisect_left(starts, p)  # runs of c starting strictly before p
+        starts, cums, shift, cuts = runs
+        b = p >> shift
+        t = bisect_left(starts, p, cuts[b], cuts[b + 1])  # runs of c starting strictly before p
         if t == 0:
             return cums[0]
         k = cums[t - 1] + p - starts[t - 1]
@@ -102,7 +104,7 @@ class RLSequence:
         runs = self.runs_of.get(c)
         if runs is None or not runs[1][0] <= k < runs[1][-1]:
             raise IndexError(f"select({c}, {k}): no occurrence of the label holds in-slot {k}")
-        starts, cums = runs
+        starts, cums, _, _ = runs
         t = bisect_right(cums, k) - 1
         return starts[t] + (k - cums[t])
 
@@ -155,10 +157,14 @@ def _prefix(ranks: list[int], after: list[int], k: int) -> int:
 
 def _f_label(rl: RLSequence, sigma: int) -> list[int]:
     """f_label[c] for c in [0, sigma], which only an index file holds: the
-    labels below c in the transform, from the label counts of its runs. One
-    allocation first: a sigma past memory fails at once."""
-    f_label = [0] + [0] * sigma
-    f_label[1:] = accumulate(map(rl.count, range(sigma)))
+    labels below c: C[d] of the least label d >= c that occurs, else the
+    length. One slice per label that occurs, after one allocation: a sigma
+    past memory fails at once."""
+    f_label, lo = [0] + [0] * sigma, 0
+    for c, runs in rl.runs_of.items():
+        f_label[lo : c + 1] = repeat(runs[1][0], c + 1 - lo)
+        lo = c + 1
+    f_label[lo:] = repeat(rl.length, len(f_label) - lo)
     return f_label
 
 
@@ -201,7 +207,7 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
     the largest label c whose first in-slot is at most s."""
     in_ranks, in_after = sums.in_ranks, sums.in_after
     labels = list(rl.runs_of)  # ascending, and so are their first in-slots
-    firsts = [cums[0] for _, cums in rl.runs_of.values()]
+    firsts = [runs[1][0] for runs in rl.runs_of.values()]
     marks = set()
     for k in set(sums.out_ranks).union(sums.in_ranks, break_ranks):
         lo, hi = sums.out_prefix(k), sums.out_prefix(k + 1)
@@ -317,8 +323,9 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
 class SpaceReport:
     """Measured sizes of the built components, in stored integers ("words").
 
-    The toehold counts two words per marked position (the position and its
-    destination identifier) and one per break rank.
+    rank_select counts two words per run, then each label's starts, run
+    counts and cut-table entries; the toehold two words per marked position
+    (the position and its destination identifier) and one per break rank.
 
     marked_bound, anchor_bound and degree_bound are the budgets the
     construction is expected to stay within: num_runs + 4 * num_paths marked
@@ -367,7 +374,7 @@ def space_report(ix: WheelerRIndex) -> SpaceReport:
     rl, sums = ix.rl, ix.sums
     r, marked, anchors = len(rl.run_starts), len(ix.toehold.pairs), len(ix.phi.anchor_ids)
     exceptions = len(sums.out_ranks) + len(sums.in_ranks)
-    rl_words = 2 * r + sum(len(starts) + len(cums) for starts, cums in rl.runs_of.values())
+    rl_words = 2 * r + sum(len(starts) + len(cums) + len(cuts) for starts, cums, _, cuts in rl.runs_of.values())
     words = {
         "rank_select": rl_words,
         "degree_sums": 2 * exceptions,

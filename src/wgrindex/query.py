@@ -48,15 +48,15 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
     The first and last occurrences of c among the interval's out-edge labels
     lead to the first and last vertices of the refined interval; their ranks
     are recovered from the in-slots that rank gives and the in-degree
-    partial sums. Degree sums
-    are kept only at the ranks whose degree is not 1 (see DegreeSums):
-    every rank in between adds exactly one edge or in-slot.
+    partial sums, kept only at the ranks whose degree is not 1 (see
+    DegreeSums): every rank in between adds exactly one edge or in-slot.
+    Both run searches, rank's and the one for hi, bisect only the runs of
+    one cut-table bucket, about 16-32 of them (see RLSequence).
 
     A result always has 0 <= s' <= e' < n on an index that loads: the
     loader checks that the degrees are non-negative and sum to m, so the
     map from in-slot to rank rises monotonically within [0, n), and the
-    step returns only when k2 > k1, so the last slot is not below the
-    first.
+    step returns only when k2 > k1, so the last slot is not below the first.
     """
     rl = ix.rl
     runs = rl.runs_of.get(c)  # None for a label that never occurs
@@ -73,8 +73,9 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
         return None
     k1 = rl.rank(c, lo)
     # The last run of c starting before hi holds the last c before hi.
-    starts, cums = runs
-    t = bisect_left(starts, hi) - 1
+    starts, cums, shift, cuts = runs
+    b = hi >> shift
+    t = bisect_left(starts, hi, cuts[b], cuts[b + 1]) - 1
     if t < 0:
         return None
     before, through = cums[t], cums[t + 1]  # one read each: an array read makes an int

@@ -26,6 +26,7 @@ from wgrindex import (
     gen_string_path,
     gen_trie,
     locate,
+    naive_match,
     parse_graph,
     save_index,
     serialize_index,
@@ -126,7 +127,7 @@ def test_rank_select_g1(g1_index):
     assert rl.rank(0, 0) == 0
     assert rl.rank(1, 0) == rl.rank(1, 1) == 2 and rl.rank(1, 2) == 3
     assert rl.rank(5, 2) == 0
-    assert rl.count(0) == 2 and rl.count(1) == 1
+    assert [cums[-1] - cums[0] for _, cums, _, _ in rl.runs_of.values()] == [2, 1]
     assert rl.run_starts == [0, 1, 2]  # every position ends its run
     assert rl.run_labels == [0, 1, 0]
 
@@ -154,7 +155,8 @@ def test_rank_select_matches_naive_scan(inst):
         for p in range(len(labels) + 1):
             assert rl.rank(c, p) == below + labels[:p].count(c)
         occ = [p for p, x in enumerate(labels) if x == c]
-        assert rl.count(c) == len(occ)
+        runs = rl.runs_of.get(c)  # the occurrences are cums[-1] - cums[0]
+        assert (runs[1][-1] - runs[1][0] if runs else 0) == len(occ)
         for k, p in enumerate(occ):
             assert rl.select(c, below + k) == p
             assert rl.select(c, rl.rank(c, p)) == p
@@ -171,6 +173,69 @@ def test_rlsequence_from_labels_matches_builder(g1):
     assert rl_from_labels(transform_labels(g1)) == build_rank_select(g1, build_bwt(g1))
 
 
+# --- cut tables ---
+
+def assert_rank_is_dense_lf(rl, labels):
+    """rank(c, p) is the LF value below[c] + occ_c[0, p) at every p in
+    [0, m] for every label, and each cut table has at most len(starts)/16 + 2
+    entries."""
+    present = sorted(set(labels))
+    below = dict(zip(present, accumulate((labels.count(c) for c in present), initial=0)))
+    for c in present:
+        starts, _, _, cuts = rl.runs_of[c]
+        assert len(cuts) <= len(starts) / 16 + 2
+        lf = below[c]
+        for p, x in enumerate(labels):
+            assert rl.rank(c, p) == lf
+            lf += x == c
+        assert rl.rank(c, len(labels)) == lf
+
+
+@pytest.mark.parametrize("m", [2**14, 12_345])
+def test_cut_tables_match_dense_rank(m):
+    """Labels 0-2 at random over the first 99 % of positions, label 3
+    alternating with 0 over the last 1 % only (its early buckets are
+    empty), and label 4 once: every table of more than one run has several
+    buckets, the one-run table two entries, and rank is exact throughout."""
+    rng = random.Random(m)
+    tail = m - m // 100
+    labels = [rng.randrange(3) for _ in range(tail)] + [3 * (p % 2) for p in range(tail, m)]
+    labels[m // 2] = 4
+    rl = rl_from_labels(labels)
+    assert_rank_is_dense_lf(rl, labels)
+    for c, (_, _, _, cuts) in rl.runs_of.items():
+        assert (len(cuts) == 2) if c == 4 else (len(cuts) > 3)
+    starts, _, _, cuts = rl.runs_of[3]
+    assert starts[0] >= tail and cuts[0] == cuts[1] == cuts[2] == 0
+
+
+def test_cut_tables_in_a_built_index_match_naive():
+    """A 2**14-edge string path in which label 4 follows only label 5, so
+    its edges leave the last-ranked vertices and sit in the last 1 % of the
+    transform, and label 3 occurs once: rank over the built transform is
+    the dense LF value, and count and locate equal naive_match."""
+    rng = random.Random(14)
+    text = [rng.randrange(3) for _ in range(2**14 - 1)]
+    for k in rng.sample(range(10, len(text) - 10, 2), 80):
+        text[k : k + 2] = [5, rng.choice((0, 4))]
+    text[7] = 3
+    text.append(0)
+    g = gen_string_path(text).graph
+    ix = build_index(g)
+    labels = transform_labels(g)
+    assert ix.m == 2**14 and len(ix.rl.runs_of[3][0]) == 1
+    assert min(ix.rl.runs_of[4][0]) >= 0.99 * ix.m and len(ix.rl.runs_of[4][0]) > 16
+    assert_rank_is_dense_lf(ix.rl, labels)
+    idof = assign_identifiers(g, decompose_paths(g)).id_of_rank
+    starts = rng.sample(range(len(text) - 8), 30) + [text.index(5), 6]
+    patterns = [tuple(text[k : k + rng.randint(1, 8)]) for k in starts]
+    patterns += [(5, 4), (4,), (3,), (5, 0, 5), (3, 3), (4, 5, 4)]
+    for pattern in patterns:
+        want = naive_match(g, pattern)
+        assert count(ix, pattern) == len(want)
+        assert sorted(locate(ix, pattern)) == sorted(idof[r] for r in want)
+
+
 # --- partial sums ---
 
 def dense_prefix(degrees):
@@ -179,7 +244,7 @@ def dense_prefix(degrees):
 
 def first_slots(rl) -> dict[int, int]:
     """Each label's first in-slot, the f_label entry its run counts start at."""
-    return {c: cums[0] for c, (_, cums) in rl.runs_of.items()}
+    return {c: cums[0] for c, (_, cums, _, _) in rl.runs_of.items()}
 
 
 def test_partial_sums_g1(g1):
@@ -219,11 +284,28 @@ def test_partial_sums_handshake(inst):
     assert [sums.out_prefix(k) for k in range(g.n + 1)] == dense_prefix(g.out_degrees)
     assert sums.in_after == [dense_prefix(g.in_degrees)[k + 1] for k in sums.in_ranks]
     assert list(rl.runs_of) == sorted(set(inst.bwt_labels))
-    spans = [(cums[0], cums[-1]) for _, cums in rl.runs_of.values()]
+    spans = [(cums[0], cums[-1]) for _, cums, _, _ in rl.runs_of.values()]
     assert [a for a, _ in spans] + [g.m] == [0] + [b for _, b in spans]
     f_label = _f_label(rl, g.sigma)
     assert f_label[0] == 0 and f_label[-1] == g.m
     assert all(a <= b for a, b in zip(f_label, f_label[1:]))
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 3)), max_size=12),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+def test_f_label_of_sparse_labels_matches_accumulate(runs, spare, rng):
+    """On a few runs of labels spread over [0, 5000], _f_label fills the
+    dense list one slice per label that occurs: it equals the running sum
+    of every label's count, with sigma up to 3 past the largest label."""
+    labels = [c for c, length in runs for _ in range(length)]
+    rng.shuffle(labels)
+    sigma = max(labels, default=-1) + 1 + spare
+    counts = [labels.count(c) for c in range(sigma)]
+    assert _f_label(rl_from_labels(labels), sigma) == list(accumulate(counts, initial=0))
 
 
 @settings(max_examples=300)
@@ -1033,7 +1115,7 @@ def test_unsearched_columns_are_unboxed_words():
         loaded = deserialize_index(serialize_index(ix))
         assert loaded == ix
         for index in (ix, loaded):
-            columns = [cums for _, cums in index.rl.runs_of.values()] + [index.phi.pred_ids]
+            columns = [cums for _, cums, _, _ in index.rl.runs_of.values()] + [index.phi.pred_ids]
             assert {(type(col), col.typecode) for col in columns} == {(array, "q")}
 
 
