@@ -50,8 +50,8 @@ def build_bwt(g: WheelerGraph) -> list[int]:
 class RLSequence:
     """Rank/select over a run-length encoded label sequence.
 
-    Stores one entry per run globally plus, per label in ascending order, a
-    directory of its runs: their starts, a list that rank bisects, and
+    Keeps each run's label, in run order, and per label in ascending order
+    a directory of its runs: their starts, a list that rank bisects, and
     cums, an array('q') of in-slots that queries only index: the labels
     below c (the FM-index C[c]) plus the occurrences of c before each run,
     then after the last; and a cut table, cuts[b] the runs starting before
@@ -61,28 +61,29 @@ class RLSequence:
     """
 
     length: int
-    run_starts: list[int]
     run_labels: list[int]
-    runs_of: dict[int, tuple[list[int], array, int, array]] = field(init=False, repr=False, compare=False)
+    runs_of: dict[int, tuple[list[int], array, int, array]] = field(repr=False)
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def of_runs(cls, m: int, run_starts: list[int], run_labels: list[int]) -> RLSequence:
+        """The directories of the runs in [0, m) at run_starts, with run_labels."""
         runs_of: dict[int, tuple[list[int], list[int]]] = {}  # label -> (starts, lengths)
-        ends = self.run_starts[1:] + [self.length]
-        for s, e, lab in zip(self.run_starts, ends, self.run_labels):
+        for s, e, lab in zip(run_starts, run_starts[1:] + [m], run_labels):
             runs = runs_of.get(lab)
             if runs is None:
                 runs_of[lab] = ([s], [e - s])
             else:
                 runs[0].append(s)
                 runs[1].append(e - s)
-        self.runs_of, below, m = {}, 0, self.length
+        directories, below = {}, 0
         for c in sorted(runs_of):
             starts, lengths = runs_of[c]
             cums = array("q", accumulate(lengths, initial=below))
             # The least shift with len(starts) << shift >= _RUNS_PER_BUCKET * m.
             shift = (-(-_RUNS_PER_BUCKET * m // len(starts)) - 1).bit_length()
             cuts = array("q", map(bisect_left, repeat(starts), range(0, (m >> shift) + 2 << shift, 1 << shift)))
-            self.runs_of[c], below = (starts, cums, shift, cuts), cums[-1]
+            directories[c], below = (starts, cums, shift, cuts), cums[-1]
+        return cls(m, run_labels, directories)
 
     def rank(self, c: int, p: int) -> int:
         """The LF value of c at p in [0, length]: the labels below c plus
@@ -115,8 +116,7 @@ def build_rank_select(g: WheelerGraph, order: list[int]) -> RLSequence:
     edges = g.edges
     labels = [edges[i][2] for i in order]
     run_starts = list(compress(range(len(labels)), map(ne, [None] + labels, labels)))
-    run_labels = [labels[p] for p in run_starts]
-    return RLSequence(length=len(labels), run_starts=run_starts, run_labels=run_labels)
+    return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts])
 
 
 @dataclass
@@ -181,9 +181,10 @@ class ToeholdTable:
     marked exactly where a query step may need a stored answer; everywhere
     else the tracked identifier advances with the +1 rule, so the table
     plus that rule cover every step. Every run end is marked (rule M1).
-    pairs holds the run ends first, in run order, then the other marked
-    positions, the extras, ascending: the only positions an index file
-    stores, and the order in which it lists their identifiers.
+    pairs holds the run ends first, in run order, the only record of it,
+    which a save writes; then the other marked positions, the extras,
+    ascending: the only positions an index file stores, and the order in
+    which it lists their identifiers.
     """
 
     pairs: dict[int, int]
@@ -230,7 +231,7 @@ def build_toehold(
     """Record the destination identifier of the edge at each run end and at
     each position _required_marks names."""
     edges, id_of = g.edges, ids.id_of_rank
-    ends = _run_ends(rl.run_starts, rl.length)
+    ends = _run_ends(sorted(chain.from_iterable(runs[0] for runs in rl.runs_of.values())), rl.length)
     extras = sorted(_required_marks(rl, sums, break_ranks).difference(ends))
     return ToeholdTable({p: id_of[edges[order[p]][1]] for p in chain(ends, extras)})
 
@@ -323,8 +324,8 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
 class SpaceReport:
     """Measured sizes of the built components, in stored integers ("words").
 
-    rank_select counts two words per run, then each label's starts, run
-    counts and cut-table entries; the toehold two words per marked position
+    rank_select counts one word per run, its label, then each label's starts,
+    run counts and cut-table entries; the toehold two words per marked position
     (the position and its destination identifier) and one per break rank.
 
     marked_bound, anchor_bound and degree_bound are the budgets the
@@ -372,9 +373,9 @@ class SpaceReport:
 def space_report(ix: WheelerRIndex) -> SpaceReport:
     """Tally stored integers per component and the expected size budgets."""
     rl, sums = ix.rl, ix.sums
-    r, marked, anchors = len(rl.run_starts), len(ix.toehold.pairs), len(ix.phi.anchor_ids)
+    r, marked, anchors = len(rl.run_labels), len(ix.toehold.pairs), len(ix.phi.anchor_ids)
     exceptions = len(sums.out_ranks) + len(sums.in_ranks)
-    rl_words = 2 * r + sum(len(starts) + len(cums) + len(cuts) for starts, cums, _, cuts in rl.runs_of.values())
+    rl_words = r + sum(len(starts) + len(cums) + len(cuts) for starts, cums, _, cuts in rl.runs_of.values())
     words = {
         "rank_select": rl_words,
         "degree_sums": 2 * exceptions,
@@ -411,7 +412,7 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
     Version 4 stores run starts and anchors as gaps, only the marks that
     are not run ends, and the identifiers at the run ends, in run order,
     before theirs. Its last member, crc32, is zlib.crc32 of the rest."""
-    sums, r = ix.sums, len(ix.rl.run_starts)
+    sums, pairs, r = ix.sums, ix.toehold.pairs, len(ix.rl.run_labels)
     preds = ix.phi.pred_ids.tolist()
     if preds:  # a file writes None for the order-first vertex's -1
         preds[preds.index(-1)] = None
@@ -424,13 +425,14 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "num_runs": r,
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
-        "run_starts": _gaps(ix.rl.run_starts),
+        # Run t + 1 starts after the end of run t, the toehold's key t.
+        "run_starts": [0, *map(sub, islice(pairs, r - 1), chain((-1,), pairs))] if r else [],
         "run_labels": ix.rl.run_labels,
         "out_prefix": _interleave(sums.out_ranks, sums.out_after),
         "in_prefix": _interleave(sums.in_ranks, sums.in_after),
         "f_label": _f_label(ix.rl, ix.sigma),
-        "marked_positions": list(islice(ix.toehold.pairs, r, None)),  # the extras
-        "marked_pairs": list(ix.toehold.pairs.values()),  # run ends, then extras
+        "marked_positions": list(islice(pairs, r, None)),  # the extras
+        "marked_pairs": list(pairs.values()),  # run ends, then extras
         "break_ranks": ix.break_ranks,
         "anchor_ids": _gaps(ix.phi.anchor_ids),
         "pred_ids": preds,
@@ -523,6 +525,8 @@ def _upgrade(doc: dict, version: int) -> None:
             )
         doc[name] = _interleave(*_exceptions(list(map(sub, arr[1:], arr))))
     _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
+    if max(doc["n"], doc["m"]) >= 1 << 63:  # beyond an array('q') word
+        raise ValueError(f"corrupt index: n = {doc['n']} or m = {doc['m']} is past 2**63 - 1")
     _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
     for name in ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
                  "marked_positions", "marked_pairs", "anchor_ids"):
@@ -568,13 +572,13 @@ def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
     return sums, isolated
 
 
-def _entered_ranks(rl: RLSequence, sums: DegreeSums, positions: list[int]) -> list[int]:
-    """The rank that the edge at each position enters: the rank holding its
-    in-slot, clamped at in-degree exceptions as in query._refine."""
+def _entered_ranks(rl: RLSequence, starts: list[int], sums: DegreeSums, positions: list[int]) -> list[int]:
+    """The rank that the edge at each position enters, with runs starting at
+    starts: its in-slot's rank, clamped at in-degree exceptions as in query._refine."""
     in_ranks, in_after = sums.in_ranks, sums.in_after
 
     def target(p: int) -> int:
-        slot = rl.rank(rl.run_labels[bisect_right(rl.run_starts, p) - 1], p)
+        slot = rl.rank(rl.run_labels[bisect_right(starts, p) - 1], p)
         t = bisect_right(in_after, slot)
         k = in_ranks[t - 1] + 1 + slot - in_after[t - 1] if t else slot
         return min(k, in_ranks[t]) if t < len(in_ranks) else k
@@ -591,9 +595,10 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
 
     Raises ValueError on foreign input and, as "corrupt index: ...", on a
     version-4 file whose crc32 member is missing or does not match, on a
-    number that is not an int, on legacy marked_pairs that are not a list of
-    pairs, on arrays whose lengths disagree (marked_pairs holds one
-    identifier per run and per extra mark), on marked_positions not strictly
+    number that is not an int, on n or m past 2**63 - 1, on legacy
+    marked_pairs that are not a list of pairs, on arrays whose lengths
+    disagree (marked_pairs holds one identifier per run and per extra
+    mark), on marked_positions not strictly
     increasing within [0, m) or holding a run end, on an identifier in
     marked_pairs or pred_ids outside [0, n), on an impossible anchor set
     (pred_ids must hold exactly one None when n > 0, none when n == 0;
@@ -658,13 +663,13 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if not _rising(_gaps(extras), m):
             raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
         _check_ids("marked_pairs", dests, n)
-        starts = list(accumulate(run_gaps))
-        rl = RLSequence(length=m, run_starts=starts, run_labels=run_labels)
-        stray = [c for c in rl.runs_of if not 0 <= c < sigma]
+        stray = [c for c in set(run_labels) if not 0 <= c < sigma]
         if stray:
             raise ValueError(f"corrupt index: run label {min(stray)} is outside [0, sigma)")
         if run_gaps[:1] != ([0] if m else []) or not _rising(run_gaps, m):
             raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
+        starts = list(accumulate(run_gaps))
+        rl = RLSequence.of_runs(m, starts, run_labels)
         if any(map(eq, run_labels, run_labels[1:])):
             raise ValueError("corrupt index: two neighbouring runs have the same label")
         ends = _run_ends(starts, m)
@@ -689,7 +694,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         # at a mark that holds such an identifier, less the exceptions.
         first = n - len(exceptions) - cycles
         entering = list(compress(pairs, map(ge, pairs.values(), repeat(first))))
-        targets = _entered_ranks(rl, sums, entering)
+        targets = _entered_ranks(rl, starts, sums, entering)
         breaks = sorted(set(targets).difference(exceptions))
         stored = breaks if doc["break_ranks"] is None else doc["break_ranks"]
         if len(stored) != cycles:

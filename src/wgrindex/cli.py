@@ -31,13 +31,8 @@ def _read_graph(path: str):
 def _map_pattern(pattern: str, table: str) -> tuple[int, ...] | None:
     """Translate characters to labels; None when a character has no label
     (such a pattern cannot match anything)."""
-    labels = []
-    for ch in pattern:
-        k = table.find(ch)
-        if k < 0:
-            return None
-        labels.append(k)
-    return tuple(labels)
+    labels = tuple(map(table.find, pattern))
+    return None if -1 in labels else labels
 
 
 def cmd_validate(args) -> int:
@@ -54,7 +49,7 @@ def cmd_build(args) -> int:
     ix = build_index(g)
     save_index(ix, args.index_file)
     print(
-        f"n={ix.n} m={ix.m} r={len(ix.rl.run_starts)} upsilon={ix.num_paths} "
+        f"n={ix.n} m={ix.m} r={len(ix.rl.run_labels)} upsilon={ix.num_paths} "
         f"marked={len(ix.toehold.pairs)} anchors={len(ix.phi.anchor_ids)}"
     )
     return 0

@@ -22,7 +22,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, islice, pairwise
 from pathlib import Path
 
 from wgrindex import (
@@ -208,7 +208,11 @@ def bench_run():
 def serialize_v3(ix: WheelerRIndex) -> bytes:
     """The version-3 writer, kept as the reference that the loader's
     version-3 path is tested on: absolute run starts and anchors, every
-    marked position with its destination id, and no checksum."""
+    marked position with its destination id, and no checksum. The run
+    starts are 0 and the position after each run end but the last, which
+    are the toehold's first keys."""
+    r = len(ix.rl.run_labels)
+    starts = [0, *(e + 1 for e in islice(ix.toehold.pairs, r - 1))] if r else []
     positions = sorted(ix.toehold.pairs)
     sums = ix.sums
     preds = [None if p < 0 else p for p in ix.phi.pred_ids]  # -1 is written as None
@@ -218,10 +222,10 @@ def serialize_v3(ix: WheelerRIndex) -> bytes:
         "n": ix.n,
         "m": ix.m,
         "sigma": ix.sigma,
-        "num_runs": len(ix.rl.run_starts),
+        "num_runs": r,
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
-        "run_starts": ix.rl.run_starts,
+        "run_starts": starts,
         "run_labels": ix.rl.run_labels,
         "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
         "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
@@ -394,8 +398,12 @@ def transform_labels(g: WheelerGraph) -> list[int]:
 def rl_from_labels(labels) -> RLSequence:
     """Rank/select directories straight from a label sequence."""
     run_starts = [p for p, lab in enumerate(labels) if p == 0 or lab != labels[p - 1]]
-    run_labels = [labels[p] for p in run_starts]
-    return RLSequence(length=len(labels), run_starts=run_starts, run_labels=run_labels)
+    return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts])
+
+
+def run_starts_of(rl: RLSequence) -> list[int]:
+    """The run starts in run order, merged from the label directories."""
+    return sorted(chain.from_iterable(runs[0] for runs in rl.runs_of.values()))
 
 
 def dense_refine(labels, out_degrees, in_degrees, f_label, s, e, c):

@@ -59,6 +59,7 @@ from helpers import (
     random_label_string,
     reseal,
     rl_from_labels,
+    run_starts_of,
     serialize_v3,
     shared_in_edge_graphs,
     transform_labels,
@@ -90,19 +91,19 @@ def test_bwt_g1(g1):
     assert order == transform_order(g1) == [0, 1, 2]
     assert [g1.edges[i][:2] for i in order] == [(0, 1), (1, 3), (3, 2)]
     rl = build_rank_select(g1, order)
-    assert (rl.run_starts, rl.run_labels) == ([0, 1, 2], [0, 1, 0])
+    assert (run_starts_of(rl), rl.run_labels) == ([0, 1, 2], [0, 1, 0])
 
 
 def test_bwt_empty():
     g = WheelerGraph(n=3, edges=[])
-    assert build_bwt(g) == [] and build_rank_select(g, []).run_starts == []
+    assert build_bwt(g) == [] and run_starts_of(build_rank_select(g, [])) == []
 
 
 def test_bwt_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
     assert transform_labels(g) == [0, 0, 0, 0]
     rl = build_rank_select(g, build_bwt(g))
-    assert (rl.run_starts, rl.run_labels) == ([0], [0])
+    assert (run_starts_of(rl), rl.run_labels) == ([0], [0])
 
 
 def test_bwt_rejects_bad_order():
@@ -128,7 +129,7 @@ def test_rank_select_g1(g1_index):
     assert rl.rank(1, 0) == rl.rank(1, 1) == 2 and rl.rank(1, 2) == 3
     assert rl.rank(5, 2) == 0
     assert [cums[-1] - cums[0] for _, cums, _, _ in rl.runs_of.values()] == [2, 1]
-    assert rl.run_starts == [0, 1, 2]  # every position ends its run
+    assert run_starts_of(rl) == [0, 1, 2]  # every position ends its run
     assert rl.run_labels == [0, 1, 0]
 
 
@@ -160,8 +161,9 @@ def test_rank_select_matches_naive_scan(inst):
         for k, p in enumerate(occ):
             assert rl.select(c, below + k) == p
             assert rl.select(c, rl.rank(c, p)) == p
-    ends = (rl.run_starts[1:] + [rl.length]) if labels else []
-    runs = zip(rl.run_starts, ends, rl.run_labels)
+    starts = run_starts_of(rl)
+    ends = (starts[1:] + [rl.length]) if labels else []
+    runs = zip(starts, ends, rl.run_labels)
     assert [lab for s, e, lab in runs for _ in range(s, e)] == labels
     last_of_run = [
         p for p in range(len(labels)) if p + 1 == len(labels) or labels[p + 1] != labels[p]
@@ -391,9 +393,10 @@ def test_load_side_marks_match_built_marks(inst):
     assert ix.break_ranks == ([0] if inst.family == "cycle" and inst.graph.m else [])
     marks = build_mod._required_marks(ix.rl, ix.sums, ix.break_ranks)
     # rule M1, which the format implies: the last position of each run
-    ends = {p - 1 for p in ix.rl.run_starts[1:] + [ix.m] if p}
+    starts = run_starts_of(ix.rl)
+    ends = {p - 1 for p in starts[1:] + [ix.m] if p}
     assert marks | ends == set(ix.toehold.pairs)
-    assert list(ix.toehold.pairs)[len(ix.rl.run_starts):] == sorted(marks - ends)
+    assert list(ix.toehold.pairs)[len(starts):] == sorted(marks - ends)
 
 
 # --- phi structure ---
@@ -497,7 +500,7 @@ def test_phi_anchors_are_the_minimal_set():
 def test_build_index_g1(g1_index):
     ix = g1_index
     assert (ix.n, ix.m, ix.sigma) == (4, 3, 2)
-    assert len(ix.rl.run_starts) == 3
+    assert len(run_starts_of(ix.rl)) == 3
     assert ix.num_paths == 1
     assert ix.last_rank_id == 1
 
@@ -559,6 +562,45 @@ def test_serialize_roundtrip_generated(inst):
     ix2 = deserialize_index(data)
     assert ix2 == inst.index
     assert serialize_index(ix2) == data
+
+
+def fan_graph(labels) -> WheelerGraph:
+    """Sources 0..m-1, source i with one edge labelled labels[i], into m
+    sinks ranked by (label, source): the transform is labels as given."""
+    m = len(labels)
+    sinks = sorted(range(m), key=lambda i: (labels[i], i))
+    return WheelerGraph(n=2 * m, edges=[(i, m + t, labels[i]) for t, i in enumerate(sinks)])
+
+
+run_label_sequences = st.one_of(
+    st.just([]),
+    st.builds(lambda c, k: [c] * k, st.integers(0, 3), st.integers(1, 20)),  # one run
+    # every run of length 1: each label differs from the one before
+    st.lists(st.integers(1, 3), max_size=20).map(lambda d: list(accumulate(d, lambda a, x: (a + x) % 4, initial=0))),
+    st.integers(0, 5).flatmap(lambda k: st.lists(st.integers(0, 3), min_size=2**k, max_size=2**k)),  # m = 2**k
+)
+
+
+@settings(max_examples=150)
+@given(run_label_sequences)
+def test_save_writes_the_run_order_of_a_naive_scan(labels):
+    """A save reads the run starts off the toehold's run ends; built and
+    loaded, an index writes the runs that a naive scan of its transform
+    finds, and its space report counts one word per run."""
+    g = fan_graph(labels)
+    ix = build_index(g)
+    assert transform_labels(g) == labels
+    starts = [p for p in range(len(labels)) if p == 0 or labels[p] != labels[p - 1]]
+    data = serialize_index(ix)
+    doc = json.loads(data)
+    assert doc["run_starts"] == [s - t for s, t in zip(starts, [0] + starts)]
+    assert doc["run_labels"] == [labels[p] for p in starts]
+    loaded = deserialize_index(data)
+    assert loaded.rl == ix.rl
+    assert serialize_index(loaded) == data
+    for index in (ix, loaded):
+        entries = sum(len(s) + len(cums) + len(cuts) for s, cums, _, cuts in index.rl.runs_of.values())
+        assert space_report(index).words["rank_select"] == len(starts) + entries
 
 
 def test_deserialize_rejects_foreign_input(g1_index):
@@ -902,6 +944,30 @@ def test_deserialize_rejects_values_that_are_not_ints(field, bad):
         doc[field] = bad
     with pytest.raises(ValueError, match="corrupt index: .* not an int"):
         deserialize_index(json.dumps(doc).encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("n", 2**63 - 1, "anchor_ids ends at 6, not at n - 1"),
+        ("n", 2**63, "n = 9223372036854775808 or m = 6 is past 2\\*\\*63 - 1"),
+        ("m", 2**63 - 1, "out_prefix totals 6 edges"),
+        ("m", 2**63, "n = 7 or m = 9223372036854775808 is past 2\\*\\*63 - 1"),
+        ("run_starts", 2**63 - 1, "run_starts does not rise strictly from 0 within"),
+        ("run_starts", 2**63, "run_starts does not rise strictly from 0 within"),
+    ],
+)
+def test_deserialize_rejects_values_past_a_word(field, value, message):
+    # an array('q') word holds at most 2**63 - 1: m = 2**63 and a last run
+    # gap of 2**63 - 1 or 2**63 raised OverflowError while the run
+    # directories were built, before any check bounded them
+    doc = json.loads(serialize_index(build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)))
+    if field == "run_starts":
+        doc[field][-1] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ValueError, match=f"corrupt index: {message}"):
+        deserialize_index(reseal(doc))
 
 
 @pytest.mark.parametrize("pairs", [[[3, 0], [4, 1]], [[3, 0, 1]] * 4, [7] * 4, {}])

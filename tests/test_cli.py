@@ -269,6 +269,28 @@ def test_deeply_nested_file_exits_2(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["m", "run_starts"])
+def test_stats_of_a_value_past_a_word_exits_2(capsys, tmp_path, field):
+    # m = 2**63, or a last run gap of 2**63, made the loader raise
+    # OverflowError: the CLI printed a traceback and exited 1
+    wgf, idx = tmp_path / "abacba.wgf", tmp_path / "abacba.idx"
+    assert main(["gen", "string", "abacba", "-o", str(wgf)]) == 0
+    assert main(["build", str(wgf), str(idx)]) == 0
+    doc = json.loads(idx.read_bytes())
+    value = doc["run_starts"][:-1] + [2**63] if field == "run_starts" else 2**63
+    bad = _corrupt_copy(str(idx), tmp_path / "bad.idx", **{field: value})
+    src = str(Path(wgrindex.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgrindex", "stats", bad],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: corrupt index: ")
+    assert "Traceback" not in proc.stderr
+
+
 # --- gen ---
 
 def test_gen_string_writes_g1(capsys, tmp_path):

@@ -23,6 +23,7 @@ from helpers import (
     naive_runs,
     random_patterns,
     reference_is_primitive,
+    run_starts_of,
     suffix_array,
     transform_labels,
 )
@@ -65,7 +66,7 @@ def test_string_path_empty():
 def test_string_path_unary_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
     rl = build_rank_select(g, build_bwt(g))
-    assert (rl.run_starts, rl.run_labels) == ([0], [0])
+    assert (run_starts_of(rl), rl.run_labels) == ([0], [0])
 
 
 @settings(max_examples=200)
@@ -301,4 +302,4 @@ def test_string_family_runs_match_naive():
     for s in [(0, 0, 0), (0, 1, 0, 1), (2, 2, 1, 1, 0)]:
         g = gen_string_path(s).graph
         rl = build_rank_select(g, build_bwt(g))
-        assert len(rl.run_starts) == naive_runs(transform_labels(g))
+        assert len(run_starts_of(rl)) == naive_runs(transform_labels(g))
