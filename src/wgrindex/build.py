@@ -35,15 +35,15 @@ _INT_OR_NONE = frozenset((int, type(None)))
 _RUNS_PER_BUCKET = 16  # average runs of a label per cut-table bucket
 
 
-def build_bwt(g: WheelerGraph) -> list[int]:
-    """The transform order that validation scanned: order[p] is the index in
-    g.edges of the edge at position p, sorted by (source rank, destination
-    rank, input order). Rejects invalid orders."""
+def build_bwt(g: WheelerGraph) -> tuple[list[int], list[int]]:
+    """The transform that validation scanned, as the label and the
+    destination rank of the edge at each position, the edges sorted by
+    (source rank, destination rank, input order). Rejects invalid orders."""
     report = validate_wheeler(g)
     if not report.is_wheeler:
         detail = "; ".join(str(v) for v in report.violations)
         raise NotWheelerError(f"input numbering is not a Wheeler order: {detail}")
-    return report.order
+    return report.labels, report.dsts
 
 
 @dataclass
@@ -110,11 +110,9 @@ class RLSequence:
         return starts[t] + (k - cums[t])
 
 
-def build_rank_select(g: WheelerGraph, order: list[int]) -> RLSequence:
+def build_rank_select(labels: list[int]) -> RLSequence:
     """Rank/select directories over the runs of the edge labels in transform
     order; a run starts wherever the label differs from the one before."""
-    edges = g.edges
-    labels = [edges[i][2] for i in order]
     run_starts = list(compress(range(len(labels)), map(ne, [None] + labels, labels)))
     return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts])
 
@@ -221,19 +219,15 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
 
 
 def build_toehold(
-    g: WheelerGraph,
-    ids: IdAssignment,
-    order: list[int],
-    rl: RLSequence,
-    sums: DegreeSums,
-    break_ranks: list[int],
+    ids: IdAssignment, dsts: list[int], rl: RLSequence, sums: DegreeSums, break_ranks: list[int]
 ) -> ToeholdTable:
-    """Record the destination identifier of the edge at each run end and at
-    each position _required_marks names."""
-    edges, id_of = g.edges, ids.id_of_rank
+    """Record the identifier of dsts[p], the destination rank of the edge at
+    p, at each run end, found from the sorted per-label starts, and at each
+    position _required_marks names."""
+    id_of = ids.id_of_rank
     ends = _run_ends(sorted(chain.from_iterable(runs[0] for runs in rl.runs_of.values())), rl.length)
     extras = sorted(_required_marks(rl, sums, break_ranks).difference(ends))
-    return ToeholdTable({p: id_of[edges[order[p]][1]] for p in chain(ends, extras)})
+    return ToeholdTable({p: id_of[dsts[p]] for p in chain(ends, extras)})
 
 
 @dataclass
@@ -301,10 +295,10 @@ class WheelerRIndex:
 
 def build_index(g: WheelerGraph) -> WheelerRIndex:
     """Validate, decompose, assign identifiers and build all components."""
-    order = build_bwt(g)  # raises NotWheelerError on a bad order
+    labels, dsts = build_bwt(g)  # raises NotWheelerError on a bad order
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
-    rl = build_rank_select(g, order)
+    rl = build_rank_select(labels)
     sums = build_partial_sums(g)
     return WheelerRIndex(
         n=g.n,
@@ -315,7 +309,7 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
         last_rank_id=ids.id_of_rank[g.n - 1] if g.n else None,
         rl=rl,
         sums=sums,
-        toehold=build_toehold(g, ids, order, rl, sums, d.break_ranks),
+        toehold=build_toehold(ids, dsts, rl, sums, d.break_ranks),
         phi=build_phi(ids),
     )
 

@@ -38,11 +38,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an axiom check: the violations found, and the transform
-    order (see transform_order) that the check scanned."""
+    """Outcome of an axiom check: the violations found, and the three
+    transform-order columns (see transform_order) that the check scanned."""
 
     violations: tuple[Violation, ...]
     order: list[int] = field(repr=False, compare=False)
+    labels: list[int] = field(repr=False, compare=False)
+    dsts: list[int] = field(repr=False, compare=False)
 
     @property
     def is_wheeler(self) -> bool:
@@ -53,7 +55,8 @@ class ValidationReport:
 class WheelerGraph:
     """Directed multigraph with integer edge labels and a fixed vertex order.
 
-    n: number of vertices, named by rank 0..n-1.
+    n: number of vertices, named by rank 0..n-1; it and every rank and
+    label must have type int exactly, else construction raises ValueError.
     edges: (src, dst, label) triples, labels >= 0; parallel edges allowed.
     sigma: alphabet size, 1 + the largest label (0 for an edgeless graph).
 
@@ -68,20 +71,23 @@ class WheelerGraph:
     out_degrees: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= sys.maxsize:  # past sys.maxsize, no list holds the degrees
-            raise ValueError(f"vertex count {self.n} is outside [0, {sys.maxsize}]")
-        self.sigma = 1 + max((lab for _, _, lab in self.edges), default=-1)
-        ins = [0] * self.n
-        outs = [0] * self.n
+        n = self.n
+        if type(n) is not int:  # a bool or a float would reach an index file
+            raise ValueError(f"vertex count {n!r} is not an int")
+        if not 0 <= n <= sys.maxsize:  # past sys.maxsize, no list holds the degrees
+            raise ValueError(f"vertex count {n} is outside [0, {sys.maxsize}]")
+        ins, outs = [0] * n, [0] * n
         for u, v, lab in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}, {lab}) has a rank outside [0, {self.n})")
+            if not type(u) is type(v) is type(lab) is int:
+                raise ValueError(f"edge ({u!r}, {v!r}, {lab!r}) holds a value that is not an int")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}, {lab}) has a rank outside [0, {n})")
             if lab < 0:
                 raise ValueError(f"edge ({u}, {v}, {lab}) has a negative label")
             outs[u] += 1
             ins[v] += 1
-        self.in_degrees = ins
-        self.out_degrees = outs
+        self.sigma = 1 + max(map(itemgetter(2), self.edges), default=-1)
+        self.in_degrees, self.out_degrees = ins, outs
 
     @property
     def m(self) -> int:
@@ -187,24 +193,24 @@ def to_wgf(g: WheelerGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def transform_order(g: WheelerGraph) -> list[int]:
-    """Edge indices in transform order: by source rank, then destination
-    rank, then input index.
+def transform_order(g: WheelerGraph) -> tuple[list[int], list[int], list[int]]:
+    """The edges in transform order, by source rank, destination rank, then
+    input index, as columns: order, the indices in g.edges; labels; dsts.
 
     A stable counting sort: edge i goes to the next free position of its
-    source's slice, which starts at the out-degree prefix of the source;
-    only the sources with out-degree above 1 then sort their slice by
-    destination, and that sort is stable too."""
-    edges, outs = g.edges, g.out_degrees
-    order = [0] * g.m
+    source's slice, from the source's out-degree prefix; only sources of
+    out-degree above 1 then sort their slice's rows by (destination, index)."""
+    outs, m = g.out_degrees, g.m
+    order, labels, dsts = [0] * m, [0] * m, [0] * m
     slot = [0, *accumulate(outs)]
-    for i, (u, _, _) in enumerate(edges):
-        order[slot[u]] = i
-        slot[u] += 1
+    for i, (u, v, lab) in enumerate(g.edges):
+        p = slot[u]
+        order[p], labels[p], dsts[p] = i, lab, v
+        slot[u] = p + 1
     for u in compress(range(g.n), map(gt, outs, repeat(1))):
-        lo, hi = slot[u] - outs[u], slot[u]  # u's slice, now that it is filled
-        order[lo:hi] = sorted(order[lo:hi], key=lambda i: edges[i][1])
-    return order
+        s = slice(slot[u] - outs[u], slot[u])  # u's slice, now that it is filled
+        dsts[s], order[s], labels[s] = zip(*sorted(zip(dsts[s], order[s], labels[s])))
+    return order, labels, dsts
 
 
 def validate_wheeler(g: WheelerGraph) -> ValidationReport:
@@ -244,9 +250,8 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
     # destination of strictly smaller sources.
     edges = g.edges
     per_label: dict[int, list] = {}
-    order = transform_order(g)
-    for idx in order:
-        _, v, lab = edges[idx]
+    order, labels, dsts = transform_order(g)
+    for idx, lab, v in zip(order, labels, dsts):
         key = (v, idx)
         state = per_label.get(lab)
         if state is None:
@@ -259,14 +264,13 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
         # Earlier edges of the same source have destinations <= v, so a
         # larger destination so far always comes from a smaller source.
         top_dst, top_edge = state[2]
-        if v < top_dst:
-            if state[3] is None:
-                state[3] = Violation(
-                    "A2",
-                    (top_edge, idx),
-                    f"edges {top_edge} {edges[top_edge]} and {idx} {edges[idx]} share "
-                    f"label {lab} with increasing sources but decreasing destinations",
-                )
+        if v < top_dst and state[3] is None:
+            state[3] = Violation(
+                "A2",
+                (top_edge, idx),
+                f"edges {top_edge} {edges[top_edge]} and {idx} {edges[idx]} share "
+                f"label {lab} with increasing sources but decreasing destinations",
+            )
         elif v > top_dst:
             state[2] = key
 
@@ -288,7 +292,7 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
             best_dst, best_edge = hi
 
     violations.extend(state[3] for state in states if state[3] is not None)  # A2, by ascending label
-    return ValidationReport(tuple(violations), order)
+    return ValidationReport(tuple(violations), order, labels, dsts)
 
 
 @dataclass
@@ -309,20 +313,23 @@ def decompose_paths(g: WheelerGraph) -> PathDecomposition:
 
     Edges (u, v) and (v, w) share a chain exactly when v has in-degree 1
     and out-degree 1; nxt[v] is then w, and -1 elsewhere. The walk follows
-    nxt from the head edges, those leaving a rank with nxt -1, taken in
-    transform order (source, destination, index). Ranks with nxt that it
-    misses lie on cycles: a scan in rank order meets each cycle first at
-    its least rank, which becomes a break rank with nxt -1, opening the
-    cycle into a chain, and the walk reruns.
+    nxt from the head edges, those leaving a rank with nxt -1, which the
+    pass that fills nxt collects, taken in (source, destination) order.
+    Ranks with nxt that it misses lie on cycles: a scan in rank order meets
+    each cycle first at its least rank, which becomes a break rank with nxt
+    -1, its edge a head edge, opening the cycle into a chain; the walk reruns.
     """
-    n, edges, ins, outs = g.n, g.edges, g.in_degrees, g.out_degrees
+    n, ins, outs = g.n, g.in_degrees, g.out_degrees
     nxt = [-1] * n
-    for u, v, _ in edges:
+    heads: list[tuple[int, int]] = []
+    for u, v, _ in g.edges:
         if ins[u] == 1 == outs[u]:
             nxt[u] = v
+        else:
+            heads.append((u, v))
     breaks: list[int] = []
     while True:
-        heads = sorted((u, v, i) for i, (u, v, _) in enumerate(edges) if nxt[u] < 0)
+        heads.sort()  # edges that tie on (u, v) walk the same chain
         interior: list[int] = []
         for v in map(itemgetter(1), heads):
             while nxt[v] >= 0:
@@ -330,14 +337,13 @@ def decompose_paths(g: WheelerGraph) -> PathDecomposition:
                 v = nxt[v]
         if breaks or len(interior) == n - nxt.count(-1):
             break
-        seen = bytearray(n)
-        for k in interior:
-            seen[k] = 1
+        seen = set(interior)
         for k in range(n):
-            if nxt[k] >= 0 and not seen[k]:
+            if nxt[k] >= 0 and k not in seen:
                 breaks.append(k)
-                while not seen[k]:
-                    seen[k] = 1
+                heads.append((k, nxt[k]))  # the edge leaving the break heads its chain
+                while k not in seen:
+                    seen.add(k)
                     k = nxt[k]
                 nxt[k] = -1  # k is back at the break
     isolated = list(map(or_, ins, outs)).count(0)

@@ -42,9 +42,9 @@ from wgrindex import (
     naive_match,
     validate_wheeler,
 )
-from wgrindex.build import RLSequence, _f_label, build_bwt
+from wgrindex.build import RLSequence, _f_label
 from wgrindex.generators import GeneratedInstance, _rotation_ranks, is_primitive
-from wgrindex.graph import IdAssignment
+from wgrindex.graph import IdAssignment, Violation, transform_order
 from wgrindex.query import step_toehold
 
 def labels_from_ascii(s: str) -> tuple[int, ...]:
@@ -132,6 +132,66 @@ def exhaustive_axiom_check(g: WheelerGraph) -> bool:
             if a == a2 and u < u2 and not v <= v2:
                 return False
     return True
+
+
+def reference_validation(g: WheelerGraph) -> tuple[tuple[Violation, ...], list[int]]:
+    """The violations and the transform order of validate_wheeler as it was
+    when it read each edge through the order from g.edges: the witnesses
+    and messages that the column scan must reproduce exactly."""
+    violations: list[Violation] = []
+    ins = g.in_degrees
+    early = next((k for k in range(g.n) if ins[k]), g.n)
+    late = max((k for k in range(g.n) if not ins[k]), default=-1)
+    if late > early:
+        violations.append(
+            Violation(
+                "A0",
+                (late, early),
+                f"vertex {late} has in-degree 0 but ranks after vertex {early} "
+                f"which has positive in-degree",
+            )
+        )
+    edges = g.edges
+    order = sorted(range(g.m), key=lambda i: edges[i][:2])  # stable: ties keep input order
+    per_label: dict[int, list] = {}
+    for idx in order:
+        _, v, lab = edges[idx]
+        key = (v, idx)
+        state = per_label.get(lab)
+        if state is None:
+            per_label[lab] = [key, key, key, None]
+            continue
+        if key < state[0]:
+            state[0] = key
+        elif key > state[1]:
+            state[1] = key
+        top_dst, top_edge = state[2]
+        if v < top_dst:
+            if state[3] is None:
+                state[3] = Violation(
+                    "A2",
+                    (top_edge, idx),
+                    f"edges {top_edge} {edges[top_edge]} and {idx} {edges[idx]} share "
+                    f"label {lab} with increasing sources but decreasing destinations",
+                )
+        elif v > top_dst:
+            state[2] = key
+    best_dst = best_edge = -1
+    states = [per_label[lab] for lab in sorted(per_label)]
+    for (lo_dst, lo_edge), hi, _, _ in states:
+        if best_edge >= 0 and best_dst >= lo_dst:
+            violations.append(
+                Violation(
+                    "A1",
+                    (best_edge, lo_edge),
+                    f"edge {best_edge} {edges[best_edge]} has a smaller label than "
+                    f"edge {lo_edge} {edges[lo_edge]} but does not lead to a smaller vertex",
+                )
+            )
+        if hi[0] > best_dst:
+            best_dst, best_edge = hi
+    violations.extend(state[3] for state in states if state[3] is not None)
+    return tuple(violations), order
 
 
 _DECIMAL = re.compile(r"[0-9]+\Z")
@@ -391,8 +451,8 @@ def assert_walk_matches_reference(g: WheelerGraph) -> None:
 
 
 def transform_labels(g: WheelerGraph) -> list[int]:
-    """The edge labels in transform order."""
-    return [g.edges[i][2] for i in build_bwt(g)]
+    """The edge labels in transform order, read through its index column."""
+    return [g.edges[i][2] for i in transform_order(g)[0]]
 
 
 def rl_from_labels(labels) -> RLSequence:

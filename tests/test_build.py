@@ -25,12 +25,14 @@ from wgrindex import (
     gen_string_cycle,
     gen_string_path,
     gen_trie,
+    load_index,
     locate,
     naive_match,
     parse_graph,
     save_index,
     serialize_index,
     space_report,
+    to_wgf,
 )
 import wgrindex.build as build_mod
 import wgrindex.graph as graph_mod
@@ -52,6 +54,7 @@ from helpers import (
     bench_run,
     broken_cycle_graphs,
     build_corpus,
+    gen_confluent,
     labels_from_ascii,
     make_instance,
     naive_phi_table,
@@ -86,23 +89,25 @@ def instances(draw):
 # --- transform ---
 
 def test_bwt_g1(g1):
-    order = build_bwt(g1)
-    assert transform_labels(g1) == [0, 1, 0]
-    assert order == transform_order(g1) == [0, 1, 2]
+    labels, dsts = build_bwt(g1)
+    assert labels == transform_labels(g1) == [0, 1, 0]
+    order = transform_order(g1)[0]
+    assert order == [0, 1, 2]
     assert [g1.edges[i][:2] for i in order] == [(0, 1), (1, 3), (3, 2)]
-    rl = build_rank_select(g1, order)
+    assert dsts == [1, 3, 2]
+    rl = build_rank_select(labels)
     assert (run_starts_of(rl), rl.run_labels) == ([0, 1, 2], [0, 1, 0])
 
 
 def test_bwt_empty():
     g = WheelerGraph(n=3, edges=[])
-    assert build_bwt(g) == [] and run_starts_of(build_rank_select(g, [])) == []
+    assert build_bwt(g) == ([], []) and run_starts_of(build_rank_select([])) == []
 
 
 def test_bwt_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
     assert transform_labels(g) == [0, 0, 0, 0]
-    rl = build_rank_select(g, build_bwt(g))
+    rl = build_rank_select(build_bwt(g)[0])
     assert (run_starts_of(rl), rl.run_labels) == ([0], [0])
 
 
@@ -114,7 +119,8 @@ def test_bwt_rejects_bad_order():
 def test_bwt_groups_by_source_then_destination():
     # two sources out of rank order in the input; positions must follow ranks
     g = WheelerGraph(n=3, edges=[(1, 2, 1), (0, 1, 0)])
-    assert build_bwt(g) == [1, 0]
+    assert transform_order(g)[0] == [1, 0]
+    assert build_bwt(g) == ([0, 1], [1, 2]) == tuple(transform_order(g)[1:])
     assert transform_labels(g) == [0, 1]
 
 
@@ -172,7 +178,7 @@ def test_rank_select_matches_naive_scan(inst):
 
 
 def test_rlsequence_from_labels_matches_builder(g1):
-    assert rl_from_labels(transform_labels(g1)) == build_rank_select(g1, build_bwt(g1))
+    assert rl_from_labels(transform_labels(g1)) == build_rank_select(build_bwt(g1)[0])
 
 
 # --- cut tables ---
@@ -255,7 +261,7 @@ def test_partial_sums_g1(g1):
     assert (sums.out_ranks, sums.out_after) == ([2], [2])
     assert (sums.in_ranks, sums.in_after) == ([0], [0])
     assert [sums.out_prefix(k) for k in range(5)] == [0, 1, 2, 2, 3]
-    rl = build_rank_select(g1, build_bwt(g1))
+    rl = build_rank_select(build_bwt(g1)[0])
     assert first_slots(rl) == {0: 0, 1: 2}
     assert _f_label(rl, g1.sigma) == [0, 2, 3]
 
@@ -266,7 +272,7 @@ def test_partial_sums_empty_graph():
     assert (sums.out_ranks, sums.out_after) == ([0, 1], [0, 0])
     assert (sums.in_ranks, sums.in_after) == ([0, 1], [0, 0])
     assert [sums.out_prefix(k) for k in range(3)] == [0, 0, 0]
-    rl = build_rank_select(g, build_bwt(g))
+    rl = build_rank_select(build_bwt(g)[0])
     assert first_slots(rl) == {}
     assert _f_label(rl, g.sigma) == [0]
 
@@ -327,10 +333,10 @@ def test_degree_sums_match_dense_prefixes(degrees):
 
 def toehold_of(g):
     d = decompose_paths(g)
-    order = build_bwt(g)
-    rl = build_rank_select(g, order)
+    labels, dsts = build_bwt(g)
+    rl = build_rank_select(labels)
     ids = assign_identifiers(g, d)
-    return build_toehold(g, ids, order, rl, build_partial_sums(g), d.break_ranks)
+    return build_toehold(ids, dsts, rl, build_partial_sums(g), d.break_ranks)
 
 
 def test_toehold_g1(g1):
@@ -353,7 +359,7 @@ def test_toehold_marks_before_sink():
     th = toehold_of(g)
     sink = g.n - 1
     assert g.out_degrees[sink] == 0
-    for p, i in enumerate(transform_order(g)):
+    for p, i in enumerate(transform_order(g)[0]):
         if g.edges[i][0] == sink - 1:
             assert p in th.pairs
 
@@ -364,7 +370,7 @@ def test_toehold_exact_membership(inst):
     """Marked positions match a from-scratch scan of the three conditions,
     over the edges in transform order."""
     g, d, ids = inst.graph, inst.decomp, inst.ids
-    edge_at = [g.edges[i][:2] for i in transform_order(g)]
+    edge_at = [g.edges[i][:2] for i in transform_order(g)[0]]
     th = inst.index.toehold
     ends = {seq[0] for seq in d.paths} | {seq[-1] for seq in d.paths}
     expected = set()
@@ -1406,6 +1412,47 @@ def test_build_call_paths_reach_traced_hooks(monkeypatch):
     expected = {(name, "build_index") for name in stages if name != "validate_wheeler"}
     expected |= {("build_index", None), ("validate_wheeler", "build_bwt")}
     assert sorted(calls) == sorted(expected)
+
+
+class CountingEdges(list):
+    """An edge list that counts the reads made by index or slice."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_build_stages_read_the_transform_columns_not_the_edges():
+    """Validation lays the transform out once, as label and destination
+    columns, and no later stage reads g.edges by index: a build of each
+    family, out-degree above 1 in the trie included, makes no such read
+    and gives the same bytes."""
+    for gi in (
+        gen_string_path(labels_from_ascii("abracadabra")),
+        gen_string_cycle((0, 1, 1, 2)),
+        gen_multi_paths([(0, 1, 0), (1, 1, 0), (2,)]),
+        gen_trie([(0, 1), (0, 2), (1,)]),
+        gen_confluent((7, 20, 3)),
+    ):
+        edges = CountingEdges(gi.graph.edges)
+        data = serialize_index(build_index(WheelerGraph(gi.graph.n, edges)))
+        assert edges.reads == 0, gi.provenance
+        assert data == serialize_index(build_index(gi.graph))
+
+
+def test_bool_label_never_reaches_an_index_file(tmp_path):
+    """WheelerGraph(2, [(0, 1, True)]) built an index that deserialize_index
+    rejected ("run_labels holds True"); it is refused up front, and the
+    same graph with an int label builds, saves and loads."""
+    with pytest.raises(ValueError, match="not an int"):
+        WheelerGraph(2, [(0, 1, True)])
+    g = WheelerGraph(2, [(0, 1, 1)])
+    path = tmp_path / "g.wgri"
+    save_index(build_index(g), path)
+    assert serialize_index(load_index(path)) == serialize_index(build_index(g))
+    assert parse_graph(to_wgf(g)) == g
 
 
 def test_build_index_computes_the_transform_order_once(monkeypatch):

@@ -65,7 +65,7 @@ def test_string_path_empty():
 
 def test_string_path_unary_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
-    rl = build_rank_select(g, build_bwt(g))
+    rl = build_rank_select(build_bwt(g)[0])
     assert (run_starts_of(rl), rl.run_labels) == ([0], [0])
 
 
@@ -301,5 +301,5 @@ def test_pattern_with_absent_label_counts_zero():
 def test_string_family_runs_match_naive():
     for s in [(0, 0, 0), (0, 1, 0, 1), (2, 2, 1, 1, 0)]:
         g = gen_string_path(s).graph
-        rl = build_rank_select(g, build_bwt(g))
+        rl = build_rank_select(build_bwt(g)[0])
         assert len(run_starts_of(rl)) == naive_runs(transform_labels(g))

@@ -25,8 +25,10 @@ from helpers import (
     broken_cycle_graphs,
     build_corpus,
     exhaustive_axiom_check,
+    gen_confluent,
     reference_decomposition,
     reference_parse_graph,
+    reference_validation,
     shared_in_edge_graphs,
 )
 
@@ -241,11 +243,46 @@ def test_transform_order_is_the_stable_source_destination_sort(g):
     # the counting placement, with only the sources of out-degree above 1
     # sorting their slices, against a plain comparison sort; arbitrary
     # graphs bring parallel edges, tries sources with several out-edges
-    assert transform_order(g) == sorted(range(g.m), key=lambda i: g.edges[i][:2])
-    # validation hands on the order it scanned, whatever its verdict
+    order, labels, dsts = transform_order(g)
+    assert order == sorted(range(g.m), key=lambda i: g.edges[i][:2])
+    assert (labels, dsts) == ([g.edges[i][2] for i in order], [g.edges[i][1] for i in order])
+    # validation hands on the columns it scanned, whatever its verdict
     report = validate_wheeler(g)
-    assert report.order == transform_order(g)
+    assert (report.order, report.labels, report.dsts) == (order, labels, dsts)
     assert report.is_wheeler == (report.violations == ())
+
+
+confluent_graphs = st.integers(1, 4).flatmap(
+    lambda sigma: st.tuples(st.integers(0, 2**32 - 1), st.integers(sigma + 1, 30), st.just(sigma))
+).map(lambda arg: gen_confluent(arg).graph)
+
+
+@settings(max_examples=400)
+@given(arbitrary_graphs() | generated_graphs() | confluent_graphs)
+def test_validation_report_matches_the_reference_scan(g):
+    """The scan over the transform-order columns finds the same violations,
+    witnesses and messages included, as the scan that read each edge from
+    g.edges, on invalid graphs (parallel edges, sources of out-degree above
+    1) and valid ones (confluent graphs have both); and each column holds
+    the field of the edge that order names."""
+    report = validate_wheeler(g)
+    violations, order = reference_validation(g)
+    assert report.violations == violations
+    assert report.order == order
+    assert report.labels == [g.edges[i][2] for i in order]
+    assert report.dsts == [g.edges[i][1] for i in order]
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(2.0, []), (True, [(0, 1, 0)]), (2, [(0, 1, True)]), (2, [(0, 1, 1.0)]),
+     (2, [(0.0, 1, 0)]), (2, [(0, True, 0)]), (2, [(0, 1, 0), (False, 1, 0)]), (2, [(0, 1, "0")])],
+)
+def test_values_that_are_not_ints_are_rejected(n, edges):
+    # a bool label built an index that the loader rejects and a WGF text
+    # that parse_graph rejects; a float rank raised TypeError
+    with pytest.raises(ValueError, match="not an int"):
+        WheelerGraph(n=n, edges=edges)
 
 
 def test_negative_label_rejected():
@@ -432,7 +469,7 @@ def test_decompose_invariants(g):
             assert [v] in d.paths
     assert d.num_paths == len(d.paths)
     # ordered by start rank, then by the transform position of the first edge
-    pos = {e: p for p, e in enumerate(transform_order(g))}
+    pos = {e: p for p, e in enumerate(transform_order(g)[0])}
     keys = [(vs[0], pos[es[0]] if es else -1) for vs, es in zip(d.paths, d.edge_paths)]
     assert keys == sorted(keys)
     # deterministic
