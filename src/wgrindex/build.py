@@ -11,8 +11,10 @@ identifier can be recovered by successor lookup plus offset arithmetic.
 from __future__ import annotations
 
 import json
+import sys
 import zlib
 from array import array
+from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
@@ -28,8 +30,11 @@ from .graph import (
 )
 
 _FORMAT = "wgrindex"
-_VERSION = 4
+_VERSION = 5
 _SEAL = b',"crc32":'
+_SECTIONS = ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
+             "marked_positions", "marked_pairs", "anchor_ids", "pred_ids", "break_ranks")
+_WORDS = ("b", "h", "i", "q")  # array typecodes of signed 1-, 2-, 4- and 8-byte words
 _INT = frozenset((int,))
 _INT_OR_NONE = frozenset((int, type(None)))
 _RUNS_PER_BUCKET = 16  # average runs of a label per cut-table bucket
@@ -238,7 +243,7 @@ class PhiStructure:
     stored explicitly, a list that successor bisects; pred_ids[t], an
     array('q') of 8-byte words, is the identifier of the vertex directly
     before anchor_ids[t] in the vertex order, -1 for the order-first vertex
-    (an index file writes None there). Between anchors the predecessor of
+    (None in a version 1-4 file). Between anchors the predecessor of
     i + 1 is that of i plus one, which is what makes successor lookup plus
     offset arithmetic recover every other predecessor.
     """
@@ -401,15 +406,44 @@ def _gaps(values: list[int]) -> list[int]:
     return list(map(sub, values, chain((0,), values)))
 
 
+def _pack(values) -> str:
+    """A section: the first, so narrowest, typecode in _WORDS whose words
+    hold every value, then the base64 of the values as little-endian words.
+    One pass per width tried, and a value too wide fails it early."""
+    for code in _WORDS:
+        try:
+            words = array(code, values)
+            break
+        except OverflowError:  # a value past this word: try the next width
+            continue
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.typecode + b64encode(words).decode("ascii")
+
+
+def _unpack(name: str, section) -> list[int]:
+    """The ints of a section that _pack wrote; raise on any other value."""
+    if type(section) is not str or section[:1] not in _WORDS:
+        raise ValueError(f"corrupt index: {name} is not a section of b, h, i or q words")
+    try:  # a character outside base64 or ASCII, or bytes that are not whole words
+        words = array(section[0], b64decode(section[1:], validate=True))
+    except ValueError as exc:
+        raise ValueError(f"corrupt index: {name} is not the base64 of whole {section[0]} words ({exc})") from exc
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
 def serialize_index(ix: WheelerRIndex) -> bytes:
     """Canonical byte encoding; identical indexes give identical bytes.
-    Version 4 stores run starts and anchors as gaps, only the marks that
+    Version 5 stores run starts and anchors as gaps, only the marks that
     are not run ends, and the identifiers at the run ends, in run order,
-    before theirs. Its last member, crc32, is zlib.crc32 of the rest."""
+    before theirs, each int list as a section (_pack). Its last member,
+    crc32, is zlib.crc32 of the rest. Raises ValueError on a label past
+    2**63 - 1, which no section word holds."""
+    if ix.sigma > 1 << 63:  # before _f_label allocates sigma + 1 entries
+        raise ValueError(f"label {ix.sigma - 1} is past 2**63 - 1, the largest an index file stores")
     sums, pairs, r = ix.sums, ix.toehold.pairs, len(ix.rl.run_labels)
-    preds = ix.phi.pred_ids.tolist()
-    if preds:  # a file writes None for the order-first vertex's -1
-        preds[preds.index(-1)] = None
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -420,16 +454,16 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
         # Run t + 1 starts after the end of run t, the toehold's key t.
-        "run_starts": [0, *map(sub, islice(pairs, r - 1), chain((-1,), pairs))] if r else [],
-        "run_labels": ix.rl.run_labels,
-        "out_prefix": _interleave(sums.out_ranks, sums.out_after),
-        "in_prefix": _interleave(sums.in_ranks, sums.in_after),
-        "f_label": _f_label(ix.rl, ix.sigma),
-        "marked_positions": list(islice(pairs, r, None)),  # the extras
-        "marked_pairs": list(pairs.values()),  # run ends, then extras
-        "break_ranks": ix.break_ranks,
-        "anchor_ids": _gaps(ix.phi.anchor_ids),
-        "pred_ids": preds,
+        "run_starts": _pack([0, *map(sub, islice(pairs, r - 1), chain((-1,), pairs))] if r else []),
+        "run_labels": _pack(ix.rl.run_labels),
+        "out_prefix": _pack(_interleave(sums.out_ranks, sums.out_after)),
+        "in_prefix": _pack(_interleave(sums.in_ranks, sums.in_after)),
+        "f_label": _pack(_f_label(ix.rl, ix.sigma)),
+        "marked_positions": _pack(list(islice(pairs, r, None))),  # the extras
+        "marked_pairs": _pack(list(pairs.values())),  # run ends, then extras
+        "break_ranks": _pack(ix.break_ranks),
+        "anchor_ids": _pack(_gaps(ix.phi.anchor_ids)),
+        "pred_ids": _pack(ix.phi.pred_ids),  # -1 for the order-first vertex
     }
     body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     return b"".join((memoryview(body)[:-1], _SEAL, b"%d}" % zlib.crc32(body)))
@@ -469,10 +503,10 @@ def _check_marked(required, pairs: dict[int, int]) -> None:
         raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
 
 
-def _check_ids(name: str, values: list[int], n: int) -> None:
-    """Raise unless every value is an identifier in [0, n)."""
-    if values and (min(values) < 0 or max(values) >= n):
-        bad = next(x for x in values if not 0 <= x < n)
+def _check_ids(name: str, values: list[int], n: int, low: int = 0) -> None:
+    """Raise unless every value lies in [low, n): an identifier, or the sentinel -1 if low is -1."""
+    if values and (min(values) < low or max(values) >= n):
+        bad = next(x for x in values if not low <= x < n)
         raise ValueError(f"corrupt index: {name} holds identifier {bad}, outside [0, n)")
 
 
@@ -496,13 +530,15 @@ def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: 
 
 
 def _upgrade(doc: dict, version: int) -> None:
-    """Check the types of a document's numbers and rewrite a version 1-3
-    document into version-4 fields, so one set of checks serves every
-    version. Versions 1 and 2 store (source id, destination id) pairs, cut
-    to the destinations, and no break ranks, None here; version 1 stores
-    dense prefix arrays, cut to the exceptions. Versions 1-3 store absolute
-    run starts and anchors, made gaps, and every mark, cut to the extras
-    once every run end is found marked: version 4 cannot say otherwise."""
+    """Check the types of a document's numbers and turn its int lists into
+    the version-5 fields as lists, so one set of checks serves every
+    version. A version-5 section holds only ints, so _unpack needs no type
+    scan. Versions 1-4 write None for the order-first vertex, made -1.
+    Versions 1 and 2 store (source id, destination id) pairs, cut to the
+    destinations, and no break ranks, None here; version 1 stores dense
+    prefix arrays, cut to the exceptions. Versions 1-3 store absolute run
+    starts and anchors, made gaps, and every mark, cut to the extras once
+    every run end is found marked: versions 4 and 5 cannot say otherwise."""
     if version < 3:
         pair_lists = doc["marked_pairs"]
         well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
@@ -522,13 +558,21 @@ def _upgrade(doc: dict, version: int) -> None:
     if max(doc["n"], doc["m"]) >= 1 << 63:  # beyond an array('q') word
         raise ValueError(f"corrupt index: n = {doc['n']} or m = {doc['m']} is past 2**63 - 1")
     _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
-    for name in ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
-                 "marked_positions", "marked_pairs", "anchor_ids"):
+    if version == _VERSION:
+        doc.update((name, _unpack(name, doc[name])) for name in _SECTIONS)
+        return
+    for name in _SECTIONS[:-2]:
         _check_ints(name, doc[name])
-    _check_ints("pred_ids", doc["pred_ids"], _INT_OR_NONE)
+    preds, want = doc["pred_ids"], min(doc["n"], 1)
+    _check_ints("pred_ids", preds, _INT_OR_NONE)
+    if preds.count(None) != want:  # these versions write None for the first vertex
+        raise ValueError(f"corrupt index: pred_ids holds {preds.count(None)} None entries, n = {doc['n']} needs {want}")
+    if -1 in preds:
+        raise ValueError("corrupt index: pred_ids holds identifier -1, outside [0, n)")
+    doc["pred_ids"] = [-1 if p is None else p for p in preds]
     if doc["break_ranks"] is not None:  # None: a file that stores no break ranks
         _check_ints("break_ranks", doc["break_ranks"])
-    if version == _VERSION:
+    if version == 4:
         return
     positions, dests, m = doc["marked_positions"], doc["marked_pairs"], doc["m"]
     if len(dests) != len(positions):
@@ -581,22 +625,24 @@ def _entered_ranks(rl: RLSequence, starts: list[int], sums: DegreeSums, position
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index; also reads version 1-3 files, which
-    _upgrade rewrites into version-4 fields before one set of checks runs
+    """Inverse of serialize_index; also reads version 1-4 files, which
+    _upgrade rewrites into version-5 fields before one set of checks runs
     for every version. The run ends are marked by definition; the break
     ranks are read off the marked destination identifiers, and a stored
     list must equal them.
 
     Raises ValueError on foreign input and, as "corrupt index: ...", on a
-    version-4 file whose crc32 member is missing or does not match, on a
-    number that is not an int, on n or m past 2**63 - 1, on legacy
-    marked_pairs that are not a list of pairs, on arrays whose lengths
-    disagree (marked_pairs holds one identifier per run and per extra
-    mark), on marked_positions not strictly
+    version-4 or 5 file whose crc32 member is missing or does not match, on
+    a version-5 section that is not a typecode in _WORDS and the base64 of
+    whole words, on a number that is not an int, on n or m past 2**63 - 1,
+    on legacy marked_pairs that are not a list of pairs, on arrays whose
+    lengths disagree (marked_pairs holds one identifier per run and per
+    extra mark), on marked_positions not strictly
     increasing within [0, m) or holding a run end, on an identifier in
     marked_pairs or pred_ids outside [0, n), on an impossible anchor set
-    (pred_ids must hold exactly one None when n > 0, none when n == 0;
-    anchor_ids must be strictly increasing within [0, n) and end at n - 1),
+    (pred_ids must hold exactly one first-vertex entry, -1 or in versions
+    1-4 None, when n > 0, none when n == 0; anchor_ids must be strictly
+    increasing within [0, n) and end at n - 1),
     on num_runs not counting run_starts, on degree sums that do not describe
     n degrees summing to m, on a run label outside [0, sigma), on run_starts
     not rising strictly from 0 within [0, m), on two neighbouring runs with
@@ -619,8 +665,8 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     version = doc.get("version")
     if type(version) is not int or not 1 <= version <= _VERSION:
         raise ValueError(f"unsupported index version {version!r}")
-    if version == _VERSION and not sealed:
-        raise ValueError("corrupt index: checksum missing, a version-4 file ends in its crc32 member")
+    if version >= 4 and not sealed:
+        raise ValueError(f"corrupt index: checksum missing, a version-{version} file ends in its crc32 member")
     try:
         _upgrade(doc, version)
         n, m, sigma, num_runs = doc["n"], doc["m"], doc["sigma"], doc["num_runs"]
@@ -637,18 +683,11 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
                 raise ValueError(
                     f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}"
                 )
-        firsts = pred_ids.count(None)
+        firsts = pred_ids.count(-1)
         if firsts != min(n, 1):
-            raise ValueError(
-                f"corrupt index: pred_ids holds {firsts} None entries, n = {n} needs {min(n, 1)}"
-            )
-        if n:  # the None passes the check as 0, then becomes the -1 sentinel
-            first = pred_ids.index(None)
-            pred_ids[first] = 0
-        _check_ids("pred_ids", pred_ids, n)
+            raise ValueError(f"corrupt index: pred_ids holds {firsts} first-vertex entries, n = {n} needs {min(n, 1)}")
+        _check_ids("pred_ids", pred_ids, n, -1)
         pred_ids = array("q", pred_ids)
-        if n:
-            pred_ids[first] = -1
         if not _rising(anchor_gaps, n):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
         anchor_ids = list(accumulate(anchor_gaps))

@@ -13,6 +13,7 @@ mismatches.
 
 from __future__ import annotations
 
+import base64
 import importlib.util
 import json
 import random
@@ -24,6 +25,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, islice, pairwise
 from pathlib import Path
+
+import pytest
 
 from wgrindex import (
     IndexInvariantError,
@@ -40,9 +43,10 @@ from wgrindex import (
     gen_trie,
     locate,
     naive_match,
+    serialize_index,
     validate_wheeler,
 )
-from wgrindex.build import RLSequence, _f_label
+from wgrindex.build import _SECTIONS, RLSequence, _f_label
 from wgrindex.generators import GeneratedInstance, _rotation_ranks, is_primitive
 from wgrindex.graph import IdAssignment, Violation, transform_order
 from wgrindex.query import step_toehold
@@ -299,12 +303,120 @@ def serialize_v3(ix: WheelerRIndex) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
+def serialize_v4(ix: WheelerRIndex) -> bytes:
+    """The version-4 writer, kept as the reference that the loader's
+    version-4 path is tested on: the fields of version 5, each int list as
+    a JSON list, None for the order-first vertex's predecessor, and the
+    crc32 member last."""
+    sums, pairs, r = ix.sums, ix.toehold.pairs, len(ix.rl.run_labels)
+    preds = [None if p < 0 else p for p in ix.phi.pred_ids]
+    doc = {
+        "format": "wgrindex",
+        "version": 4,
+        "n": ix.n,
+        "m": ix.m,
+        "sigma": ix.sigma,
+        "num_runs": r,
+        "num_paths": ix.num_paths,
+        "last_rank_id": ix.last_rank_id,
+        # Run t + 1 starts after the end of run t, the toehold's key t.
+        "run_starts": [0, *(b - a for a, b in pairwise([-1, *islice(pairs, r - 1)]))] if r else [],
+        "run_labels": ix.rl.run_labels,
+        "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
+        "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
+        "f_label": _f_label(ix.rl, ix.sigma),
+        "marked_positions": list(islice(pairs, r, None)),
+        "marked_pairs": list(pairs.values()),
+        "break_ranks": ix.break_ranks,
+        "anchor_ids": [b - a for a, b in pairwise([0, *ix.phi.anchor_ids])],
+        "pred_ids": preds,
+    }
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return body[:-1] + b',"crc32":%d}' % zlib.crc32(body)
+
+
 def reseal(doc: dict) -> bytes:
     """doc as index-file bytes whose last member, crc32, holds zlib.crc32
-    of the rest: an edited version-4 document passes the checksum, so the
-    load reaches its structural checks."""
+    of the rest: an edited version-4 or 5 document passes the checksum, so
+    the load reaches its structural checks."""
     body = json.dumps({k: v for k, v in doc.items() if k != "crc32"}, separators=(",", ":")).encode("ascii")
     return body[:-1] + b',"crc32":%d}' % zlib.crc32(body)
+
+
+WORD_BYTES = {"b": 1, "h": 2, "i": 4, "q": 8}
+
+
+def pack_section(values) -> str:
+    """The reference section writer: a typecode, the narrowest of b, h, i
+    and q whose signed words hold every value, then the base64 of the
+    values as little-endian words of its width."""
+    code = next(c for c, w in WORD_BYTES.items() if all(-(1 << 8 * w - 1) <= v < 1 << 8 * w - 1 for v in values))
+    raw = b"".join(v.to_bytes(WORD_BYTES[code], "little", signed=True) for v in values)
+    return code + base64.b64encode(raw).decode("ascii")
+
+
+def unpack_section(section: str) -> list[int]:
+    """The ints of a section, read word by word with int.from_bytes."""
+    w, raw = WORD_BYTES[section[0]], base64.b64decode(section[1:], validate=True)
+    return [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, len(raw), w)]
+
+
+def lists_of(data: bytes) -> dict:
+    """A version-5 file as a document whose sections are int lists again."""
+    doc = json.loads(data)
+    doc.update((name, unpack_section(doc[name])) for name in _SECTIONS)
+    return doc
+
+
+def packed(doc: dict) -> dict:
+    """A document of int lists with its sections packed, crc32 kept."""
+    return {**doc, **{name: pack_section(doc[name]) for name in _SECTIONS}}
+
+
+# Edits of the g1 version-5 file (run_labels "bAAEA", the bytes 0, 1 and
+# 0; pred_ids [2, 3, -1, 0]) that a load must reject: (member, value,
+# message fragment).
+V5_CORRUPTIONS = {
+    "typecode-d": ("run_labels", "dAAEA", "run_labels is not a section of b, h, i or q words"),
+    "typecode-f": ("run_labels", "fAAEA", "run_labels is not a section of b, h, i or q words"),
+    "typecode-u": ("run_labels", "uAAEA", "run_labels is not a section of b, h, i or q words"),
+    "typecode-Q": ("run_labels", "QAAEA", "run_labels is not a section of b, h, i or q words"),
+    "no-typecode": ("run_labels", "", "run_labels is not a section of b, h, i or q words"),
+    "not-base64": ("run_labels", "bAA!A", "run_labels is not the base64 of whole b words"),
+    "urlsafe-base64": ("run_labels", "b-_8A", "run_labels is not the base64 of whole b words"),
+    "space": ("run_labels", "bAA EA", "run_labels is not the base64 of whole b words"),
+    "not-ascii": ("run_labels", "bAA\u00e9", "run_labels is not the base64 of whole b words"),
+    "bad-padding": ("run_labels", "bAAE", "run_labels is not the base64 of whole b words"),
+    "half-a-word": ("run_labels", "hAAEA", "run_labels is not the base64 of whole h words"),
+    "six-of-eight": ("anchor_ids", "qAAAAAAAA", "anchor_ids is not the base64 of whole q words"),
+    "list": ("run_labels", [0, 1, 0], "run_labels is not a section"),
+    "int": ("break_ranks", 0, "break_ranks is not a section"),
+    "null": ("pred_ids", None, "pred_ids is not a section"),
+    "no-first": ("pred_ids", pack_section([2, 3, 1, 0]), "pred_ids holds 0 first-vertex entries"),
+    "two-firsts": ("pred_ids", pack_section([2, -1, -1, 0]), "pred_ids holds 2 first-vertex entries"),
+    "minus-2": ("pred_ids", pack_section([2, 3, -1, -2]), "pred_ids holds identifier -2, outside \\[0, n\\)"),
+}
+
+
+def v4_and_v5(cases, ids) -> list:
+    """pytest params: each case with version 4 appended, under its own id,
+    then with version 5, under "v5-" and that id."""
+    return [pytest.param(*case, v, id=f"v{v}-{i}" if v == 5 else i) for v in (4, 5) for case, i in zip(cases, ids)]
+
+
+def doc_of(ix: WheelerRIndex, version: int) -> dict:
+    """The document of ix in a version-3, 4 or 5 file, int lists as lists."""
+    if version == 5:
+        return lists_of(serialize_index(ix))
+    return json.loads(serialize_v3(ix) if version == 3 else serialize_v4(ix))
+
+
+def file_of(doc: dict, version: int) -> bytes:
+    """An edited doc_of document as file bytes: plain JSON for version 3,
+    resealed for version 4 and, with its lists packed, for version 5."""
+    if version == 3:
+        return json.dumps(doc).encode("ascii")
+    return reseal(packed(doc) if version == 5 else doc)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import itertools
 import json
@@ -9,7 +10,7 @@ from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wgrindex import (
     FirstInOrderError,
@@ -39,6 +40,8 @@ import wgrindex.graph as graph_mod
 from wgrindex.build import (
     PhiStructure,
     _f_label,
+    _pack,
+    _unpack,
     build_bwt,
     build_partial_sums,
     build_phi,
@@ -51,6 +54,7 @@ from wgrindex.query import phi
 
 from helpers import (
     G1_TEXT,
+    V5_CORRUPTIONS,
     bench_run,
     broken_cycle_graphs,
     build_corpus,
@@ -60,12 +64,20 @@ from helpers import (
     naive_phi_table,
     naive_runs,
     random_label_string,
+    doc_of,
+    file_of,
+    lists_of,
+    pack_section,
+    packed,
     reseal,
     rl_from_labels,
     run_starts_of,
     serialize_v3,
+    serialize_v4,
     shared_in_edge_graphs,
     transform_labels,
+    unpack_section,
+    v4_and_v5,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -587,9 +599,7 @@ run_label_sequences = st.one_of(
 )
 
 
-@settings(max_examples=150)
-@given(run_label_sequences)
-def test_save_writes_the_run_order_of_a_naive_scan(labels):
+def check_run_order(labels, save, read) -> None:
     """A save reads the run starts off the toehold's run ends; built and
     loaded, an index writes the runs that a naive scan of its transform
     finds, and its space report counts one word per run."""
@@ -597,16 +607,28 @@ def test_save_writes_the_run_order_of_a_naive_scan(labels):
     ix = build_index(g)
     assert transform_labels(g) == labels
     starts = [p for p in range(len(labels)) if p == 0 or labels[p] != labels[p - 1]]
-    data = serialize_index(ix)
-    doc = json.loads(data)
+    data = save(ix)
+    doc = read(data)
     assert doc["run_starts"] == [s - t for s, t in zip(starts, [0] + starts)]
     assert doc["run_labels"] == [labels[p] for p in starts]
     loaded = deserialize_index(data)
     assert loaded.rl == ix.rl
-    assert serialize_index(loaded) == data
+    assert save(loaded) == data
     for index in (ix, loaded):
         entries = sum(len(s) + len(cums) + len(cuts) for s, cums, _, cuts in index.rl.runs_of.values())
         assert space_report(index).words["rank_select"] == len(starts) + entries
+
+
+@settings(max_examples=150)
+@given(run_label_sequences)
+def test_save_writes_the_run_order_of_a_naive_scan(labels):
+    check_run_order(labels, serialize_v4, json.loads)
+
+
+@settings(max_examples=150)
+@given(run_label_sequences)
+def test_save_writes_the_run_order_of_a_naive_scan_v5(labels):
+    check_run_order(labels, serialize_index, lists_of)
 
 
 def test_deserialize_rejects_foreign_input(g1_index):
@@ -749,16 +771,15 @@ def test_deserialize_rejects_wrong_sigma_without_runs(sigma, f_label):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
-@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("version", [3, 4, 5])
 @pytest.mark.parametrize("graph, sigma", [(gen_string_path((0, 1, 2, 0)).graph, 3), (EDGELESS, 0)])
 def test_deserialize_rejects_sigma_past_the_largest_label(graph, sigma, version):
     # a sigma raised by 3, with f_label padded to agree with it, loaded and
     # reported labels that no run holds; a build makes 1 + the largest label
-    ix = build_index(graph)
-    doc = json.loads(serialize_v3(ix) if version == 3 else serialize_index(ix))
+    doc = doc_of(build_index(graph), version)
     assert doc["sigma"] == sigma
     doc.update(sigma=sigma + 3, f_label=doc["f_label"] + [doc["m"]] * 3)
-    data = json.dumps(doc).encode("ascii") if version == 3 else reseal(doc)
+    data = file_of(doc, version)
     fragment = f"sigma is {sigma + 3}, 1 \\+ the largest run label gives {sigma}"
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
         deserialize_index(data)
@@ -952,28 +973,32 @@ def test_deserialize_rejects_values_that_are_not_ints(field, bad):
         deserialize_index(json.dumps(doc).encode("ascii"))
 
 
+PAST_A_WORD = [
+    ("n", 2**63 - 1, "anchor_ids ends at 6, not at n - 1"),
+    ("n", 2**63, "n = 9223372036854775808 or m = 6 is past 2\\*\\*63 - 1"),
+    ("m", 2**63 - 1, "out_prefix totals 6 edges"),
+    ("m", 2**63, "n = 7 or m = 9223372036854775808 is past 2\\*\\*63 - 1"),
+    ("run_starts", 2**63 - 1, "run_starts does not rise strictly from 0 within"),
+    ("run_starts", 2**63, "run_starts does not rise strictly from 0 within"),
+]
+
+
 @pytest.mark.parametrize(
-    ("field", "value", "message"),
-    [
-        ("n", 2**63 - 1, "anchor_ids ends at 6, not at n - 1"),
-        ("n", 2**63, "n = 9223372036854775808 or m = 6 is past 2\\*\\*63 - 1"),
-        ("m", 2**63 - 1, "out_prefix totals 6 edges"),
-        ("m", 2**63, "n = 7 or m = 9223372036854775808 is past 2\\*\\*63 - 1"),
-        ("run_starts", 2**63 - 1, "run_starts does not rise strictly from 0 within"),
-        ("run_starts", 2**63, "run_starts does not rise strictly from 0 within"),
-    ],
+    ("field", "value", "message", "version"),
+    # all but the last: a version-5 run gap of 2**63, which no section word holds
+    v4_and_v5(PAST_A_WORD, ["-".join(map(str, case)) for case in PAST_A_WORD])[:-1],
 )
-def test_deserialize_rejects_values_past_a_word(field, value, message):
+def test_deserialize_rejects_values_past_a_word(field, value, message, version):
     # an array('q') word holds at most 2**63 - 1: m = 2**63 and a last run
     # gap of 2**63 - 1 or 2**63 raised OverflowError while the run
     # directories were built, before any check bounded them
-    doc = json.loads(serialize_index(build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)))
+    doc = doc_of(build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph), version)
     if field == "run_starts":
         doc[field][-1] = value
     else:
         doc[field] = value
     with pytest.raises(ValueError, match=f"corrupt index: {message}"):
-        deserialize_index(reseal(doc))
+        deserialize_index(file_of(doc, version))
 
 
 @pytest.mark.parametrize("pairs", [[[3, 0], [4, 1]], [[3, 0, 1]] * 4, [7] * 4, {}])
@@ -1125,12 +1150,21 @@ def golden_graphs():
     }
 
 
+# The golden graphs through the version-4 reference writer.
 GOLDEN_SHA256 = {
     "g1": "ceb5a58758df60a81df9930164d4ddcae7704263255b693537cfd90aaf033314",
     "string": "8829b9fa516bf4994eede191249c2d5931126235656d5209e927fbf90550af1b",
     "multi": "8127c66d99818f940ff815e35015696ff8579199e55b003752da75f5243597cd",
     "trie": "00c783974e8a999dbfcbd1d4095d5c393084c783cac0d754cf18e5ee220763cb",
     "cycle": "a38149dc956c20040759afee745fcdda5d43fa124adadb0a96fb1e699019f3b8",
+}
+
+GOLDEN_V5_SHA256 = {
+    "g1": "973113068797cb80342dce5f40c954733a879205e5dc69bed8d4cc718870ad91",
+    "string": "2e4e723d941190b0c1d0821ea4b38bcaad6b69d3863d3827d06b686e9a568604",
+    "multi": "28e8a82ca82ec6c6dd07fc4e92616b1fdcb771a4b27187bd058bd9dbe762daa6",
+    "trie": "611cd9dc3aa0c3236a32ad35ee95c606b6836d3161e6616bca958d5d9e2040ae",
+    "cycle": "7968b4cc9ae26ca5a39b7528a8e4ee1051762c545a3d4133e4c5117f1d2c0493",
 }
 
 # The same graphs through the version-3 reference writer: the bytes that
@@ -1147,8 +1181,9 @@ GOLDEN_V3_SHA256 = {
 # version 1 holds dense n + 1 prefix arrays, versions 1 and 2 hold (source
 # id, destination id) pairs and no break ranks, and versions 1-3 hold every
 # marked position and absolute run starts and anchors. The version-4 files
-# are the version-3 ones loaded and saved again. Every one of them anchors
-# a superset of what a build anchors today.
+# are the version-3 ones loaded and saved again, and the version-5 files
+# the version-4 ones. Every one of them anchors a superset of what a build
+# anchors today.
 OLDER_SHA256 = {
     (1, "g1"): "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
     (1, "trie"): "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
@@ -1162,6 +1197,9 @@ OLDER_SHA256 = {
     (4, "g1"): "30b1f11a3ebfb603fc79a829964027dcb9738b5236edc7e2621563fac9fefdac",
     (4, "trie"): "21453855521c42b6e6d56df780b8558468d798f44896efa411555ddb7cc68cc2",
     (4, "cycle"): "a38149dc956c20040759afee745fcdda5d43fa124adadb0a96fb1e699019f3b8",
+    (5, "g1"): "226349c789fa584cd126532979a31783754269b78d5596d54199311fe2e2d459",
+    (5, "trie"): "157e2ddb0e988cdddf8c102cab6dbf42a2301cec57ae3c29ff4c8935bfa99c19",
+    (5, "cycle"): "7968b4cc9ae26ca5a39b7528a8e4ee1051762c545a3d4133e4c5117f1d2c0493",
 }
 
 
@@ -1171,11 +1209,14 @@ def sha256(data: bytes) -> str:
 
 def test_index_bytes_match_golden_hashes():
     """Refactors of the build must keep the serialized bytes of g1 and of
-    four seeded graphs: a string, a multi-path, a trie and a cycle."""
+    four seeded graphs: a string, a multi-path, a trie and a cycle. The
+    version-4 writer gives the bytes of every build before version 5, so
+    the in-memory index is unchanged too."""
     graphs = golden_graphs()
     assert (graphs["string"].n, graphs["multi"].n, graphs["cycle"].n) == (5001, 4020, 500)
-    digests = {name: sha256(serialize_index(build_index(g))) for name, g in graphs.items()}
-    assert digests == GOLDEN_SHA256
+    built = {name: build_index(g) for name, g in graphs.items()}
+    assert {name: sha256(serialize_v4(ix)) for name, ix in built.items()} == GOLDEN_SHA256
+    assert {name: sha256(serialize_index(ix)) for name, ix in built.items()} == GOLDEN_V5_SHA256
 
 
 def test_unsearched_columns_are_unboxed_words():
@@ -1193,18 +1234,19 @@ def test_unsearched_columns_are_unboxed_words():
 
 @pytest.mark.parametrize("version", [3, 4])
 def test_the_first_vertex_sentinel_never_comes_from_a_file(version):
-    """-1 stands for the order-first vertex's predecessor in memory only: a
-    file holding -1 where it holds None does not load, and phi of that
-    vertex raises FirstInOrderError on a built and on a loaded index."""
+    """-1 stands for the order-first vertex's predecessor in memory and in a
+    version-5 file only: a version-3 or 4 file holding -1 where it holds
+    None does not load, and phi of that vertex raises FirstInOrderError on
+    a built and on a loaded index."""
     ix = build_index(ABBA)
     first = ix.phi.anchor_ids[ix.phi.pred_ids.index(-1)]
     for index in (ix, deserialize_index(serialize_index(ix))):
         with pytest.raises(FirstInOrderError):
             phi(index, first)
-    doc = json.loads(serialize_v3(ix) if version == 3 else serialize_index(ix))
+    doc = doc_of(ix, version)
     assert doc["pred_ids"].count(None) == 1
     doc["pred_ids"] = [-1 if p is None else p for p in doc["pred_ids"]]
-    data = json.dumps(doc).encode("ascii") if version == 3 else reseal(doc)
+    data = file_of(doc, version)
     with pytest.raises(ValueError, match="corrupt index: pred_ids holds 0 None entries"):
         deserialize_index(data)
 
@@ -1212,26 +1254,28 @@ def test_the_first_vertex_sentinel_never_comes_from_a_file(version):
 # One digest over the indexes of 20 seeded Wheeler graphs with broken
 # cycles: 19 with other paths beside a cycle and 5 with several cycles.
 MIXED_CYCLES_SHA256 = "d9631b5659557734999c5bf4216f6f5be7a30e6ebde0e07bef0e7fd3454dc951"
+MIXED_CYCLES_V5_SHA256 = "a37692d2789d47b7fd2bfc7e3aed2f706bb637aad309cd9d5a3762d832eaa8a4"
 MIXED_CYCLES_V3_SHA256 = "e4971fad662f938fe051c6ea2a5e1f8e2ea46333d7918366c6b9cbdf5eb0b412"
 
 
 def test_index_bytes_of_cycles_beside_paths_match_golden_hash():
     """The cycle golden graph is one cycle alone; these pin the bytes where
     the decomposition breaks cycles beside other paths and other cycles."""
-    digest = hashlib.sha256()
+    digest, v5 = hashlib.sha256(), hashlib.sha256()
     multiple = beside = 0
     for g in broken_cycle_graphs(20, seed=2026):
         ix = build_index(g)
-        digest.update(serialize_index(ix))
+        digest.update(serialize_v4(ix))
+        v5.update(serialize_index(ix))
         multiple += len(ix.break_ranks) > 1
         beside += ix.num_paths > len(ix.break_ranks)
     assert (multiple, beside) == (5, 19)
-    assert digest.hexdigest() == MIXED_CYCLES_SHA256
+    assert (digest.hexdigest(), v5.hexdigest()) == (MIXED_CYCLES_SHA256, MIXED_CYCLES_V5_SHA256)
 
 
 def test_version_4_encodes_the_same_index_as_version_3():
-    """Only the encoding changed: a version-4 file and a version-3 one of
-    the same build load to equal indexes, equal to the build, whose
+    """Only the encoding changed: a version-5, a version-4 and a version-3
+    file of the same build load to equal indexes, equal to the build, whose
     version-3 bytes are those every build gave before version 4."""
     graphs = golden_graphs()
     assert {name: sha256(serialize_v3(build_index(g))) for name, g in graphs.items()} == GOLDEN_V3_SHA256
@@ -1241,7 +1285,8 @@ def test_version_4_encodes_the_same_index_as_version_3():
     assert mixed.hexdigest() == MIXED_CYCLES_V3_SHA256
     for g in [*graphs.values(), *broken_cycle_graphs(20, seed=2026)]:
         ix = build_index(g)
-        assert deserialize_index(serialize_index(ix)) == deserialize_index(serialize_v3(ix)) == ix
+        v5, v4, v3 = (deserialize_index(save(ix)) for save in (serialize_index, serialize_v4, serialize_v3))
+        assert v5 == v4 == v3 == ix
 
 
 @pytest.mark.parametrize(
@@ -1249,14 +1294,15 @@ def test_version_4_encodes_the_same_index_as_version_3():
 )
 def test_older_files_load_and_reserialize_as_version_3(version, name):
     """A file of any version loads with its own anchors and re-saves to the
-    version-4 bytes of the same graph, and the version-3 reference writer
-    gives back the version-3 file; everything else equals a fresh build,
-    and it answers as one."""
+    version-5 bytes of the same graph, and the version-4 and version-3
+    reference writers give back those files; everything else equals a
+    fresh build, and it answers as one."""
     data = (DATA / f"{name}.v{version}.idx").read_bytes()
     assert sha256(data) == OLDER_SHA256[version, name]
     assert json.loads(data)["version"] == version
     ix = deserialize_index(data)  # a cycle's break rank is not in v1/v2 files; the load finds it
-    assert sha256(serialize_index(ix)) == OLDER_SHA256[4, name]
+    assert sha256(serialize_index(ix)) == OLDER_SHA256[5, name]
+    assert sha256(serialize_v4(ix)) == OLDER_SHA256[4, name]
     assert sha256(serialize_v3(ix)) == OLDER_SHA256[3, name]
     g = golden_graphs()[name]
     fresh = build_index(g)
@@ -1269,17 +1315,17 @@ def test_older_files_load_and_reserialize_as_version_3(version, name):
             assert locate(ix, pattern) == locate(fresh, pattern)
 
 
-def abba_v4():
+def abba_doc(version: int) -> dict:
     # runs at 0, 1 and 3 end at 0, 2 and 3; position 1 is the one extra mark
-    doc = json.loads(serialize_index(build_index(ABBA)))
+    doc = doc_of(build_index(ABBA), version)
     assert (doc["n"], doc["m"], doc["run_starts"], doc["anchor_ids"]) == (5, 4, [0, 1, 2], [1, 1, 1, 1])
     assert (doc["marked_positions"], doc["marked_pairs"]) == ([1], [0, 2, 4, 1])
     return doc
 
 
 @pytest.mark.parametrize(
-    "edit, fragment",
-    [
+    "edit, fragment, version",
+    v4_and_v5([
         ({"run_starts": [1, 1, 1]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
         ({"run_starts": [0, 0, 3]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
         ({"run_starts": [0, 1, 3]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
@@ -1295,20 +1341,20 @@ def abba_v4():
         ({"marked_pairs": [0, 2, 4, 1, 3]}, "marked_pairs has 5 entries, num_runs \\+ len\\(marked_positions\\) gives 4"),
         # the extra mark deleted with its identifier: an edge into the sink (M2)
         ({"marked_positions": [], "marked_pairs": [0, 2, 4]}, "position 1 \\(rule M1-M3\\) is not marked"),
-    ],
-    ids=["first-run-gap-1", "run-gap-0", "starts-reach-m", "anchor-gap-0", "first-anchor-negative",
-         "anchors-reach-n", "extra-is-run-end", "extra-past-m", "extra-negative", "extras-unsorted",
-         "one-id-short", "one-id-over", "extra-deleted"],
+    ], ["first-run-gap-1", "run-gap-0", "starts-reach-m", "anchor-gap-0", "first-anchor-negative",
+        "anchors-reach-n", "extra-is-run-end", "extra-past-m", "extra-negative", "extras-unsorted",
+        "one-id-short", "one-id-over", "extra-deleted"]),
 )
-def test_version_4_rejects_impossible_gaps_and_extras(edit, fragment):
-    doc = abba_v4()
+def test_version_4_rejects_impossible_gaps_and_extras(edit, fragment, version):
+    doc = abba_doc(version)
     doc.update(edit)
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
-        deserialize_index(reseal(doc))
+        deserialize_index(file_of(doc, version))
 
 
-def test_version_4_rejects_a_missing_or_wrong_checksum():
-    data = serialize_index(build_index(ABBA))
+def check_the_checksum(data: bytes) -> None:
+    """A file that lacks its crc32 member, or holds another value there,
+    does not load."""
     # the last member holds zlib.crc32 of the document without it
     cut = data.rindex(b',"crc32":')
     crc = zlib.crc32(data[:cut] + b"}")
@@ -1324,42 +1370,49 @@ def test_version_4_rejects_a_missing_or_wrong_checksum():
         deserialize_index(reseal({**doc, "version": 99}))
 
 
+def test_version_4_rejects_a_missing_or_wrong_checksum():
+    check_the_checksum(serialize_v4(build_index(ABBA)))
+
+
+def test_version_5_rejects_a_missing_or_wrong_checksum():
+    check_the_checksum(serialize_index(build_index(ABBA)))
+
+
 @pytest.mark.parametrize(
-    "graph, field, before, after",
-    [
+    "graph, field, before, after, version",
+    v4_and_v5([
         # the trie of (0, 1), (0, 2), (1,) and (2, 2, 1), n = 8 and m = 7:
         # one out-edge of rank 0 moved to rank 1 keeps the ordering axioms
         # and every mark that rule M2 asks for
         (gen_trie([(0, 1), (0, 2), (1,), (2, 2, 1)]).graph, "out_prefix", [0, 3, 1, 5], [0, 2, 1, 5]),
         # the interior identifier 0 at the first run end becomes interior 3
         (gen_string_path(labels_from_ascii("abaab")).graph, "marked_pairs", [0, 5, 2], [3, 5, 2]),
-    ],
-    ids=["out-prefix", "interior-id"],
+    ], ["out-prefix", "interior-id"]),
 )
-def test_checksum_rejects_edits_that_pass_every_structural_check(graph, field, before, after):
+def test_checksum_rejects_edits_that_pass_every_structural_check(graph, field, before, after, version):
     ix = build_index(graph)
-    doc = json.loads(serialize_index(ix))
+    doc = doc_of(ix, version)
     assert doc[field][:len(before)] == before
     doc[field][:len(before)] = after
-    with pytest.raises(ValueError, match="corrupt index: checksum"):
-        deserialize_index(json.dumps(doc, separators=(",", ":")).encode("ascii"))
+    with pytest.raises(ValueError, match="corrupt index: checksum"):  # the crc32 of the file before the edit
+        deserialize_index(json.dumps(packed(doc) if version == 5 else doc, separators=(",", ":")).encode("ascii"))
     # only the checksum stands in the way: resealed, the edit loads as the
     # index of another graph
-    moved = deserialize_index(reseal(doc))
+    moved = deserialize_index(file_of(doc, version))
     assert moved != ix
     if field == "out_prefix":
         assert (count(ix, (0, 2)), locate(ix, (0, 2))) == (1, [7])
         assert (count(moved, (0, 2)), locate(moved, (0, 2))) == (2, [7, 0])
 
 
-@pytest.mark.parametrize("name", ["g1", "trie", "cycle"])
-def test_every_single_byte_substitution_is_rejected(name):
-    """Every byte of a version-4 file changed to any other value is
+@pytest.mark.parametrize("name, version", v4_and_v5([("g1",), ("trie",), ("cycle",)], ["g1", "trie", "cycle"]))
+def test_every_single_byte_substitution_is_rejected(name, version):
+    """Every byte of a version-4 or 5 file changed to any other value is
     rejected, by the checksum or, in its own member, by the parse. The
     full 255 values run on g1 and on the closing 32 bytes of each file;
     elsewhere the eight single-bit flips, since CRC-32 detects any error
     burst up to 32 bits long."""
-    data = (DATA / f"{name}.v4.idx").read_bytes()
+    data = (DATA / f"{name}.v{version}.idx").read_bytes()
     assert data.endswith(b"}") and data.rindex(b',"crc32":') > len(data) - 32
     for i, old in enumerate(data):
         every = name == "g1" or i >= len(data) - 32
@@ -1368,6 +1421,56 @@ def test_every_single_byte_substitution_is_rejected(name):
         for v in values - {old}:
             with pytest.raises(ValueError):
                 deserialize_index(head + bytes((v,)) + tail)
+
+
+@pytest.mark.parametrize("label", [2**63, 2**70])
+def test_save_rejects_a_label_past_a_word(label):
+    # the build answers; a save raised OverflowError from the dense f_label
+    ix = build_index(WheelerGraph(2, [(0, 1, label)]))
+    assert count(ix, (label,)) == 1
+    with pytest.raises(ValueError, match=f"label {label} is past 2\\*\\*63 - 1"):
+        serialize_index(ix)
+
+
+WORD_EDGES = [0, -1, 127, 128, -128, -129, 32767, 32768, -32768, -32769,
+              2**31 - 1, 2**31, -2**31, -2**31 - 1, 2**63 - 1, -2**63]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(WORD_EDGES)), max_size=24))
+@example([])
+@example([127, -128])  # the edges of each width: the widest value that fits, then the first past it
+@example([128])
+@example([-129])
+@example([32767, -32768])
+@example([32768])
+@example([-32769])
+@example([2**31 - 1, -2**31])
+@example([2**31])
+@example([-2**31 - 1])
+@example([2**63 - 1, -2**63, -1])
+def test_sections_round_trip_as_little_endian_words(values):
+    """A section is the narrowest typecode of b, h, i and q whose signed
+    words hold every value, then the base64 of the values as little-endian
+    words; the load gives the values back."""
+    section = _pack(values)
+    width = {"b": 1, "h": 2, "i": 4, "q": 8}[section[0]]
+    fits = [all(-(1 << 8 * w - 1) <= v < 1 << 8 * w - 1 for v in values) for w in (1, 2, 4, 8)]
+    assert fits.index(True) == width.bit_length() - 1
+    raw = base64.b64decode(section[1:], validate=True)
+    assert len(raw) == width * len(values)
+    assert [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)] == values
+    assert section == pack_section(values)
+    assert _unpack("run_starts", section) == unpack_section(section) == values
+
+
+@pytest.mark.parametrize("member, value, fragment", V5_CORRUPTIONS.values(), ids=V5_CORRUPTIONS)
+def test_version_5_rejects_corrupt_sections(member, value, fragment):
+    doc = json.loads((DATA / "g1.v5.idx").read_bytes())
+    assert (doc["run_labels"], unpack_section(doc["pred_ids"])) == ("bAAEA", [2, 3, -1, 0])
+    doc[member] = value
+    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+        deserialize_index(reseal(doc))
 
 
 def test_repetitive_collection_degree_sums_stay_small():

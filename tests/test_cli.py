@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,10 @@ import wgrindex
 from wgrindex import build_index, count, load_index, locate, parse_graph, to_wgf, validate_wheeler
 from wgrindex.cli import main
 
-from helpers import G1_TEXT, reseal
+from helpers import G1_TEXT, V5_CORRUPTIONS, doc_of, file_of, reseal, serialize_v4
+
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -173,24 +177,27 @@ def test_query_bad_index_file(capsys, tmp_path):
     assert "error:" in err
 
 
-def _corrupt_copy(src: str, dst, **fields) -> str:
-    doc = json.loads(open(src, "rb").read())
+def _corrupt_copy(src: str, dst, version: int, **fields) -> str:
+    """The index at src as a version-4 or 5 file with fields replaced,
+    its checksum written again."""
+    doc = doc_of(load_index(src), version)
     doc.update(fields)
-    dst.write_bytes(reseal(doc))
+    dst.write_bytes(file_of(doc, version))
     return str(dst)
 
 
-def abbabaab_with_sentinel_at(tmp_path, t: int) -> str:
-    """A copy of the "abbabaab" path index whose None predecessor sentinel
-    is swapped into anchor t; every such copy loads."""
+def abbabaab_with_sentinel_at(tmp_path, t: int, version: int) -> str:
+    """A copy of the "abbabaab" path index whose predecessor sentinel, None
+    in version 4 and -1 in version 5, is swapped into anchor t; every such
+    copy loads."""
     wgf, idx = tmp_path / "abbabaab.wgf", tmp_path / "abbabaab.idx"
     assert main(["gen", "string", "abbabaab", "-o", str(wgf)]) == 0
     assert main(["build", str(wgf), str(idx)]) == 0
-    doc = json.loads(idx.read_bytes())
-    assert doc["pred_ids"] == [7, 5, 8, 6, 0, None, 1]
-    pred_ids = list(doc["pred_ids"])
-    pred_ids[5], pred_ids[t] = pred_ids[t], None
-    return _corrupt_copy(str(idx), tmp_path / "bad.idx", pred_ids=pred_ids)
+    first = None if version == 4 else -1
+    pred_ids = doc_of(load_index(idx), version)["pred_ids"]
+    assert pred_ids == [7, 5, 8, 6, 0, first, 1]
+    pred_ids[5], pred_ids[t] = pred_ids[t], first
+    return _corrupt_copy(str(idx), tmp_path / "bad.idx", version, pred_ids=pred_ids)
 
 
 def locate_b_fails_mid_query(capsys, tmp_path, bad: str, message: str) -> None:
@@ -204,53 +211,89 @@ def locate_b_fails_mid_query(capsys, tmp_path, bad: str, message: str) -> None:
     assert "Traceback" not in err
 
 
-def test_query_corrupt_index_exits_2_without_traceback(capsys, tmp_path):
+def sentinel_moved_by_offset(capsys, tmp_path, version: int) -> None:
     # the phi step from identifier 3 lands on the sentinel by offset stepping
-    bad = abbabaab_with_sentinel_at(tmp_path, 1)
+    bad = abbabaab_with_sentinel_at(tmp_path, 1, version)
     locate_b_fails_mid_query(capsys, tmp_path, bad, "sentinel anchor reached by offset stepping")
 
 
-def test_query_first_in_order_error_exits_2_without_traceback(capsys, tmp_path):
+def test_query_corrupt_index_exits_2_without_traceback(capsys, tmp_path):
+    sentinel_moved_by_offset(capsys, tmp_path, 4)
+
+
+def test_query_corrupt_index_exits_2_without_traceback_v5(capsys, tmp_path):
+    sentinel_moved_by_offset(capsys, tmp_path, 5)
+
+
+def sentinel_moved_to_a_reached_anchor(capsys, tmp_path, version: int) -> None:
     # the phi step from identifier 5 reaches identifier 4, now named first;
     # a sound index never asks for the predecessor of the first vertex
-    bad = abbabaab_with_sentinel_at(tmp_path, 2)
+    bad = abbabaab_with_sentinel_at(tmp_path, 2, version)
     locate_b_fails_mid_query(capsys, tmp_path, bad, "identifier 4 names the first vertex")
 
 
-def test_query_emptied_anchors_rejected_at_load(capsys, g1_idx, tmp_path):
-    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", anchor_ids=[], pred_ids=[])
+def test_query_first_in_order_error_exits_2_without_traceback(capsys, tmp_path):
+    sentinel_moved_to_a_reached_anchor(capsys, tmp_path, 4)
+
+
+def test_query_first_in_order_error_exits_2_without_traceback_v5(capsys, tmp_path):
+    sentinel_moved_to_a_reached_anchor(capsys, tmp_path, 5)
+
+
+def query_fails_at_load(capsys, tmp_path, bad: str, mode: str, pattern: str, message: str) -> None:
     pats = tmp_path / "p.txt"
-    pats.write_text("a\n")
-    code, out, err = run(capsys, "query", bad, "--mode", "locate", "--patterns", str(pats))
+    pats.write_text(pattern + "\n")
+    code, out, err = run(capsys, "query", bad, "--mode", mode, "--patterns", str(pats))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: corrupt index: pred_ids")
+    assert err.startswith(f"error: corrupt index: {message}")
+
+
+def emptied_anchors(capsys, g1_idx, tmp_path, version: int) -> None:
+    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", version, anchor_ids=[], pred_ids=[])
+    query_fails_at_load(capsys, tmp_path, bad, "locate", "a", "pred_ids")
+
+
+def test_query_emptied_anchors_rejected_at_load(capsys, g1_idx, tmp_path):
+    emptied_anchors(capsys, g1_idx, tmp_path, 4)
+
+
+def test_query_emptied_anchors_rejected_at_load_v5(capsys, g1_idx, tmp_path):
+    emptied_anchors(capsys, g1_idx, tmp_path, 5)
+
+
+def short_prefix_array(capsys, g1_idx, tmp_path, version: int) -> None:
+    # the out-degree exceptions of g1 are one pair, rank 2 with prefix 2
+    assert doc_of(load_index(g1_idx), version)["out_prefix"] == [2, 2]
+    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", version, out_prefix=[2])
+    query_fails_at_load(capsys, tmp_path, bad, "count", "ab", "out_prefix")
 
 
 def test_query_short_prefix_array_rejected_at_load(capsys, g1_idx, tmp_path):
-    # the out-degree exceptions of g1 are one pair, rank 2 with prefix 2
-    assert json.loads(open(g1_idx, "rb").read())["out_prefix"] == [2, 2]
-    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", out_prefix=[2])
-    pats = tmp_path / "p.txt"
-    pats.write_text("ab\n")
-    code, out, err = run(capsys, "query", bad, "--mode", "count", "--patterns", str(pats))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: corrupt index: out_prefix")
+    short_prefix_array(capsys, g1_idx, tmp_path, 4)
+
+
+def test_query_short_prefix_array_rejected_at_load_v5(capsys, g1_idx, tmp_path):
+    short_prefix_array(capsys, g1_idx, tmp_path, 5)
+
+
+def damaged_run_label(capsys, tmp_path, data: bytes, before: bytes, after: bytes) -> None:
+    # one byte of the run labels changed, from label 1 to label 0
+    assert data.count(before) == 1
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(data.replace(before, after))
+    query_fails_at_load(capsys, tmp_path, str(bad), "count", "a", "checksum")
 
 
 def test_query_damaged_file_rejected_by_checksum(capsys, g1_idx, tmp_path):
-    # one byte of the run labels changed, from label 1 to label 0
+    data = serialize_v4(load_index(g1_idx))
+    damaged_run_label(capsys, tmp_path, data, b'"run_labels":[0,1,0]', b'"run_labels":[0,0,0]')
+
+
+def test_query_damaged_file_rejected_by_checksum_v5(capsys, g1_idx, tmp_path):
+    # the section holds the bytes 0, 1 and 0: base64 "AAEA"
     data = open(g1_idx, "rb").read()
-    assert b'"run_labels":[0,1,0]' in data
-    bad = tmp_path / "bad.idx"
-    bad.write_bytes(data.replace(b'"run_labels":[0,1,0]', b'"run_labels":[0,0,0]'))
-    pats = tmp_path / "p.txt"
-    pats.write_text("a\n")
-    code, out, err = run(capsys, "query", str(bad), "--mode", "count", "--patterns", str(pats))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: corrupt index: checksum")
+    damaged_run_label(capsys, tmp_path, data, b'"run_labels":"bAAEA"', b'"run_labels":"bAAAA"')
 
 
 @pytest.mark.parametrize("command", ["query", "stats"])
@@ -269,16 +312,22 @@ def test_deeply_nested_file_exits_2(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("field", ["m", "run_starts"])
-def test_stats_of_a_value_past_a_word_exits_2(capsys, tmp_path, field):
+@pytest.mark.parametrize(
+    "field, value, version",
+    [pytest.param("m", 2**63, 4, id="m"), pytest.param("run_starts", 2**63, 4, id="run_starts"),
+     pytest.param("m", 2**63, 5, id="v5-m"),
+     # no section word holds 2**63; a last run gap of 2**63 - 1 overflowed too
+     pytest.param("run_starts", 2**63 - 1, 5, id="v5-run_starts")],
+)
+def test_stats_of_a_value_past_a_word_exits_2(capsys, tmp_path, field, value, version):
     # m = 2**63, or a last run gap of 2**63, made the loader raise
     # OverflowError: the CLI printed a traceback and exited 1
     wgf, idx = tmp_path / "abacba.wgf", tmp_path / "abacba.idx"
     assert main(["gen", "string", "abacba", "-o", str(wgf)]) == 0
     assert main(["build", str(wgf), str(idx)]) == 0
-    doc = json.loads(idx.read_bytes())
-    value = doc["run_starts"][:-1] + [2**63] if field == "run_starts" else 2**63
-    bad = _corrupt_copy(str(idx), tmp_path / "bad.idx", **{field: value})
+    if field == "run_starts":
+        value = doc_of(load_index(idx), version)["run_starts"][:-1] + [value]
+    bad = _corrupt_copy(str(idx), tmp_path / "bad.idx", version, **{field: value})
     src = str(Path(wgrindex.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "wgrindex", "stats", bad],
@@ -289,6 +338,35 @@ def test_stats_of_a_value_past_a_word_exits_2(capsys, tmp_path, field):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: corrupt index: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["query", "stats"])
+@pytest.mark.parametrize("member, value, fragment", V5_CORRUPTIONS.values(), ids=V5_CORRUPTIONS)
+def test_corrupt_section_exits_2(capsys, tmp_path, member, value, fragment, command):
+    doc = json.loads((DATA / "g1.v5.idx").read_bytes())
+    doc[member] = value
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(reseal(doc))
+    pats = tmp_path / "p.txt"
+    pats.write_text("a\n")
+    extra = ["--mode", "count", "--patterns", str(pats)] if command == "query" else []
+    code, out, err = run(capsys, command, str(bad), *extra)
+    assert (code, out) == (2, "")
+    assert re.match(f"error: corrupt index: {fragment}", err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", [2**63, 2**70])
+def test_build_of_a_label_past_a_word_exits_2(capsys, tmp_path, label):
+    # the save raised OverflowError: a traceback and exit 1, the code for
+    # "not a Wheeler order"
+    wgf, idx = tmp_path / "big.wgf", tmp_path / "big.idx"
+    wgf.write_text(f"n 2\nm 1\ne 0 1 {label}\n")
+    code, out, err = run(capsys, "build", str(wgf), str(idx))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: label {label} is past 2**63 - 1")
+    assert "Traceback" not in err
+    assert not idx.exists()
 
 
 # --- gen ---
