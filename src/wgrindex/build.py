@@ -18,7 +18,7 @@ from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import eq, ge, itemgetter, ne, sub
+from operator import eq, ge, ne, sub
 
 from .errors import IndexInvariantError, NotWheelerError
 from .graph import (
@@ -33,7 +33,7 @@ _FORMAT = "wgrindex"
 _VERSION = 5
 _SEAL = b',"crc32":'
 _SECTIONS = ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
-             "marked_positions", "marked_pairs", "anchor_ids", "pred_ids", "break_ranks")
+             "marked_positions", "marked_pairs", "break_ranks", "anchor_ids", "pred_ids")
 _WORDS = ("b", "h", "i", "q")  # array typecodes of signed 1-, 2-, 4- and 8-byte words
 _INT = frozenset((int,))
 _INT_OR_NONE = frozenset((int, type(None)))
@@ -243,7 +243,7 @@ class PhiStructure:
     stored explicitly, a list that successor bisects; pred_ids[t], an
     array('q') of 8-byte words, is the identifier of the vertex directly
     before anchor_ids[t] in the vertex order, -1 for the order-first vertex
-    (None in a version 1-4 file). Between anchors the predecessor of
+    (None in a version-4 file). Between anchors the predecessor of
     i + 1 is that of i plus one, which is what makes successor lookup plus
     offset arithmetic recover every other predecessor.
     """
@@ -439,10 +439,10 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
     Version 5 stores run starts and anchors as gaps, only the marks that
     are not run ends, and the identifiers at the run ends, in run order,
     before theirs, each int list as a section (_pack). Its last member,
-    crc32, is zlib.crc32 of the rest. Raises ValueError on a label past
-    2**63 - 1, which no section word holds."""
-    if ix.sigma > 1 << 63:  # before _f_label allocates sigma + 1 entries
-        raise ValueError(f"label {ix.sigma - 1} is past 2**63 - 1, the largest an index file stores")
+    crc32, is zlib.crc32 of the rest. Raises ValueError on a label whose
+    dense f_label, sigma + 1 entries, is longer than a list can be."""
+    if ix.sigma > sys.maxsize // 8:  # before _f_label allocates sigma + 1 entries
+        raise ValueError(f"label {ix.sigma - 1} is past {sys.maxsize // 8 - 1}, the largest a dense f_label list holds")
     sums, pairs, r = ix.sums, ix.toehold.pairs, len(ix.rl.run_labels)
     doc = {
         "format": _FORMAT,
@@ -496,13 +496,6 @@ def _rising(gaps: list[int], end: int) -> bool:
     return not gaps or (gaps[0] >= 0 and min(gaps[1:], default=1) > 0 and sum(gaps) < end)
 
 
-def _check_marked(required, pairs: dict[int, int]) -> None:
-    """Raise unless every required position is marked."""
-    unmarked = set(required).difference(pairs)
-    if unmarked:
-        raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
-
-
 def _check_ids(name: str, values: list[int], n: int, low: int = 0) -> None:
     """Raise unless every value lies in [low, n): an identifier, or the sentinel -1 if low is -1."""
     if values and (min(values) < low or max(values) >= n):
@@ -531,29 +524,9 @@ def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: 
 
 def _upgrade(doc: dict, version: int) -> None:
     """Check the types of a document's numbers and turn its int lists into
-    the version-5 fields as lists, so one set of checks serves every
-    version. A version-5 section holds only ints, so _unpack needs no type
-    scan. Versions 1-4 write None for the order-first vertex, made -1.
-    Versions 1 and 2 store (source id, destination id) pairs, cut to the
-    destinations, and no break ranks, None here; version 1 stores dense
-    prefix arrays, cut to the exceptions. Versions 1-3 store absolute run
-    starts and anchors, made gaps, and every mark, cut to the extras once
-    every run end is found marked: versions 4 and 5 cannot say otherwise."""
-    if version < 3:
-        pair_lists = doc["marked_pairs"]
-        well_formed = type(pair_lists) is list and set(map(type, pair_lists)) <= {list}
-        if not well_formed or set(map(len, pair_lists)) - {2}:
-            raise ValueError("corrupt index: marked_pairs is not a list of pairs")
-        doc["marked_pairs"] = list(map(itemgetter(1), pair_lists))  # source ids go unread
-        doc["break_ranks"] = None
-    for name in ("out_prefix", "in_prefix") if version == 1 else ():
-        arr = doc[name]
-        _check_ints(name, arr)
-        if len(arr) != doc["n"] + 1:
-            raise ValueError(
-                f"corrupt index: {name} has {len(arr)} entries, n + 1 gives {doc['n'] + 1}"
-            )
-        doc[name] = _interleave(*_exceptions(list(map(sub, arr[1:], arr))))
+    lists, so one set of checks serves versions 4 and 5. A version-5
+    section holds only ints, so _unpack needs no type scan; version 4
+    writes None for the order-first vertex, made -1."""
     _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
     if max(doc["n"], doc["m"]) >= 1 << 63:  # beyond an array('q') word
         raise ValueError(f"corrupt index: n = {doc['n']} or m = {doc['m']} is past 2**63 - 1")
@@ -561,36 +534,15 @@ def _upgrade(doc: dict, version: int) -> None:
     if version == _VERSION:
         doc.update((name, _unpack(name, doc[name])) for name in _SECTIONS)
         return
-    for name in _SECTIONS[:-2]:
+    for name in _SECTIONS[:-1]:
         _check_ints(name, doc[name])
     preds, want = doc["pred_ids"], min(doc["n"], 1)
     _check_ints("pred_ids", preds, _INT_OR_NONE)
-    if preds.count(None) != want:  # these versions write None for the first vertex
+    if preds.count(None) != want:  # version 4 writes None for the first vertex
         raise ValueError(f"corrupt index: pred_ids holds {preds.count(None)} None entries, n = {doc['n']} needs {want}")
     if -1 in preds:
         raise ValueError("corrupt index: pred_ids holds identifier -1, outside [0, n)")
     doc["pred_ids"] = [-1 if p is None else p for p in preds]
-    if doc["break_ranks"] is not None:  # None: a file that stores no break ranks
-        _check_ints("break_ranks", doc["break_ranks"])
-    if version == 4:
-        return
-    positions, dests, m = doc["marked_positions"], doc["marked_pairs"], doc["m"]
-    if len(dests) != len(positions):
-        raise ValueError(
-            f"corrupt index: marked_pairs has {len(dests)} entries, marked_positions gives {len(positions)}"
-        )
-    if not _rising(_gaps(positions), m):
-        raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
-    pairs = dict(zip(positions, dests))
-    ends = _run_ends(doc["run_starts"], m)
-    _check_marked(ends, pairs)
-    extras = sorted(pairs.keys() - set(ends))
-    doc.update(
-        run_starts=_gaps(doc["run_starts"]),
-        anchor_ids=_gaps(doc["anchor_ids"]),
-        marked_positions=extras,
-        marked_pairs=list(map(pairs.__getitem__, chain(ends, extras))),
-    )
 
 
 def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
@@ -625,36 +577,35 @@ def _entered_ranks(rl: RLSequence, starts: list[int], sums: DegreeSums, position
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index; also reads version 1-4 files, which
-    _upgrade rewrites into version-5 fields before one set of checks runs
-    for every version. The run ends are marked by definition; the break
-    ranks are read off the marked destination identifiers, and a stored
-    list must equal them.
+    """Inverse of serialize_index; also reads version-4 files, whose lists
+    _upgrade type-checks before one set of checks runs for both versions.
+    The run ends are marked by definition; the break ranks are read off the
+    marked destination identifiers, and the stored list must equal them.
 
-    Raises ValueError on foreign input and, as "corrupt index: ...", on a
-    version-4 or 5 file whose crc32 member is missing or does not match, on
+    Raises ValueError on foreign input, on a version other than 4 and 5
+    (an older file has to be built again from its graph) and, as "corrupt
+    index: ...", on a crc32 member that is missing or does not match, on
     a version-5 section that is not a typecode in _WORDS and the base64 of
     whole words, on a number that is not an int, on n or m past 2**63 - 1,
-    on legacy marked_pairs that are not a list of pairs, on arrays whose
-    lengths disagree (marked_pairs holds one identifier per run and per
-    extra mark), on marked_positions not strictly
-    increasing within [0, m) or holding a run end, on an identifier in
-    marked_pairs or pred_ids outside [0, n), on an impossible anchor set
-    (pred_ids must hold exactly one first-vertex entry, -1 or in versions
-    1-4 None, when n > 0, none when n == 0; anchor_ids must be strictly
-    increasing within [0, n) and end at n - 1),
-    on num_runs not counting run_starts, on degree sums that do not describe
-    n degrees summing to m, on a run label outside [0, sigma), on run_starts
-    not rising strictly from 0 within [0, m), on two neighbouring runs with
-    the same label, on f_label disagreeing with the label counts of the
-    runs, on sigma other than 1 + the largest run label (0 with no runs), on
-    break_ranks not one per cycle or other than the ranks of degree 1 that
-    marked endpoint identifiers enter, on a position that _required_marks
-    names for the ranks whose degree is not 1 and the break ranks not marked
-    (in a version 1-3 file, a run end too), on a mark holding an endpoint
-    identifier other than that of the rank its edge enters, on an edge into
-    an endpoint whose mark holds an interior identifier, and on a
-    last_rank_id other than the one stored at in-slot m - 1."""
+    on arrays whose lengths disagree (marked_pairs holds one identifier per
+    run and per extra mark), on marked_positions not strictly increasing
+    within [0, m) or holding a run end, on an identifier in marked_pairs or
+    pred_ids outside [0, n), on an impossible anchor set (pred_ids must
+    hold exactly one first-vertex entry, -1 or in version 4 None, when
+    n > 0, none when n == 0; anchor_ids must be strictly increasing within
+    [0, n) and end at n - 1), on num_runs not counting run_starts, on
+    degree sums that do not describe n degrees summing to m, on a run label
+    outside [0, sigma), on run_starts not rising strictly from 0 within
+    [0, m), on two neighbouring runs with the same label, on f_label
+    disagreeing with the label counts of the runs, on sigma other than 1 +
+    the largest run label (0 with no runs), on break_ranks not one per
+    cycle or other than the ranks of degree 1 that marked endpoint
+    identifiers enter, on a position that _required_marks names for the
+    ranks whose degree is not 1 and the break ranks not marked, on a mark
+    holding an endpoint identifier other than that of the rank its edge
+    enters, on an edge into an endpoint whose mark holds an interior
+    identifier, and on a last_rank_id other than the one stored at in-slot
+    m - 1."""
     sealed = _unseal(data)
     try:
         doc = json.loads(data)
@@ -663,9 +614,12 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError("not an index file: missing format marker")
     version = doc.get("version")
-    if type(version) is not int or not 1 <= version <= _VERSION:
-        raise ValueError(f"unsupported index version {version!r}")
-    if version >= 4 and not sealed:
+    if type(version) is not int or not 4 <= version <= _VERSION:
+        raise ValueError(
+            f"unsupported index version {version!r}: versions 4 and 5 are read; "
+            "build the index again from its graph with wgrindex build"
+        )
+    if not sealed:
         raise ValueError(f"corrupt index: checksum missing, a version-{version} file ends in its crc32 member")
     try:
         _upgrade(doc, version)
@@ -729,7 +683,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         entering = list(compress(pairs, map(ge, pairs.values(), repeat(first))))
         targets = _entered_ranks(rl, starts, sums, entering)
         breaks = sorted(set(targets).difference(exceptions))
-        stored = breaks if doc["break_ranks"] is None else doc["break_ranks"]
+        stored = doc["break_ranks"]
         if len(stored) != cycles:
             raise ValueError(
                 f"corrupt index: break_ranks has {len(stored)} entries, "
@@ -740,7 +694,9 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
                 "corrupt index: break_ranks is not the ranks of degree 1 "
                 "that the marked endpoint identifiers enter"
             )
-        _check_marked(_required_marks(rl, sums, breaks), pairs)
+        unmarked = _required_marks(rl, sums, breaks).difference(pairs)
+        if unmarked:
+            raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
         # Every mark holding an endpoint identifier enters that endpoint, and
         # every edge into an endpoint holds one: the endpoints have m - first
         # in-edges, since every other rank has in-degree 1.

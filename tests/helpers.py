@@ -269,40 +269,6 @@ def bench_run():
     return run
 
 
-def serialize_v3(ix: WheelerRIndex) -> bytes:
-    """The version-3 writer, kept as the reference that the loader's
-    version-3 path is tested on: absolute run starts and anchors, every
-    marked position with its destination id, and no checksum. The run
-    starts are 0 and the position after each run end but the last, which
-    are the toehold's first keys."""
-    r = len(ix.rl.run_labels)
-    starts = [0, *(e + 1 for e in islice(ix.toehold.pairs, r - 1))] if r else []
-    positions = sorted(ix.toehold.pairs)
-    sums = ix.sums
-    preds = [None if p < 0 else p for p in ix.phi.pred_ids]  # -1 is written as None
-    doc = {
-        "format": "wgrindex",
-        "version": 3,
-        "n": ix.n,
-        "m": ix.m,
-        "sigma": ix.sigma,
-        "num_runs": r,
-        "num_paths": ix.num_paths,
-        "last_rank_id": ix.last_rank_id,
-        "run_starts": starts,
-        "run_labels": ix.rl.run_labels,
-        "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
-        "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
-        "f_label": _f_label(ix.rl, ix.sigma),
-        "marked_positions": positions,
-        "marked_pairs": list(map(ix.toehold.pairs.__getitem__, positions)),
-        "break_ranks": ix.break_ranks,
-        "anchor_ids": ix.phi.anchor_ids,
-        "pred_ids": preds,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
-
-
 def serialize_v4(ix: WheelerRIndex) -> bytes:
     """The version-4 writer, kept as the reference that the loader's
     version-4 path is tested on: the fields of version 5, each int list as
@@ -405,17 +371,13 @@ def v4_and_v5(cases, ids) -> list:
 
 
 def doc_of(ix: WheelerRIndex, version: int) -> dict:
-    """The document of ix in a version-3, 4 or 5 file, int lists as lists."""
-    if version == 5:
-        return lists_of(serialize_index(ix))
-    return json.loads(serialize_v3(ix) if version == 3 else serialize_v4(ix))
+    """The document of ix in a version-4 or 5 file, int lists as lists."""
+    return lists_of(serialize_index(ix)) if version == 5 else json.loads(serialize_v4(ix))
 
 
 def file_of(doc: dict, version: int) -> bytes:
-    """An edited doc_of document as file bytes: plain JSON for version 3,
-    resealed for version 4 and, with its lists packed, for version 5."""
-    if version == 3:
-        return json.dumps(doc).encode("ascii")
+    """An edited doc_of document as file bytes: resealed for version 4 and,
+    with its lists packed, for version 5."""
     return reseal(packed(doc) if version == 5 else doc)
 
 

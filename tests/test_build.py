@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import zlib
 from array import array
 from dataclasses import replace
@@ -72,7 +73,6 @@ from helpers import (
     reseal,
     rl_from_labels,
     run_starts_of,
-    serialize_v3,
     serialize_v4,
     shared_in_edge_graphs,
     transform_labels,
@@ -632,19 +632,33 @@ def test_save_writes_the_run_order_of_a_naive_scan_v5(labels):
 
 
 def test_deserialize_rejects_foreign_input(g1_index):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an index file"):
         deserialize_index(b"not json at all")
-    with pytest.raises(ValueError):
-        deserialize_index(b'{"some": "json"}')
-    tampered = serialize_v3(g1_index).replace(b'"version":3', b'"version":99')
-    with pytest.raises(ValueError, match="version"):
-        deserialize_index(tampered)
+    for data in (b'{"some": "json"}', b"[1, 2]"):
+        with pytest.raises(ValueError, match="not an index file: missing format marker"):
+            deserialize_index(data)
+    with pytest.raises(ValueError, match="unsupported index version 99"):
+        deserialize_index(file_of({**doc_of(g1_index, 4), "version": 99}, 4))
 
 
 def test_deserialize_rejects_deep_nesting():
     # json.loads raises RecursionError here, not JSONDecodeError
     with pytest.raises(ValueError, match="not an index file"):
         deserialize_index(b"[" * 100_000)
+
+
+ABBA = gen_string_path(labels_from_ascii("abba")).graph
+EMPTY, EDGELESS = WheelerGraph(n=0, edges=[]), WheelerGraph(n=3, edges=[])
+
+
+@pytest.mark.parametrize(
+    "member, version", v4_and_v5([("n",), ("run_labels",), ("break_ranks",)], ["n", "run_labels", "break_ranks"])
+)
+def test_deserialize_rejects_a_missing_member(member, version):
+    doc = json.loads((serialize_index if version == 5 else serialize_v4)(build_index(ABBA)))
+    del doc[member]
+    with pytest.raises(ValueError, match=f"not an index file: malformed field \\('{member}'\\)"):
+        deserialize_index(reseal(doc))
 
 
 @pytest.mark.parametrize(
@@ -654,52 +668,48 @@ def test_deserialize_rejects_deep_nesting():
 )
 def test_deserialize_rejects_mismatched_lengths(field):
     # before the length checks, a dropped marked pair was silently cut off
-    # by zip and a short out_prefix failed mid-query with IndexError
-    ix = build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)
-    doc = json.loads(serialize_v3(ix))
+    # by zip and a short out_prefix failed mid-query with IndexError; every
+    # list of the "abba" document is non-empty, its one extra mark too
+    doc = doc_of(build_index(ABBA), 4)
     doc[field].pop()
     with pytest.raises(ValueError, match="corrupt index"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 @pytest.mark.parametrize(
     "edit, fragment",
+    # anchor_ids as gaps: [0, 2, 1, 1] stores the anchors 0, 2, 3 and 4
     [
         ({"anchor_ids": [], "pred_ids": []}, "pred_ids holds 0 None"),
         ({"pred_ids": [3, 1, 0, 2]}, "pred_ids holds 0 None"),
         ({"pred_ids": [3, None, None, 2]}, "pred_ids holds 2 None"),
         ({"n": 0, "anchor_ids": [0], "pred_ids": [None], "out_prefix": [0], "in_prefix": [0]},
          "pred_ids holds 1 None entries, n = 0 needs 0"),
-        ({"anchor_ids": [0, 2, 2, 4]}, "anchor_ids"),
-        ({"anchor_ids": [2, 0, 3, 4]}, "anchor_ids"),
-        ({"anchor_ids": [0, 2, 3, 5]}, "anchor_ids"),
-        ({"anchor_ids": [-1, 2, 3, 4]}, "anchor_ids"),
+        ({"anchor_ids": [0, 2, 0, 2]}, "anchor_ids"),  # 0, 2, 2, 4
+        ({"anchor_ids": [2, -2, 3, 1]}, "anchor_ids"),  # 2, 0, 3, 4
+        ({"anchor_ids": [0, 2, 1, 2]}, "anchor_ids"),  # 0, 2, 3, 5
+        ({"anchor_ids": [-1, 3, 1, 1]}, "anchor_ids"),  # -1, 2, 3, 4
         # every build anchors n - 1; without it a phi step from n - 1 failed
         # mid-query with no anchor successor
-        ({"anchor_ids": [0, 2, 3], "pred_ids": [3, 1, None]}, "anchor_ids ends at 3, not at n - 1"),
+        ({"anchor_ids": [0, 2, 1], "pred_ids": [3, 1, None]}, "anchor_ids ends at 3, not at n - 1"),
     ],
 )
 def test_deserialize_rejects_impossible_anchor_sets(edit, fragment):
     # such an index would otherwise fail only at its first phi step
-    ix = build_index(gen_string_path((0, 0, 0, 0)).graph)
-    doc = json.loads(serialize_v3(ix))
-    assert (doc["anchor_ids"], doc["pred_ids"]) == ([0, 2, 3, 4], [3, 1, None, 2])
+    doc = doc_of(build_index(gen_string_path((0, 0, 0, 0)).graph), 4)
+    assert (doc["anchor_ids"], doc["pred_ids"]) == ([0, 2, 1, 1], [3, 1, None, 2])
     doc.update(edit)
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
-
-
-ABBA = gen_string_path(labels_from_ascii("abba")).graph
-EMPTY, EDGELESS = WheelerGraph(n=0, edges=[]), WheelerGraph(n=3, edges=[])
+        deserialize_index(file_of(doc, 4))
 
 
 def test_deserialize_rejects_wrong_num_runs():
     # loaded, this copy printed r=999 and marked_bound=1003 in stats
-    doc = json.loads(serialize_v3(build_index(ABBA)))
-    assert (doc["run_starts"], doc["num_runs"]) == ([0, 1, 3], 3)
+    doc = doc_of(build_index(ABBA), 4)
+    assert (doc["run_starts"], doc["num_runs"]) == ([0, 1, 2], 3)
     doc["num_runs"] = 999
     with pytest.raises(ValueError, match="corrupt index: run_starts has 3 entries, num_runs gives"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 @pytest.mark.parametrize(
@@ -713,20 +723,22 @@ def test_deserialize_rejects_wrong_last_rank_id(graph, built, last):
     # loaded, a wrong id in [0, n) made locate of the empty pattern raise
     # FirstInOrderError, and any other value failed in that query too; with
     # no edges, identifiers follow ranks, so rank n - 1 has id n - 1
-    doc = json.loads(serialize_v3(build_index(graph)))
+    doc = doc_of(build_index(graph), 4)
     assert doc["last_rank_id"] == built
     doc["last_rank_id"] = last
     with pytest.raises(ValueError, match=f"corrupt index: last_rank_id is {last}, not"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 def trie_doc():
-    # out-degrees 2, 2, 0, 0, 0 and in-degrees 0, 1, 1, 1, 1; run ends 0, 2, 3
-    doc = json.loads(serialize_v3(build_index(gen_trie([(0, 1), (0, 2), (1,)]).graph)))
+    # out-degrees 2, 2, 0, 0, 0 and in-degrees 0, 1, 1, 1, 1; runs start at
+    # 0, 1 and 3 and end at 0, 2 and 3; position 1 is the one extra mark
+    doc = doc_of(build_index(gen_trie([(0, 1), (0, 2), (1,)]).graph), 4)
     assert (doc["n"], doc["m"], doc["f_label"]) == (5, 4, [0, 1, 3, 4])
     assert doc["out_prefix"] == [0, 2, 1, 4, 2, 4, 3, 4, 4, 4]
     assert doc["in_prefix"] == [0, 0]
-    assert doc["run_starts"] == [0, 1, 3] and doc["marked_positions"] == [0, 1, 2, 3]
+    assert doc["run_starts"] == [0, 1, 2] and doc["marked_positions"] == [1]
+    assert doc["marked_pairs"] == [1, 3, 4, 2]
     return doc
 
 
@@ -757,21 +769,21 @@ def test_deserialize_rejects_impossible_degree_sums(edit, fragment):
     doc = trie_doc()
     doc.update(edit)
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 @pytest.mark.parametrize("sigma, f_label", [(-1, [0]), (-1, []), (1, [0])])
 def test_deserialize_rejects_wrong_sigma_without_runs(sigma, f_label):
     # with no runs, no run label is out of range, so only the f_label check
     # sees sigma: a negative one, or one past the stored counts
-    doc = json.loads(serialize_v3(build_index(EDGELESS)))
+    doc = doc_of(build_index(EDGELESS), 4)
     assert (doc["sigma"], doc["f_label"]) == (0, [0])
     doc.update(sigma=sigma, f_label=f_label)
     with pytest.raises(ValueError, match="corrupt index: f_label disagrees with the label counts"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
-@pytest.mark.parametrize("version", [3, 4, 5])
+@pytest.mark.parametrize("version", [4, 5])
 @pytest.mark.parametrize("graph, sigma", [(gen_string_path((0, 1, 2, 0)).graph, 3), (EDGELESS, 0)])
 def test_deserialize_rejects_sigma_past_the_largest_label(graph, sigma, version):
     # a sigma raised by 3, with f_label padded to agree with it, loaded and
@@ -785,38 +797,16 @@ def test_deserialize_rejects_sigma_past_the_largest_label(graph, sigma, version)
         deserialize_index(data)
 
 
-@pytest.mark.parametrize(
-    "out_prefix, fragment",
-    [([0, 1, 2, 2], "out_prefix has 4 entries, n \\+ 1 gives 5"),
-     ([0, 2, 1, 2, 3], "out_prefix gives rank 1 degree -1"),
-     # a bool would pass as the degree 1 once cut to the exceptions
-     ([0, True, 2, 2, 3], "out_prefix holds True, not an int")],
-)
-def test_deserialize_checks_version_1_degrees_too(out_prefix, fragment):
-    doc = json.loads((DATA / "g1.v1.idx").read_bytes())
-    assert doc["out_prefix"] == [0, 1, 2, 2, 3]
-    doc["out_prefix"] = out_prefix
-    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
-
-
-def test_deserialize_rejects_unmarked_run_end(g1_index):
-    # loaded, this copy of the "aba" index would answer locate((1, 0)) with
-    # [2] instead of [3]: the +1 rule would apply where the stored id was needed
-    doc = json.loads(serialize_v3(g1_index))
-    assert doc["marked_positions"] == [0, 1, 2]
-    doc["marked_positions"], doc["marked_pairs"] = [0, 1], doc["marked_pairs"][:2]
-    with pytest.raises(ValueError, match="corrupt index: position 2 \\(rule M1-M3\\)"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
-
-
-def without_mark(doc: dict, p: int) -> bytes:
-    """doc with marked position p and its pair deleted."""
+def without_mark(doc: dict, p: int, version: int = 4) -> bytes:
+    """doc as file bytes with the extra mark at position p deleted: from
+    marked_positions, and its identifier, which follows the num_runs run
+    ends', from marked_pairs."""
     i = doc["marked_positions"].index(p)
+    j = doc["num_runs"] + i
     edited = dict(doc)
     edited["marked_positions"] = doc["marked_positions"][:i] + doc["marked_positions"][i + 1:]
-    edited["marked_pairs"] = doc["marked_pairs"][:i] + doc["marked_pairs"][i + 1:]
-    return json.dumps(edited).encode("ascii")
+    edited["marked_pairs"] = doc["marked_pairs"][:j] + doc["marked_pairs"][j + 1:]
+    return file_of(edited, version)
 
 
 @pytest.mark.parametrize(
@@ -834,7 +824,7 @@ def without_mark(doc: dict, p: int) -> bytes:
     ids=["baaa", "abaa", "trie"],
 )
 def test_deserialize_rejects_unmarked_endpoint_edge(graph, p):
-    doc = json.loads(serialize_v3(build_index(graph)))
+    doc = doc_of(build_index(graph), 4)
     assert p in doc["marked_positions"]
     with pytest.raises(ValueError, match=f"corrupt index: position {p} \\(rule M1-M3\\)"):
         deserialize_index(without_mark(doc, p))
@@ -842,10 +832,11 @@ def test_deserialize_rejects_unmarked_endpoint_edge(graph, p):
 
 def test_deleting_any_mark_is_rejected_at_load():
     """Every path endpoint is a rank whose degree is not 1 or a stored
-    break rank, so each mark is checkable at load: a run end (M1), an edge
-    at an endpoint (M2) or an edge before a sink (M3). On string paths,
-    multi-paths and tries the endpoints are all degree exceptions; on a
-    cycle the break rank is one of degree 1 and 1."""
+    break rank, so each extra mark is checkable at load: an edge at an
+    endpoint (M2) or an edge before a sink (M3); the run ends (M1) are
+    marked by the format itself. On string paths, multi-paths and tries
+    the endpoints are all degree exceptions; on a cycle the break rank is
+    one of degree 1 and 1."""
     rng = random.Random(7)
     graphs = [gen_string_path(random_label_string(rng, 2, 1, 12)).graph for _ in range(40)]
     graphs += [
@@ -861,12 +852,12 @@ def test_deleting_any_mark_is_rejected_at_load():
     graphs += broken_cycle_graphs(20, seed=7)
     deleted = 0
     for g in graphs:
-        doc = json.loads(serialize_v3(build_index(g)))
+        doc = doc_of(build_index(g), 4)
         for p in doc["marked_positions"]:
             with pytest.raises(ValueError, match="corrupt index"):
                 deserialize_index(without_mark(doc, p))
             deleted += 1
-    assert deleted > 1000
+    assert deleted > 250
 
 
 def test_changing_a_mark_to_or_from_an_endpoint_identifier_is_rejected_at_load():
@@ -881,79 +872,84 @@ def test_changing_a_mark_to_or_from_an_endpoint_identifier_is_rejected_at_load()
     changed = 0
     for g in graphs:
         first = len(decompose_paths(g).interior)  # the least endpoint identifier
-        doc = json.loads(serialize_v3(build_index(g)))
+        doc = doc_of(build_index(g), 4)
         ids = doc["marked_pairs"]
         for j, old in enumerate(ids):
             for new in range(g.n):
                 if new != old and max(old, new) >= first:
                     doc["marked_pairs"] = ids[:j] + [new] + ids[j + 1:]
                     with pytest.raises(ValueError, match="corrupt index"):
-                        deserialize_index(json.dumps(doc).encode("ascii"))
+                        deserialize_index(file_of(doc, 4))
                     changed += 1
     assert changed > 150
 
 
 def test_deserialize_rejects_stray_run_label():
-    # a zero-length run of label 5 leaves every count and run end intact
+    # a zero-length run of label 5, at 1, leaves every count and run end
+    # intact; its end holds the identifier of the run end before it
     doc = trie_doc()
-    doc.update(run_starts=[0, 1, 1, 3], run_labels=[0, 5, 1, 2], num_runs=4)
+    doc.update(run_starts=[0, 1, 0, 2], run_labels=[0, 5, 1, 2], num_runs=4, marked_pairs=[1, 1, 3, 4, 2])
     with pytest.raises(ValueError, match="corrupt index: run label 5 is outside"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 @pytest.mark.parametrize("bad", [99, -3, -1])
 @pytest.mark.parametrize("field", ["marked_pairs", "pred_ids"])
 def test_deserialize_rejects_identifiers_outside_n(field, bad):
-    # loaded, destination 99 (or -3) at marked position 1 made locate of
-    # "ab" return [99] (or [-3]) instead of [1]
+    # loaded, destination 99 (or -3) at marked position 1, the extra mark
+    # whose identifier follows the three run ends', made locate of "ab"
+    # return [99] (or [-3]) instead of [1]
     ix = build_index(ABBA)
     assert locate(ix, (0, 1)) == [1]
-    doc = json.loads(serialize_v3(ix))
-    assert doc["n"] == 5 and doc["marked_pairs"][1] == 1 and doc["pred_ids"][0] == 4
-    doc[field][1 if field == "marked_pairs" else 0] = bad
+    doc = doc_of(ix, 4)
+    assert doc["n"] == 5 and doc["marked_pairs"][3] == 1 and doc["pred_ids"][0] == 4
+    doc[field][3 if field == "marked_pairs" else 0] = bad
     with pytest.raises(ValueError, match=f"corrupt index: {field} holds identifier {bad}, outside"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 @pytest.mark.parametrize(
-    "positions, order",
-    [([0, 1, 2, 3, 7], [0, 1, 2, 3, 1]), ([0, 1, 2, 3, 3], [0, 1, 2, 3, 3]),
-     ([0, 2, 1, 3], [0, 2, 1, 3]), ([-1, 0, 1, 2, 3], [1, 0, 1, 2, 3])],
+    "positions, extra_ids",
+    [([1, 7], [1, 1]), ([1, 1], [1, 1]), ([1, 0], [1, 0]), ([-1, 1], [1, 1])],
     ids=["past-m", "repeated", "unsorted", "negative"],
 )
-def test_deserialize_rejects_bad_marked_positions(positions, order):
+def test_deserialize_rejects_bad_marked_positions(positions, extra_ids):
     # each of these used to load, the extra mark at position 7 with m = 4 too
-    doc = json.loads(serialize_v3(build_index(ABBA)))
-    assert (doc["m"], doc["marked_positions"]) == (4, [0, 1, 2, 3])
-    doc["marked_pairs"] = [doc["marked_pairs"][k] for k in order]
+    doc = doc_of(build_index(ABBA), 4)
+    assert (doc["m"], doc["marked_positions"], doc["marked_pairs"]) == (4, [1], [0, 2, 4, 1])
+    doc["marked_pairs"] = doc["marked_pairs"][:3] + extra_ids  # after the three run ends'
     doc["marked_positions"] = positions
     with pytest.raises(ValueError, match="corrupt index: marked_positions is not strictly increasing"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 @pytest.mark.parametrize(
     "starts, labels",
-    [([0, 1, 1, 3], [0, 1, 1, 0]), ([0, 1, 3, 3], [0, 1, 0, 0]), ([1, 3], [1, 0]),
-     ([0, 3, 1], [0, 1, 0]), ([0, 1, 4], [0, 1, 0]), ([], [])],
+    # run starts as gaps: [0, 1, 0, 2] stores the starts 0, 1, 1 and 3
+    [([0, 1, 0, 2], [0, 1, 1, 0]), ([0, 1, 2, 0], [0, 1, 0, 0]), ([1, 2], [1, 0]),
+     ([0, 3, -2], [0, 1, 0]), ([0, 1, 3], [0, 1, 0]), ([], [])],
     ids=["empty-run", "empty-last-run", "from-1", "falling", "past-m", "none"],
 )
 def test_deserialize_rejects_run_starts_not_rising_from_0(starts, labels):
     # the two empty runs keep every label count and used to load; the
     # others also leave the counts short of f_label
-    doc = json.loads(serialize_v3(build_index(ABBA)))
-    assert (doc["run_starts"], doc["run_labels"]) == ([0, 1, 3], [0, 1, 0])
-    doc.update(run_starts=starts, run_labels=labels, num_runs=len(starts))
+    doc = doc_of(build_index(ABBA), 4)
+    assert (doc["run_starts"], doc["run_labels"]) == ([0, 1, 2], [0, 1, 0])
+    # one identifier per run, no extra marks: the lengths agree
+    doc.update(run_starts=starts, run_labels=labels, num_runs=len(starts), marked_positions=[],
+               marked_pairs=[0] * len(starts))
     with pytest.raises(ValueError, match="corrupt index: run_starts does not rise strictly from 0"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 def test_deserialize_rejects_neighbouring_runs_with_one_label():
-    # runs [0, 1, 2, 3] labelled [0, 1, 1, 0] split the run of "bb" in two
-    # and used to load
-    doc = json.loads(serialize_v3(build_index(ABBA)))
-    doc.update(run_starts=[0, 1, 2, 3], run_labels=[0, 1, 1, 0], num_runs=4)
+    # runs at [0, 1, 2, 3] labelled [0, 1, 1, 0] split the run of "bb" in
+    # two and used to load; each position ends a run, so no mark is extra
+    doc = doc_of(build_index(ABBA), 4)
+    doc.update(run_starts=[0, 1, 1, 1], run_labels=[0, 1, 1, 0], num_runs=4, marked_positions=[],
+               marked_pairs=[0, 1, 2, 4])
     with pytest.raises(ValueError, match="corrupt index: two neighbouring runs have the same label"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 ARRAY_FIELDS = ["run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
@@ -963,14 +959,15 @@ ARRAY_FIELDS = ["run_starts", "run_labels", "out_prefix", "in_prefix", "f_label"
 @pytest.mark.parametrize("bad", [1.9, "0", True], ids=["float", "str", "bool"])
 @pytest.mark.parametrize("field", ARRAY_FIELDS + ["n", "m", "last_rank_id"])
 def test_deserialize_rejects_values_that_are_not_ints(field, bad):
-    # exact types only: 1.9 must not load as 1, nor "0" or True as an int
-    doc = json.loads(serialize_v3(build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph)))
+    # exact types only: 1.9 must not load as 1, nor "0" or True as an int.
+    # Version 4 only: a version-5 section holds nothing but ints.
+    doc = doc_of(build_index(ABBA), 4)
     if field in ARRAY_FIELDS:
         doc[field][0] = bad
     else:
         doc[field] = bad
     with pytest.raises(ValueError, match="corrupt index: .* not an int"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 PAST_A_WORD = [
@@ -1001,47 +998,27 @@ def test_deserialize_rejects_values_past_a_word(field, value, message, version):
         deserialize_index(file_of(doc, version))
 
 
-@pytest.mark.parametrize("pairs", [[[3, 0], [4, 1]], [[3, 0, 1]] * 4, [7] * 4, {}])
-def test_deserialize_rejects_malformed_marked_pairs(pairs):
-    # version 2 stores (source id, destination id) pairs, one per mark
-    doc = json.loads((DATA / "trie.v2.idx").read_bytes())
-    assert doc["version"] == 2 and len(doc["marked_pairs"]) > 4
-    doc["marked_pairs"] = pairs
-    with pytest.raises(ValueError, match="corrupt index: marked_pairs"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
-
-
 @pytest.mark.parametrize("dests", [[[3, 0]] * 4, [3, 1, 4], {}])
 def test_deserialize_rejects_malformed_destination_ids(dests):
-    # version 3 stores one destination id per mark
+    # one destination id per run end and per extra mark, four in all
     doc = trie_doc()
     doc["marked_pairs"] = dests
     with pytest.raises(ValueError, match="corrupt index: marked_pairs"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 ABB_CYCLE = gen_string_cycle(labels_from_ascii("abb")).graph
 
 
-def as_version_2(doc: dict) -> dict:
-    """A version-3 document as version 2 stores it: (source id, destination
-    id) pairs and no break ranks. Source ids go unread; 0 stands in."""
-    old = {k: v for k, v in doc.items() if k != "break_ranks"}
-    old.update(version=2, marked_pairs=[[0, v] for v in doc["marked_pairs"]])
-    return old
-
-
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [4, 5])
 def test_deserialize_rejects_unmarked_break_edge(version):
     # the break vertex of a cycle has degrees 1 and 1, so the degree sums do
     # not show it; loaded without position 0, locate of "ab" gave [3], not [0]
     ix = build_index(ABB_CYCLE)
     assert ix.break_ranks == [0] and locate(ix, (0, 1)) == [0]
-    doc = json.loads(serialize_v3(ix))
-    if version == 2:
-        doc = as_version_2(doc)
+    doc = doc_of(ix, version)
     with pytest.raises(ValueError, match="corrupt index: position 0 \\(rule M1-M3\\)"):
-        deserialize_index(without_mark(doc, 0))
+        deserialize_index(without_mark(doc, 0, version))
 
 
 @pytest.mark.parametrize(
@@ -1055,45 +1032,32 @@ def test_deserialize_rejects_unmarked_break_edge(version):
      (0, "break_ranks is not a list")],
 )
 def test_deserialize_rejects_impossible_break_ranks(breaks, fragment):
-    doc = json.loads(serialize_v3(build_index(ABB_CYCLE)))
+    doc = doc_of(build_index(ABB_CYCLE), 4)
     assert (doc["n"], doc["num_paths"], doc["break_ranks"]) == (3, 1, [0])
     doc["break_ranks"] = breaks
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
-
-
-def test_version_2_load_finds_the_break_ranks():
-    """A version-2 file stores no break ranks; loading it reads them off the
-    marked destination identifiers, also beside other paths and cycles."""
-    graphs = broken_cycle_graphs(40, seed=5)
-    assert any(len(build_index(g).break_ranks) > 1 for g in graphs)
-    for g in graphs:
-        ix = build_index(g)
-        doc = as_version_2(json.loads(serialize_v3(ix)))
-        assert deserialize_index(json.dumps(doc).encode("ascii")) == ix
+        deserialize_index(file_of(doc, 4))
 
 
 @pytest.mark.parametrize(
-    "version, interior_id, fragment",
-    [(2, 0, "has 0 entries, num_paths"), (2, 1, "has 0 entries, num_paths"),
-     (3, 0, "is not the ranks of degree 1"), (3, 1, "is not the ranks of degree 1")],
-    ids=["0", "1", "v3-0", "v3-1"],
+    "version, interior_id",
+    [(4, 0), (4, 1), (5, 0), (5, 1)],
+    ids=["v4-0", "v4-1", "v5-0", "v5-1"],
 )
-def test_version_2_load_rejects_a_lowered_break_identifier(version, interior_id, fragment):
+def test_load_rejects_a_lowered_break_identifier(version, interior_id):
     # the break rank of the "abb" cycle holds the endpoint identifier 2; with
-    # the id stored at its in-edge lowered to an interior one, a load that
-    # walked the chains still found the break, and a version-3 load that
+    # the id stored at its in-edge lowered to an interior one, a version-2
+    # load that walked the chains still found the break, and a load that
     # trusted the stored break ranks answered locate of "a", "ba", "bba"
     # and "abba" wrong
     ix = build_index(ABB_CYCLE)
-    doc = json.loads(serialize_v3(ix))
-    # the break is the only endpoint, so its identifier is n - 1 = 2
-    assert ix.break_ranks == [0] and doc["marked_pairs"] == [0, 1, 2]
-    doc["marked_pairs"][2] = interior_id
-    if version == 2:
-        doc = as_version_2(doc)
-    with pytest.raises(ValueError, match=f"corrupt index: break_ranks {fragment}"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+    doc = doc_of(ix, version)
+    # the break is the only endpoint, so its identifier is n - 1 = 2; its
+    # in-edge at position 2 ends the second run
+    assert ix.break_ranks == [0] and doc["marked_pairs"] == [1, 2, 0]
+    doc["marked_pairs"][1] = interior_id
+    with pytest.raises(ValueError, match="corrupt index: break_ranks is not the ranks of degree 1"):
+        deserialize_index(file_of(doc, version))
 
 
 ISOLATED_AND_PATH = gen_multi_paths([(), (0, 1)]).graph
@@ -1110,20 +1074,20 @@ def test_deserialize_rejects_wrong_num_paths(graph, built, num_paths):
     # the paths no degree exception heads are the cycles, one break rank each;
     # a wrong num_paths used to load and print a wrong upsilon in stats. A
     # rank with no edges heads a path of its own.
-    doc = json.loads(serialize_v3(build_index(graph)))
+    doc = doc_of(build_index(graph), 4)
     assert doc["num_paths"] == built
     doc["num_paths"] = num_paths
     with pytest.raises(ValueError, match="corrupt index: break_ranks has [01] entries, num_paths"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 def test_deserialize_rejects_break_rank_with_degree_exception():
     # rank 0 of the "abba" path is its source, of in-degree 0
-    doc = json.loads(serialize_v3(build_index(ABBA)))
+    doc = doc_of(build_index(ABBA), 4)
     assert doc["break_ranks"] == [] and doc["num_paths"] == 1
     doc.update(break_ranks=[0], num_paths=2)
     with pytest.raises(ValueError, match="corrupt index: break_ranks is not the ranks of degree 1"):
-        deserialize_index(json.dumps(doc).encode("ascii"))
+        deserialize_index(file_of(doc, 4))
 
 
 def test_benchmark_component_fields_are_serialized_keys():
@@ -1167,23 +1131,14 @@ GOLDEN_V5_SHA256 = {
     "cycle": "7968b4cc9ae26ca5a39b7528a8e4ee1051762c545a3d4133e4c5117f1d2c0493",
 }
 
-# The same graphs through the version-3 reference writer: the bytes that
-# build_index gave before version 4, so the in-memory index is unchanged.
-GOLDEN_V3_SHA256 = {
-    "g1": "82491ba36acb9c1089333ab3118e2534ed1e5a00884db7d8f22784b00a768b59",
-    "string": "136347449a38ca1f1d3ce265c74867402bace89663bc73f566f4b7fa9958d916",
-    "multi": "81c77ccd23926f9d319ebaff4fb0e45a305bcb63bec17d29e04a2db92e81f9d6",
-    "trie": "7a8c94ed730ddae17a13c42bae53b1f18aa861ee93632d571d3d299ac67e2661",
-    "cycle": "87235321f96f80e1537aa04b5dae2d3c08a4b196c4e39a082be3ffd34e0d2c0c",
-}
-
-# Files of three golden graphs in every version, which must keep loading:
-# version 1 holds dense n + 1 prefix arrays, versions 1 and 2 hold (source
-# id, destination id) pairs and no break ranks, and versions 1-3 hold every
-# marked position and absolute run starts and anchors. The version-4 files
-# are the version-3 ones loaded and saved again, and the version-5 files
-# the version-4 ones. Every one of them anchors a superset of what a build
-# anchors today.
+# Files of three golden graphs in every version. Versions 4 and 5 load:
+# the version-4 files are version-3 ones loaded and saved again, and the
+# version-5 files the version-4 ones, each anchoring a superset of what a
+# build anchors today. Versions 1-3 are refused, and stay as fixtures of
+# that: version 1 holds dense n + 1 prefix arrays, versions 1 and 2 hold
+# (source id, destination id) pairs and no break ranks, and versions 1-3
+# hold every marked position, absolute run starts and anchors, and no
+# checksum.
 OLDER_SHA256 = {
     (1, "g1"): "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
     (1, "trie"): "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
@@ -1232,11 +1187,11 @@ def test_unsearched_columns_are_unboxed_words():
             assert {(type(col), col.typecode) for col in columns} == {(array, "q")}
 
 
-@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("version", [4])
 def test_the_first_vertex_sentinel_never_comes_from_a_file(version):
     """-1 stands for the order-first vertex's predecessor in memory and in a
-    version-5 file only: a version-3 or 4 file holding -1 where it holds
-    None does not load, and phi of that vertex raises FirstInOrderError on
+    version-5 file only: a version-4 file holding -1 where it holds None
+    does not load, and phi of that vertex raises FirstInOrderError on
     a built and on a loaded index."""
     ix = build_index(ABBA)
     first = ix.phi.anchor_ids[ix.phi.pred_ids.index(-1)]
@@ -1255,7 +1210,6 @@ def test_the_first_vertex_sentinel_never_comes_from_a_file(version):
 # cycles: 19 with other paths beside a cycle and 5 with several cycles.
 MIXED_CYCLES_SHA256 = "d9631b5659557734999c5bf4216f6f5be7a30e6ebde0e07bef0e7fd3454dc951"
 MIXED_CYCLES_V5_SHA256 = "a37692d2789d47b7fd2bfc7e3aed2f706bb637aad309cd9d5a3762d832eaa8a4"
-MIXED_CYCLES_V3_SHA256 = "e4971fad662f938fe051c6ea2a5e1f8e2ea46333d7918366c6b9cbdf5eb0b412"
 
 
 def test_index_bytes_of_cycles_beside_paths_match_golden_hash():
@@ -1273,37 +1227,32 @@ def test_index_bytes_of_cycles_beside_paths_match_golden_hash():
     assert (digest.hexdigest(), v5.hexdigest()) == (MIXED_CYCLES_SHA256, MIXED_CYCLES_V5_SHA256)
 
 
-def test_version_4_encodes_the_same_index_as_version_3():
-    """Only the encoding changed: a version-5, a version-4 and a version-3
-    file of the same build load to equal indexes, equal to the build, whose
-    version-3 bytes are those every build gave before version 4."""
-    graphs = golden_graphs()
-    assert {name: sha256(serialize_v3(build_index(g))) for name, g in graphs.items()} == GOLDEN_V3_SHA256
-    mixed = hashlib.sha256()
-    for g in broken_cycle_graphs(20, seed=2026):
-        mixed.update(serialize_v3(build_index(g)))
-    assert mixed.hexdigest() == MIXED_CYCLES_V3_SHA256
-    for g in [*graphs.values(), *broken_cycle_graphs(20, seed=2026)]:
+def test_versions_4_and_5_encode_the_same_index():
+    """Only the encoding differs: a version-5 and a version-4 file of the
+    same build load to equal indexes, equal to the build."""
+    for g in [*golden_graphs().values(), *broken_cycle_graphs(20, seed=2026)]:
         ix = build_index(g)
-        v5, v4, v3 = (deserialize_index(save(ix)) for save in (serialize_index, serialize_v4, serialize_v3))
-        assert v5 == v4 == v3 == ix
+        v5, v4 = (deserialize_index(save(ix)) for save in (serialize_index, serialize_v4))
+        assert v5 == v4 == ix
 
 
-@pytest.mark.parametrize(
-    "version, name", sorted(OLDER_SHA256), ids=[f"v{v}-{name}" for v, name in sorted(OLDER_SHA256)]
-)
+LOADED = [(v, name) for v, name in sorted(OLDER_SHA256) if v >= 4]
+REFUSED = [(v, name) for v, name in sorted(OLDER_SHA256) if v < 4]
+
+
+@pytest.mark.parametrize("version, name", LOADED, ids=[f"v{v}-{name}" for v, name in LOADED])
 def test_older_files_load_and_reserialize_as_version_3(version, name):
-    """A file of any version loads with its own anchors and re-saves to the
-    version-5 bytes of the same graph, and the version-4 and version-3
-    reference writers give back those files; everything else equals a
-    fresh build, and it answers as one."""
+    """A version-4 or 5 file loads with its own anchors and re-saves to the
+    version-5 bytes of the same graph, and the version-4 reference writer
+    gives back the version-4 file; everything else equals a fresh build,
+    and it answers as one. (The name dates from when version-3 files
+    loaded and were written back too.)"""
     data = (DATA / f"{name}.v{version}.idx").read_bytes()
     assert sha256(data) == OLDER_SHA256[version, name]
     assert json.loads(data)["version"] == version
-    ix = deserialize_index(data)  # a cycle's break rank is not in v1/v2 files; the load finds it
+    ix = deserialize_index(data)
     assert sha256(serialize_index(ix)) == OLDER_SHA256[5, name]
     assert sha256(serialize_v4(ix)) == OLDER_SHA256[4, name]
-    assert sha256(serialize_v3(ix)) == OLDER_SHA256[3, name]
     g = golden_graphs()[name]
     fresh = build_index(g)
     assert replace(ix, phi=fresh.phi) == fresh
@@ -1313,6 +1262,17 @@ def test_older_files_load_and_reserialize_as_version_3(version, name):
         for pattern in product(range(g.sigma), repeat=length):
             assert count(ix, pattern) == count(fresh, pattern)
             assert locate(ix, pattern) == locate(fresh, pattern)
+
+
+@pytest.mark.parametrize("version, name", REFUSED, ids=[f"v{v}-{name}" for v, name in REFUSED])
+def test_files_before_version_4_are_refused(version, name):
+    """A version-1, 2 or 3 file, which holds no checksum, does not load; the
+    message names the versions that load and how to build the index again."""
+    path = DATA / f"{name}.v{version}.idx"
+    assert sha256(path.read_bytes()) == OLDER_SHA256[version, name]
+    fragment = f"unsupported index version {version}: versions 4 and 5 are read; build the index again"
+    with pytest.raises(ValueError, match=fragment):
+        load_index(path)
 
 
 def abba_doc(version: int) -> dict:
@@ -1423,12 +1383,14 @@ def test_every_single_byte_substitution_is_rejected(name, version):
                 deserialize_index(head + bytes((v,)) + tail)
 
 
-@pytest.mark.parametrize("label", [2**63, 2**70])
+@pytest.mark.parametrize("label", [2**60 - 1, 2**63 - 2, 2**63 - 1, 2**63, 2**70])
 def test_save_rejects_a_label_past_a_word(label):
-    # the build answers; a save raised OverflowError from the dense f_label
+    # the build answers; a save raised OverflowError or MemoryError from the
+    # dense f_label, sigma + 1 entries, past the longest list there can be
     ix = build_index(WheelerGraph(2, [(0, 1, label)]))
     assert count(ix, (label,)) == 1
-    with pytest.raises(ValueError, match=f"label {label} is past 2\\*\\*63 - 1"):
+    bound = sys.maxsize // 8 - 1
+    with pytest.raises(ValueError, match=f"label {label} is past {bound}, the largest a dense f_label list holds"):
         serialize_index(ix)
 
 

@@ -297,6 +297,22 @@ def test_query_damaged_file_rejected_by_checksum_v5(capsys, g1_idx, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["query", "stats"])
+@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("name", ["g1", "trie", "cycle"])
+def test_index_before_version_4_exits_2(capsys, tmp_path, name, version, command):
+    # versions 1-3 hold no checksum: a load refuses them and names the way
+    # to build the index again
+    pats = tmp_path / "p.txt"
+    pats.write_text("a\n")
+    extra = ["--mode", "count", "--patterns", str(pats)] if command == "query" else []
+    code, out, err = run(capsys, command, str(DATA / f"{name}.v{version}.idx"), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unsupported index version {version}: versions 4 and 5 are read")
+    assert "wgrindex build" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["query", "stats"])
 def test_deeply_nested_file_exits_2(capsys, tmp_path, command):
     # json.loads raised RecursionError, and the CLI printed a traceback
     # and exited 1, the code for "not a Wheeler order"
@@ -356,15 +372,15 @@ def test_corrupt_section_exits_2(capsys, tmp_path, member, value, fragment, comm
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("label", [2**63, 2**70])
+@pytest.mark.parametrize("label", [2**60 - 1, 2**63 - 2, 2**63 - 1, 2**63, 2**70])
 def test_build_of_a_label_past_a_word_exits_2(capsys, tmp_path, label):
-    # the save raised OverflowError: a traceback and exit 1, the code for
-    # "not a Wheeler order"
+    # the save raised OverflowError or MemoryError: a traceback and exit 1,
+    # the code for "not a Wheeler order"
     wgf, idx = tmp_path / "big.wgf", tmp_path / "big.idx"
     wgf.write_text(f"n 2\nm 1\ne 0 1 {label}\n")
     code, out, err = run(capsys, "build", str(wgf), str(idx))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: label {label} is past 2**63 - 1")
+    assert err.startswith(f"error: label {label} is past {sys.maxsize // 8 - 1}, the largest a dense f_label list holds")
     assert "Traceback" not in err
     assert not idx.exists()
 
