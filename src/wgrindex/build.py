@@ -57,21 +57,21 @@ class RLSequence:
 
     Keeps each run's label, in run order, and per label in ascending order
     a directory of its runs: their starts, a list that rank bisects, and
-    cums, an array('q') of in-slots that queries only index: the labels
-    below c (the FM-index C[c]) plus the occurrences of c before each run,
-    then after the last; and a cut table, cuts[b] the runs starting before
-    b << shift, for the least bucket width 2**shift that holds at least
-    _RUNS_PER_BUCKET runs on average, so rank bisects one bucket's runs.
-    Storage is O(runs + distinct labels).
+    cums, the in-slots that queries only index: the labels below c (the
+    FM-index C[c]) plus the occurrences of c before each run, then after
+    the last; and a cut table, cuts[b] the runs starting before b << shift,
+    for the least bucket width 2**shift that holds at least _RUNS_PER_BUCKET
+    runs on average, so rank bisects one bucket's runs. run_labels, cums and
+    cuts are narrowest-word arrays (_narrow); storage is O(runs + distinct labels).
     """
 
     length: int
-    run_labels: list[int]
+    run_labels: array
     runs_of: dict[int, tuple[list[int], array, int, array]] = field(repr=False)
 
     @classmethod
-    def of_runs(cls, m: int, run_starts: list[int], run_labels: list[int]) -> RLSequence:
-        """The directories of the runs in [0, m) at run_starts, with run_labels."""
+    def of_runs(cls, m: int, run_starts: list[int], run_labels) -> RLSequence:
+        """The directories of the runs in [0, m) at run_starts, with run_labels, a list or an array."""
         runs_of: dict[int, tuple[list[int], list[int]]] = {}  # label -> (starts, lengths)
         for s, e, lab in zip(run_starts, run_starts[1:] + [m], run_labels):
             runs = runs_of.get(lab)
@@ -83,12 +83,12 @@ class RLSequence:
         directories, below = {}, 0
         for c in sorted(runs_of):
             starts, lengths = runs_of[c]
-            cums = array("q", accumulate(lengths, initial=below))
+            cums = _narrow(list(accumulate(lengths, initial=below)))
             # The least shift with len(starts) << shift >= _RUNS_PER_BUCKET * m.
             shift = (-(-_RUNS_PER_BUCKET * m // len(starts)) - 1).bit_length()
-            cuts = array("q", map(bisect_left, repeat(starts), range(0, (m >> shift) + 2 << shift, 1 << shift)))
+            cuts = _narrow(list(map(bisect_left, repeat(starts), range(0, (m >> shift) + 2 << shift, 1 << shift))))
             directories[c], below = (starts, cums, shift, cuts), cums[-1]
-        return cls(m, run_labels, directories)
+        return cls(m, _narrow(run_labels), directories)
 
     def rank(self, c: int, p: int) -> int:
         """The LF value of c at p in [0, length]: the labels below c plus
@@ -241,9 +241,9 @@ class PhiStructure:
 
     anchor_ids holds, ascending, the identifiers whose order-predecessor is
     stored explicitly, a list that successor bisects; pred_ids[t], an
-    array('q') of 8-byte words, is the identifier of the vertex directly
-    before anchor_ids[t] in the vertex order, -1 for the order-first vertex
-    (None in a version-4 file). Between anchors the predecessor of
+    array of the narrowest word (_narrow), is the identifier of the vertex
+    directly before anchor_ids[t] in the vertex order, -1 for the order-first
+    vertex (None in a version-4 file). Between anchors the predecessor of
     i + 1 is that of i plus one, which is what makes successor lookup plus
     offset arithmetic recover every other predecessor.
     """
@@ -273,7 +273,7 @@ def build_phi(ids: IdAssignment) -> PhiStructure:
     preds = [id_of[k - 1] if k else -1 for k in ids.rank_of_id]
     # pred(n) is taken as -1, so n - 1 is anchored too; q = -1 != p + 1.
     anchors = [i for i, (p, q) in enumerate(pairwise(preds + [-1])) if p < 0 or q != p + 1]
-    return PhiStructure(anchor_ids=anchors, pred_ids=array("q", map(preds.__getitem__, anchors)))
+    return PhiStructure(anchor_ids=anchors, pred_ids=_narrow([preds[i] for i in anchors]))
 
 
 @dataclass
@@ -406,23 +406,29 @@ def _gaps(values: list[int]) -> list[int]:
     return list(map(sub, values, chain((0,), values)))
 
 
-def _pack(values) -> str:
-    """A section: the first, so narrowest, typecode in _WORDS whose words
-    hold every value, then the base64 of the values as little-endian words.
-    One pass per width tried, and a value too wide fails it early."""
+def _narrow(values):
+    """values, a list or an array, in the first, so narrowest, typecode of
+    _WORDS that holds them all (a list if none does): each file section and
+    each int column an index keeps but never bisects. One pass per width
+    tried, and a value too wide fails it early; a narrow array is one copy."""
     for code in _WORDS:
         try:
-            words = array(code, values)
-            break
+            return array(code, values)
         except OverflowError:  # a value past this word: try the next width
             continue
+    return list(values)
+
+
+def _pack(values) -> str:
+    """A section: the typecode of _narrow(values), then the base64 of its little-endian words."""
+    words = _narrow(values)
     if sys.byteorder == "big":
         words.byteswap()
     return words.typecode + b64encode(words).decode("ascii")
 
 
-def _unpack(name: str, section) -> list[int]:
-    """The ints of a section that _pack wrote; raise on any other value."""
+def _unpack(name: str, section) -> list[int] | array:
+    """A section's ints: a list, or the array for run_labels and pred_ids; raise on any other value."""
     if type(section) is not str or section[:1] not in _WORDS:
         raise ValueError(f"corrupt index: {name} is not a section of b, h, i or q words")
     try:  # a character outside base64 or ASCII, or bytes that are not whole words
@@ -431,7 +437,7 @@ def _unpack(name: str, section) -> list[int]:
         raise ValueError(f"corrupt index: {name} is not the base64 of whole {section[0]} words ({exc})") from exc
     if sys.byteorder == "big":
         words.byteswap()
-    return words.tolist()
+    return words if name in ("run_labels", "pred_ids") else words.tolist()
 
 
 def serialize_index(ix: WheelerRIndex) -> bytes:
@@ -524,9 +530,10 @@ def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: 
 
 def _upgrade(doc: dict, version: int) -> None:
     """Check the types of a document's numbers and turn its int lists into
-    lists, so one set of checks serves versions 4 and 5. A version-5
-    section holds only ints, so _unpack needs no type scan; version 4
-    writes None for the order-first vertex, made -1."""
+    lists, so one set of checks serves versions 4 and 5; pred_ids, and the
+    run_labels of version 5, become arrays. A version-5 section holds only
+    ints, so _unpack needs no type scan; version 4 writes None for the
+    order-first vertex, made -1."""
     _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
     if max(doc["n"], doc["m"]) >= 1 << 63:  # beyond an array('q') word
         raise ValueError(f"corrupt index: n = {doc['n']} or m = {doc['m']} is past 2**63 - 1")
@@ -542,7 +549,7 @@ def _upgrade(doc: dict, version: int) -> None:
         raise ValueError(f"corrupt index: pred_ids holds {preds.count(None)} None entries, n = {doc['n']} needs {want}")
     if -1 in preds:
         raise ValueError("corrupt index: pred_ids holds identifier -1, outside [0, n)")
-    doc["pred_ids"] = [-1 if p is None else p for p in preds]
+    doc["pred_ids"] = _narrow([-1 if p is None else p for p in preds])
 
 
 def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
@@ -641,7 +648,6 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if firsts != min(n, 1):
             raise ValueError(f"corrupt index: pred_ids holds {firsts} first-vertex entries, n = {n} needs {min(n, 1)}")
         _check_ids("pred_ids", pred_ids, n, -1)
-        pred_ids = array("q", pred_ids)
         if not _rising(anchor_gaps, n):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
         anchor_ids = list(accumulate(anchor_gaps))

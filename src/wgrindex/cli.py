@@ -28,11 +28,13 @@ def _read_graph(path: str):
         return parse_graph(fh.read())
 
 
-def _map_pattern(pattern: str, table: str) -> tuple[int, ...] | None:
-    """Translate characters to labels; None when a character has no label
-    (such a pattern cannot match anything)."""
-    labels = tuple(map(table.find, pattern))
-    return None if -1 in labels else labels
+def _labels_of(table: str) -> dict[str, int]:
+    """The label of each character of a --map table, the k-th one's k; raise on a repeat.
+    A pattern character with no label maps to None: such a pattern matches nothing."""
+    labels = {ch: k for k, ch in enumerate(table)}
+    if len(labels) < len(table):
+        raise ValueError(f"--map repeats character {next(ch for k, ch in enumerate(table) if labels[ch] != k)!r}")
+    return labels
 
 
 def cmd_validate(args) -> int:
@@ -56,6 +58,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_query(args) -> int:
+    labels = _labels_of(args.map)
     ix = load_index(args.index_file)
     if args.patterns:
         with open(args.patterns, "r", encoding="utf-8") as fh:
@@ -63,19 +66,20 @@ def cmd_query(args) -> int:
     else:
         lines = sys.stdin.read().splitlines()
     for line in lines:
-        pattern = _map_pattern(line, args.map)
+        pattern = tuple(map(labels.get, line))
         if args.mode == "count":
-            k = 0 if pattern is None else count(ix, pattern)
+            k = 0 if None in pattern else count(ix, pattern)
             print(f"count {k}")
         else:
-            ids = [] if pattern is None else locate(ix, pattern)
+            ids = [] if None in pattern else locate(ix, pattern)
             print(" ".join(["locate", str(len(ids)), *map(str, ids)]))
     return 0
 
 
 def cmd_gen(args) -> int:
-    seqs = [_map_pattern(a, args.map) for a in args.args]
-    if any(s is None for s in seqs):
+    labels = _labels_of(args.map)
+    seqs = [tuple(map(labels.get, a)) for a in args.args]
+    if any(None in s for s in seqs):
         raise ValueError(f"arguments must use characters from the map {args.map!r}")
     if args.family in ("string", "cycle"):
         if len(seqs) != 1:

@@ -287,7 +287,7 @@ def serialize_v4(ix: WheelerRIndex) -> bytes:
         "last_rank_id": ix.last_rank_id,
         # Run t + 1 starts after the end of run t, the toehold's key t.
         "run_starts": [0, *(b - a for a, b in pairwise([-1, *islice(pairs, r - 1)]))] if r else [],
-        "run_labels": ix.rl.run_labels,
+        "run_labels": list(ix.rl.run_labels),
         "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
         "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
         "f_label": _f_label(ix.rl, ix.sigma),
@@ -312,11 +312,16 @@ def reseal(doc: dict) -> bytes:
 WORD_BYTES = {"b": 1, "h": 2, "i": 4, "q": 8}
 
 
-def pack_section(values) -> str:
-    """The reference section writer: a typecode, the narrowest of b, h, i
-    and q whose signed words hold every value, then the base64 of the
-    values as little-endian words of its width."""
-    code = next(c for c, w in WORD_BYTES.items() if all(-(1 << 8 * w - 1) <= v < 1 << 8 * w - 1 for v in values))
+def narrowest_code(values) -> str:
+    """The narrowest of the typecodes b, h, i and q whose signed words hold every value."""
+    return next(c for c, w in WORD_BYTES.items() if all(-(1 << 8 * w - 1) <= v < 1 << 8 * w - 1 for v in values))
+
+
+def pack_section(values, code: str | None = None) -> str:
+    """The reference section writer: a typecode, by default
+    narrowest_code(values), then the base64 of the values as little-endian
+    words of its width."""
+    code = code or narrowest_code(values)
     raw = b"".join(v.to_bytes(WORD_BYTES[code], "little", signed=True) for v in values)
     return code + base64.b64encode(raw).decode("ascii")
 

@@ -40,6 +40,7 @@ import wgrindex.build as build_mod
 import wgrindex.graph as graph_mod
 from wgrindex.build import (
     PhiStructure,
+    RLSequence,
     _f_label,
     _pack,
     _unpack,
@@ -50,7 +51,7 @@ from wgrindex.build import (
     build_toehold,
 )
 from wgrindex.generators import is_primitive
-from wgrindex.graph import transform_order
+from wgrindex.graph import IdAssignment, transform_order
 from wgrindex.query import phi
 
 from helpers import (
@@ -64,6 +65,7 @@ from helpers import (
     make_instance,
     naive_phi_table,
     naive_runs,
+    narrowest_code,
     random_label_string,
     doc_of,
     file_of,
@@ -108,7 +110,7 @@ def test_bwt_g1(g1):
     assert [g1.edges[i][:2] for i in order] == [(0, 1), (1, 3), (3, 2)]
     assert dsts == [1, 3, 2]
     rl = build_rank_select(labels)
-    assert (run_starts_of(rl), rl.run_labels) == ([0, 1, 2], [0, 1, 0])
+    assert (run_starts_of(rl), list(rl.run_labels)) == ([0, 1, 2], [0, 1, 0])
 
 
 def test_bwt_empty():
@@ -120,7 +122,7 @@ def test_bwt_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
     assert transform_labels(g) == [0, 0, 0, 0]
     rl = build_rank_select(build_bwt(g)[0])
-    assert (run_starts_of(rl), rl.run_labels) == ([0], [0])
+    assert (run_starts_of(rl), list(rl.run_labels)) == ([0], [0])
 
 
 def test_bwt_rejects_bad_order():
@@ -148,7 +150,7 @@ def test_rank_select_g1(g1_index):
     assert rl.rank(5, 2) == 0
     assert [cums[-1] - cums[0] for _, cums, _, _ in rl.runs_of.values()] == [2, 1]
     assert run_starts_of(rl) == [0, 1, 2]  # every position ends its run
-    assert rl.run_labels == [0, 1, 0]
+    assert list(rl.run_labels) == [0, 1, 0]
 
 
 def test_select_out_of_range(g1_index):
@@ -1174,17 +1176,85 @@ def test_index_bytes_match_golden_hashes():
     assert {name: sha256(serialize_index(ix)) for name, ix in built.items()} == GOLDEN_V5_SHA256
 
 
+def assert_narrow_columns(ix):
+    """The run labels, each label's run counts and cut table, and the phi
+    predecessors are arrays of the narrowest word that holds their values."""
+    columns = [ix.rl.run_labels, ix.phi.pred_ids]
+    columns += [col for _, cums, _, cuts in ix.rl.runs_of.values() for col in (cums, cuts)]
+    assert [(type(col), col.typecode) for col in columns] == [(array, narrowest_code(col)) for col in columns]
+
+
 def test_unsearched_columns_are_unboxed_words():
-    """The run counts and the phi predecessors, which queries index but
-    never bisect, are array('q') columns after a build and after a load,
-    and a load gives back the built index."""
+    """The int columns that queries index but never bisect take the
+    narrowest word of b, h, i and q that holds their values, the typecode
+    of their file section, after a build and after a version-4 and a
+    version-5 load, and each load gives back the built index."""
     for g in golden_graphs().values():
         ix = build_index(g)
-        loaded = deserialize_index(serialize_index(ix))
+        for index in (ix, deserialize_index(serialize_v4(ix)), deserialize_index(serialize_index(ix))):
+            assert index == ix
+            assert_narrow_columns(index)
+
+
+@pytest.mark.parametrize("labels, code", [([0, 127], "b"), ([0, 128], "h"), ([127, 0], "b"), ([128, 0], "h")])
+def test_run_labels_take_the_narrowest_word(labels, code):
+    rl = RLSequence.of_runs(2, [0, 1], labels)
+    assert (rl.run_labels.typecode, list(rl.run_labels)) == (code, labels)
+    assert [(c, cums.typecode) for c, (_, cums, _, _) in rl.runs_of.items()] == [(0, "b"), (max(labels), "b")]
+
+
+@pytest.mark.parametrize("first, m, codes", [
+    (2**7 - 2, 2**7 - 1, ("b", "b")),
+    (2**7 - 1, 2**7, ("b", "h")),
+    (2**15 - 1, 2**15, ("h", "i")),
+    (2**15, 2**16, ("i", "i")),
+    (2**31 - 1, 2**31, ("i", "q")),
+    (2**31, 2**40, ("q", "q")),
+])
+def test_run_counts_take_the_narrowest_word(first, m, codes):
+    """Two runs, of label 0 over [0, first) and of label 1 over [first, m):
+    label 0 counts up to first and label 1 up to m, and each cut table
+    holds a few entries of at most 1."""
+    rl = RLSequence.of_runs(m, [0, first], [0, 1])
+    directories = rl.runs_of.values()
+    assert [list(cums) for _, cums, _, _ in directories] == [[0, first], [first, m]]
+    assert tuple(cums.typecode for _, cums, _, _ in directories) == codes
+    for _, _, _, cuts in directories:
+        assert 2 <= len(cuts) <= 3 and cuts.typecode == "b" and set(cuts) <= {0, 1}
+    assert rl.rank(1, m) == m and rl.select(0, first - 1) == first - 1
+
+
+def test_cut_tables_take_the_narrowest_word():
+    # 128 runs of each of two labels: the last cut is 128, past a b word
+    rl = RLSequence.of_runs(256, list(range(256)), [0, 1] * 128)
+    assert rl.run_labels.typecode == "b"
+    for _, cums, _, cuts in rl.runs_of.values():
+        assert (cums.typecode, cuts.typecode, cuts[-1]) == ("h", "h", 128)
+
+
+@pytest.mark.parametrize("n, code", [(128, "b"), (129, "h"), (2**15, "h"), (2**15 + 1, "i")])
+def test_phi_predecessors_take_the_narrowest_word(n, code):
+    # identifiers in reverse rank order: pred(i) = i + 1 anchors only
+    # n - 2, whose predecessor is n - 1, and the order-first vertex n - 1
+    ids = IdAssignment(id_of_rank=list(range(n - 1, -1, -1)), rank_of_id=list(range(n - 1, -1, -1)))
+    ph = build_phi(ids)
+    assert (ph.anchor_ids, list(ph.pred_ids), ph.pred_ids.typecode) == ([n - 2, n - 1], [n - 1, -1], code)
+
+
+def test_saves_of_wider_sections_stay_canonical():
+    """A file whose run_labels and pred_ids sections hold the same values
+    in q words loads, equals the build and saves the canonical bytes."""
+    for name, g in golden_graphs().items():
+        ix = build_index(g)
+        data = serialize_index(ix)
+        assert sha256(data) == GOLDEN_V5_SHA256[name]
+        doc = json.loads(data)
+        for member in ("run_labels", "pred_ids"):
+            assert doc[member][0] != "q"
+            doc[member] = pack_section(unpack_section(doc[member]), "q")
+        loaded = deserialize_index(reseal(doc))
         assert loaded == ix
-        for index in (ix, loaded):
-            columns = [cums for _, cums, _, _ in index.rl.runs_of.values()] + [index.phi.pred_ids]
-            assert {(type(col), col.typecode) for col in columns} == {(array, "q")}
+        assert serialize_index(loaded) == data
 
 
 @pytest.mark.parametrize("version", [4])

@@ -161,6 +161,20 @@ def test_query_custom_map(capsys, g1_idx, tmp_path):
     assert out == "count 1\n"  # same as "ab"
 
 
+def test_query_rejects_a_map_that_repeats_a_character(capsys, tmp_path):
+    # "aab" put a at labels 0 and 1, but a lookup found only label 0, so
+    # "ab" counted 0 on the path a, b and no character reached label 1
+    wgf, idx, pats = tmp_path / "t.wgf", tmp_path / "t.idx", tmp_path / "p.txt"
+    wgf.write_text("n 3\nm 2\ne 0 1 0\ne 1 2 1\n")
+    pats.write_text("ab\n")
+    assert run(capsys, "build", str(wgf), str(idx))[0] == 0
+    code, out, err = run(capsys, "query", str(idx), "--mode", "count", "--patterns", str(pats), "--map", "aab")
+    assert (code, out, err) == (2, "", "error: --map repeats character 'a'\n")
+    code, out, err = run(capsys, "query", str(idx), "--mode", "locate", "--patterns", str(pats), "--map", "xbyb")
+    assert (code, out, err) == (2, "", "error: --map repeats character 'b'\n")
+    assert run(capsys, "query", str(idx), "--mode", "count", "--patterns", str(pats), "--map", "ab") == (0, "count 1\n", "")
+
+
 def test_query_unmapped_character_counts_zero(capsys, g1_idx, tmp_path):
     pats = tmp_path / "p.txt"
     pats.write_text("a!\n")
@@ -439,6 +453,13 @@ def test_gen_cycle_rejects_non_primitive(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "cycle", "aa", "-o", str(tmp_path / "c.wgf"))
     assert code == 2
     assert "primitive" in err
+
+
+def test_gen_rejects_a_map_that_repeats_a_character(capsys, tmp_path):
+    out_file = tmp_path / "g.wgf"
+    code, out, err = run(capsys, "gen", "string", "ab", "--map", "aab", "-o", str(out_file))
+    assert (code, out, err) == (2, "", "error: --map repeats character 'a'\n")
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("family", ["string", "cycle"])

@@ -66,7 +66,7 @@ def test_string_path_empty():
 def test_string_path_unary_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
     rl = build_rank_select(build_bwt(g)[0])
-    assert (run_starts_of(rl), rl.run_labels) == ([0], [0])
+    assert (run_starts_of(rl), list(rl.run_labels)) == ([0], [0])
 
 
 @settings(max_examples=200)
