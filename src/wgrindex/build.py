@@ -243,9 +243,9 @@ class PhiStructure:
     stored explicitly, a list that successor bisects; pred_ids[t], an
     array of the narrowest word (_narrow), is the identifier of the vertex
     directly before anchor_ids[t] in the vertex order, -1 for the order-first
-    vertex (None in a version-4 file). Between anchors the predecessor of
-    i + 1 is that of i plus one, which is what makes successor lookup plus
-    offset arithmetic recover every other predecessor.
+    vertex. Between anchors the predecessor of i + 1 is that of i plus one,
+    which is what makes successor lookup plus offset arithmetic recover
+    every other predecessor.
     """
 
     anchor_ids: list[int]
@@ -486,11 +486,9 @@ def _unseal(data: bytes) -> bool:
     return True
 
 
-def _check_ints(name: str, values, allowed: frozenset = _INT) -> None:
-    """Raise unless values is a list whose items have exactly an allowed
-    type: one C-level scan, so neither bool nor float passes as int."""
-    if type(values) is not list:
-        raise ValueError(f"corrupt index: {name} is not a list")
+def _check_ints(name: str, values: list, allowed: frozenset = _INT) -> None:
+    """Raise unless every item of values has exactly an allowed type: one
+    C-level scan, so neither bool nor float passes as int."""
     if not set(map(type, values)) <= allowed:
         bad = next(x for x in values if type(x) not in allowed)
         raise ValueError(f"corrupt index: {name} holds {bad!r}, not an int")
@@ -528,30 +526,6 @@ def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: 
     return empty
 
 
-def _upgrade(doc: dict, version: int) -> None:
-    """Check the types of a document's numbers and turn its int lists into
-    lists, so one set of checks serves versions 4 and 5; pred_ids, and the
-    run_labels of version 5, become arrays. A version-5 section holds only
-    ints, so _unpack needs no type scan; version 4 writes None for the
-    order-first vertex, made -1."""
-    _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
-    if max(doc["n"], doc["m"]) >= 1 << 63:  # beyond an array('q') word
-        raise ValueError(f"corrupt index: n = {doc['n']} or m = {doc['m']} is past 2**63 - 1")
-    _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
-    if version == _VERSION:
-        doc.update((name, _unpack(name, doc[name])) for name in _SECTIONS)
-        return
-    for name in _SECTIONS[:-1]:
-        _check_ints(name, doc[name])
-    preds, want = doc["pred_ids"], min(doc["n"], 1)
-    _check_ints("pred_ids", preds, _INT_OR_NONE)
-    if preds.count(None) != want:  # version 4 writes None for the first vertex
-        raise ValueError(f"corrupt index: pred_ids holds {preds.count(None)} None entries, n = {doc['n']} needs {want}")
-    if -1 in preds:
-        raise ValueError("corrupt index: pred_ids holds identifier -1, outside [0, n)")
-    doc["pred_ids"] = _narrow([-1 if p is None else p for p in preds])
-
-
 def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
     """The checked degree sums of an index document, which holds each side's
     exceptions as interleaved (rank, prefix after it) pairs, and the ranks
@@ -584,35 +558,33 @@ def _entered_ranks(rl: RLSequence, starts: list[int], sums: DegreeSums, position
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index; also reads version-4 files, whose lists
-    _upgrade type-checks before one set of checks runs for both versions.
+    """Inverse of serialize_index, for version 5, the only version it writes.
     The run ends are marked by definition; the break ranks are read off the
     marked destination identifiers, and the stored list must equal them.
 
-    Raises ValueError on foreign input, on a version other than 4 and 5
-    (an older file has to be built again from its graph) and, as "corrupt
-    index: ...", on a crc32 member that is missing or does not match, on
-    a version-5 section that is not a typecode in _WORDS and the base64 of
-    whole words, on a number that is not an int, on n or m past 2**63 - 1,
-    on arrays whose lengths disagree (marked_pairs holds one identifier per
-    run and per extra mark), on marked_positions not strictly increasing
-    within [0, m) or holding a run end, on an identifier in marked_pairs or
-    pred_ids outside [0, n), on an impossible anchor set (pred_ids must
-    hold exactly one first-vertex entry, -1 or in version 4 None, when
-    n > 0, none when n == 0; anchor_ids must be strictly increasing within
-    [0, n) and end at n - 1), on num_runs not counting run_starts, on
-    degree sums that do not describe n degrees summing to m, on a run label
-    outside [0, sigma), on run_starts not rising strictly from 0 within
-    [0, m), on two neighbouring runs with the same label, on f_label
-    disagreeing with the label counts of the runs, on sigma other than 1 +
-    the largest run label (0 with no runs), on break_ranks not one per
-    cycle or other than the ranks of degree 1 that marked endpoint
-    identifiers enter, on a position that _required_marks names for the
-    ranks whose degree is not 1 and the break ranks not marked, on a mark
-    holding an endpoint identifier other than that of the rank its edge
-    enters, on an edge into an endpoint whose mark holds an interior
-    identifier, and on a last_rank_id other than the one stored at in-slot
-    m - 1."""
+    Raises ValueError on foreign input, on another version (an older file
+    has to be built again from its graph) and, as "corrupt index: ...", on
+    a crc32 member that is missing or does not match, on a section that is
+    not a typecode in _WORDS and the base64 of whole words, on a header
+    number that is not an int, on n or m past 2**63 - 1, on arrays whose
+    lengths disagree (marked_pairs holds one identifier per run and per
+    extra mark), on marked_positions not strictly increasing within [0, m)
+    or holding a run end, on an identifier in marked_pairs or pred_ids
+    outside [0, n), on an impossible anchor set (pred_ids must hold exactly
+    one first-vertex entry, -1, when n > 0, none when n == 0; anchor_ids
+    must be strictly increasing within [0, n) and end at n - 1), on
+    num_runs not counting run_starts, on degree sums that do not describe n
+    degrees summing to m, on a run label outside [0, sigma), on run_starts
+    not rising strictly from 0 within [0, m), on two neighbouring runs with
+    the same label, on f_label disagreeing with the label counts of the
+    runs, on sigma other than 1 + the largest run label (0 with no runs),
+    on break_ranks not one per cycle or other than the ranks of degree 1
+    that marked endpoint identifiers enter, on a position that
+    _required_marks names for the ranks whose degree is not 1 and the break
+    ranks not marked, on a mark holding an endpoint identifier other than
+    that of the rank its edge enters, on an edge into an endpoint whose
+    mark holds an interior identifier, and on a last_rank_id other than the
+    one stored at in-slot m - 1."""
     sealed = _unseal(data)
     try:
         doc = json.loads(data)
@@ -621,15 +593,20 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError("not an index file: missing format marker")
     version = doc.get("version")
-    if type(version) is not int or not 4 <= version <= _VERSION:
+    if type(version) is not int or version != _VERSION:
         raise ValueError(
-            f"unsupported index version {version!r}: versions 4 and 5 are read; "
+            f"unsupported index version {version!r}: version {_VERSION} is read; "
             "build the index again from its graph with wgrindex build"
         )
     if not sealed:
-        raise ValueError(f"corrupt index: checksum missing, a version-{version} file ends in its crc32 member")
+        raise ValueError(f"corrupt index: checksum missing, a version-{_VERSION} file ends in its crc32 member")
     try:
-        _upgrade(doc, version)
+        _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
+        if max(doc["n"], doc["m"]) >= 1 << 63:  # beyond an array('q') word
+            raise ValueError(f"corrupt index: n = {doc['n']} or m = {doc['m']} is past 2**63 - 1")
+        _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
+        # A section holds only ints, so it needs no type scan.
+        doc.update((name, _unpack(name, doc[name])) for name in _SECTIONS)
         n, m, sigma, num_runs = doc["n"], doc["m"], doc["sigma"], doc["num_runs"]
         run_gaps, run_labels = doc["run_starts"], doc["run_labels"]
         extras, dests = doc["marked_positions"], doc["marked_pairs"]

@@ -50,10 +50,8 @@ def cmd_build(args) -> int:
     g = _read_graph(args.graph_file)
     ix = build_index(g)
     save_index(ix, args.index_file)
-    print(
-        f"n={ix.n} m={ix.m} r={len(ix.rl.run_labels)} upsilon={ix.num_paths} "
-        f"marked={len(ix.toehold.pairs)} anchors={len(ix.phi.anchor_ids)}"
-    )
+    sr = space_report(ix)
+    print(f"n={sr.n} m={sr.m} r={sr.num_runs} upsilon={sr.num_paths} marked={sr.marked_count} anchors={sr.anchor_count}")
     return 0
 
 

@@ -38,11 +38,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an axiom check: the violations found, and the three
-    transform-order columns (see transform_order) that the check scanned."""
+    """Outcome of an axiom check: the violations found, and the label and
+    destination columns in transform order (see transform_order) that the
+    check scanned."""
 
     violations: tuple[Violation, ...]
-    order: list[int] = field(repr=False, compare=False)
     labels: list[int] = field(repr=False, compare=False)
     dsts: list[int] = field(repr=False, compare=False)
 
@@ -292,7 +292,7 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
             best_dst, best_edge = hi
 
     violations.extend(state[3] for state in states if state[3] is not None)  # A2, by ascending label
-    return ValidationReport(tuple(violations), order, labels, dsts)
+    return ValidationReport(tuple(violations), labels, dsts)
 
 
 @dataclass

@@ -175,7 +175,8 @@ def phi(ix: WheelerRIndex, i: int) -> int:
     Anchored identifiers return their stored predecessor; everything else
     steps to its anchor successor j and returns pred(j) - (j - i), which is
     valid because build_phi anchors every i whose successor's predecessor
-    is not pred(i) + 1. Raises FirstInOrderError for the order-first vertex.
+    is not pred(i) + 1. Raises FirstInOrderError for the order-first vertex,
+    IndexInvariantError for an offset below 0, which only a corrupt index gives.
     """
     if not 0 <= i < ix.n:
         raise ValueError(f"identifier {i} out of range [0, {ix.n})")
@@ -184,9 +185,10 @@ def phi(ix: WheelerRIndex, i: int) -> int:
         if pred < 0:
             raise FirstInOrderError(f"identifier {i} names the first vertex in the order")
         return pred
-    if pred < 0:
-        raise IndexInvariantError("sentinel anchor reached by offset stepping")
-    return pred - (j - i)
+    k = pred - (j - i)
+    if k < 0:  # so is a pred of -1, the sentinel, which a sound index never offsets from
+        raise IndexInvariantError(f"offset step from anchor {j} to identifier {i} gives predecessor {k}, below 0")
+    return k
 
 
 def locate(ix: WheelerRIndex, pattern: Sequence[int]) -> list[int]:

@@ -13,7 +13,7 @@ import wgrindex
 from wgrindex import build_index, count, load_index, locate, parse_graph, to_wgf, validate_wheeler
 from wgrindex.cli import main
 
-from helpers import G1_TEXT, V5_CORRUPTIONS, doc_of, file_of, reseal, serialize_v4
+from helpers import G1_TEXT, V5_CORRUPTIONS, doc_of, file_of, reseal
 
 
 DATA = Path(__file__).parent / "data"
@@ -191,27 +191,24 @@ def test_query_bad_index_file(capsys, tmp_path):
     assert "error:" in err
 
 
-def _corrupt_copy(src: str, dst, version: int, **fields) -> str:
-    """The index at src as a version-4 or 5 file with fields replaced,
-    its checksum written again."""
-    doc = doc_of(load_index(src), version)
+def _corrupt_copy(src: str, dst, **fields) -> str:
+    """The index at src with fields replaced, its checksum written again."""
+    doc = doc_of(load_index(src))
     doc.update(fields)
-    dst.write_bytes(file_of(doc, version))
+    dst.write_bytes(file_of(doc))
     return str(dst)
 
 
-def abbabaab_with_sentinel_at(tmp_path, t: int, version: int) -> str:
-    """A copy of the "abbabaab" path index whose predecessor sentinel, None
-    in version 4 and -1 in version 5, is swapped into anchor t; every such
-    copy loads."""
+def abbabaab_with_sentinel_at(tmp_path, t: int) -> str:
+    """A copy of the "abbabaab" path index whose predecessor sentinel -1 is
+    swapped into anchor t; every such copy loads."""
     wgf, idx = tmp_path / "abbabaab.wgf", tmp_path / "abbabaab.idx"
     assert main(["gen", "string", "abbabaab", "-o", str(wgf)]) == 0
     assert main(["build", str(wgf), str(idx)]) == 0
-    first = None if version == 4 else -1
-    pred_ids = doc_of(load_index(idx), version)["pred_ids"]
-    assert pred_ids == [7, 5, 8, 6, 0, first, 1]
-    pred_ids[5], pred_ids[t] = pred_ids[t], first
-    return _corrupt_copy(str(idx), tmp_path / "bad.idx", version, pred_ids=pred_ids)
+    pred_ids = doc_of(load_index(idx))["pred_ids"]
+    assert pred_ids == [7, 5, 8, 6, 0, -1, 1]
+    pred_ids[5], pred_ids[t] = pred_ids[t], -1
+    return _corrupt_copy(str(idx), tmp_path / "bad.idx", pred_ids=pred_ids)
 
 
 def locate_b_fails_mid_query(capsys, tmp_path, bad: str, message: str) -> None:
@@ -225,33 +222,36 @@ def locate_b_fails_mid_query(capsys, tmp_path, bad: str, message: str) -> None:
     assert "Traceback" not in err
 
 
-def sentinel_moved_by_offset(capsys, tmp_path, version: int) -> None:
-    # the phi step from identifier 3 lands on the sentinel by offset stepping
-    bad = abbabaab_with_sentinel_at(tmp_path, 1, version)
-    locate_b_fails_mid_query(capsys, tmp_path, bad, "sentinel anchor reached by offset stepping")
-
-
-def test_query_corrupt_index_exits_2_without_traceback(capsys, tmp_path):
-    sentinel_moved_by_offset(capsys, tmp_path, 4)
-
-
 def test_query_corrupt_index_exits_2_without_traceback_v5(capsys, tmp_path):
-    sentinel_moved_by_offset(capsys, tmp_path, 5)
-
-
-def sentinel_moved_to_a_reached_anchor(capsys, tmp_path, version: int) -> None:
-    # the phi step from identifier 5 reaches identifier 4, now named first;
-    # a sound index never asks for the predecessor of the first vertex
-    bad = abbabaab_with_sentinel_at(tmp_path, 2, version)
-    locate_b_fails_mid_query(capsys, tmp_path, bad, "identifier 4 names the first vertex")
-
-
-def test_query_first_in_order_error_exits_2_without_traceback(capsys, tmp_path):
-    sentinel_moved_to_a_reached_anchor(capsys, tmp_path, 4)
+    # identifier 2 takes its predecessor by an offset from anchor 3, which
+    # now holds the sentinel
+    bad = abbabaab_with_sentinel_at(tmp_path, 1)
+    locate_b_fails_mid_query(capsys, tmp_path, bad, "offset step from anchor 3 to identifier 2 gives predecessor -2")
 
 
 def test_query_first_in_order_error_exits_2_without_traceback_v5(capsys, tmp_path):
-    sentinel_moved_to_a_reached_anchor(capsys, tmp_path, 5)
+    # the phi step from identifier 5 reaches identifier 4, now named first;
+    # a sound index never asks for the predecessor of the first vertex
+    bad = abbabaab_with_sentinel_at(tmp_path, 2)
+    locate_b_fails_mid_query(capsys, tmp_path, bad, "identifier 4 names the first vertex")
+
+
+def test_query_offset_below_the_first_identifier_exits_2_without_traceback(capsys, tmp_path):
+    # "abba" with the predecessor of anchor 1 lowered from 4 to 0 loads; the
+    # phi step from identifier 0 gave -1, and the next one raised ValueError,
+    # which the CLI printed without "corrupt index:" beside an empty pattern
+    wgf, idx = tmp_path / "abba.wgf", tmp_path / "abba.idx"
+    assert main(["gen", "string", "abba", "-o", str(wgf)]) == 0
+    assert main(["build", str(wgf), str(idx)]) == 0
+    doc = doc_of(load_index(idx))
+    assert (doc["anchor_ids"], doc["pred_ids"]) == ([1, 1, 1, 1], [4, 1, -1, 0])
+    bad = _corrupt_copy(str(idx), tmp_path / "bad.idx", pred_ids=[0, 1, -1, 0])
+    capsys.readouterr()
+    pats = tmp_path / "p.txt"
+    pats.write_text("\n")
+    code, out, err = run(capsys, "query", bad, "--mode", "locate", "--patterns", str(pats))
+    assert (code, out) == (2, "")
+    assert err == "error: corrupt index: offset step from anchor 1 to identifier 0 gives predecessor -1, below 0\n"
 
 
 def query_fails_at_load(capsys, tmp_path, bad: str, mode: str, pattern: str, message: str) -> None:
@@ -263,65 +263,40 @@ def query_fails_at_load(capsys, tmp_path, bad: str, mode: str, pattern: str, mes
     assert err.startswith(f"error: corrupt index: {message}")
 
 
-def emptied_anchors(capsys, g1_idx, tmp_path, version: int) -> None:
-    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", version, anchor_ids=[], pred_ids=[])
+def test_query_emptied_anchors_rejected_at_load_v5(capsys, g1_idx, tmp_path):
+    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", anchor_ids=[], pred_ids=[])
     query_fails_at_load(capsys, tmp_path, bad, "locate", "a", "pred_ids")
 
 
-def test_query_emptied_anchors_rejected_at_load(capsys, g1_idx, tmp_path):
-    emptied_anchors(capsys, g1_idx, tmp_path, 4)
-
-
-def test_query_emptied_anchors_rejected_at_load_v5(capsys, g1_idx, tmp_path):
-    emptied_anchors(capsys, g1_idx, tmp_path, 5)
-
-
-def short_prefix_array(capsys, g1_idx, tmp_path, version: int) -> None:
+def test_query_short_prefix_array_rejected_at_load_v5(capsys, g1_idx, tmp_path):
     # the out-degree exceptions of g1 are one pair, rank 2 with prefix 2
-    assert doc_of(load_index(g1_idx), version)["out_prefix"] == [2, 2]
-    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", version, out_prefix=[2])
+    assert doc_of(load_index(g1_idx))["out_prefix"] == [2, 2]
+    bad = _corrupt_copy(g1_idx, tmp_path / "bad.idx", out_prefix=[2])
     query_fails_at_load(capsys, tmp_path, bad, "count", "ab", "out_prefix")
 
 
-def test_query_short_prefix_array_rejected_at_load(capsys, g1_idx, tmp_path):
-    short_prefix_array(capsys, g1_idx, tmp_path, 4)
-
-
-def test_query_short_prefix_array_rejected_at_load_v5(capsys, g1_idx, tmp_path):
-    short_prefix_array(capsys, g1_idx, tmp_path, 5)
-
-
-def damaged_run_label(capsys, tmp_path, data: bytes, before: bytes, after: bytes) -> None:
-    # one byte of the run labels changed, from label 1 to label 0
-    assert data.count(before) == 1
+def test_query_damaged_file_rejected_by_checksum_v5(capsys, g1_idx, tmp_path):
+    # one byte of the run labels changed, from label 1 to label 0: the
+    # section holds the bytes 0, 1 and 0, base64 "AAEA"
+    data = open(g1_idx, "rb").read()
+    assert data.count(b'"run_labels":"bAAEA"') == 1
     bad = tmp_path / "bad.idx"
-    bad.write_bytes(data.replace(before, after))
+    bad.write_bytes(data.replace(b'"run_labels":"bAAEA"', b'"run_labels":"bAAAA"'))
     query_fails_at_load(capsys, tmp_path, str(bad), "count", "a", "checksum")
 
 
-def test_query_damaged_file_rejected_by_checksum(capsys, g1_idx, tmp_path):
-    data = serialize_v4(load_index(g1_idx))
-    damaged_run_label(capsys, tmp_path, data, b'"run_labels":[0,1,0]', b'"run_labels":[0,0,0]')
-
-
-def test_query_damaged_file_rejected_by_checksum_v5(capsys, g1_idx, tmp_path):
-    # the section holds the bytes 0, 1 and 0: base64 "AAEA"
-    data = open(g1_idx, "rb").read()
-    damaged_run_label(capsys, tmp_path, data, b'"run_labels":"bAAEA"', b'"run_labels":"bAAAA"')
-
-
 @pytest.mark.parametrize("command", ["query", "stats"])
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["g1", "trie", "cycle"])
 def test_index_before_version_4_exits_2(capsys, tmp_path, name, version, command):
-    # versions 1-3 hold no checksum: a load refuses them and names the way
-    # to build the index again
+    # a load refuses every version but 5 and names the way to build the
+    # index again (the name dates from when version 4 loaded)
     pats = tmp_path / "p.txt"
     pats.write_text("a\n")
     extra = ["--mode", "count", "--patterns", str(pats)] if command == "query" else []
     code, out, err = run(capsys, command, str(DATA / f"{name}.v{version}.idx"), *extra)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: unsupported index version {version}: versions 4 and 5 are read")
+    assert err.startswith(f"error: unsupported index version {version}: version 5 is read")
     assert "wgrindex build" in err
     assert "Traceback" not in err
 
@@ -343,21 +318,19 @@ def test_deeply_nested_file_exits_2(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "field, value, version",
-    [pytest.param("m", 2**63, 4, id="m"), pytest.param("run_starts", 2**63, 4, id="run_starts"),
-     pytest.param("m", 2**63, 5, id="v5-m"),
-     # no section word holds 2**63; a last run gap of 2**63 - 1 overflowed too
-     pytest.param("run_starts", 2**63 - 1, 5, id="v5-run_starts")],
+    "field, value",
+    # no section word holds 2**63; a last run gap of 2**63 - 1 overflowed too
+    [pytest.param("m", 2**63, id="v5-m"), pytest.param("run_starts", 2**63 - 1, id="v5-run_starts")],
 )
-def test_stats_of_a_value_past_a_word_exits_2(capsys, tmp_path, field, value, version):
-    # m = 2**63, or a last run gap of 2**63, made the loader raise
+def test_stats_of_a_value_past_a_word_exits_2(capsys, tmp_path, field, value):
+    # m = 2**63, or a last run gap of 2**63 - 1, made the loader raise
     # OverflowError: the CLI printed a traceback and exited 1
     wgf, idx = tmp_path / "abacba.wgf", tmp_path / "abacba.idx"
     assert main(["gen", "string", "abacba", "-o", str(wgf)]) == 0
     assert main(["build", str(wgf), str(idx)]) == 0
     if field == "run_starts":
-        value = doc_of(load_index(idx), version)["run_starts"][:-1] + [value]
-    bad = _corrupt_copy(str(idx), tmp_path / "bad.idx", version, **{field: value})
+        value = doc_of(load_index(idx))["run_starts"][:-1] + [value]
+    bad = _corrupt_copy(str(idx), tmp_path / "bad.idx", **{field: value})
     src = str(Path(wgrindex.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "wgrindex", "stats", bad],
