@@ -30,7 +30,7 @@ from .graph import (
 )
 
 _FORMAT = "wgrindex"
-_VERSION = 5
+_VERSION = 6
 _SEAL = b',"crc32":'
 _SECTIONS = ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
              "marked_positions", "marked_pairs", "break_ranks", "anchor_ids", "pred_ids")
@@ -158,17 +158,10 @@ def _prefix(ranks: list[int], after: list[int], k: int) -> int:
     return after[t - 1] + k - ranks[t - 1] - 1 if t else k
 
 
-def _f_label(rl: RLSequence, sigma: int) -> list[int]:
-    """f_label[c] for c in [0, sigma], which only an index file holds: the
-    labels below c: C[d] of the least label d >= c that occurs, else the
-    length. One slice per label that occurs, after one allocation: a sigma
-    past memory fails at once."""
-    f_label, lo = [0] + [0] * sigma, 0
-    for c, runs in rl.runs_of.items():
-        f_label[lo : c + 1] = repeat(runs[1][0], c + 1 - lo)
-        lo = c + 1
-    f_label[lo:] = repeat(rl.length, len(f_label) - lo)
-    return f_label
+def _f_label(rl: RLSequence) -> list[int]:
+    """f_label, which only an index file holds: each label that occurs,
+    ascending, then its first in-slot, the FM-index C[c]; last the length."""
+    return [x for c, runs in rl.runs_of.items() for x in (c, runs[1][0])] + [rl.length]
 
 
 def build_partial_sums(g: WheelerGraph) -> DegreeSums:
@@ -442,21 +435,19 @@ def _unpack(name: str, section) -> list[int] | array:
 
 def serialize_index(ix: WheelerRIndex) -> bytes:
     """Canonical byte encoding; identical indexes give identical bytes.
-    Version 5 stores run starts and anchors as gaps, only the marks that
+    Version 6 stores run starts and anchors as gaps, only the marks that
     are not run ends, and the identifiers at the run ends, in run order,
     before theirs, each int list as a section (_pack). Its last member,
-    crc32, is zlib.crc32 of the rest. Raises ValueError on a label whose
-    dense f_label, sigma + 1 entries, is longer than a list can be."""
-    if ix.sigma > sys.maxsize // 8:  # before _f_label allocates sigma + 1 entries
-        raise ValueError(f"label {ix.sigma - 1} is past {sys.maxsize // 8 - 1}, the largest a dense f_label list holds")
+    crc32, is zlib.crc32 of the rest. Raises ValueError on a label past
+    2**63 - 1, which no section word holds."""
+    if ix.sigma > 1 << 63:
+        raise ValueError(f"label {ix.sigma - 1} is past {(1 << 63) - 1}, the largest a section word holds")
     sums, pairs, r = ix.sums, ix.toehold.pairs, len(ix.rl.run_labels)
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
         "n": ix.n,
         "m": ix.m,
-        "sigma": ix.sigma,
-        "num_runs": r,
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
         # Run t + 1 starts after the end of run t, the toehold's key t.
@@ -464,7 +455,7 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "run_labels": _pack(ix.rl.run_labels),
         "out_prefix": _pack(_interleave(sums.out_ranks, sums.out_after)),
         "in_prefix": _pack(_interleave(sums.in_ranks, sums.in_after)),
-        "f_label": _pack(_f_label(ix.rl, ix.sigma)),
+        "f_label": _pack(_f_label(ix.rl)),
         "marked_positions": _pack(list(islice(pairs, r, None))),  # the extras
         "marked_pairs": _pack(list(pairs.values())),  # run ends, then extras
         "break_ranks": _pack(ix.break_ranks),
@@ -558,7 +549,7 @@ def _entered_ranks(rl: RLSequence, starts: list[int], sums: DegreeSums, position
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index, for version 5, the only version it writes.
+    """Inverse of serialize_index, for version 6, the only version it writes.
     The run ends are marked by definition; the break ranks are read off the
     marked destination identifiers, and the stored list must equal them.
 
@@ -572,19 +563,17 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     or holding a run end, on an identifier in marked_pairs or pred_ids
     outside [0, n), on an impossible anchor set (pred_ids must hold exactly
     one first-vertex entry, -1, when n > 0, none when n == 0; anchor_ids
-    must be strictly increasing within [0, n) and end at n - 1), on
-    num_runs not counting run_starts, on degree sums that do not describe n
-    degrees summing to m, on a run label outside [0, sigma), on run_starts
-    not rising strictly from 0 within [0, m), on two neighbouring runs with
-    the same label, on f_label disagreeing with the label counts of the
-    runs, on sigma other than 1 + the largest run label (0 with no runs),
-    on break_ranks not one per cycle or other than the ranks of degree 1
-    that marked endpoint identifiers enter, on a position that
-    _required_marks names for the ranks whose degree is not 1 and the break
-    ranks not marked, on a mark holding an endpoint identifier other than
-    that of the rank its edge enters, on an edge into an endpoint whose
-    mark holds an interior identifier, and on a last_rank_id other than the
-    one stored at in-slot m - 1."""
+    must be strictly increasing within [0, n) and end at n - 1), on degree
+    sums that do not describe n degrees summing to m, on a negative run
+    label, on run_starts not rising strictly from 0 within [0, m), on two
+    neighbouring runs with the same label, on f_label disagreeing with the
+    labels and label counts of the runs, on break_ranks not one per cycle
+    or other than the ranks of degree 1 that marked endpoint identifiers
+    enter, on a position that _required_marks names for the ranks whose
+    degree is not 1 and the break ranks not marked, on a mark holding an
+    endpoint identifier other than that of the rank its edge enters, on an
+    edge into an endpoint whose mark holds an interior identifier, and on a
+    last_rank_id other than the one stored at in-slot m - 1."""
     sealed = _unseal(data)
     try:
         doc = json.loads(data)
@@ -601,21 +590,20 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     if not sealed:
         raise ValueError(f"corrupt index: checksum missing, a version-{_VERSION} file ends in its crc32 member")
     try:
-        _check_ints("header", [doc[k] for k in ("n", "m", "sigma", "num_runs", "num_paths")])
+        _check_ints("header", [doc[k] for k in ("n", "m", "num_paths")])
         if max(doc["n"], doc["m"]) >= 1 << 63:  # beyond an array('q') word
             raise ValueError(f"corrupt index: n = {doc['n']} or m = {doc['m']} is past 2**63 - 1")
         _check_ints("last_rank_id", [doc["last_rank_id"]], _INT_OR_NONE)
         # A section holds only ints, so it needs no type scan.
         doc.update((name, _unpack(name, doc[name])) for name in _SECTIONS)
-        n, m, sigma, num_runs = doc["n"], doc["m"], doc["sigma"], doc["num_runs"]
+        n, m = doc["n"], doc["m"]
         run_gaps, run_labels = doc["run_starts"], doc["run_labels"]
         extras, dests = doc["marked_positions"], doc["marked_pairs"]
         anchor_gaps, pred_ids = doc["anchor_ids"], doc["pred_ids"]
         for name, other, want in (
             ("pred_ids", "anchor_ids", len(anchor_gaps)),
-            ("run_starts", "num_runs", num_runs),
             ("run_labels", "run_starts", len(run_gaps)),
-            ("marked_pairs", "num_runs + len(marked_positions)", num_runs + len(extras)),
+            ("marked_pairs", "len(run_starts) + len(marked_positions)", len(run_gaps) + len(extras)),
         ):
             if len(doc[name]) != want:
                 raise ValueError(
@@ -633,9 +621,8 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if not _rising(_gaps(extras), m):
             raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
         _check_ids("marked_pairs", dests, n)
-        stray = [c for c in set(run_labels) if not 0 <= c < sigma]
-        if stray:
-            raise ValueError(f"corrupt index: run label {min(stray)} is outside [0, sigma)")
+        if min(run_labels, default=0) < 0:
+            raise ValueError(f"corrupt index: run label {min(run_labels)} is negative")
         if run_gaps[:1] != ([0] if m else []) or not _rising(run_gaps, m):
             raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
         starts = list(accumulate(run_gaps))
@@ -647,12 +634,9 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if len(pairs) != len(dests):
             raise ValueError(f"corrupt index: marked_positions holds run end {min(set(ends).intersection(extras))}")
         sums, isolated = _load_degree_sums(doc)
-        # The length first: it bounds the counts built and rejects a negative sigma.
-        if len(doc["f_label"]) != sigma + 1 or doc["f_label"] != _f_label(rl, sigma):
+        if doc["f_label"] != _f_label(rl):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
         top = max(rl.runs_of, default=-1)  # the largest run label
-        if sigma != top + 1:
-            raise ValueError(f"corrupt index: sigma is {sigma}, 1 + the largest run label gives {top + 1}")
         # The cycles are the paths that no exception heads. An exception
         # heads one path per out-edge, m - n + len(exceptions) in all since
         # every other rank has one out-edge, and one more if it has no edges.
@@ -697,7 +681,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         return WheelerRIndex(
             n=n,
             m=m,
-            sigma=sigma,
+            sigma=top + 1,
             num_paths=doc["num_paths"],
             break_ranks=breaks,
             last_rank_id=doc["last_rank_id"],

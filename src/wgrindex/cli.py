@@ -1,8 +1,8 @@
 """Command-line front end: generate, validate, build, query, stats.
 
 Exit codes: 0 success, 1 domain failure (input numbering is not a valid
-order), 2 usage or I/O errors or a corrupt index file. Stdout carries
-machine-parseable results; diagnostics go to stderr.
+order), 2 usage or I/O errors, an input too large for memory or a corrupt
+index file. Stdout carries machine-parseable results; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -158,6 +158,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError) as exc:  # WgfParseError among them
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a vertex count past memory, say
+        print("error: the input is too large for memory", file=sys.stderr)
         return 2
     except (IndexInvariantError, FirstInOrderError) as exc:  # only a corrupt index raises these
         print(f"error: corrupt index: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, chain, islice, pairwise
+from itertools import accumulate, chain, islice, pairwise, repeat
 from pathlib import Path
 
 import pytest
@@ -46,7 +46,7 @@ from wgrindex import (
     serialize_index,
     validate_wheeler,
 )
-from wgrindex.build import _SECTIONS, RLSequence, _f_label
+from wgrindex.build import _SECTIONS, RLSequence
 from wgrindex.generators import GeneratedInstance, _rotation_ranks, is_primitive
 from wgrindex.graph import IdAssignment, Violation, transform_order
 from wgrindex.query import step_toehold
@@ -269,6 +269,29 @@ def bench_run():
     return run
 
 
+def dense_f_label(rl: RLSequence, sigma: int) -> list[int]:
+    """The f_label of versions 4 and 5: for c in [0, sigma], the labels
+    below c, C[d] of the least label d >= c that occurs, else the length.
+    One slice per label that occurs, after one allocation."""
+    f_label, lo = [0] + [0] * sigma, 0
+    for c, runs in rl.runs_of.items():
+        f_label[lo : c + 1] = repeat(runs[1][0], c + 1 - lo)
+        lo = c + 1
+    f_label[lo:] = repeat(rl.length, len(f_label) - lo)
+    return f_label
+
+
+def serialize_v5(ix: WheelerRIndex) -> bytes:
+    """The version-5 writer: the members of version 6, plus the header ints
+    sigma and num_runs, with f_label dense (dense_f_label). The loader
+    refuses its files; its digests of the golden graphs pin that builds
+    have not changed since version 5."""
+    doc = json.loads(serialize_index(ix))
+    doc.update(version=5, sigma=ix.sigma, num_runs=len(ix.rl.run_labels),
+               f_label=pack_section(dense_f_label(ix.rl, ix.sigma)))
+    return reseal(dict(sorted(doc.items())))
+
+
 def serialize_v4(ix: WheelerRIndex) -> bytes:
     """The version-4 writer: the fields of version 5, each int list as a
     JSON list, None for the order-first vertex's predecessor, and the crc32
@@ -290,7 +313,7 @@ def serialize_v4(ix: WheelerRIndex) -> bytes:
         "run_labels": list(ix.rl.run_labels),
         "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
         "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
-        "f_label": _f_label(ix.rl, ix.sigma),
+        "f_label": dense_f_label(ix.rl, ix.sigma),
         "marked_positions": list(islice(pairs, r, None)),
         "marked_pairs": list(pairs.values()),
         "break_ranks": ix.break_ranks,
@@ -333,7 +356,7 @@ def unpack_section(section: str) -> list[int]:
 
 
 def lists_of(data: bytes) -> dict:
-    """A version-5 file as a document whose sections are int lists again."""
+    """An index file as a document whose sections are int lists again."""
     doc = json.loads(data)
     doc.update((name, unpack_section(doc[name])) for name in _SECTIONS)
     return doc
@@ -347,10 +370,10 @@ def packed(doc: dict, code: str | None = None) -> dict:
     return {**doc, **{k: pack_section(v, code) for k, v in ints.items()}}
 
 
-# Edits of the g1 version-5 file (run_labels "bAAEA", the bytes 0, 1 and
+# Edits of the g1 version-6 file (run_labels "bAAEA", the bytes 0, 1 and
 # 0; pred_ids [2, 3, -1, 0]) that a load must reject: (member, value,
 # message fragment).
-V5_CORRUPTIONS = {
+SECTION_CORRUPTIONS = {
     "typecode-d": ("run_labels", "dAAEA", "run_labels is not a section of b, h, i or q words"),
     "typecode-f": ("run_labels", "fAAEA", "run_labels is not a section of b, h, i or q words"),
     "typecode-u": ("run_labels", "uAAEA", "run_labels is not a section of b, h, i or q words"),

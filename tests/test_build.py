@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 import re
-import sys
 import zlib
 from array import array
 from dataclasses import replace
@@ -59,10 +58,11 @@ from wgrindex.query import phi
 
 from helpers import (
     G1_TEXT,
-    V5_CORRUPTIONS,
+    SECTION_CORRUPTIONS,
     bench_run,
     broken_cycle_graphs,
     build_corpus,
+    dense_f_label,
     gen_confluent,
     labels_from_ascii,
     make_instance,
@@ -79,6 +79,7 @@ from helpers import (
     rl_from_labels,
     run_starts_of,
     serialize_v4,
+    serialize_v5,
     shared_in_edge_graphs,
     transform_labels,
     unpack_section,
@@ -268,7 +269,7 @@ def dense_prefix(degrees):
 
 
 def first_slots(rl) -> dict[int, int]:
-    """Each label's first in-slot, the f_label entry its run counts start at."""
+    """Each label's first in-slot, the f_label count its run counts start at."""
     return {c: cums[0] for c, (_, cums, _, _) in rl.runs_of.items()}
 
 
@@ -280,7 +281,7 @@ def test_partial_sums_g1(g1):
     assert [sums.out_prefix(k) for k in range(5)] == [0, 1, 2, 2, 3]
     rl = build_rank_select(build_bwt(g1)[0])
     assert first_slots(rl) == {0: 0, 1: 2}
-    assert _f_label(rl, g1.sigma) == [0, 2, 3]
+    assert _f_label(rl) == [0, 0, 1, 2, 3]
 
 
 def test_partial_sums_empty_graph():
@@ -291,7 +292,7 @@ def test_partial_sums_empty_graph():
     assert [sums.out_prefix(k) for k in range(3)] == [0, 0, 0]
     rl = build_rank_select(build_bwt(g)[0])
     assert first_slots(rl) == {}
-    assert _f_label(rl, g.sigma) == [0]
+    assert _f_label(rl) == [0]
 
 
 @settings(max_examples=150)
@@ -300,8 +301,8 @@ def test_partial_sums_handshake(inst):
     """The exceptions are the ranks whose degree is not 1, and out_prefix(k)
     sums the first k out-degrees. The in-side sums are read only by the
     refine step, which test_query checks against dense references. The
-    labels' in-slots, in ascending label order, tile [0, m), so f_label
-    rises from 0 to m."""
+    labels' in-slots, in ascending label order, tile [0, m), and f_label
+    lists each label with the in-slot its span starts at, then m."""
     g, rl = inst.graph, inst.index.rl
     sums = build_partial_sums(g)
     assert sums.out_ranks == [k for k, d in enumerate(g.out_degrees) if d != 1]
@@ -311,9 +312,7 @@ def test_partial_sums_handshake(inst):
     assert list(rl.runs_of) == sorted(set(inst.bwt_labels))
     spans = [(cums[0], cums[-1]) for _, cums, _, _ in rl.runs_of.values()]
     assert [a for a, _ in spans] + [g.m] == [0] + [b for _, b in spans]
-    f_label = _f_label(rl, g.sigma)
-    assert f_label[0] == 0 and f_label[-1] == g.m
-    assert all(a <= b for a, b in zip(f_label, f_label[1:]))
+    assert _f_label(rl) == [x for c, (a, _) in zip(rl.runs_of, spans) for x in (c, a)] + [g.m]
 
 
 @settings(max_examples=200)
@@ -323,14 +322,21 @@ def test_partial_sums_handshake(inst):
     st.randoms(use_true_random=False),
 )
 def test_f_label_of_sparse_labels_matches_accumulate(runs, spare, rng):
-    """On a few runs of labels spread over [0, 5000], _f_label fills the
-    dense list one slice per label that occurs: it equals the running sum
-    of every label's count, with sigma up to 3 past the largest label."""
+    """On a few runs of labels spread over [0, 5000], _f_label lists each
+    label that occurs with the running sum of the counts of the labels
+    below it, then the length. The dense f_label of version 5, which the
+    test-side writer makes with sigma up to 3 past the largest label, is
+    the running sum of every label's count and holds the same counts."""
     labels = [c for c, length in runs for _ in range(length)]
     rng.shuffle(labels)
+    rl, present = rl_from_labels(labels), sorted(set(labels))
+    below = accumulate((labels.count(c) for c in present), initial=0)
+    pairs = _f_label(rl)
+    assert pairs == [x for c, b in zip(present, below) for x in (c, b)] + [len(labels)]
     sigma = max(labels, default=-1) + 1 + spare
-    counts = [labels.count(c) for c in range(sigma)]
-    assert _f_label(rl_from_labels(labels), sigma) == list(accumulate(counts, initial=0))
+    dense = dense_f_label(rl, sigma)
+    assert dense == list(accumulate((labels.count(c) for c in range(sigma)), initial=0))
+    assert pairs[1::2] + [pairs[-1]] == [dense[c] for c in present] + [dense[-1]]
 
 
 @settings(max_examples=300)
@@ -698,15 +704,6 @@ def test_deserialize_rejects_impossible_anchor_sets(edit, fragment):
         deserialize_index(file_of(doc))
 
 
-def test_deserialize_rejects_wrong_num_runs():
-    # loaded, this copy printed r=999 and marked_bound=1003 in stats
-    doc = doc_of(build_index(ABBA))
-    assert (doc["run_starts"], doc["num_runs"]) == ([0, 1, 2], 3)
-    doc["num_runs"] = 999
-    with pytest.raises(ValueError, match="corrupt index: run_starts has 3 entries, num_runs gives"):
-        deserialize_index(file_of(doc))
-
-
 @pytest.mark.parametrize(
     "graph, built, last",
     [(ABBA, 2, 0), (ABBA, 2, 4), (ABBA, 2, 5), (ABBA, 2, -1), (ABBA, 2, None),
@@ -729,7 +726,7 @@ def trie_doc():
     # out-degrees 2, 2, 0, 0, 0 and in-degrees 0, 1, 1, 1, 1; runs start at
     # 0, 1 and 3 and end at 0, 2 and 3; position 1 is the one extra mark
     doc = doc_of(build_index(gen_trie([(0, 1), (0, 2), (1,)]).graph))
-    assert (doc["n"], doc["m"], doc["f_label"]) == (5, 4, [0, 1, 3, 4])
+    assert (doc["n"], doc["m"], doc["f_label"]) == (5, 4, [0, 0, 1, 1, 2, 3, 4])
     assert doc["out_prefix"] == [0, 2, 1, 4, 2, 4, 3, 4, 4, 4]
     assert doc["in_prefix"] == [0, 0]
     assert doc["run_starts"] == [0, 1, 2] and doc["marked_positions"] == [1]
@@ -748,16 +745,19 @@ def trie_doc():
         ({"out_prefix": [0, 2, 1, 1, 2, 4, 3, 4, 4, 4]}, "out_prefix gives rank 1 degree -1"),
         ({"out_prefix": [0, 2, 1, 4, 2, 4, 3, 4, 4, 6]}, "out_prefix totals 6 edges, m = 4"),
         ({"in_prefix": []}, "in_prefix totals 5 edges, m = 4"),
-        # f_label has one check, against the runs: a count that falls, a
-        # start above 0 or an end below m disagrees with them too
-        ({"f_label": [0, 3, 1, 4]}, "f_label disagrees with the label counts of the runs"),
-        ({"f_label": [1, 1, 3, 4]}, "f_label disagrees with the label counts of the runs"),
-        ({"f_label": [0, 1, 3, 3]}, "f_label disagrees with the label counts of the runs"),
-        ({"sigma": -1, "f_label": []}, "run label 0 is outside"),
-        ({"f_label": [0, 2, 2, 4]}, "f_label disagrees with the label counts of the runs"),
-        ({"f_label": [0, 1, 3, 4, 4]}, "f_label disagrees with the label counts of the runs"),
-        # compared by length first, so no 10^18 counts are built
-        ({"sigma": 10**18}, "f_label disagrees with the label counts of the runs"),
+        # f_label, (label, count below it) pairs and then m, has one check,
+        # against the runs: a count that falls, a start above 0, an end
+        # below m, a pair missing, added or relabelled disagrees with them
+        ({"f_label": [0, 0, 1, 3, 2, 1, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [0, 1, 1, 1, 2, 3, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [0, 0, 1, 1, 2, 3, 3]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": []}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [0, 0, 1, 2, 2, 3, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [0, 0, 1, 1, 2, 3, 3, 3, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [0, 0, 1, 1, 5, 3, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [0, 0, 2, 3, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [1, 0, 0, 1, 2, 3, 4]}, "f_label disagrees with the label counts of the runs"),
+        ({"f_label": [0, 0, 1, 1, 2**63 - 1, 3, 4]}, "f_label disagrees with the label counts of the runs"),
     ],
 )
 def test_deserialize_rejects_impossible_degree_sums(edit, fragment):
@@ -767,39 +767,31 @@ def test_deserialize_rejects_impossible_degree_sums(edit, fragment):
         deserialize_index(file_of(doc))
 
 
-@pytest.mark.parametrize("sigma, f_label", [(-1, [0]), (-1, []), (1, [0])])
-def test_deserialize_rejects_wrong_sigma_without_runs(sigma, f_label):
-    # with no runs, no run label is out of range, so only the f_label check
-    # sees sigma: a negative one, or one past the stored counts
-    doc = doc_of(build_index(EDGELESS))
-    assert (doc["sigma"], doc["f_label"]) == (0, [0])
-    doc.update(sigma=sigma, f_label=f_label)
-    with pytest.raises(ValueError, match="corrupt index: f_label disagrees with the label counts"):
-        deserialize_index(file_of(doc))
-
-
-# the ids end in the format version, from when a version-4 case ran beside each
 @pytest.mark.parametrize(
-    "graph, sigma", [(gen_string_path((0, 1, 2, 0)).graph, 3), (EDGELESS, 0)], ids=["graph0-3-5", "graph1-0-5"]
+    "graph, f_label",
+    [(gen_string_path((0, 1, 2, 0)).graph, [0, 0, 1, 2, 2, 3, 4]), (EDGELESS, [0])],
+    ids=["string", "edgeless"],
 )
-def test_deserialize_rejects_sigma_past_the_largest_label(graph, sigma):
-    # a sigma raised by 3, with f_label padded to agree with it, loaded and
-    # reported labels that no run holds; a build makes 1 + the largest label
-    doc = doc_of(build_index(graph))
-    assert doc["sigma"] == sigma
-    doc.update(sigma=sigma + 3, f_label=doc["f_label"] + [doc["m"]] * 3)
-    data = file_of(doc)
-    fragment = f"sigma is {sigma + 3}, 1 \\+ the largest run label gives {sigma}"
-    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
-        deserialize_index(data)
+def test_deserialize_rejects_a_label_pair_that_no_run_holds(graph, f_label):
+    # version 5 stored sigma, and a sigma raised by 3 with a dense f_label
+    # padded to agree loaded and reported labels that no run holds; the
+    # alphabet is now 1 + the largest run label, so only an f_label pair
+    # can name such a label, with or without runs
+    ix = build_index(graph)
+    doc = doc_of(ix)
+    assert doc["f_label"] == f_label and "sigma" not in doc
+    assert deserialize_index(file_of(doc)).sigma == ix.sigma
+    doc["f_label"] = f_label[:-1] + [ix.sigma + 2, ix.m, ix.m]
+    with pytest.raises(ValueError, match="corrupt index: f_label disagrees with the label counts of the runs"):
+        deserialize_index(file_of(doc))
 
 
 def without_mark(doc: dict, p: int) -> bytes:
     """doc as file bytes with the extra mark at position p deleted: from
-    marked_positions, and its identifier, which follows the num_runs run
-    ends', from marked_pairs."""
+    marked_positions, and its identifier, which follows the identifiers of
+    the run ends, one per run, from marked_pairs."""
     i = doc["marked_positions"].index(p)
-    j = doc["num_runs"] + i
+    j = len(doc["run_starts"]) + i
     edited = dict(doc)
     edited["marked_positions"] = doc["marked_positions"][:i] + doc["marked_positions"][i + 1:]
     edited["marked_pairs"] = doc["marked_pairs"][:j] + doc["marked_pairs"][j + 1:]
@@ -882,11 +874,13 @@ def test_changing_a_mark_to_or_from_an_endpoint_identifier_is_rejected_at_load()
 
 
 def test_deserialize_rejects_stray_run_label():
-    # a zero-length run of label 5, at 1, leaves every count and run end
-    # intact; its end holds the identifier of the run end before it
+    # a zero-length run of label -1, at 1, leaves every count and run end
+    # intact; its end holds the identifier of the run end before it. (A
+    # label past the others no longer strays: the alphabet is 1 + the
+    # largest run label, and f_label must list it.)
     doc = trie_doc()
-    doc.update(run_starts=[0, 1, 0, 2], run_labels=[0, 5, 1, 2], num_runs=4, marked_pairs=[1, 1, 3, 4, 2])
-    with pytest.raises(ValueError, match="corrupt index: run label 5 is outside"):
+    doc.update(run_starts=[0, 1, 0, 2], run_labels=[0, -1, 1, 2], marked_pairs=[1, 1, 3, 4, 2])
+    with pytest.raises(ValueError, match="corrupt index: run label -1 is negative"):
         deserialize_index(file_of(doc))
 
 
@@ -936,7 +930,7 @@ def test_deserialize_rejects_run_starts_not_rising_from_0(starts, labels):
     doc = doc_of(build_index(ABBA))
     assert (doc["run_starts"], doc["run_labels"]) == ([0, 1, 2], [0, 1, 0])
     # one identifier per run, no extra marks: the lengths agree
-    doc.update(run_starts=starts, run_labels=labels, num_runs=len(starts), marked_positions=[],
+    doc.update(run_starts=starts, run_labels=labels, marked_positions=[],
                marked_pairs=[0] * len(starts))
     with pytest.raises(ValueError, match="corrupt index: run_starts does not rise strictly from 0"):
         deserialize_index(file_of(doc))
@@ -946,7 +940,7 @@ def test_deserialize_rejects_neighbouring_runs_with_one_label():
     # runs at [0, 1, 2, 3] labelled [0, 1, 1, 0] split the run of "bb" in
     # two and used to load; each position ends a run, so no mark is extra
     doc = doc_of(build_index(ABBA))
-    doc.update(run_starts=[0, 1, 1, 1], run_labels=[0, 1, 1, 0], num_runs=4, marked_positions=[],
+    doc.update(run_starts=[0, 1, 1, 1], run_labels=[0, 1, 1, 0], marked_positions=[],
                marked_pairs=[0, 1, 2, 4])
     with pytest.raises(ValueError, match="corrupt index: two neighbouring runs have the same label"):
         deserialize_index(file_of(doc))
@@ -1112,6 +1106,7 @@ GOLDEN_SHA256 = {
     "cycle": "a38149dc956c20040759afee745fcdda5d43fa124adadb0a96fb1e699019f3b8",
 }
 
+# The golden graphs through the version-5 reference writer.
 GOLDEN_V5_SHA256 = {
     "g1": "973113068797cb80342dce5f40c954733a879205e5dc69bed8d4cc718870ad91",
     "string": "2e4e723d941190b0c1d0821ea4b38bcaad6b69d3863d3827d06b686e9a568604",
@@ -1120,14 +1115,24 @@ GOLDEN_V5_SHA256 = {
     "cycle": "7968b4cc9ae26ca5a39b7528a8e4ee1051762c545a3d4133e4c5117f1d2c0493",
 }
 
+GOLDEN_V6_SHA256 = {
+    "g1": "dc3eb8504f06d95eabeed4faa93851cd0aa6ee9fe60a900c16ce03c424f560c2",
+    "string": "c9251de0d18ffd13fb8c963cb9f040d8a779678c1e53a200202cac2651fcafe2",
+    "multi": "aa398401827f9967a96525d472a20e423493af7a8c5be07da22e0d85660db532",
+    "trie": "f58952b086a229d79f98fada8fd6e33aa631c8103685a86b27ce130618b4d759",
+    "cycle": "72b7b1aa9586024a0eb63146318ab275708ebe1e3c77e78c545594cc3600fc45",
+}
+
 # Files of three golden graphs in every version. The version-4 files are
-# version-3 ones loaded and saved again, and the version-5 files the
-# version-4 ones, each anchoring a superset of what a build anchors today.
-# Only version 5 loads. Versions 1-4 are refused, and stay as fixtures of
-# that: version 1 holds dense n + 1 prefix arrays, versions 1 and 2 hold
-# (source id, destination id) pairs and no break ranks, versions 1-3 hold
-# every marked position, absolute run starts and anchors, and no checksum,
-# and version 4 holds its int lists as JSON lists.
+# version-3 ones loaded and saved again, the version-5 files the version-4
+# ones, and the version-6 files the version-5 documents with sigma and
+# num_runs dropped and f_label as pairs, each anchoring a superset of what
+# a build anchors today. Only version 6 loads. Versions 1-5 are refused,
+# and stay as fixtures of that: version 1 holds dense n + 1 prefix arrays,
+# versions 1 and 2 hold (source id, destination id) pairs and no break
+# ranks, versions 1-3 hold every marked position, absolute run starts and
+# anchors, and no checksum, version 4 holds its int lists as JSON lists,
+# and versions 4 and 5 hold a dense f_label, sigma and num_runs.
 OLDER_SHA256 = {
     (1, "g1"): "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
     (1, "trie"): "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
@@ -1144,6 +1149,9 @@ OLDER_SHA256 = {
     (5, "g1"): "226349c789fa584cd126532979a31783754269b78d5596d54199311fe2e2d459",
     (5, "trie"): "157e2ddb0e988cdddf8c102cab6dbf42a2301cec57ae3c29ff4c8935bfa99c19",
     (5, "cycle"): "7968b4cc9ae26ca5a39b7528a8e4ee1051762c545a3d4133e4c5117f1d2c0493",
+    (6, "g1"): "49bd470bbaaac24a51449fd9a636212b4fb54287fa6015a4f2c69770576417f0",
+    (6, "trie"): "b547fbb5b4116223d12c72814845270aac82e7f1206fd699f5671719e7a70824",
+    (6, "cycle"): "72b7b1aa9586024a0eb63146318ab275708ebe1e3c77e78c545594cc3600fc45",
 }
 
 
@@ -1154,13 +1162,16 @@ def sha256(data: bytes) -> str:
 def test_index_bytes_match_golden_hashes():
     """Refactors of the build must keep the serialized bytes of g1 and of
     four seeded graphs: a string, a multi-path, a trie and a cycle. The
-    version-4 writer gives the bytes of every build before version 5, so
-    the in-memory index is unchanged too."""
+    version-4 and version-5 writers give the bytes of every build before
+    version 6, so the in-memory index is unchanged too, and a load gives
+    it back."""
     graphs = golden_graphs()
     assert (graphs["string"].n, graphs["multi"].n, graphs["cycle"].n) == (5001, 4020, 500)
     built = {name: build_index(g) for name, g in graphs.items()}
     assert {name: sha256(serialize_v4(ix)) for name, ix in built.items()} == GOLDEN_SHA256
-    assert {name: sha256(serialize_index(ix)) for name, ix in built.items()} == GOLDEN_V5_SHA256
+    assert {name: sha256(serialize_v5(ix)) for name, ix in built.items()} == GOLDEN_V5_SHA256
+    assert {name: sha256(serialize_index(ix)) for name, ix in built.items()} == GOLDEN_V6_SHA256
+    assert all(deserialize_index(serialize_index(ix)) == ix for ix in built.values())
 
 
 def assert_narrow_columns(ix):
@@ -1234,7 +1245,7 @@ def test_saves_of_wider_sections_stay_canonical():
     for name, g in golden_graphs().items():
         ix = build_index(g)
         data = serialize_index(ix)
-        assert sha256(data) == GOLDEN_V5_SHA256[name]
+        assert sha256(data) == GOLDEN_V6_SHA256[name]
         doc = json.loads(data)
         for member in ("run_labels", "pred_ids"):
             assert doc[member][0] != "q"
@@ -1258,42 +1269,45 @@ def test_phi_of_the_first_vertex_raises_on_a_built_and_a_loaded_index():
 # cycles: 19 with other paths beside a cycle and 5 with several cycles.
 MIXED_CYCLES_SHA256 = "d9631b5659557734999c5bf4216f6f5be7a30e6ebde0e07bef0e7fd3454dc951"
 MIXED_CYCLES_V5_SHA256 = "a37692d2789d47b7fd2bfc7e3aed2f706bb637aad309cd9d5a3762d832eaa8a4"
+MIXED_CYCLES_V6_SHA256 = "0223bd7777322b850485b6064d180568eb6a8d3bc7a2d86821b95cd5df0a23c9"
 
 
 def test_index_bytes_of_cycles_beside_paths_match_golden_hash():
     """The cycle golden graph is one cycle alone; these pin the bytes where
     the decomposition breaks cycles beside other paths and other cycles."""
-    digest, v5 = hashlib.sha256(), hashlib.sha256()
+    digest, v5, v6 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     multiple = beside = 0
     for g in broken_cycle_graphs(20, seed=2026):
         ix = build_index(g)
         digest.update(serialize_v4(ix))
-        v5.update(serialize_index(ix))
+        v5.update(serialize_v5(ix))
+        v6.update(serialize_index(ix))
         multiple += len(ix.break_ranks) > 1
         beside += ix.num_paths > len(ix.break_ranks)
     assert (multiple, beside) == (5, 19)
     assert (digest.hexdigest(), v5.hexdigest()) == (MIXED_CYCLES_SHA256, MIXED_CYCLES_V5_SHA256)
+    assert v6.hexdigest() == MIXED_CYCLES_V6_SHA256
 
 
-LOADED = [(v, name) for v, name in sorted(OLDER_SHA256) if v == 5]
-REFUSED = [(v, name) for v, name in sorted(OLDER_SHA256) if v < 5]
+LOADED = [(v, name) for v, name in sorted(OLDER_SHA256) if v == 6]
+REFUSED = [(v, name) for v, name in sorted(OLDER_SHA256) if v < 6]
 
 
 @pytest.mark.parametrize("version, name", LOADED, ids=[f"v{v}-{name}" for v, name in LOADED])
-def test_older_files_load_and_reserialize_as_version_3(version, name):
-    """A version-5 file loads with its own anchors and re-saves to its own
-    bytes, and the version-4 reference writer gives back the version-4
-    file of the same graph, which does not load; everything else equals a
-    fresh build, and it answers as one. (The name dates from when
-    version-3 files loaded and were written back too.)"""
+def test_saved_files_load_and_resave_to_their_own_bytes(version, name):
+    """A version-6 file loads with its own anchors and re-saves to its own
+    bytes, and the version-4 and version-5 reference writers give back the
+    files of those versions of the same graph, which do not load;
+    everything else equals a fresh build, and it answers as one."""
     data = (DATA / f"{name}.v{version}.idx").read_bytes()
     assert sha256(data) == OLDER_SHA256[version, name]
     assert json.loads(data)["version"] == version
     ix = deserialize_index(data)
-    assert sha256(serialize_index(ix)) == OLDER_SHA256[5, name]
-    assert sha256(serialize_v4(ix)) == OLDER_SHA256[4, name]
-    with pytest.raises(ValueError, match="unsupported index version 4: version 5 is read"):
-        deserialize_index(serialize_v4(ix))
+    assert sha256(serialize_index(ix)) == OLDER_SHA256[6, name]
+    for old, writer in ((4, serialize_v4), (5, serialize_v5)):
+        assert sha256(writer(ix)) == OLDER_SHA256[old, name]
+        with pytest.raises(ValueError, match=f"unsupported index version {old}: version 6 is read"):
+            deserialize_index(writer(ix))
     g = golden_graphs()[name]
     fresh = build_index(g)
     assert replace(ix, phi=fresh.phi) == fresh
@@ -1307,13 +1321,14 @@ def test_older_files_load_and_reserialize_as_version_3(version, name):
 
 @pytest.mark.parametrize("version, name", REFUSED, ids=[f"v{v}-{name}" for v, name in REFUSED])
 def test_files_before_version_4_are_refused(version, name):
-    """A file of version 1, 2 or 3, which holds no checksum, or of version
-    4, which holds its int lists as JSON lists, does not load; the message
-    names the version that loads and how to build the index again. (The
-    name dates from when version-4 files loaded.)"""
+    """A file of version 1, 2 or 3, which holds no checksum, of version 4,
+    which holds its int lists as JSON lists, or of version 5, which holds a
+    dense f_label, does not load; the message names the version that loads
+    and how to build the index again. (The name dates from when version-4
+    files loaded.)"""
     path = DATA / f"{name}.v{version}.idx"
     assert sha256(path.read_bytes()) == OLDER_SHA256[version, name]
-    fragment = f"unsupported index version {version}: version 5 is read; build the index again"
+    fragment = f"unsupported index version {version}: version 6 is read; build the index again"
     with pytest.raises(ValueError, match=fragment):
         load_index(path)
 
@@ -1340,8 +1355,8 @@ def abba_doc() -> dict:
         ({"marked_positions": [-1]}, "marked_positions is not strictly increasing within \\[0, m\\)"),
         ({"marked_positions": [1, 0], "marked_pairs": [0, 2, 4, 1, 0]},
          "marked_positions is not strictly increasing within \\[0, m\\)"),
-        ({"marked_pairs": [0, 2, 4]}, "marked_pairs has 3 entries, num_runs \\+ len\\(marked_positions\\) gives 4"),
-        ({"marked_pairs": [0, 2, 4, 1, 3]}, "marked_pairs has 5 entries, num_runs \\+ len\\(marked_positions\\) gives 4"),
+        ({"marked_pairs": [0, 2, 4]}, "marked_pairs has 3 entries, len\\(run_starts\\) \\+ len\\(marked_positions\\) gives 4"),
+        ({"marked_pairs": [0, 2, 4, 1, 3]}, "marked_pairs has 5 entries, len\\(run_starts\\) \\+ len\\(marked_positions\\) gives 4"),
         # the extra mark deleted with its identifier: an edge into the sink (M2)
         ({"marked_positions": [], "marked_pairs": [0, 2, 4]}, "position 1 \\(rule M1-M3\\) is not marked"),
     ], ["first-run-gap-1", "run-gap-0", "starts-reach-m", "anchor-gap-0", "first-anchor-negative",
@@ -1409,7 +1424,7 @@ def test_every_single_byte_substitution_is_rejected(name, code):
     by the parse. The full 255 values run on g1 and on the closing 32 bytes
     of each file; elsewhere the eight single-bit flips, since CRC-32 detects
     any error burst up to 32 bits long."""
-    data = (DATA / f"{name}.v5.idx").read_bytes()
+    data = (DATA / f"{name}.v6.idx").read_bytes()
     data = file_of(lists_of(data), code) if code else data
     assert data.endswith(b"}") and data.rindex(b',"crc32":') > len(data) - 32
     for i, old in enumerate(data):
@@ -1423,13 +1438,40 @@ def test_every_single_byte_substitution_is_rejected(name, code):
 
 @pytest.mark.parametrize("label", [2**60 - 1, 2**63 - 2, 2**63 - 1, 2**63, 2**70])
 def test_save_rejects_a_label_past_a_word(label):
-    # the build answers; a save raised OverflowError or MemoryError from the
-    # dense f_label, sigma + 1 entries, past the longest list there can be
+    """The build answers at any label. A label up to 2**63 - 1, the largest
+    a section word holds, saves to a file under 1 KB that loads and answers
+    as the build does; a save of a larger one raises ValueError. (Version
+    5 refused all five labels: its dense f_label held sigma + 1 entries.)"""
     ix = build_index(WheelerGraph(2, [(0, 1, label)]))
-    assert count(ix, (label,)) == 1
-    bound = sys.maxsize // 8 - 1
-    with pytest.raises(ValueError, match=f"label {label} is past {bound}, the largest a dense f_label list holds"):
-        serialize_index(ix)
+    assert count(ix, (label,)) == 1 and locate(ix, (label,)) == [1]
+    if label >= 2**63:
+        with pytest.raises(ValueError, match=f"label {label} is past {2**63 - 1}, the largest a section word holds"):
+            serialize_index(ix)
+        return
+    data = serialize_index(ix)
+    loaded = deserialize_index(data)
+    assert len(data) < 1024 and lists_of(data)["f_label"] == [label, 0, 1]
+    assert loaded == ix and loaded.sigma == label + 1
+    assert (count(loaded, (label,)), locate(loaded, (label,)), count(loaded, (0,))) == (1, [1], 0)
+
+
+def test_a_label_of_2_to_the_40_round_trips_through_a_file(tmp_path):
+    """A string path over the labels 0, 1 and 2**40: saved and loaded, the
+    index is the built one and answers every pattern up to length 3 over
+    those labels as it does. Version 5 made the save try to allocate a
+    dense f_label of 2**40 + 1 entries, 8 TB."""
+    big = 2**40
+    g = gen_string_path((0, big, 1, big, big, 0, 1)).graph
+    ix = build_index(g)
+    path = tmp_path / "big.idx"
+    save_index(ix, path)
+    assert path.stat().st_size < 1024
+    loaded = load_index(path)
+    assert loaded == ix and loaded.sigma == big + 1
+    for length in range(4):
+        for pattern in product((0, 1, big), repeat=length):
+            assert count(loaded, pattern) == count(ix, pattern) == len(naive_match(g, pattern))
+            assert locate(loaded, pattern) == locate(ix, pattern)
 
 
 WORD_EDGES = [0, -1, 127, 128, -128, -129, 32767, 32768, -32768, -32769,
@@ -1464,9 +1506,10 @@ def test_sections_round_trip_as_little_endian_words(values):
     assert _unpack("run_starts", section) == unpack_section(section) == values
 
 
-@pytest.mark.parametrize("member, value, fragment", V5_CORRUPTIONS.values(), ids=V5_CORRUPTIONS)
+@pytest.mark.parametrize("member, value, fragment", SECTION_CORRUPTIONS.values(), ids=SECTION_CORRUPTIONS)
 def test_version_5_rejects_corrupt_sections(member, value, fragment):
-    doc = json.loads((DATA / "g1.v5.idx").read_bytes())
+    # (the name dates from version 5, which introduced the sections)
+    doc = json.loads((DATA / "g1.v6.idx").read_bytes())
     assert (doc["run_labels"], unpack_section(doc["pred_ids"])) == ("bAAEA", [2, 3, -1, 0])
     doc[member] = value
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
@@ -1483,7 +1526,7 @@ def fuzz_docs() -> list[dict]:
     return [doc_of(build_index(g)) for g in graphs]
 
 
-HEADER = ("n", "m", "sigma", "num_runs", "num_paths", "last_rank_id")
+HEADER = ("n", "m", "num_paths", "last_rank_id")
 
 
 @settings(max_examples=400, deadline=None)

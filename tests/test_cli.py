@@ -13,7 +13,7 @@ import wgrindex
 from wgrindex import build_index, count, load_index, locate, parse_graph, to_wgf, validate_wheeler
 from wgrindex.cli import main
 
-from helpers import G1_TEXT, V5_CORRUPTIONS, doc_of, file_of, reseal
+from helpers import G1_TEXT, SECTION_CORRUPTIONS, doc_of, file_of, reseal
 
 
 DATA = Path(__file__).parent / "data"
@@ -60,6 +60,24 @@ def test_validate_sparse_label_takes_no_time(capsys, tmp_path):
     assert validate_wheeler(g).is_wheeler
     assert time.perf_counter() - start < 0.1
     assert run(capsys, "validate", str(path)) == (0, "wheeler=true\n", "")
+
+
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_vertex_count_past_memory_exits_2(tmp_path, command):
+    # the 8 * 10**15 bytes of the degree lists are past the address space,
+    # so the allocation raises MemoryError at once: a traceback and exit 1,
+    # the code for "not a Wheeler order"
+    wgf, idx = tmp_path / "huge.wgf", tmp_path / "huge.idx"
+    wgf.write_text("n 1000000000000000\nm 0\n")
+    src = str(Path(wgrindex.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgrindex", command, str(wgf), *([str(idx)] if command == "build" else [])],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: the input is too large for memory\n")
+    assert not idx.exists()
 
 
 def test_validate_vertex_count_past_the_largest_list(capsys, tmp_path):
@@ -286,17 +304,17 @@ def test_query_damaged_file_rejected_by_checksum_v5(capsys, g1_idx, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["query", "stats"])
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("name", ["g1", "trie", "cycle"])
 def test_index_before_version_4_exits_2(capsys, tmp_path, name, version, command):
-    # a load refuses every version but 5 and names the way to build the
+    # a load refuses every version but 6 and names the way to build the
     # index again (the name dates from when version 4 loaded)
     pats = tmp_path / "p.txt"
     pats.write_text("a\n")
     extra = ["--mode", "count", "--patterns", str(pats)] if command == "query" else []
     code, out, err = run(capsys, command, str(DATA / f"{name}.v{version}.idx"), *extra)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: unsupported index version {version}: version 5 is read")
+    assert err.startswith(f"error: unsupported index version {version}: version 6 is read")
     assert "wgrindex build" in err
     assert "Traceback" not in err
 
@@ -344,9 +362,9 @@ def test_stats_of_a_value_past_a_word_exits_2(capsys, tmp_path, field, value):
 
 
 @pytest.mark.parametrize("command", ["query", "stats"])
-@pytest.mark.parametrize("member, value, fragment", V5_CORRUPTIONS.values(), ids=V5_CORRUPTIONS)
+@pytest.mark.parametrize("member, value, fragment", SECTION_CORRUPTIONS.values(), ids=SECTION_CORRUPTIONS)
 def test_corrupt_section_exits_2(capsys, tmp_path, member, value, fragment, command):
-    doc = json.loads((DATA / "g1.v5.idx").read_bytes())
+    doc = json.loads((DATA / "g1.v6.idx").read_bytes())
     doc[member] = value
     bad = tmp_path / "bad.idx"
     bad.write_bytes(reseal(doc))
@@ -361,14 +379,21 @@ def test_corrupt_section_exits_2(capsys, tmp_path, member, value, fragment, comm
 
 @pytest.mark.parametrize("label", [2**60 - 1, 2**63 - 2, 2**63 - 1, 2**63, 2**70])
 def test_build_of_a_label_past_a_word_exits_2(capsys, tmp_path, label):
-    # the save raised OverflowError or MemoryError: a traceback and exit 1,
-    # the code for "not a Wheeler order"
+    # a label up to 2**63 - 1, the largest a section word holds, builds a
+    # file that loads and answers; a larger one exits 2 and writes no file.
+    # (A save of the dense f_label of version 5 raised OverflowError or
+    # MemoryError, a traceback and exit 1, before a guard refused them all.)
     wgf, idx = tmp_path / "big.wgf", tmp_path / "big.idx"
     wgf.write_text(f"n 2\nm 1\ne 0 1 {label}\n")
     code, out, err = run(capsys, "build", str(wgf), str(idx))
+    if label < 2**63:
+        assert (code, out, err) == (0, "n=2 m=1 r=1 upsilon=1 marked=1 anchors=2\n", "")
+        ix = load_index(idx)
+        assert (ix.sigma, count(ix, (label,)), locate(ix, (label,)), count(ix, (0,))) == (label + 1, 1, [1], 0)
+        assert run(capsys, "stats", str(idx))[1].splitlines()[2] == f"sigma={label + 1}"
+        return
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: label {label} is past {sys.maxsize // 8 - 1}, the largest a dense f_label list holds")
-    assert "Traceback" not in err
+    assert err == f"error: label {label} is past {2**63 - 1}, the largest a section word holds\n"
     assert not idx.exists()
 
 

@@ -81,14 +81,15 @@ def test_step_interval_label_that_never_occurs():
 
 
 def test_sparse_label_builds_and_answers_in_no_time():
-    # The label offsets ride in the run counts, so nothing of length sigma
-    # is built: a label of 10**9 used to allocate a dense f_label of 8 GB.
-    # The writer still emits that list, so this index is not saved.
+    # The label offsets ride in the run counts, and a file's f_label lists
+    # only the labels that occur, so nothing of length sigma is built: a
+    # label of 10**9 used to allocate a dense f_label of 8 GB.
     start = time.perf_counter()
     g = WheelerGraph(n=3, edges=[(0, 1, 0), (1, 2, 10**9)])
-    ix = build_index(g)
+    built = build_index(g)
+    ix = deserialize_index(serialize_index(built))
     idof = assign_identifiers(g, decompose_paths(g)).id_of_rank
-    assert ix.sigma == 10**9 + 1
+    assert ix == built and ix.sigma == 10**9 + 1
     assert count(ix, (10**9,)) == count(ix, (0, 10**9)) == 1
     assert count(ix, (0,)) == 1 and count(ix, (5,)) == count(ix, (10**9, 0)) == 0
     assert locate(ix, (0, 10**9)) == [idof[2]] and locate(ix, (0,)) == [idof[1]]
@@ -97,9 +98,9 @@ def test_sparse_label_builds_and_answers_in_no_time():
 
 
 def test_sparse_label_saves_and_loads_in_time():
-    # A save writes the dense f_label and a load checks it, each filling it
-    # with one slice per label that occurs. The limit is over 4x the 0.32 s
-    # that build, save, load and queries took on a 2-core x86_64 machine.
+    # A save writes f_label, one pair per label that occurs, and a load
+    # checks it. The limit is over 4x the 0.32 s that build, save, load and
+    # queries took, when f_label was dense, on a 2-core x86_64 machine.
     start = time.perf_counter()
     g = WheelerGraph(n=3, edges=[(0, 1, 0), (1, 2, 10**6)])
     ix = deserialize_index(serialize_index(build_index(g)))
