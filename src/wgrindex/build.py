@@ -56,38 +56,40 @@ class RLSequence:
     """Rank/select over a run-length encoded label sequence.
 
     Keeps each run's label, in run order, and per label in ascending order
-    a directory of its runs: their starts, a list that rank bisects, and
-    cums, the in-slots that queries only index: the labels below c (the
-    FM-index C[c]) plus the occurrences of c before each run, then after
-    the last; and a cut table, cuts[b] the runs starting before b << shift,
-    for the least bucket width 2**shift that holds at least _RUNS_PER_BUCKET
-    runs on average, so rank bisects one bucket's runs. run_labels, cums and
-    cuts are narrowest-word arrays (_narrow); storage is O(runs + distinct labels).
+    a directory of its runs: their starts, a list that rank bisects; cums,
+    the in-slots that queries only index: the labels below c (the FM-index
+    C[c]) plus the occurrences of c before each run, then after the last;
+    a cut table, cuts[b] the runs starting before b << shift, for the least
+    bucket width 2**shift that holds at least _RUNS_PER_BUCKET runs on
+    average, so rank bisects one bucket's runs; and end_ids, the identifier
+    each run's last edge enters (its toehold sample). All but starts are
+    narrowest-word arrays (_narrow); storage is O(runs + distinct labels).
     """
 
     length: int
     run_labels: array
-    runs_of: dict[int, tuple[list[int], array, int, array]] = field(repr=False)
+    runs_of: dict[int, tuple[list[int], array, int, array, array]] = field(repr=False)
 
     @classmethod
-    def of_runs(cls, m: int, run_starts: list[int], run_labels) -> RLSequence:
-        """The directories of the runs in [0, m) at run_starts, with run_labels, a list or an array."""
-        runs_of: dict[int, tuple[list[int], list[int]]] = {}  # label -> (starts, lengths)
-        for s, e, lab in zip(run_starts, run_starts[1:] + [m], run_labels):
+    def of_runs(cls, m: int, run_starts: list[int], run_labels, end_ids) -> RLSequence:
+        """The directories of the runs in [0, m) at run_starts, with run_labels and end_ids in run order."""
+        runs_of: dict[int, tuple[list[int], list[int], list[int]]] = {}  # label -> (starts, lengths, end ids)
+        for s, e, lab, i in zip(run_starts, run_starts[1:] + [m], run_labels, end_ids):
             runs = runs_of.get(lab)
             if runs is None:
-                runs_of[lab] = ([s], [e - s])
+                runs_of[lab] = ([s], [e - s], [i])
             else:
                 runs[0].append(s)
                 runs[1].append(e - s)
+                runs[2].append(i)
         directories, below = {}, 0
         for c in sorted(runs_of):
-            starts, lengths = runs_of[c]
+            starts, lengths, ids = runs_of[c]
             cums = _narrow(list(accumulate(lengths, initial=below)))
             # The least shift with len(starts) << shift >= _RUNS_PER_BUCKET * m.
             shift = (-(-_RUNS_PER_BUCKET * m // len(starts)) - 1).bit_length()
             cuts = _narrow(list(map(bisect_left, repeat(starts), range(0, (m >> shift) + 2 << shift, 1 << shift))))
-            directories[c], below = (starts, cums, shift, cuts), cums[-1]
+            directories[c], below = (starts, cums, shift, cuts, _narrow(ids)), cums[-1]
         return cls(m, _narrow(run_labels), directories)
 
     def rank(self, c: int, p: int) -> int:
@@ -96,7 +98,7 @@ class RLSequence:
         runs = self.runs_of.get(c)
         if runs is None:
             return 0
-        starts, cums, shift, cuts = runs
+        starts, cums, shift, cuts, _ = runs
         b = p >> shift
         t = bisect_left(starts, p, cuts[b], cuts[b + 1])  # runs of c starting strictly before p
         if t == 0:
@@ -110,16 +112,18 @@ class RLSequence:
         runs = self.runs_of.get(c)
         if runs is None or not runs[1][0] <= k < runs[1][-1]:
             raise IndexError(f"select({c}, {k}): no occurrence of the label holds in-slot {k}")
-        starts, cums, _, _ = runs
+        starts, cums, _, _, _ = runs
         t = bisect_right(cums, k) - 1
         return starts[t] + (k - cums[t])
 
 
-def build_rank_select(labels: list[int]) -> RLSequence:
+def build_rank_select(labels: list[int], dsts: list[int], id_of_rank: list[int]) -> RLSequence:
     """Rank/select directories over the runs of the edge labels in transform
-    order; a run starts wherever the label differs from the one before."""
+    order, a run starting wherever the label changes, each with the id of
+    dsts[p] at its last p: narrow words, so of_runs reads no scattered int."""
     run_starts = list(compress(range(len(labels)), map(ne, [None] + labels, labels)))
-    return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts])
+    end_ids = _narrow([id_of_rank[dsts[p]] for p in _run_ends(run_starts, len(labels))])
+    return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts], end_ids)
 
 
 @dataclass
@@ -172,26 +176,24 @@ def build_partial_sums(g: WheelerGraph) -> DegreeSums:
 class ToeholdTable:
     """Endpoint identifiers stored at marked transform positions.
 
-    pairs maps a marked position to the identifier of its edge's
-    destination, the only endpoint a query step reads. Positions are
-    marked exactly where a query step may need a stored answer; everywhere
-    else the tracked identifier advances with the +1 rule, so the table
-    plus that rule cover every step. Every run end is marked (rule M1).
-    pairs holds the run ends first, in run order, the only record of it,
-    which a save writes; then the other marked positions, the extras,
-    ascending: the only positions an index file stores, and the order in
-    which it lists their identifiers.
+    A marked position holds the identifier of its edge's destination, the
+    only endpoint a query step reads. Positions are marked exactly where a
+    query step may need a stored answer; everywhere else the tracked
+    identifier advances with the +1 rule, so the marks plus that rule cover
+    every step. Every run end is marked (rule M1), and a step reads its
+    identifier from its run's directory (RLSequence end_ids). end_ids here
+    holds the same identifiers in run order, the order a save writes them
+    in; pairs maps each other marked position, the extras, ascending, to
+    its identifier.
     """
 
+    end_ids: array
     pairs: dict[int, int]
 
 
 def _run_ends(starts: list[int], m: int) -> list[int]:
-    """The last position of each run, in run order. A run of length 1 ends
-    at its start's int object rather than a new int, since an index keeps
-    the ends as the keys of its toehold table."""
-    ends = [s if t - s == 1 else t - 1 for s, t in zip(starts, starts[1:])]
-    return ends + [m - 1] if starts else []
+    """The last position of each run starting at starts, in run order."""
+    return list(map(sub, chain(islice(starts, 1, None), (m,) if starts else ()), repeat(1)))
 
 
 def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
@@ -220,12 +222,13 @@ def build_toehold(
     ids: IdAssignment, dsts: list[int], rl: RLSequence, sums: DegreeSums, break_ranks: list[int]
 ) -> ToeholdTable:
     """Record the identifier of dsts[p], the destination rank of the edge at
-    p, at each run end, found from the sorted per-label starts, and at each
-    position _required_marks names."""
-    id_of = ids.id_of_rank
+    p, at each position _required_marks names that is not a run end, and
+    the run ends' identifiers, which rl holds per label, in run order."""
     ends = _run_ends(sorted(chain.from_iterable(runs[0] for runs in rl.runs_of.values())), rl.length)
     extras = sorted(_required_marks(rl, sums, break_ranks).difference(ends))
-    return ToeholdTable({p: id_of[dsts[p]] for p in chain(ends, extras)})
+    nexts = {c: iter(runs[4]) for c, runs in rl.runs_of.items()}  # run t's id: the next in its label's end_ids
+    return ToeholdTable(_narrow(list(map(next, map(nexts.__getitem__, rl.run_labels)))),
+                        {p: ids.id_of_rank[dsts[p]] for p in extras})
 
 
 @dataclass
@@ -296,7 +299,7 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
     labels, dsts = build_bwt(g)  # raises NotWheelerError on a bad order
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
-    rl = build_rank_select(labels)
+    rl = build_rank_select(labels, dsts, ids.id_of_rank)
     sums = build_partial_sums(g)
     return WheelerRIndex(
         n=g.n,
@@ -317,8 +320,9 @@ class SpaceReport:
     """Measured sizes of the built components, in stored integers ("words").
 
     rank_select counts one word per run, its label, then each label's starts,
-    run counts and cut-table entries; the toehold two words per marked position
-    (the position and its destination identifier) and one per break rank.
+    run counts and cut-table entries; the toehold one word per break rank
+    and two per marked position: a run end's identifier in its label's
+    directory and in run order, an extra's position and identifier.
 
     marked_bound, anchor_bound and degree_bound are the budgets the
     construction is expected to stay within: num_runs + 4 * num_paths marked
@@ -365,9 +369,10 @@ class SpaceReport:
 def space_report(ix: WheelerRIndex) -> SpaceReport:
     """Tally stored integers per component and the expected size budgets."""
     rl, sums = ix.rl, ix.sums
-    r, marked, anchors = len(rl.run_labels), len(ix.toehold.pairs), len(ix.phi.anchor_ids)
+    r, anchors = len(rl.run_labels), len(ix.phi.anchor_ids)
+    marked = r + len(ix.toehold.pairs)
     exceptions = len(sums.out_ranks) + len(sums.in_ranks)
-    rl_words = r + sum(len(starts) + len(cums) + len(cuts) for starts, cums, _, cuts in rl.runs_of.values())
+    rl_words = r + sum(len(starts) + len(cums) + len(cuts) for starts, cums, _, cuts, _ in rl.runs_of.values())
     words = {
         "rank_select": rl_words,
         "degree_sums": 2 * exceptions,
@@ -442,7 +447,10 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
     2**63 - 1, which no section word holds."""
     if ix.sigma > 1 << 63:
         raise ValueError(f"label {ix.sigma - 1} is past {(1 << 63) - 1}, the largest a section word holds")
-    sums, pairs, r = ix.sums, ix.toehold.pairs, len(ix.rl.run_labels)
+    sums, toehold = ix.sums, ix.toehold
+    extra_ids = list(toehold.pairs.values())  # after the run ends', in the wider word of the two
+    marked = array(max(toehold.end_ids.typecode, _narrow(extra_ids).typecode, key=_WORDS.index), toehold.end_ids)
+    marked.extend(extra_ids)
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -450,14 +458,13 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "m": ix.m,
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
-        # Run t + 1 starts after the end of run t, the toehold's key t.
-        "run_starts": _pack([0, *map(sub, islice(pairs, r - 1), chain((-1,), pairs))] if r else []),
+        "run_starts": _pack(_gaps(sorted(chain.from_iterable(runs[0] for runs in ix.rl.runs_of.values())))),
         "run_labels": _pack(ix.rl.run_labels),
         "out_prefix": _pack(_interleave(sums.out_ranks, sums.out_after)),
         "in_prefix": _pack(_interleave(sums.in_ranks, sums.in_after)),
         "f_label": _pack(_f_label(ix.rl)),
-        "marked_positions": _pack(list(islice(pairs, r, None))),  # the extras
-        "marked_pairs": _pack(list(pairs.values())),  # run ends, then extras
+        "marked_positions": _pack(list(toehold.pairs)),  # the extras
+        "marked_pairs": _pack(marked),
         "break_ranks": _pack(ix.break_ranks),
         "anchor_ids": _pack(_gaps(ix.phi.anchor_ids)),
         "pred_ids": _pack(ix.phi.pred_ids),  # -1 for the order-first vertex
@@ -548,6 +555,11 @@ def _entered_ranks(rl: RLSequence, starts: list[int], sums: DegreeSums, position
     return list(map(target, positions))
 
 
+def _ends_among(positions, starts: list[int], m: int) -> list[int]:
+    """The positions, in their order, that end one of the runs starting at starts in [0, m)."""
+    return [p for p in positions if p == m - 1 or bisect_left(starts, p + 1) < bisect_right(starts, p + 1)]
+
+
 def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index, for version 6, the only version it writes.
     The run ends are marked by definition; the break ranks are read off the
@@ -606,9 +618,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             ("marked_pairs", "len(run_starts) + len(marked_positions)", len(run_gaps) + len(extras)),
         ):
             if len(doc[name]) != want:
-                raise ValueError(
-                    f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}"
-                )
+                raise ValueError(f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}")
         firsts = pred_ids.count(-1)
         if firsts != min(n, 1):
             raise ValueError(f"corrupt index: pred_ids holds {firsts} first-vertex entries, n = {n} needs {min(n, 1)}")
@@ -625,14 +635,14 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             raise ValueError(f"corrupt index: run label {min(run_labels)} is negative")
         if run_gaps[:1] != ([0] if m else []) or not _rising(run_gaps, m):
             raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
-        starts = list(accumulate(run_gaps))
-        rl = RLSequence.of_runs(m, starts, run_labels)
+        starts, r = list(accumulate(run_gaps)), len(run_gaps)
+        rl = RLSequence.of_runs(m, starts, run_labels, dests[:r])  # a list: an array would make an int per run
         if any(map(eq, run_labels, run_labels[1:])):
             raise ValueError("corrupt index: two neighbouring runs have the same label")
-        ends = _run_ends(starts, m)
-        pairs = dict(zip(chain(ends, extras), dests))
-        if len(pairs) != len(dests):
-            raise ValueError(f"corrupt index: marked_positions holds run end {min(set(ends).intersection(extras))}")
+        held = _ends_among(extras, starts, m)
+        if held:
+            raise ValueError(f"corrupt index: marked_positions holds run end {held[0]}")
+        pairs = dict(zip(extras, dests[r:]))
         sums, isolated = _load_degree_sums(doc)
         if doc["f_label"] != _f_label(rl):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
@@ -647,49 +657,36 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         # rule M2 marks every edge into one: the breaks are the ranks entered
         # at a mark that holds such an identifier, less the exceptions.
         first = n - len(exceptions) - cycles
-        entering = list(compress(pairs, map(ge, pairs.values(), repeat(first))))
+        into = list(map(ge, dests, repeat(first)))  # marks that hold an endpoint identifier
+        entering = [s - 1 for s in compress(chain(islice(starts, 1, None), (m,)), into)]  # run ends, then extras
+        entering += compress(extras, islice(into, r, None))
         targets = _entered_ranks(rl, starts, sums, entering)
         breaks = sorted(set(targets).difference(exceptions))
         stored = doc["break_ranks"]
         if len(stored) != cycles:
-            raise ValueError(
-                f"corrupt index: break_ranks has {len(stored)} entries, "
-                f"num_paths and the degree sums give {cycles} cycles"
-            )
+            raise ValueError(f"corrupt index: break_ranks has {len(stored)} entries, "
+                             f"num_paths and the degree sums give {cycles} cycles")
         if stored != breaks:
-            raise ValueError(
-                "corrupt index: break_ranks is not the ranks of degree 1 "
-                "that the marked endpoint identifiers enter"
-            )
+            raise ValueError("corrupt index: break_ranks is not the ranks of degree 1 "
+                             "that the marked endpoint identifiers enter")
         unmarked = _required_marks(rl, sums, breaks).difference(pairs)
+        unmarked.difference_update(_ends_among(unmarked, starts, m))
         if unmarked:
             raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
         # Every mark holding an endpoint identifier enters that endpoint, and
         # every edge into an endpoint holds one: the endpoints have m - first
         # in-edges, since every other rank has in-degree 1.
         endpoints = sorted(exceptions.union(breaks))
-        if len(entering) != m - first or [endpoints[pairs[p] - first] for p in entering] != targets:
+        if len(entering) != m - first or [endpoints[i - first] for i in compress(dests, into)] != targets:
             raise ValueError("corrupt index: the marks into the path endpoints do not hold their identifiers")
-        # Rank n - 1 holds in-slot m - 1, the last occurrence of the largest
-        # label, a run end; with no edges the identifiers follow the ranks.
-        if m:
-            last = pairs[rl.select(top, m - 1)]
-        else:
-            last = n - 1 if n else None
+        # Rank n - 1 holds in-slot m - 1, the end of the last run of the
+        # largest label; with no edges the identifiers follow the ranks.
+        last = rl.runs_of[top][4][-1] if m else n - 1 if n else None
         if doc["last_rank_id"] != last:
             raise ValueError(f"corrupt index: last_rank_id is {doc['last_rank_id']}, not {last}")
-        return WheelerRIndex(
-            n=n,
-            m=m,
-            sigma=top + 1,
-            num_paths=doc["num_paths"],
-            break_ranks=breaks,
-            last_rank_id=doc["last_rank_id"],
-            rl=rl,
-            sums=sums,
-            toehold=ToeholdTable(pairs),
-            phi=PhiStructure(anchor_ids=anchor_ids, pred_ids=pred_ids),
-        )
+        return WheelerRIndex(n=n, m=m, sigma=top + 1, num_paths=doc["num_paths"], break_ranks=breaks,
+                             last_rank_id=doc["last_rank_id"], rl=rl, sums=sums,
+                             toehold=ToeholdTable(_narrow(dests[:r]), pairs), phi=PhiStructure(anchor_ids, pred_ids))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not an index file: malformed field ({exc})") from exc
 

@@ -41,9 +41,10 @@ def _labels(pattern: Sequence[int]) -> tuple[int, ...]:
     return labels
 
 
-def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] | None:
-    """Ranks s', e' of the interval [s, e] extended by c, and the position
-    of the last c in the out-range of [s, e]; None when nothing matches.
+def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int, int | None] | None:
+    """Ranks s', e' of the interval [s, e] extended by c, the position p
+    of the last c in the out-range of [s, e], and end, the identifier
+    stored at p when p ends its run, else None; None when nothing matches.
 
     The first and last occurrences of c among the interval's out-edge labels
     lead to the first and last vertices of the refined interval; their ranks
@@ -73,7 +74,7 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
         return None
     k1 = rl.rank(c, lo)
     # The last run of c starting before hi holds the last c before hi.
-    starts, cums, shift, cuts = runs
+    starts, cums, shift, cuts, end_ids = runs
     b = hi >> shift
     t = bisect_left(starts, hi, cuts[b], cuts[b + 1]) - 1
     if t < 0:
@@ -85,6 +86,7 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
     if k2 <= k1:
         return None
     p = starts[t] + k2 - before - 1
+    end = end_ids[t] if k2 == through else None  # p ends run t
     # In-slots k1 and k2 - 1 name the first and last vertex reached: a slot
     # past the exception at ranks[t - 1] lies at a rank of in-degree 1
     # after it, unless that passes ranks[t], which then holds the slot.
@@ -99,7 +101,7 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int] |
     e2 = ranks[t - 1] + 1 + slot - after[t - 1] if t else slot
     if t < listed and e2 > ranks[t]:
         e2 = ranks[t]
-    return s2, e2, p
+    return s2, e2, p, end
 
 
 # count looks this name up on every label, so a wrapper set on the module
@@ -120,7 +122,7 @@ def count(ix: WheelerRIndex, pattern: Sequence[int]) -> int:
         r = step_interval(ix, s, e, c)
         if r is None:
             return 0
-        s, e, _ = r
+        s, e, _, _ = r
     return e - s + 1
 
 
@@ -129,18 +131,19 @@ def step_toehold(ix: WheelerRIndex, s: int, e: int, last_id: int, c: int) -> tup
     (s', e', last_id'), or None when nothing matches.
 
     The new last vertex is reached by the last c in the interval's
-    out-range, position p. If p is marked, the stored identifier is used;
+    out-range, position p. If p is marked, one pairs.get gives its stored
+    identifier: an extra's, else the default, the run end's from _refine;
     from the full interval p is the globally last c, a run end, so it always
-    is. Otherwise p must lie in the out-range of the old last vertex e (the
-    two ranges end together), where both endpoints of p's edge are
+    is. Otherwise (None) p must lie in the out-range of the old last vertex
+    e (the two ranges end together), where both endpoints of p's edge are
     chain-interior and the identifier is last_id + 1. An unmarked p before
     that range means the index is corrupt.
     """
     r = _refine(ix, s, e, c)
     if r is None:
         return None
-    s2, e2, p = r
-    new_id = ix.toehold.pairs.get(p)
+    s2, e2, p, end = r
+    new_id = ix.toehold.pairs.get(p, end)
     if new_id is None:
         if p < ix.sums.out_prefix(e):
             raise IndexInvariantError(

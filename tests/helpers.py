@@ -23,7 +23,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, chain, islice, pairwise, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from pathlib import Path
 
 import pytest
@@ -46,7 +46,7 @@ from wgrindex import (
     serialize_index,
     validate_wheeler,
 )
-from wgrindex.build import _SECTIONS, RLSequence
+from wgrindex.build import _SECTIONS, RLSequence, build_bwt, build_rank_select
 from wgrindex.generators import GeneratedInstance, _rotation_ranks, is_primitive
 from wgrindex.graph import IdAssignment, Violation, transform_order
 from wgrindex.query import step_toehold
@@ -297,7 +297,7 @@ def serialize_v4(ix: WheelerRIndex) -> bytes:
     JSON list, None for the order-first vertex's predecessor, and the crc32
     member last. The loader refuses its files; its digests of the golden
     graphs pin that builds have not changed since before version 5."""
-    sums, pairs, r = ix.sums, ix.toehold.pairs, len(ix.rl.run_labels)
+    sums, toehold, r = ix.sums, ix.toehold, len(ix.rl.run_labels)
     preds = [None if p < 0 else p for p in ix.phi.pred_ids]
     doc = {
         "format": "wgrindex",
@@ -308,14 +308,13 @@ def serialize_v4(ix: WheelerRIndex) -> bytes:
         "num_runs": r,
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
-        # Run t + 1 starts after the end of run t, the toehold's key t.
-        "run_starts": [0, *(b - a for a, b in pairwise([-1, *islice(pairs, r - 1)]))] if r else [],
+        "run_starts": [b - a for a, b in pairwise([0, *run_starts_of(ix.rl)])],
         "run_labels": list(ix.rl.run_labels),
         "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
         "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
         "f_label": dense_f_label(ix.rl, ix.sigma),
-        "marked_positions": list(islice(pairs, r, None)),
-        "marked_pairs": list(pairs.values()),
+        "marked_positions": list(toehold.pairs),
+        "marked_pairs": [*toehold.end_ids, *toehold.pairs.values()],
         "break_ranks": ix.break_ranks,
         "anchor_ids": [b - a for a, b in pairwise([0, *ix.phi.anchor_ids])],
         "pred_ids": preds,
@@ -564,10 +563,18 @@ def transform_labels(g: WheelerGraph) -> list[int]:
     return [g.edges[i][2] for i in transform_order(g)[0]]
 
 
-def rl_from_labels(labels) -> RLSequence:
-    """Rank/select directories straight from a label sequence."""
+def rl_from_labels(labels, id_at=None) -> RLSequence:
+    """Rank/select directories straight from a label sequence, each run
+    ending at p with the run-end identifier id_at[p], by default p."""
     run_starts = [p for p, lab in enumerate(labels) if p == 0 or lab != labels[p - 1]]
-    return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts])
+    id_at = range(len(labels)) if id_at is None else id_at
+    end_ids = [id_at[p - 1] for p in run_starts[1:] + [len(labels)]] if labels else []
+    return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts], end_ids)
+
+
+def rl_of(g: WheelerGraph) -> RLSequence:
+    """The rank/select directories that build_index makes for g."""
+    return build_rank_select(*build_bwt(g), assign_identifiers(g, decompose_paths(g)).id_of_rank)
 
 
 def run_starts_of(rl: RLSequence) -> list[int]:
@@ -575,11 +582,26 @@ def run_starts_of(rl: RLSequence) -> list[int]:
     return sorted(chain.from_iterable(runs[0] for runs in rl.runs_of.values()))
 
 
-def dense_refine(labels, out_degrees, in_degrees, f_label, s, e, c):
+def marked_ids(rl: RLSequence, toehold) -> dict[int, int]:
+    """Every marked position's identifier, by ascending position: each run
+    end's, read off its label's directory, and each extra's. Asserts that
+    the toehold's run-order column lists the same run-end identifiers."""
+    ends = {}
+    for starts, cums, _, _, end_ids in rl.runs_of.values():
+        for t, s in enumerate(starts):
+            ends[s + cums[t + 1] - cums[t] - 1] = end_ids[t]
+    ends = dict(sorted(ends.items()))
+    assert list(toehold.end_ids) == list(ends.values())
+    assert ends.keys().isdisjoint(toehold.pairs)
+    return dict(sorted({**ends, **toehold.pairs}.items()))
+
+
+def dense_refine(labels, id_at, out_degrees, in_degrees, f_label, s, e, c):
     """What one refine step computes, from dense prefix sums and a scan of
     the label sequence: the ranks of the first and last vertex reached by
-    a c-labelled out-edge of ranks [s, e], and the position of the last
-    such edge; None when there is none."""
+    a c-labelled out-edge of ranks [s, e], the position p of the last such
+    edge, and id_at[p] if p ends its run, else None; None when there is no
+    such edge."""
     out_prefix = [0] + list(accumulate(out_degrees))
     in_prefix = [0] + list(accumulate(in_degrees))
     lo, hi = out_prefix[s], out_prefix[e + 1]
@@ -588,7 +610,9 @@ def dense_refine(labels, out_degrees, in_degrees, f_label, s, e, c):
         return None
     first = f_label[c] + labels[:lo].count(c)
     last = first + len(hits) - 1
-    return bisect_right(in_prefix, first) - 1, bisect_right(in_prefix, last) - 1, hits[-1]
+    p = hits[-1]
+    end = id_at[p] if p + 1 == len(labels) or labels[p + 1] != c else None
+    return bisect_right(in_prefix, first) - 1, bisect_right(in_prefix, last) - 1, p, end
 
 
 def sampled_wheeler_graphs(count: int, seed: int, keep) -> list[WheelerGraph]:

@@ -66,6 +66,7 @@ from helpers import (
     gen_confluent,
     labels_from_ascii,
     make_instance,
+    marked_ids,
     naive_phi_table,
     naive_runs,
     narrowest_code,
@@ -77,6 +78,7 @@ from helpers import (
     packed,
     reseal,
     rl_from_labels,
+    rl_of,
     run_starts_of,
     serialize_v4,
     serialize_v5,
@@ -113,19 +115,19 @@ def test_bwt_g1(g1):
     assert order == [0, 1, 2]
     assert [g1.edges[i][:2] for i in order] == [(0, 1), (1, 3), (3, 2)]
     assert dsts == [1, 3, 2]
-    rl = build_rank_select(labels)
+    rl = build_rank_select(labels, dsts, assign_identifiers(g1, decompose_paths(g1)).id_of_rank)
     assert (run_starts_of(rl), list(rl.run_labels)) == ([0, 1, 2], [0, 1, 0])
 
 
 def test_bwt_empty():
     g = WheelerGraph(n=3, edges=[])
-    assert build_bwt(g) == ([], []) and run_starts_of(build_rank_select([])) == []
+    assert build_bwt(g) == ([], []) and run_starts_of(build_rank_select([], [], [])) == []
 
 
 def test_bwt_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
     assert transform_labels(g) == [0, 0, 0, 0]
-    rl = build_rank_select(build_bwt(g)[0])
+    rl = rl_of(g)
     assert (run_starts_of(rl), list(rl.run_labels)) == ([0], [0])
 
 
@@ -152,7 +154,9 @@ def test_rank_select_g1(g1_index):
     assert rl.rank(0, 0) == 0
     assert rl.rank(1, 0) == rl.rank(1, 1) == 2 and rl.rank(1, 2) == 3
     assert rl.rank(5, 2) == 0
-    assert [cums[-1] - cums[0] for _, cums, _, _ in rl.runs_of.values()] == [2, 1]
+    assert [cums[-1] - cums[0] for _, cums, _, _, _ in rl.runs_of.values()] == [2, 1]
+    # each run's last edge enters the vertex of this identifier
+    assert {c: list(runs[4]) for c, runs in rl.runs_of.items()} == {0: [0, 3], 1: [1]}
     assert run_starts_of(rl) == [0, 1, 2]  # every position ends its run
     assert list(rl.run_labels) == [0, 1, 0]
 
@@ -196,7 +200,8 @@ def test_rank_select_matches_naive_scan(inst):
 
 
 def test_rlsequence_from_labels_matches_builder(g1):
-    assert rl_from_labels(transform_labels(g1)) == build_rank_select(build_bwt(g1)[0])
+    ids = assign_identifiers(g1, decompose_paths(g1)).id_of_rank
+    assert rl_from_labels(transform_labels(g1), [ids[v] for v in build_bwt(g1)[1]]) == rl_of(g1)
 
 
 # --- cut tables ---
@@ -208,7 +213,7 @@ def assert_rank_is_dense_lf(rl, labels):
     present = sorted(set(labels))
     below = dict(zip(present, accumulate((labels.count(c) for c in present), initial=0)))
     for c in present:
-        starts, _, _, cuts = rl.runs_of[c]
+        starts, _, _, cuts, _ = rl.runs_of[c]
         assert len(cuts) <= len(starts) / 16 + 2
         lf = below[c]
         for p, x in enumerate(labels):
@@ -229,9 +234,9 @@ def test_cut_tables_match_dense_rank(m):
     labels[m // 2] = 4
     rl = rl_from_labels(labels)
     assert_rank_is_dense_lf(rl, labels)
-    for c, (_, _, _, cuts) in rl.runs_of.items():
+    for c, (_, _, _, cuts, _) in rl.runs_of.items():
         assert (len(cuts) == 2) if c == 4 else (len(cuts) > 3)
-    starts, _, _, cuts = rl.runs_of[3]
+    starts, _, _, cuts, _ = rl.runs_of[3]
     assert starts[0] >= tail and cuts[0] == cuts[1] == cuts[2] == 0
 
 
@@ -270,7 +275,7 @@ def dense_prefix(degrees):
 
 def first_slots(rl) -> dict[int, int]:
     """Each label's first in-slot, the f_label count its run counts start at."""
-    return {c: cums[0] for c, (_, cums, _, _) in rl.runs_of.items()}
+    return {c: cums[0] for c, (_, cums, _, _, _) in rl.runs_of.items()}
 
 
 def test_partial_sums_g1(g1):
@@ -279,7 +284,7 @@ def test_partial_sums_g1(g1):
     assert (sums.out_ranks, sums.out_after) == ([2], [2])
     assert (sums.in_ranks, sums.in_after) == ([0], [0])
     assert [sums.out_prefix(k) for k in range(5)] == [0, 1, 2, 2, 3]
-    rl = build_rank_select(build_bwt(g1)[0])
+    rl = rl_of(g1)
     assert first_slots(rl) == {0: 0, 1: 2}
     assert _f_label(rl) == [0, 0, 1, 2, 3]
 
@@ -290,7 +295,7 @@ def test_partial_sums_empty_graph():
     assert (sums.out_ranks, sums.out_after) == ([0, 1], [0, 0])
     assert (sums.in_ranks, sums.in_after) == ([0, 1], [0, 0])
     assert [sums.out_prefix(k) for k in range(3)] == [0, 0, 0]
-    rl = build_rank_select(build_bwt(g)[0])
+    rl = rl_of(g)
     assert first_slots(rl) == {}
     assert _f_label(rl) == [0]
 
@@ -310,7 +315,7 @@ def test_partial_sums_handshake(inst):
     assert [sums.out_prefix(k) for k in range(g.n + 1)] == dense_prefix(g.out_degrees)
     assert sums.in_after == [dense_prefix(g.in_degrees)[k + 1] for k in sums.in_ranks]
     assert list(rl.runs_of) == sorted(set(inst.bwt_labels))
-    spans = [(cums[0], cums[-1]) for _, cums, _, _ in rl.runs_of.values()]
+    spans = [(cums[0], cums[-1]) for _, cums, _, _, _ in rl.runs_of.values()]
     assert [a for a, _ in spans] + [g.m] == [0] + [b for _, b in spans]
     assert _f_label(rl) == [x for c, (a, _) in zip(rl.runs_of, spans) for x in (c, a)] + [g.m]
 
@@ -355,36 +360,40 @@ def test_degree_sums_match_dense_prefixes(degrees):
 # --- toehold table ---
 
 def toehold_of(g):
+    """The rank/select directories and the toehold table of g, and the
+    identifier at each marked position (marked_ids)."""
     d = decompose_paths(g)
     labels, dsts = build_bwt(g)
-    rl = build_rank_select(labels)
     ids = assign_identifiers(g, d)
-    return build_toehold(ids, dsts, rl, build_partial_sums(g), d.break_ranks)
+    rl = build_rank_select(labels, dsts, ids.id_of_rank)
+    th = build_toehold(ids, dsts, rl, build_partial_sums(g), d.break_ranks)
+    return th, marked_ids(rl, th)
 
 
 def test_toehold_g1(g1):
-    th = toehold_of(g1)
-    assert th.pairs == {0: 0, 1: 1, 2: 3}
-    assert len(th.pairs) == 3
-    assert list(th.pairs) == [0, 1, 2]  # the three run ends, and no extras
+    th, marks = toehold_of(g1)
+    assert marks == {0: 0, 1: 1, 2: 3}
+    assert len(marks) == 3
+    assert (list(th.end_ids), th.pairs) == ([0, 1, 3], {})  # the three run ends, and no extras
 
 
 def test_toehold_unary_chain():
-    th = toehold_of(gen_string_path((0, 0, 0, 0)).graph)
+    th, marks = toehold_of(gen_string_path((0, 0, 0, 0)).graph)
     # position 3 ends the single run; positions 0 and 3 touch path endpoints,
-    # so 0 is the one extra, listed after the run end
-    assert list(th.pairs) == [3, 0]
+    # so 0 is the one extra, kept apart from the run end
+    assert list(marks) == [0, 3]
+    assert (len(th.end_ids), list(th.pairs)) == (1, [0])
 
 
 def test_toehold_marks_before_sink():
     # rank 2 has out-degree 0, so every out-edge of rank 1 is marked
     g = gen_string_path((0, 0, 0, 0)).graph
-    th = toehold_of(g)
+    _, marks = toehold_of(g)
     sink = g.n - 1
     assert g.out_degrees[sink] == 0
     for p, i in enumerate(transform_order(g)[0]):
         if g.edges[i][0] == sink - 1:
-            assert p in th.pairs
+            assert p in marks
 
 
 @settings(max_examples=150)
@@ -394,7 +403,7 @@ def test_toehold_exact_membership(inst):
     over the edges in transform order."""
     g, d, ids = inst.graph, inst.decomp, inst.ids
     edge_at = [g.edges[i][:2] for i in transform_order(g)[0]]
-    th = inst.index.toehold
+    marks = marked_ids(inst.index.rl, inst.index.toehold)
     ends = {seq[0] for seq in d.paths} | {seq[-1] for seq in d.paths}
     expected = set()
     for p, (u, v) in enumerate(edge_at):
@@ -402,10 +411,10 @@ def test_toehold_exact_membership(inst):
         before_sink = u + 1 < g.n and g.out_degrees[u + 1] == 0
         if last_of_run or u in ends or v in ends or before_sink:
             expected.add(p)
-    assert set(th.pairs) == expected
+    assert set(marks) == expected
     for p, (u, v) in enumerate(edge_at):
         if p in expected:
-            assert th.pairs[p] == ids.id_of_rank[v]
+            assert marks[p] == ids.id_of_rank[v]
 
 
 @settings(max_examples=150)
@@ -424,8 +433,8 @@ def test_load_side_marks_match_built_marks(inst):
     # rule M1, which the format implies: the last position of each run
     starts = run_starts_of(ix.rl)
     ends = {p - 1 for p in starts[1:] + [ix.m] if p}
-    assert marks | ends == set(ix.toehold.pairs)
-    assert list(ix.toehold.pairs)[len(starts):] == sorted(marks - ends)
+    assert marks | ends == set(marked_ids(ix.rl, ix.toehold))
+    assert list(ix.toehold.pairs) == sorted(marks - ends)
 
 
 # --- phi structure ---
@@ -613,7 +622,7 @@ run_label_sequences = st.one_of(
 @settings(max_examples=150)
 @given(run_label_sequences)
 def test_save_writes_the_run_order_of_a_naive_scan_v5(labels):
-    """A save reads the run starts off the toehold's run ends; built and
+    """A save merges the run starts from the label directories; built and
     loaded, an index writes the runs that a naive scan of its transform
     finds, and its space report counts one word per run."""
     g = fan_graph(labels)
@@ -628,7 +637,7 @@ def test_save_writes_the_run_order_of_a_naive_scan_v5(labels):
     assert loaded.rl == ix.rl
     assert serialize_index(loaded) == data
     for index in (ix, loaded):
-        entries = sum(len(s) + len(cums) + len(cuts) for s, cums, _, cuts in index.rl.runs_of.values())
+        entries = sum(len(s) + len(cums) + len(cuts) for s, cums, _, cuts, _ in index.rl.runs_of.values())
         assert space_report(index).words["rank_select"] == len(starts) + entries
 
 
@@ -1175,10 +1184,11 @@ def test_index_bytes_match_golden_hashes():
 
 
 def assert_narrow_columns(ix):
-    """The run labels, each label's run counts and cut table, and the phi
+    """The run labels, each label's run counts, cut table and run-end
+    identifiers, the run-end identifiers in run order, and the phi
     predecessors are arrays of the narrowest word that holds their values."""
-    columns = [ix.rl.run_labels, ix.phi.pred_ids]
-    columns += [col for _, cums, _, cuts in ix.rl.runs_of.values() for col in (cums, cuts)]
+    columns = [ix.rl.run_labels, ix.toehold.end_ids, ix.phi.pred_ids]
+    columns += [col for _, cums, _, cuts, end_ids in ix.rl.runs_of.values() for col in (cums, cuts, end_ids)]
     assert [(type(col), col.typecode) for col in columns] == [(array, narrowest_code(col)) for col in columns]
 
 
@@ -1196,9 +1206,9 @@ def test_unsearched_columns_are_unboxed_words():
 
 @pytest.mark.parametrize("labels, code", [([0, 127], "b"), ([0, 128], "h"), ([127, 0], "b"), ([128, 0], "h")])
 def test_run_labels_take_the_narrowest_word(labels, code):
-    rl = RLSequence.of_runs(2, [0, 1], labels)
+    rl = RLSequence.of_runs(2, [0, 1], labels, [1, 0])
     assert (rl.run_labels.typecode, list(rl.run_labels)) == (code, labels)
-    assert [(c, cums.typecode) for c, (_, cums, _, _) in rl.runs_of.items()] == [(0, "b"), (max(labels), "b")]
+    assert [(c, cums.typecode) for c, (_, cums, _, _, _) in rl.runs_of.items()] == [(0, "b"), (max(labels), "b")]
 
 
 @pytest.mark.parametrize("first, m, codes", [
@@ -1213,21 +1223,22 @@ def test_run_counts_take_the_narrowest_word(first, m, codes):
     """Two runs, of label 0 over [0, first) and of label 1 over [first, m):
     label 0 counts up to first and label 1 up to m, and each cut table
     holds a few entries of at most 1."""
-    rl = RLSequence.of_runs(m, [0, first], [0, 1])
+    rl = RLSequence.of_runs(m, [0, first], [0, 1], [0, 1])
     directories = rl.runs_of.values()
-    assert [list(cums) for _, cums, _, _ in directories] == [[0, first], [first, m]]
-    assert tuple(cums.typecode for _, cums, _, _ in directories) == codes
-    for _, _, _, cuts in directories:
+    assert [list(cums) for _, cums, _, _, _ in directories] == [[0, first], [first, m]]
+    assert tuple(cums.typecode for _, cums, _, _, _ in directories) == codes
+    for _, _, _, cuts, _ in directories:
         assert 2 <= len(cuts) <= 3 and cuts.typecode == "b" and set(cuts) <= {0, 1}
     assert rl.rank(1, m) == m and rl.select(0, first - 1) == first - 1
 
 
 def test_cut_tables_take_the_narrowest_word():
     # 128 runs of each of two labels: the last cut is 128, past a b word
-    rl = RLSequence.of_runs(256, list(range(256)), [0, 1] * 128)
+    rl = RLSequence.of_runs(256, list(range(256)), [0, 1] * 128, range(256))
     assert rl.run_labels.typecode == "b"
-    for _, cums, _, cuts in rl.runs_of.values():
+    for c, (_, cums, _, cuts, end_ids) in rl.runs_of.items():
         assert (cums.typecode, cuts.typecode, cuts[-1]) == ("h", "h", 128)
+        assert (end_ids.typecode, list(end_ids)) == ("h", list(range(c, 256, 2)))  # past a b word too
 
 
 @pytest.mark.parametrize("n, code", [(128, "b"), (129, "h"), (2**15, "h"), (2**15 + 1, "i")])

@@ -12,7 +12,6 @@ from wgrindex import (
     naive_match,
     validate_wheeler,
 )
-from wgrindex.build import build_bwt, build_rank_select
 from wgrindex.generators import is_primitive
 
 from helpers import (
@@ -23,6 +22,7 @@ from helpers import (
     naive_runs,
     random_patterns,
     reference_is_primitive,
+    rl_of,
     run_starts_of,
     suffix_array,
     transform_labels,
@@ -65,7 +65,7 @@ def test_string_path_empty():
 
 def test_string_path_unary_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
-    rl = build_rank_select(build_bwt(g)[0])
+    rl = rl_of(g)
     assert (run_starts_of(rl), list(rl.run_labels)) == ([0], [0])
 
 
@@ -301,5 +301,5 @@ def test_pattern_with_absent_label_counts_zero():
 def test_string_family_runs_match_naive():
     for s in [(0, 0, 0), (0, 1, 0, 1), (2, 2, 1, 1, 0)]:
         g = gen_string_path(s).graph
-        rl = build_rank_select(build_bwt(g)[0])
+        rl = rl_of(g)
         assert len(run_starts_of(rl)) == naive_runs(transform_labels(g))

@@ -1,5 +1,7 @@
 import itertools
+import random
 import time
+from array import array
 from collections import Counter
 from itertools import accumulate, combinations_with_replacement
 
@@ -25,7 +27,7 @@ from wgrindex import (
     naive_match,
     serialize_index,
 )
-from wgrindex.build import DegreeSums, PhiStructure, ToeholdTable, _exceptions
+from wgrindex.build import DegreeSums, PhiStructure, ToeholdTable, _exceptions, build_bwt
 from wgrindex.generators import is_primitive
 from wgrindex.query import find_interval, phi, step_interval, step_toehold
 
@@ -34,7 +36,9 @@ from helpers import (
     corpus_inputs,
     dense_refine,
     gen_confluent,
+    labels_from_ascii,
     make_instance,
+    marked_ids,
     random_patterns,
     rl_from_labels,
     shared_in_edge_graphs,
@@ -59,11 +63,19 @@ def instances(draw):
 
 # --- step_interval ---
 
-def test_step_interval_g1(g1_index):
+def dest_ids(g) -> list[int]:
+    """The identifier of the destination of the edge at each transform position."""
+    id_of = assign_identifiers(g, decompose_paths(g)).id_of_rank
+    return [id_of[v] for v in build_bwt(g)[1]]
+
+
+def test_step_interval_g1(g1, g1_index):
     ix = g1_index
-    # (s', e', p): the refined ranks and the position of the last c
-    assert step_interval(ix, 0, 3, 0) == (1, 2, 2)
-    assert step_interval(ix, 1, 2, 1) == (3, 3, 1)
+    # (s', e', p, end): the refined ranks, the position of the last c, and
+    # as p ends its run (each run of "aba" has length 1), its destination's id
+    assert dest_ids(g1) == [0, 1, 3]
+    assert step_interval(ix, 0, 3, 0) == (1, 2, 2, 3)
+    assert step_interval(ix, 1, 2, 1) == (3, 3, 1, 1)
     assert step_interval(ix, 0, 3, 2) is None  # unseen label
     assert step_interval(ix, 2, 2, 0) is None  # no out-edges
 
@@ -129,32 +141,36 @@ def refine_inputs(draw):
 @given(refine_inputs())
 def test_refine_matches_dense_reference(inputs):
     """_refine finds the out-range, the rank and last position of c in it,
-    and the vertex ranks of two in-slots (clamped at in-degree exceptions),
-    exactly as dense prefix arrays and a scan do."""
+    the vertex ranks of two in-slots (clamped at in-degree exceptions) and
+    the run-end identifier at that position, exactly as dense prefix arrays
+    and a scan do. Run ends take made-up identifiers, 100 + position."""
     out_degrees, in_degrees, labels = inputs
     n, sigma = len(out_degrees), 4
     f_label = [0] + list(accumulate(labels.count(c) for c in range(sigma)))
+    id_at = [100 + p for p in range(len(labels))]
     ix = WheelerRIndex(
         n=n, m=len(labels), sigma=sigma, num_paths=0, break_ranks=[],
         last_rank_id=None,
-        rl=rl_from_labels(labels),
+        rl=rl_from_labels(labels, id_at),
         sums=DegreeSums(*_exceptions(out_degrees), *_exceptions(in_degrees)),
-        toehold=ToeholdTable({}), phi=PhiStructure([], []),
+        toehold=ToeholdTable(array("b"), {}), phi=PhiStructure([], []),
     )
     for s, e in combinations_with_replacement(range(n), 2):
         for c in range(sigma + 1):  # label 4 never occurs
-            want = dense_refine(labels, out_degrees, in_degrees, f_label, s, e, c)
+            want = dense_refine(labels, id_at, out_degrees, in_degrees, f_label, s, e, c)
             assert query_mod._refine(ix, s, e, c) == want, (s, e, c)
 
 
 def check_steps(g, ix, labels) -> None:
     """step_interval on every interval and label of g against the dense
-    reference; every step that matches gives a non-empty interval of
-    ranks, 0 <= s' <= e' < n, so no query needs an inverted-pair check."""
+    reference, the run-end identifier against id_of_rank of the destination
+    at p; every step that matches gives a non-empty interval of ranks,
+    0 <= s' <= e' < n, so no query needs an inverted-pair check."""
     f_label = [0] + list(accumulate(labels.count(c) for c in range(g.sigma)))
+    id_at = dest_ids(g)
     for s, e in combinations_with_replacement(range(g.n), 2):
         for c in range(g.sigma + 1):
-            want = dense_refine(labels, g.out_degrees, g.in_degrees, f_label, s, e, c)
+            want = dense_refine(labels, id_at, g.out_degrees, g.in_degrees, f_label, s, e, c)
             got = step_interval(ix, s, e, c)
             assert got == want, (s, e, c)
             if got is not None:
@@ -254,8 +270,7 @@ def test_step_toehold_unmarked_increments_by_one():
     inst = make_instance("multi", gen_multi_paths([(0, 1, 0, 0), (1, 1, 0, 0)]))
     ix = inst.index
     assert inst.ids.id_of_rank == [6, 7, 0, 8, 9, 2, 5, 3, 1, 4]
-    assert sorted(ix.toehold.pairs) == [0, 1, 2, 3, 4, 5, 7]
-    assert 6 not in ix.toehold.pairs
+    assert sorted(marked_ids(ix.rl, ix.toehold)) == [0, 1, 2, 3, 4, 5, 7]
     st_ab = find_interval(ix, (0, 1))
     assert st_ab == (8, 8, 1)
     st_aba = step_toehold(ix, *st_ab, 0)
@@ -264,15 +279,18 @@ def test_step_toehold_unmarked_increments_by_one():
     assert inst.ids.id_of_rank[5] == 2
 
 
-def test_step_toehold_unmarked_out_of_range_hit_is_corrupt(g1_index):
-    # the step of test_step_toehold_g1_case_b lands on position 1, before
-    # rank 2's (empty) out-range; without its stored pair the +1 rule does
-    # not apply and the index is corrupt
-    del g1_index.toehold.pairs[1]
+def test_step_toehold_unmarked_out_of_range_hit_is_corrupt():
+    # in "abba" rank 2 has out-degree 0, so the step from [1, 2] by b lands
+    # on position 1, before rank 2's (empty) out-range: not a run end, but
+    # an extra (rule M3). Without its stored pair the +1 rule does not
+    # apply and the index is corrupt
+    ix = build_index(gen_string_path((0, 1, 1, 0)).graph)
+    assert ix.toehold.pairs == {1: 1} and step_toehold(ix, 1, 2, 4, 1) == (3, 3, 1)
+    del ix.toehold.pairs[1]
     with pytest.raises(IndexInvariantError):
-        step_toehold(g1_index, 1, 2, 3, 1)
+        step_toehold(ix, 1, 2, 4, 1)
     with pytest.raises(IndexInvariantError):
-        locate(g1_index, (0, 1))
+        locate(ix, (0, 1))
 
 
 @settings(max_examples=150)
@@ -461,3 +479,55 @@ def test_query_call_paths_reach_traced_hooks(monkeypatch):
     assert calls["successor", "phi"] == 1
     checked |= {name for name, _ in calls}
     assert set(funcs) == checked - {"rank", "successor", "pairs.get"}
+
+
+def trace_shaped_graphs():
+    """Small graphs of the benchmark's shapes: a random 4-letter string, 20
+    copies of a 60-symbol string with 3 substitutions each as a multi-path
+    union, and a cycle."""
+    rng = random.Random(31)
+    text = [rng.randrange(4) for _ in range(400)]
+    base = [rng.randrange(4) for _ in range(60)]
+    copies = []
+    for _ in range(20):
+        copy = list(base)
+        for _ in range(3):
+            copy[rng.randrange(len(copy))] = rng.randrange(4)
+        copies.append(copy)
+    return [gen_string_path(text).graph, gen_multi_paths(copies).graph,
+            gen_string_cycle(labels_from_ascii("abcabbacbbacabcca")).graph]
+
+
+@pytest.mark.parametrize("shape", range(3), ids=["rand-string", "rep-multi", "cycle"])
+def test_traced_toehold_misses_are_the_unmarked_positions(shape):
+    """perfbench --trace 1 wraps toehold.pairs.get and counts a None result
+    in a step_toehold as a +1 step. A step's one get has the run end's
+    identifier, or None, as its default, so with the same wrapping every
+    None falls at an unmarked position, neither a run end nor an extra,
+    and every other result at a marked one, with its stored identifier;
+    the tally counts exactly the Nones."""
+    g = trace_shaped_graphs()[shape]
+    ix = build_index(g)
+    marks = marked_ids(ix.rl, ix.toehold)
+    run = bench_run()
+    tracer, tallies = run.Tracer(), {"toehold_steps": 0, "toehold_plus1": 0, "phi_offset": 0}
+    for name in run.QUERY_FUNCS:
+        tracer.wrap(query_mod, name, name)
+    run.instrument_index(tracer, ix, tallies)
+    traced_get, seen = ix.toehold.pairs.get, []
+
+    def recording_get(p, default):
+        result = traced_get(p, default)
+        seen.append((p, result))
+        return result
+
+    ix.toehold.pairs.get = recording_get
+    try:
+        for pattern in random_patterns(g, 8, seed=shape, count=200):
+            query_mod.locate(ix, pattern)
+    finally:
+        tracer.restore()
+    assert tallies["toehold_steps"] == len(seen) > 200
+    assert tallies["toehold_plus1"] == sum(result is None for _, result in seen) > 0
+    for p, result in seen:
+        assert result == marks.get(p), p
