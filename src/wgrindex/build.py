@@ -64,10 +64,13 @@ class RLSequence:
     average, so rank bisects one bucket's runs; and end_ids, the identifier
     each run's last edge enters (its toehold sample). All but starts are
     narrowest-word arrays (_narrow); storage is O(runs + distinct labels).
+    Beside run_labels, end_ids keeps those identifiers in run order, the
+    order a save writes them in, in the array of_runs is given.
     """
 
     length: int
     run_labels: array
+    end_ids: array
     runs_of: dict[int, tuple[list[int], array, int, array, array]] = field(repr=False)
 
     @classmethod
@@ -90,7 +93,7 @@ class RLSequence:
             shift = (-(-_RUNS_PER_BUCKET * m // len(starts)) - 1).bit_length()
             cuts = _narrow(list(map(bisect_left, repeat(starts), range(0, (m >> shift) + 2 << shift, 1 << shift))))
             directories[c], below = (starts, cums, shift, cuts, _narrow(ids)), cums[-1]
-        return cls(m, _narrow(run_labels), directories)
+        return cls(m, _narrow(run_labels), end_ids, directories)
 
     def rank(self, c: int, p: int) -> int:
         """The LF value of c at p in [0, length]: the labels below c plus
@@ -120,9 +123,11 @@ class RLSequence:
 def build_rank_select(labels: list[int], dsts: list[int], id_of_rank: list[int]) -> RLSequence:
     """Rank/select directories over the runs of the edge labels in transform
     order, a run starting wherever the label changes, each with the id of
-    dsts[p] at its last p: narrow words, so of_runs reads no scattered int."""
+    dsts[p] at its last p, before the next change: narrow words, so of_runs
+    reads no scattered int."""
     run_starts = list(compress(range(len(labels)), map(ne, [None] + labels, labels)))
-    end_ids = _narrow([id_of_rank[dsts[p]] for p in _run_ends(run_starts, len(labels))])
+    run_ends = compress(range(len(labels)), map(ne, labels, labels[1:] + [None]))
+    end_ids = _narrow([id_of_rank[dsts[p]] for p in run_ends])
     return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts], end_ids)
 
 
@@ -181,19 +186,11 @@ class ToeholdTable:
     query step may need a stored answer; everywhere else the tracked
     identifier advances with the +1 rule, so the marks plus that rule cover
     every step. Every run end is marked (rule M1), and a step reads its
-    identifier from its run's directory (RLSequence end_ids). end_ids here
-    holds the same identifiers in run order, the order a save writes them
-    in; pairs maps each other marked position, the extras, ascending, to
-    its identifier.
+    identifier from its run's directory (RLSequence end_ids); pairs maps
+    each other marked position, the extras, ascending, to its identifier.
     """
 
-    end_ids: array
     pairs: dict[int, int]
-
-
-def _run_ends(starts: list[int], m: int) -> list[int]:
-    """The last position of each run starting at starts, in run order."""
-    return list(map(sub, chain(islice(starts, 1, None), (m,) if starts else ()), repeat(1)))
 
 
 def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
@@ -219,16 +216,14 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
 
 
 def build_toehold(
-    ids: IdAssignment, dsts: list[int], rl: RLSequence, sums: DegreeSums, break_ranks: list[int]
+    ids: IdAssignment, labels: list[int], dsts: list[int], rl: RLSequence, sums: DegreeSums, break_ranks: list[int]
 ) -> ToeholdTable:
     """Record the identifier of dsts[p], the destination rank of the edge at
-    p, at each position _required_marks names that is not a run end, and
-    the run ends' identifiers, which rl holds per label, in run order."""
-    ends = _run_ends(sorted(chain.from_iterable(runs[0] for runs in rl.runs_of.values())), rl.length)
-    extras = sorted(_required_marks(rl, sums, break_ranks).difference(ends))
-    nexts = {c: iter(runs[4]) for c, runs in rl.runs_of.items()}  # run t's id: the next in its label's end_ids
-    return ToeholdTable(_narrow(list(map(next, map(nexts.__getitem__, rl.run_labels)))),
-                        {p: ids.id_of_rank[dsts[p]] for p in extras})
+    p, at each position _required_marks names that is not a run end: the
+    label at p + 1 is labels[p]. rl holds the run ends' identifiers."""
+    m = len(labels)
+    extras = sorted(p for p in _required_marks(rl, sums, break_ranks) if p + 1 < m and labels[p] == labels[p + 1])
+    return ToeholdTable({p: ids.id_of_rank[dsts[p]] for p in extras})
 
 
 @dataclass
@@ -310,7 +305,7 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
         last_rank_id=ids.id_of_rank[g.n - 1] if g.n else None,
         rl=rl,
         sums=sums,
-        toehold=build_toehold(ids, dsts, rl, sums, d.break_ranks),
+        toehold=build_toehold(ids, labels, dsts, rl, sums, d.break_ranks),
         phi=build_phi(ids),
     )
 
@@ -426,7 +421,7 @@ def _pack(values) -> str:
 
 
 def _unpack(name: str, section) -> list[int] | array:
-    """A section's ints: a list, or the array for run_labels and pred_ids; raise on any other value."""
+    """A section's ints: a list, or the array for run_labels, marked_pairs and pred_ids; raise on any other value."""
     if type(section) is not str or section[:1] not in _WORDS:
         raise ValueError(f"corrupt index: {name} is not a section of b, h, i or q words")
     try:  # a character outside base64 or ASCII, or bytes that are not whole words
@@ -435,7 +430,7 @@ def _unpack(name: str, section) -> list[int] | array:
         raise ValueError(f"corrupt index: {name} is not the base64 of whole {section[0]} words ({exc})") from exc
     if sys.byteorder == "big":
         words.byteswap()
-    return words if name in ("run_labels", "pred_ids") else words.tolist()
+    return words if name in ("run_labels", "marked_pairs", "pred_ids") else words.tolist()
 
 
 def serialize_index(ix: WheelerRIndex) -> bytes:
@@ -447,9 +442,9 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
     2**63 - 1, which no section word holds."""
     if ix.sigma > 1 << 63:
         raise ValueError(f"label {ix.sigma - 1} is past {(1 << 63) - 1}, the largest a section word holds")
-    sums, toehold = ix.sums, ix.toehold
+    sums, toehold, end_ids = ix.sums, ix.toehold, ix.rl.end_ids
     extra_ids = list(toehold.pairs.values())  # after the run ends', in the wider word of the two
-    marked = array(max(toehold.end_ids.typecode, _narrow(extra_ids).typecode, key=_WORDS.index), toehold.end_ids)
+    marked = array(max(end_ids.typecode, _narrow(extra_ids).typecode, key=_WORDS.index), end_ids)
     marked.extend(extra_ids)
     doc = {
         "format": _FORMAT,
@@ -543,7 +538,7 @@ def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
 
 def _entered_ranks(rl: RLSequence, starts: list[int], sums: DegreeSums, positions: list[int]) -> list[int]:
     """The rank that the edge at each position enters, with runs starting at
-    starts: its in-slot's rank, clamped at in-degree exceptions as in query._refine."""
+    starts: its in-slot's rank, clamped at in-degree exceptions as in query.step_interval."""
     in_ranks, in_after = sums.in_ranks, sums.in_after
 
     def target(p: int) -> int:
@@ -636,7 +631,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if run_gaps[:1] != ([0] if m else []) or not _rising(run_gaps, m):
             raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
         starts, r = list(accumulate(run_gaps)), len(run_gaps)
-        rl = RLSequence.of_runs(m, starts, run_labels, dests[:r])  # a list: an array would make an int per run
+        rl = RLSequence.of_runs(m, starts, run_labels, dests[:r])
         if any(map(eq, run_labels, run_labels[1:])):
             raise ValueError("corrupt index: two neighbouring runs have the same label")
         held = _ends_among(extras, starts, m)
@@ -686,7 +681,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             raise ValueError(f"corrupt index: last_rank_id is {doc['last_rank_id']}, not {last}")
         return WheelerRIndex(n=n, m=m, sigma=top + 1, num_paths=doc["num_paths"], break_ranks=breaks,
                              last_rank_id=doc["last_rank_id"], rl=rl, sums=sums,
-                             toehold=ToeholdTable(_narrow(dests[:r]), pairs), phi=PhiStructure(anchor_ids, pred_ids))
+                             toehold=ToeholdTable(pairs), phi=PhiStructure(anchor_ids, pred_ids))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not an index file: malformed field ({exc})") from exc
 

@@ -41,7 +41,7 @@ def _labels(pattern: Sequence[int]) -> tuple[int, ...]:
     return labels
 
 
-def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int, int | None] | None:
+def step_interval(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int, int | None] | None:
     """Ranks s', e' of the interval [s, e] extended by c, the position p
     of the last c in the out-range of [s, e], and end, the identifier
     stored at p when p ends its run, else None; None when nothing matches.
@@ -58,6 +58,9 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int, i
     loader checks that the degrees are non-negative and sum to m, so the
     map from in-slot to rank rises monotonically within [0, n), and the
     step returns only when k2 > k1, so the last slot is not below the first.
+
+    count and step_toehold look this name up on every label, so a wrapper
+    set on the module sees one call per step of either query.
     """
     rl = ix.rl
     runs = rl.runs_of.get(c)  # None for a label that never occurs
@@ -104,11 +107,6 @@ def _refine(ix: WheelerRIndex, s: int, e: int, c: int) -> tuple[int, int, int, i
     return s2, e2, p, end
 
 
-# count looks this name up on every label, so a wrapper set on the module
-# sees one call per interval step.
-step_interval = _refine
-
-
 def count(ix: WheelerRIndex, pattern: Sequence[int]) -> int:
     """Number of vertices where a path spelling the pattern ends: e - s + 1
     for the interval [s, e] that one step_interval per label leaves.
@@ -132,14 +130,14 @@ def step_toehold(ix: WheelerRIndex, s: int, e: int, last_id: int, c: int) -> tup
 
     The new last vertex is reached by the last c in the interval's
     out-range, position p. If p is marked, one pairs.get gives its stored
-    identifier: an extra's, else the default, the run end's from _refine;
+    identifier: an extra's, else the default, the run end's from step_interval;
     from the full interval p is the globally last c, a run end, so it always
     is. Otherwise (None) p must lie in the out-range of the old last vertex
     e (the two ranges end together), where both endpoints of p's edge are
     chain-interior and the identifier is last_id + 1. An unmarked p before
     that range means the index is corrupt.
     """
-    r = _refine(ix, s, e, c)
+    r = step_interval(ix, s, e, c)
     if r is None:
         return None
     s2, e2, p, end = r
@@ -154,22 +152,19 @@ def step_toehold(ix: WheelerRIndex, s: int, e: int, last_id: int, c: int) -> tup
 
 
 def find_interval(ix: WheelerRIndex, pattern: Sequence[int]) -> tuple[int, int, int] | None:
-    """Match state (s, e, last_id) of a non-empty pattern: its interval and
-    the identifier of the vertex at rank e, or None when nothing matches.
+    """Match state (s, e, last_id) of the pattern: its interval and the
+    identifier of the vertex at rank e, or None when nothing matches.
     One step_toehold per label from the full interval, whose last vertex
-    is ix.last_rank_id.
-    Raises ValueError on the empty pattern or a label that is not an int.
+    is ix.last_rank_id: the empty pattern's state, None when n = 0.
+    Raises ValueError when a label is not an int.
     """
-    pattern = _labels(pattern)
-    if not pattern:
-        raise ValueError("pattern must be non-empty; the empty pattern matches every vertex")
     s, e, last_id = 0, ix.n - 1, ix.last_rank_id  # with no vertex, no label occurs
-    for c in pattern:
+    for c in _labels(pattern):
         r = step_toehold(ix, s, e, last_id, c)
         if r is None:
             return None
         s, e, last_id = r
-    return s, e, last_id
+    return (s, e, last_id) if ix.n else None
 
 
 def phi(ix: WheelerRIndex, i: int) -> int:
@@ -202,9 +197,8 @@ def locate(ix: WheelerRIndex, pattern: Sequence[int]) -> list[int]:
     call each. The empty pattern reports every vertex. Raises ValueError
     when a label is not an int.
     """
-    pattern = tuple(pattern)  # read an iterator once; find_interval checks the labels
-    found = find_interval(ix, pattern) if pattern else (0, ix.n - 1, ix.last_rank_id)
-    if found is None or ix.n == 0:
+    found = find_interval(ix, pattern)
+    if found is None:
         return []
     s, e, last_id = found
     out = [last_id]

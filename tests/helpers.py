@@ -20,6 +20,7 @@ import random
 import re
 import sys
 import zlib
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
@@ -314,7 +315,7 @@ def serialize_v4(ix: WheelerRIndex) -> bytes:
         "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
         "f_label": dense_f_label(ix.rl, ix.sigma),
         "marked_positions": list(toehold.pairs),
-        "marked_pairs": [*toehold.end_ids, *toehold.pairs.values()],
+        "marked_pairs": [*ix.rl.end_ids, *toehold.pairs.values()],
         "break_ranks": ix.break_ranks,
         "anchor_ids": [b - a for a, b in pairwise([0, *ix.phi.anchor_ids])],
         "pred_ids": preds,
@@ -568,7 +569,7 @@ def rl_from_labels(labels, id_at=None) -> RLSequence:
     ending at p with the run-end identifier id_at[p], by default p."""
     run_starts = [p for p, lab in enumerate(labels) if p == 0 or lab != labels[p - 1]]
     id_at = range(len(labels)) if id_at is None else id_at
-    end_ids = [id_at[p - 1] for p in run_starts[1:] + [len(labels)]] if labels else []
+    end_ids = array("q", [id_at[p - 1] for p in run_starts[1:] + [len(labels)]] if labels else [])
     return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts], end_ids)
 
 
@@ -585,13 +586,13 @@ def run_starts_of(rl: RLSequence) -> list[int]:
 def marked_ids(rl: RLSequence, toehold) -> dict[int, int]:
     """Every marked position's identifier, by ascending position: each run
     end's, read off its label's directory, and each extra's. Asserts that
-    the toehold's run-order column lists the same run-end identifiers."""
+    the run-order column, rl.end_ids, lists the same run-end identifiers."""
     ends = {}
     for starts, cums, _, _, end_ids in rl.runs_of.values():
         for t, s in enumerate(starts):
             ends[s + cums[t + 1] - cums[t] - 1] = end_ids[t]
     ends = dict(sorted(ends.items()))
-    assert list(toehold.end_ids) == list(ends.values())
+    assert list(rl.end_ids) == list(ends.values())
     assert ends.keys().isdisjoint(toehold.pairs)
     return dict(sorted({**ends, **toehold.pairs}.items()))
 

@@ -366,29 +366,29 @@ def toehold_of(g):
     labels, dsts = build_bwt(g)
     ids = assign_identifiers(g, d)
     rl = build_rank_select(labels, dsts, ids.id_of_rank)
-    th = build_toehold(ids, dsts, rl, build_partial_sums(g), d.break_ranks)
-    return th, marked_ids(rl, th)
+    th = build_toehold(ids, labels, dsts, rl, build_partial_sums(g), d.break_ranks)
+    return rl, th, marked_ids(rl, th)
 
 
 def test_toehold_g1(g1):
-    th, marks = toehold_of(g1)
+    rl, th, marks = toehold_of(g1)
     assert marks == {0: 0, 1: 1, 2: 3}
     assert len(marks) == 3
-    assert (list(th.end_ids), th.pairs) == ([0, 1, 3], {})  # the three run ends, and no extras
+    assert (list(rl.end_ids), th.pairs) == ([0, 1, 3], {})  # the three run ends, and no extras
 
 
 def test_toehold_unary_chain():
-    th, marks = toehold_of(gen_string_path((0, 0, 0, 0)).graph)
+    rl, th, marks = toehold_of(gen_string_path((0, 0, 0, 0)).graph)
     # position 3 ends the single run; positions 0 and 3 touch path endpoints,
     # so 0 is the one extra, kept apart from the run end
     assert list(marks) == [0, 3]
-    assert (len(th.end_ids), list(th.pairs)) == (1, [0])
+    assert (len(rl.end_ids), list(th.pairs)) == (1, [0])
 
 
 def test_toehold_marks_before_sink():
     # rank 2 has out-degree 0, so every out-edge of rank 1 is marked
     g = gen_string_path((0, 0, 0, 0)).graph
-    _, marks = toehold_of(g)
+    *_, marks = toehold_of(g)
     sink = g.n - 1
     assert g.out_degrees[sink] == 0
     for p, i in enumerate(transform_order(g)[0]):
@@ -1187,7 +1187,7 @@ def assert_narrow_columns(ix):
     """The run labels, each label's run counts, cut table and run-end
     identifiers, the run-end identifiers in run order, and the phi
     predecessors are arrays of the narrowest word that holds their values."""
-    columns = [ix.rl.run_labels, ix.toehold.end_ids, ix.phi.pred_ids]
+    columns = [ix.rl.run_labels, ix.rl.end_ids, ix.phi.pred_ids]
     columns += [col for _, cums, _, cuts, end_ids in ix.rl.runs_of.values() for col in (cums, cuts, end_ids)]
     assert [(type(col), col.typecode) for col in columns] == [(array, narrowest_code(col)) for col in columns]
 
@@ -1251,19 +1251,25 @@ def test_phi_predecessors_take_the_narrowest_word(n, code):
 
 
 def test_saves_of_wider_sections_stay_canonical():
-    """A file whose run_labels and pred_ids sections hold the same values
-    in q words loads, equals the build and saves the canonical bytes."""
+    """A file whose run_labels, marked_pairs and pred_ids sections hold the
+    same values in q words loads, equals the build and saves the canonical
+    bytes. The load keeps the run-order column of run-end identifiers in
+    the marked_pairs section's word, wider than the run ends' own, and a
+    build's column widened to q words saves the same bytes too: a save
+    does not depend on the column's word in memory."""
     for name, g in golden_graphs().items():
         ix = build_index(g)
         data = serialize_index(ix)
         assert sha256(data) == GOLDEN_V6_SHA256[name]
         doc = json.loads(data)
-        for member in ("run_labels", "pred_ids"):
+        for member in ("run_labels", "marked_pairs", "pred_ids"):
             assert doc[member][0] != "q"
             doc[member] = pack_section(unpack_section(doc[member]), "q")
         loaded = deserialize_index(reseal(doc))
-        assert loaded == ix
+        assert loaded == ix and loaded.rl.end_ids.typecode == "q"
         assert serialize_index(loaded) == data
+        ix.rl.end_ids = array("q", ix.rl.end_ids)
+        assert serialize_index(ix) == data
 
 
 def test_phi_of_the_first_vertex_raises_on_a_built_and_a_loaded_index():

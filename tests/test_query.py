@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from array import array
 from collections import Counter
 from itertools import accumulate, combinations_with_replacement
 
@@ -140,7 +139,7 @@ def refine_inputs(draw):
 @settings(max_examples=300)
 @given(refine_inputs())
 def test_refine_matches_dense_reference(inputs):
-    """_refine finds the out-range, the rank and last position of c in it,
+    """step_interval finds the out-range, the rank and last position of c in it,
     the vertex ranks of two in-slots (clamped at in-degree exceptions) and
     the run-end identifier at that position, exactly as dense prefix arrays
     and a scan do. Run ends take made-up identifiers, 100 + position."""
@@ -153,12 +152,12 @@ def test_refine_matches_dense_reference(inputs):
         last_rank_id=None,
         rl=rl_from_labels(labels, id_at),
         sums=DegreeSums(*_exceptions(out_degrees), *_exceptions(in_degrees)),
-        toehold=ToeholdTable(array("b"), {}), phi=PhiStructure([], []),
+        toehold=ToeholdTable({}), phi=PhiStructure([], []),
     )
     for s, e in combinations_with_replacement(range(n), 2):
         for c in range(sigma + 1):  # label 4 never occurs
             want = dense_refine(labels, id_at, out_degrees, in_degrees, f_label, s, e, c)
-            assert query_mod._refine(ix, s, e, c) == want, (s, e, c)
+            assert step_interval(ix, s, e, c) == want, (s, e, c)
 
 
 def check_steps(g, ix, labels) -> None:
@@ -314,8 +313,7 @@ def test_find_interval_g1(g1_index):
     assert find_interval(g1_index, (0,)) == (1, 2, 3)
     assert find_interval(g1_index, (0, 1)) == (3, 3, 1)
     assert find_interval(g1_index, (0, 2)) is None
-    with pytest.raises(ValueError):
-        find_interval(g1_index, ())
+    assert find_interval(g1_index, ()) == (0, 3, g1_index.last_rank_id)  # the full state
 
 
 # --- pattern labels ---
@@ -434,7 +432,8 @@ def test_g1_exhaustive_patterns(g1, g1_index):
 def test_query_call_paths_reach_traced_hooks(monkeypatch):
     """count and locate reach the functions and index attributes that
     perfbench --trace 1 wraps, through lookups made at call time: its
-    per-layer metrics divide by these call counts."""
+    per-layer metrics divide by these call counts. Both queries take every
+    step through step_interval, which alone calls rank, once per step."""
     ix = build_index(gen_string_path((0, 1, 0, 1, 0)).graph)
     calls: Counter = Counter()
     stack = [None]
@@ -467,13 +466,16 @@ def test_query_call_paths_reach_traced_hooks(monkeypatch):
     assert calls["count", None] == 1
     assert calls["step_interval", "count"] == 3
     assert calls["rank", "step_interval"] == 3  # one rank search per step
+    assert [caller for name, caller in calls if name == "rank"] == ["step_interval"]
     checked = {name for name, _ in calls}
     calls.clear()
     assert len(query_mod.locate(ix, pattern)) == 2
     assert calls["locate", None] == 1
     assert calls["find_interval", "locate"] == 1
     assert calls["step_toehold", "find_interval"] == 3  # one per label, from the full state
-    assert calls["rank", "step_toehold"] == 3
+    assert calls["step_interval", "step_toehold"] == 3
+    assert calls["rank", "step_interval"] == 3
+    assert [caller for name, caller in calls if name == "rank"] == ["step_interval"]
     assert calls["pairs.get", "step_toehold"] == 3
     assert calls["phi", "locate"] == 1
     assert calls["successor", "phi"] == 1

@@ -2,9 +2,12 @@
 
 The corpus is every multiset of at most max_m edges over n <= 4 vertices
 and the labels {0, 1}, kept when validate_wheeler accepts its numbering.
-Each graph is built, saved and loaded; the loaded index answers count and
-locate of every pattern of up to 3 labels over {0, 1, 2} as naive_match
-does, and a save of it gives back the saved bytes. Bugs that show on a large
+Each graph is built, saved and loaded; the loaded index equals the built
+one, keeps the paper's space budgets, gives the full state for the empty
+pattern, answers count and locate of every pattern of up to 3 labels over
+{0, 1, 2} as naive_match does, and a save of it gives back the saved bytes.
+A build and a load each make the run-order column of run-end identifiers,
+so both are checked on every graph. Bugs that show on a large
 input almost always show on some small one too, and the small ones can all
 be tried (Jackson's small-scope hypothesis).
 """
@@ -23,8 +26,10 @@ from wgrindex import (
     locate,
     naive_match,
     serialize_index,
+    space_report,
     validate_wheeler,
 )
+from wgrindex.query import find_interval
 
 PATTERNS = [pattern for length in range(4) for pattern in product(range(3), repeat=length)]
 
@@ -43,9 +48,16 @@ def small_wheeler_graphs(max_m: int) -> list[WheelerGraph]:
 
 
 def check_round_trip_answers(g: WheelerGraph) -> None:
-    data = serialize_index(build_index(g))
+    built = build_index(g)
+    data = serialize_index(built)
     ix = deserialize_index(data)
+    assert ix == built, g
     assert serialize_index(ix) == data, g
+    space = space_report(ix)
+    assert space.marked_count <= space.marked_bound, g
+    assert space.anchor_count <= space.anchor_bound, g
+    assert space.degree_exceptions <= space.degree_bound, g
+    assert find_interval(ix, ()) == ((0, g.n - 1, ix.last_rank_id) if g.n else None), g
     id_of = assign_identifiers(g, decompose_paths(g)).id_of_rank
     for pattern in PATTERNS:
         hits = naive_match(g, pattern)
