@@ -231,15 +231,17 @@ class PhiStructure:
     """Sorted identifier anchors with each one's order-predecessor.
 
     anchor_ids holds, ascending, the identifiers whose order-predecessor is
-    stored explicitly, a list that successor bisects; pred_ids[t], an
-    array of the narrowest word (_narrow), is the identifier of the vertex
-    directly before anchor_ids[t] in the vertex order, -1 for the order-first
-    vertex. Between anchors the predecessor of i + 1 is that of i plus one,
-    which is what makes successor lookup plus offset arithmetic recover
-    every other predecessor.
+    stored explicitly, the one column successor bisects; pred_ids[t] is the
+    identifier of the vertex directly before anchor_ids[t] in the vertex
+    order, -1 for the order-first vertex. Both are arrays of the narrowest
+    word (_narrow): phi bisects once per reported vertex, and a column of
+    raw words stays in cache where one of int objects does not. Between
+    anchors the predecessor of i + 1 is that of i plus one, which is what
+    makes successor lookup plus offset arithmetic recover every other
+    predecessor.
     """
 
-    anchor_ids: list[int]
+    anchor_ids: array
     pred_ids: array
 
     def successor(self, i: int) -> tuple[int, int]:
@@ -259,12 +261,13 @@ def build_phi(ids: IdAssignment) -> PhiStructure:
     when i = n - 1, pred(i) or pred(i + 1) is -1, or pred(i + 1) !=
     pred(i) + 1. Every other i gets pred(j) - (j - i) right from its anchor
     successor j, and each anchor is needed, so no smaller set serves phi.
+    Both columns are narrowest-word arrays.
     """
     id_of = ids.id_of_rank
     preds = [id_of[k - 1] if k else -1 for k in ids.rank_of_id]
     # pred(n) is taken as -1, so n - 1 is anchored too; q = -1 != p + 1.
     anchors = [i for i, (p, q) in enumerate(pairwise(preds + [-1])) if p < 0 or q != p + 1]
-    return PhiStructure(anchor_ids=anchors, pred_ids=_narrow([preds[i] for i in anchors]))
+    return PhiStructure(anchor_ids=_narrow(anchors), pred_ids=_narrow([preds[i] for i in anchors]))
 
 
 @dataclass
@@ -402,8 +405,9 @@ def _gaps(values: list[int]) -> list[int]:
 def _narrow(values):
     """values, a list or an array, in the first, so narrowest, typecode of
     _WORDS that holds them all (a list if none does): each file section and
-    each int column an index keeps but never bisects. One pass per width
-    tried, and a value too wide fails it early; a narrow array is one copy."""
+    each int column an index keeps, but for the bisected run starts and
+    degree exceptions. One pass per width tried, and a value too wide fails
+    it early; a narrow array is one copy."""
     for code in _WORDS:
         try:
             return array(code, values)
@@ -421,7 +425,8 @@ def _pack(values) -> str:
 
 
 def _unpack(name: str, section) -> list[int] | array:
-    """A section's ints: a list, or the array for run_labels, marked_pairs and pred_ids; raise on any other value."""
+    """A section's ints: a list, or the array for run_labels, marked_pairs,
+    anchor_ids and pred_ids; raise on any other value."""
     if type(section) is not str or section[:1] not in _WORDS:
         raise ValueError(f"corrupt index: {name} is not a section of b, h, i or q words")
     try:  # a character outside base64 or ASCII, or bytes that are not whole words
@@ -430,7 +435,7 @@ def _unpack(name: str, section) -> list[int] | array:
         raise ValueError(f"corrupt index: {name} is not the base64 of whole {section[0]} words ({exc})") from exc
     if sys.byteorder == "big":
         words.byteswap()
-    return words if name in ("run_labels", "marked_pairs", "pred_ids") else words.tolist()
+    return words if name in ("run_labels", "marked_pairs", "anchor_ids", "pred_ids") else words.tolist()
 
 
 def serialize_index(ix: WheelerRIndex) -> bytes:
@@ -559,6 +564,8 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index, for version 6, the only version it writes.
     The run ends are marked by definition; the break ranks are read off the
     marked destination identifiers, and the stored list must equal them.
+    The anchor gaps are summed straight into an array in the word of
+    n - 1, the last anchor, which is the one a build's _narrow picks.
 
     Raises ValueError on foreign input, on another version (an older file
     has to be built again from its graph) and, as "corrupt index: ...", on
@@ -620,7 +627,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         _check_ids("pred_ids", pred_ids, n, -1)
         if not _rising(anchor_gaps, n):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
-        anchor_ids = list(accumulate(anchor_gaps))
+        anchor_ids = array(_narrow((n - 1,)).typecode, accumulate(anchor_gaps))
         if n and anchor_ids[-1] != n - 1:
             raise ValueError(f"corrupt index: anchor_ids ends at {anchor_ids[-1]}, not at n - 1")
         if not _rising(_gaps(extras), m):

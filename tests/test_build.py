@@ -445,7 +445,7 @@ def test_phi_structure_g1(g1):
     ph = build_phi(ids)
     # identifier 0 follows 2 and identifier 1 follows 3: pred(1) - 1 gives
     # pred(0), so 0 needs no anchor
-    assert ph.anchor_ids == [1, 2, 3]
+    assert list(ph.anchor_ids) == [1, 2, 3]
     assert ph.pred_ids == array("q", [3, -1, 0])
 
 
@@ -454,7 +454,7 @@ def test_phi_structure_unary_chain():
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
     ph = build_phi(ids)
-    assert ph.anchor_ids == [0, 2, 3, 4]
+    assert list(ph.anchor_ids) == [0, 2, 3, 4]
     assert ph.pred_ids == array("q", [3, 1, -1, 2])
 
 
@@ -463,7 +463,7 @@ def test_phi_structure_single_vertex():
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
     ph = build_phi(ids)
-    assert ph.anchor_ids == [0]
+    assert list(ph.anchor_ids) == [0]
     assert ph.pred_ids == array("q", [-1])
 
 
@@ -520,7 +520,7 @@ def test_phi_anchors_are_the_minimal_set():
         ix = build_index(g)
         table = naive_phi_table(g, assign_identifiers(g, decompose_paths(g)))
         anchors, preds = ix.phi.anchor_ids, ix.phi.pred_ids
-        assert anchors == minimal_anchors(table)
+        assert list(anchors) == minimal_anchors(table)
         assert preds == array("q", [-1 if table[i] is None else table[i] for i in anchors])
         for t, a in enumerate(anchors):
             cut_phi = PhiStructure(anchors[:t] + anchors[t + 1:], preds[:t] + preds[t + 1:])
@@ -1185,18 +1185,18 @@ def test_index_bytes_match_golden_hashes():
 
 def assert_narrow_columns(ix):
     """The run labels, each label's run counts, cut table and run-end
-    identifiers, the run-end identifiers in run order, and the phi
-    predecessors are arrays of the narrowest word that holds their values."""
-    columns = [ix.rl.run_labels, ix.rl.end_ids, ix.phi.pred_ids]
+    identifiers, the run-end identifiers in run order, and the phi anchors
+    and predecessors are arrays of the narrowest word that holds their values."""
+    columns = [ix.rl.run_labels, ix.rl.end_ids, ix.phi.anchor_ids, ix.phi.pred_ids]
     columns += [col for _, cums, _, cuts, end_ids in ix.rl.runs_of.values() for col in (cums, cuts, end_ids)]
     assert [(type(col), col.typecode) for col in columns] == [(array, narrowest_code(col)) for col in columns]
 
 
-def test_unsearched_columns_are_unboxed_words():
-    """The int columns that queries index but never bisect take the
-    narrowest word of b, h, i and q that holds their values, the typecode
-    of their file section, after a build and after a load, and the load
-    gives back the built index."""
+def test_index_columns_are_unboxed_words():
+    """The int columns that queries index, and the phi anchors, which they
+    bisect, take the narrowest word of b, h, i and q that holds their
+    values, the typecode of their file section, after a build and after a
+    load, and the load gives back the built index."""
     for g in golden_graphs().values():
         ix = build_index(g)
         for index in (ix, deserialize_index(serialize_index(ix))):
@@ -1247,7 +1247,20 @@ def test_phi_predecessors_take_the_narrowest_word(n, code):
     # n - 2, whose predecessor is n - 1, and the order-first vertex n - 1
     ids = IdAssignment(id_of_rank=list(range(n - 1, -1, -1)), rank_of_id=list(range(n - 1, -1, -1)))
     ph = build_phi(ids)
-    assert (ph.anchor_ids, list(ph.pred_ids), ph.pred_ids.typecode) == ([n - 2, n - 1], [n - 1, -1], code)
+    assert (list(ph.anchor_ids), list(ph.pred_ids), ph.pred_ids.typecode) == ([n - 2, n - 1], [n - 1, -1], code)
+
+
+@pytest.mark.parametrize("n, code", [(128, "b"), (129, "h"), (2**15, "h"), (2**15 + 1, "i")])
+def test_loaded_anchors_take_the_built_word(n, code):
+    """A load puts the anchors in the word of n - 1, the last anchor, with
+    no width tried: the word a build's _narrow picks for them, on either
+    side of the b, h and i boundaries."""
+    rng = random.Random(n)
+    ix = build_index(gen_string_path([rng.randrange(2) for _ in range(n - 1)]).graph)
+    loaded = deserialize_index(serialize_index(ix))
+    assert loaded == ix and ix.phi.anchor_ids[-1] == n - 1
+    assert (ix.phi.anchor_ids.typecode, loaded.phi.anchor_ids.typecode) == (code, code)
+    assert code == narrowest_code(ix.phi.anchor_ids)
 
 
 def test_saves_of_wider_sections_stay_canonical():

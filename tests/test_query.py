@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from array import array
 from collections import Counter
 from itertools import accumulate, combinations_with_replacement
 
@@ -152,7 +153,7 @@ def test_refine_matches_dense_reference(inputs):
         last_rank_id=None,
         rl=rl_from_labels(labels, id_at),
         sums=DegreeSums(*_exceptions(out_degrees), *_exceptions(in_degrees)),
-        toehold=ToeholdTable({}), phi=PhiStructure([], []),
+        toehold=ToeholdTable({}), phi=PhiStructure(array("b"), array("b")),
     )
     for s, e in combinations_with_replacement(range(n), 2):
         for c in range(sigma + 1):  # label 4 never occurs
