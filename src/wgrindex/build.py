@@ -17,7 +17,7 @@ from array import array
 from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from itertools import accumulate, chain, compress, pairwise, repeat
 from operator import eq, ge, ne, sub
 
 from .errors import IndexInvariantError, NotWheelerError
@@ -193,9 +193,10 @@ class ToeholdTable:
     pairs: dict[int, int]
 
 
-def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
+def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> tuple[set[int], dict[int, int]]:
     """The positions that must be marked besides the run ends (rule M1,
-    which the index format implies):
+    which the index format implies), and those of the edges entering a
+    path endpoint, each with the endpoint rank it enters:
       M2: every edge leaving or entering a path endpoint;
       M3: every edge leaving the rank before an endpoint with no out-edges.
     The path endpoints are the ranks whose degree is not 1 and the ranks at
@@ -204,15 +205,15 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> set[int]:
     in_ranks, in_after = sums.in_ranks, sums.in_after
     labels = list(rl.runs_of)  # ascending, and so are their first in-slots
     firsts = [runs[1][0] for runs in rl.runs_of.values()]
-    marks = set()
+    marks, into = set(), {}
     for k in set(sums.out_ranks).union(sums.in_ranks, break_ranks):
         lo, hi = sums.out_prefix(k), sums.out_prefix(k + 1)
         marks.update(range(lo, hi))
         if lo == hi and k > 0:
             marks.update(range(sums.out_prefix(k - 1), lo))
         for slot in range(_prefix(in_ranks, in_after, k), _prefix(in_ranks, in_after, k + 1)):
-            marks.add(rl.select(labels[bisect_right(firsts, slot) - 1], slot))
-    return marks
+            into[rl.select(labels[bisect_right(firsts, slot) - 1], slot)] = k
+    return marks.union(into), into
 
 
 def build_toehold(
@@ -222,7 +223,7 @@ def build_toehold(
     p, at each position _required_marks names that is not a run end: the
     label at p + 1 is labels[p]. rl holds the run ends' identifiers."""
     m = len(labels)
-    extras = sorted(p for p in _required_marks(rl, sums, break_ranks) if p + 1 < m and labels[p] == labels[p + 1])
+    extras = sorted(p for p in _required_marks(rl, sums, break_ranks)[0] if p + 1 < m and labels[p] == labels[p + 1])
     return ToeholdTable({p: ids.id_of_rank[dsts[p]] for p in extras})
 
 
@@ -541,20 +542,6 @@ def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
     return sums, isolated
 
 
-def _entered_ranks(rl: RLSequence, starts: list[int], sums: DegreeSums, positions: list[int]) -> list[int]:
-    """The rank that the edge at each position enters, with runs starting at
-    starts: its in-slot's rank, clamped at in-degree exceptions as in query.step_interval."""
-    in_ranks, in_after = sums.in_ranks, sums.in_after
-
-    def target(p: int) -> int:
-        slot = rl.rank(rl.run_labels[bisect_right(starts, p) - 1], p)
-        t = bisect_right(in_after, slot)
-        k = in_ranks[t - 1] + 1 + slot - in_after[t - 1] if t else slot
-        return min(k, in_ranks[t]) if t < len(in_ranks) else k
-
-    return list(map(target, positions))
-
-
 def _ends_among(positions, starts: list[int], m: int) -> list[int]:
     """The positions, in their order, that end one of the runs starting at starts in [0, m)."""
     return [p for p in positions if p == m - 1 or bisect_left(starts, p + 1) < bisect_right(starts, p + 1)]
@@ -562,10 +549,9 @@ def _ends_among(positions, starts: list[int], m: int) -> list[int]:
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index, for version 6, the only version it writes.
-    The run ends are marked by definition; the break ranks are read off the
-    marked destination identifiers, and the stored list must equal them.
-    The anchor gaps are summed straight into an array in the word of
-    n - 1, the last anchor, which is the one a build's _narrow picks.
+    The run ends are marked by definition. The anchor gaps are summed
+    straight into an array in the word of n - 1, the last anchor, which is
+    the one a build's _narrow picks.
 
     Raises ValueError on foreign input, on another version (an older file
     has to be built again from its graph) and, as "corrupt index: ...", on
@@ -582,12 +568,13 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
     label, on run_starts not rising strictly from 0 within [0, m), on two
     neighbouring runs with the same label, on f_label disagreeing with the
     labels and label counts of the runs, on break_ranks not one per cycle
-    or other than the ranks of degree 1 that marked endpoint identifiers
-    enter, on a position that _required_marks names for the ranks whose
-    degree is not 1 and the break ranks not marked, on a mark holding an
-    endpoint identifier other than that of the rank its edge enters, on an
-    edge into an endpoint whose mark holds an interior identifier, and on a
-    last_rank_id other than the one stored at in-slot m - 1."""
+    or not strictly increasing within [0, n) apart from the ranks whose
+    degree is not 1, on a position that _required_marks names for the path
+    endpoints (those ranks and the break ranks) not marked, on an edge into
+    an endpoint whose mark holds another identifier than the endpoint's, on
+    other than m - first marks holding an endpoint identifier (the
+    endpoints are numbered last, from first up), and on a last_rank_id
+    other than the one stored at in-slot m - 1."""
     sealed = _unseal(data)
     try:
         doc = json.loads(data)
@@ -654,39 +641,38 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         # every other rank has one out-edge, and one more if it has no edges.
         exceptions = set(sums.out_ranks).union(sums.in_ranks)
         cycles = doc["num_paths"] - (m - n + len(exceptions)) - len(isolated)
-        # assign_identifiers gives the path endpoints, the exceptions and one
-        # break per cycle, the identifiers from first up in rank order, and
-        # rule M2 marks every edge into one: the breaks are the ranks entered
-        # at a mark that holds such an identifier, less the exceptions.
-        first = n - len(exceptions) - cycles
-        into = list(map(ge, dests, repeat(first)))  # marks that hold an endpoint identifier
-        entering = [s - 1 for s in compress(chain(islice(starts, 1, None), (m,)), into)]  # run ends, then extras
-        entering += compress(extras, islice(into, r, None))
-        targets = _entered_ranks(rl, starts, sums, entering)
-        breaks = sorted(set(targets).difference(exceptions))
         stored = doc["break_ranks"]
         if len(stored) != cycles:
             raise ValueError(f"corrupt index: break_ranks has {len(stored)} entries, "
                              f"num_paths and the degree sums give {cycles} cycles")
-        if stored != breaks:
-            raise ValueError("corrupt index: break_ranks is not the ranks of degree 1 "
-                             "that the marked endpoint identifiers enter")
-        unmarked = _required_marks(rl, sums, breaks).difference(pairs)
-        unmarked.difference_update(_ends_among(unmarked, starts, m))
+        if not _rising(_gaps(stored), n) or not exceptions.isdisjoint(stored):
+            raise ValueError("corrupt index: break_ranks is not strictly increasing within [0, n) "
+                             "or holds a rank whose degree is not 1")
+        marks, into = _required_marks(rl, sums, stored)
+        unmarked = marks.difference(pairs, _ends_among(marks, starts, m))
         if unmarked:
             raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
-        # Every mark holding an endpoint identifier enters that endpoint, and
-        # every edge into an endpoint holds one: the endpoints have m - first
-        # in-edges, since every other rank has in-degree 1.
-        endpoints = sorted(exceptions.union(breaks))
-        if len(entering) != m - first or [endpoints[i - first] for i in compress(dests, into)] != targets:
-            raise ValueError("corrupt index: the marks into the path endpoints do not hold their identifiers")
+        # assign_identifiers numbers the path endpoints, the exceptions and the
+        # breaks, from first up in rank order. Each edge into one holds its
+        # identifier; every other rank has in-degree 1, so those m - first
+        # edges are the only marks that hold an endpoint identifier.
+        first = n - len(exceptions) - cycles
+        endpoint_id = {k: i for i, k in enumerate(sorted(exceptions.union(stored)), first)}
+        for p, k in into.items():
+            got = pairs[p] if p in pairs else dests[bisect_right(starts, p) - 1]
+            if got != endpoint_id[k]:
+                raise ValueError(f"corrupt index: position {p} enters endpoint rank {k} "
+                                 f"but holds identifier {got}, not {endpoint_id[k]}")
+        endpoint_marks = sum(map(ge, dests, repeat(first)))
+        if endpoint_marks != m - first:
+            raise ValueError(f"corrupt index: {endpoint_marks} marks hold an endpoint identifier, "
+                             f"not the m - first = {m - first} edges into the endpoints")
         # Rank n - 1 holds in-slot m - 1, the end of the last run of the
         # largest label; with no edges the identifiers follow the ranks.
         last = rl.runs_of[top][4][-1] if m else n - 1 if n else None
         if doc["last_rank_id"] != last:
             raise ValueError(f"corrupt index: last_rank_id is {doc['last_rank_id']}, not {last}")
-        return WheelerRIndex(n=n, m=m, sigma=top + 1, num_paths=doc["num_paths"], break_ranks=breaks,
+        return WheelerRIndex(n=n, m=m, sigma=top + 1, num_paths=doc["num_paths"], break_ranks=stored,
                              last_rank_id=doc["last_rank_id"], rl=rl, sums=sums,
                              toehold=ToeholdTable(pairs), phi=PhiStructure(anchor_ids, pred_ids))
     except (KeyError, TypeError) as exc:

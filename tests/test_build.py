@@ -429,12 +429,18 @@ def test_load_side_marks_match_built_marks(inst):
     assert exceptions.isdisjoint(ix.break_ranks)
     assert exceptions.union(ix.break_ranks) == inst.decomp.endpoints
     assert ix.break_ranks == ([0] if inst.family == "cycle" and inst.graph.m else [])
-    marks = build_mod._required_marks(ix.rl, ix.sums, ix.break_ranks)
+    marks, into = build_mod._required_marks(ix.rl, ix.sums, ix.break_ranks)
     # rule M1, which the format implies: the last position of each run
     starts = run_starts_of(ix.rl)
     ends = {p - 1 for p in starts[1:] + [ix.m] if p}
     assert marks | ends == set(marked_ids(ix.rl, ix.toehold))
     assert list(ix.toehold.pairs) == sorted(marks - ends)
+    # the edges into the endpoints, each with the rank it enters, which the
+    # loader checks their marks against: every rank but an endpoint has
+    # in-degree 1, so they number m - first
+    dsts = transform_order(inst.graph)[2]
+    assert all(dsts[p] == k for p, k in into.items())
+    assert len(into) == ix.m - (ix.n - len(inst.decomp.endpoints))
 
 
 # --- phi structure ---
@@ -955,6 +961,25 @@ def test_deserialize_rejects_neighbouring_runs_with_one_label():
         deserialize_index(file_of(doc))
 
 
+def test_swapped_run_labels_are_rejected_only_by_the_neighbouring_runs_check(monkeypatch):
+    """Swapping the labels of two runs of equal length keeps every label
+    count, so f_label, the marks and the degree sums all still agree. Of the
+    drop, duplicate and neighbour-swap edits of the m <= 4 small-scope
+    corpus, this file is the one that only the check of two neighbouring
+    runs with one label rejects; with that check off it loads and locate
+    answers wrong."""
+    g = WheelerGraph(n=4, edges=[(0, 2, 1), (1, 0, 0), (1, 3, 1), (2, 1, 0)])
+    ix = build_index(g)
+    assert locate(ix, (0, 0)) == [0]
+    doc = doc_of(ix)
+    assert doc["run_labels"] == [1, 0, 1, 0]
+    doc["run_labels"] = [0, 1, 1, 0]
+    with pytest.raises(ValueError, match="^corrupt index: two neighbouring runs have the same label$"):
+        deserialize_index(file_of(doc))
+    monkeypatch.setattr(build_mod, "eq", lambda a, b: False)  # the check's only use of eq
+    assert locate(deserialize_index(file_of(doc)), (0, 0)) == [1]
+
+
 ARRAY_FIELDS = ["run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
                 "marked_positions", "marked_pairs", "anchor_ids", "pred_ids"]
 
@@ -1019,11 +1044,14 @@ def test_deserialize_rejects_unmarked_break_edge():
         deserialize_index(without_mark(doc, 0))
 
 
+BREAKS_OUT_OF_ORDER = "break_ranks is not strictly increasing within [0, n) or holds a rank whose degree is not 1"
+
+
 @pytest.mark.parametrize(
     "breaks, fragment",
     [([0, 0], "break_ranks has 2 entries, num_paths and the degree sums give 1 cycles"),
-     ([3], "break_ranks is not the ranks of degree 1 that the marked endpoint identifiers enter"),
-     ([-1], "break_ranks is not the ranks of degree 1 that the marked endpoint identifiers enter"),
+     ([3], BREAKS_OUT_OF_ORDER),
+     ([-1], BREAKS_OUT_OF_ORDER),
      ([0, 1], "break_ranks has 2 entries, num_paths and the degree sums give 1 cycles"),
      ([], "break_ranks has 0 entries, num_paths and the degree sums give 1 cycles")],
 )
@@ -1031,7 +1059,7 @@ def test_deserialize_rejects_impossible_break_ranks(breaks, fragment):
     doc = doc_of(build_index(ABB_CYCLE))
     assert (doc["n"], doc["num_paths"], doc["break_ranks"]) == (3, 1, [0])
     doc["break_ranks"] = breaks
-    with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'corrupt index: {fragment}')}$"):
         deserialize_index(file_of(doc))
 
 
@@ -1048,7 +1076,22 @@ def test_load_rejects_a_lowered_break_identifier(interior_id):
     # in-edge at position 2 ends the second run
     assert ix.break_ranks == [0] and doc["marked_pairs"] == [1, 2, 0]
     doc["marked_pairs"][1] = interior_id
-    with pytest.raises(ValueError, match="corrupt index: break_ranks is not the ranks of degree 1"):
+    message = f"corrupt index: position 2 enters endpoint rank 0 but holds identifier {interior_id}, not 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        deserialize_index(file_of(doc))
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_load_rejects_a_raised_interior_identifier(j):
+    # the one edge into the break rank of the "abb" cycle, at position 2,
+    # holds the one endpoint identifier, 2; raising another run end's
+    # interior identifier to 2 leaves that edge right, so only the count of
+    # marks holding an endpoint identifier, m - first = 3 - 2, sees it
+    doc = doc_of(build_index(ABB_CYCLE))
+    assert doc["marked_pairs"] == [1, 2, 0]
+    doc["marked_pairs"][j] = 2
+    message = "corrupt index: 2 marks hold an endpoint identifier, not the m - first = 1 edges into the endpoints"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         deserialize_index(file_of(doc))
 
 
@@ -1078,7 +1121,7 @@ def test_deserialize_rejects_break_rank_with_degree_exception():
     doc = doc_of(build_index(ABBA))
     assert doc["break_ranks"] == [] and doc["num_paths"] == 1
     doc.update(break_ranks=[0], num_paths=2)
-    with pytest.raises(ValueError, match="corrupt index: break_ranks is not the ranks of degree 1"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'corrupt index: {BREAKS_OUT_OF_ORDER}')}$"):
         deserialize_index(file_of(doc))
 
 
