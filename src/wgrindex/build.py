@@ -37,7 +37,7 @@ _SECTIONS = ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
 _WORDS = ("b", "h", "i", "q")  # array typecodes of signed 1-, 2-, 4- and 8-byte words
 _INT = frozenset((int,))
 _INT_OR_NONE = frozenset((int, type(None)))
-_RUNS_PER_BUCKET = 16  # average runs of a label per cut-table bucket
+_PER_BUCKET = 16  # average entries per cut-table bucket: a label's runs, or the phi anchors
 
 
 def build_bwt(g: WheelerGraph) -> tuple[list[int], list[int]]:
@@ -51,6 +51,15 @@ def build_bwt(g: WheelerGraph) -> tuple[list[int], list[int]]:
     return report.labels, report.dsts
 
 
+def _cut_table(values, end: int) -> tuple[int, array]:
+    """shift, the least with len(values) << shift >= _PER_BUCKET * end, and
+    cuts[b], the values below b << shift, for b up to (end >> shift) + 1:
+    for v in [0, end), bisect_left(values, v) is that of the ascending
+    values bisected in [cuts[v >> shift], cuts[(v >> shift) + 1]) alone."""
+    shift = (-(-_PER_BUCKET * end // max(len(values), 1)) - 1).bit_length()
+    return shift, _narrow(list(map(bisect_left, repeat(values), range(0, (end >> shift) + 2 << shift, 1 << shift))))
+
+
 @dataclass
 class RLSequence:
     """Rank/select over a run-length encoded label sequence.
@@ -59,11 +68,10 @@ class RLSequence:
     a directory of its runs: their starts, a list that rank bisects; cums,
     the in-slots that queries only index: the labels below c (the FM-index
     C[c]) plus the occurrences of c before each run, then after the last;
-    a cut table, cuts[b] the runs starting before b << shift, for the least
-    bucket width 2**shift that holds at least _RUNS_PER_BUCKET runs on
-    average, so rank bisects one bucket's runs; and end_ids, the identifier
-    each run's last edge enters (its toehold sample). All but starts are
-    narrowest-word arrays (_narrow); storage is O(runs + distinct labels).
+    shift and cuts, the _cut_table of the starts, so rank bisects one
+    bucket's runs; and end_ids, the identifier each run's last edge enters
+    (its toehold sample). All but starts are narrowest-word arrays
+    (_narrow); storage is O(runs + distinct labels).
     Beside run_labels, end_ids keeps those identifiers in run order, the
     order a save writes them in, in the array of_runs is given.
     """
@@ -89,10 +97,7 @@ class RLSequence:
         for c in sorted(runs_of):
             starts, lengths, ids = runs_of[c]
             cums = _narrow(list(accumulate(lengths, initial=below)))
-            # The least shift with len(starts) << shift >= _RUNS_PER_BUCKET * m.
-            shift = (-(-_RUNS_PER_BUCKET * m // len(starts)) - 1).bit_length()
-            cuts = _narrow(list(map(bisect_left, repeat(starts), range(0, (m >> shift) + 2 << shift, 1 << shift))))
-            directories[c], below = (starts, cums, shift, cuts, _narrow(ids)), cums[-1]
+            directories[c], below = (starts, cums, *_cut_table(starts, m), _narrow(ids)), cums[-1]
         return cls(m, _narrow(run_labels), end_ids, directories)
 
     def rank(self, c: int, p: int) -> int:
@@ -232,26 +237,36 @@ class PhiStructure:
     """Sorted identifier anchors with each one's order-predecessor.
 
     anchor_ids holds, ascending, the identifiers whose order-predecessor is
-    stored explicitly, the one column successor bisects; pred_ids[t] is the
+    stored explicitly, the column successor bisects; pred_ids[t] is the
     identifier of the vertex directly before anchor_ids[t] in the vertex
-    order, -1 for the order-first vertex. Both are arrays of the narrowest
-    word (_narrow): phi bisects once per reported vertex, and a column of
-    raw words stays in cache where one of int objects does not. Between
-    anchors the predecessor of i + 1 is that of i plus one, which is what
-    makes successor lookup plus offset arithmetic recover every other
-    predecessor.
+    order, -1 for the order-first vertex. shift and cuts, the _cut_table of
+    the anchors, made here for a build and a load alike, let successor
+    bisect one bucket of anchors per reported vertex. All are arrays of the
+    narrowest word (_narrow), which stay in cache where int objects do not.
+    Between anchors the predecessor of i + 1 is that of i plus one, which
+    is what makes successor lookup plus offset arithmetic recover every
+    other predecessor.
     """
 
     anchor_ids: array
     pred_ids: array
+    shift: int = field(init=False)
+    cuts: array = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.shift, self.cuts = _cut_table(self.anchor_ids, self.anchor_ids[-1] + 1 if self.anchor_ids else 0)
 
     def successor(self, i: int) -> tuple[int, int]:
-        """Smallest anchor >= i with its stored predecessor identifier,
-        -1 for the order-first vertex."""
-        t = bisect_left(self.anchor_ids, i)
-        if t == len(self.anchor_ids):
-            raise IndexInvariantError(f"identifier {i} has no anchor successor")
-        return self.anchor_ids[t], self.pred_ids[t]
+        """Smallest anchor >= i >= 0 with its stored predecessor identifier,
+        -1 for the order-first vertex; past the last anchor, the bucket of i
+        or the bisect's result lies past its column."""
+        cuts = self.cuts
+        b = i >> self.shift
+        try:
+            t = bisect_left(self.anchor_ids, i, cuts[b], cuts[b + 1])
+            return self.anchor_ids[t], self.pred_ids[t]
+        except IndexError:
+            raise IndexInvariantError(f"identifier {i} has no anchor successor") from None
 
 
 def build_phi(ids: IdAssignment) -> PhiStructure:
@@ -321,7 +336,9 @@ class SpaceReport:
     rank_select counts one word per run, its label, then each label's starts,
     run counts and cut-table entries; the toehold one word per break rank
     and two per marked position: a run end's identifier in its label's
-    directory and in run order, an extra's position and identifier.
+    directory and in run order, an extra's position and identifier; phi
+    two per anchor, its identifier and predecessor, then its cut-table
+    entries.
 
     marked_bound, anchor_bound and degree_bound are the budgets the
     construction is expected to stay within: num_runs + 4 * num_paths marked
@@ -376,7 +393,7 @@ def space_report(ix: WheelerRIndex) -> SpaceReport:
         "rank_select": rl_words,
         "degree_sums": 2 * exceptions,
         "toehold": 2 * marked + len(ix.break_ranks),
-        "phi": 2 * anchors,
+        "phi": 2 * anchors + len(ix.phi.cuts),
     }
     return SpaceReport(
         n=ix.n,
@@ -549,9 +566,9 @@ def _ends_among(positions, starts: list[int], m: int) -> list[int]:
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index, for version 6, the only version it writes.
-    The run ends are marked by definition. The anchor gaps are summed
-    straight into an array in the word of n - 1, the last anchor, which is
-    the one a build's _narrow picks.
+    The run ends are marked by definition. The anchor gaps are summed into
+    a list, then an array in the word of n - 1, the last anchor: the word
+    and the size that a build's _narrow gives.
 
     Raises ValueError on foreign input, on another version (an older file
     has to be built again from its graph) and, as "corrupt index: ...", on
@@ -614,7 +631,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         _check_ids("pred_ids", pred_ids, n, -1)
         if not _rising(anchor_gaps, n):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
-        anchor_ids = array(_narrow((n - 1,)).typecode, accumulate(anchor_gaps))
+        anchor_ids = array(_narrow((n - 1,)).typecode, list(accumulate(anchor_gaps)))  # no growth slack
         if n and anchor_ids[-1] != n - 1:
             raise ValueError(f"corrupt index: anchor_ids ends at {anchor_ids[-1]}, not at n - 1")
         if not _rising(_gaps(extras), m):

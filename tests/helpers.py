@@ -24,7 +24,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, chain, combinations_with_replacement, pairwise, product, repeat
 from pathlib import Path
 
 import pytest
@@ -614,6 +614,21 @@ def dense_refine(labels, id_at, out_degrees, in_degrees, f_label, s, e, c):
     p = hits[-1]
     end = id_at[p] if p + 1 == len(labels) or labels[p + 1] != c else None
     return bisect_right(in_prefix, first) - 1, bisect_right(in_prefix, last) - 1, p, end
+
+
+@cache
+def small_wheeler_graphs(max_m: int) -> tuple[WheelerGraph, ...]:
+    """The Wheeler graphs with n <= 4, sigma <= 2 and m <= max_m, one per
+    edge multiset: the small-scope corpus."""
+    out = []
+    for n in range(5):
+        edges = list(product(range(n), range(n), range(2)))
+        for m in range(max_m + 1):
+            for chosen in combinations_with_replacement(edges, m):
+                g = WheelerGraph(n=n, edges=list(chosen))
+                if validate_wheeler(g).is_wheeler:
+                    out.append(g)
+    return tuple(out)
 
 
 def sampled_wheeler_graphs(count: int, seed: int, keep) -> list[WheelerGraph]:

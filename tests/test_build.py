@@ -4,8 +4,10 @@ import itertools
 import json
 import random
 import re
+import sys
 import zlib
 from array import array
+from bisect import bisect_left
 from dataclasses import replace
 from functools import cache
 from itertools import accumulate, product
@@ -71,6 +73,7 @@ from helpers import (
     naive_runs,
     narrowest_code,
     random_label_string,
+    small_wheeler_graphs,
     doc_of,
     file_of,
     lists_of,
@@ -560,6 +563,8 @@ def test_space_report_g1(g1_index):
     sr = space_report(g1_index)
     assert sr.marked_count == 3
     assert sr.anchor_count == 3
+    # 3 anchors up to identifier 3: buckets of 32 identifiers, 2 cut-table entries
+    assert sr.words["phi"] == 2 * 3 + 2
     assert sr.marked_bound == 3 + 4 * 1
     assert sr.anchor_bound == 3 + 8 * 1 + 1
     assert sr.total_words == sum(sr.words.values())
@@ -1228,9 +1233,10 @@ def test_index_bytes_match_golden_hashes():
 
 def assert_narrow_columns(ix):
     """The run labels, each label's run counts, cut table and run-end
-    identifiers, the run-end identifiers in run order, and the phi anchors
-    and predecessors are arrays of the narrowest word that holds their values."""
-    columns = [ix.rl.run_labels, ix.rl.end_ids, ix.phi.anchor_ids, ix.phi.pred_ids]
+    identifiers, the run-end identifiers in run order, and the phi anchors,
+    predecessors and cut table are arrays of the narrowest word that holds
+    their values."""
+    columns = [ix.rl.run_labels, ix.rl.end_ids, ix.phi.anchor_ids, ix.phi.pred_ids, ix.phi.cuts]
     columns += [col for _, cums, _, cuts, end_ids in ix.rl.runs_of.values() for col in (cums, cuts, end_ids)]
     assert [(type(col), col.typecode) for col in columns] == [(array, narrowest_code(col)) for col in columns]
 
@@ -1239,12 +1245,57 @@ def test_index_columns_are_unboxed_words():
     """The int columns that queries index, and the phi anchors, which they
     bisect, take the narrowest word of b, h, i and q that holds their
     values, the typecode of their file section, after a build and after a
-    load, and the load gives back the built index."""
+    load, and the load gives back the built index. The space report counts
+    phi as two words per anchor and one per cut-table entry."""
     for g in golden_graphs().values():
         ix = build_index(g)
         for index in (ix, deserialize_index(serialize_index(ix))):
             assert index == ix
             assert_narrow_columns(index)
+            assert space_report(index).words["phi"] == 2 * len(index.phi.anchor_ids) + len(index.phi.cuts)
+
+
+def test_a_loaded_anchor_column_has_the_built_size():
+    """A load makes the anchor column at the size a build's _narrow gives,
+    without the growth slack of an array filled from an iterator, which
+    these graphs' anchor counts would leave."""
+    slack = 0
+    for g in golden_graphs().values():
+        ix = build_index(g)
+        anchors, loaded = ix.phi.anchor_ids, deserialize_index(serialize_index(ix)).phi.anchor_ids
+        assert sys.getsizeof(loaded) == sys.getsizeof(anchors)
+        slack += sys.getsizeof(array(anchors.typecode, iter(anchors))) > sys.getsizeof(anchors)
+    assert slack >= 3
+
+
+def assert_successor_bisects_the_whole_column(ph: PhiStructure) -> None:
+    """successor(i) is the anchor that a bisect of the whole column finds,
+    for every i up to the last anchor, and raises IndexInvariantError past
+    it; with an anchor, the cut table's bucket width is the least power of
+    two at or above 16 times the identifiers up to the last anchor per anchor."""
+    anchors = ph.anchor_ids
+    end = anchors[-1] + 1 if anchors else 0
+    assert not anchors or 1 << ph.shift >= 16 * end / len(anchors) > 1 << ph.shift - 1
+    assert len(ph.cuts) == (end >> ph.shift) + 2
+    for i in range(end):
+        t = bisect_left(anchors, i)
+        assert ph.successor(i) == (anchors[t], ph.pred_ids[t]), i
+    for i in (end, end + 1, end + (1 << ph.shift), end + (3 << ph.shift)):
+        with pytest.raises(IndexInvariantError, match=f"identifier {i} has no anchor successor"):
+            ph.successor(i)
+
+
+def test_phi_successor_bisects_one_bucket_as_the_whole_column():
+    """On the built and the loaded index of every m <= 4 small-scope graph
+    and of the golden graphs, the cut-table successor finds what a plain
+    bisect of the anchors finds, and with the last anchor dropped it still
+    raises past the anchors that remain."""
+    graphs = [*small_wheeler_graphs(4), *golden_graphs().values()]
+    for g in graphs:
+        ix = build_index(g)
+        for ph in (ix.phi, deserialize_index(serialize_index(ix)).phi):
+            assert_successor_bisects_the_whole_column(ph)
+            assert_successor_bisects_the_whole_column(PhiStructure(ph.anchor_ids[:-1], ph.pred_ids[:-1]))
 
 
 @pytest.mark.parametrize("labels, code", [([0, 127], "b"), ([0, 128], "h"), ([127, 0], "b"), ([128, 0], "h")])
