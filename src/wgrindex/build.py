@@ -97,7 +97,8 @@ class RLSequence:
         for c in sorted(runs_of):
             starts, lengths, ids = runs_of[c]
             cums = _narrow(list(accumulate(lengths, initial=below)))
-            directories[c], below = (starts, cums, *_cut_table(starts, m), _narrow(ids)), cums[-1]
+            # starts[:] drops the slack its appends left: the list kept is exact
+            directories[c], below = (starts[:], cums, *_cut_table(starts, m), _narrow(ids)), cums[-1]
         return cls(m, _narrow(run_labels), end_ids, directories)
 
     def rank(self, c: int, p: int) -> int:
@@ -128,12 +129,12 @@ class RLSequence:
 def build_rank_select(labels: list[int], dsts: list[int], id_of_rank: list[int]) -> RLSequence:
     """Rank/select directories over the runs of the edge labels in transform
     order, a run starting wherever the label changes, each with the id of
-    dsts[p] at its last p, before the next change: narrow words, so of_runs
-    reads no scattered int."""
-    run_starts = list(compress(range(len(labels)), map(ne, [None] + labels, labels)))
-    run_ends = compress(range(len(labels)), map(ne, labels, labels[1:] + [None]))
-    end_ids = _narrow([id_of_rank[dsts[p]] for p in run_ends])
-    return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts], end_ids)
+    dsts[p] at its last p, just before the next start or at m - 1: narrow
+    words, so of_runs reads no scattered int."""
+    m = len(labels)
+    run_starts = list(compress(range(m), map(ne, [None] + labels, labels)))
+    end_ids = _narrow([id_of_rank[dsts[p - 1]] for p in (run_starts[1:] + [m] if m else [])])
+    return RLSequence.of_runs(m, run_starts, [labels[p] for p in run_starts], end_ids)
 
 
 @dataclass
@@ -158,12 +159,13 @@ class DegreeSums:
 
 
 def _exceptions(degrees) -> tuple[list[int], list[int]]:
-    """One side's exception ranks and the prefix sum just after each."""
+    """One side's exception ranks and the prefix sum just after each, as
+    slices at their exact size: a comprehension leaves growth slack."""
     ranks = [k for k, d in enumerate(degrees) if d != 1]
     # The prefix after rank k is k + 1 plus the excess (d - 1) of the
     # exceptions up to k; every other rank adds exactly 1.
     excess = accumulate(degrees[k] - 1 for k in ranks)
-    return ranks, [k + 1 + x for k, x in zip(ranks, excess)]
+    return ranks[:], [k + 1 + x for k, x in zip(ranks, excess)][:]
 
 
 def _prefix(ranks: list[int], after: list[int], k: int) -> int:
@@ -241,8 +243,10 @@ class PhiStructure:
     identifier of the vertex directly before anchor_ids[t] in the vertex
     order, -1 for the order-first vertex. shift and cuts, the _cut_table of
     the anchors, made here for a build and a load alike, let successor
-    bisect one bucket of anchors per reported vertex. All are arrays of the
-    narrowest word (_narrow), which stay in cache where int objects do not.
+    bisect one bucket of anchors per reported vertex. The columns may be
+    given as lists, which the table bisects without making an int per
+    probe; all three are kept as exact-size arrays of the narrowest word
+    (_narrow), which stay in cache where int objects do not.
     Between anchors the predecessor of i + 1 is that of i plus one, which
     is what makes successor lookup plus offset arithmetic recover every
     other predecessor.
@@ -254,7 +258,10 @@ class PhiStructure:
     cuts: array = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.shift, self.cuts = _cut_table(self.anchor_ids, self.anchor_ids[-1] + 1 if self.anchor_ids else 0)
+        anchors = self.anchor_ids
+        self.shift, self.cuts = _cut_table(anchors, anchors[-1] + 1 if anchors else 0)
+        # the anchors ascend, so the last one's word is _narrow's, found with no trial pass
+        self.anchor_ids, self.pred_ids = array(_narrow(anchors[-1:]).typecode, anchors), _narrow(self.pred_ids)
 
     def successor(self, i: int) -> tuple[int, int]:
         """Smallest anchor >= i >= 0 with its stored predecessor identifier,
@@ -277,13 +284,13 @@ def build_phi(ids: IdAssignment) -> PhiStructure:
     when i = n - 1, pred(i) or pred(i + 1) is -1, or pred(i + 1) !=
     pred(i) + 1. Every other i gets pred(j) - (j - i) right from its anchor
     successor j, and each anchor is needed, so no smaller set serves phi.
-    Both columns are narrowest-word arrays.
+    Both columns are handed over as lists, which PhiStructure narrows.
     """
     id_of = ids.id_of_rank
     preds = [id_of[k - 1] if k else -1 for k in ids.rank_of_id]
     # pred(n) is taken as -1, so n - 1 is anchored too; q = -1 != p + 1.
     anchors = [i for i, (p, q) in enumerate(pairwise(preds + [-1])) if p < 0 or q != p + 1]
-    return PhiStructure(anchor_ids=_narrow(anchors), pred_ids=_narrow([preds[i] for i in anchors]))
+    return PhiStructure(anchor_ids=anchors, pred_ids=[preds[i] for i in anchors])
 
 
 @dataclass
@@ -320,7 +327,7 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
         m=g.m,
         sigma=g.sigma,
         num_paths=d.num_paths,
-        break_ranks=d.break_ranks,
+        break_ranks=d.break_ranks[:],  # exact size, as a load keeps it
         last_rank_id=ids.id_of_rank[g.n - 1] if g.n else None,
         rl=rl,
         sums=sums,
@@ -567,8 +574,8 @@ def _ends_among(positions, starts: list[int], m: int) -> list[int]:
 def deserialize_index(data: bytes) -> WheelerRIndex:
     """Inverse of serialize_index, for version 6, the only version it writes.
     The run ends are marked by definition. The anchor gaps are summed into
-    a list, then an array in the word of n - 1, the last anchor: the word
-    and the size that a build's _narrow gives.
+    a list, and PhiStructure makes its cut table and arrays from it as from
+    a build's list, so a loaded index has the built words and sizes.
 
     Raises ValueError on foreign input, on another version (an older file
     has to be built again from its graph) and, as "corrupt index: ...", on
@@ -631,7 +638,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         _check_ids("pred_ids", pred_ids, n, -1)
         if not _rising(anchor_gaps, n):
             raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
-        anchor_ids = array(_narrow((n - 1,)).typecode, list(accumulate(anchor_gaps)))  # no growth slack
+        anchor_ids = list(accumulate(anchor_gaps))
         if n and anchor_ids[-1] != n - 1:
             raise ValueError(f"corrupt index: anchor_ids ends at {anchor_ids[-1]}, not at n - 1")
         if not _rising(_gaps(extras), m):

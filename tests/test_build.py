@@ -1255,17 +1255,35 @@ def test_index_columns_are_unboxed_words():
             assert space_report(index).words["phi"] == 2 * len(index.phi.anchor_ids) + len(index.phi.cuts)
 
 
-def test_a_loaded_anchor_column_has_the_built_size():
-    """A load makes the anchor column at the size a build's _narrow gives,
-    without the growth slack of an array filled from an iterator, which
-    these graphs' anchor counts would leave."""
-    slack = 0
-    for g in golden_graphs().values():
+def index_columns(ix) -> dict:
+    """Every list and array column an index keeps, by name: each label's run
+    starts, run counts, cut table and run-end identifiers, the run labels and
+    run-order run-end identifiers, the phi anchors, predecessors and cut
+    table, the degree exceptions and the break ranks."""
+    columns = {"run_labels": ix.rl.run_labels, "end_ids": ix.rl.end_ids, "anchor_ids": ix.phi.anchor_ids,
+               "pred_ids": ix.phi.pred_ids, "phi.cuts": ix.phi.cuts, "break_ranks": ix.break_ranks, **vars(ix.sums)}
+    for c, (starts, cums, _, cuts, end_ids) in ix.rl.runs_of.items():
+        columns |= {f"starts[{c}]": starts, f"cums[{c}]": cums, f"cuts[{c}]": cuts, f"end_ids[{c}]": end_ids}
+    return columns
+
+
+def test_index_columns_are_kept_at_their_exact_size():
+    """After a build and after a load, no list or array column of the index
+    holds growth slack: sys.getsizeof of each equals that of its slice copy,
+    on the golden graphs and a seeded 20k-symbol string path. The anchor
+    counts are such that an array filled from an iterator, as loads once
+    made the anchors, keeps slack on at least three of these graphs."""
+    rng = random.Random(20)
+    graphs = [*golden_graphs().values(), gen_string_path(tuple(rng.randrange(4) for _ in range(20_000))).graph]
+    iterator_slack = 0
+    for g in graphs:
         ix = build_index(g)
-        anchors, loaded = ix.phi.anchor_ids, deserialize_index(serialize_index(ix)).phi.anchor_ids
-        assert sys.getsizeof(loaded) == sys.getsizeof(anchors)
-        slack += sys.getsizeof(array(anchors.typecode, iter(anchors))) > sys.getsizeof(anchors)
-    assert slack >= 3
+        for index in (ix, deserialize_index(serialize_index(ix))):
+            slack = {name: sys.getsizeof(col) - sys.getsizeof(col[:]) for name, col in index_columns(index).items()}
+            assert {name: b for name, b in slack.items() if b} == {}
+        anchors = ix.phi.anchor_ids
+        iterator_slack += sys.getsizeof(array(anchors.typecode, iter(anchors))) > sys.getsizeof(anchors)
+    assert iterator_slack >= 3
 
 
 def assert_successor_bisects_the_whole_column(ph: PhiStructure) -> None:
