@@ -14,6 +14,7 @@ import json
 import sys
 import zlib
 from array import array
+from collections import defaultdict
 from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .graph import (
 )
 
 _FORMAT = "wgrindex"
-_VERSION = 6
+_VERSION = 7
 _SEAL = b',"crc32":'
 _SECTIONS = ("run_starts", "run_labels", "out_prefix", "in_prefix", "f_label",
              "marked_positions", "marked_pairs", "break_ranks", "anchor_ids", "pred_ids")
@@ -64,42 +65,33 @@ def _cut_table(values, end: int) -> tuple[int, array]:
 class RLSequence:
     """Rank/select over a run-length encoded label sequence.
 
-    Keeps each run's label, in run order, and per label in ascending order
-    a directory of its runs: their starts, a list that rank bisects; cums,
-    the in-slots that queries only index: the labels below c (the FM-index
-    C[c]) plus the occurrences of c before each run, then after the last;
-    shift and cuts, the _cut_table of the starts, so rank bisects one
-    bucket's runs; and end_ids, the identifier each run's last edge enters
-    (its toehold sample). All but starts are narrowest-word arrays
-    (_narrow); storage is O(runs + distinct labels).
-    Beside run_labels, end_ids keeps those identifiers in run order, the
-    order a save writes them in, in the array of_runs is given.
+    Keeps, per label in ascending order, a directory of its runs: their
+    starts, a list that rank bisects; cums, the in-slots that queries only
+    index: the labels below c (the FM-index C[c]) plus the occurrences of
+    c before each run, then after the last; shift and cuts, the _cut_table
+    of the starts, so rank bisects one bucket's runs; and end_ids, the
+    identifier each run's last edge enters (its toehold sample). All but
+    starts are narrowest-word arrays (_narrow); storage is O(runs +
+    distinct labels), and nothing is kept in run order.
     """
 
     length: int
-    run_labels: array
-    end_ids: array
     runs_of: dict[int, tuple[list[int], array, int, array, array]] = field(repr=False)
 
     @classmethod
-    def of_runs(cls, m: int, run_starts: list[int], run_labels, end_ids) -> RLSequence:
-        """The directories of the runs in [0, m) at run_starts, with run_labels and end_ids in run order."""
-        runs_of: dict[int, tuple[list[int], list[int], list[int]]] = {}  # label -> (starts, lengths, end ids)
-        for s, e, lab, i in zip(run_starts, run_starts[1:] + [m], run_labels, end_ids):
-            runs = runs_of.get(lab)
-            if runs is None:
-                runs_of[lab] = ([s], [e - s], [i])
-            else:
-                runs[0].append(s)
-                runs[1].append(e - s)
-                runs[2].append(i)
+    def of_runs(cls, m: int, runs: dict[int, tuple[list[int], list[int], list[int] | array]]) -> RLSequence:
+        """The directories of the runs in [0, m): runs maps each label,
+        ascending, to its runs' ascending starts, their ends (each the next
+        start of any label, or m) and the identifiers their last edges
+        enter. Raises ValueError when two neighbouring runs have one label."""
         directories, below = {}, 0
-        for c in sorted(runs_of):
-            starts, lengths, ids = runs_of[c]
-            cums = _narrow(list(accumulate(lengths, initial=below)))
-            # starts[:] drops the slack its appends left: the list kept is exact
+        for c, (starts, ends, ids) in runs.items():
+            if any(map(eq, ends, starts[1:])):
+                raise ValueError("corrupt index: two neighbouring runs have the same label")
+            cums = _narrow(list(accumulate(map(sub, ends, starts), initial=below)))
+            # starts[:] drops the slack of appends and accumulate: the list kept is exact
             directories[c], below = (starts[:], cums, *_cut_table(starts, m), _narrow(ids)), cums[-1]
-        return cls(m, _narrow(run_labels), end_ids, directories)
+        return cls(m, directories)
 
     def rank(self, c: int, p: int) -> int:
         """The LF value of c at p in [0, length]: the labels below c plus
@@ -129,12 +121,16 @@ class RLSequence:
 def build_rank_select(labels: list[int], dsts: list[int], id_of_rank: list[int]) -> RLSequence:
     """Rank/select directories over the runs of the edge labels in transform
     order, a run starting wherever the label changes, each with the id of
-    dsts[p] at its last p, just before the next start or at m - 1: narrow
-    words, so of_runs reads no scattered int."""
+    dsts[p] at its last p, just before the next start or at m - 1."""
     m = len(labels)
-    run_starts = list(compress(range(m), map(ne, [None] + labels, labels)))
-    end_ids = _narrow([id_of_rank[dsts[p - 1]] for p in (run_starts[1:] + [m] if m else [])])
-    return RLSequence.of_runs(m, run_starts, [labels[p] for p in run_starts], end_ids)
+    bounds = list(compress(range(m), map(ne, [None] + labels, labels)))
+    runs: dict[int, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))  # label -> (starts, ends, end ids)
+    for s, e in zip(bounds, bounds[1:] + [m]):
+        starts, ends, ids = runs[labels[s]]
+        starts.append(s)
+        ends.append(e)
+        ids.append(id_of_rank[dsts[e - 1]])
+    return RLSequence.of_runs(m, dict(sorted(runs.items())))
 
 
 @dataclass
@@ -200,10 +196,10 @@ class ToeholdTable:
     pairs: dict[int, int]
 
 
-def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> tuple[set[int], dict[int, int]]:
+def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> tuple[set[int], dict[int, tuple[int, int]]]:
     """The positions that must be marked besides the run ends (rule M1,
     which the index format implies), and those of the edges entering a
-    path endpoint, each with the endpoint rank it enters:
+    path endpoint, each with the endpoint rank it enters and its label:
       M2: every edge leaving or entering a path endpoint;
       M3: every edge leaving the rank before an endpoint with no out-edges.
     The path endpoints are the ranks whose degree is not 1 and the ranks at
@@ -219,7 +215,8 @@ def _required_marks(rl: RLSequence, sums: DegreeSums, break_ranks) -> tuple[set[
         if lo == hi and k > 0:
             marks.update(range(sums.out_prefix(k - 1), lo))
         for slot in range(_prefix(in_ranks, in_after, k), _prefix(in_ranks, in_after, k + 1)):
-            into[rl.select(labels[bisect_right(firsts, slot) - 1], slot)] = k
+            c = labels[bisect_right(firsts, slot) - 1]
+            into[rl.select(c, slot)] = k, c
     return marks.union(into), into
 
 
@@ -340,12 +337,11 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
 class SpaceReport:
     """Measured sizes of the built components, in stored integers ("words").
 
-    rank_select counts one word per run, its label, then each label's starts,
-    run counts and cut-table entries; the toehold one word per break rank
-    and two per marked position: a run end's identifier in its label's
-    directory and in run order, an extra's position and identifier; phi
-    two per anchor, its identifier and predecessor, then its cut-table
-    entries.
+    rank_select counts one word per label that occurs, then each label's
+    starts, run counts and cut-table entries; the toehold one word per
+    break rank and per run end, its identifier in its label's directory,
+    and two per extra mark, its position and identifier; phi two per
+    anchor, its identifier and predecessor, then its cut-table entries.
 
     marked_bound, anchor_bound and degree_bound are the budgets the
     construction is expected to stay within: num_runs + 4 * num_paths marked
@@ -392,14 +388,14 @@ class SpaceReport:
 def space_report(ix: WheelerRIndex) -> SpaceReport:
     """Tally stored integers per component and the expected size budgets."""
     rl, sums = ix.rl, ix.sums
-    r, anchors = len(rl.run_labels), len(ix.phi.anchor_ids)
-    marked = r + len(ix.toehold.pairs)
+    r, anchors = sum(len(runs[0]) for runs in rl.runs_of.values()), len(ix.phi.anchor_ids)
+    extras = len(ix.toehold.pairs)
     exceptions = len(sums.out_ranks) + len(sums.in_ranks)
-    rl_words = r + sum(len(starts) + len(cums) + len(cuts) for starts, cums, _, cuts, _ in rl.runs_of.values())
+    rl_words = len(rl.runs_of) + sum(len(starts) + len(cums) + len(cuts) for starts, cums, _, cuts, _ in rl.runs_of.values())
     words = {
         "rank_select": rl_words,
         "degree_sums": 2 * exceptions,
-        "toehold": 2 * marked + len(ix.break_ranks),
+        "toehold": r + 2 * extras + len(ix.break_ranks),
         "phi": 2 * anchors + len(ix.phi.cuts),
     }
     return SpaceReport(
@@ -408,7 +404,7 @@ def space_report(ix: WheelerRIndex) -> SpaceReport:
         sigma=ix.sigma,
         num_runs=r,
         num_paths=ix.num_paths,
-        marked_count=marked,
+        marked_count=r + extras,
         anchor_count=anchors,
         marked_bound=r + 4 * ix.num_paths,
         anchor_bound=r + 8 * ix.num_paths + 1,
@@ -432,12 +428,14 @@ def _narrow(values):
     _WORDS that holds them all (a list if none does): each file section and
     each int column an index keeps, but for the bisected run starts and
     degree exceptions. One pass per width tried, and a value too wide fails
-    it early; a narrow array is one copy."""
+    it early; a narrow array is one copy, at its exact size."""
     for code in _WORDS:
         try:
-            return array(code, values)
+            words = array(code, values)
         except OverflowError:  # a value past this word: try the next width
             continue
+        # an array of another word fills this one item by item, with growth slack
+        return words if type(values) is not array or values.typecode == code else words[:]
     return list(values)
 
 
@@ -449,9 +447,14 @@ def _pack(values) -> str:
     return words.typecode + b64encode(words).decode("ascii")
 
 
-def _unpack(name: str, section) -> list[int] | array:
-    """A section's ints: a list, or the array for run_labels, marked_pairs,
-    anchor_ids and pred_ids; raise on any other value."""
+def _unpack(name: str, section) -> list | array:
+    """A section's ints: a list, or the array for marked_pairs, anchor_ids
+    and pred_ids; run_starts, a JSON list of sections, gives a list of
+    lists. Raise on any other value."""
+    if name == "run_starts":
+        if type(section) is not list:
+            raise ValueError("corrupt index: run_starts is not a list of sections, one per label")
+        return [_unpack(f"run_starts[{k}]", s) for k, s in enumerate(section)]
     if type(section) is not str or section[:1] not in _WORDS:
         raise ValueError(f"corrupt index: {name} is not a section of b, h, i or q words")
     try:  # a character outside base64 or ASCII, or bytes that are not whole words
@@ -460,21 +463,25 @@ def _unpack(name: str, section) -> list[int] | array:
         raise ValueError(f"corrupt index: {name} is not the base64 of whole {section[0]} words ({exc})") from exc
     if sys.byteorder == "big":
         words.byteswap()
-    return words if name in ("run_labels", "marked_pairs", "anchor_ids", "pred_ids") else words.tolist()
+    return words if name in ("marked_pairs", "anchor_ids", "pred_ids") else words.tolist()
 
 
 def serialize_index(ix: WheelerRIndex) -> bytes:
     """Canonical byte encoding; identical indexes give identical bytes.
-    Version 6 stores run starts and anchors as gaps, only the marks that
-    are not run ends, and the identifiers at the run ends, in run order,
-    before theirs, each int list as a section (_pack). Its last member,
-    crc32, is zlib.crc32 of the rest. Raises ValueError on a label past
-    2**63 - 1, which no section word holds."""
+    Version 7 writes each label's directory as it stands: its run starts
+    as gaps, and its run ends' ids ahead of the extras', the only marks
+    whose positions it stores. Anchors are gaps too, each int list a
+    section (_pack), and the last member, crc32, is zlib.crc32 of the
+    rest. Raises ValueError on a label past 2**63 - 1."""
     if ix.sigma > 1 << 63:
         raise ValueError(f"label {ix.sigma - 1} is past {(1 << 63) - 1}, the largest a section word holds")
-    sums, toehold, end_ids = ix.sums, ix.toehold, ix.rl.end_ids
-    extra_ids = list(toehold.pairs.values())  # after the run ends', in the wider word of the two
-    marked = array(max(end_ids.typecode, _narrow(extra_ids).typecode, key=_WORDS.index), end_ids)
+    sums, toehold, runs = ix.sums, ix.toehold, ix.rl.runs_of
+    extra_ids = list(toehold.pairs.values())
+    # the run ends' identifiers, then the extras', in the widest word of them all
+    code = max(chain((_narrow(extra_ids).typecode,), (ids.typecode for *_, ids in runs.values())), key=_WORDS.index)
+    marked = array(code)
+    for *_, ids in runs.values():
+        marked.extend(ids if ids.typecode == code else ids.tolist())  # an array extends only its own word
     marked.extend(extra_ids)
     doc = {
         "format": _FORMAT,
@@ -483,8 +490,8 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "m": ix.m,
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
-        "run_starts": _pack(_gaps(sorted(chain.from_iterable(runs[0] for runs in ix.rl.runs_of.values())))),
-        "run_labels": _pack(ix.rl.run_labels),
+        "run_starts": [_pack(_gaps(starts)) for starts, *_ in runs.values()],
+        "run_labels": _pack(list(runs)),
         "out_prefix": _pack(_interleave(sums.out_ranks, sums.out_after)),
         "in_prefix": _pack(_interleave(sums.in_ranks, sums.in_after)),
         "f_label": _pack(_f_label(ix.rl)),
@@ -566,39 +573,26 @@ def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
     return sums, isolated
 
 
-def _ends_among(positions, starts: list[int], m: int) -> list[int]:
-    """The positions, in their order, that end one of the runs starting at starts in [0, m)."""
-    return [p for p in positions if p == m - 1 or bisect_left(starts, p + 1) < bisect_right(starts, p + 1)]
+def _ends_among(positions, starts, m: int) -> list[int]:
+    """The positions, in their order, that end one of the runs in [0, m) that start at starts, a set or dict."""
+    return [p for p in positions if p == m - 1 or p + 1 in starts]
 
 
 def deserialize_index(data: bytes) -> WheelerRIndex:
-    """Inverse of serialize_index, for version 6, the only version it writes.
-    The run ends are marked by definition. The anchor gaps are summed into
-    a list, and PhiStructure makes its cut table and arrays from it as from
-    a build's list, so a loaded index has the built words and sizes.
+    """Inverse of serialize_index, for version 7, the only version it writes.
+    The run ends are marked by definition. Each label's run starts and
+    anchor gaps are summed into lists and its run-end identifiers sliced
+    from marked_pairs, and of_runs and PhiStructure make their columns from
+    them as from a build's, so a loaded index has the built words and sizes.
 
     Raises ValueError on foreign input, on another version (an older file
     has to be built again from its graph) and, as "corrupt index: ...", on
-    a crc32 member that is missing or does not match, on a section that is
-    not a typecode in _WORDS and the base64 of whole words, on a header
-    number that is not an int, on n or m past 2**63 - 1, on arrays whose
-    lengths disagree (marked_pairs holds one identifier per run and per
-    extra mark), on marked_positions not strictly increasing within [0, m)
-    or holding a run end, on an identifier in marked_pairs or pred_ids
-    outside [0, n), on an impossible anchor set (pred_ids must hold exactly
-    one first-vertex entry, -1, when n > 0, none when n == 0; anchor_ids
-    must be strictly increasing within [0, n) and end at n - 1), on degree
-    sums that do not describe n degrees summing to m, on a negative run
-    label, on run_starts not rising strictly from 0 within [0, m), on two
-    neighbouring runs with the same label, on f_label disagreeing with the
-    labels and label counts of the runs, on break_ranks not one per cycle
-    or not strictly increasing within [0, n) apart from the ranks whose
-    degree is not 1, on a position that _required_marks names for the path
-    endpoints (those ranks and the break ranks) not marked, on an edge into
-    an endpoint whose mark holds another identifier than the endpoint's, on
-    other than m - first marks holding an endpoint identifier (the
-    endpoints are numbered last, from first up), and on a last_rank_id
-    other than the one stored at in-slot m - 1."""
+    a crc32 member that is missing or does not match, and on each check
+    below, whose message names what failed: the sections' words, the header
+    ints, the lengths, ranges and order of the lists, the degree sums,
+    f_label against the runs, the break ranks, the marks the mark rule
+    names and the endpoint identifiers they hold, and last_rank_id. README
+    ("Index files") lists every check."""
     sealed = _unseal(data)
     try:
         doc = json.loads(data)
@@ -622,13 +616,14 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         # A section holds only ints, so it needs no type scan.
         doc.update((name, _unpack(name, doc[name])) for name in _SECTIONS)
         n, m = doc["n"], doc["m"]
-        run_gaps, run_labels = doc["run_starts"], doc["run_labels"]
+        gaps_of, labels = doc["run_starts"], doc["run_labels"]
         extras, dests = doc["marked_positions"], doc["marked_pairs"]
         anchor_gaps, pred_ids = doc["anchor_ids"], doc["pred_ids"]
+        r = sum(map(len, gaps_of))
         for name, other, want in (
             ("pred_ids", "anchor_ids", len(anchor_gaps)),
-            ("run_labels", "run_starts", len(run_gaps)),
-            ("marked_pairs", "len(run_starts) + len(marked_positions)", len(run_gaps) + len(extras)),
+            ("run_starts", "run_labels", len(labels)),
+            ("marked_pairs", "the run count plus len(marked_positions)", r + len(extras)),
         ):
             if len(doc[name]) != want:
                 raise ValueError(f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}")
@@ -644,15 +639,19 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if not _rising(_gaps(extras), m):
             raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
         _check_ids("marked_pairs", dests, n)
-        if min(run_labels, default=0) < 0:
-            raise ValueError(f"corrupt index: run label {min(run_labels)} is negative")
-        if run_gaps[:1] != ([0] if m else []) or not _rising(run_gaps, m):
+        if not _rising(_gaps(labels), 1 << 63):
+            raise ValueError("corrupt index: run_labels is not strictly increasing from 0")
+        if not all(gaps and _rising(gaps, m) for gaps in gaps_of):
             raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
-        starts, r = list(accumulate(run_gaps)), len(run_gaps)
-        rl = RLSequence.of_runs(m, starts, run_labels, dests[:r])
-        if any(map(eq, run_labels, run_labels[1:])):
-            raise ValueError("corrupt index: two neighbouring runs have the same label")
-        held = _ends_among(extras, starts, m)
+        starts_of = [list(accumulate(gaps)) for gaps in gaps_of]
+        bounds = sorted(chain.from_iterable(starts_of))
+        after = dict(zip(bounds, bounds[1:] + [m]))  # each run's end: the next start, or m
+        if bounds[:1] != ([0] if m else []) or len(after) < len(bounds):
+            raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
+        spans = pairwise(accumulate(map(len, starts_of), initial=0))  # each label's run-end ids
+        rl = RLSequence.of_runs(m, {c: (s, list(map(after.__getitem__, s)), dests[a:b])
+                                    for c, s, (a, b) in zip(labels, starts_of, spans)})
+        held = _ends_among(extras, after, m)
         if held:
             raise ValueError(f"corrupt index: marked_positions holds run end {held[0]}")
         pairs = dict(zip(extras, dests[r:]))
@@ -673,7 +672,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             raise ValueError("corrupt index: break_ranks is not strictly increasing within [0, n) "
                              "or holds a rank whose degree is not 1")
         marks, into = _required_marks(rl, sums, stored)
-        unmarked = marks.difference(pairs, _ends_among(marks, starts, m))
+        unmarked = marks.difference(pairs, _ends_among(marks, after, m))
         if unmarked:
             raise ValueError(f"corrupt index: position {min(unmarked)} (rule M1-M3) is not marked")
         # assign_identifiers numbers the path endpoints, the exceptions and the
@@ -682,8 +681,9 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         # edges are the only marks that hold an endpoint identifier.
         first = n - len(exceptions) - cycles
         endpoint_id = {k: i for i, k in enumerate(sorted(exceptions.union(stored)), first)}
-        for p, k in into.items():
-            got = pairs[p] if p in pairs else dests[bisect_right(starts, p) - 1]
+        for p, (k, c) in into.items():
+            runs = rl.runs_of[c]  # p is an extra, or it ends a run of c
+            got = pairs[p] if p in pairs else runs[4][bisect_right(runs[0], p) - 1]
             if got != endpoint_id[k]:
                 raise ValueError(f"corrupt index: position {p} enters endpoint rank {k} "
                                  f"but holds identifier {got}, not {endpoint_id[k]}")

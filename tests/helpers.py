@@ -20,11 +20,10 @@ import random
 import re
 import sys
 import zlib
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, chain, combinations_with_replacement, pairwise, product, repeat
+from itertools import accumulate, combinations_with_replacement, pairwise, product, repeat
 from pathlib import Path
 
 import pytest
@@ -282,13 +281,27 @@ def dense_f_label(rl: RLSequence, sigma: int) -> list[int]:
     return f_label
 
 
+def serialize_v6(ix: WheelerRIndex) -> bytes:
+    """The version-6 writer: the members of version 7, but with the runs in
+    run order: run_starts one section of the gaps between all the run
+    starts, run_labels the label of each run, and marked_pairs the run
+    ends' identifiers in run order before the extras'. The loader refuses
+    its files; its digests of the golden graphs pin that builds have not
+    changed since version 6."""
+    starts, labels, end_ids = run_order(ix.rl)
+    doc = json.loads(serialize_index(ix))
+    doc.update(version=6, run_starts=pack_section(gaps(starts)), run_labels=pack_section(labels),
+               marked_pairs=pack_section(end_ids + list(ix.toehold.pairs.values())))
+    return reseal(dict(sorted(doc.items())))
+
+
 def serialize_v5(ix: WheelerRIndex) -> bytes:
     """The version-5 writer: the members of version 6, plus the header ints
     sigma and num_runs, with f_label dense (dense_f_label). The loader
     refuses its files; its digests of the golden graphs pin that builds
     have not changed since version 5."""
-    doc = json.loads(serialize_index(ix))
-    doc.update(version=5, sigma=ix.sigma, num_runs=len(ix.rl.run_labels),
+    doc = json.loads(serialize_v6(ix))
+    doc.update(version=5, sigma=ix.sigma, num_runs=len(run_order(ix.rl)[0]),
                f_label=pack_section(dense_f_label(ix.rl, ix.sigma)))
     return reseal(dict(sorted(doc.items())))
 
@@ -298,7 +311,8 @@ def serialize_v4(ix: WheelerRIndex) -> bytes:
     JSON list, None for the order-first vertex's predecessor, and the crc32
     member last. The loader refuses its files; its digests of the golden
     graphs pin that builds have not changed since before version 5."""
-    sums, toehold, r = ix.sums, ix.toehold, len(ix.rl.run_labels)
+    sums, toehold = ix.sums, ix.toehold
+    starts, labels, end_ids = run_order(ix.rl)
     preds = [None if p < 0 else p for p in ix.phi.pred_ids]
     doc = {
         "format": "wgrindex",
@@ -306,22 +320,27 @@ def serialize_v4(ix: WheelerRIndex) -> bytes:
         "n": ix.n,
         "m": ix.m,
         "sigma": ix.sigma,
-        "num_runs": r,
+        "num_runs": len(starts),
         "num_paths": ix.num_paths,
         "last_rank_id": ix.last_rank_id,
-        "run_starts": [b - a for a, b in pairwise([0, *run_starts_of(ix.rl)])],
-        "run_labels": list(ix.rl.run_labels),
+        "run_starts": gaps(starts),
+        "run_labels": labels,
         "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
         "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
         "f_label": dense_f_label(ix.rl, ix.sigma),
         "marked_positions": list(toehold.pairs),
-        "marked_pairs": [*ix.rl.end_ids, *toehold.pairs.values()],
+        "marked_pairs": [*end_ids, *toehold.pairs.values()],
         "break_ranks": ix.break_ranks,
-        "anchor_ids": [b - a for a, b in pairwise([0, *ix.phi.anchor_ids])],
+        "anchor_ids": gaps(ix.phi.anchor_ids),
         "pred_ids": preds,
     }
     body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     return body[:-1] + b',"crc32":%d}' % zlib.crc32(body)
+
+
+def gaps(values) -> list[int]:
+    """The first value, then the difference of each value from the one before."""
+    return [b - a for a, b in pairwise([0, *values])]
 
 
 def reseal(doc: dict) -> bytes:
@@ -356,23 +375,34 @@ def unpack_section(section: str) -> list[int]:
 
 
 def lists_of(data: bytes) -> dict:
-    """An index file as a document whose sections are int lists again."""
+    """An index file as a document whose sections are int lists again:
+    run_starts a list of them, one per label."""
     doc = json.loads(data)
-    doc.update((name, unpack_section(doc[name])) for name in _SECTIONS)
+    doc.update((name, unpack_section(doc[name])) for name in _SECTIONS if name != "run_starts")
+    doc["run_starts"] = [unpack_section(section) for section in doc["run_starts"]]
     return doc
+
+
+def is_ints(value) -> bool:
+    """Whether value is a list of ints only, which packed writes as a section."""
+    return type(value) is list and {type(x) for x in value} <= {int}
 
 
 def packed(doc: dict, code: str | None = None) -> dict:
     """doc with each section that is a list of ints packed (pack_section,
-    in code if given), crc32 kept. Any other value stays as it is, and a
-    missing section stays missing, so a test can write what no writer would."""
-    ints = {k: v for k, v in doc.items() if k in _SECTIONS and type(v) is list and {type(x) for x in v} <= {int}}
-    return {**doc, **{k: pack_section(v, code) for k, v in ints.items()}}
+    in code if given), and run_starts, if a list of such lists, packed
+    list by list; crc32 kept. Any other value stays as it is, and a missing
+    section stays missing, so a test can write what no writer would."""
+    ints = {k: pack_section(v, code) for k, v in doc.items() if k in _SECTIONS and k != "run_starts" and is_ints(v)}
+    sections = doc.get("run_starts")
+    if type(sections) is list and all(map(is_ints, sections)):
+        ints["run_starts"] = [pack_section(v, code) for v in sections]
+    return {**doc, **ints}
 
 
-# Edits of the g1 version-6 file (run_labels "bAAEA", the bytes 0, 1 and
-# 0; pred_ids [2, 3, -1, 0]) that a load must reject: (member, value,
-# message fragment).
+# Edits of the g1 version-7 file (run_labels "bAAE=", the bytes 0 and 1;
+# pred_ids [2, 3, -1, 0]) that a load must reject: (member, value, message
+# fragment).
 SECTION_CORRUPTIONS = {
     "typecode-d": ("run_labels", "dAAEA", "run_labels is not a section of b, h, i or q words"),
     "typecode-f": ("run_labels", "fAAEA", "run_labels is not a section of b, h, i or q words"),
@@ -392,6 +422,10 @@ SECTION_CORRUPTIONS = {
     "no-first": ("pred_ids", pack_section([2, 3, 1, 0]), "pred_ids holds 0 first-vertex entries"),
     "two-firsts": ("pred_ids", pack_section([2, -1, -1, 0]), "pred_ids holds 2 first-vertex entries"),
     "minus-2": ("pred_ids", pack_section([2, 3, -1, -2]), "pred_ids holds identifier -2, outside \\[0, n\\)"),
+    # run_starts, [[0, 2], [1]] in g1, is a list of sections, one per label
+    "one-section": ("run_starts", "bAAIB", "run_starts is not a list of sections, one per label"),
+    "label-section": ("run_starts", ["bAAI=", "bA!=="], "run_starts\\[1\\] is not the base64 of whole b words"),
+    "label-list": ("run_starts", [[0, 2], [1]], "run_starts\\[0\\] is not a section of b, h, i or q words"),
 }
 
 
@@ -567,10 +601,16 @@ def transform_labels(g: WheelerGraph) -> list[int]:
 def rl_from_labels(labels, id_at=None) -> RLSequence:
     """Rank/select directories straight from a label sequence, each run
     ending at p with the run-end identifier id_at[p], by default p."""
-    run_starts = [p for p, lab in enumerate(labels) if p == 0 or lab != labels[p - 1]]
-    id_at = range(len(labels)) if id_at is None else id_at
-    end_ids = array("q", [id_at[p - 1] for p in run_starts[1:] + [len(labels)]] if labels else [])
-    return RLSequence.of_runs(len(labels), run_starts, [labels[p] for p in run_starts], end_ids)
+    m = len(labels)
+    id_at = range(m) if id_at is None else id_at
+    bounds = [p for p, lab in enumerate(labels) if p == 0 or lab != labels[p - 1]]
+    runs = {}
+    for s, e in zip(bounds, bounds[1:] + [m]):
+        starts, ends, ids = runs.setdefault(labels[s], ([], [], []))
+        starts.append(s)
+        ends.append(e)
+        ids.append(id_at[e - 1])
+    return RLSequence.of_runs(m, dict(sorted(runs.items())))
 
 
 def rl_of(g: WheelerGraph) -> RLSequence:
@@ -578,21 +618,37 @@ def rl_of(g: WheelerGraph) -> RLSequence:
     return build_rank_select(*build_bwt(g), assign_identifiers(g, decompose_paths(g)).id_of_rank)
 
 
+def run_order(rl: RLSequence) -> tuple[list[int], list[int], list[int]]:
+    """Each run's start, label and run-end identifier, in run order: merged
+    from the label directories, which keep nothing in run order."""
+    runs = sorted((s, c, i) for c, (starts, *_, ids) in rl.runs_of.items() for s, i in zip(starts, ids))
+    return tuple(list(col) for col in zip(*runs)) if runs else ([], [], [])
+
+
 def run_starts_of(rl: RLSequence) -> list[int]:
     """The run starts in run order, merged from the label directories."""
-    return sorted(chain.from_iterable(runs[0] for runs in rl.runs_of.values()))
+    return run_order(rl)[0]
+
+
+def label_major(starts, labels, ids) -> tuple[list[list[int]], list[int], list[int]]:
+    """Runs given in run order as a version-7 file writes them: each
+    label's start gaps, the labels ascending, and the run ends'
+    identifiers label by label. Runs of one label keep their order."""
+    by_label = {}
+    for s, c, i in zip(starts, labels, ids):
+        by_label.setdefault(c, []).append((s, i))
+    order = sorted(by_label)
+    return ([gaps([s for s, _ in by_label[c]]) for c in order], order,
+            [i for c in order for _, i in by_label[c]])
 
 
 def marked_ids(rl: RLSequence, toehold) -> dict[int, int]:
     """Every marked position's identifier, by ascending position: each run
-    end's, read off its label's directory, and each extra's. Asserts that
-    the run-order column, rl.end_ids, lists the same run-end identifiers."""
+    end's, read off its label's directory, and each extra's."""
     ends = {}
     for starts, cums, _, _, end_ids in rl.runs_of.values():
         for t, s in enumerate(starts):
             ends[s + cums[t + 1] - cums[t] - 1] = end_ids[t]
-    ends = dict(sorted(ends.items()))
-    assert list(rl.end_ids) == list(ends.values())
     assert ends.keys().isdisjoint(toehold.pairs)
     return dict(sorted({**ends, **toehold.pairs}.items()))
 

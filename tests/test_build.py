@@ -1,3 +1,4 @@
+import ast
 import base64
 import hashlib
 import itertools
@@ -76,15 +77,19 @@ from helpers import (
     small_wheeler_graphs,
     doc_of,
     file_of,
+    gaps,
+    label_major,
     lists_of,
     pack_section,
     packed,
     reseal,
     rl_from_labels,
     rl_of,
+    run_order,
     run_starts_of,
     serialize_v4,
     serialize_v5,
+    serialize_v6,
     shared_in_edge_graphs,
     transform_labels,
     unpack_section,
@@ -119,7 +124,7 @@ def test_bwt_g1(g1):
     assert [g1.edges[i][:2] for i in order] == [(0, 1), (1, 3), (3, 2)]
     assert dsts == [1, 3, 2]
     rl = build_rank_select(labels, dsts, assign_identifiers(g1, decompose_paths(g1)).id_of_rank)
-    assert (run_starts_of(rl), list(rl.run_labels)) == ([0, 1, 2], [0, 1, 0])
+    assert run_order(rl)[:2] == ([0, 1, 2], [0, 1, 0])
 
 
 def test_bwt_empty():
@@ -131,7 +136,7 @@ def test_bwt_single_run():
     g = gen_string_path((0, 0, 0, 0)).graph
     assert transform_labels(g) == [0, 0, 0, 0]
     rl = rl_of(g)
-    assert (run_starts_of(rl), list(rl.run_labels)) == ([0], [0])
+    assert run_order(rl)[:2] == ([0], [0])
 
 
 def test_bwt_rejects_bad_order():
@@ -160,8 +165,7 @@ def test_rank_select_g1(g1_index):
     assert [cums[-1] - cums[0] for _, cums, _, _, _ in rl.runs_of.values()] == [2, 1]
     # each run's last edge enters the vertex of this identifier
     assert {c: list(runs[4]) for c, runs in rl.runs_of.items()} == {0: [0, 3], 1: [1]}
-    assert run_starts_of(rl) == [0, 1, 2]  # every position ends its run
-    assert list(rl.run_labels) == [0, 1, 0]
+    assert run_order(rl)[:2] == ([0, 1, 2], [0, 1, 0])  # every position ends its run
 
 
 def test_select_out_of_range(g1_index):
@@ -192,9 +196,9 @@ def test_rank_select_matches_naive_scan(inst):
         for k, p in enumerate(occ):
             assert rl.select(c, below + k) == p
             assert rl.select(c, rl.rank(c, p)) == p
-    starts = run_starts_of(rl)
+    starts, run_labels, _ = run_order(rl)
     ends = (starts[1:] + [rl.length]) if labels else []
-    runs = zip(starts, ends, rl.run_labels)
+    runs = zip(starts, ends, run_labels)
     assert [lab for s, e, lab in runs for _ in range(s, e)] == labels
     last_of_run = [
         p for p in range(len(labels)) if p + 1 == len(labels) or labels[p + 1] != labels[p]
@@ -377,7 +381,7 @@ def test_toehold_g1(g1):
     rl, th, marks = toehold_of(g1)
     assert marks == {0: 0, 1: 1, 2: 3}
     assert len(marks) == 3
-    assert (list(rl.end_ids), th.pairs) == ([0, 1, 3], {})  # the three run ends, and no extras
+    assert (run_order(rl)[2], th.pairs) == ([0, 1, 3], {})  # the three run ends, and no extras
 
 
 def test_toehold_unary_chain():
@@ -385,7 +389,7 @@ def test_toehold_unary_chain():
     # position 3 ends the single run; positions 0 and 3 touch path endpoints,
     # so 0 is the one extra, kept apart from the run end
     assert list(marks) == [0, 3]
-    assert (len(rl.end_ids), list(th.pairs)) == (1, [0])
+    assert (len(run_order(rl)[2]), list(th.pairs)) == (1, [0])
 
 
 def test_toehold_marks_before_sink():
@@ -438,11 +442,11 @@ def test_load_side_marks_match_built_marks(inst):
     ends = {p - 1 for p in starts[1:] + [ix.m] if p}
     assert marks | ends == set(marked_ids(ix.rl, ix.toehold))
     assert list(ix.toehold.pairs) == sorted(marks - ends)
-    # the edges into the endpoints, each with the rank it enters, which the
-    # loader checks their marks against: every rank but an endpoint has
-    # in-degree 1, so they number m - first
+    # the edges into the endpoints, each with the rank it enters and its
+    # label, which the loader checks their marks against: every rank but an
+    # endpoint has in-degree 1, so they number m - first
     dsts = transform_order(inst.graph)[2]
-    assert all(dsts[p] == k for p, k in into.items())
+    assert all((dsts[p], inst.bwt_labels[p]) == kc for p, kc in into.items())
     assert len(into) == ix.m - (ix.n - len(inst.decomp.endpoints))
 
 
@@ -633,23 +637,26 @@ run_label_sequences = st.one_of(
 @settings(max_examples=150)
 @given(run_label_sequences)
 def test_save_writes_the_run_order_of_a_naive_scan_v5(labels):
-    """A save merges the run starts from the label directories; built and
-    loaded, an index writes the runs that a naive scan of its transform
-    finds, and its space report counts one word per run."""
+    """A save writes each label's directory as it stands; built and loaded,
+    an index writes, label by label, the runs that a naive scan of its
+    transform finds, and its space report counts one word per label that
+    occurs. (The name dates from version 6, which wrote the runs in run
+    order.)"""
     g = fan_graph(labels)
     ix = build_index(g)
     assert transform_labels(g) == labels
     starts = [p for p in range(len(labels)) if p == 0 or labels[p] != labels[p - 1]]
     data = serialize_index(ix)
     doc = lists_of(data)
-    assert doc["run_starts"] == [s - t for s, t in zip(starts, [0] + starts)]
-    assert doc["run_labels"] == [labels[p] for p in starts]
+    present = sorted(set(labels))
+    assert doc["run_labels"] == present
+    assert doc["run_starts"] == [gaps([p for p in starts if labels[p] == c]) for c in present]
     loaded = deserialize_index(data)
     assert loaded.rl == ix.rl
     assert serialize_index(loaded) == data
     for index in (ix, loaded):
         entries = sum(len(s) + len(cums) + len(cuts) for s, cums, _, cuts, _ in index.rl.runs_of.values())
-        assert space_report(index).words["rank_select"] == len(starts) + entries
+        assert space_report(index).words["rank_select"] == len(present) + entries
 
 
 def test_deserialize_rejects_foreign_input(g1_index):
@@ -743,14 +750,15 @@ def test_deserialize_rejects_wrong_last_rank_id(graph, built, last):
 
 
 def trie_doc():
-    # out-degrees 2, 2, 0, 0, 0 and in-degrees 0, 1, 1, 1, 1; runs start at
-    # 0, 1 and 3 and end at 0, 2 and 3; position 1 is the one extra mark
+    # out-degrees 2, 2, 0, 0, 0 and in-degrees 0, 1, 1, 1, 1; runs of labels
+    # 0, 1 and 2 start at 0, 1 and 3 and end at 0, 2 and 3; position 1 is
+    # the one extra mark
     doc = doc_of(build_index(gen_trie([(0, 1), (0, 2), (1,)]).graph))
     assert (doc["n"], doc["m"], doc["f_label"]) == (5, 4, [0, 0, 1, 1, 2, 3, 4])
     assert doc["out_prefix"] == [0, 2, 1, 4, 2, 4, 3, 4, 4, 4]
     assert doc["in_prefix"] == [0, 0]
-    assert doc["run_starts"] == [0, 1, 2] and doc["marked_positions"] == [1]
-    assert doc["marked_pairs"] == [1, 3, 4, 2]
+    assert (doc["run_starts"], doc["run_labels"]) == ([[0], [1], [3]], [0, 1, 2])
+    assert doc["marked_positions"] == [1] and doc["marked_pairs"] == [1, 3, 4, 2]
     return doc
 
 
@@ -811,7 +819,7 @@ def without_mark(doc: dict, p: int) -> bytes:
     marked_positions, and its identifier, which follows the identifiers of
     the run ends, one per run, from marked_pairs."""
     i = doc["marked_positions"].index(p)
-    j = len(doc["run_starts"]) + i
+    j = sum(map(len, doc["run_starts"])) + i
     edited = dict(doc)
     edited["marked_positions"] = doc["marked_positions"][:i] + doc["marked_positions"][i + 1:]
     edited["marked_pairs"] = doc["marked_pairs"][:j] + doc["marked_pairs"][j + 1:]
@@ -899,8 +907,11 @@ def test_deserialize_rejects_stray_run_label():
     # label past the others no longer strays: the alphabet is 1 + the
     # largest run label, and f_label must list it.)
     doc = trie_doc()
-    doc.update(run_starts=[0, 1, 0, 2], run_labels=[0, -1, 1, 2], marked_pairs=[1, 1, 3, 4, 2])
-    with pytest.raises(ValueError, match="corrupt index: run label -1 is negative"):
+    doc.update(run_starts=[[1], [0], [1], [3]], run_labels=[-1, 0, 1, 2], marked_pairs=[1, 1, 3, 4, 2])
+    with pytest.raises(ValueError, match="corrupt index: run_labels is not strictly increasing from 0"):
+        deserialize_index(file_of(doc))
+    doc.update(run_starts=[[0], [1], [3], [1]], run_labels=[0, 1, 2, 1])  # label 1 twice, after label 2
+    with pytest.raises(ValueError, match="corrupt index: run_labels is not strictly increasing from 0"):
         deserialize_index(file_of(doc))
 
 
@@ -930,7 +941,7 @@ def test_deserialize_rejects_identifiers_outside_n(field, bad):
 def test_deserialize_rejects_bad_marked_positions(positions, extra_ids):
     # each of these used to load, the extra mark at position 7 with m = 4 too
     doc = doc_of(build_index(ABBA))
-    assert (doc["m"], doc["marked_positions"], doc["marked_pairs"]) == (4, [1], [0, 2, 4, 1])
+    assert (doc["m"], doc["marked_positions"], doc["marked_pairs"]) == (4, [1], [0, 4, 2, 1])
     doc["marked_pairs"] = doc["marked_pairs"][:3] + extra_ids  # after the three run ends'
     doc["marked_positions"] = positions
     with pytest.raises(ValueError, match="corrupt index: marked_positions is not strictly increasing"):
@@ -939,19 +950,21 @@ def test_deserialize_rejects_bad_marked_positions(positions, extra_ids):
 
 @pytest.mark.parametrize(
     "starts, labels",
-    # run starts as gaps: [0, 1, 0, 2] stores the starts 0, 1, 1 and 3
-    [([0, 1, 0, 2], [0, 1, 1, 0]), ([0, 1, 2, 0], [0, 1, 0, 0]), ([1, 2], [1, 0]),
-     ([0, 3, -2], [0, 1, 0]), ([0, 1, 3], [0, 1, 0]), ([], [])],
-    ids=["empty-run", "empty-last-run", "from-1", "falling", "past-m", "none"],
+    # each label's run starts as gaps: [[0, 3], [1, 0]] stores the starts
+    # 0 and 3 of label 0 and 1 and 1 of label 1
+    [([[0, 3], [1, 0]], [0, 1]), ([[0, 3, 0], [1]], [0, 1]), ([[3], [1]], [0, 1]),
+     ([[3, -3], [1]], [0, 1]), ([[0, 4], [1]], [0, 1]), ([], []), ([[0, 3], [0]], [0, 1]),
+     ([[0, 3], []], [0, 1])],
+    ids=["empty-run", "empty-last-run", "from-1", "falling", "past-m", "none", "shared-start", "no-run"],
 )
 def test_deserialize_rejects_run_starts_not_rising_from_0(starts, labels):
-    # the two empty runs keep every label count and used to load; the
-    # others also leave the counts short of f_label
+    # the empty runs keep every label count and used to load; the others
+    # also leave the counts short of f_label
     doc = doc_of(build_index(ABBA))
-    assert (doc["run_starts"], doc["run_labels"]) == ([0, 1, 2], [0, 1, 0])
+    assert (doc["run_starts"], doc["run_labels"]) == ([[0, 3], [1]], [0, 1])
     # one identifier per run, no extra marks: the lengths agree
     doc.update(run_starts=starts, run_labels=labels, marked_positions=[],
-               marked_pairs=[0] * len(starts))
+               marked_pairs=[0] * sum(map(len, starts)))
     with pytest.raises(ValueError, match="corrupt index: run_starts does not rise strictly from 0"):
         deserialize_index(file_of(doc))
 
@@ -960,8 +973,9 @@ def test_deserialize_rejects_neighbouring_runs_with_one_label():
     # runs at [0, 1, 2, 3] labelled [0, 1, 1, 0] split the run of "bb" in
     # two and used to load; each position ends a run, so no mark is extra
     doc = doc_of(build_index(ABBA))
-    doc.update(run_starts=[0, 1, 1, 1], run_labels=[0, 1, 1, 0], marked_positions=[],
-               marked_pairs=[0, 1, 2, 4])
+    sections, labels, ids = label_major([0, 1, 2, 3], [0, 1, 1, 0], [0, 1, 2, 4])
+    assert (sections, labels, ids) == ([[0, 3], [1, 1]], [0, 1], [0, 4, 1, 2])
+    doc.update(run_starts=sections, run_labels=labels, marked_positions=[], marked_pairs=ids)
     with pytest.raises(ValueError, match="corrupt index: two neighbouring runs have the same label"):
         deserialize_index(file_of(doc))
 
@@ -977,8 +991,10 @@ def test_swapped_run_labels_are_rejected_only_by_the_neighbouring_runs_check(mon
     ix = build_index(g)
     assert locate(ix, (0, 0)) == [0]
     doc = doc_of(ix)
-    assert doc["run_labels"] == [1, 0, 1, 0]
-    doc["run_labels"] = [0, 1, 1, 0]
+    starts, labels, ids = run_order(ix.rl)
+    assert (starts, labels) == ([0, 1, 2, 3], [1, 0, 1, 0]) and not ix.toehold.pairs
+    # each run keeps its start and run-end identifier
+    doc["run_starts"], doc["run_labels"], doc["marked_pairs"] = label_major(starts, [0, 1, 1, 0], ids)
     with pytest.raises(ValueError, match="^corrupt index: two neighbouring runs have the same label$"):
         deserialize_index(file_of(doc))
     monkeypatch.setattr(build_mod, "eq", lambda a, b: False)  # the check's only use of eq
@@ -997,6 +1013,8 @@ def test_deserialize_rejects_values_that_are_not_ints(field, bad):
     doc = doc_of(build_index(ABBA))
     doc[field] = bad
     fragment = f"{field} is not a section" if field in ARRAY_FIELDS else f"holds {re.escape(repr(bad))}, not an int"
+    if field == "run_starts":  # a JSON list of sections, one per label
+        fragment = "run_starts is not a list of sections"
     with pytest.raises(ValueError, match=f"corrupt index: .*{fragment}"):
         deserialize_index(file_of(doc))
 
@@ -1020,7 +1038,7 @@ def test_deserialize_rejects_values_past_a_word(field, value, message, code):
     # the run directories were built, before any check bounded them
     doc = doc_of(build_index(gen_string_path((0, 1, 0, 2, 1, 0)).graph))
     if field == "run_starts":
-        doc[field][-1] = value
+        doc[field][-1][-1] = value  # the last run gap of the largest label
     else:
         doc[field] = value
     with pytest.raises(ValueError, match=f"corrupt index: {message}"):
@@ -1078,22 +1096,23 @@ def test_load_rejects_a_lowered_break_identifier(interior_id):
     ix = build_index(ABB_CYCLE)
     doc = doc_of(ix)
     # the break is the only endpoint, so its identifier is n - 1 = 2; its
-    # in-edge at position 2 ends the second run
-    assert ix.break_ranks == [0] and doc["marked_pairs"] == [1, 2, 0]
-    doc["marked_pairs"][1] = interior_id
+    # in-edge at position 2 ends the one run of label 0, which comes first
+    assert ix.break_ranks == [0] and doc["marked_pairs"] == [2, 1, 0]
+    doc["marked_pairs"][0] = interior_id
     message = f"corrupt index: position 2 enters endpoint rank 0 but holds identifier {interior_id}, not 2"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         deserialize_index(file_of(doc))
 
 
-@pytest.mark.parametrize("j", [0, 2])
+@pytest.mark.parametrize("j", [1, 2])
 def test_load_rejects_a_raised_interior_identifier(j):
     # the one edge into the break rank of the "abb" cycle, at position 2,
     # holds the one endpoint identifier, 2; raising another run end's
-    # interior identifier to 2 leaves that edge right, so only the count of
-    # marks holding an endpoint identifier, m - first = 3 - 2, sees it
+    # interior identifier to 2 (j = 1), or the extra's (j = 2), leaves that
+    # edge right, so only the count of marks holding an endpoint
+    # identifier, m - first = 3 - 2, sees it
     doc = doc_of(build_index(ABB_CYCLE))
-    assert doc["marked_pairs"] == [1, 2, 0]
+    assert doc["marked_pairs"] == [2, 1, 0]
     doc["marked_pairs"][j] = 2
     message = "corrupt index: 2 marks hold an endpoint identifier, not the m - first = 1 edges into the endpoints"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1130,13 +1149,29 @@ def test_deserialize_rejects_break_rank_with_degree_exception():
         deserialize_index(file_of(doc))
 
 
+def component_fields_of_the_benchmark() -> dict:
+    """COMPONENT_FIELDS as perfbench/run.py assigns it, read with ast from
+    the file's text: the module is neither imported nor run."""
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    found = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["COMPONENT_FIELDS"]]
+    assert len(found) == 1
+    return found[0]
+
+
 def test_benchmark_component_fields_are_serialized_keys():
-    """The traced benchmark sizes each component by these JSON keys."""
-    run = bench_run()
-    ix = build_index(parse_graph(G1_TEXT))
-    doc = json.loads(serialize_index(ix))
-    assert {f for fields in run.COMPONENT_FIELDS.values() for f in fields} <= set(doc)
-    assert set(run.COMPONENT_FIELDS) == set(space_report(ix).words)
+    """The traced benchmark sizes each component by the members that
+    COMPONENT_FIELDS names, one space_report component each: every one is
+    a member of the file a save writes, for every golden graph, with edges
+    or without, and no member is named twice."""
+    components = component_fields_of_the_benchmark()
+    fields = [f for names in components.values() for f in names]
+    assert len(fields) == len(set(fields)) == 9
+    for g in [*golden_graphs().values(), EDGELESS, EMPTY]:
+        ix = build_index(g)
+        doc = json.loads(serialize_index(ix))
+        assert doc["version"] == 7 and set(fields) <= set(doc), set(fields) - set(doc)
+        assert set(components) == set(space_report(ix).words)
 
 
 def golden_graphs():
@@ -1172,6 +1207,7 @@ GOLDEN_V5_SHA256 = {
     "cycle": "7968b4cc9ae26ca5a39b7528a8e4ee1051762c545a3d4133e4c5117f1d2c0493",
 }
 
+# The golden graphs through the version-6 reference writer.
 GOLDEN_V6_SHA256 = {
     "g1": "dc3eb8504f06d95eabeed4faa93851cd0aa6ee9fe60a900c16ce03c424f560c2",
     "string": "c9251de0d18ffd13fb8c963cb9f040d8a779678c1e53a200202cac2651fcafe2",
@@ -1180,16 +1216,26 @@ GOLDEN_V6_SHA256 = {
     "cycle": "72b7b1aa9586024a0eb63146318ab275708ebe1e3c77e78c545594cc3600fc45",
 }
 
+GOLDEN_V7_SHA256 = {
+    "g1": "29658fdcf65eed5d7408ce5fb6cbc91c2f8314ba929f70fb5014b9d3bc965c28",
+    "string": "5e9002adcc5829159206593e3c1157238f40ea2016d4ba4dfe21f59942d1b3c2",
+    "multi": "832c23e1bda6daaed56e4fc2ffe5bd3738cc4979acd4dd1a752f57321df512ce",
+    "trie": "c62ac2e551ab1652554d5a5c1e7a99902fd6122762c01259a5632d8b7fcffb6b",
+    "cycle": "574b15d3388c8aa1b2ee03708767df4852870a7c389b58d1145da3f0b25327d7",
+}
+
 # Files of three golden graphs in every version. The version-4 files are
 # version-3 ones loaded and saved again, the version-5 files the version-4
-# ones, and the version-6 files the version-5 documents with sigma and
-# num_runs dropped and f_label as pairs, each anchoring a superset of what
-# a build anchors today. Only version 6 loads. Versions 1-5 are refused,
+# ones, the version-6 files the version-5 documents with sigma and
+# num_runs dropped and f_label as pairs, and the version-7 files the
+# version-6 ones loaded and saved again, each anchoring a superset of what
+# a build anchors today. Only version 7 loads. Versions 1-6 are refused,
 # and stay as fixtures of that: version 1 holds dense n + 1 prefix arrays,
 # versions 1 and 2 hold (source id, destination id) pairs and no break
 # ranks, versions 1-3 hold every marked position, absolute run starts and
 # anchors, and no checksum, version 4 holds its int lists as JSON lists,
-# and versions 4 and 5 hold a dense f_label, sigma and num_runs.
+# versions 4 and 5 hold a dense f_label, sigma and num_runs, and versions
+# 1-6 hold the runs in run order.
 OLDER_SHA256 = {
     (1, "g1"): "88ecf2ff90d95a7fd282cd1ed60e014595779ad7446390a8c86470fa5a0e091d",
     (1, "trie"): "91a7cd4504f3d483c6a3e890210ae5316e2dba7dcf1737edce5eba6c8f383370",
@@ -1209,6 +1255,9 @@ OLDER_SHA256 = {
     (6, "g1"): "49bd470bbaaac24a51449fd9a636212b4fb54287fa6015a4f2c69770576417f0",
     (6, "trie"): "b547fbb5b4116223d12c72814845270aac82e7f1206fd699f5671719e7a70824",
     (6, "cycle"): "72b7b1aa9586024a0eb63146318ab275708ebe1e3c77e78c545594cc3600fc45",
+    (7, "g1"): "84ccd4c700d9748c9638b9409f403f5fd17e0957f336b9c3d1896d3d3b5a2c3a",
+    (7, "trie"): "8e05f1adb1d31c25a0afa1951f75406412bc919035ab3dc66ede7497b8e57afd",
+    (7, "cycle"): "574b15d3388c8aa1b2ee03708767df4852870a7c389b58d1145da3f0b25327d7",
 }
 
 
@@ -1219,24 +1268,24 @@ def sha256(data: bytes) -> str:
 def test_index_bytes_match_golden_hashes():
     """Refactors of the build must keep the serialized bytes of g1 and of
     four seeded graphs: a string, a multi-path, a trie and a cycle. The
-    version-4 and version-5 writers give the bytes of every build before
-    version 6, so the in-memory index is unchanged too, and a load gives
-    it back."""
+    version-4, version-5 and version-6 writers give the bytes of every
+    build before version 7, so the in-memory index is unchanged too, and a
+    load gives it back."""
     graphs = golden_graphs()
     assert (graphs["string"].n, graphs["multi"].n, graphs["cycle"].n) == (5001, 4020, 500)
     built = {name: build_index(g) for name, g in graphs.items()}
     assert {name: sha256(serialize_v4(ix)) for name, ix in built.items()} == GOLDEN_SHA256
     assert {name: sha256(serialize_v5(ix)) for name, ix in built.items()} == GOLDEN_V5_SHA256
-    assert {name: sha256(serialize_index(ix)) for name, ix in built.items()} == GOLDEN_V6_SHA256
+    assert {name: sha256(serialize_v6(ix)) for name, ix in built.items()} == GOLDEN_V6_SHA256
+    assert {name: sha256(serialize_index(ix)) for name, ix in built.items()} == GOLDEN_V7_SHA256
     assert all(deserialize_index(serialize_index(ix)) == ix for ix in built.values())
 
 
 def assert_narrow_columns(ix):
-    """The run labels, each label's run counts, cut table and run-end
-    identifiers, the run-end identifiers in run order, and the phi anchors,
-    predecessors and cut table are arrays of the narrowest word that holds
-    their values."""
-    columns = [ix.rl.run_labels, ix.rl.end_ids, ix.phi.anchor_ids, ix.phi.pred_ids, ix.phi.cuts]
+    """Each label's run counts, cut table and run-end identifiers, and the
+    phi anchors, predecessors and cut table are arrays of the narrowest
+    word that holds their values."""
+    columns = [ix.phi.anchor_ids, ix.phi.pred_ids, ix.phi.cuts]
     columns += [col for _, cums, _, cuts, end_ids in ix.rl.runs_of.values() for col in (cums, cuts, end_ids)]
     assert [(type(col), col.typecode) for col in columns] == [(array, narrowest_code(col)) for col in columns]
 
@@ -1257,11 +1306,11 @@ def test_index_columns_are_unboxed_words():
 
 def index_columns(ix) -> dict:
     """Every list and array column an index keeps, by name: each label's run
-    starts, run counts, cut table and run-end identifiers, the run labels and
-    run-order run-end identifiers, the phi anchors, predecessors and cut
-    table, the degree exceptions and the break ranks."""
-    columns = {"run_labels": ix.rl.run_labels, "end_ids": ix.rl.end_ids, "anchor_ids": ix.phi.anchor_ids,
-               "pred_ids": ix.phi.pred_ids, "phi.cuts": ix.phi.cuts, "break_ranks": ix.break_ranks, **vars(ix.sums)}
+    starts, run counts, cut table and run-end identifiers, the phi anchors,
+    predecessors and cut table, the degree exceptions and the break ranks.
+    Nothing is kept in run order."""
+    columns = {"anchor_ids": ix.phi.anchor_ids, "pred_ids": ix.phi.pred_ids, "phi.cuts": ix.phi.cuts,
+               "break_ranks": ix.break_ranks, **vars(ix.sums)}
     for c, (starts, cums, _, cuts, end_ids) in ix.rl.runs_of.items():
         columns |= {f"starts[{c}]": starts, f"cums[{c}]": cums, f"cuts[{c}]": cuts, f"end_ids[{c}]": end_ids}
     return columns
@@ -1318,9 +1367,13 @@ def test_phi_successor_bisects_one_bucket_as_the_whole_column():
 
 @pytest.mark.parametrize("labels, code", [([0, 127], "b"), ([0, 128], "h"), ([127, 0], "b"), ([128, 0], "h")])
 def test_run_labels_take_the_narrowest_word(labels, code):
-    rl = RLSequence.of_runs(2, [0, 1], labels, [1, 0])
-    assert (rl.run_labels.typecode, list(rl.run_labels)) == (code, labels)
-    assert [(c, cums.typecode) for c, (_, cums, _, _, _) in rl.runs_of.items()] == [(0, "b"), (max(labels), "b")]
+    """Two runs of one edge each: the run_labels section names the two
+    labels, ascending, in the narrowest word, and each label's run counts
+    take a b word."""
+    ix = build_index(fan_graph(labels))
+    section = json.loads(serialize_index(ix))["run_labels"]
+    assert (section[0], unpack_section(section)) == (code, sorted(labels))
+    assert [(c, cums.typecode) for c, (_, cums, _, _, _) in ix.rl.runs_of.items()] == [(0, "b"), (max(labels), "b")]
 
 
 @pytest.mark.parametrize("first, m, codes", [
@@ -1335,7 +1388,7 @@ def test_run_counts_take_the_narrowest_word(first, m, codes):
     """Two runs, of label 0 over [0, first) and of label 1 over [first, m):
     label 0 counts up to first and label 1 up to m, and each cut table
     holds a few entries of at most 1."""
-    rl = RLSequence.of_runs(m, [0, first], [0, 1], [0, 1])
+    rl = RLSequence.of_runs(m, {0: ([0], [first], [0]), 1: ([first], [m], [1])})
     directories = rl.runs_of.values()
     assert [list(cums) for _, cums, _, _, _ in directories] == [[0, first], [first, m]]
     assert tuple(cums.typecode for _, cums, _, _, _ in directories) == codes
@@ -1346,8 +1399,7 @@ def test_run_counts_take_the_narrowest_word(first, m, codes):
 
 def test_cut_tables_take_the_narrowest_word():
     # 128 runs of each of two labels: the last cut is 128, past a b word
-    rl = RLSequence.of_runs(256, list(range(256)), [0, 1] * 128, range(256))
-    assert rl.run_labels.typecode == "b"
+    rl = RLSequence.of_runs(256, {c: (list(range(c, 256, 2)), list(range(c + 1, 257, 2)), range(c, 256, 2)) for c in (0, 1)})
     for c, (_, cums, _, cuts, end_ids) in rl.runs_of.items():
         assert (cums.typecode, cuts.typecode, cuts[-1]) == ("h", "h", 128)
         assert (end_ids.typecode, list(end_ids)) == ("h", list(range(c, 256, 2)))  # past a b word too
@@ -1376,25 +1428,25 @@ def test_loaded_anchors_take_the_built_word(n, code):
 
 
 def test_saves_of_wider_sections_stay_canonical():
-    """A file whose run_labels, marked_pairs and pred_ids sections hold the
-    same values in q words loads, equals the build and saves the canonical
-    bytes. The load keeps the run-order column of run-end identifiers in
-    the marked_pairs section's word, wider than the run ends' own, and a
-    build's column widened to q words saves the same bytes too: a save
-    does not depend on the column's word in memory."""
-    for name, g in golden_graphs().items():
+    """A file whose sections all hold the same values in q words loads,
+    equals the build, keeps every column in the built word and at the built
+    sys.getsizeof, and saves the canonical bytes. The run-end identifiers
+    that a load slices from a q marked_pairs section and the pred_ids it
+    decodes from a q section are narrowed to the build's word with no
+    growth slack, on the golden graphs and a seeded 20k-symbol string path."""
+    rng = random.Random(20)
+    graphs = {**golden_graphs(), "20k": gen_string_path(tuple(rng.randrange(4) for _ in range(20_000))).graph}
+    for name, g in graphs.items():
         ix = build_index(g)
         data = serialize_index(ix)
-        assert sha256(data) == GOLDEN_V6_SHA256[name]
-        doc = json.loads(data)
-        for member in ("run_labels", "marked_pairs", "pred_ids"):
-            assert doc[member][0] != "q"
-            doc[member] = pack_section(unpack_section(doc[member]), "q")
-        loaded = deserialize_index(reseal(doc))
-        assert loaded == ix and loaded.rl.end_ids.typecode == "q"
-        assert serialize_index(loaded) == data
-        ix.rl.end_ids = array("q", ix.rl.end_ids)
-        assert serialize_index(ix) == data
+        assert name == "20k" or sha256(data) == GOLDEN_V7_SHA256[name]
+        doc = lists_of(data)
+        assert json.loads(data)["pred_ids"][0] != "q" and json.loads(data)["marked_pairs"][0] != "q"
+        loaded = deserialize_index(file_of(doc, "q"))
+        assert loaded == ix and serialize_index(loaded) == data
+        built, wide = index_columns(ix), index_columns(loaded)
+        assert {k: (getattr(col, "typecode", None), sys.getsizeof(col)) for k, col in wide.items()} == \
+            {k: (getattr(col, "typecode", None), sys.getsizeof(col)) for k, col in built.items()}, name
 
 
 def test_phi_of_the_first_vertex_raises_on_a_built_and_a_loaded_index():
@@ -1412,43 +1464,45 @@ def test_phi_of_the_first_vertex_raises_on_a_built_and_a_loaded_index():
 MIXED_CYCLES_SHA256 = "d9631b5659557734999c5bf4216f6f5be7a30e6ebde0e07bef0e7fd3454dc951"
 MIXED_CYCLES_V5_SHA256 = "a37692d2789d47b7fd2bfc7e3aed2f706bb637aad309cd9d5a3762d832eaa8a4"
 MIXED_CYCLES_V6_SHA256 = "0223bd7777322b850485b6064d180568eb6a8d3bc7a2d86821b95cd5df0a23c9"
+MIXED_CYCLES_V7_SHA256 = "ae36dd1a83b84fbf7643ba9e4046c16bcc51fbf8f9028bc27d85657b40e252f9"
 
 
 def test_index_bytes_of_cycles_beside_paths_match_golden_hash():
     """The cycle golden graph is one cycle alone; these pin the bytes where
     the decomposition breaks cycles beside other paths and other cycles."""
-    digest, v5, v6 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    digest, v5, v6, v7 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     multiple = beside = 0
     for g in broken_cycle_graphs(20, seed=2026):
         ix = build_index(g)
         digest.update(serialize_v4(ix))
         v5.update(serialize_v5(ix))
-        v6.update(serialize_index(ix))
+        v6.update(serialize_v6(ix))
+        v7.update(serialize_index(ix))
         multiple += len(ix.break_ranks) > 1
         beside += ix.num_paths > len(ix.break_ranks)
     assert (multiple, beside) == (5, 19)
     assert (digest.hexdigest(), v5.hexdigest()) == (MIXED_CYCLES_SHA256, MIXED_CYCLES_V5_SHA256)
-    assert v6.hexdigest() == MIXED_CYCLES_V6_SHA256
+    assert (v6.hexdigest(), v7.hexdigest()) == (MIXED_CYCLES_V6_SHA256, MIXED_CYCLES_V7_SHA256)
 
 
-LOADED = [(v, name) for v, name in sorted(OLDER_SHA256) if v == 6]
-REFUSED = [(v, name) for v, name in sorted(OLDER_SHA256) if v < 6]
+LOADED = [(v, name) for v, name in sorted(OLDER_SHA256) if v == 7]
+REFUSED = [(v, name) for v, name in sorted(OLDER_SHA256) if v < 7]
 
 
 @pytest.mark.parametrize("version, name", LOADED, ids=[f"v{v}-{name}" for v, name in LOADED])
 def test_saved_files_load_and_resave_to_their_own_bytes(version, name):
-    """A version-6 file loads with its own anchors and re-saves to its own
-    bytes, and the version-4 and version-5 reference writers give back the
-    files of those versions of the same graph, which do not load;
-    everything else equals a fresh build, and it answers as one."""
+    """A version-7 file loads with its own anchors and re-saves to its own
+    bytes, and the version-4, version-5 and version-6 reference writers
+    give back the files of those versions of the same graph, which do not
+    load; everything else equals a fresh build, and it answers as one."""
     data = (DATA / f"{name}.v{version}.idx").read_bytes()
     assert sha256(data) == OLDER_SHA256[version, name]
     assert json.loads(data)["version"] == version
     ix = deserialize_index(data)
-    assert sha256(serialize_index(ix)) == OLDER_SHA256[6, name]
-    for old, writer in ((4, serialize_v4), (5, serialize_v5)):
+    assert sha256(serialize_index(ix)) == OLDER_SHA256[7, name]
+    for old, writer in ((4, serialize_v4), (5, serialize_v5), (6, serialize_v6)):
         assert sha256(writer(ix)) == OLDER_SHA256[old, name]
-        with pytest.raises(ValueError, match=f"unsupported index version {old}: version 6 is read"):
+        with pytest.raises(ValueError, match=f"unsupported index version {old}: version 7 is read"):
             deserialize_index(writer(ix))
     g = golden_graphs()[name]
     fresh = build_index(g)
@@ -1464,43 +1518,44 @@ def test_saved_files_load_and_resave_to_their_own_bytes(version, name):
 @pytest.mark.parametrize("version, name", REFUSED, ids=[f"v{v}-{name}" for v, name in REFUSED])
 def test_files_before_version_4_are_refused(version, name):
     """A file of version 1, 2 or 3, which holds no checksum, of version 4,
-    which holds its int lists as JSON lists, or of version 5, which holds a
-    dense f_label, does not load; the message names the version that loads
-    and how to build the index again. (The name dates from when version-4
-    files loaded.)"""
+    which holds its int lists as JSON lists, of version 5, which holds a
+    dense f_label, or of version 6, which holds the runs in run order, does
+    not load; the message names the version that loads and how to build the
+    index again. (The name dates from when version-4 files loaded.)"""
     path = DATA / f"{name}.v{version}.idx"
     assert sha256(path.read_bytes()) == OLDER_SHA256[version, name]
-    fragment = f"unsupported index version {version}: version 6 is read; build the index again"
+    fragment = f"unsupported index version {version}: version 7 is read; build the index again"
     with pytest.raises(ValueError, match=fragment):
         load_index(path)
 
 
 def abba_doc() -> dict:
-    # runs at 0, 1 and 3 end at 0, 2 and 3; position 1 is the one extra mark
+    # runs at 0, 1 and 3 end at 0, 2 and 3; the first and the last are of
+    # label 0, written first; position 1 is the one extra mark
     doc = doc_of(build_index(ABBA))
-    assert (doc["n"], doc["m"], doc["run_starts"], doc["anchor_ids"]) == (5, 4, [0, 1, 2], [1, 1, 1, 1])
-    assert (doc["marked_positions"], doc["marked_pairs"]) == ([1], [0, 2, 4, 1])
+    assert (doc["n"], doc["m"], doc["run_starts"], doc["anchor_ids"]) == (5, 4, [[0, 3], [1]], [1, 1, 1, 1])
+    assert (doc["marked_positions"], doc["marked_pairs"]) == ([1], [0, 4, 2, 1])
     return doc
 
 
 @pytest.mark.parametrize(
     "edit, fragment, code",
     wide_and_narrow([
-        ({"run_starts": [1, 1, 1]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
-        ({"run_starts": [0, 0, 3]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
-        ({"run_starts": [0, 1, 3]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
+        ({"run_starts": [[1, 2], [2]]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
+        ({"run_starts": [[0, 0], [1]]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
+        ({"run_starts": [[0, 4], [1]]}, "run_starts does not rise strictly from 0 within \\[0, m\\)"),
         ({"anchor_ids": [1, 0, 2, 1]}, "anchor_ids is not strictly increasing within \\[0, n\\)"),
         ({"anchor_ids": [-1, 2, 2, 1]}, "anchor_ids is not strictly increasing within \\[0, n\\)"),
         ({"anchor_ids": [1, 1, 1, 2]}, "anchor_ids is not strictly increasing within \\[0, n\\)"),
         ({"marked_positions": [2]}, "marked_positions holds run end 2"),
         ({"marked_positions": [4]}, "marked_positions is not strictly increasing within \\[0, m\\)"),
         ({"marked_positions": [-1]}, "marked_positions is not strictly increasing within \\[0, m\\)"),
-        ({"marked_positions": [1, 0], "marked_pairs": [0, 2, 4, 1, 0]},
+        ({"marked_positions": [1, 0], "marked_pairs": [0, 4, 2, 1, 0]},
          "marked_positions is not strictly increasing within \\[0, m\\)"),
-        ({"marked_pairs": [0, 2, 4]}, "marked_pairs has 3 entries, len\\(run_starts\\) \\+ len\\(marked_positions\\) gives 4"),
-        ({"marked_pairs": [0, 2, 4, 1, 3]}, "marked_pairs has 5 entries, len\\(run_starts\\) \\+ len\\(marked_positions\\) gives 4"),
+        ({"marked_pairs": [0, 4, 2]}, "marked_pairs has 3 entries, the run count plus len\\(marked_positions\\) gives 4"),
+        ({"marked_pairs": [0, 4, 2, 1, 3]}, "marked_pairs has 5 entries, the run count plus len\\(marked_positions\\) gives 4"),
         # the extra mark deleted with its identifier: an edge into the sink (M2)
-        ({"marked_positions": [], "marked_pairs": [0, 2, 4]}, "position 1 \\(rule M1-M3\\) is not marked"),
+        ({"marked_positions": [], "marked_pairs": [0, 4, 2]}, "position 1 \\(rule M1-M3\\) is not marked"),
     ], ["first-run-gap-1", "run-gap-0", "starts-reach-m", "anchor-gap-0", "first-anchor-negative",
         "anchors-reach-n", "extra-is-run-end", "extra-past-m", "extra-negative", "extras-unsorted",
         "one-id-short", "one-id-over", "extra-deleted"]),
@@ -1540,7 +1595,7 @@ def test_version_5_rejects_a_missing_or_wrong_checksum():
         # and every mark that rule M2 asks for
         (gen_trie([(0, 1), (0, 2), (1,), (2, 2, 1)]).graph, "out_prefix", [0, 3, 1, 5], [0, 2, 1, 5]),
         # the interior identifier 0 at the first run end becomes interior 3
-        (gen_string_path(labels_from_ascii("abaab")).graph, "marked_pairs", [0, 5, 2], [3, 5, 2]),
+        (gen_string_path(labels_from_ascii("abaab")).graph, "marked_pairs", [0, 2, 5], [3, 2, 5]),
     ], ["out-prefix", "interior-id"]),
 )
 def test_checksum_rejects_edits_that_pass_every_structural_check(graph, field, before, after, code):
@@ -1566,7 +1621,7 @@ def test_every_single_byte_substitution_is_rejected(name, code):
     by the parse. The full 255 values run on g1 and on the closing 32 bytes
     of each file; elsewhere the eight single-bit flips, since CRC-32 detects
     any error burst up to 32 bits long."""
-    data = (DATA / f"{name}.v6.idx").read_bytes()
+    data = (DATA / f"{name}.v7.idx").read_bytes()
     data = file_of(lists_of(data), code) if code else data
     assert data.endswith(b"}") and data.rindex(b',"crc32":') > len(data) - 32
     for i, old in enumerate(data):
@@ -1645,14 +1700,14 @@ def test_sections_round_trip_as_little_endian_words(values):
     assert len(raw) == width * len(values)
     assert [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)] == values
     assert section == pack_section(values)
-    assert _unpack("run_starts", section) == unpack_section(section) == values
+    assert _unpack("out_prefix", section) == unpack_section(section) == values
 
 
 @pytest.mark.parametrize("member, value, fragment", SECTION_CORRUPTIONS.values(), ids=SECTION_CORRUPTIONS)
 def test_version_5_rejects_corrupt_sections(member, value, fragment):
     # (the name dates from version 5, which introduced the sections)
-    doc = json.loads((DATA / "g1.v6.idx").read_bytes())
-    assert (doc["run_labels"], unpack_section(doc["pred_ids"])) == ("bAAEA", [2, 3, -1, 0])
+    doc = json.loads((DATA / "g1.v7.idx").read_bytes())
+    assert (doc["run_labels"], unpack_section(doc["pred_ids"])) == ("bAAE=", [2, 3, -1, 0])
     doc[member] = value
     with pytest.raises(ValueError, match=f"corrupt index: {fragment}"):
         deserialize_index(reseal(doc))
@@ -1689,16 +1744,35 @@ def test_a_single_field_edit_fails_cleanly(graph, field, edit, i, j, delta):
     values = doc[field]
     if field in HEADER:
         values += delta
-    elif values:
-        values, i, j = list(values), i % len(values), j % len(values)
-        if edit == "change":
-            values[i] += delta
-        elif edit == "drop":
-            del values[i]
-        elif edit == "duplicate":
-            values.insert(i, values[i])
-        else:
-            values[i], values[j] = values[j], values[i]
+    elif field == "run_starts" and values:  # one section per label: edit one of them
+        k = (i + j) % len(values)
+        values = values[:k] + [edited(values[k], edit, i, j, delta)] + values[k + 1:]
+    else:
+        values = edited(values, edit, i, j, delta)
+    check_loads_cleanly(doc, field, values)
+
+
+def edited(values: list[int], edit: str, i: int, j: int, delta: int) -> list[int]:
+    """values with one entry changed by delta, dropped, duplicated or swapped with another."""
+    if not values:
+        return values
+    values, i, j = list(values), i % len(values), j % len(values)
+    if edit == "change":
+        values[i] += delta
+    elif edit == "drop":
+        del values[i]
+    elif edit == "duplicate":
+        values.insert(i, values[i])
+    else:
+        values[i], values[j] = values[j], values[i]
+    return values
+
+
+def check_loads_cleanly(doc: dict, field: str, values) -> None:
+    """doc with field set to values, resealed, raises nothing but
+    ValueError at load, and an index that loads answers count and locate of
+    every pattern up to length 3 raising nothing but IndexInvariantError
+    and FirstInOrderError."""
     try:
         ix = deserialize_index(file_of({**doc, field: values}))
     except ValueError:

@@ -295,26 +295,26 @@ def test_query_short_prefix_array_rejected_at_load_v5(capsys, g1_idx, tmp_path):
 
 def test_query_damaged_file_rejected_by_checksum_v5(capsys, g1_idx, tmp_path):
     # one byte of the run labels changed, from label 1 to label 0: the
-    # section holds the bytes 0, 1 and 0, base64 "AAEA"
+    # section holds the bytes 0 and 1, base64 "AAE="
     data = open(g1_idx, "rb").read()
-    assert data.count(b'"run_labels":"bAAEA"') == 1
+    assert data.count(b'"run_labels":"bAAE="') == 1
     bad = tmp_path / "bad.idx"
-    bad.write_bytes(data.replace(b'"run_labels":"bAAEA"', b'"run_labels":"bAAAA"'))
+    bad.write_bytes(data.replace(b'"run_labels":"bAAE="', b'"run_labels":"bAAA="'))
     query_fails_at_load(capsys, tmp_path, str(bad), "count", "a", "checksum")
 
 
 @pytest.mark.parametrize("command", ["query", "stats"])
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("name", ["g1", "trie", "cycle"])
 def test_index_before_version_4_exits_2(capsys, tmp_path, name, version, command):
-    # a load refuses every version but 6 and names the way to build the
+    # a load refuses every version but 7 and names the way to build the
     # index again (the name dates from when version 4 loaded)
     pats = tmp_path / "p.txt"
     pats.write_text("a\n")
     extra = ["--mode", "count", "--patterns", str(pats)] if command == "query" else []
     code, out, err = run(capsys, command, str(DATA / f"{name}.v{version}.idx"), *extra)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: unsupported index version {version}: version 6 is read")
+    assert err.startswith(f"error: unsupported index version {version}: version 7 is read")
     assert "wgrindex build" in err
     assert "Traceback" not in err
 
@@ -346,8 +346,9 @@ def test_stats_of_a_value_past_a_word_exits_2(capsys, tmp_path, field, value):
     wgf, idx = tmp_path / "abacba.wgf", tmp_path / "abacba.idx"
     assert main(["gen", "string", "abacba", "-o", str(wgf)]) == 0
     assert main(["build", str(wgf), str(idx)]) == 0
-    if field == "run_starts":
-        value = doc_of(load_index(idx))["run_starts"][:-1] + [value]
+    if field == "run_starts":  # the last run gap of the largest label
+        sections = doc_of(load_index(idx))["run_starts"]
+        value = sections[:-1] + [sections[-1][:-1] + [value]]
     bad = _corrupt_copy(str(idx), tmp_path / "bad.idx", **{field: value})
     src = str(Path(wgrindex.__file__).parents[1])
     proc = subprocess.run(
@@ -364,7 +365,7 @@ def test_stats_of_a_value_past_a_word_exits_2(capsys, tmp_path, field, value):
 @pytest.mark.parametrize("command", ["query", "stats"])
 @pytest.mark.parametrize("member, value, fragment", SECTION_CORRUPTIONS.values(), ids=SECTION_CORRUPTIONS)
 def test_corrupt_section_exits_2(capsys, tmp_path, member, value, fragment, command):
-    doc = json.loads((DATA / "g1.v6.idx").read_bytes())
+    doc = json.loads((DATA / "g1.v7.idx").read_bytes())
     doc[member] = value
     bad = tmp_path / "bad.idx"
     bad.write_bytes(reseal(doc))
