@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, pairwise, repeat
 from operator import eq, ge, ne, sub
 
-from .errors import IndexInvariantError, NotWheelerError
+from .errors import NotWheelerError
 from .graph import (
     IdAssignment,
     WheelerGraph,
@@ -75,7 +75,6 @@ class RLSequence:
     distinct labels), and nothing is kept in run order.
     """
 
-    length: int
     runs_of: dict[int, tuple[list[int], array, int, array, array]] = field(repr=False)
 
     @classmethod
@@ -91,15 +90,12 @@ class RLSequence:
             cums = _narrow(list(accumulate(map(sub, ends, starts), initial=below)))
             # starts[:] drops the slack of appends and accumulate: the list kept is exact
             directories[c], below = (starts[:], cums, *_cut_table(starts, m), _narrow(ids)), cums[-1]
-        return cls(m, directories)
+        return cls(directories)
 
     def rank(self, c: int, p: int) -> int:
-        """The LF value of c at p in [0, length]: the labels below c plus
-        the occurrences of c in [0, p); 0 for a label that does not occur."""
-        runs = self.runs_of.get(c)
-        if runs is None:
-            return 0
-        starts, cums, shift, cuts, _ = runs
+        """The LF value of c at p in [0, m]: the labels below c plus the
+        occurrences of c in [0, p), for a label c that occurs."""
+        starts, cums, shift, cuts, _ = self.runs_of[c]
         b = p >> shift
         t = bisect_left(starts, p, cuts[b], cuts[b + 1])  # runs of c starting strictly before p
         if t == 0:
@@ -109,11 +105,8 @@ class RLSequence:
         return k if k < end else end  # at most the whole of run t - 1
 
     def select(self, c: int, k: int) -> int:
-        """Position of the c at in-slot k."""
-        runs = self.runs_of.get(c)
-        if runs is None or not runs[1][0] <= k < runs[1][-1]:
-            raise IndexError(f"select({c}, {k}): no occurrence of the label holds in-slot {k}")
-        starts, cums, _, _, _ = runs
+        """Position of the c at in-slot k, one that a run of c holds."""
+        starts, cums, _, _, _ = self.runs_of[c]
         t = bisect_right(cums, k) - 1
         return starts[t] + (k - cums[t])
 
@@ -170,10 +163,10 @@ def _prefix(ranks: list[int], after: list[int], k: int) -> int:
     return after[t - 1] + k - ranks[t - 1] - 1 if t else k
 
 
-def _f_label(rl: RLSequence) -> list[int]:
+def _f_label(rl: RLSequence, m: int) -> list[int]:
     """f_label, which only an index file holds: each label that occurs,
-    ascending, then its first in-slot, the FM-index C[c]; last the length."""
-    return [x for c, runs in rl.runs_of.items() for x in (c, runs[1][0])] + [rl.length]
+    ascending, then its first in-slot, the FM-index C[c]; last m."""
+    return [x for c, runs in rl.runs_of.items() for x in (c, runs[1][0])] + [m]
 
 
 def build_partial_sums(g: WheelerGraph) -> DegreeSums:
@@ -261,16 +254,12 @@ class PhiStructure:
         self.anchor_ids, self.pred_ids = array(_narrow(anchors[-1:]).typecode, anchors), _narrow(self.pred_ids)
 
     def successor(self, i: int) -> tuple[int, int]:
-        """Smallest anchor >= i >= 0 with its stored predecessor identifier,
-        -1 for the order-first vertex; past the last anchor, the bucket of i
-        or the bisect's result lies past its column."""
+        """Smallest anchor >= i, for 0 <= i <= the last anchor, with its stored
+        predecessor identifier, -1 for the order-first vertex."""
         cuts = self.cuts
         b = i >> self.shift
-        try:
-            t = bisect_left(self.anchor_ids, i, cuts[b], cuts[b + 1])
-            return self.anchor_ids[t], self.pred_ids[t]
-        except IndexError:
-            raise IndexInvariantError(f"identifier {i} has no anchor successor") from None
+        t = bisect_left(self.anchor_ids, i, cuts[b], cuts[b + 1])
+        return self.anchor_ids[t], self.pred_ids[t]
 
 
 def build_phi(ids: IdAssignment) -> PhiStructure:
@@ -425,10 +414,11 @@ def _gaps(values: list[int]) -> list[int]:
 
 def _narrow(values):
     """values, a list or an array, in the first, so narrowest, typecode of
-    _WORDS that holds them all (a list if none does): each file section and
-    each int column an index keeps, but for the bisected run starts and
-    degree exceptions. One pass per width tried, and a value too wide fails
-    it early; a narrow array is one copy, at its exact size."""
+    _WORDS that holds them all, a q word at the widest, which every value
+    an index stores fits: each file section and each int column an index
+    keeps, but for the bisected run starts and degree exceptions. One pass
+    per width tried, and a value too wide fails it early; a narrow array
+    is one copy, at its exact size."""
     for code in _WORDS:
         try:
             words = array(code, values)
@@ -436,7 +426,6 @@ def _narrow(values):
             continue
         # an array of another word fills this one item by item, with growth slack
         return words if type(values) is not array or values.typecode == code else words[:]
-    return list(values)
 
 
 def _pack(values) -> str:
@@ -494,7 +483,7 @@ def serialize_index(ix: WheelerRIndex) -> bytes:
         "run_labels": _pack(list(runs)),
         "out_prefix": _pack(_interleave(sums.out_ranks, sums.out_after)),
         "in_prefix": _pack(_interleave(sums.in_ranks, sums.in_after)),
-        "f_label": _pack(_f_label(ix.rl)),
+        "f_label": _pack(_f_label(ix.rl, ix.m)),
         "marked_positions": _pack(list(toehold.pairs)),  # the extras
         "marked_pairs": _pack(marked),
         "break_ranks": _pack(ix.break_ranks),
@@ -537,9 +526,15 @@ def _check_ids(name: str, values: list[int], n: int, low: int = 0) -> None:
         raise ValueError(f"corrupt index: {name} holds identifier {bad}, outside [0, n)")
 
 
-def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: int) -> set[int]:
-    """Raise unless ranks and after describe n degrees summing to m, each
-    listed rank with a degree >= 0 that is not 1; return the ranks of degree 0."""
+def _check_exceptions(doc: dict, name: str) -> tuple[list[int], list[int], set[int]]:
+    """One side's exceptions, doc[name], as interleaved (rank, prefix after
+    it) pairs: raise unless they describe n degrees summing to m, each
+    listed rank with a degree >= 0 that is not 1; return the ranks, the
+    prefixes after them and the ranks of degree 0."""
+    pairs, n, m = doc[name], doc["n"], doc["m"]
+    if len(pairs) % 2:
+        raise ValueError(f"corrupt index: {name} has odd length {len(pairs)}")
+    ranks, after = pairs[0::2], pairs[1::2]
     if not _rising(_gaps(ranks), n):
         raise ValueError(f"corrupt index: {name} ranks are not strictly increasing within [0, n)")
     prev_k, prev_a, empty = -1, 0, set()
@@ -553,24 +548,7 @@ def _check_exceptions(name: str, ranks: list[int], after: list[int], n: int, m: 
     total = prev_a + n - 1 - prev_k
     if total != m:
         raise ValueError(f"corrupt index: {name} totals {total} edges, m = {m}")
-    return empty
-
-
-def _load_degree_sums(doc: dict) -> tuple[DegreeSums, set[int]]:
-    """The checked degree sums of an index document, which holds each side's
-    exceptions as interleaved (rank, prefix after it) pairs, and the ranks
-    with no edges at all."""
-    n, m = doc["n"], doc["m"]
-    sides = []
-    for name in ("out_prefix", "in_prefix"):
-        arr = doc[name]
-        if len(arr) % 2:
-            raise ValueError(f"corrupt index: {name} has odd length {len(arr)}")
-        sides += arr[0::2], arr[1::2]
-    sums = DegreeSums(*sides)
-    isolated = _check_exceptions("out_prefix", sums.out_ranks, sums.out_after, n, m)
-    isolated &= _check_exceptions("in_prefix", sums.in_ranks, sums.in_after, n, m)
-    return sums, isolated
+    return ranks, after, empty
 
 
 def _ends_among(positions, starts, m: int) -> list[int]:
@@ -655,8 +633,10 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if held:
             raise ValueError(f"corrupt index: marked_positions holds run end {held[0]}")
         pairs = dict(zip(extras, dests[r:]))
-        sums, isolated = _load_degree_sums(doc)
-        if doc["f_label"] != _f_label(rl):
+        out_ranks, out_after, isolated = _check_exceptions(doc, "out_prefix")
+        in_ranks, in_after, sourceless = _check_exceptions(doc, "in_prefix")
+        sums, isolated = DegreeSums(out_ranks, out_after, in_ranks, in_after), isolated & sourceless
+        if doc["f_label"] != _f_label(rl, m):
             raise ValueError("corrupt index: f_label disagrees with the label counts of the runs")
         top = max(rl.runs_of, default=-1)  # the largest run label
         # The cycles are the paths that no exception heads. An exception

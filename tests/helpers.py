@@ -269,73 +269,16 @@ def bench_run():
     return run
 
 
-def dense_f_label(rl: RLSequence, sigma: int) -> list[int]:
+def dense_f_label(rl: RLSequence, sigma: int, m: int) -> list[int]:
     """The f_label of versions 4 and 5: for c in [0, sigma], the labels
-    below c, C[d] of the least label d >= c that occurs, else the length.
+    below c, C[d] of the least label d >= c that occurs, else m.
     One slice per label that occurs, after one allocation."""
     f_label, lo = [0] + [0] * sigma, 0
     for c, runs in rl.runs_of.items():
         f_label[lo : c + 1] = repeat(runs[1][0], c + 1 - lo)
         lo = c + 1
-    f_label[lo:] = repeat(rl.length, len(f_label) - lo)
+    f_label[lo:] = repeat(m, len(f_label) - lo)
     return f_label
-
-
-def serialize_v6(ix: WheelerRIndex) -> bytes:
-    """The version-6 writer: the members of version 7, but with the runs in
-    run order: run_starts one section of the gaps between all the run
-    starts, run_labels the label of each run, and marked_pairs the run
-    ends' identifiers in run order before the extras'. The loader refuses
-    its files; its digests of the golden graphs pin that builds have not
-    changed since version 6."""
-    starts, labels, end_ids = run_order(ix.rl)
-    doc = json.loads(serialize_index(ix))
-    doc.update(version=6, run_starts=pack_section(gaps(starts)), run_labels=pack_section(labels),
-               marked_pairs=pack_section(end_ids + list(ix.toehold.pairs.values())))
-    return reseal(dict(sorted(doc.items())))
-
-
-def serialize_v5(ix: WheelerRIndex) -> bytes:
-    """The version-5 writer: the members of version 6, plus the header ints
-    sigma and num_runs, with f_label dense (dense_f_label). The loader
-    refuses its files; its digests of the golden graphs pin that builds
-    have not changed since version 5."""
-    doc = json.loads(serialize_v6(ix))
-    doc.update(version=5, sigma=ix.sigma, num_runs=len(run_order(ix.rl)[0]),
-               f_label=pack_section(dense_f_label(ix.rl, ix.sigma)))
-    return reseal(dict(sorted(doc.items())))
-
-
-def serialize_v4(ix: WheelerRIndex) -> bytes:
-    """The version-4 writer: the fields of version 5, each int list as a
-    JSON list, None for the order-first vertex's predecessor, and the crc32
-    member last. The loader refuses its files; its digests of the golden
-    graphs pin that builds have not changed since before version 5."""
-    sums, toehold = ix.sums, ix.toehold
-    starts, labels, end_ids = run_order(ix.rl)
-    preds = [None if p < 0 else p for p in ix.phi.pred_ids]
-    doc = {
-        "format": "wgrindex",
-        "version": 4,
-        "n": ix.n,
-        "m": ix.m,
-        "sigma": ix.sigma,
-        "num_runs": len(starts),
-        "num_paths": ix.num_paths,
-        "last_rank_id": ix.last_rank_id,
-        "run_starts": gaps(starts),
-        "run_labels": labels,
-        "out_prefix": [x for pair in zip(sums.out_ranks, sums.out_after) for x in pair],
-        "in_prefix": [x for pair in zip(sums.in_ranks, sums.in_after) for x in pair],
-        "f_label": dense_f_label(ix.rl, ix.sigma),
-        "marked_positions": list(toehold.pairs),
-        "marked_pairs": [*end_ids, *toehold.pairs.values()],
-        "break_ranks": ix.break_ranks,
-        "anchor_ids": gaps(ix.phi.anchor_ids),
-        "pred_ids": preds,
-    }
-    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
-    return body[:-1] + b',"crc32":%d}' % zlib.crc32(body)
 
 
 def gaps(values) -> list[int]:
@@ -601,16 +544,8 @@ def transform_labels(g: WheelerGraph) -> list[int]:
 def rl_from_labels(labels, id_at=None) -> RLSequence:
     """Rank/select directories straight from a label sequence, each run
     ending at p with the run-end identifier id_at[p], by default p."""
-    m = len(labels)
-    id_at = range(m) if id_at is None else id_at
-    bounds = [p for p, lab in enumerate(labels) if p == 0 or lab != labels[p - 1]]
-    runs = {}
-    for s, e in zip(bounds, bounds[1:] + [m]):
-        starts, ends, ids = runs.setdefault(labels[s], ([], [], []))
-        starts.append(s)
-        ends.append(e)
-        ids.append(id_at[e - 1])
-    return RLSequence.of_runs(m, dict(sorted(runs.items())))
+    positions = range(len(labels))  # each position its own destination
+    return build_rank_select(list(labels), positions, positions if id_at is None else id_at)
 
 
 def rl_of(g: WheelerGraph) -> RLSequence:

