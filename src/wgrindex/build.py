@@ -14,12 +14,11 @@ import json
 import sys
 import zlib
 from array import array
-from collections import defaultdict
 from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, pairwise, repeat
-from operator import eq, ge, ne, sub
+from itertools import accumulate, chain, islice, pairwise, repeat
+from operator import eq, ge, sub
 
 from .errors import NotWheelerError
 from .graph import (
@@ -41,15 +40,16 @@ _INT_OR_NONE = frozenset((int, type(None)))
 _PER_BUCKET = 16  # average entries per cut-table bucket: a label's runs, or the phi anchors
 
 
-def build_bwt(g: WheelerGraph) -> tuple[list[int], list[int]]:
-    """The transform that validation scanned, as the label and the
-    destination rank of the edge at each position, the edges sorted by
-    (source rank, destination rank, input order). Rejects invalid orders."""
+def build_bwt(g: WheelerGraph) -> tuple[list[int], list[int], dict[int, tuple[list[int], list[int]]]]:
+    """The transform that validation read, as the label and the destination
+    rank of the edge at each position, the edges sorted by (source rank,
+    destination rank, input order), and its runs grouped by label
+    (ValidationReport.runs). Rejects invalid orders."""
     report = validate_wheeler(g)
     if not report.is_wheeler:
         detail = "; ".join(str(v) for v in report.violations)
         raise NotWheelerError(f"input numbering is not a Wheeler order: {detail}")
-    return report.labels, report.dsts
+    return report.labels, report.dsts, report.runs
 
 
 def _cut_table(values, end: int) -> tuple[int, array]:
@@ -111,19 +111,13 @@ class RLSequence:
         return starts[t] + (k - cums[t])
 
 
-def build_rank_select(labels: list[int], dsts: list[int], id_of_rank: list[int]) -> RLSequence:
+def build_rank_select(runs: dict[int, tuple[list[int], list[int]]], dsts: list[int], id_of_rank: list[int]) -> RLSequence:
     """Rank/select directories over the runs of the edge labels in transform
-    order, a run starting wherever the label changes, each with the id of
-    dsts[p] at its last p, just before the next start or at m - 1."""
-    m = len(labels)
-    bounds = list(compress(range(m), map(ne, [None] + labels, labels)))
-    runs: dict[int, tuple[list[int], ...]] = defaultdict(lambda: ([], [], []))  # label -> (starts, ends, end ids)
-    for s, e in zip(bounds, bounds[1:] + [m]):
-        starts, ends, ids = runs[labels[s]]
-        starts.append(s)
-        ends.append(e)
-        ids.append(id_of_rank[dsts[e - 1]])
-    return RLSequence.of_runs(m, dict(sorted(runs.items())))
+    order, as validation groups them (ValidationReport.runs), each with the
+    id of dsts[p] at its last p, just before its end."""
+    return RLSequence.of_runs(len(dsts), {
+        c: (starts, ends, list(map(id_of_rank.__getitem__, map(dsts.__getitem__, map(sub, ends, repeat(1))))))
+        for c, (starts, ends) in runs.items()})
 
 
 @dataclass
@@ -303,10 +297,10 @@ class WheelerRIndex:
 
 def build_index(g: WheelerGraph) -> WheelerRIndex:
     """Validate, decompose, assign identifiers and build all components."""
-    labels, dsts = build_bwt(g)  # raises NotWheelerError on a bad order
+    labels, dsts, runs = build_bwt(g)  # raises NotWheelerError on a bad order
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
-    rl = build_rank_select(labels, dsts, ids.id_of_rank)
+    rl = build_rank_select(runs, dsts, ids.id_of_rank)
     sums = build_partial_sums(g)
     return WheelerRIndex(
         n=g.n,
@@ -513,10 +507,11 @@ def _check_ints(name: str, values: list, allowed: frozenset = _INT) -> None:
         raise ValueError(f"corrupt index: {name} holds {bad!r}, not an int")
 
 
-def _rising(gaps: list[int], end: int) -> bool:
-    """True iff the running sums of gaps strictly increase within [0, end):
-    the first gap is at least 0 and every later one at least 1."""
-    return not gaps or (gaps[0] >= 0 and min(gaps[1:], default=1) > 0 and sum(gaps) < end)
+def _rising(gaps, sums: list[int], end: int) -> bool:
+    """True iff sums, the running sums of gaps, strictly increase within
+    [0, end): the first gap is at least 0, every later one at least 1 and
+    the last sum below end."""
+    return not gaps or (gaps[0] >= 0 and min(islice(gaps, 1, None), default=1) > 0 and sums[-1] < end)
 
 
 def _check_ids(name: str, values: list[int], n: int, low: int = 0) -> None:
@@ -535,7 +530,7 @@ def _check_exceptions(doc: dict, name: str) -> tuple[list[int], list[int], set[i
     if len(pairs) % 2:
         raise ValueError(f"corrupt index: {name} has odd length {len(pairs)}")
     ranks, after = pairs[0::2], pairs[1::2]
-    if not _rising(_gaps(ranks), n):
+    if not _rising(_gaps(ranks), ranks, n):
         raise ValueError(f"corrupt index: {name} ranks are not strictly increasing within [0, n)")
     prev_k, prev_a, empty = -1, 0, set()
     for k, a in zip(ranks, after):
@@ -605,23 +600,25 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         ):
             if len(doc[name]) != want:
                 raise ValueError(f"corrupt index: {name} has {len(doc[name])} entries, {other} gives {want}")
-        firsts = pred_ids.count(-1)
+        preds = pred_ids.tolist()  # one int per word, for the three scans
+        firsts = preds.count(-1)
         if firsts != min(n, 1):
             raise ValueError(f"corrupt index: pred_ids holds {firsts} first-vertex entries, n = {n} needs {min(n, 1)}")
-        _check_ids("pred_ids", pred_ids, n, -1)
-        if not _rising(anchor_gaps, n):
-            raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
+        _check_ids("pred_ids", preds, n, -1)
         anchor_ids = list(accumulate(anchor_gaps))
+        if not _rising(anchor_gaps, anchor_ids, n):
+            raise ValueError("corrupt index: anchor_ids is not strictly increasing within [0, n)")
         if n and anchor_ids[-1] != n - 1:
             raise ValueError(f"corrupt index: anchor_ids ends at {anchor_ids[-1]}, not at n - 1")
-        if not _rising(_gaps(extras), m):
+        if not _rising(_gaps(extras), extras, m):
             raise ValueError("corrupt index: marked_positions is not strictly increasing within [0, m)")
-        _check_ids("marked_pairs", dests, n)
-        if not _rising(_gaps(labels), 1 << 63):
+        mark_ids = dests.tolist()  # one int per word, for the range check, the extras and the endpoint count
+        _check_ids("marked_pairs", mark_ids, n)
+        if not _rising(_gaps(labels), labels, 1 << 63):
             raise ValueError("corrupt index: run_labels is not strictly increasing from 0")
-        if not all(gaps and _rising(gaps, m) for gaps in gaps_of):
-            raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
         starts_of = [list(accumulate(gaps)) for gaps in gaps_of]
+        if not all(gaps and _rising(gaps, starts, m) for gaps, starts in zip(gaps_of, starts_of)):
+            raise ValueError("corrupt index: run_starts does not rise strictly from 0 within [0, m)")
         bounds = sorted(chain.from_iterable(starts_of))
         after = dict(zip(bounds, bounds[1:] + [m]))  # each run's end: the next start, or m
         if bounds[:1] != ([0] if m else []) or len(after) < len(bounds):
@@ -632,7 +629,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         held = _ends_among(extras, after, m)
         if held:
             raise ValueError(f"corrupt index: marked_positions holds run end {held[0]}")
-        pairs = dict(zip(extras, dests[r:]))
+        pairs = dict(zip(extras, mark_ids[r:]))
         out_ranks, out_after, isolated = _check_exceptions(doc, "out_prefix")
         in_ranks, in_after, sourceless = _check_exceptions(doc, "in_prefix")
         sums, isolated = DegreeSums(out_ranks, out_after, in_ranks, in_after), isolated & sourceless
@@ -648,7 +645,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
         if len(stored) != cycles:
             raise ValueError(f"corrupt index: break_ranks has {len(stored)} entries, "
                              f"num_paths and the degree sums give {cycles} cycles")
-        if not _rising(_gaps(stored), n) or not exceptions.isdisjoint(stored):
+        if not _rising(_gaps(stored), stored, n) or not exceptions.isdisjoint(stored):
             raise ValueError("corrupt index: break_ranks is not strictly increasing within [0, n) "
                              "or holds a rank whose degree is not 1")
         marks, into = _required_marks(rl, sums, stored)
@@ -667,7 +664,7 @@ def deserialize_index(data: bytes) -> WheelerRIndex:
             if got != endpoint_id[k]:
                 raise ValueError(f"corrupt index: position {p} enters endpoint rank {k} "
                                  f"but holds identifier {got}, not {endpoint_id[k]}")
-        endpoint_marks = sum(map(ge, dests, repeat(first)))
+        endpoint_marks = sum(map(ge, mark_ids, repeat(first)))
         if endpoint_marks != m - first:
             raise ValueError(f"corrupt index: {endpoint_marks} marks hold an endpoint identifier, "
                              f"not the m - first = {m - first} edges into the endpoints")

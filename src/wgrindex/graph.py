@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, repeat
-from operator import gt, indexOf, itemgetter, lt, or_
+from bisect import bisect_left
+from itertools import accumulate, chain, compress, count, repeat
+from operator import eq, gt, indexOf, itemgetter, le, lt, not_, or_, sub
 from typing import NoReturn
 
 from .errors import WgfParseError
@@ -38,13 +39,16 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an axiom check: the violations found, and the label and
+    """Outcome of an axiom check: the violations found; the label and
     destination columns in transform order (see transform_order) that the
-    check scanned."""
+    check read; and runs, the maximal stretches of one label in it, grouped
+    by label: each label that occurs, ascending, maps to its runs' ascending
+    starts and their ends (each the next start of any label, or m)."""
 
     violations: tuple[Violation, ...]
     labels: list[int] = field(repr=False, compare=False)
     dsts: list[int] = field(repr=False, compare=False)
+    runs: dict[int, tuple[list[int], list[int]]] = field(repr=False, compare=False)
 
     @property
     def is_wheeler(self) -> bool:
@@ -222,8 +226,10 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
         a < a' implies v < v'.
     A2: equal labels with u < u' imply v <= v'.
 
-    Runs in O(m log m); violations carry one concrete witness per axiom
-    occurrence found, not an exhaustive enumeration.
+    Runs in O(m log m), with A1 and A2 checked per label over the runs of
+    the transform; violations carry one concrete witness per axiom
+    occurrence found, not an exhaustive enumeration, and are looked for
+    only once the check has failed.
     """
     violations: list[Violation] = []
 
@@ -242,57 +248,61 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
             )
         )
 
-    # One scan in transform order, keeping per label that occurs the
-    # (destination, edge index) keys [lo, hi, top, a2]: the smallest and the
-    # largest for A1; for A2 the first edge to reach the largest destination
-    # so far, and the first violation found. A2 asks that, within one label
-    # and in increasing source order, every destination be >= the largest
-    # destination of strictly smaller sources.
-    edges = g.edges
-    per_label: dict[int, list] = {}
+    # Transform order takes one label's edges by ascending source, and one
+    # source's by ascending destination, so A2 holds exactly when each
+    # label's destinations, read in that order, never fall: neither inside
+    # a run, where same[p] holds, nor from the last destination of one of
+    # its runs to the first of the next. A1 then holds when each label's
+    # first destination is above the previous label's last one.
     order, labels, dsts = transform_order(g)
-    for idx, lab, v in zip(order, labels, dsts):
-        key = (v, idx)
-        state = per_label.get(lab)
-        if state is None:
-            per_label[lab] = [key, key, key, None]
-            continue
-        if key < state[0]:
-            state[0] = key
-        elif key > state[1]:
-            state[1] = key
-        # Earlier edges of the same source have destinations <= v, so a
-        # larger destination so far always comes from a smaller source.
-        top_dst, top_edge = state[2]
-        if v < top_dst and state[3] is None:
-            state[3] = Violation(
-                "A2",
-                (top_edge, idx),
-                f"edges {top_edge} {edges[top_edge]} and {idx} {edges[idx]} share "
-                f"label {lab} with increasing sources but decreasing destinations",
-            )
-        elif v > top_dst:
-            state[2] = key
+    same = list(map(eq, labels, labels[1:]))  # same[p]: p and p + 1 share a run
+    runs = _group_runs(labels, [0, *compress(range(1, len(labels)), map(not_, same))] if labels else [])
+    rising, firsts, lasts = not any(compress(map(gt, dsts, dsts[1:]), same)), [], []
+    for starts, ends in runs.values():
+        heads, tails = list(map(dsts.__getitem__, starts)), list(map(dsts.__getitem__, map(sub, ends, repeat(1))))
+        rising = rising and not any(map(gt, tails, heads[1:]))
+        firsts.append(heads[0])
+        lasts.append(tails[-1])
+    if not rising or any(map(le, firsts[1:], lasts)):
+        violations += _witnesses(g.edges, order, dsts, runs)
+    return ValidationReport(tuple(violations), labels, dsts, runs)
 
-    # A1: destinations of lower labels must lie strictly below destinations
-    # of higher labels, so one running maximum over ascending labels suffices.
-    best_dst = best_edge = -1
-    states = [per_label[lab] for lab in sorted(per_label)]
-    for (lo_dst, lo_edge), hi, _, _ in states:
+
+def _group_runs(labels: list[int], bounds: list[int]) -> dict[int, tuple[list[int], list[int]]]:
+    """The runs of labels that start at bounds, grouped as in ValidationReport.runs."""
+    run_labels = list(map(labels.__getitem__, bounds))
+    runs = {c: ([], []) for c in sorted(set(run_labels))}
+    for c, s, e in zip(run_labels, bounds, bounds[1:] + [len(labels)]):
+        starts, ends = runs[c]
+        starts.append(s)
+        ends.append(e)
+    return runs
+
+
+def _witnesses(edges: list[Edge], order: list[int], dsts: list[int], runs: dict) -> list[Violation]:
+    """The A1 violations, then the A2 ones, by ascending label, of a graph
+    whose transform breaks one of them. Per label, over the (destination,
+    edge index) keys of its edges in transform order: for A1 the smallest
+    and the largest key, a violation wherever the largest destination of
+    the smaller labels is not below the smallest; for A2 the first fall of
+    the destinations, between the first edge to reach the largest
+    destination before it and the edge at it."""
+    a1, a2, best_dst, best_edge = [], [], -1, -1
+    for lab, (starts, ends) in runs.items():
+        at = list(chain.from_iterable(map(range, starts, ends)))
+        seq, idx = list(map(dsts.__getitem__, at)), list(map(order.__getitem__, at))
+        (lo_dst, lo_edge), hi = min(zip(seq, idx)), max(zip(seq, idx))
         if best_edge >= 0 and best_dst >= lo_dst:
-            violations.append(
-                Violation(
-                    "A1",
-                    (best_edge, lo_edge),
-                    f"edge {best_edge} {edges[best_edge]} has a smaller label than "
-                    f"edge {lo_edge} {edges[lo_edge]} but does not lead to a smaller vertex",
-                )
-            )
+            a1.append(Violation("A1", (best_edge, lo_edge), f"edge {best_edge} {edges[best_edge]} has a smaller label "
+                                f"than edge {lo_edge} {edges[lo_edge]} but does not lead to a smaller vertex"))
         if hi[0] > best_dst:
             best_dst, best_edge = hi
-
-    violations.extend(state[3] for state in states if state[3] is not None)  # A2, by ascending label
-    return ValidationReport(tuple(violations), labels, dsts)
+        j = next(compress(count(1), map(lt, seq[1:], seq)), 0)
+        if j:
+            top, low = idx[bisect_left(seq, seq[j - 1], 0, j)], idx[j]
+            a2.append(Violation("A2", (top, low), f"edges {top} {edges[top]} and {low} {edges[low]} share label "
+                                f"{lab} with increasing sources but decreasing destinations"))
+    return a1 + a2
 
 
 @dataclass

@@ -541,16 +541,31 @@ def transform_labels(g: WheelerGraph) -> list[int]:
     return [g.edges[i][2] for i in transform_order(g)[0]]
 
 
+def naive_run_groups(labels) -> dict[int, tuple[list[int], list[int]]]:
+    """The runs of a label sequence, found one position at a time: each
+    label, ascending, with its runs' ascending starts and ends."""
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for p, lab in enumerate(labels):
+        if p == 0 or labels[p - 1] != lab:
+            starts, ends = groups.setdefault(lab, ([], []))
+            starts.append(p)
+            ends.append(p + 1)
+        else:
+            groups[lab][1][-1] = p + 1
+    return dict(sorted(groups.items()))
+
+
 def rl_from_labels(labels, id_at=None) -> RLSequence:
     """Rank/select directories straight from a label sequence, each run
     ending at p with the run-end identifier id_at[p], by default p."""
     positions = range(len(labels))  # each position its own destination
-    return build_rank_select(list(labels), positions, positions if id_at is None else id_at)
+    return build_rank_select(naive_run_groups(labels), positions, positions if id_at is None else id_at)
 
 
 def rl_of(g: WheelerGraph) -> RLSequence:
     """The rank/select directories that build_index makes for g."""
-    return build_rank_select(*build_bwt(g), assign_identifiers(g, decompose_paths(g)).id_of_rank)
+    _, dsts, runs = build_bwt(g)
+    return build_rank_select(runs, dsts, assign_identifiers(g, decompose_paths(g)).id_of_rank)
 
 
 def run_order(rl: RLSequence) -> tuple[list[int], list[int], list[int]]:
@@ -607,19 +622,20 @@ def dense_refine(labels, id_at, out_degrees, in_degrees, f_label, s, e, c):
     return bisect_right(in_prefix, first) - 1, bisect_right(in_prefix, last) - 1, p, end
 
 
-@cache
-def small_wheeler_graphs(max_m: int) -> tuple[WheelerGraph, ...]:
-    """The Wheeler graphs with n <= 4, sigma <= 2 and m <= max_m, one per
-    edge multiset: the small-scope corpus."""
-    out = []
+def small_graphs(max_m: int):
+    """Every graph with n <= 4, labels in {0, 1} and m <= max_m, one per
+    edge multiset, most of them not Wheeler."""
     for n in range(5):
         edges = list(product(range(n), range(n), range(2)))
         for m in range(max_m + 1):
             for chosen in combinations_with_replacement(edges, m):
-                g = WheelerGraph(n=n, edges=list(chosen))
-                if validate_wheeler(g).is_wheeler:
-                    out.append(g)
-    return tuple(out)
+                yield WheelerGraph(n=n, edges=list(chosen))
+
+
+@cache
+def small_wheeler_graphs(max_m: int) -> tuple[WheelerGraph, ...]:
+    """The Wheeler graphs among small_graphs(max_m): the small-scope corpus."""
+    return tuple(g for g in small_graphs(max_m) if validate_wheeler(g).is_wheeler)
 
 
 def sampled_wheeler_graphs(count: int, seed: int, keep) -> list[WheelerGraph]:

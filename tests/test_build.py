@@ -112,19 +112,20 @@ def instances(draw):
 # --- transform ---
 
 def test_bwt_g1(g1):
-    labels, dsts = build_bwt(g1)
+    labels, dsts, runs = build_bwt(g1)
     assert labels == transform_labels(g1) == [0, 1, 0]
+    assert runs == {0: ([0, 2], [1, 3]), 1: ([1], [2])}
     order = transform_order(g1)[0]
     assert order == [0, 1, 2]
     assert [g1.edges[i][:2] for i in order] == [(0, 1), (1, 3), (3, 2)]
     assert dsts == [1, 3, 2]
-    rl = build_rank_select(labels, dsts, assign_identifiers(g1, decompose_paths(g1)).id_of_rank)
+    rl = build_rank_select(runs, dsts, assign_identifiers(g1, decompose_paths(g1)).id_of_rank)
     assert run_order(rl)[:2] == ([0, 1, 2], [0, 1, 0])
 
 
 def test_bwt_empty():
     g = WheelerGraph(n=3, edges=[])
-    assert build_bwt(g) == ([], []) and run_starts_of(build_rank_select([], [], [])) == []
+    assert build_bwt(g) == ([], [], {}) and run_starts_of(build_rank_select({}, [], [])) == []
 
 
 def test_bwt_single_run():
@@ -143,7 +144,7 @@ def test_bwt_groups_by_source_then_destination():
     # two sources out of rank order in the input; positions must follow ranks
     g = WheelerGraph(n=3, edges=[(1, 2, 1), (0, 1, 0)])
     assert transform_order(g)[0] == [1, 0]
-    assert build_bwt(g) == ([0, 1], [1, 2]) == tuple(transform_order(g)[1:])
+    assert build_bwt(g)[:2] == ([0, 1], [1, 2]) == tuple(transform_order(g)[1:])
     assert transform_labels(g) == [0, 1]
 
 
@@ -353,9 +354,9 @@ def toehold_of(g):
     """The rank/select directories and the toehold table of g, and the
     identifier at each marked position (marked_ids)."""
     d = decompose_paths(g)
-    labels, dsts = build_bwt(g)
+    labels, dsts, runs = build_bwt(g)
     ids = assign_identifiers(g, d)
-    rl = build_rank_select(labels, dsts, ids.id_of_rank)
+    rl = build_rank_select(runs, dsts, ids.id_of_rank)
     th = build_toehold(ids, labels, dsts, rl, build_partial_sums(g), d.break_ranks)
     return rl, th, marked_ids(rl, th)
 
@@ -1806,6 +1807,29 @@ def test_bool_label_never_reaches_an_index_file(tmp_path):
     save_index(build_index(g), path)
     assert serialize_index(load_index(path)) == serialize_index(build_index(g))
     assert parse_graph(to_wgf(g)) == g
+
+
+def test_build_index_groups_the_runs_once(monkeypatch):
+    """Validation groups the transform's runs by label, and build_rank_select
+    takes that grouping from build_bwt: one build groups them once, and the
+    same bytes come out."""
+    grouped, handed = [], []
+    group, rank_select = graph_mod._group_runs, build_mod.build_rank_select
+
+    def counting(labels, bounds):
+        grouped.append(group(labels, bounds))
+        return grouped[-1]
+
+    def recording(runs, dsts, id_of_rank):
+        handed.append(runs)
+        return rank_select(runs, dsts, id_of_rank)
+
+    g = gen_multi_paths([(0, 1, 0, 1), (1, 1, 0), (2,)]).graph
+    data = serialize_index(build_index(g))
+    monkeypatch.setattr(graph_mod, "_group_runs", counting)
+    monkeypatch.setattr(build_mod, "build_rank_select", recording)
+    assert serialize_index(build_index(g)) == data
+    assert len(grouped) == len(handed) == 1 and handed[0] is grouped[0]
 
 
 def test_build_index_computes_the_transform_order_once(monkeypatch):
