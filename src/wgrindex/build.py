@@ -40,11 +40,11 @@ _INT_OR_NONE = frozenset((int, type(None)))
 _PER_BUCKET = 16  # average entries per cut-table bucket: a label's runs, or the phi anchors
 
 
-def build_bwt(g: WheelerGraph) -> tuple[list[int], list[int], dict[int, tuple[list[int], list[int]]]]:
+def build_bwt(g: WheelerGraph) -> tuple[list[int], list[int], dict[int, tuple[list[int], list[int], list[int]]]]:
     """The transform that validation read, as the label and the destination
     rank of the edge at each position, the edges sorted by (source rank,
-    destination rank, input order), and its runs grouped by label
-    (ValidationReport.runs). Rejects invalid orders."""
+    destination rank, input order), and its runs grouped by label, with
+    their tails (ValidationReport.runs). Rejects invalid orders."""
     report = validate_wheeler(g)
     if not report.is_wheeler:
         detail = "; ".join(str(v) for v in report.violations)
@@ -111,13 +111,12 @@ class RLSequence:
         return starts[t] + (k - cums[t])
 
 
-def build_rank_select(runs: dict[int, tuple[list[int], list[int]]], dsts: list[int], id_of_rank: list[int]) -> RLSequence:
-    """Rank/select directories over the runs of the edge labels in transform
-    order, as validation groups them (ValidationReport.runs), each with the
-    id of dsts[p] at its last p, just before its end."""
-    return RLSequence.of_runs(len(dsts), {
-        c: (starts, ends, list(map(id_of_rank.__getitem__, map(dsts.__getitem__, map(sub, ends, repeat(1))))))
-        for c, (starts, ends) in runs.items()})
+def build_rank_select(runs: dict[int, tuple[list[int], list[int], list[int]]], m: int, id_of_rank: list[int]) -> RLSequence:
+    """Rank/select directories over the runs of the m edge labels in
+    transform order, as validation groups them (ValidationReport.runs),
+    each with the id of its tail, the rank its last edge enters."""
+    return RLSequence.of_runs(m, {c: (starts, ends, list(map(id_of_rank.__getitem__, tails)))
+                                  for c, (starts, ends, tails) in runs.items()})
 
 
 @dataclass
@@ -300,7 +299,7 @@ def build_index(g: WheelerGraph) -> WheelerRIndex:
     labels, dsts, runs = build_bwt(g)  # raises NotWheelerError on a bad order
     d = decompose_paths(g)
     ids = assign_identifiers(g, d)
-    rl = build_rank_select(runs, dsts, ids.id_of_rank)
+    rl = build_rank_select(runs, g.m, ids.id_of_rank)
     sums = build_partial_sums(g)
     return WheelerRIndex(
         n=g.n,
@@ -518,7 +517,7 @@ def _check_ids(name: str, values: list[int], n: int, low: int = 0) -> None:
     """Raise unless every value lies in [low, n): an identifier, or the sentinel -1 if low is -1."""
     if values and (min(values) < low or max(values) >= n):
         bad = next(x for x in values if not low <= x < n)
-        raise ValueError(f"corrupt index: {name} holds identifier {bad}, outside [0, n)")
+        raise ValueError(f"corrupt index: {name} holds identifier {bad}, outside [{low}, n)")
 
 
 def _check_exceptions(doc: dict, name: str) -> tuple[list[int], list[int], set[int]]:

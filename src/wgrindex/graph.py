@@ -43,12 +43,12 @@ class ValidationReport:
     destination columns in transform order (see transform_order) that the
     check read; and runs, the maximal stretches of one label in it, grouped
     by label: each label that occurs, ascending, maps to its runs' ascending
-    starts and their ends (each the next start of any label, or m)."""
+    starts, ends (each the next start of any label, or m) and tails (dsts[end - 1])."""
 
     violations: tuple[Violation, ...]
     labels: list[int] = field(repr=False, compare=False)
     dsts: list[int] = field(repr=False, compare=False)
-    runs: dict[int, tuple[list[int], list[int]]] = field(repr=False, compare=False)
+    runs: dict[int, tuple[list[int], list[int], list[int]]] = field(repr=False, compare=False)
 
     @property
     def is_wheeler(self) -> bool:
@@ -197,24 +197,24 @@ def to_wgf(g: WheelerGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def transform_order(g: WheelerGraph) -> tuple[list[int], list[int], list[int]]:
+def transform_order(g: WheelerGraph) -> tuple[list[int], list[int]]:
     """The edges in transform order, by source rank, destination rank, then
-    input index, as columns: order, the indices in g.edges; labels; dsts.
+    input index, as columns: labels; dsts, the destination ranks.
 
     A stable counting sort: edge i goes to the next free position of its
     source's slice, from the source's out-degree prefix; only sources of
-    out-degree above 1 then sort their slice's rows by (destination, index)."""
+    out-degree above 1 then sort their slice stably by destination."""
     outs, m = g.out_degrees, g.m
-    order, labels, dsts = [0] * m, [0] * m, [0] * m
+    labels, dsts = [0] * m, [0] * m
     slot = [0, *accumulate(outs)]
-    for i, (u, v, lab) in enumerate(g.edges):
+    for u, v, lab in g.edges:
         p = slot[u]
-        order[p], labels[p], dsts[p] = i, lab, v
+        labels[p], dsts[p] = lab, v
         slot[u] = p + 1
     for u in compress(range(g.n), map(gt, outs, repeat(1))):
         s = slice(slot[u] - outs[u], slot[u])  # u's slice, now that it is filled
-        dsts[s], order[s], labels[s] = zip(*sorted(zip(dsts[s], order[s], labels[s])))
-    return order, labels, dsts
+        dsts[s], labels[s] = zip(*sorted(zip(dsts[s], labels[s]), key=itemgetter(0)))
+    return labels, dsts
 
 
 def validate_wheeler(g: WheelerGraph) -> ValidationReport:
@@ -254,22 +254,23 @@ def validate_wheeler(g: WheelerGraph) -> ValidationReport:
     # a run, where same[p] holds, nor from the last destination of one of
     # its runs to the first of the next. A1 then holds when each label's
     # first destination is above the previous label's last one.
-    order, labels, dsts = transform_order(g)
+    labels, dsts = transform_order(g)
     same = list(map(eq, labels, labels[1:]))  # same[p]: p and p + 1 share a run
     runs = _group_runs(labels, [0, *compress(range(1, len(labels)), map(not_, same))] if labels else [])
     rising, firsts, lasts = not any(compress(map(gt, dsts, dsts[1:]), same)), [], []
-    for starts, ends in runs.values():
+    for c, (starts, ends) in runs.items():
         heads, tails = list(map(dsts.__getitem__, starts)), list(map(dsts.__getitem__, map(sub, ends, repeat(1))))
+        runs[c] = starts, ends, tails  # the tails go on to the run-end identifiers
         rising = rising and not any(map(gt, tails, heads[1:]))
         firsts.append(heads[0])
         lasts.append(tails[-1])
-    if not rising or any(map(le, firsts[1:], lasts)):
-        violations += _witnesses(g.edges, order, dsts, runs)
+    if not rising or any(map(le, firsts[1:], lasts)):  # the stable sort names the witnesses' edges
+        violations += _witnesses(g.edges, sorted(range(g.m), key=lambda i: g.edges[i][:2]), dsts, runs)
     return ValidationReport(tuple(violations), labels, dsts, runs)
 
 
 def _group_runs(labels: list[int], bounds: list[int]) -> dict[int, tuple[list[int], list[int]]]:
-    """The runs of labels that start at bounds, grouped as in ValidationReport.runs."""
+    """The runs of labels that start at bounds, grouped as in ValidationReport.runs, without tails."""
     run_labels = list(map(labels.__getitem__, bounds))
     runs = {c: ([], []) for c in sorted(set(run_labels))}
     for c, s, e in zip(run_labels, bounds, bounds[1:] + [len(labels)]):
@@ -282,13 +283,13 @@ def _group_runs(labels: list[int], bounds: list[int]) -> dict[int, tuple[list[in
 def _witnesses(edges: list[Edge], order: list[int], dsts: list[int], runs: dict) -> list[Violation]:
     """The A1 violations, then the A2 ones, by ascending label, of a graph
     whose transform breaks one of them. Per label, over the (destination,
-    edge index) keys of its edges in transform order: for A1 the smallest
+    edge index order[p]) keys of its edges at positions p: for A1 the smallest
     and the largest key, a violation wherever the largest destination of
     the smaller labels is not below the smallest; for A2 the first fall of
     the destinations, between the first edge to reach the largest
     destination before it and the edge at it."""
     a1, a2, best_dst, best_edge = [], [], -1, -1
-    for lab, (starts, ends) in runs.items():
+    for lab, (starts, ends, _) in runs.items():
         at = list(chain.from_iterable(map(range, starts, ends)))
         seq, idx = list(map(dsts.__getitem__, at)), list(map(order.__getitem__, at))
         (lo_dst, lo_edge), hi = min(zip(seq, idx)), max(zip(seq, idx))

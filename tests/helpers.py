@@ -48,7 +48,7 @@ from wgrindex import (
 )
 from wgrindex.build import _SECTIONS, RLSequence, build_bwt, build_rank_select
 from wgrindex.generators import GeneratedInstance, _rotation_ranks, is_primitive
-from wgrindex.graph import IdAssignment, Violation, transform_order
+from wgrindex.graph import IdAssignment, Violation
 from wgrindex.query import step_toehold
 
 def labels_from_ascii(s: str) -> tuple[int, ...]:
@@ -156,7 +156,7 @@ def reference_validation(g: WheelerGraph) -> tuple[tuple[Violation, ...], list[i
             )
         )
     edges = g.edges
-    order = sorted(range(g.m), key=lambda i: edges[i][:2])  # stable: ties keep input order
+    order = edge_order(g)
     per_label: dict[int, list] = {}
     for idx in order:
         _, v, lab = edges[idx]
@@ -364,7 +364,7 @@ SECTION_CORRUPTIONS = {
     "null": ("pred_ids", None, "pred_ids is not a section"),
     "no-first": ("pred_ids", pack_section([2, 3, 1, 0]), "pred_ids holds 0 first-vertex entries"),
     "two-firsts": ("pred_ids", pack_section([2, -1, -1, 0]), "pred_ids holds 2 first-vertex entries"),
-    "minus-2": ("pred_ids", pack_section([2, 3, -1, -2]), "pred_ids holds identifier -2, outside \\[0, n\\)"),
+    "minus-2": ("pred_ids", pack_section([2, 3, -1, -2]), "pred_ids holds identifier -2, outside \\[-1, n\\)"),
     # run_starts, [[0, 2], [1]] in g1, is a list of sections, one per label
     "one-section": ("run_starts", "bAAIB", "run_starts is not a list of sections, one per label"),
     "label-section": ("run_starts", ["bAAI=", "bA!=="], "run_starts\\[1\\] is not the base64 of whole b words"),
@@ -536,22 +536,31 @@ def assert_walk_matches_reference(g: WheelerGraph) -> None:
     assert assign_identifiers(g, d) == reference_identifiers(g, ref)
 
 
+def edge_order(g: WheelerGraph) -> list[int]:
+    """The indices in g.edges in transform order: the stable sort by
+    (source rank, destination rank), so ties keep their input order."""
+    return sorted(range(g.m), key=lambda i: g.edges[i][:2])
+
+
 def transform_labels(g: WheelerGraph) -> list[int]:
-    """The edge labels in transform order, read through its index column."""
-    return [g.edges[i][2] for i in transform_order(g)[0]]
+    """The edge labels in transform order, read through edge_order."""
+    return [g.edges[i][2] for i in edge_order(g)]
 
 
-def naive_run_groups(labels) -> dict[int, tuple[list[int], list[int]]]:
+def naive_run_groups(labels, dsts) -> dict[int, tuple[list[int], list[int], list[int]]]:
     """The runs of a label sequence, found one position at a time: each
-    label, ascending, with its runs' ascending starts and ends."""
-    groups: dict[int, tuple[list[int], list[int]]] = {}
+    label, ascending, with its runs' ascending starts, ends and tails, the
+    dsts at each run's last position."""
+    groups: dict[int, tuple[list[int], list[int], list[int]]] = {}
     for p, lab in enumerate(labels):
         if p == 0 or labels[p - 1] != lab:
-            starts, ends = groups.setdefault(lab, ([], []))
+            starts, ends, tails = groups.setdefault(lab, ([], [], []))
             starts.append(p)
             ends.append(p + 1)
+            tails.append(dsts[p])
         else:
             groups[lab][1][-1] = p + 1
+            groups[lab][2][-1] = dsts[p]
     return dict(sorted(groups.items()))
 
 
@@ -559,13 +568,13 @@ def rl_from_labels(labels, id_at=None) -> RLSequence:
     """Rank/select directories straight from a label sequence, each run
     ending at p with the run-end identifier id_at[p], by default p."""
     positions = range(len(labels))  # each position its own destination
-    return build_rank_select(naive_run_groups(labels), positions, positions if id_at is None else id_at)
+    runs = naive_run_groups(labels, positions)
+    return build_rank_select(runs, len(labels), positions if id_at is None else id_at)
 
 
 def rl_of(g: WheelerGraph) -> RLSequence:
     """The rank/select directories that build_index makes for g."""
-    _, dsts, runs = build_bwt(g)
-    return build_rank_select(runs, dsts, assign_identifiers(g, decompose_paths(g)).id_of_rank)
+    return build_rank_select(build_bwt(g)[2], g.m, assign_identifiers(g, decompose_paths(g)).id_of_rank)
 
 
 def run_order(rl: RLSequence) -> tuple[list[int], list[int], list[int]]:

@@ -74,6 +74,7 @@ from helpers import (
     random_label_string,
     small_wheeler_graphs,
     doc_of,
+    edge_order,
     file_of,
     gaps,
     label_major,
@@ -114,18 +115,18 @@ def instances(draw):
 def test_bwt_g1(g1):
     labels, dsts, runs = build_bwt(g1)
     assert labels == transform_labels(g1) == [0, 1, 0]
-    assert runs == {0: ([0, 2], [1, 3]), 1: ([1], [2])}
-    order = transform_order(g1)[0]
+    assert runs == {0: ([0, 2], [1, 3], [1, 2]), 1: ([1], [2], [3])}
+    order = edge_order(g1)
     assert order == [0, 1, 2]
     assert [g1.edges[i][:2] for i in order] == [(0, 1), (1, 3), (3, 2)]
     assert dsts == [1, 3, 2]
-    rl = build_rank_select(runs, dsts, assign_identifiers(g1, decompose_paths(g1)).id_of_rank)
+    rl = build_rank_select(runs, g1.m, assign_identifiers(g1, decompose_paths(g1)).id_of_rank)
     assert run_order(rl)[:2] == ([0, 1, 2], [0, 1, 0])
 
 
 def test_bwt_empty():
     g = WheelerGraph(n=3, edges=[])
-    assert build_bwt(g) == ([], [], {}) and run_starts_of(build_rank_select({}, [], [])) == []
+    assert build_bwt(g) == ([], [], {}) and run_starts_of(build_rank_select({}, 0, [])) == []
 
 
 def test_bwt_single_run():
@@ -143,8 +144,8 @@ def test_bwt_rejects_bad_order():
 def test_bwt_groups_by_source_then_destination():
     # two sources out of rank order in the input; positions must follow ranks
     g = WheelerGraph(n=3, edges=[(1, 2, 1), (0, 1, 0)])
-    assert transform_order(g)[0] == [1, 0]
-    assert build_bwt(g)[:2] == ([0, 1], [1, 2]) == tuple(transform_order(g)[1:])
+    assert edge_order(g) == [1, 0]
+    assert build_bwt(g)[:2] == ([0, 1], [1, 2]) == transform_order(g)
     assert transform_labels(g) == [0, 1]
 
 
@@ -356,7 +357,7 @@ def toehold_of(g):
     d = decompose_paths(g)
     labels, dsts, runs = build_bwt(g)
     ids = assign_identifiers(g, d)
-    rl = build_rank_select(runs, dsts, ids.id_of_rank)
+    rl = build_rank_select(runs, g.m, ids.id_of_rank)
     th = build_toehold(ids, labels, dsts, rl, build_partial_sums(g), d.break_ranks)
     return rl, th, marked_ids(rl, th)
 
@@ -382,7 +383,7 @@ def test_toehold_marks_before_sink():
     *_, marks = toehold_of(g)
     sink = g.n - 1
     assert g.out_degrees[sink] == 0
-    for p, i in enumerate(transform_order(g)[0]):
+    for p, i in enumerate(edge_order(g)):
         if g.edges[i][0] == sink - 1:
             assert p in marks
 
@@ -393,7 +394,7 @@ def test_toehold_exact_membership(inst):
     """Marked positions match a from-scratch scan of the three conditions,
     over the edges in transform order."""
     g, d, ids = inst.graph, inst.decomp, inst.ids
-    edge_at = [g.edges[i][:2] for i in transform_order(g)[0]]
+    edge_at = [g.edges[i][:2] for i in edge_order(g)]
     marks = marked_ids(inst.index.rl, inst.index.toehold)
     ends = {seq[0] for seq in d.paths} | {seq[-1] for seq in d.paths}
     expected = set()
@@ -429,7 +430,7 @@ def test_load_side_marks_match_built_marks(inst):
     # the edges into the endpoints, each with the rank it enters and its
     # label, which the loader checks their marks against: every rank but an
     # endpoint has in-degree 1, so they number m - first
-    dsts = transform_order(inst.graph)[2]
+    dsts = transform_order(inst.graph)[1]
     assert all((dsts[p], inst.bwt_labels[p]) == kc for p, kc in into.items())
     assert len(into) == ix.m - (ix.n - len(inst.decomp.endpoints))
 
@@ -1820,9 +1821,9 @@ def test_build_index_groups_the_runs_once(monkeypatch):
         grouped.append(group(labels, bounds))
         return grouped[-1]
 
-    def recording(runs, dsts, id_of_rank):
+    def recording(runs, m, id_of_rank):
         handed.append(runs)
-        return rank_select(runs, dsts, id_of_rank)
+        return rank_select(runs, m, id_of_rank)
 
     g = gen_multi_paths([(0, 1, 0, 1), (1, 1, 0), (2,)]).graph
     data = serialize_index(build_index(g))
@@ -1833,17 +1834,29 @@ def test_build_index_groups_the_runs_once(monkeypatch):
 
 
 def test_build_index_computes_the_transform_order_once(monkeypatch):
-    """Validation returns the order it scanned and build_bwt reads it from
-    the report, so one build sorts the edges once."""
-    calls = []
+    """Validation places the edges once and build_bwt reads the columns from
+    the report; the witness search, the only reader of the edge-index
+    order, runs only once the check has failed: never in a valid build,
+    once for a graph that is not Wheeler."""
+    placed, searched = [], []
+    witnesses = graph_mod._witnesses
 
     def counting(g):
-        calls.append(g)
+        placed.append(g)
         return transform_order(g)
+
+    def searching(*args):
+        searched.append(args)
+        return witnesses(*args)
 
     for mod in (graph_mod, build_mod):
         if hasattr(mod, "transform_order"):
             monkeypatch.setattr(mod, "transform_order", counting)
+    monkeypatch.setattr(graph_mod, "_witnesses", searching)
     g = gen_string_path((0, 1, 0, 1, 0)).graph
     build_index(g)
-    assert calls == [g]  # validation's; build_bwt computes none of its own
+    assert (placed, searched) == ([g], [])  # validation's; build_bwt computes none of its own
+    bad = WheelerGraph(2, [(0, 1, 1), (0, 1, 0)])
+    with pytest.raises(NotWheelerError, match="A1"):
+        build_index(bad)
+    assert placed == [g, bad] and len(searched) == 1

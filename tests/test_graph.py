@@ -24,6 +24,7 @@ from helpers import (
     assert_walk_matches_reference,
     broken_cycle_graphs,
     build_corpus,
+    edge_order,
     exhaustive_axiom_check,
     gen_confluent,
     naive_run_groups,
@@ -245,16 +246,35 @@ def test_transform_order_is_the_stable_source_destination_sort(g):
     # the counting placement, with only the sources of out-degree above 1
     # sorting their slices, against a plain comparison sort; arbitrary
     # graphs bring parallel edges, tries sources with several out-edges
-    order, labels, dsts = transform_order(g)
-    assert order == sorted(range(g.m), key=lambda i: g.edges[i][:2])
+    labels, dsts = transform_order(g)
+    order = edge_order(g)
     assert (labels, dsts) == ([g.edges[i][2] for i in order], [g.edges[i][1] for i in order])
     # validation hands on the columns it read, and their runs grouped by
-    # ascending label as a scan one position at a time finds them,
-    # whatever its verdict, which is the all-pairs check's
+    # ascending label as a scan one position at a time finds them, with
+    # their tails, whatever its verdict, which is the all-pairs check's
     report = validate_wheeler(g)
     assert (report.labels, report.dsts) == (labels, dsts)
-    assert report.runs == naive_run_groups(labels) and list(report.runs) == sorted(report.runs)
+    assert report.runs == naive_run_groups(labels, dsts) and list(report.runs) == sorted(report.runs)
     assert report.is_wheeler == (report.violations == ()) == exhaustive_axiom_check(g)
+
+
+@pytest.mark.parametrize(
+    "edges", [[(0, 1, 1), (0, 1, 0)], [(0, 1, 0), (0, 1, 1)], [(0, 1, 1), (0, 1, 0), (0, 1, 1)]]
+)
+def test_parallel_edges_keep_their_input_order(edges):
+    """Parallel edges of different labels into one destination keep their
+    input order in the columns and runs, as the stable (source,
+    destination) sort does, and the A1 witness names them as the reference
+    scan does; a slice sorted by (destination, label) would put label 0
+    first."""
+    g = WheelerGraph(2, edges)
+    order = edge_order(g)
+    labels, dsts = [g.edges[i][2] for i in order], [g.edges[i][1] for i in order]
+    report = validate_wheeler(g)
+    assert (report.labels, report.dsts, report.runs) == (labels, dsts, naive_run_groups(labels, dsts))
+    a1 = [v for v in reference_validation(g)[0] if v.axiom == "A1"]
+    assert not report.is_wheeler and a1
+    assert [v for v in report.violations if v.axiom == "A1"] == a1
 
 
 confluent_graphs = st.integers(1, 4).flatmap(
@@ -273,7 +293,6 @@ def test_validation_report_matches_the_reference_scan(g):
     report = validate_wheeler(g)
     violations, order = reference_validation(g)
     assert report.violations == violations
-    assert transform_order(g)[0] == order
     assert report.labels == [g.edges[i][2] for i in order]
     assert report.dsts == [g.edges[i][1] for i in order]
 
@@ -488,7 +507,7 @@ def test_decompose_invariants(g):
             assert [v] in d.paths
     assert d.num_paths == len(d.paths)
     # ordered by start rank, then by the transform position of the first edge
-    pos = {e: p for p, e in enumerate(transform_order(g)[0])}
+    pos = {e: p for p, e in enumerate(edge_order(g))}
     keys = [(vs[0], pos[es[0]] if es else -1) for vs, es in zip(d.paths, d.edge_paths)]
     assert keys == sorted(keys)
     # deterministic
